@@ -1,7 +1,7 @@
 //! Key pairs and RFC 4034 Appendix B key tags.
 
 use crate::algorithm::Algorithm;
-use crate::sha2::sha256_parts;
+use crate::sha2::Sha256;
 use rand::RngCore;
 
 /// A simulated DNSSEC key pair.
@@ -81,10 +81,12 @@ pub(crate) fn expand(parts: &[&[u8]], len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
     let mut counter = 0u32;
     while out.len() < len {
-        let ctr = counter.to_be_bytes();
-        let mut input: Vec<&[u8]> = parts.to_vec();
-        input.push(&ctr);
-        out.extend_from_slice(&sha256_parts(&input));
+        let mut block = Sha256::new();
+        for part in parts {
+            block.update(part);
+        }
+        block.update(&counter.to_be_bytes());
+        out.extend_from_slice(&block.finalize());
         counter += 1;
     }
     out.truncate(len);

@@ -157,11 +157,15 @@ impl Sha256 {
 
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Pad in place: 0x80, zeros, and the bit length in the last eight
+        // octets — of a second block when this one has no room for it.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0; 64];
         }
-        // Manual length append to avoid double-counting in total_len.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
@@ -333,6 +337,41 @@ mod tests {
                 b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+    }
+
+    /// Message lengths on both sides of the one-block/two-block padding
+    /// split (55 is the longest one-block message) and at whole blocks.
+    #[test]
+    fn sha256_padding_boundaries() {
+        let check = |len, digest| assert_eq!(hex(&sha256(&vec![b'a'; len])), digest, "{len}");
+        check(
+            55,
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+        );
+        check(
+            56,
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+        );
+        check(
+            57,
+            "f13b2d724659eb3bf47f2dd6af1accc87b81f09f59f2b75e5c0bed6589dfe8c6",
+        );
+        check(
+            63,
+            "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+        );
+        check(
+            64,
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+        );
+        check(
+            119,
+            "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+        );
+        check(
+            120,
+            "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
         );
     }
 

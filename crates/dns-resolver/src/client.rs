@@ -13,7 +13,6 @@ use dns_wire::name::Name;
 use dns_wire::record::RecordType;
 use netsim::{Addr, DeterministicDraw, NetError, Network, SimMicros, Transport};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -157,6 +156,10 @@ impl IoCounters {
     }
 }
 
+/// What identifies a logical query within a scope: (server, qname-hash,
+/// qtype).
+type QueryCoords = (Addr, u64, u16);
+
 /// Per-scope I/O accounting for a group of logical queries.
 ///
 /// The scanner creates one meter per zone so every datagram and byte —
@@ -177,11 +180,12 @@ impl IoCounters {
 pub struct QueryMeter {
     /// Seed for the per-query ID derivation.
     id_seed: u64,
-    /// (server, qname-hash, qtype) → how many logical queries with those
+    /// [`QueryCoords`] → how many logical queries with those
     /// coordinates have drawn an ID so far. The occurrence number keeps
     /// repeat queries (health re-probes, CNAME re-walks) distinct while
-    /// staying independent of anything *between* them.
-    issued: Mutex<HashMap<(Addr, u64, u16), u32>>,
+    /// staying independent of anything *between* them. A zone issues a
+    /// few dozen queries, so this is a short list scanned linearly.
+    issued: Mutex<Vec<(QueryCoords, u32)>>,
     /// Resolver-cache inserts made while working under this meter.
     cache_log: Mutex<CacheLog>,
     datagrams: AtomicU64,
@@ -209,7 +213,8 @@ impl QueryMeter {
     pub fn with_budget(id_seed: u64, budget: u64) -> Self {
         QueryMeter {
             id_seed,
-            issued: Mutex::new(HashMap::new()),
+            // Sized for a typical zone so the list never regrows mid-scan.
+            issued: Mutex::new(Vec::with_capacity(32)),
             cache_log: Mutex::new(CacheLog::default()),
             datagrams: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
@@ -228,12 +233,18 @@ impl QueryMeter {
     /// payloads — of the queries that do go out.
     pub fn id_for(&self, server: Addr, qname: &Name, qtype: RecordType) -> u16 {
         let occurrence = {
+            let key = (server, qname.fnv64(), qtype.code());
             let mut issued = self.issued.lock();
-            let n = issued
-                .entry((server, qname.fnv64(), qtype.code()))
-                .or_insert(0);
-            *n += 1;
-            *n
+            match issued.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, n)) => {
+                    *n += 1;
+                    *n
+                }
+                None => {
+                    issued.push((key, 1));
+                    1
+                }
+            }
         };
         DeterministicDraw::new(
             self.id_seed ^ 0x1d5e_ed00,

@@ -3,10 +3,10 @@
 
 use crate::quirks::Quirks;
 use crate::store::ZoneStore;
-use dns_wire::message::{Message, Rcode};
+use dns_wire::message::{Edns, Flags, Message, MessageEncoder, Rcode, Section};
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
-use dns_wire::record::{Record, RecordType};
+use dns_wire::record::{Record, RecordType, RrSet};
 use dns_wire::{CLASSIC_UDP_PAYLOAD, EDNS_UDP_PAYLOAD};
 use dns_zone::{Zone, ZoneLookup};
 use netsim::{Addr, ServerHandler, ServerResponse, SimMicros, Transport};
@@ -30,6 +30,19 @@ pub struct AuthServer {
     quirks: Quirks,
 }
 
+/// Receives the records [`AuthServer::respond`] selects, in wire order,
+/// each with the RRset it belongs to: [`AuthServer::answer`] collects
+/// them into an owned [`Message`], [`ServerHandler::handle`] streams them
+/// into the wire encoder — one decision logic, two renderings.
+type Sink<'a> = dyn FnMut(Section, &RrSet, &RData) + 'a;
+
+fn reply_flags(rcode: Rcode, authoritative: bool) -> Flags {
+    Flags {
+        authoritative,
+        ..Flags::response(rcode)
+    }
+}
+
 impl AuthServer {
     pub fn new(store: Arc<ZoneStore>) -> Self {
         AuthServer {
@@ -51,117 +64,125 @@ impl AuthServer {
 
     /// Answer a parsed query message. Exposed for in-process use by tests
     /// and the resolver fast path; the wire path goes through
-    /// [`ServerHandler::handle`].
+    /// [`ServerHandler::handle`], which renders the same decisions
+    /// straight to bytes.
     pub fn answer(&self, query: &Message) -> Message {
+        let mut resp = Message::response_to(query, Rcode::NoError);
+        resp.header.flags = self.respond(query, &mut |section, set, rdata| {
+            let records = match section {
+                Section::Answer => &mut resp.answers,
+                Section::Authority => &mut resp.authorities,
+                Section::Additional => &mut resp.additionals,
+            };
+            records.push(Record {
+                name: set.name.clone(),
+                class: set.class,
+                ttl: set.ttl,
+                rdata: rdata.clone(),
+            });
+        });
+        resp
+    }
+
+    /// Select the records answering `query` into `out`, section by
+    /// section in wire order; returns the response's header flags.
+    fn respond(&self, query: &Message, out: &mut Sink) -> Flags {
         let Some(question) = query.questions.first() else {
-            return Message::response_to(query, Rcode::FormErr);
+            return reply_flags(Rcode::FormErr, false);
         };
-        let qname = question.name.clone();
+        let qname = &question.name;
         let qtype = question.rtype;
         let dnssec_ok = query.dnssec_ok();
 
         if self.quirks.pre_rfc3597 && !LEGACY_KNOWN_TYPES.contains(&qtype) {
             // Old servers violate RFC 3597 §3 and error on unknown types.
-            return Message::response_to(query, Rcode::FormErr);
+            return reply_flags(Rcode::FormErr, false);
         }
 
-        let Some(zone) = self.store.find(&qname) else {
-            return Message::response_to(query, Rcode::Refused);
+        let Some(zone) = self.store.find(qname) else {
+            return reply_flags(Rcode::Refused, false);
         };
 
-        let mut resp = Message::response_to(query, Rcode::NoError);
-        match zone.lookup(&qname, qtype) {
-            ZoneLookup::Answer(set) => {
-                resp.header.flags.authoritative = true;
-                resp.answers.extend(set.records());
+        match zone.lookup(qname, qtype) {
+            ZoneLookup::Answer(set) | ZoneLookup::Cname(set) => {
+                push_set(out, Section::Answer, set);
                 if dnssec_ok {
-                    resp.answers.extend(rrsigs_for(&zone, &qname, qtype));
+                    push_rrsigs(out, Section::Answer, &zone, qname, set.rtype);
                 }
-            }
-            ZoneLookup::Cname(set) => {
-                resp.header.flags.authoritative = true;
-                resp.answers.extend(set.records());
-                if dnssec_ok {
-                    resp.answers
-                        .extend(rrsigs_for(&zone, &qname, RecordType::Cname));
-                }
+                reply_flags(Rcode::NoError, true)
             }
             ZoneLookup::NoData => {
-                resp.header.flags.authoritative = true;
-                add_soa(&mut resp, &zone, dnssec_ok);
+                add_soa(out, &zone, dnssec_ok);
                 if dnssec_ok {
-                    add_nsec_at(&mut resp, &zone, &qname);
+                    add_nsec_at(out, &zone, qname);
                 }
+                reply_flags(Rcode::NoError, true)
             }
             ZoneLookup::NxDomain => {
-                resp.set_rcode(Rcode::NxDomain);
-                resp.header.flags.authoritative = true;
-                add_soa(&mut resp, &zone, dnssec_ok);
+                add_soa(out, &zone, dnssec_ok);
                 if dnssec_ok {
-                    if let Some(prev) = zone.nsec_predecessor(&qname) {
-                        let prev = prev.clone();
-                        add_nsec_at(&mut resp, &zone, &prev);
+                    if let Some(prev) = zone.nsec_predecessor(qname) {
+                        add_nsec_at(out, &zone, prev);
                     }
                 }
+                reply_flags(Rcode::NxDomain, true)
             }
-            ZoneLookup::Delegation { cut, ns, ds, glue } => {
+            ZoneLookup::Delegation { cut, ns, ds } => {
                 // Referral: not authoritative; NS set in authority.
-                resp.authorities.extend(ns.records());
+                push_set(out, Section::Authority, ns);
                 if dnssec_ok {
                     match ds {
                         Some(ds_set) => {
-                            resp.authorities.extend(ds_set.records());
-                            resp.authorities
-                                .extend(rrsigs_for(&zone, &cut, RecordType::Ds));
+                            push_set(out, Section::Authority, ds_set);
+                            push_rrsigs(out, Section::Authority, &zone, cut, RecordType::Ds);
                         }
-                        None => {
-                            // Signed zone proves the delegation insecure
-                            // with the NSEC at the cut.
-                            add_nsec_at(&mut resp, &zone, &cut);
-                        }
+                        // Signed zone proves the delegation insecure
+                        // with the NSEC at the cut.
+                        None => add_nsec_at(out, &zone, cut),
                     }
                 }
-                resp.additionals.extend(glue);
+                for glue in zone.glue(ns) {
+                    push_set(out, Section::Additional, glue);
+                }
+                reply_flags(Rcode::NoError, false)
             }
-            ZoneLookup::OutOfZone => {
-                // find() guarantees containment; treat defensively.
-                return Message::response_to(query, Rcode::Refused);
-            }
+            // find() guarantees containment; treat defensively.
+            ZoneLookup::OutOfZone => reply_flags(Rcode::Refused, false),
         }
-        resp
+    }
+}
+
+fn push_set(out: &mut Sink, section: Section, set: &RrSet) {
+    for rdata in &set.rdatas {
+        out(section, set, rdata);
     }
 }
 
 /// RRSIG records at `name` covering `covered`.
-fn rrsigs_for(zone: &Zone, name: &Name, covered: RecordType) -> Vec<Record> {
-    zone.rrset(name, RecordType::Rrsig)
-        .map(|set| {
-            set.records()
-                .into_iter()
-                .filter(|r| match &r.rdata {
-                    RData::Rrsig(s) => s.type_covered == covered.code(),
-                    _ => false,
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-fn add_soa(resp: &mut Message, zone: &Zone, dnssec_ok: bool) {
-    if let Some(soa) = zone.rrset(zone.apex(), RecordType::Soa) {
-        resp.authorities.extend(soa.records());
-        if dnssec_ok {
-            resp.authorities
-                .extend(rrsigs_for(zone, zone.apex(), RecordType::Soa));
+fn push_rrsigs(out: &mut Sink, section: Section, zone: &Zone, name: &Name, covered: RecordType) {
+    let Some(sigs) = zone.rrset(name, RecordType::Rrsig) else {
+        return;
+    };
+    for rdata in &sigs.rdatas {
+        if matches!(rdata, RData::Rrsig(s) if s.type_covered == covered.code()) {
+            out(section, sigs, rdata);
         }
     }
 }
 
-fn add_nsec_at(resp: &mut Message, zone: &Zone, name: &Name) {
+fn add_soa(out: &mut Sink, zone: &Zone, dnssec_ok: bool) {
+    if let Some(soa) = zone.rrset(zone.apex(), RecordType::Soa) {
+        push_set(out, Section::Authority, soa);
+        if dnssec_ok {
+            push_rrsigs(out, Section::Authority, zone, zone.apex(), RecordType::Soa);
+        }
+    }
+}
+
+fn add_nsec_at(out: &mut Sink, zone: &Zone, name: &Name) {
     if let Some(nsec) = zone.rrset(name, RecordType::Nsec) {
-        resp.authorities.extend(nsec.records());
-        resp.authorities
-            .extend(rrsigs_for(zone, name, RecordType::Nsec));
+        push_set(out, Section::Authority, nsec);
+        push_rrsigs(out, Section::Authority, zone, name, RecordType::Nsec);
     }
 }
 
@@ -205,11 +226,19 @@ impl ServerHandler for AuthServer {
                 Message::response_to(&parsed, Rcode::ServFail).to_bytes(),
             );
         }
-        let mut resp = self.answer(&parsed);
-        if self.quirks.draw_badsig(query, backend) {
+        let (bytes, flags) = if self.quirks.draw_badsig(query, backend) {
+            // The rare corrupted reply is edited in owned form.
+            let mut resp = self.answer(&parsed);
             corrupt_signatures(&mut resp);
-        }
-        let mut bytes = resp.to_bytes();
+            (resp.to_bytes(), resp.header.flags)
+        } else {
+            let mut enc = MessageEncoder::new(parsed.header.id, &parsed.questions);
+            let flags = self.respond(&parsed, &mut |section, set, rdata| {
+                enc.record(section, &set.name, set.class, set.ttl, rdata)
+            });
+            let edns = parsed.edns.map(|_| Edns::default());
+            (enc.finish(flags, edns), flags)
+        };
         if transport == Transport::Udp {
             let limit = parsed
                 .edns
@@ -217,10 +246,12 @@ impl ServerHandler for AuthServer {
                 .unwrap_or(CLASSIC_UDP_PAYLOAD) as usize;
             if bytes.len() > limit {
                 // Truncate: TC=1 and empty sections; client retries TCP.
-                let mut tc = Message::response_to(&parsed, resp.rcode());
-                tc.header.flags.truncated = true;
-                tc.header.flags.authoritative = resp.header.flags.authoritative;
-                bytes = tc.to_bytes();
+                let mut tc = Message::response_to(&parsed, Rcode::NoError);
+                tc.header.flags = Flags {
+                    truncated: true,
+                    ..flags
+                };
+                return ServerResponse::Reply(tc.to_bytes());
             }
         }
         ServerResponse::Reply(bytes)

@@ -1,9 +1,8 @@
 //! Zone storage with longest-suffix selection.
 
-use dns_wire::name::Name;
+use dns_wire::name::{Name, NameMap};
 use dns_zone::Zone;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The zones a server is authoritative for.
@@ -13,7 +12,7 @@ use std::sync::Arc;
 /// §4.3.2 step 2).
 #[derive(Default)]
 pub struct ZoneStore {
-    zones: RwLock<HashMap<Name, Arc<Zone>>>,
+    zones: RwLock<NameMap<Arc<Zone>>>,
 }
 
 impl ZoneStore {

@@ -1,9 +1,10 @@
 //! DNS messages (RFC 1035 §4) with EDNS(0) (RFC 6891).
 
 use crate::name::Name;
-use crate::rdata::RData;
 use crate::record::{Record, RecordClass, RecordType};
-use crate::wire::{WireError, WireReader, WireWriter};
+use crate::wire::{WireError, WireReader};
+
+pub use crate::compress::{MessageEncoder, Section};
 
 /// Query/response operation codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,7 +103,16 @@ pub struct Flags {
 }
 
 impl Flags {
-    fn to_u16(self) -> u16 {
+    /// The flags a response starts from: QR set and the response code.
+    pub fn response(rcode: Rcode) -> Self {
+        Flags {
+            response: true,
+            rcode_bits: rcode.code(),
+            ..Flags::default()
+        }
+    }
+
+    pub(crate) fn to_u16(self) -> u16 {
         (self.response as u16) << 15
             | (self.opcode_bits as u16 & 0xf) << 11
             | (self.authoritative as u16) << 10
@@ -215,11 +225,7 @@ impl Message {
         Message {
             header: Header {
                 id: query.header.id,
-                flags: Flags {
-                    response: true,
-                    rcode_bits: rcode.code(),
-                    ..Flags::default()
-                },
+                flags: Flags::response(rcode),
             },
             questions: query.questions.clone(),
             edns: query.edns.map(|_| Edns::default()),
@@ -254,42 +260,17 @@ impl Message {
 
     /// Encode to wire bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.write_u16(self.header.id);
-        w.write_u16(self.header.flags.to_u16());
-        w.write_u16(self.questions.len() as u16);
-        w.write_u16(self.answers.len() as u16);
-        w.write_u16(self.authorities.len() as u16);
-        let arcount = self.additionals.len() + self.edns.is_some() as usize;
-        w.write_u16(arcount as u16);
-        for q in &self.questions {
-            w.write_name(&q.name);
-            w.write_u16(q.rtype.code());
-            w.write_u16(q.class.code());
+        let mut enc = MessageEncoder::new(self.header.id, &self.questions);
+        for (section, records) in [
+            (Section::Answer, &self.answers),
+            (Section::Authority, &self.authorities),
+            (Section::Additional, &self.additionals),
+        ] {
+            for r in records {
+                enc.record(section, &r.name, r.class, r.ttl, &r.rdata);
+            }
         }
-        for r in self
-            .answers
-            .iter()
-            .chain(self.authorities.iter())
-            .chain(self.additionals.iter())
-        {
-            r.write(&mut w);
-        }
-        if let Some(e) = self.edns {
-            // OPT pseudo-record: name=root, class=udp payload, TTL packs
-            // extended rcode / version / DO bit.
-            let ttl = (e.extended_rcode as u32) << 24
-                | (e.version as u32) << 16
-                | (e.dnssec_ok as u32) << 15;
-            let opt = Record {
-                name: Name::root(),
-                class: RecordClass::from_code(e.udp_payload),
-                ttl,
-                rdata: RData::Opt(Vec::new()),
-            };
-            opt.write(&mut w);
-        }
-        w.into_bytes()
+        enc.finish(self.header.flags, self.edns)
     }
 
     /// Decode from wire bytes.
@@ -352,6 +333,7 @@ impl Message {
 mod tests {
     use super::*;
     use crate::name;
+    use crate::rdata::RData;
     use std::net::Ipv4Addr;
 
     #[test]

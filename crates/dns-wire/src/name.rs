@@ -59,21 +59,26 @@ impl std::error::Error for NameError {}
 /// Stored as its canonical (lowercase) uncompressed wire encoding behind
 /// an `Arc`, with the label count and an FNV-1a hash computed once at
 /// construction: clones are refcount bumps, hashing is a single `u64`
-/// write, and equality short-circuits on the cached hash. Equality and
-/// ordering are case-insensitive by construction.
+/// write, and equality short-circuits on the cached hash. A name may be a
+/// suffix view into a longer name's buffer, so [`Name::parent`] and
+/// ancestor walks never allocate. Equality and ordering are
+/// case-insensitive by construction.
 #[derive(Clone)]
 pub struct Name {
-    /// Canonical lowercase uncompressed encoding, including the root byte.
+    /// Canonical lowercase uncompressed encoding, including the root
+    /// byte, of this name or of the descendant it was derived from.
     wire: Arc<[u8]>,
-    /// FNV-1a of `wire`, computed once.
+    /// FNV-1a of [`Name::wire_bytes`], computed once.
     hash: u64,
+    /// Offset in `wire` where this name starts (≤ 254).
+    start: u8,
     /// Number of labels (the root has zero; max 127 for a 255-octet name).
     labels: u8,
 }
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.wire == other.wire
+        self.hash == other.hash && self.wire_bytes() == other.wire_bytes()
     }
 }
 
@@ -90,6 +95,32 @@ impl Default for Name {
         Name::root()
     }
 }
+
+/// [`std::hash::Hasher`] for [`Name`] keys: passes the name's cached
+/// FNV-64 straight through, so a map probe costs no hashing at all and
+/// the layout is the same in every process. Only for maps whose *keys*
+/// this program chose (zone contents, zone apexes); attacker-picked
+/// names only ever probe them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NameHasher(u64);
+
+impl std::hash::Hasher for NameHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Not reached by `Name` (it hashes one `u64`); mix anyway.
+        self.0 ^= fnv64_bytes(bytes);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
+/// A hash map keyed by [`Name`] through [`NameHasher`].
+pub type NameMap<V> = std::collections::HashMap<Name, V, std::hash::BuildHasherDefault<NameHasher>>;
 
 /// Label-by-label ordering from the *left* (the historical derive order
 /// of the label-vector representation; `BTreeSet<Name>` seed compilation
@@ -126,11 +157,12 @@ impl Name {
     }
 
     /// Wrap an already-canonical (lowercase, validated) wire encoding.
-    fn from_canonical_wire(wire: Vec<u8>, labels: u8) -> Self {
-        let hash = fnv64_bytes(&wire);
+    fn from_canonical_wire(wire: impl Into<Arc<[u8]>>, labels: u8) -> Self {
+        let wire = wire.into();
         Name {
-            wire: wire.into(),
-            hash,
+            hash: fnv64_bytes(&wire),
+            wire,
+            start: 0,
             labels,
         }
     }
@@ -139,7 +171,7 @@ impl Name {
     /// caller assembled (message decoding), skipping re-validation. The
     /// buffer must be a well-formed uncompressed encoding ≤255 octets
     /// with every label 1–63 octets and already lowercased.
-    pub(crate) fn from_decoded_wire(wire: Vec<u8>, labels: u8) -> Self {
+    pub(crate) fn from_decoded_wire(wire: &[u8], labels: u8) -> Self {
         debug_assert!(wire.len() <= MAX_NAME_LEN && wire.last() == Some(&0));
         Name::from_canonical_wire(wire, labels)
     }
@@ -241,23 +273,29 @@ impl Name {
 
     /// The canonical uncompressed wire encoding, borrowed.
     pub fn wire_bytes(&self) -> &[u8] {
-        &self.wire
+        self.wire.get(self.start as usize..).unwrap_or(&[0])
     }
 
     /// Iterate over labels, leftmost first.
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
+        self.labels_from(0)
+    }
+
+    /// The labels from label `k` (0-based, leftmost first) on.
+    fn labels_from(&self, k: usize) -> LabelIter<'_> {
         LabelIter {
-            wire: &self.wire,
-            pos: 0,
+            wire: self.wire_bytes(),
+            pos: self.label_offset(k),
         }
     }
 
     /// Byte offset in `wire` where label `k` (0-based, leftmost first)
     /// starts; `k == label_count()` gives the root byte.
     fn label_offset(&self, k: usize) -> usize {
+        let wire = self.wire_bytes();
         let mut pos = 0usize;
         for _ in 0..k {
-            match self.wire.get(pos) {
+            match wire.get(pos) {
                 Some(&len) => pos += len as usize + 1,
                 None => break,
             }
@@ -267,7 +305,7 @@ impl Name {
 
     /// The leftmost label, if any.
     pub fn first_label(&self) -> Option<&[u8]> {
-        let (&len, rest) = self.wire.split_first()?;
+        let (&len, rest) = self.wire_bytes().split_first()?;
         if len == 0 {
             None
         } else {
@@ -277,17 +315,23 @@ impl Name {
 
     /// Length of the uncompressed wire encoding, including the root byte.
     pub fn wire_len(&self) -> usize {
-        self.wire.len()
+        self.wire_bytes().len()
     }
 
     /// Parent name (one label stripped from the left); `None` at the root.
+    /// The parent shares this name's buffer: no allocation.
     pub fn parent(&self) -> Option<Name> {
         if self.labels == 0 {
             return None;
         }
-        let skip = *self.wire.first()? as usize + 1;
-        let tail = self.wire.get(skip..)?;
-        Some(Name::from_canonical_wire(tail.to_vec(), self.labels - 1))
+        let wire = self.wire_bytes();
+        let skip = *wire.first()? + 1;
+        Some(Name {
+            wire: Arc::clone(&self.wire),
+            hash: fnv64_bytes(wire.get(skip as usize..)?),
+            start: self.start.checked_add(skip)?,
+            labels: self.labels - 1,
+        })
     }
 
     /// True if `self` equals `ancestor` or is underneath it.
@@ -301,7 +345,7 @@ impl Name {
             return false;
         }
         let skip = self.label_offset((self.labels - ancestor.labels) as usize);
-        self.wire.get(skip..) == Some(&*ancestor.wire)
+        self.wire_bytes().get(skip..) == Some(ancestor.wire_bytes())
     }
 
     /// Strictly below `ancestor` (subdomain but not equal).
@@ -317,10 +361,10 @@ impl Name {
         if label.len() > MAX_LABEL_LEN {
             return Err(NameError::LabelTooLong(label.len()));
         }
-        let mut wire = Vec::with_capacity(1 + label.len() + self.wire.len());
+        let mut wire = Vec::with_capacity(1 + label.len() + self.wire_len());
         wire.push(label.len() as u8);
         wire.extend(label.iter().map(|b| b.to_ascii_lowercase()));
-        wire.extend_from_slice(&self.wire);
+        wire.extend_from_slice(self.wire_bytes());
         if wire.len() > MAX_NAME_LEN {
             return Err(NameError::NameTooLong(wire.len()));
         }
@@ -329,11 +373,11 @@ impl Name {
 
     /// Concatenate: `self` + `suffix` (self's labels first).
     pub fn concat(&self, suffix: &Name) -> Result<Name, NameError> {
-        let mut wire = Vec::with_capacity(self.wire.len() - 1 + suffix.wire.len());
-        if let Some((_root, stem)) = self.wire.split_last() {
+        let mut wire = Vec::with_capacity(self.wire_len() - 1 + suffix.wire_len());
+        if let Some((_root, stem)) = self.wire_bytes().split_last() {
             wire.extend_from_slice(stem);
         }
-        wire.extend_from_slice(&suffix.wire);
+        wire.extend_from_slice(suffix.wire_bytes());
         if wire.len() > MAX_NAME_LEN {
             return Err(NameError::NameTooLong(wire.len()));
         }
@@ -358,36 +402,29 @@ impl Name {
     /// from the *right* (most significant first), each label as a
     /// lowercase octet string; absent labels sort first.
     pub fn canonical_cmp(&self, other: &Name) -> std::cmp::Ordering {
-        // Label start offsets on the stack: a 255-octet name has ≤127
-        // labels and every offset fits a byte.
-        let mut offs_a = [0u8; 128];
-        let mut offs_b = [0u8; 128];
-        let na = collect_offsets(&self.wire, &mut offs_a);
-        let nb = collect_offsets(&other.wire, &mut offs_b);
-        let n = na.min(nb);
-        for i in 1..=n {
-            let la = offs_a
-                .get(na - i)
-                .map_or(&[] as &[u8], |&p| label_at(&self.wire, p as usize));
-            let lb = offs_b
-                .get(nb - i)
-                .map_or(&[] as &[u8], |&p| label_at(&other.wire, p as usize));
-            match la.cmp(lb) {
-                std::cmp::Ordering::Equal => continue,
-                o => return o,
+        // Align both names on their common number of trailing labels and
+        // walk those left to right: the *last* differing pair is the most
+        // significant. No offset tables; names are a handful of labels.
+        let n = self.labels.min(other.labels);
+        let a = self.labels_from((self.labels - n) as usize);
+        let b = other.labels_from((other.labels - n) as usize);
+        let mut ord = std::cmp::Ordering::Equal;
+        for (la, lb) in a.zip(b) {
+            if la != lb {
+                ord = la.cmp(lb);
             }
         }
-        na.cmp(&nb)
+        ord.then(self.labels.cmp(&other.labels))
     }
 
     /// Encode without compression into `out`.
     pub fn write_uncompressed(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.wire);
+        out.extend_from_slice(self.wire_bytes());
     }
 
     /// The uncompressed wire encoding as a fresh vector.
     pub fn to_wire(&self) -> Vec<u8> {
-        self.wire.to_vec()
+        self.wire_bytes().to_vec()
     }
 
     /// Presentation format with a trailing dot; the root is `"."`.
@@ -434,32 +471,6 @@ impl<'a> Iterator for LabelIter<'a> {
         self.pos = start + len;
         Some(label)
     }
-}
-
-/// Fill `offs` with the start offset of every label in `wire`; returns
-/// the label count.
-fn collect_offsets(wire: &[u8], offs: &mut [u8; 128]) -> usize {
-    let mut pos = 0usize;
-    let mut n = 0usize;
-    while let Some(&len) = wire.get(pos) {
-        if len == 0 {
-            break;
-        }
-        match offs.get_mut(n) {
-            Some(slot) => *slot = pos as u8,
-            // A canonical name has ≤127 labels; defend anyway.
-            None => break,
-        }
-        n += 1;
-        pos += len as usize + 1;
-    }
-    n
-}
-
-/// The label starting at `pos` in `wire` (empty if out of bounds).
-fn label_at(wire: &[u8], pos: usize) -> &[u8] {
-    let len = wire.get(pos).copied().unwrap_or(0) as usize;
-    wire.get(pos + 1..pos + 1 + len).unwrap_or(&[])
 }
 
 impl fmt::Display for Name {

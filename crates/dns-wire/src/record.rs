@@ -213,16 +213,7 @@ impl Record {
 
     /// Encode into `w`, including the RDLENGTH backpatch.
     pub fn write(&self, w: &mut WireWriter) {
-        w.write_name(&self.name);
-        w.write_u16(self.rtype().code());
-        w.write_u16(self.class.code());
-        w.write_u32(self.ttl);
-        let len_at = w.len();
-        w.write_u16(0);
-        let start = w.len();
-        self.rdata.write(w);
-        let rdlen = w.len() - start;
-        w.patch_u16(len_at, rdlen as u16);
+        write_record(w, &self.name, self.class, self.ttl, &self.rdata);
     }
 
     /// Decode a record at the reader's cursor.
@@ -250,6 +241,21 @@ impl Record {
             rdata,
         })
     }
+}
+
+/// Encode one record from borrowed parts (an RRset member needs no owned
+/// [`Record`] to go on the wire), including the RDLENGTH backpatch.
+pub fn write_record(w: &mut WireWriter, name: &Name, class: RecordClass, ttl: u32, rdata: &RData) {
+    w.write_name(name);
+    w.write_u16(rdata.rtype().code());
+    w.write_u16(class.code());
+    w.write_u32(ttl);
+    let len_at = w.len();
+    w.write_u16(0);
+    let start = w.len();
+    rdata.write(w);
+    let rdlen = w.len() - start;
+    w.patch_u16(len_at, rdlen as u16);
 }
 
 impl fmt::Display for Record {

@@ -125,9 +125,9 @@ impl<'a> WireReader<'a> {
     /// rules out loops; a hop budget guards against pathological chains.
     pub fn read_name(&mut self) -> Result<Name, WireError> {
         // Decode straight into the canonical flat wire form (lowercased,
-        // length-prefixed labels + root byte): one allocation per name,
-        // no per-label vectors.
-        let mut wire: Vec<u8> = Vec::with_capacity(32);
+        // length-prefixed labels + root byte) on the stack; the only
+        // allocation is the name's own shared buffer.
+        let mut wire = [0u8; crate::name::MAX_NAME_LEN];
         let mut label_count = 0u8;
         let mut pos = self.pos;
         // End of the name as stored inline; set when the first pointer is
@@ -148,13 +148,17 @@ impl<'a> WireReader<'a> {
                         break;
                     }
                     let end = pos + 1 + len;
-                    let label = self.buf.get(pos + 1..end).ok_or(WireError::Truncated)?;
+                    // Length byte (≤63, so lowercasing leaves it alone)
+                    // and label octets, copied as one run.
+                    let label = self.buf.get(pos..end).ok_or(WireError::Truncated)?;
+                    let at = wire_len - 1;
                     wire_len += 1 + len;
-                    if wire_len > crate::name::MAX_NAME_LEN {
-                        return Err(WireError::Name(NameError::NameTooLong(wire_len)));
-                    }
-                    wire.push(len as u8);
-                    wire.extend(label.iter().map(|b| b.to_ascii_lowercase()));
+                    let slot = match wire.get_mut(at..at + 1 + len) {
+                        Some(slot) if wire_len <= crate::name::MAX_NAME_LEN => slot,
+                        _ => return Err(WireError::Name(NameError::NameTooLong(wire_len))),
+                    };
+                    slot.copy_from_slice(label);
+                    slot.make_ascii_lowercase();
                     label_count += 1;
                     pos = end;
                 }
@@ -177,10 +181,11 @@ impl<'a> WireReader<'a> {
             }
         }
         self.pos = resume.unwrap_or(pos);
-        wire.push(0);
         // Label length ≤63 is guaranteed by the 0x00 tag check, emptiness
         // by `len == 0` terminating, and the total by the in-loop cap —
-        // the buffer is canonical by construction.
+        // the buffer (labels + the root byte the array was zeroed with)
+        // is canonical by construction.
+        let wire = wire.get(..wire_len).ok_or(WireError::Truncated)?;
         Ok(Name::from_decoded_wire(wire, label_count))
     }
 }

@@ -1,5 +1,8 @@
 //! Property-based tests over the wire format: round-trip invariants for
-//! names, messages, type bitmaps and canonical ordering.
+//! names, messages, type bitmaps and canonical ordering, plus the two
+//! byte-identity oracles for the compressing encoder: a test-local
+//! reference writer (the hash-map algorithm the linear table replaced)
+//! and golden replies captured from the previous encoder.
 
 use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
@@ -8,6 +11,7 @@ use dns_wire::record::{Record, RecordType};
 use dns_wire::typebitmap::TypeBitmap;
 use dns_wire::{WireReader, WireWriter};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Strategy: a valid DNS label (1..=15 bytes, arbitrary octets).
 fn label() -> impl Strategy<Value = Vec<u8>> {
@@ -109,8 +113,147 @@ fn rdata() -> impl Strategy<Value = RData> {
     ]
 }
 
+/// The compression algorithm `WireWriter` replaced, kept here as the
+/// oracle: every written suffix keyed by its wire bytes in a hash map,
+/// first writer wins, offsets ≥ 0x4000 never recorded.
+#[derive(Default)]
+struct ReferenceWriter {
+    buf: Vec<u8>,
+    offsets: HashMap<Vec<u8>, usize>,
+}
+
+impl ReferenceWriter {
+    fn write_name(&mut self, name: &Name, compress: bool) {
+        let wire = name.wire_bytes();
+        if !compress {
+            self.buf.extend_from_slice(wire);
+            return;
+        }
+        let mut starts = Vec::new();
+        let mut pos = 0;
+        while wire[pos] != 0 {
+            starts.push(pos);
+            pos += wire[pos] as usize + 1;
+        }
+        let known = starts
+            .iter()
+            .position(|&s| self.offsets.contains_key(&wire[s..]));
+        for &s in &starts[..known.unwrap_or(starts.len())] {
+            let here = self.buf.len();
+            if here < 0x4000 {
+                self.offsets.entry(wire[s..].to_vec()).or_insert(here);
+            }
+            self.buf
+                .extend_from_slice(&wire[s..s + wire[s] as usize + 1]);
+        }
+        match known {
+            Some(k) => {
+                let off = self.offsets[&wire[starts[k]..]] as u16;
+                self.buf.extend_from_slice(&(0xc000 | off).to_be_bytes());
+            }
+            None => self.buf.push(0),
+        }
+    }
+}
+
+/// Names that share suffixes, from labels that include length-byte and
+/// root-byte look-alikes (suffix matches must land on label boundaries).
+fn related_name() -> impl Strategy<Value = Name> {
+    const POOL: [&[u8]; 8] = [
+        b"a", b"b", b"\x01a", b"a\x01b", b"\x00", b"\x01", b"example", b"com",
+    ];
+    proptest::collection::vec(0usize..POOL.len(), 0..=5)
+        .prop_map(|ix| Name::from_labels(ix.into_iter().map(|i| POOL[i])).unwrap())
+}
+
+/// One step of a writer session: a name (compressed or, as inside RRSIG
+/// and NSEC RDATA, not), or filler bytes that move later offsets — far
+/// enough, sometimes, to cross the 14-bit pointer limit.
+#[derive(Debug, Clone)]
+enum Op {
+    Name(Name, bool),
+    Filler(usize),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (related_name(), any::<bool>()).prop_map(|(n, c)| Op::Name(n, c)),
+        (related_name(), any::<bool>()).prop_map(|(n, c)| Op::Name(n, c)),
+        (name(), any::<bool>()).prop_map(|(n, c)| Op::Name(n, c)),
+        (0usize..6000).prop_map(Op::Filler),
+    ]
+}
+
+/// Every golden reply decodes and re-encodes to exactly its own bytes:
+/// the encoder still is the one that produced them (same compression
+/// pointers, same lengths).
+#[test]
+fn golden_replies_reencode_byte_identically() {
+    let golden = include_str!("golden_replies.hex");
+    let mut labels = Vec::new();
+    for line in golden.lines().filter(|l| !l.starts_with('#')) {
+        let (label, hex) = line.split_once(' ').expect("label and hex");
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+            .collect();
+        let msg = Message::from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(msg.to_bytes(), bytes, "{label}");
+        labels.push(label);
+    }
+    assert!(labels.len() >= 32, "{} vectors", labels.len());
+    for required in [
+        "referral-ds",
+        "referral-nsec",
+        "nodata-",
+        "nxdomain-",
+        "answer-dnskey",
+        "answer-cds",
+        "answer-cdnskey",
+        "handbuilt-tc",
+        "longsignal-",
+    ] {
+        assert!(
+            labels.iter().any(|l| l.contains(required)),
+            "no {required} vector"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn compression_matches_reference_writer(
+        ops in proptest::collection::vec(op(), 1..=24),
+        near_limit in any::<bool>(),
+        slack in 0usize..48,
+    ) {
+        let mut w = WireWriter::new();
+        let mut reference = ReferenceWriter::default();
+        // Half the sessions start just short of the 14-bit pointer limit,
+        // so suffixes get written on both sides of it.
+        let lead = Op::Filler(if near_limit { 0x4000 - slack } else { 0 });
+        for op in std::iter::once(&lead).chain(&ops) {
+            match op {
+                Op::Name(n, true) => {
+                    w.write_name(n);
+                    reference.write_name(n, true);
+                }
+                Op::Name(n, false) => {
+                    w.without_compression(|w| w.write_name(n));
+                    reference.write_name(n, false);
+                }
+                Op::Filler(len) => {
+                    // 0xc0 bytes: filler that looks like pointers if a
+                    // walk ever strays into it.
+                    w.write_bytes(&vec![0xc0; *len]);
+                    reference.buf.extend(std::iter::repeat_n(0xc0, *len));
+                }
+            }
+        }
+        prop_assert_eq!(w.into_bytes(), reference.buf);
+    }
 
     #[test]
     fn name_wire_roundtrip(n in name()) {

@@ -190,9 +190,8 @@ impl ZoneSigner {
         for (i, name) in names.iter().enumerate() {
             let next = &names[(i + 1) % names.len()];
             let mut types: Vec<RecordType> = zone
-                .nodes()
-                .find(|(n, _)| *n == name)
-                .map(|(_, node)| node.types().collect())
+                .node(name)
+                .map(|node| node.types().collect())
                 .unwrap_or_default();
             types.push(RecordType::Nsec);
             types.push(RecordType::Rrsig);

@@ -1,13 +1,13 @@
 //! The authoritative zone model.
 
-use dns_wire::name::Name;
+use dns_wire::name::{Name, NameMap};
 use dns_wire::rdata::RData;
 use dns_wire::record::{Record, RecordClass, RecordType, RrSet};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Wrapper giving [`Name`] the RFC 4034 §6.1 canonical ordering, so the
-/// zone's node map iterates in NSEC-chain order.
+/// zone's name index iterates in NSEC-chain order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanonicalName(pub Name);
 
@@ -43,35 +43,40 @@ impl Node {
 }
 
 /// An authoritative zone: an apex name plus all in-zone records.
+///
+/// Exact-match access (every query's path) goes through `nodes`, hashed
+/// on the owner name's cached FNV-64; `order` keeps the same names in
+/// canonical order for what needs it — NSEC predecessors, iteration and
+/// signing. The hash index is only ever probed, never iterated.
 #[derive(Debug, Clone)]
 pub struct Zone {
     apex: Name,
-    nodes: BTreeMap<CanonicalName, Node>,
+    nodes: NameMap<Node>,
+    order: BTreeSet<CanonicalName>,
 }
 
 /// The result of looking a (name, type) pair up inside a zone, mirroring
-/// RFC 1034 §4.3.2's algorithm outcomes. The server layer translates these
-/// into complete responses.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ZoneLookup {
+/// RFC 1034 §4.3.2's algorithm outcomes, borrowing the zone's RRsets. The
+/// server layer translates these into complete responses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ZoneLookup<'a> {
     /// The RRset exists; answer with it.
-    Answer(RrSet),
+    Answer(&'a RrSet),
     /// The name exists at a CNAME; chase or return it.
-    Cname(RrSet),
+    Cname(&'a RrSet),
     /// The name exists but has no RRset of this type.
     NoData,
     /// The name does not exist in the zone.
     NxDomain,
-    /// The lookup crossed a zone cut: refer to the child zone.
+    /// The lookup crossed a zone cut: refer to the child zone. Glue for
+    /// the NS targets comes from [`Zone::glue`].
     Delegation {
         /// Owner of the delegation point.
-        cut: Name,
+        cut: &'a Name,
         /// The NS RRset at the cut.
-        ns: RrSet,
+        ns: &'a RrSet,
         /// DS RRset at the cut, if the delegation is signed.
-        ds: Option<RrSet>,
-        /// Glue address records for in-bailiwick NS targets.
-        glue: Vec<Record>,
+        ds: Option<&'a RrSet>,
     },
     /// The name is outside this zone entirely.
     OutOfZone,
@@ -82,7 +87,8 @@ impl Zone {
     pub fn new(apex: Name) -> Self {
         Zone {
             apex,
-            nodes: BTreeMap::new(),
+            nodes: NameMap::default(),
+            order: BTreeSet::new(),
         }
     }
 
@@ -96,10 +102,10 @@ impl Zone {
         if !record.name.is_subdomain_of(&self.apex) {
             return false;
         }
-        let node = self
-            .nodes
-            .entry(CanonicalName(record.name.clone()))
-            .or_default();
+        let node = self.nodes.entry(record.name.clone()).or_insert_with(|| {
+            self.order.insert(CanonicalName(record.name.clone()));
+            Node::default()
+        });
         let set = node
             .rrsets
             .entry(record.rtype().code())
@@ -124,100 +130,92 @@ impl Zone {
 
     /// Remove an entire RRset; returns it if present.
     pub fn remove_rrset(&mut self, name: &Name, rtype: RecordType) -> Option<RrSet> {
-        let key = CanonicalName(name.clone());
-        let node = self.nodes.get_mut(&key)?;
+        let node = self.nodes.get_mut(name)?;
         let set = node.rrsets.remove(&rtype.code());
         if node.rrsets.is_empty() {
-            self.nodes.remove(&key);
+            self.nodes.remove(name);
+            self.order.remove(&CanonicalName(name.clone()));
         }
         set
     }
 
+    /// The node at exactly `name`, if any RRset exists there.
+    pub fn node(&self, name: &Name) -> Option<&Node> {
+        self.nodes.get(name)
+    }
+
     /// Exact-match RRset lookup (no delegation logic).
     pub fn rrset(&self, name: &Name, rtype: RecordType) -> Option<&RrSet> {
-        self.nodes
-            .get(&CanonicalName(name.clone()))
-            .and_then(|n| n.rrsets.get(&rtype.code()))
+        self.node(name)?.rrset(rtype)
     }
 
     /// Whether any RRset exists at `name`.
     pub fn node_exists(&self, name: &Name) -> bool {
-        self.nodes.contains_key(&CanonicalName(name.clone()))
+        self.nodes.contains_key(name)
     }
 
     /// Owner names in canonical order.
     pub fn names(&self) -> impl Iterator<Item = &Name> {
-        self.nodes.keys().map(|k| &k.0)
+        self.order.iter().map(|k| &k.0)
     }
 
     /// All nodes in canonical order.
     pub fn nodes(&self) -> impl Iterator<Item = (&Name, &Node)> {
-        self.nodes.iter().map(|(k, n)| (&k.0, n))
+        debug_assert_eq!(self.nodes.len(), self.order.len());
+        self.names().map(|name| (name, &self.nodes[name]))
     }
 
     /// All records, flattened, canonical owner order.
     pub fn records(&self) -> Vec<Record> {
-        let mut out = Vec::new();
-        for node in self.nodes.values() {
-            for set in node.rrsets.values() {
-                out.extend(set.records());
-            }
-        }
-        out
+        self.nodes()
+            .flat_map(|(_, node)| node.rrsets.values())
+            .flat_map(|set| set.records())
+            .collect()
     }
 
     /// Total record count.
     pub fn record_count(&self) -> usize {
-        self.nodes
-            .values()
-            .flat_map(|n| n.rrsets.values())
+        self.nodes()
+            .flat_map(|(_, n)| n.rrsets.values())
             .map(|s| s.rdatas.len())
             .sum()
     }
 
-    /// The nearest delegation point strictly *above* `name` (and at or
-    /// below the apex, exclusive): the zone cut that occludes `name`, if
-    /// any. A NS RRset at a non-apex node is a cut; `name` itself being a
-    /// cut counts only for types other than DS lookups (handled by caller).
-    pub fn covering_cut(&self, name: &Name) -> Option<Name> {
-        let mut cur = name.clone();
-        // Walk ancestors of `name` from just below the apex downward is
-        // equivalent to walking up and keeping the highest cut; a single
-        // upward walk stopping at the first cut from the top is what RFC
-        // 1034's label-by-label descent does. We walk downward from apex.
-        let mut ancestors = Vec::new();
-        while cur != self.apex {
-            ancestors.push(cur.clone());
-            cur = cur.parent()?;
-            if !cur.is_subdomain_of(&self.apex) {
-                return None;
-            }
+    /// The delegation point strictly *above* `name` and closest to the
+    /// apex (exclusive): the zone cut that occludes `name`, if any. An NS
+    /// RRset at a non-apex node is a cut; `name` itself being a cut counts
+    /// only for types other than DS lookups (handled by caller).
+    pub fn covering_cut(&self, name: &Name) -> Option<&Name> {
+        match self.cut_above(name)? {
+            ZoneLookup::Delegation { cut, .. } => Some(cut),
+            _ => None,
         }
-        // ancestors: name ... (child of apex); reverse to descend.
-        for anc in ancestors.iter().rev() {
-            if anc == name {
-                break; // cuts *at* the name are not occlusions of it here
-            }
-            if self
-                .nodes
-                .get(&CanonicalName(anc.clone()))
-                .map(|n| n.rrsets.contains_key(&RecordType::Ns.code()))
-                .unwrap_or(false)
-            {
-                return Some(anc.clone());
-            }
+    }
+
+    /// The referral for the cut [`Zone::covering_cut`] finds.
+    fn cut_above(&self, name: &Name) -> Option<ZoneLookup<'_>> {
+        if !name.is_subdomain_of(&self.apex) {
+            return None;
         }
-        None
+        // Strict ancestors of `name` strictly below the apex, walked
+        // upward; the last cut seen is the one RFC 1034's label-by-label
+        // descent from the apex would meet first.
+        let between = (name.label_count() - self.apex.label_count()).saturating_sub(1);
+        let mut best = None;
+        let mut cur = name.parent();
+        for _ in 0..between {
+            let anc = cur?;
+            if let Some((owner, node)) = self.nodes.get_key_value(&anc) {
+                best = referral(owner, node).or(best);
+            }
+            cur = anc.parent();
+        }
+        best
     }
 
     /// Whether `name` is a delegation point (non-apex node with NS).
     pub fn is_delegation(&self, name: &Name) -> bool {
-        name != &self.apex
-            && self
-                .nodes
-                .get(&CanonicalName(name.clone()))
-                .map(|n| n.rrsets.contains_key(&RecordType::Ns.code()))
-                .unwrap_or(false)
+        name != &self.apex && self.rrset(name, RecordType::Ns).is_some()
     }
 
     /// Whether `name` is authoritative data of this zone: inside the zone
@@ -231,53 +229,47 @@ impl Zone {
     /// `qtype` = DS is special: the DS RRset lives at the *parent* side of
     /// a cut, so a DS query for a delegation point is answered, not
     /// referred.
-    pub fn lookup(&self, name: &Name, qtype: RecordType) -> ZoneLookup {
+    pub fn lookup(&self, name: &Name, qtype: RecordType) -> ZoneLookup<'_> {
         if !name.is_subdomain_of(&self.apex) {
             return ZoneLookup::OutOfZone;
         }
         // Check for an occluding cut above the name.
-        if let Some(cut) = self.covering_cut(name) {
-            return self.referral(cut);
+        if let Some(referral) = self.cut_above(name) {
+            return referral;
         }
+        let Some((owner, node)) = self.nodes.get_key_value(name) else {
+            return ZoneLookup::NxDomain;
+        };
         // A query *at* a delegation point: DS (and the NS set itself in
         // referral form) belongs to the parent; everything else referred.
-        if self.is_delegation(name) && qtype != RecordType::Ds {
-            return self.referral(name.clone());
-        }
-        match self.nodes.get(&CanonicalName(name.clone())) {
-            None => ZoneLookup::NxDomain,
-            Some(node) => {
-                if let Some(set) = node.rrset(qtype) {
-                    ZoneLookup::Answer(set.clone())
-                } else if let Some(cname) = node.rrset(RecordType::Cname) {
-                    ZoneLookup::Cname(cname.clone())
-                } else {
-                    ZoneLookup::NoData
-                }
+        if qtype != RecordType::Ds && owner != &self.apex {
+            if let Some(referral) = referral(owner, node) {
+                return referral;
             }
+        }
+        if let Some(set) = node.rrset(qtype) {
+            ZoneLookup::Answer(set)
+        } else if let Some(cname) = node.rrset(RecordType::Cname) {
+            ZoneLookup::Cname(cname)
+        } else {
+            ZoneLookup::NoData
         }
     }
 
-    fn referral(&self, cut: Name) -> ZoneLookup {
-        let node = &self.nodes[&CanonicalName(cut.clone())];
-        let ns = node.rrset(RecordType::Ns).expect("cut has NS").clone();
-        let ds = node.rrset(RecordType::Ds).cloned();
-        // Collect glue for NS targets inside this zone.
-        let mut glue = Vec::new();
-        for rd in &ns.rdatas {
-            if let RData::Ns(target) = rd {
-                if target.is_subdomain_of(&self.apex) {
-                    if let Some(n) = self.nodes.get(&CanonicalName(target.clone())) {
-                        for t in [RecordType::A, RecordType::Aaaa] {
-                            if let Some(set) = n.rrset(t) {
-                                glue.extend(set.records());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        ZoneLookup::Delegation { cut, ns, ds, glue }
+    /// Glue for a referral's NS set: the address RRsets of every NS
+    /// target inside this zone, in NS order, A before AAAA.
+    pub fn glue<'a>(&'a self, ns: &'a RrSet) -> impl Iterator<Item = &'a RrSet> {
+        ns.rdatas
+            .iter()
+            .filter_map(|rd| match rd {
+                RData::Ns(target) if target.is_subdomain_of(&self.apex) => self.node(target),
+                _ => None,
+            })
+            .flat_map(|node| {
+                [RecordType::A, RecordType::Aaaa]
+                    .into_iter()
+                    .filter_map(|t| node.rrset(t))
+            })
     }
 
     /// The NSEC "previous name" for denial: the last authoritative owner
@@ -286,11 +278,11 @@ impl Zone {
     /// covering NSEC record.
     pub fn nsec_predecessor(&self, name: &Name) -> Option<&Name> {
         let key = CanonicalName(name.clone());
-        self.nodes
+        self.order
             .range(..=key)
             .next_back()
-            .map(|(k, _)| &k.0)
-            .or_else(|| self.nodes.keys().next_back().map(|k| &k.0))
+            .or_else(|| self.order.iter().next_back())
+            .map(|k| &k.0)
     }
 
     /// Render the zone as master-file text.
@@ -313,6 +305,15 @@ impl Zone {
     pub fn class(&self) -> RecordClass {
         RecordClass::In
     }
+}
+
+/// The referral `node` (owned by `cut`) gives rise to, if it carries NS.
+fn referral<'a>(cut: &'a Name, node: &'a Node) -> Option<ZoneLookup<'a>> {
+    node.rrset(RecordType::Ns).map(|ns| ZoneLookup::Delegation {
+        cut,
+        ns,
+        ds: node.rrset(RecordType::Ds),
+    })
 }
 
 #[cfg(test)]
@@ -411,9 +412,10 @@ mod tests {
     fn referral_below_cut_with_glue() {
         let z = test_zone();
         match z.lookup(&name!("deep.sub.example.ch"), RecordType::A) {
-            ZoneLookup::Delegation { cut, ns, glue, .. } => {
-                assert_eq!(cut, name!("sub.example.ch"));
+            ZoneLookup::Delegation { cut, ns, .. } => {
+                assert_eq!(cut, &name!("sub.example.ch"));
                 assert_eq!(ns.rdatas.len(), 1);
+                let glue: Vec<&RrSet> = z.glue(ns).collect();
                 assert_eq!(glue.len(), 1);
                 assert_eq!(glue[0].name, name!("ns1.sub.example.ch"));
             }

@@ -8,6 +8,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// A simulated network address.
@@ -17,12 +18,27 @@ pub enum Addr {
     V6(Ipv6Addr),
 }
 
+/// An address's octets (4 or 16), held inline.
+#[derive(Debug, Clone, Copy)]
+pub struct AddrBytes([u8; 16], usize);
+
+impl std::ops::Deref for AddrBytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0[..self.1]
+    }
+}
+
 impl Addr {
     /// Stable byte representation for hashing into deterministic draws.
-    pub fn to_bytes(self) -> Vec<u8> {
+    pub fn to_bytes(self) -> AddrBytes {
         match self {
-            Addr::V4(a) => a.octets().to_vec(),
-            Addr::V6(a) => a.octets().to_vec(),
+            Addr::V4(a) => {
+                let mut buf = [0; 16];
+                buf[..4].copy_from_slice(&a.octets());
+                AddrBytes(buf, 4)
+            }
+            Addr::V6(a) => AddrBytes(a.octets(), 16),
         }
     }
 
@@ -150,7 +166,10 @@ impl fmt::Display for QueryFailure {
 impl std::error::Error for QueryFailure {}
 
 struct Binding {
-    server: ServerId,
+    handler: Arc<dyn ServerHandler>,
+    /// Datagrams sent to this address (the `NetStats` per-destination
+    /// counter, shared so the send path touches no map).
+    queries: Arc<AtomicU64>,
     /// Base round-trip latency for this address.
     base_rtt: SimMicros,
     /// Jitter ceiling added on top (uniform 0..jitter).
@@ -163,7 +182,7 @@ struct Binding {
 }
 
 struct Inner {
-    bindings: HashMap<Addr, Binding>,
+    bindings: HashMap<Addr, Arc<Binding>>,
     servers: Vec<Arc<dyn ServerHandler>>,
 }
 
@@ -245,16 +264,16 @@ impl Network {
     ) {
         assert!((0.0..1.0).contains(&loss), "loss must be in [0,1)");
         assert!(backends >= 1);
-        self.inner.write().bindings.insert(
-            addr,
-            Binding {
-                server,
-                base_rtt,
-                jitter,
-                loss,
-                backends,
-            },
-        );
+        let mut inner = self.inner.write();
+        let binding = Binding {
+            handler: Arc::clone(&inner.servers[server.0 as usize]),
+            queries: self.stats.dest_counter(addr),
+            base_rtt,
+            jitter,
+            loss,
+            backends,
+        };
+        inner.bindings.insert(addr, Arc::new(binding));
     }
 
     /// Convenience: bind with a clean 10 ms link.
@@ -294,17 +313,16 @@ impl Network {
         payload: &[u8],
         transport: Transport,
     ) -> Result<QueryOutcome, QueryFailure> {
-        // Snapshot binding parameters without holding the lock during the
-        // handler call.
-        let (server, base_rtt, jitter, loss, backends) = {
-            let inner = self.inner.read();
-            let b = inner.bindings.get(&dst).ok_or(QueryFailure {
+        // One lock acquisition per exchange; the binding is shared out so
+        // the lock is not held during the handler call.
+        let Some(binding) = self.inner.read().bindings.get(&dst).map(Arc::clone) else {
+            return Err(QueryFailure {
                 error: NetError::Unreachable,
                 elapsed: 0,
                 attempts: 0,
-            })?;
-            (b.server, b.base_rtt, b.jitter, b.loss, b.backends)
+            });
         };
+        let (base_rtt, jitter) = (binding.base_rtt, binding.jitter);
         let faults = Arc::clone(&self.faults.read());
         let mut elapsed: SimMicros = 0;
         let payload_hash = {
@@ -321,7 +339,7 @@ impl Network {
                 self.seed,
                 &[&dst.to_bytes(), &payload_hash, &attempt.to_be_bytes()],
             );
-            let lost = draw.unit() < loss;
+            let lost = draw.unit() < binding.loss;
             let rtt = base_rtt
                 + if jitter > 0 {
                     draw.next().below(jitter)
@@ -332,9 +350,9 @@ impl Network {
                     Transport::Udp => 0,
                     Transport::Tcp => base_rtt, // handshake round trip
                 };
-            let backend = draw.next().below(backends as u64) as u32;
+            let backend = draw.next().below(binding.backends as u64) as u32;
             let fault = faults.evaluate(at, dst, backend, transport, &payload_hash, attempt);
-            self.stats.record_query(dst, payload.len());
+            self.stats.record_query(&binding.queries, payload.len());
             if lost || fault.dropped {
                 elapsed += self.timeout;
                 continue;
@@ -354,21 +372,17 @@ impl Network {
                     ReplyOverride::Garbage(bytes) => bytes,
                 };
                 elapsed += rtt;
-                self.stats.record_reply(dst, reply.len());
+                self.stats.record_reply(reply.len());
                 return Ok(QueryOutcome {
                     reply,
                     elapsed,
                     attempts: attempt + 1,
                 });
             }
-            let handler = {
-                let inner = self.inner.read();
-                Arc::clone(&inner.servers[server.0 as usize])
-            };
-            match handler.handle(payload, dst, transport, backend, at) {
+            match binding.handler.handle(payload, dst, transport, backend, at) {
                 ServerResponse::Reply(reply) => {
                     elapsed += rtt;
-                    self.stats.record_reply(dst, reply.len());
+                    self.stats.record_reply(reply.len());
                     return Ok(QueryOutcome {
                         reply,
                         elapsed,
@@ -554,6 +568,49 @@ mod tests {
         assert_eq!(snap.queries, 2);
         assert_eq!(snap.bytes_sent, 6);
         assert_eq!(snap.per_dest.len(), 2);
+    }
+
+    #[test]
+    fn per_dest_counters_match_a_locked_map_under_concurrent_writers() {
+        // The reference is the accounting this replaced: one mutex-guarded
+        // map bumped per datagram (retries included).
+        let net = Network::new(9).with_max_attempts(4);
+        let s = net.register(Echo);
+        for n in 1..=6 {
+            net.bind(addr(n), s, 10_000, 0, if n % 2 == 0 { 0.3 } else { 0.0 }, 1);
+        }
+        net.bind_simple(addr(7), s); // bound, never sent to
+        let reference = std::sync::Mutex::new(HashMap::<Addr, u64>::new());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let (net, reference, start) = (&net, &reference, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..500u32 {
+                        // addr(8) is unbound: unreachable, nothing sent.
+                        let dst = addr([1, 2, 3, 4, 5, 6, 8][((i * 5 + t * 3) % 7) as usize]);
+                        let payload = [t.to_be_bytes(), i.to_be_bytes()].concat();
+                        let sent = match net.query(dst, &payload, Transport::Udp) {
+                            Ok(o) => o.attempts,
+                            Err(f) => f.attempts,
+                        };
+                        if sent > 0 {
+                            *reference.lock().unwrap().entry(dst).or_insert(0) += sent as u64;
+                        }
+                    }
+                });
+            }
+        });
+        let reference = reference.into_inner().unwrap();
+        let snap = net.stats().snapshot();
+        assert_eq!(snap.per_dest, reference);
+        assert_eq!(snap.queries, reference.values().sum::<u64>());
+        assert!(snap.queries > 2000, "lossy bindings retried");
+        // 8-byte payloads out, Echo's 9-byte replies back.
+        assert_eq!(snap.bytes_sent, snap.queries * 8);
+        assert_eq!(snap.bytes_received, snap.replies * 9);
+        assert!(!snap.per_dest.contains_key(&addr(7)) && !snap.per_dest.contains_key(&addr(8)));
     }
 
     #[test]

@@ -30,6 +30,7 @@ use scan_continuous::{
 };
 use scan_fabric::{FabricConfig, FabricFaultPlan, ShardPlan, WorkerFault};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 const EPOCHS: u32 = 5;
@@ -39,8 +40,13 @@ const SHARDS: u32 = 8;
 const RUN_ID: u64 = 0xC0_0002;
 const WORKERS: usize = 4;
 
+/// A fresh state root, unique per call: tests run on parallel threads
+/// and share helpers, so tag and pid alone would let one test's clean-up
+/// race another's run.
 fn state_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cont-recov-{tag}-{}", std::process::id()));
+    static CALLS: AtomicU32 = AtomicU32::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("cont-recov-{tag}-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

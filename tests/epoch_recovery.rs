@@ -16,13 +16,20 @@ use dns_ecosystem::EcosystemConfig;
 use scan_epochs::{run_study, KillPoint, StudyConfig, TimeSeries};
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 const EPOCHS: u32 = 4;
 const WORLD_SEED: u64 = 42;
 const CHURN_SEED: u64 = 7;
 
+/// A fresh state root, unique per call: tests run on parallel threads
+/// and share helpers, so tag and pid alone would let one test's clean-up
+/// race another's run.
 fn state_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("epoch-recover-{tag}-{}", std::process::id()));
+    static CALLS: AtomicU32 = AtomicU32::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("epoch-recover-{tag}-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
