@@ -5,8 +5,8 @@
 //! * signal probing on/off (what RFC 9615 support costs a scanner),
 //! * zone signing as a function of zone size.
 
-use bench::{banner, bench_scale, scanner_for};
-use bootscan::{budget, ScanPolicy};
+use bench::{banner, bench_scale};
+use bootscan::{budget, ScanPolicy, Scanner};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dns_ecosystem::{build, EcosystemConfig};
 use dns_wire::name::Name;
@@ -58,7 +58,7 @@ fn print_rate_limit_ablation() {
     let scale = (bench_scale() * 4).max(100_000);
     for (label, rate) in [("50 qps (paper)", 50.0), ("unbounded", 1e9)] {
         let eco = build(EcosystemConfig::paper_default(scale));
-        let scanner = scanner_for(
+        let scanner = Scanner::for_ecosystem(
             &eco,
             ScanPolicy {
                 rate_per_sec: rate,
@@ -83,7 +83,7 @@ fn print_signal_probe_ablation() {
     let scale = (bench_scale() * 4).max(100_000);
     for (label, probe) in [("with signal probes", true), ("without", false)] {
         let eco = build(EcosystemConfig::paper_default(scale));
-        let scanner = scanner_for(
+        let scanner = Scanner::for_ecosystem(
             &eco,
             ScanPolicy {
                 probe_signal: probe,

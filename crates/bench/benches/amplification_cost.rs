@@ -8,8 +8,8 @@
 //! hardened per-zone cost must stay within the budget (≈3× the worst
 //! benign zone); the unhardened number is the documented counterfactual.
 
-use bench::{banner, scanner_for};
-use bootscan::{ScanPolicy, ScanResults};
+use bench::banner;
+use bootscan::{ScanPolicy, ScanResults, Scanner};
 use criterion::{criterion_group, criterion_main, Criterion};
 use dns_ecosystem::{build, AdversaryArchetype, Ecosystem, EcosystemConfig};
 use std::collections::HashMap;
@@ -18,7 +18,7 @@ const ADV_PER_ARCHETYPE: usize = 2;
 
 fn scan(policy: ScanPolicy) -> (Ecosystem, ScanResults) {
     let eco = build(EcosystemConfig::tiny(0xa2b).with_adversaries(ADV_PER_ARCHETYPE));
-    let scanner = scanner_for(&eco, policy);
+    let scanner = Scanner::for_ecosystem(&eco, policy);
     let seeds = eco.seeds.compile(&eco.psl);
     let results = scanner.scan_all(&seeds);
     (eco, results)

@@ -2,8 +2,8 @@
 //! breaker, re-scan queue) buys under the standard fault profile, and
 //! what the faults cost in queries and virtual wall-clock.
 
-use bench::{banner, bench_scale, scanner_for};
-use bootscan::{report, DnssecClass, ScanPolicy, ScanResults};
+use bench::{banner, bench_scale};
+use bootscan::{report, DnssecClass, ScanPolicy, ScanResults, Scanner};
 use criterion::{criterion_group, criterion_main, Criterion};
 use dns_ecosystem::{build, EcosystemConfig};
 use netsim::FaultPlan;
@@ -14,7 +14,7 @@ fn scan(seed: u64, chaos: bool, policy: ScanPolicy) -> ScanResults {
         eco.net
             .set_faults(FaultPlan::standard_chaos(seed, &eco.net.bound_addrs()));
     }
-    let scanner = scanner_for(&eco, policy);
+    let scanner = Scanner::for_ecosystem(&eco, policy);
     let seeds = eco.seeds.compile(&eco.psl);
     scanner.scan_all(&seeds)
 }

@@ -5,8 +5,8 @@
 //! default (amortized) cadence must cost ≤ 10 % wall-clock over a
 //! journal-less scan. Run with `cargo bench --bench checkpoint_overhead`.
 
-use bench::{banner, bench_scale, scanner_for};
-use bootscan::{ScanPolicy, ScanResults};
+use bench::{banner, bench_scale};
+use bootscan::{ScanPolicy, ScanResults, Scanner};
 use criterion::{criterion_group, criterion_main, Criterion};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use scan_journal::{fingerprint_names, JournalHeader, JournalSink};
@@ -33,7 +33,7 @@ fn state_dir(tag: &str) -> PathBuf {
 
 /// One full scan over a fresh scanner under the given journal mode.
 fn scan(eco: &Ecosystem, seeds: &[dns_wire::Name], mode: Mode) -> (Duration, ScanResults) {
-    let scanner = scanner_for(eco, ScanPolicy::default());
+    let scanner = Scanner::for_ecosystem(eco, ScanPolicy::default());
     let t0 = std::time::Instant::now();
     let results = match mode {
         Mode::Off => scanner.scan_all(seeds),
@@ -122,7 +122,7 @@ fn bench(c: &mut Criterion) {
         scan_journal::JournalWriter::create(&dir.join(scan_journal::JOURNAL_FILE), header, 0)
             .expect("journal file");
     let eco = build(EcosystemConfig::tiny(42));
-    let scanner = scanner_for(&eco, ScanPolicy::default());
+    let scanner = Scanner::for_ecosystem(&eco, ScanPolicy::default());
     let seeds = eco.seeds.compile(&eco.psl);
     let results = scanner.scan_all(&seeds);
     let event = bootscan::ZoneEvent {

@@ -6,8 +6,8 @@
 //! time; a registry implementing AB need only fully evaluate ~1.2 M of
 //! 287.6 M zones.
 
-use bench::{banner, bench_scale, scanner_for, world};
-use bootscan::{budget, ScanPolicy};
+use bench::{banner, bench_scale, world};
+use bootscan::{budget, ScanPolicy, Scanner};
 use criterion::{criterion_group, criterion_main, Criterion};
 use dns_ecosystem::{build, EcosystemConfig};
 use std::hint::black_box;
@@ -32,7 +32,7 @@ fn print_artifact() {
     let scale = bench_scale();
     for (label, fraction) in [("sampled (95 %)", 0.95), ("exhaustive (0 %)", 0.0)] {
         let eco = build(EcosystemConfig::paper_default(scale));
-        let scanner = scanner_for(
+        let scanner = Scanner::for_ecosystem(
             &eco,
             ScanPolicy {
                 sample_fraction: fraction,
@@ -83,8 +83,8 @@ fn print_artifact() {
         })
         .take(500)
         .collect();
-    let sampled = scanner_for(&eco_a, ScanPolicy::default()).scan_all(&cf_zones);
-    let full = scanner_for(
+    let sampled = Scanner::for_ecosystem(&eco_a, ScanPolicy::default()).scan_all(&cf_zones);
+    let full = Scanner::for_ecosystem(
         &eco_b,
         ScanPolicy {
             sample_fraction: 0.0,

@@ -12,7 +12,6 @@
 
 #![forbid(unsafe_code)]
 
-use bootscan::operator::OperatorTable;
 use bootscan::{ScanPolicy, ScanResults, Scanner};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use std::sync::{Arc, OnceLock};
@@ -27,7 +26,7 @@ pub struct World {
 
 static WORLD: OnceLock<World> = OnceLock::new();
 
-/// Scale divisor for bench worlds (`BOOTSCAN_SCALE`, default 50 000).
+/// Scale divisor for bench worlds (`BOOTSCAN_SCALE`, default 10 000).
 pub fn bench_scale() -> u64 {
     std::env::var("BOOTSCAN_SCALE")
         .ok()
@@ -42,7 +41,7 @@ pub fn world() -> &'static World {
         eprintln!("[bench] building paper ecosystem at 1:{scale} …");
         let t = std::time::Instant::now();
         let eco = build(EcosystemConfig::paper_default(scale));
-        let scanner = scanner_for(&eco, ScanPolicy::default());
+        let scanner = Scanner::for_ecosystem(&eco, ScanPolicy::default());
         let seeds = eco.seeds.compile(&eco.psl);
         let results = scanner.scan_all(&seeds);
         eprintln!(
@@ -57,23 +56,6 @@ pub fn world() -> &'static World {
             results,
         }
     })
-}
-
-/// A scanner over an ecosystem with the given policy.
-pub fn scanner_for(eco: &Ecosystem, policy: ScanPolicy) -> Arc<Scanner> {
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        policy,
-    ))
 }
 
 /// Banner for the printed artifact sections.

@@ -26,17 +26,10 @@
 //!
 //! ```no_run
 //! use dns_ecosystem::{build, EcosystemConfig};
-//! use bootscan::{Scanner, ScanPolicy, operator::OperatorTable};
-//! use std::sync::Arc;
+//! use bootscan::{Scanner, ScanPolicy};
 //!
 //! let eco = build(EcosystemConfig::tiny(42));
-//! let table = OperatorTable::from_operators(
-//!     eco.operators.iter().map(|o| (o.name.as_str(), o.hosts.as_slice())),
-//! );
-//! let scanner = Arc::new(Scanner::new(
-//!     Arc::clone(&eco.net), eco.roots.clone(), eco.anchors.clone(),
-//!     table, eco.now, ScanPolicy::default(),
-//! ));
+//! let scanner = Scanner::for_ecosystem(&eco, ScanPolicy::default());
 //! let seeds = eco.seeds.compile(&eco.psl);
 //! let results = scanner.scan_all(&seeds);
 //! println!("{}", bootscan::report::figure1(&results).render());

@@ -256,6 +256,25 @@ impl Scanner {
         }
     }
 
+    /// A scanner over a built world: `eco`'s network, root hints, trust
+    /// anchors and scan epoch, with the operator table derived from its
+    /// operators' NS hostnames.
+    pub fn for_ecosystem(eco: &dns_ecosystem::Ecosystem, policy: ScanPolicy) -> Arc<Scanner> {
+        let table = OperatorTable::from_operators(
+            eco.operators
+                .iter()
+                .map(|o| (o.name.as_str(), o.hosts.as_slice())),
+        );
+        Arc::new(Scanner::new(
+            Arc::clone(&eco.net),
+            eco.roots.clone(),
+            eco.anchors.clone(),
+            table,
+            eco.now,
+            policy,
+        ))
+    }
+
     /// The key-cache stripe responsible for `name`.
     fn key_shard(&self, name: &Name) -> &Mutex<HashMap<Name, KeyCacheEntry>> {
         &self.key_cache[(name.fnv64() % KEY_SHARDS as u64) as usize]

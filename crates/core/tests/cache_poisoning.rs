@@ -9,7 +9,6 @@
 //! evidence is re-fetched from the network, and classifications match an
 //! unpoisoned scan bit for bit.
 
-use bootscan::operator::OperatorTable;
 use bootscan::{ReferralData, ScanPolicy, Scanner};
 use dns_ecosystem::{build, DnssecState, Ecosystem, EcosystemConfig};
 use dns_wire::name::Name;
@@ -19,19 +18,7 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 fn scanner_for(eco: &Ecosystem) -> Arc<Scanner> {
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        ScanPolicy::default(),
-    ))
+    Scanner::for_ecosystem(eco, ScanPolicy::default())
 }
 
 /// A secured, non-legacy zone from the tiny world (the class whose

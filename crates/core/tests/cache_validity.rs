@@ -8,7 +8,6 @@
 //! (with *valid* provenance, so only the expiry stamp protects the scan)
 //! and prove the scan output stays byte-identical to a cold scan.
 
-use bootscan::operator::OperatorTable;
 use bootscan::{ReferralData, ScanPolicy, Scanner};
 use dns_ecosystem::{build, DnssecState, Ecosystem, EcosystemConfig};
 use dns_wire::name::Name;
@@ -18,19 +17,7 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 fn scanner_for(eco: &Ecosystem) -> Arc<Scanner> {
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        ScanPolicy::default(),
-    ))
+    Scanner::for_ecosystem(eco, ScanPolicy::default())
 }
 
 fn secured_zone(eco: &Ecosystem) -> Name {

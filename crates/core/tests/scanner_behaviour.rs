@@ -1,7 +1,6 @@
 //! Scanner behaviour tests: sampling policy, key caching, policy knobs,
 //! rate limiting — the §3 scan mechanics, isolated.
 
-use bootscan::operator::OperatorTable;
 use bootscan::{ScanPolicy, Scanner};
 use dns_ecosystem::spec::{CategoryCounts, EcosystemConfig};
 use dns_ecosystem::{build, Ecosystem};
@@ -9,19 +8,7 @@ use dns_wire::Name;
 use std::sync::Arc;
 
 fn scanner_with(eco: &Ecosystem, policy: ScanPolicy) -> Arc<Scanner> {
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        policy,
-    ))
+    Scanner::for_ecosystem(eco, policy)
 }
 
 /// A config with a Cloudflare-style anycast operator (12 addresses per

@@ -48,8 +48,9 @@ pub struct Rule {
 /// scan-fabric is included whole: its merge path folds journal events
 /// into the byte-compared report, so hash-order iteration or ambient
 /// state anywhere in the crate can corrupt the determinism contract.
-/// scan-epochs likewise: it folds carried evidence and journal replays
-/// into per-epoch reports that must stay byte-identical to cold scans.
+/// scan-epochs likewise: its carry ledger seeds scanner caches and its
+/// report types serialize the per-epoch reports that must stay
+/// byte-identical to cold scans.
 /// scan-continuous sits on top of both — its admission decisions and
 /// epoch folds feed the byte-compared time series, so the same
 /// determinism contract applies.

@@ -87,7 +87,7 @@ const CACHE_SINKS: &[&str] = &[
 const VALIDATORS: &[&str] = &["crc32", "from_bytes", "validate_commit_epoch"];
 
 /// Crates whose on-disk state T003 polices.
-const STATE_ROOT_CRATES: &[&str] = &["scan-journal", "scan-epochs", "scan-continuous"];
+const STATE_ROOT_CRATES: &[&str] = &["scan-journal", "scan-continuous"];
 
 fn text(sf: &SourceFile, i: usize) -> &str {
     sf.toks.get(i).map(|t| t.text.as_str()).unwrap_or("")

@@ -1,12 +1,14 @@
-//! # scan-continuous — fabric-distributed continuous longitudinal scanning
+//! # scan-continuous — the journaled study driver over epochs
 //!
-//! The longitudinal service (`scan-epochs`) scans one epoch at a time,
-//! sequentially, and assumes every epoch drains before the next one is
-//! due. A registry-scale deployment study has neither luxury: each
-//! epoch's delta set wants the whole worker fleet, and observations
-//! arrive on a fixed schedule that does not wait for the scanner. This
-//! crate composes the two distributed tiers into a *reconcile-loop
-//! study service*:
+//! The paper's measurement is one scan pipeline run repeatedly over a
+//! changing namespace. [`run_continuous`] is that loop: epoch 0 is a
+//! full scan, every later epoch applies seeded churn and re-scans only
+//! the delta set (churned, expired, degraded or never-scanned zones),
+//! carrying caches and prior evidence forward (`scan-epochs` holds the
+//! ledger and report types). The sequential study is this driver with
+//! `fabric.workers = 1`; a registry-scale one wants the whole fleet per
+//! epoch and observations that arrive on a schedule which does not wait
+//! for the scanner:
 //!
 //! 1. **Fabric-distributed epochs.** Each epoch's delta set is sharded
 //!    with the same fnv64 [`ShardPlan`] the one-shot fabric uses and
@@ -44,11 +46,12 @@ pub mod admission;
 
 pub use admission::{admit, render_decisions, Admission, AdmissionConfig, Decision};
 
-use bootscan::operator::OperatorTable;
 use bootscan::scanner::Scanner;
 use bootscan::types::ZoneScan;
 use bootscan::ScanPolicy;
-use dns_ecosystem::{apply_churn, build, ChurnConfig, ChurnLog, ChurnPlan, EcosystemConfig};
+use dns_ecosystem::{
+    apply_churn, build, ChurnConfig, ChurnLog, ChurnPlan, Ecosystem, EcosystemConfig,
+};
 use dns_wire::name::Name;
 use netsim::SimMicros;
 use parking_lot::RwLock;
@@ -57,7 +60,7 @@ use scan_fabric::{
     indeterminate_placeholder, with_fleet, FabricConfig, FabricFaultPlan, FabricOps,
     ShardAssignment, ShardPlan, ShardWork, WorkerFault,
 };
-use scan_journal::{recover, Namespace};
+use scan_journal::{recover, write_atomically, Namespace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
@@ -182,11 +185,14 @@ pub struct ContinuousOutput {
 }
 
 /// Marker file whose presence commits an epoch into the time series.
-/// Unlike the sequential service's marker it also records the shards
-/// the fleet abandoned, so a committed epoch folds back with the same
-/// explicit Indeterminate placeholders it reported live.
+/// It also records the shards the fleet abandoned, so a committed epoch
+/// folds back with the same explicit Indeterminate placeholders it
+/// reported live.
 const COMMIT_FILE: &str = "COMMIT";
 
+/// Synced before the rename: a power cut that kept the rename but lost
+/// the data would leave an empty marker, which [`read_commit`] refuses
+/// forever.
 fn write_commit(dir: &Path, epoch: u32, abandoned: &BTreeSet<u32>) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let mut body = format!("epoch {epoch}\n");
@@ -194,9 +200,7 @@ fn write_commit(dir: &Path, epoch: u32, abandoned: &BTreeSet<u32>) -> io::Result
         let ids: Vec<String> = abandoned.iter().map(u32::to_string).collect();
         body.push_str(&format!("abandoned {}\n", ids.join(",")));
     }
-    let tmp = dir.join("COMMIT.tmp");
-    fs::write(&tmp, body)?;
-    fs::rename(&tmp, dir.join(COMMIT_FILE))
+    write_atomically(&dir.join(COMMIT_FILE), body.as_bytes())
 }
 
 /// Validate the `epoch N` identity line of a COMMIT marker against the
@@ -280,7 +284,12 @@ struct EpochState {
 /// assignment layer (the namespace scheme enforces it again at the
 /// journal layer).
 struct ContinuousWork {
-    factory: Box<dyn Fn() -> Arc<Scanner> + Send + Sync>,
+    /// The world. The reconcile loop takes the write side only to apply
+    /// an epoch's churn, between drives, before that epoch is published
+    /// (no shard of it can be assigned yet); assignments take the read
+    /// side to build their scanner over the churned world.
+    eco: RwLock<Ecosystem>,
+    policy: ScanPolicy,
     root: PathBuf,
     run_id: u64,
     cache_ttl: SimMicros,
@@ -299,8 +308,9 @@ impl ShardWork for ContinuousWork {
     fn assignment(&self, epoch: u32, shard: u32) -> Option<ShardAssignment> {
         // Clone the shard's slice and ledger partition out of the
         // published state, then release the lock: seeding walks the
-        // scanner's striped cache locks, and the factory may do real
-        // work — neither belongs under the epoch-state read guard.
+        // scanner's striped cache locks, and building the scanner takes
+        // the world lock — neither belongs under the epoch-state read
+        // guard.
         let (zones, part, now) = {
             let guard = self.state.read();
             let st = guard.as_ref()?;
@@ -319,7 +329,7 @@ impl ShardWork for ContinuousWork {
         // Fresh scanner per attempt, deterministically pre-seeded with
         // this shard's carried-ledger partition: shard results stay a
         // pure function of (world, zones, carried state).
-        let scanner = (self.factory)();
+        let scanner = Scanner::for_ecosystem(&self.eco.read(), self.policy.clone());
         if let Some(part) = part {
             part.seed_into(&scanner, now, self.cache_ttl, self.epoch_spacing);
         }
@@ -428,7 +438,8 @@ fn fold_epoch(
     })
 }
 
-/// Prior evidence for one zone (same fold as the sequential service).
+/// Prior evidence for one zone: the kept scan plus the epoch whose
+/// fresh scan (or abandoned-shard placeholder) produced it.
 struct Evidence {
     scan: ZoneScan,
     epoch: u32,
@@ -452,40 +463,15 @@ pub fn run_continuous(
     state_root: &Path,
 ) -> io::Result<ContinuousOutput> {
     fs::create_dir_all(state_root)?;
-    let mut eco = build(world);
+    let eco = build(world);
     let mut seeds = eco.seeds.compile(&eco.psl);
     seeds.sort_by(|a, b| a.canonical_cmp(b));
     seeds.dedup();
 
-    // The factory captures Arc'd world handles, not `&eco`: churn
-    // mutates zone content through the shared stores, so scanners built
-    // mid-run see the churned world while the loop keeps `&mut eco`.
-    let factory: Box<dyn Fn() -> Arc<Scanner> + Send + Sync> = {
-        let net = Arc::clone(&eco.net);
-        let roots = eco.roots.clone();
-        let anchors = eco.anchors.clone();
-        let table = OperatorTable::from_operators(
-            eco.operators
-                .iter()
-                .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-        );
-        let now = eco.now;
-        let policy = policy.clone();
-        Box::new(move || {
-            Arc::new(Scanner::new(
-                Arc::clone(&net),
-                roots.clone(),
-                anchors.clone(),
-                table.clone(),
-                now,
-                policy.clone(),
-            ))
-        })
-    };
-
     let shards = cfg.fabric.shards.max(1);
     let work = ContinuousWork {
-        factory,
+        eco: RwLock::new(eco),
+        policy,
         root: state_root.to_path_buf(),
         run_id: cfg.run_id,
         cache_ttl: cfg.cache_ttl,
@@ -518,6 +504,7 @@ pub fn run_continuous(
             let churn: ChurnLog = if epoch == 0 {
                 ChurnLog::default()
             } else {
+                let mut eco = work.eco.write();
                 let plan = ChurnPlan::generate(&eco, &cfg.churn, cfg.churn_seed, epoch);
                 apply_churn(&mut eco, &plan)
             };

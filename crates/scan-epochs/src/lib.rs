@@ -1,35 +1,25 @@
-//! # scan-epochs — the longitudinal scan service
+//! # scan-epochs — what a longitudinal study carries and reports
 //!
 //! The paper is a deployment-over-time study: repeated scans separated
-//! by real-world churn, reported as adoption trends. This crate runs
-//! that study against the synthetic world (DESIGN.md §10):
+//! by real-world churn, reported as adoption trends. The study *driver*
+//! is `scan_continuous::run_continuous` (DESIGN.md §11); this crate holds
+//! the two data types every epoch of it passes along (DESIGN.md §10):
 //!
-//! 1. **Churn.** Each epoch `e ≥ 1` generates and applies a seeded
-//!    [`ChurnPlan`] — a pure function of `(truth, churn seed, e)` — and
-//!    receives the ground-truth [`ChurnLog`].
-//! 2. **Delta scan.** Only zones that *need* re-scanning are scanned:
-//!    churned zones, zones whose evidence outlived the evidence TTL,
-//!    and zones whose prior evidence was degraded or `Indeterminate`.
-//!    Everyone else's prior evidence is carried forward verbatim.
-//! 3. **Cache carry-over.** Delegation-, address- and validated-key
-//!    cache entries learned by past epochs are seeded into the fresh
-//!    epoch scanner with their *remaining* virtual-time validity
-//!    ([`CarryLedger`]); churn-invalidated entries are dropped first.
-//!    Carried caches change *when* datagrams are sent, never what the
-//!    classifier concludes — so each epoch's incremental report is
-//!    byte-identical to a cold scan of the same world state
-//!    (`tests/epoch_equivalence.rs`) at a small fraction of its cost.
-//! 4. **Crash safety.** Each epoch journals through `scan-journal`
-//!    under epoch-namespaced run ids and state directories, and an
-//!    epoch enters the time series only after its `COMMIT` marker is
-//!    renamed into place. A kill at any point — mid-epoch, after the
-//!    journal but before the commit, or during carry-over — resumes
-//!    into the *same* epoch and reproduces the uninterrupted series
-//!    byte-for-byte (`tests/epoch_recovery.rs`).
-//! 5. **Honest degradation.** An epoch whose re-scan budget is
-//!    exhausted reports the deferred zones as `Indeterminate` with a
-//!    stale-evidence marker — outdated evidence is never silently
-//!    re-reported as current.
+//! * [`CarryLedger`] — delegation-, address- and validated-key cache
+//!   entries learned by past epochs, seeded into a later epoch's fresh
+//!   scanner with their *remaining* virtual-time validity, dropped when
+//!   churn invalidates their zone cut, and partitionable by fabric
+//!   shard. Carried caches change *when* datagrams are sent, never what
+//!   the classifier concludes.
+//! * [`TimeSeries`] — committed [`EpochReport`]s (the full evidence
+//!   table as of each epoch, plus what was re-scanned, what churned and
+//!   which zones are explicit degraded placeholders) and
+//!   [`SkippedEpoch`] markers, with the canonical byte serialization
+//!   ([`canonical_evidence`], [`TimeSeries::canonical_bytes`]) the
+//!   equivalence and recovery suites compare, and the per-epoch
+//!   adoption-trend table.
+//!
+//! Nothing here scans, journals or reads a state root.
 
 #![forbid(unsafe_code)]
 
@@ -38,379 +28,3 @@ pub mod report;
 
 pub use ledger::CarryLedger;
 pub use report::{canonical_evidence, EpochReport, SkippedEpoch, TimeSeries, TrendRow};
-
-use bootscan::operator::OperatorTable;
-use bootscan::scanner::Scanner;
-use bootscan::types::{DnssecClass, ZoneScan};
-use bootscan::{ProgressSink, RetryStats, ScanPolicy, ZoneEvent};
-use dns_ecosystem::{apply_churn, build, ChurnConfig, ChurnLog, ChurnPlan, EcosystemConfig};
-use dns_wire::name::Name;
-use netsim::SimMicros;
-use scan_journal::{recover, JournalSink, Namespace};
-use std::collections::BTreeMap;
-use std::fs;
-use std::io;
-use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// Injected crash points for the epoch-boundary kill matrix
-/// (`tests/epoch_recovery.rs`). Mirrors the fabric's fault plan: the
-/// study returns [`io::ErrorKind::Interrupted`] at the named point, and
-/// re-running against the same state root must resume byte-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KillPoint {
-    /// Die during `epoch`'s scan, refusing the journal append of event
-    /// number `at_event` (0-based, counted within this attempt).
-    MidEpoch { epoch: u32, at_event: u64 },
-    /// Die after `epoch`'s journal (and final checkpoint) is complete
-    /// but before its `COMMIT` marker lands.
-    BeforeCommit { epoch: u32 },
-    /// Die after `epoch` committed, during carry-over into the next
-    /// epoch (caches invalidated/pruned, nothing scanned yet).
-    DuringCarryOver { epoch: u32 },
-}
-
-/// Configuration of one longitudinal study.
-#[derive(Debug, Clone)]
-pub struct StudyConfig {
-    /// Total number of epochs, including the initial full scan
-    /// (epoch 0). Churn applies from epoch 1 onward.
-    pub epochs: u32,
-    /// Seed of the churn model (independent of the world seed).
-    pub churn_seed: u64,
-    pub churn: ChurnConfig,
-    /// Study run id: namespaces every epoch's journal.
-    pub run_id: u64,
-    /// Virtual time between epoch starts. Default 30 minutes — half the
-    /// cache TTL, so carried cache entries span exactly one further
-    /// epoch before expiring.
-    pub epoch_spacing: SimMicros,
-    /// Cache-entry validity, matching the resolver's in-scan TTL.
-    pub cache_ttl: SimMicros,
-    /// Evidence validity: zones whose last fresh scan is older than
-    /// this are re-scanned even without churn. Default 24 h.
-    pub evidence_ttl: SimMicros,
-    /// Maximum zones re-scanned per epoch. Deferred zones are reported
-    /// `Indeterminate` with a stale-evidence marker. `None` = no cap.
-    pub rescan_budget: Option<usize>,
-    /// Journal checkpoint cadence (events per checkpoint).
-    pub checkpoint_every: u64,
-    /// Test-only crash injection.
-    pub fault: Option<KillPoint>,
-}
-
-impl StudyConfig {
-    pub fn new(epochs: u32, churn_seed: u64) -> Self {
-        StudyConfig {
-            epochs,
-            churn_seed,
-            churn: ChurnConfig::default(),
-            run_id: 1,
-            epoch_spacing: 1_800_000_000,
-            cache_ttl: dns_resolver::CACHE_TTL_MICROS,
-            evidence_ttl: 86_400_000_000,
-            rescan_budget: None,
-            checkpoint_every: 32,
-            fault: None,
-        }
-    }
-}
-
-/// Marker file whose presence (renamed atomically into place) commits an
-/// epoch into the time series. A directory without it is a torn epoch:
-/// resume re-enters it, it never contaminates the series.
-const COMMIT_FILE: &str = "COMMIT";
-
-fn commit_path(dir: &Path) -> std::path::PathBuf {
-    dir.join(COMMIT_FILE)
-}
-
-fn write_commit(dir: &Path, epoch: u32) -> io::Result<()> {
-    let tmp = dir.join("COMMIT.tmp");
-    fs::write(&tmp, format!("epoch {epoch}\n"))?;
-    fs::rename(&tmp, commit_path(dir))
-}
-
-fn killed(point: KillPoint) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::Interrupted,
-        format!("injected kill: {point:?}"),
-    )
-}
-
-/// Journal sink that also captures every accepted event in memory (the
-/// ledger and evidence fold need the effects), and optionally refuses
-/// the append at an injected kill point.
-struct TeeSink {
-    journal: JournalSink,
-    captured: Mutex<Vec<ZoneEvent>>,
-    kill_at: Option<u64>,
-    seen: Mutex<u64>,
-    died: Mutex<bool>,
-}
-
-impl TeeSink {
-    fn new(journal: JournalSink, kill_at: Option<u64>) -> Self {
-        TeeSink {
-            journal,
-            captured: Mutex::new(Vec::new()),
-            kill_at,
-            seen: Mutex::new(0),
-            died: Mutex::new(false),
-        }
-    }
-
-    fn died(&self) -> bool {
-        *self.died.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn into_captured(self) -> Vec<ZoneEvent> {
-        self.captured
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl ProgressSink for TeeSink {
-    fn on_zone(&self, event: &ZoneEvent) -> bool {
-        {
-            let mut seen = self.seen.lock().unwrap_or_else(PoisonError::into_inner);
-            if Some(*seen) == self.kill_at {
-                *self.died.lock().unwrap_or_else(PoisonError::into_inner) = true;
-                return false;
-            }
-            *seen += 1;
-        }
-        // Write-ahead: journal first, capture only what the journal
-        // accepted — the in-memory fold must never run ahead of disk.
-        if !self.journal.on_zone(event) {
-            return false;
-        }
-        self.captured
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(event.clone());
-        true
-    }
-}
-
-/// Prior evidence for one zone: the kept scan plus the epoch whose
-/// fresh scan produced it (stale markers keep their source epoch).
-#[derive(Debug, Clone)]
-struct Evidence {
-    scan: ZoneScan,
-    epoch: u32,
-}
-
-/// The stale-evidence marker: what a budget-deferred zone reports.
-/// Deliberately *not* the outdated evidence — `Indeterminate` and
-/// degraded, so the epoch's degradation report names it and the next
-/// epoch's delta rule re-scans it.
-fn stale_marker(name: &Name) -> ZoneScan {
-    ZoneScan {
-        name: name.clone(),
-        ns_names: Vec::new(),
-        parent_ds: Vec::new(),
-        ns_observations: Vec::new(),
-        signal_observations: Vec::new(),
-        dnssec: DnssecClass::Indeterminate,
-        cds: bootscan::CdsClass::Absent,
-        ab: bootscan::AbClass::NoSignal,
-        operator: bootscan::Identified::Unknown,
-        queries: 0,
-        elapsed: 0,
-        sampled: false,
-        retry_stats: RetryStats::default(),
-        degraded: true,
-    }
-}
-
-fn scanner_for(eco: &dns_ecosystem::Ecosystem, policy: &ScanPolicy) -> Arc<Scanner> {
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        policy.clone(),
-    ))
-}
-
-/// Run (or resume) a longitudinal study.
-///
-/// Deterministic end to end: the world is rebuilt from `world`, each
-/// epoch's churn is replayed from `(churn seed, epoch)`, committed
-/// epochs are folded back from their journals without re-scanning, and
-/// the first uncommitted epoch is resumed exactly where it died. Two
-/// invocations over the same arguments and state root — interrupted
-/// anywhere, any number of times — produce byte-identical time series
-/// (`TimeSeries::canonical_bytes`, exact at `parallelism = 1`).
-pub fn run_study(
-    world: EcosystemConfig,
-    policy: ScanPolicy,
-    cfg: &StudyConfig,
-    state_root: &Path,
-) -> io::Result<TimeSeries> {
-    fs::create_dir_all(state_root)?;
-    let mut eco = build(world);
-    let mut seeds = eco.seeds.compile(&eco.psl);
-    seeds.sort_by(|a, b| a.canonical_cmp(b));
-    seeds.dedup();
-
-    let mut evidence: BTreeMap<Name, Evidence> = BTreeMap::new();
-    let mut ledger = CarryLedger::new();
-    let mut series = TimeSeries::default();
-
-    for epoch in 0..cfg.epochs {
-        let now = (epoch as SimMicros).saturating_mul(cfg.epoch_spacing);
-
-        // -- Churn: mutate the world, learn what changed. -------------
-        let churn: ChurnLog = if epoch == 0 {
-            ChurnLog::default()
-        } else {
-            let plan = ChurnPlan::generate(&eco, &cfg.churn, cfg.churn_seed, epoch);
-            apply_churn(&mut eco, &plan)
-        };
-
-        // -- Carry-over: invalidate and age the cache ledger. ---------
-        ledger.invalidate(&churn.invalidated_cuts);
-        ledger.prune_expired(now, cfg.cache_ttl, cfg.epoch_spacing);
-        if let Some(KillPoint::DuringCarryOver { epoch: at }) = cfg.fault {
-            if epoch > 0 && at == epoch - 1 {
-                return Err(killed(KillPoint::DuringCarryOver { epoch: at }));
-            }
-        }
-
-        // -- Delta scan set. ------------------------------------------
-        let churned: Vec<Name> = churn
-            .churned_zones()
-            .into_iter()
-            .filter(|z| seeds.binary_search_by(|s| s.canonical_cmp(z)).is_ok())
-            .collect();
-        let mut delta: Vec<Name> = if epoch == 0 {
-            seeds.clone()
-        } else {
-            let mut d = churned.clone();
-            for (name, ev) in &evidence {
-                let age = now.saturating_sub((ev.epoch as SimMicros) * cfg.epoch_spacing);
-                let expired = age >= cfg.evidence_ttl;
-                let weak = ev.scan.degraded || ev.scan.dnssec == DnssecClass::Indeterminate;
-                if expired || weak {
-                    d.push(name.clone());
-                }
-            }
-            // Seeds that never produced evidence (e.g. deferred at epoch
-            // 0 under a budget) stay in the delta set until scanned.
-            for s in &seeds {
-                if !evidence.contains_key(s) {
-                    d.push(s.clone());
-                }
-            }
-            d
-        };
-        delta.sort_by(|a, b| a.canonical_cmp(b));
-        delta.dedup();
-
-        let (scanned, deferred) = match cfg.rescan_budget {
-            Some(budget) if delta.len() > budget => {
-                let deferred = delta.split_off(budget);
-                (delta, deferred)
-            }
-            _ => (delta, Vec::new()),
-        };
-
-        // -- Journal recovery: committed epochs fold without scanning.
-        let ns = Namespace::root(state_root, cfg.run_id).epoch(epoch);
-        let dir = ns.dir().to_path_buf();
-        let header = ns.header(&scanned);
-        let recovery = recover(&dir, header)?;
-        let committed = commit_path(&dir).exists();
-
-        let (zones, queries, duration) = if committed {
-            // Fold the journaled epoch back; the scanner never runs.
-            for (_, event) in &recovery.events {
-                ledger.absorb(epoch, &event.scan.name, &event.effects);
-            }
-            let resume = recovery.resume_state();
-            let queries: u64 = resume.zones.iter().map(|z| z.queries as u64).sum();
-            (resume.zones, queries, resume.duration_so_far)
-        } else {
-            // Fresh scanner per epoch: cold except for the carried
-            // ledger (expiry-stamped) and this epoch's own replayed
-            // journal effects (verbatim, like any crash resume).
-            let scanner = scanner_for(&eco, &policy);
-            ledger.seed_into(&scanner, now, cfg.cache_ttl, cfg.epoch_spacing);
-            for (_, event) in &recovery.events {
-                ledger.absorb(epoch, &event.scan.name, &event.effects);
-            }
-            recovery.apply_to(&scanner);
-            let resume = recovery.resume_state();
-            let sink =
-                JournalSink::resume(&dir, &recovery)?.with_checkpoint_every(cfg.checkpoint_every);
-            let kill_at = match cfg.fault {
-                Some(KillPoint::MidEpoch {
-                    epoch: at,
-                    at_event,
-                }) if at == epoch => Some(at_event),
-                _ => None,
-            };
-            let sink = TeeSink::new(sink, kill_at);
-            let results = scanner.scan_all_with(&scanned, Some(&sink), Some(resume));
-            if sink.died() {
-                return Err(killed(KillPoint::MidEpoch {
-                    epoch,
-                    at_event: kill_at.unwrap_or_default(),
-                }));
-            }
-            sink.journal.checkpoint_now()?;
-            for event in sink.into_captured() {
-                ledger.absorb(epoch, &event.scan.name, &event.effects);
-            }
-            if let Some(KillPoint::BeforeCommit { epoch: at }) = cfg.fault {
-                if at == epoch {
-                    return Err(killed(KillPoint::BeforeCommit { epoch: at }));
-                }
-            }
-            write_commit(&dir, epoch)?;
-            (
-                results.zones,
-                results.total_queries,
-                results.simulated_duration,
-            )
-        };
-
-        // -- Fold evidence: fresh results overwrite, deferred zones get
-        //    the stale marker (honest degradation, never reuse).
-        for z in zones {
-            evidence.insert(z.name.clone(), Evidence { scan: z, epoch });
-        }
-        for name in &deferred {
-            let source = evidence.get(name).map(|e| e.epoch).unwrap_or(epoch);
-            evidence.insert(
-                name.clone(),
-                Evidence {
-                    scan: stale_marker(name),
-                    epoch: source,
-                },
-            );
-        }
-
-        let mut table: Vec<ZoneScan> = evidence.values().map(|e| e.scan.clone()).collect();
-        table.sort_by(|a, b| a.name.canonical_cmp(&b.name));
-        series.epochs.push(EpochReport {
-            epoch,
-            zones: table,
-            fresh: scanned,
-            stale: deferred,
-            churned,
-            queries,
-            simulated_duration: duration,
-        });
-    }
-    Ok(series)
-}

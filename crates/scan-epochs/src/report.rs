@@ -55,8 +55,9 @@ pub struct EpochReport {
     pub zones: Vec<ZoneScan>,
     /// Zones actually re-scanned this epoch, canonical order.
     pub fresh: Vec<Name>,
-    /// Zones the re-scan budget deferred: reported `Indeterminate` with
-    /// a stale-evidence marker, never as silently-reused old evidence.
+    /// Zones that could not be scanned this epoch (their shard was
+    /// abandoned): reported as degraded `Indeterminate` placeholders,
+    /// never as silently-reused old evidence.
     pub stale: Vec<Name>,
     /// Zones this epoch's churn transitioned (ground truth).
     pub churned: Vec<Name>,

@@ -95,7 +95,10 @@ pub fn write_checkpoint(
     write_atomically(&dir.join(MANIFEST_FILE), &m)
 }
 
-fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Replace `path` with `bytes` so that a crash leaves either the old
+/// file or the complete new one: write a sibling `.tmp`, sync its data,
+/// rename it over `path`.
+pub fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = File::create(&tmp)?;

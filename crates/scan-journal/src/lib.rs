@@ -52,7 +52,9 @@ mod journal;
 mod namespace;
 mod recover;
 
-pub use checkpoint::{read_checkpoint, shard_path, write_checkpoint, zone_shard, MANIFEST_FILE};
+pub use checkpoint::{
+    read_checkpoint, shard_path, write_atomically, write_checkpoint, zone_shard, MANIFEST_FILE,
+};
 pub use codec::{decode_event, encode_event, CodecError};
 pub use crc::{crc32, fnv64};
 pub use journal::{

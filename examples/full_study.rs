@@ -11,27 +11,24 @@
 //! # tables must survive unchanged, with the hostile tier reported as
 //! # explicitly degraded:
 //! BOOTSCAN_ADVERSARIES=0.01 cargo run --release --example full_study
-//! # crash-recoverable: journal progress to a state dir; re-running the
-//! # same command after an interruption resumes where it stopped and
-//! # produces the identical report:
+//! # crash-recoverable and/or distributed: run the headline scan on the
+//! # scan fabric (DESIGN.md §9) — the zone space is sharded, every shard
+//! # journals under BOOTSCAN_JOURNAL (or a temp dir), and re-running the
+//! # same command after an interruption resumes every incomplete shard.
+//! # The merged report is byte-identical at any worker count; killed or
+//! # hung workers have their shards stolen:
 //! BOOTSCAN_JOURNAL=scan-state cargo run --release --example full_study
-//! # distributed: shard the zone space across N fabric workers
-//! # (DESIGN.md §9). The merged report is byte-identical to the
-//! # single-worker run; killed or hung workers have their shards
-//! # stolen and resumed from per-shard journals:
 //! BOOTSCAN_WORKERS=4 cargo run --release --example full_study
-//! # longitudinal: after the headline tables, run N epochs of seeded
-//! # churn with incremental re-scans (DESIGN.md §10) and print the
-//! # per-epoch adoption-trend table. Epoch state journals under
-//! # BOOTSCAN_JOURNAL (or a temp dir), so an interrupted study resumes
-//! # into the same epoch:
-//! BOOTSCAN_EPOCHS=6 BOOTSCAN_CHURN_SEED=7 cargo run --release --example full_study
-//! # continuous: BOOTSCAN_WORKERS and BOOTSCAN_EPOCHS compose — the
-//! # longitudinal tier runs distributed over the fabric (DESIGN.md §11),
-//! # with epochs arriving every BOOTSCAN_EPOCH_SPACING virtual
-//! # microseconds. Arrivals that outpace the fleet are pipelined up to
+//! # over time: after the headline tables, run N epochs of seeded churn
+//! # with incremental re-scans (DESIGN.md §10, §11) on BOOTSCAN_WORKERS
+//! # fabric workers (default 1) and print the per-epoch adoption-trend
+//! # table. Epochs arrive every BOOTSCAN_EPOCH_SPACING virtual
+//! # microseconds; arrivals that outpace the fleet are pipelined up to
 //! # BOOTSCAN_PIPELINE_DEPTH spacings of backlog, then coalesced into
-//! # explicit SKIPPED rows of the trend table:
+//! # explicit SKIPPED rows. Epoch state journals under
+//! # BOOTSCAN_JOURNAL/continuous (or a temp dir), so an interrupted
+//! # study resumes into the same epoch:
+//! BOOTSCAN_EPOCHS=6 BOOTSCAN_CHURN_SEED=7 cargo run --release --example full_study
 //! BOOTSCAN_WORKERS=4 BOOTSCAN_EPOCHS=6 BOOTSCAN_EPOCH_SPACING=1000000 \
 //!     cargo run --release --example full_study
 //! ```
@@ -40,21 +37,20 @@
 //! summary, the scan-cost/feasibility numbers (Appendix D), and the
 //! paper's values next to ours.
 
-use bootscan::{budget, policy, report, ScanPolicy};
+use bootscan::{budget, policy, report, ScanPolicy, Scanner};
 use dns_ecosystem::{AdversaryArchetype, EcosystemConfig};
-use dnssec_bootstrap::{
-    run_study, run_study_continuous, run_study_fabric, run_study_longitudinal, run_study_resumable,
-    scan_continuous, scan_epochs, scan_fabric,
-};
+use dnssec_bootstrap::{run_study, scan_continuous, scan_fabric};
+use std::path::PathBuf;
 
 fn main() {
     let scale: u64 = std::env::var("BOOTSCAN_SCALE")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1000);
-    // BOOTSCAN_WORKERS=<n> shards the scan across the distributed fabric
-    // (n > 1); BOOTSCAN_PARALLELISM keeps the in-process concurrent-walk
-    // knob of the classic single-scanner path.
+    // BOOTSCAN_WORKERS=<n> sizes the fabric fleet (the headline scan
+    // runs on the fabric when n > 1 or BOOTSCAN_JOURNAL is set; the
+    // epoch study always does); BOOTSCAN_PARALLELISM is the in-memory
+    // scan's concurrent-walk knob.
     let workers: usize = std::env::var("BOOTSCAN_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -73,8 +69,8 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(0.0);
 
-    // BOOTSCAN_EPOCHS=<n> (n > 1) appends the longitudinal tier
-    // (DESIGN.md §10): n epochs of seeded churn with incremental
+    // BOOTSCAN_EPOCHS=<n> (n > 1) appends the study over time
+    // (DESIGN.md §10, §11): n epochs of seeded churn with incremental
     // re-scans, reported as a per-epoch adoption-trend table.
     let epochs: u32 = std::env::var("BOOTSCAN_EPOCHS")
         .ok()
@@ -105,21 +101,18 @@ fn main() {
         ..ScanPolicy::default()
     };
     let longitudinal = (epochs > 1).then(|| (config.clone(), policy.clone()));
-    // With BOOTSCAN_JOURNAL set, every zone outcome is journaled to the
-    // given directory and an interrupted run resumes from it (identical
-    // final report — see tests/crash_recovery.rs). Delete the directory
-    // to start over; changing the scale or seed list is refused.
-    //
-    // With BOOTSCAN_WORKERS > 1 the zone space is sharded across the
-    // distributed fabric instead (DESIGN.md §9): per-shard journals land
-    // under the state dir (BOOTSCAN_JOURNAL if set, else a scale-keyed
-    // temp dir), a re-run resumes every incomplete shard, and the merged
-    // report is byte-identical to the single-worker run — see
-    // tests/fabric_recovery.rs.
-    let (eco, results) = if workers > 1 {
-        let dir = std::env::var("BOOTSCAN_JOURNAL")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|_| std::env::temp_dir().join(format!("bootscan-fabric-{scale}")));
+    // With BOOTSCAN_JOURNAL set or BOOTSCAN_WORKERS > 1 the scan runs on
+    // the fabric (DESIGN.md §9): the zone space is sharded, per-shard
+    // journals land under the state dir (BOOTSCAN_JOURNAL if set, else a
+    // scale-keyed temp dir), a re-run resumes every incomplete shard,
+    // and the merged report is byte-identical at any worker count — see
+    // tests/fabric_recovery.rs. Delete the directory to start over;
+    // changing the scale or seed list is refused.
+    let journal = std::env::var("BOOTSCAN_JOURNAL").ok().map(PathBuf::from);
+    let (eco, results) = if journal.is_some() || workers > 1 {
+        let dir = journal
+            .clone()
+            .unwrap_or_else(|| std::env::temp_dir().join(format!("bootscan-fabric-{scale}")));
         eprintln!(
             "fabric scan: {workers} workers, shard state in {} …",
             dir.display()
@@ -128,8 +121,20 @@ fn main() {
             workers,
             ..scan_fabric::FabricConfig::default()
         };
-        let (eco, output, results) =
-            run_study_fabric(config, policy, &dir, &fabric).expect("fabric scan");
+        let run_id = config.seed ^ config.scale;
+        let eco = dns_ecosystem::build(config);
+        let seeds = eco.seeds.compile(&eco.psl);
+        let mut sink = scan_fabric::CollectSink::default();
+        let output = scan_fabric::run_fabric(
+            &|| Scanner::for_ecosystem(&eco, policy.clone()),
+            &seeds,
+            &dir,
+            run_id,
+            &fabric,
+            &scan_fabric::FabricFaultPlan::none(),
+            &mut sink,
+        )
+        .expect("fabric scan");
         eprintln!(
             "fabric: {} shards over {} workers ({} reassignments, {} lease expiries), \
              merge peak {} resident zones",
@@ -139,16 +144,10 @@ fn main() {
             output.ops.lease_expiries,
             output.ops.peak_resident_zones
         );
+        let results = sink.into_results(&output.report);
         (eco, results)
     } else {
-        match std::env::var("BOOTSCAN_JOURNAL") {
-            Ok(dir) => {
-                let dir = std::path::PathBuf::from(dir);
-                eprintln!("journaling scan progress to {} …", dir.display());
-                run_study_resumable(config, policy, &dir).expect("scan journal")
-            }
-            Err(_) => run_study(config, policy),
-        }
+        run_study(config, policy)
     };
     eprintln!(
         "built + scanned {} zones in {:.1}s (real time)",
@@ -277,72 +276,51 @@ fn main() {
     }
 
     if let Some((config, policy)) = longitudinal {
-        if workers > 1 {
-            // BOOTSCAN_WORKERS and BOOTSCAN_EPOCHS compose: the whole
-            // longitudinal study runs distributed over the fabric
-            // (DESIGN.md §11) with epochs arriving on a virtual-time
-            // schedule. A spacing shorter than an epoch's makespan
-            // forces backpressure: late epochs pipeline up to the
-            // configured depth, then coalesce into explicit SKIPPED
-            // trend rows — never silently dropped observations.
-            println!("================================================================");
-            println!("E9 — continuous study ({epochs} epochs × {workers} workers, churn");
-            println!("     seed {churn_seed}; DESIGN.md §11: each epoch's delta set is");
-            println!("     sharded across the fleet, the carry ledger travels with its");
-            println!("     shards, and overlapping arrivals pipeline or coalesce into");
-            println!("     explicit SKIPPED markers)");
-            println!("================================================================");
-            let mut study = scan_continuous::ContinuousConfig::new(epochs, churn_seed);
-            if let Some(spacing) = std::env::var("BOOTSCAN_EPOCH_SPACING")
-                .ok()
-                .and_then(|v| v.parse().ok())
-            {
-                study.epoch_spacing = spacing;
-            }
-            if let Some(depth) = std::env::var("BOOTSCAN_PIPELINE_DEPTH")
-                .ok()
-                .and_then(|v| v.parse().ok())
-            {
-                study.max_pipeline_depth = depth;
-            }
-            study.fabric = scan_fabric::FabricConfig {
-                workers,
-                ..scan_fabric::FabricConfig::default()
-            };
-            let dir = std::env::var("BOOTSCAN_JOURNAL")
-                .map(|d| std::path::PathBuf::from(d).join("continuous"))
-                .unwrap_or_else(|_| {
-                    std::env::temp_dir().join(format!("bootscan-continuous-{scale}"))
-                });
-            eprintln!("continuous epoch state in {} …", dir.display());
-            let out = run_study_continuous(config, policy, &study, &dir).expect("continuous study");
-            print!("{}", scan_continuous::render_decisions(&out.decisions));
-            println!();
-            println!("{}", out.series.render_trend());
-            println!(
-                "fabric over the run: {} workers spawned ({} lost), {} reassignments, \
-                 largest shard {} zones",
-                out.ops.workers_spawned,
-                out.ops.workers_lost,
-                out.ops.reassignments,
-                out.ops.largest_shard
-            );
-        } else {
-            println!("================================================================");
-            println!("E8 — longitudinal study ({epochs} epochs, churn seed {churn_seed};");
-            println!("     DESIGN.md §10: epoch 0 is a cold scan, later epochs re-scan");
-            println!("     only the churned/stale/indeterminate delta set — every epoch");
-            println!("     byte-identical to a cold scan of the same world state)");
-            println!("================================================================");
-            let study = scan_epochs::StudyConfig::new(epochs, churn_seed);
-            let dir = std::env::var("BOOTSCAN_JOURNAL")
-                .map(|d| std::path::PathBuf::from(d).join("epochs"))
-                .unwrap_or_else(|_| std::env::temp_dir().join(format!("bootscan-epochs-{scale}")));
-            eprintln!("epoch state in {} …", dir.display());
-            let series =
-                run_study_longitudinal(config, policy, &study, &dir).expect("longitudinal study");
-            println!("{}", series.render_trend());
+        // A spacing shorter than an epoch's makespan forces
+        // backpressure: late epochs pipeline up to the configured depth,
+        // then coalesce into explicit SKIPPED trend rows — never
+        // silently dropped observations.
+        println!("================================================================");
+        println!("E8 — study over time ({epochs} epochs × {workers} workers, churn");
+        println!("     seed {churn_seed}; DESIGN.md §10, §11: epoch 0 is a cold scan,");
+        println!("     later epochs re-scan only the churned/stale/indeterminate delta");
+        println!("     set, sharded across the fleet with the carry ledger — every");
+        println!("     epoch byte-identical to a cold scan of the same world state)");
+        println!("================================================================");
+        let mut study = scan_continuous::ContinuousConfig::new(epochs, churn_seed);
+        if let Some(spacing) = std::env::var("BOOTSCAN_EPOCH_SPACING")
+            .ok()
+            .and_then(|v| v.parse().ok())
+        {
+            study.epoch_spacing = spacing;
         }
+        if let Some(depth) = std::env::var("BOOTSCAN_PIPELINE_DEPTH")
+            .ok()
+            .and_then(|v| v.parse().ok())
+        {
+            study.max_pipeline_depth = depth;
+        }
+        study.fabric = scan_fabric::FabricConfig {
+            workers,
+            ..scan_fabric::FabricConfig::default()
+        };
+        let dir = journal
+            .map(|d| d.join("continuous"))
+            .unwrap_or_else(|| std::env::temp_dir().join(format!("bootscan-continuous-{scale}")));
+        eprintln!("epoch state in {} …", dir.display());
+        let out = scan_continuous::run_continuous(config, policy, &study, &dir)
+            .expect("study over epochs");
+        print!("{}", scan_continuous::render_decisions(&out.decisions));
+        println!();
+        println!("{}", out.series.render_trend());
+        println!(
+            "fabric over the run: {} workers spawned ({} lost), {} reassignments, \
+             largest shard {} zones",
+            out.ops.workers_spawned,
+            out.ops.workers_lost,
+            out.ops.reassignments,
+            out.ops.largest_shard
+        );
     }
 
     // Machine-readable dump for EXPERIMENTS.md bookkeeping.

@@ -17,30 +17,16 @@
 //! cargo run --release --example registry_bootstrap
 //! ```
 
-use bootscan::operator::OperatorTable;
 use bootscan::{AbClass, DnssecClass, ScanPolicy, Scanner};
 use dns_crypto::DigestType;
 use dns_ecosystem::{build, EcosystemConfig};
 use dns_wire::rdata::{DsData, RData};
 use dns_wire::record::{Record, RecordType};
 use dns_zone::ZoneSigner;
-use std::sync::Arc;
 
 fn main() {
     let eco = build(EcosystemConfig::tiny(42));
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    let scanner = Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        ScanPolicy::default(),
-    ));
+    let scanner = Scanner::for_ecosystem(&eco, ScanPolicy::default());
 
     // Pass 1: the registry's scan — who qualifies?
     let seeds = eco.seeds.compile(&eco.psl);
@@ -124,18 +110,7 @@ fn main() {
 
     // Pass 3: re-scan — the bootstrapped zones must now validate Secured.
     let names: Vec<_> = candidates.iter().map(|z| z.name.clone()).collect();
-    let scanner2 = Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        OperatorTable::from_operators(
-            eco.operators
-                .iter()
-                .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-        ),
-        eco.now,
-        ScanPolicy::default(),
-    ));
+    let scanner2 = Scanner::for_ecosystem(&eco, ScanPolicy::default());
     let rescan = scanner2.scan_all(&names);
     let secured = rescan
         .zones

@@ -8,28 +8,14 @@
 //! cargo run --release --example signal_zone_inspector d0000042.com
 //! ```
 
-use bootscan::operator::OperatorTable;
 use bootscan::{AbClass, ScanPolicy, Scanner};
 use dns_ecosystem::{build, EcosystemConfig};
 use dns_wire::Name;
 use dns_zone::signal::signal_name;
-use std::sync::Arc;
 
 fn main() {
     let eco = build(EcosystemConfig::tiny(42));
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    let scanner = Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        ScanPolicy::default(),
-    ));
+    let scanner = Scanner::for_ecosystem(&eco, ScanPolicy::default());
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let zones: Vec<Name> = if args.is_empty() {

@@ -17,6 +17,10 @@
 //! | [`dns_resolver`] | iterative resolution + RFC 4035 validation |
 //! | [`dns_ecosystem`] | the synthetic Internet, calibrated to the paper |
 //! | [`bootscan`] | the scanner + classification + reports (the paper's system) |
+//! | [`scan_journal`] | write-ahead journal, checkpoints, crash recovery |
+//! | [`scan_fabric`] | sharded coordinator/worker fleet; [`scan_fabric::run_fabric`] is the one-shot journaled driver |
+//! | [`scan_epochs`] | carry ledger and time-series report types |
+//! | [`scan_continuous`] | [`scan_continuous::run_continuous`], the journaled study driver over epochs |
 
 #![forbid(unsafe_code)]
 
@@ -33,197 +37,25 @@ pub use scan_epochs;
 pub use scan_fabric;
 pub use scan_journal;
 
-/// Convenience: build a world, scan it, and return (ecosystem, results).
+/// Build a world, scan it in memory, and return (ecosystem, results) —
+/// the paper pipeline in one call.
 ///
-/// This is the whole paper pipeline in one call; the examples and benches
-/// use it as their entry point.
+/// The journaled drivers are called directly, not wrapped here:
+/// [`scan_fabric::run_fabric`] for one crash-resumable, sharded scan and
+/// [`scan_continuous::run_continuous`] for a study over epochs (the
+/// sequential longitudinal study is its `fabric.workers = 1` case).
 pub fn run_study(
     config: dns_ecosystem::EcosystemConfig,
     policy: bootscan::ScanPolicy,
 ) -> (dns_ecosystem::Ecosystem, bootscan::ScanResults) {
     let eco = dns_ecosystem::build(config);
-    let table = bootscan::OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    let scanner = std::sync::Arc::new(bootscan::Scanner::new(
-        std::sync::Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        policy,
-    ));
     let seeds = eco.seeds.compile(&eco.psl);
-    let results = scanner.scan_all(&seeds);
+    let results = bootscan::Scanner::for_ecosystem(&eco, policy).scan_all(&seeds);
     (eco, results)
-}
-
-/// `run_study` with crash recovery: journal every zone outcome to
-/// `state_dir`, and on startup resume from whatever a previous
-/// (interrupted) invocation left there.
-///
-/// The journal is keyed on `(run_id, fingerprint-of-seed-list)`; pointing
-/// an existing state directory at a different world is a hard error, so a
-/// stale directory can never silently contaminate a new study. With the
-/// same config and policy, a run killed at any point and resumed this way
-/// produces results byte-identical to an uninterrupted run (see
-/// `tests/crash_recovery.rs`).
-pub fn run_study_resumable(
-    config: dns_ecosystem::EcosystemConfig,
-    policy: bootscan::ScanPolicy,
-    state_dir: &std::path::Path,
-) -> std::io::Result<(dns_ecosystem::Ecosystem, bootscan::ScanResults)> {
-    let run_id = config.seed ^ config.scale;
-    let eco = dns_ecosystem::build(config);
-    let table = bootscan::OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    let scanner = std::sync::Arc::new(bootscan::Scanner::new(
-        std::sync::Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        policy,
-    ));
-    let seeds = eco.seeds.compile(&eco.psl);
-    let header = scan_journal::JournalHeader {
-        run_id,
-        fingerprint: scan_journal::fingerprint_names(&seeds),
-    };
-    let recovery = scan_journal::recover(state_dir, header)?;
-    recovery.apply_to(&scanner);
-    let sink = scan_journal::JournalSink::resume(state_dir, &recovery)?;
-    let results = scanner.scan_all_with(&seeds, Some(&sink), Some(recovery.resume_state()));
-    Ok((eco, results))
-}
-
-/// `run_study` on the distributed scan fabric: shard the zone space,
-/// scan the shards on `fabric.workers` workers with per-shard journals
-/// under `state_root`, and stream-merge the results.
-///
-/// The merged report is byte-identical across worker counts (and across
-/// worker crashes — see `tests/fabric_recovery.rs`), so `workers` is a
-/// pure throughput knob. Like [`run_study_resumable`], pointing an
-/// existing state root at a different world is a hard error, and a
-/// killed run resumes from its shard journals instead of restarting.
-pub fn run_study_fabric(
-    config: dns_ecosystem::EcosystemConfig,
-    policy: bootscan::ScanPolicy,
-    state_root: &std::path::Path,
-    fabric: &scan_fabric::FabricConfig,
-) -> std::io::Result<(
-    dns_ecosystem::Ecosystem,
-    scan_fabric::FabricOutput,
-    bootscan::ScanResults,
-)> {
-    let run_id = config.seed ^ config.scale;
-    let eco = dns_ecosystem::build(config);
-    let table = bootscan::OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    let seeds = eco.seeds.compile(&eco.psl);
-    let net = std::sync::Arc::clone(&eco.net);
-    let roots = eco.roots.clone();
-    let anchors = eco.anchors.clone();
-    let now = eco.now;
-    let factory = move || {
-        std::sync::Arc::new(bootscan::Scanner::new(
-            std::sync::Arc::clone(&net),
-            roots.clone(),
-            anchors.clone(),
-            table.clone(),
-            now,
-            policy.clone(),
-        ))
-    };
-    let mut sink = scan_fabric::CollectSink::default();
-    let output = scan_fabric::run_fabric(
-        &factory,
-        &seeds,
-        state_root,
-        run_id,
-        fabric,
-        &scan_fabric::FabricFaultPlan::none(),
-        &mut sink,
-    )?;
-    let results = sink.into_results(&output.report);
-    Ok((eco, output, results))
-}
-
-/// `run_study` over time: the longitudinal tier. Runs
-/// `study.epochs` epochs against one world — epoch 0 is a full cold
-/// scan, every later epoch applies seeded churn and incrementally
-/// re-scans only the delta set (churned + stale + previously-
-/// `Indeterminate` zones), carrying caches and prior evidence forward
-/// under TTL/validity semantics.
-///
-/// Epochs journal under per-epoch namespaces inside `state_root`; a
-/// killed run resumes into the same epoch and reproduces the
-/// uninterrupted time series (see `tests/epoch_recovery.rs`). Every
-/// epoch's report is byte-identical to a cold scan of the same world
-/// state (see `tests/epoch_equivalence.rs`).
-pub fn run_study_longitudinal(
-    config: dns_ecosystem::EcosystemConfig,
-    policy: bootscan::ScanPolicy,
-    study: &scan_epochs::StudyConfig,
-    state_root: &std::path::Path,
-) -> std::io::Result<scan_epochs::TimeSeries> {
-    scan_epochs::run_study(config, policy, study, state_root)
-}
-
-/// The continuous tier: [`run_study_longitudinal`] distributed over the
-/// scan fabric, with overlapping epochs under explicit backpressure.
-/// Each epoch's delta set is sharded across a persistent worker fleet,
-/// the carry ledger travels with its shards, and epochs that arrive
-/// faster than the fleet drains are either pipelined or coalesced into
-/// explicit `SkippedEpoch` markers — never silently dropped.
-///
-/// Epochs journal under nested `epoch-NNNN/shard-NNNN` namespaces
-/// inside `state_root`; a killed run (worker, or coordinator at any
-/// boundary) resumes to a byte-identical time series (see
-/// `tests/continuous_recovery.rs`), and every committed epoch is
-/// byte-identical to a cold scan of the same churned world at any
-/// worker count (see `tests/continuous_equivalence.rs`).
-pub fn run_study_continuous(
-    config: dns_ecosystem::EcosystemConfig,
-    policy: bootscan::ScanPolicy,
-    study: &scan_continuous::ContinuousConfig,
-    state_root: &std::path::Path,
-) -> std::io::Result<scan_continuous::ContinuousOutput> {
-    scan_continuous::run_continuous(config, policy, study, state_root)
 }
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn run_study_resumable_matches_plain_run() {
-        let dir = std::env::temp_dir().join(format!("run-study-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = dns_ecosystem::EcosystemConfig::tiny(7);
-        let policy = bootscan::ScanPolicy::default();
-        let (_, plain) = super::run_study(config.clone(), policy.clone());
-        let (_, first) = super::run_study_resumable(config.clone(), policy.clone(), &dir).unwrap();
-        // A second invocation finds everything journaled and re-scans
-        // nothing; both must reproduce the plain run exactly.
-        let (_, second) = super::run_study_resumable(config, policy, &dir).unwrap();
-        for r in [&first, &second] {
-            assert_eq!(
-                serde_json::to_string(&r.zones).unwrap(),
-                serde_json::to_string(&plain.zones).unwrap()
-            );
-            assert_eq!(r.simulated_duration, plain.simulated_duration);
-            assert_eq!(r.total_queries, plain.total_queries);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn run_study_smoke() {
         let (eco, results) = super::run_study(

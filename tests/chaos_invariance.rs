@@ -6,12 +6,10 @@
 //! it into Secured/Insecure/Invalid, and (c) stay byte-for-byte
 //! deterministic: same world seed + same fault plan = identical reports.
 
-use bootscan::operator::OperatorTable;
 use bootscan::report;
 use bootscan::{DnssecClass, ScanPolicy, ScanResults, Scanner};
 use dns_ecosystem::{build, DnssecState, Ecosystem, EcosystemConfig};
 use netsim::FaultPlan;
-use std::sync::Arc;
 
 /// Build the tiny world, arm the standard chaos profile on every bound
 /// address, and scan it with the default (retry + rescan) policy.
@@ -19,19 +17,7 @@ fn scan_under_chaos(world_seed: u64, chaos_seed: u64) -> (Ecosystem, ScanResults
     let eco = build(EcosystemConfig::tiny(world_seed));
     let plan = FaultPlan::standard_chaos(chaos_seed, &eco.net.bound_addrs());
     eco.net.set_faults(plan);
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    let scanner = Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        ScanPolicy::default(),
-    ));
+    let scanner = Scanner::for_ecosystem(&eco, ScanPolicy::default());
     let seeds = eco.seeds.compile(&eco.psl);
     let results = scanner.scan_all(&seeds);
     (eco, results)
@@ -151,20 +137,7 @@ fn chaos_profile_is_strictly_costlier_than_clean() {
     // Same world, with and without faults: chaos may never make the scan
     // cheaper or faster, and the clean scan must stay undegraded.
     let clean_eco = build(EcosystemConfig::tiny(42));
-    let table = OperatorTable::from_operators(
-        clean_eco
-            .operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    let scanner = Arc::new(Scanner::new(
-        Arc::clone(&clean_eco.net),
-        clean_eco.roots.clone(),
-        clean_eco.anchors.clone(),
-        table,
-        clean_eco.now,
-        ScanPolicy::default(),
-    ));
+    let scanner = Scanner::for_ecosystem(&clean_eco, ScanPolicy::default());
     let clean = scanner.scan_all(&clean_eco.seeds.compile(&clean_eco.psl));
     assert!(
         clean.zones.iter().all(|z| !z.degraded),

@@ -15,7 +15,6 @@
 //! Plus the end-to-end smoke that makes churn *meaningful*: a cold scan
 //! of a churned world recovers the *updated* truth table.
 
-use bootscan::operator::OperatorTable;
 use bootscan::{AbClass, CannotReason, CdsClass, DnssecClass, ScanPolicy, Scanner};
 use dns_ecosystem::{
     apply_churn, build, CdsState, ChurnConfig, ChurnLog, ChurnPlan, DnssecState, Ecosystem,
@@ -27,7 +26,7 @@ use dns_wire::record::RecordType;
 use dns_zone::signal::signal_name;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 fn world() -> &'static Ecosystem {
     static WORLD: OnceLock<Ecosystem> = OnceLock::new();
@@ -295,19 +294,7 @@ fn churned_world_scans_to_updated_truth() {
         "only {churned_total} transitions in 3 epochs"
     );
 
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    let scanner = Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        ScanPolicy::default(),
-    ));
+    let scanner = Scanner::for_ecosystem(&eco, ScanPolicy::default());
     let seeds = eco.seeds.compile(&eco.psl);
     let results = scanner.scan_all(&seeds);
 

@@ -15,7 +15,6 @@
 //! on time, epoch 1 arrives 2 spacings behind (coalesced), epoch 2
 //! arrives 1 spacing behind (pipelined).
 
-use bootscan::operator::OperatorTable;
 use bootscan::{ScanPolicy, Scanner};
 use dns_ecosystem::{apply_churn, build, ChurnPlan, Ecosystem, EcosystemConfig};
 use netsim::SimMicros;
@@ -108,19 +107,7 @@ fn cold_reference(epoch: u32) -> String {
 }
 
 fn scanner_for(eco: &Ecosystem) -> Arc<Scanner> {
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        policy(),
-    ))
+    Scanner::for_ecosystem(eco, policy())
 }
 
 #[test]
@@ -227,6 +214,35 @@ fn unhurried_schedules_never_pipeline_or_coalesce() {
             Admission::Coalesce { .. } => panic!("epoch {} coalesced", d.epoch),
         }
     }
+    // The sequential longitudinal study is this driver with one worker
+    // at the default half-hour spacing — unhurried too, and well inside
+    // the evidence TTL, so later epochs re-scan only what churned: at
+    // most a quarter of the initial full scan's logical queries.
+    let seq = run(
+        1,
+        3,
+        ContinuousConfig::new(3, CHURN_SEED).epoch_spacing,
+        "seq",
+    );
+    assert!(seq.series.skipped.is_empty());
+    let cold = seq.series.epochs[0].queries;
+    for e in &seq.series.epochs[1..] {
+        assert!(
+            e.queries * 4 <= cold,
+            "epoch {}: incremental spent {} of {cold} cold logical queries",
+            e.epoch,
+            e.queries
+        );
+    }
+    // The trend table carries the paper's quantities, with explicit
+    // per-epoch deltas on every row after the first.
+    let rows = seq.series.trend();
+    assert_eq!(rows.len(), 3);
+    assert!(rows[0].secured > 0, "tiny world plants secured zones");
+    let rendered = seq.series.render_trend();
+    assert!(rendered.contains("bootstrappable"));
+    assert!(rendered.contains('('), "delta column missing:\n{rendered}");
+
     // And a re-run over the same (already committed) state root folds
     // every epoch back without re-scanning, byte-identically.
     let dir = state_dir("unhurried-rerun");

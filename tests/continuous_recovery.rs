@@ -21,14 +21,16 @@
 //! matrix also exercises kills *around* pipelined and coalesced epochs
 //! — the cross-epoch lease-fencing surface.
 
-use bootscan::ScanPolicy;
-use dns_ecosystem::{build, EcosystemConfig};
+use bootscan::{DnssecClass, ScanPolicy, Scanner};
+use dns_ecosystem::{apply_churn, build, ChurnConfig, ChurnPlan, EcosystemConfig};
 use netsim::SimMicros;
 use scan_continuous::{
     render_decisions, run_continuous, ContinuousConfig, ContinuousFaultPlan, ContinuousKill,
     ContinuousOutput,
 };
+use scan_epochs::{canonical_evidence, TimeSeries};
 use scan_fabric::{FabricConfig, FabricFaultPlan, ShardPlan, WorkerFault};
+use scan_journal::Namespace;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -359,5 +361,175 @@ fn stolen_shards_never_cross_epoch_namespaces() {
     assert_eq!(
         baseline.series.canonical_bytes(),
         got.series.canonical_bytes()
+    );
+}
+
+/// A kill before an epoch's COMMIT must never leak that epoch: a
+/// *shorter* re-run over the same root yields exactly the committed
+/// prefix (skipped-epoch markers included), and the full-length resume
+/// still reproduces the uninterrupted series.
+#[test]
+fn torn_epoch_never_appears_in_a_later_series() {
+    let spacing = calibrated_spacing();
+    let expect = run_resuming(spacing, ContinuousFaultPlan::none(), 0, "torn-base").series;
+    assert!(
+        expect.epochs.iter().any(|e| e.epoch == 2),
+        "calibration must admit epoch 2 for the kill to fire"
+    );
+
+    let dir = state_dir("torn");
+    let armed = config(
+        spacing,
+        ContinuousFaultPlan::none().with_kill(ContinuousKill::BeforeCommit { epoch: 2 }),
+    );
+    let err = run_continuous(EcosystemConfig::tiny(WORLD_SEED), policy(), &armed, &dir)
+        .expect_err("fault fires");
+    assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
+
+    let mut short = config(spacing, ContinuousFaultPlan::none());
+    short.epochs = 2;
+    let prefix = run_continuous(EcosystemConfig::tiny(WORLD_SEED), policy(), &short, &dir)
+        .expect("prefix run")
+        .series;
+    let expect_prefix = TimeSeries {
+        epochs: expect
+            .epochs
+            .iter()
+            .filter(|e| e.epoch < 2)
+            .cloned()
+            .collect(),
+        skipped: expect
+            .skipped
+            .iter()
+            .filter(|s| s.epoch < 2)
+            .cloned()
+            .collect(),
+    };
+    assert_eq!(prefix.canonical_bytes(), expect_prefix.canonical_bytes());
+
+    let full = config(spacing, ContinuousFaultPlan::none());
+    let series = run_continuous(EcosystemConfig::tiny(WORLD_SEED), policy(), &full, &dir)
+        .expect("full resume")
+        .series;
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(series.canonical_bytes(), expect.canonical_bytes());
+}
+
+/// Cold-scan the world state as of `epoch`: independent build, same
+/// churn plans replayed, full scan with a fresh scanner.
+fn cold_reference(epoch: u32) -> String {
+    let mut eco = build(EcosystemConfig::tiny(WORLD_SEED));
+    for e in 1..=epoch {
+        let plan = ChurnPlan::generate(&eco, &ChurnConfig::default(), CHURN_SEED, e);
+        apply_churn(&mut eco, &plan);
+    }
+    let mut seeds = eco.seeds.compile(&eco.psl);
+    seeds.sort_by(|a, b| a.canonical_cmp(b));
+    seeds.dedup();
+    canonical_evidence(
+        &Scanner::for_ecosystem(&eco, policy())
+            .scan_all(&seeds)
+            .zones,
+    )
+}
+
+/// Honest degradation across epochs: zones that could not be scanned
+/// this epoch (their shard exhausted its attempt budget) are reported
+/// as explicit degraded `Indeterminate` placeholders — never as old
+/// evidence, never dropped — and re-enter the next epoch's delta set.
+#[test]
+fn abandoned_shard_zones_are_stale_markers_and_rescanned_next_epoch() {
+    let eco = build(EcosystemConfig::tiny(WORLD_SEED));
+    let mut seeds = eco.seeds.compile(&eco.psl);
+    seeds.sort_by(|a, b| a.canonical_cmp(b));
+    seeds.dedup();
+    let plan = ShardPlan::new(&seeds, SHARDS);
+    let doomed = (0..SHARDS)
+        .find(|&s| !plan.zones(s).is_empty())
+        .expect("a populated shard");
+
+    // Epoch 0's delta is the full seed list; kill every attempt of one
+    // populated shard before its first journal append.
+    // Half an hour between arrivals: every epoch drains on time, and
+    // evidence stays inside its TTL — only weak evidence and churn put a
+    // zone back in the delta set.
+    let unhurried: SimMicros = 1_800_000_000;
+    let max_attempts = config(unhurried, ContinuousFaultPlan::none())
+        .fabric
+        .max_attempts;
+    let kills = (0..max_attempts).fold(FabricFaultPlan::none(), |p, attempt| {
+        p.with_fault(doomed, attempt, WorkerFault::Kill { at_event: 0 })
+    });
+    let faults = ContinuousFaultPlan::none().with_epoch_faults(0, kills);
+    let mut cfg = config(unhurried, faults.clone());
+    cfg.epochs = 3;
+
+    let dir = state_dir("abandoned");
+    let out = run_continuous(EcosystemConfig::tiny(WORLD_SEED), policy(), &cfg, &dir)
+        .expect("an abandoned shard degrades, it does not fail the study");
+    let (e0, e1) = (&out.series.epochs[0], &out.series.epochs[1]);
+    assert_eq!(e0.stale, plan.zones(doomed), "exactly the doomed shard");
+    assert_eq!(e0.fresh.len() + e0.stale.len(), seeds.len());
+    for name in &e0.stale {
+        let z = e0
+            .zones
+            .iter()
+            .find(|z| &z.name == name)
+            .expect("an unscanned zone stays in the report");
+        assert_eq!(z.dnssec, DnssecClass::Indeterminate, "{name}");
+        assert!(z.degraded, "{name}: placeholder must flag degradation");
+    }
+    // The placeholders are weak evidence, so the next admitted epoch
+    // re-scans every one of them and is whole again.
+    assert_eq!(e1.epoch, 1);
+    assert!(e0.stale.iter().all(|n| e1.fresh.contains(n)));
+    assert!(e1.stale.is_empty());
+    assert_eq!(e1.canonical_evidence(), cold_reference(1));
+
+    // The COMMIT marker's `abandoned` line round-trips through a real
+    // run: a re-run over the committed root folds epoch 0 back with the
+    // same placeholders, without any fault plan to re-create them.
+    let expect = out.series.canonical_bytes();
+    let mut clean = config(unhurried, ContinuousFaultPlan::none());
+    clean.epochs = 3;
+    let refolded = run_continuous(EcosystemConfig::tiny(WORLD_SEED), policy(), &clean, &dir)
+        .expect("re-run over committed root");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(refolded.series.canonical_bytes(), expect);
+
+    // And a coordinator killed between that epoch's drain and its
+    // COMMIT resumes to the same series.
+    let dir = state_dir("abandoned-commit");
+    cfg.faults = faults.with_kill(ContinuousKill::BeforeCommit { epoch: 0 });
+    let err = run_continuous(EcosystemConfig::tiny(WORLD_SEED), policy(), &cfg, &dir)
+        .expect_err("fault fires");
+    assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
+    cfg.faults.kill = None;
+    let resumed =
+        run_continuous(EcosystemConfig::tiny(WORLD_SEED), policy(), &cfg, &dir).expect("resume");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(resumed.series.canonical_bytes(), expect);
+}
+
+/// A state root written by the deleted sequential epoch driver kept one
+/// journal and a COMMIT marker per `epoch-NNNN` directory, with no
+/// shard level underneath. This driver reads that marker as "epoch 0
+/// committed", finds no shard journals to fold, and must refuse the
+/// root — never re-scan over it or report an empty epoch.
+#[test]
+fn state_root_from_the_old_epoch_driver_is_refused() {
+    let dir = state_dir("old-root");
+    let epoch0 = Namespace::root(&dir, RUN_ID).epoch(0);
+    std::fs::create_dir_all(epoch0.dir()).expect("epoch dir");
+    std::fs::write(epoch0.dir().join("COMMIT"), "epoch 0\n").expect("old-style marker");
+
+    let cfg = config(86_400_000_000, ContinuousFaultPlan::none());
+    let err = run_continuous(EcosystemConfig::tiny(WORLD_SEED), policy(), &cfg, &dir)
+        .expect_err("an old-layout root is a hard error");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(
+        err.to_string().contains("was not abandoned"),
+        "unexpected refusal: {err}"
     );
 }

@@ -10,7 +10,6 @@
 //! and re-scan passes — not just the happy path.
 
 use bootscan::health::AddrHealth;
-use bootscan::operator::OperatorTable;
 use bootscan::report;
 use bootscan::{ProgressSink, ScanPolicy, ScanResults, Scanner, ZoneEvent};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
@@ -33,22 +32,13 @@ fn fresh_world() -> (Ecosystem, Arc<Scanner>) {
     let eco = build(EcosystemConfig::tiny(WORLD_SEED));
     let plan = FaultPlan::standard_chaos(CHAOS_SEED, &eco.net.bound_addrs());
     eco.net.set_faults(plan);
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    let scanner = Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
+    let scanner = Scanner::for_ecosystem(
+        &eco,
         ScanPolicy {
             parallelism: 1,
             ..ScanPolicy::default()
         },
-    ));
+    );
     (eco, scanner)
 }
 

@@ -2,29 +2,15 @@
 //! serve real DNS messages over the simulated network, the scanner
 //! measures, and the classifications must match what was planted.
 
-use bootscan::operator::OperatorTable;
 use bootscan::{
     AbClass, CannotReason, CdsClass, DnssecClass, ScanPolicy, Scanner, SignalViolation,
 };
 use dns_ecosystem::{
     build, CdsState, DnssecState, Ecosystem, EcosystemConfig, SignalDefect, SignalTruth,
 };
-use std::sync::Arc;
 
 fn scan_world(eco: &Ecosystem, policy: ScanPolicy) -> bootscan::ScanResults {
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    let scanner = Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        policy,
-    ));
+    let scanner = Scanner::for_ecosystem(eco, policy);
     let seeds = eco.seeds.compile(&eco.psl);
     assert!(!seeds.is_empty(), "seed compilation produced zones");
     scanner.scan_all(&seeds)

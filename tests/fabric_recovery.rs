@@ -13,7 +13,6 @@
 //! open breakers, degraded zones, re-scan passes all exercised), scaled
 //! up to the paper's 1:10,000 world in release builds.
 
-use bootscan::operator::OperatorTable;
 use bootscan::{report, RetryStats, ScanPolicy, Scanner, ZoneScan};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use netsim::FaultPlan;
@@ -54,23 +53,14 @@ fn fresh_world() -> Ecosystem {
 }
 
 fn scanner_factory(eco: &Ecosystem) -> impl Fn() -> Arc<Scanner> + Sync + '_ {
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
     move || {
-        Arc::new(Scanner::new(
-            Arc::clone(&eco.net),
-            eco.roots.clone(),
-            eco.anchors.clone(),
-            table.clone(),
-            eco.now,
+        Scanner::for_ecosystem(
+            eco,
             ScanPolicy {
                 parallelism: 1,
                 ..ScanPolicy::default()
             },
-        ))
+        )
     }
 }
 

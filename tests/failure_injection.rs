@@ -3,26 +3,13 @@
 //! infrastructure — the conditions the paper's month-long scan actually
 //! faced.
 
-use bootscan::operator::OperatorTable;
 use bootscan::{DnssecClass, ScanPolicy, Scanner};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use dns_wire::Name;
 use std::sync::Arc;
 
 fn scanner_of(eco: &Ecosystem) -> Arc<Scanner> {
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        ScanPolicy::default(),
-    ))
+    Scanner::for_ecosystem(eco, ScanPolicy::default())
 }
 
 /// A config with aggressive transient failures on one operator.

@@ -17,31 +17,17 @@
 //!     benign zone, verified both scanner-side (logical queries) and
 //!     netsim-side (datagram accounting to the 10.200/16 hostile pool).
 
-use bootscan::operator::OperatorTable;
 use bootscan::{DnssecClass, ScanPolicy, ScanResults, Scanner};
 use dns_ecosystem::{build, AdversaryArchetype, Ecosystem, EcosystemConfig};
 use dns_wire::name::Name;
 use netsim::Addr;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 const ADV_PER_ARCHETYPE: usize = 2;
 
 fn scan(cfg: EcosystemConfig) -> (Ecosystem, ScanResults) {
     let eco = build(cfg);
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
-    let scanner = Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        ScanPolicy::default(),
-    ));
+    let scanner = Scanner::for_ecosystem(&eco, ScanPolicy::default());
     let seeds = eco.seeds.compile(&eco.psl);
     let results = scanner.scan_all(&seeds);
     (eco, results)

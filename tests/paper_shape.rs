@@ -274,23 +274,14 @@ fn sampled_scan_is_cheaper_than_exhaustive_on_cloudflare() {
         .collect();
     assert!(cf_zones.len() > 100);
 
-    let table = bootscan::OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
     let make = |fraction: f64| {
-        std::sync::Arc::new(bootscan::Scanner::new(
-            std::sync::Arc::clone(&eco.net),
-            eco.roots.clone(),
-            eco.anchors.clone(),
-            table.clone(),
-            eco.now,
+        bootscan::Scanner::for_ecosystem(
+            &eco,
             ScanPolicy {
                 sample_fraction: fraction,
                 ..ScanPolicy::default()
             },
-        ))
+        )
     };
     let sampled = make(0.95).scan_all(&cf_zones);
     let full = make(0.0).scan_all(&cf_zones);

@@ -15,7 +15,6 @@
 //! exactly what the caches exist to change, so they are excluded here
 //! — and the warm-cache test asserts they actually *drop*.
 
-use bootscan::operator::OperatorTable;
 use bootscan::{report, RetryStats, ScanPolicy, ScanResults, Scanner};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use std::sync::Arc;
@@ -23,23 +22,11 @@ use std::sync::Arc;
 const ADV_PER_ARCHETYPE: usize = 2;
 
 fn scanner_for(eco: &Ecosystem, parallelism: usize) -> Arc<Scanner> {
-    let table = OperatorTable::from_operators(
-        eco.operators
-            .iter()
-            .map(|o| (o.name.as_str(), o.hosts.as_slice())),
-    );
     let policy = ScanPolicy {
         parallelism,
         ..ScanPolicy::default()
     };
-    Arc::new(Scanner::new(
-        Arc::clone(&eco.net),
-        eco.roots.clone(),
-        eco.anchors.clone(),
-        table,
-        eco.now,
-        policy,
-    ))
+    Scanner::for_ecosystem(eco, policy)
 }
 
 /// One cold scan of a freshly built world at the given worker count.
