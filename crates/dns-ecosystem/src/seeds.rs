@@ -144,10 +144,8 @@ impl SeedLists {
 }
 
 /// Stable shard assignment for a zone: FNV-1a 64 of the canonical wire
-/// name, reduced mod `shards`. `Name` caches this hash, and the scheme
-/// is bit-for-bit the one `scan_journal::zone_shard` uses for
-/// checkpoint buckets — the fabric's zone-space partition and the
-/// journal's checkpoint partition agree by construction.
+/// name, reduced mod `shards`. `Name` caches this hash. This is the
+/// fabric's zone-space partition.
 pub fn shard_of(name: &Name, shards: u32) -> u32 {
     (name.fnv64() % u64::from(shards.max(1))) as u32
 }

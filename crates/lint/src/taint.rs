@@ -22,8 +22,9 @@
 //!
 //! A function **sanitizes** when it is itself a named sanitizer or
 //! directly calls one: the response-acceptance gate (which also scrubs
-//! out-of-bailiwick records), the BSJ1/BSC `crc32` validation, or the
-//! commit-marker epoch check. Taint never propagates out of a
+//! out-of-bailiwick records), the BSJ1 `crc32` validation (directly or
+//! through `read_journal`, the one frame reader), or the commit-marker
+//! epoch check. Taint never propagates out of a
 //! sanitizing function — that is exactly the discipline the rules
 //! enforce: every path from bytes to a trusted sink must cross one of
 //! these gates.
@@ -59,7 +60,6 @@ const SOURCES: &[(&str, &str)] = &[
     // Journal / checkpoint / commit-marker bytes read back from disk.
     ("crates/scan-journal/src/journal.rs", "read_journal"),
     ("crates/scan-journal/src/checkpoint.rs", "read_checkpoint"),
-    ("crates/scan-journal/src/checkpoint.rs", "read_shard"),
     ("crates/scan-continuous/src/lib.rs", "read_commit"),
 ];
 
@@ -67,8 +67,11 @@ const SOURCES: &[(&str, &str)] = &[
 const SANITIZERS: &[&str] = &[
     // Response acceptance: ID/QNAME/rcode gate + bailiwick scrub.
     "accept_reply",
-    // BSJ1 / BSC frame and manifest checksum validation.
+    // BSJ1 header and frame checksum validation, and the one frame
+    // reader built on it: a checkpoint is read through `read_journal`,
+    // so `read_checkpoint` stays a source that must keep crossing it.
     "crc32",
+    "read_journal",
     // COMMIT-marker epoch identity check.
     "validate_commit_epoch",
 ];

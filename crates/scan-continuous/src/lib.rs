@@ -63,7 +63,7 @@ use scan_fabric::{
 use scan_journal::{recover, write_atomically, Namespace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -200,7 +200,7 @@ fn write_commit(dir: &Path, epoch: u32, abandoned: &BTreeSet<u32>) -> io::Result
         let ids: Vec<String> = abandoned.iter().map(u32::to_string).collect();
         body.push_str(&format!("abandoned {}\n", ids.join(",")));
     }
-    write_atomically(&dir.join(COMMIT_FILE), body.as_bytes())
+    write_atomically(&dir.join(COMMIT_FILE), |f| f.write_all(body.as_bytes()))
 }
 
 /// Validate the `epoch N` identity line of a COMMIT marker against the

@@ -19,9 +19,9 @@ pub enum WorkerFault {
     /// before journaling event number `at_event` of this attempt.
     Kill { at_event: u64 },
     /// Journal event `at_event`, force a checkpoint, corrupt the
-    /// checkpoint the way a power cut does (a bucket file truncated to
-    /// zero length), then die. Exercises recovery's tolerance for
-    /// empty-shard debris and its journal-first fallback.
+    /// checkpoint the way a power cut does (the file truncated to zero
+    /// length), then die. Exercises recovery's fallback to the journal
+    /// alone.
     KillDuringCheckpoint { at_event: u64 },
     /// Complete the shard scan and its journal, then die *before*
     /// reporting `ShardDone` — the merge-handoff kill. The next

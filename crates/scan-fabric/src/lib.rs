@@ -1,7 +1,7 @@
 //! scan-fabric: a fault-tolerant coordinator/worker scan fabric.
 //!
-//! The fabric shards the zone space with the same fnv64 bucketing the
-//! checkpoint store uses, dispatches shards to N workers over a framed
+//! The fabric shards the zone space by fnv64 of the zone name
+//! ([`ShardPlan`]), dispatches shards to N workers over a framed
 //! byte protocol (threads today; the protocol is process-agnostic, so
 //! separate-process workers are a transport swap, not a redesign), and
 //! stream-merges per-shard journals into one report with bounded

@@ -2,8 +2,7 @@
 //! coordinator dispatches from.
 //!
 //! Shard assignment is [`dns_ecosystem::seeds::shard_of`] — FNV-1a 64
-//! of the canonical wire name mod the shard count, the same scheme
-//! `scan-journal` uses for checkpoint buckets — so the partition is a
+//! of the canonical wire name mod the shard count — so the partition is a
 //! pure function of the seed list and the shard count: independent of
 //! worker count, assignment order, and fault history. Within a shard,
 //! zones are kept in canonical name order, matching the order

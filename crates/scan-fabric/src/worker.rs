@@ -21,9 +21,9 @@ use crate::protocol::{FailReason, Msg};
 use bootscan::scanner::Scanner;
 use bootscan::{ProgressSink, ZoneEvent};
 use dns_wire::name::Name;
-use scan_journal::{recover, JournalHeader, JournalSink};
+use scan_journal::{recover, JournalHeader, JournalSink, CHECKPOINT_FILE};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Builds a fresh scanner for one shard attempt. Fabric workers never
@@ -205,12 +205,11 @@ impl ProgressSink for ShardSink<'_> {
         if let Some(WorkerFault::KillDuringCheckpoint { at_event }) = self.fault {
             if k == at_event {
                 // Die mid-checkpoint: the checkpoint gets written, then
-                // a power-cut artifact — one bucket truncated to zero
-                // length. Recovery must shrug this off (tolerated when
-                // the bucket was empty; journal-first fallback when it
-                // was not).
+                // a power-cut artifact — the rename survived, the data
+                // did not — leaves it zero-length. Recovery must shrug
+                // this off and replay the journal alone.
                 let _ = self.inner.checkpoint_now();
-                truncate_one_bucket(&self.state_dir);
+                let _ = fs::write(self.state_dir.join(CHECKPOINT_FILE), b"");
                 let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
                 state.end = Some(AttemptEnd::Died);
                 return false;
@@ -226,28 +225,6 @@ impl ProgressSink for ShardSink<'_> {
             });
         }
         true
-    }
-}
-
-/// Truncate one checkpoint bucket file to zero length, preferring an
-/// empty (header-only) bucket so the tolerated-debris recovery path is
-/// exercised; falls back to any bucket (checkpoint invalidated, journal
-/// authoritative). Best effort: a missing checkpoint truncates nothing.
-fn truncate_one_bucket(dir: &Path) {
-    let mut fallback: Option<PathBuf> = None;
-    for k in 0..JournalSink::DEFAULT_SHARDS {
-        let p = scan_journal::shard_path(dir, k);
-        match fs::metadata(&p) {
-            Ok(m) if m.len() == 18 => {
-                let _ = fs::write(&p, b"");
-                return;
-            }
-            Ok(_) => fallback = fallback.or(Some(p)),
-            Err(_) => {}
-        }
-    }
-    if let Some(p) = fallback {
-        let _ = fs::write(&p, b"");
     }
 }
 

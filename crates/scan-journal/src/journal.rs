@@ -10,9 +10,11 @@
 //! ```
 //!
 //! Sequence numbers are assigned by the writer and must be contiguous
-//! within a file (a resumed run whose original journal was lost starts a
-//! fresh file at the recovered sequence, so a file's *first* seq may be
-//! non-zero). Every append is written before the scanner is allowed to
+//! within a file. Every journal this crate writes starts at seq 0 and
+//! holds its whole prefix ([`JournalSink::resume`](crate::recover::JournalSink::resume)
+//! rewrites a file that does not), which is what lets a checkpoint be a
+//! plain copy of the file's first bytes; the reader itself accepts any
+//! first seq. Every append is written before the scanner is allowed to
 //! fold the zone into memory — the write-ahead discipline. *Durability*
 //! is batched (group commit): the caller decides when to
 //! [`sync`](JournalWriter::sync), trading a bounded window of re-scannable
@@ -99,6 +101,8 @@ impl JournalHeader {
 pub struct JournalWriter {
     file: Arc<File>,
     next_seq: u64,
+    /// Bytes in the file: header plus every frame appended so far.
+    len: u64,
 }
 
 /// A clonable handle that can `fdatasync` the journal file without
@@ -118,9 +122,9 @@ impl SyncHandle {
 }
 
 impl JournalWriter {
-    /// Create (truncating) a fresh journal starting at `first_seq`.
-    /// `first_seq` is 0 for a new run, or the recovered sequence when a
-    /// checkpoint survived but the journal file did not.
+    /// Create (truncating) a fresh journal starting at `first_seq`
+    /// (0 for every journal [`JournalSink`](crate::recover::JournalSink)
+    /// writes).
     pub fn create(path: &Path, header: JournalHeader, first_seq: u64) -> io::Result<Self> {
         let mut file = File::create(path)?;
         file.write_all(&header.to_bytes())?;
@@ -128,6 +132,7 @@ impl JournalWriter {
         Ok(JournalWriter {
             file: Arc::new(file),
             next_seq: first_seq,
+            len: HEADER_LEN,
         })
     }
 
@@ -135,9 +140,11 @@ impl JournalWriter {
     /// for appending; `next_seq` continues the recovered sequence.
     pub fn open_append(path: &Path, next_seq: u64) -> io::Result<Self> {
         let file = OpenOptions::new().append(true).open(path)?;
+        let len = file.metadata()?.len();
         Ok(JournalWriter {
             file: Arc::new(file),
             next_seq,
+            len,
         })
     }
 
@@ -150,6 +157,13 @@ impl JournalWriter {
     /// The sequence number the next [`append`](Self::append) will use.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Length of the file in bytes. The file is append-only, so its
+    /// first `bytes_written()` bytes never change again: a checkpoint
+    /// copies exactly that prefix.
+    pub(crate) fn bytes_written(&self) -> u64 {
+        self.len
     }
 
     /// Append one event; returns its sequence number. The frame is
@@ -166,6 +180,7 @@ impl JournalWriter {
         frame.extend_from_slice(&payload);
         (&*self.file).write_all(&frame)?;
         self.next_seq = seq + 1;
+        self.len += frame.len() as u64;
         Ok(seq)
     }
 

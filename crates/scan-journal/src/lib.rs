@@ -12,12 +12,15 @@
 //!   effects on shared scanner caches). Torn tails from a mid-write
 //!   crash are detected by CRC, reported, and physically truncated —
 //!   never trusted.
-//! * [`write_checkpoint`]/[`read_checkpoint`] — periodic **sharded
-//!   checkpoints** compacting the journal; the manifest is written last
-//!   via atomic rename, and any validation failure makes the whole
-//!   checkpoint invisible (the journal stays authoritative).
+//! * [`write_checkpoint`]/[`read_checkpoint`] — periodic
+//!   **checkpoints**: one journal-format file ([`CHECKPOINT_FILE`])
+//!   holding the journal's byte prefix, replaced by atomic rename and
+//!   read back by the journal's own reader; a checkpoint of another run
+//!   is invisible and a corrupt one ends at its last valid frame (the
+//!   journal stays authoritative).
 //! * [`recover`] — merges whatever survived into the maximal contiguous
-//!   event prefix; [`Recovery::resume_state`] +
+//!   event prefix ([`JournalSink::resume`] then makes the journal file
+//!   hold all of it again); [`Recovery::resume_state`] +
 //!   [`Recovery::apply_to`] then let a fresh
 //!   [`Scanner`](bootscan::Scanner) continue mid-queue,
 //!   **deterministically**: with a fixed seed and fault plan, a run
@@ -52,9 +55,7 @@ mod journal;
 mod namespace;
 mod recover;
 
-pub use checkpoint::{
-    read_checkpoint, shard_path, write_atomically, write_checkpoint, zone_shard, MANIFEST_FILE,
-};
+pub use checkpoint::{read_checkpoint, write_atomically, write_checkpoint, CHECKPOINT_FILE};
 pub use codec::{decode_event, encode_event, CodecError};
 pub use crc::{crc32, fnv64};
 pub use journal::{

@@ -18,9 +18,15 @@
 //!
 //! [`JournalSink`] is the production [`ProgressSink`]: it appends each
 //! event to the journal (stopping the scan — returning `false` — if the
-//! disk fails) and writes a checkpoint every N events.
+//! disk fails) and checkpoints the journal's prefix every so often.
+//!
+//! **The whole-prefix invariant.** After [`JournalSink::resume`] the
+//! journal file holds every recovered event from seq 0, whatever mix of
+//! journal and checkpoint it was recovered from. That is what makes a
+//! checkpoint a plain copy of the journal's first bytes, and what keeps
+//! a resumed append contiguous with the frames already in the file.
 
-use crate::checkpoint::{read_checkpoint, write_checkpoint};
+use crate::checkpoint::{read_checkpoint, write_checkpoint, CHECKPOINT_FILE};
 use crate::crc::fnv64;
 use crate::journal::{
     read_journal, truncate_torn_tail, JournalHeader, JournalWriter, TailStatus, JOURNAL_FILE,
@@ -59,9 +65,9 @@ pub struct Recovery {
     pub journal_tail: TailStatus,
     /// Events only a checkpoint (not the journal file) still held.
     pub checkpoint_only: usize,
-    /// The journal file exists with a valid header (resume appends to
-    /// it); otherwise resume recreates it.
-    journal_writable: bool,
+    /// The journal file on disk holds exactly `events` (resume appends
+    /// to it); otherwise resume rewrites it first.
+    journal_whole: bool,
 }
 
 impl Recovery {
@@ -109,14 +115,15 @@ impl Recovery {
 ///
 /// A journal whose *header* identifies a different run or seed list is
 /// a hard error — resuming against the wrong target list must never
-/// happen silently. A corrupt checkpoint is silently ignored (the
-/// journal is authoritative); a corrupt journal header drops the file's
+/// happen silently. A foreign or unreadable checkpoint is silently
+/// ignored and a corrupt one contributes its valid prefix (the journal
+/// is authoritative); a corrupt journal header drops the file's
 /// contents (a valid checkpoint still contributes).
 pub fn recover(dir: &Path, expected: JournalHeader) -> io::Result<Recovery> {
-    let checkpoint = read_checkpoint(dir, expected)?.unwrap_or_default();
+    let checkpoint = read_checkpoint(dir, expected)?;
 
     let journal_path = dir.join(JOURNAL_FILE);
-    let (journal_entries, journal_tail, journal_writable) = match read_journal(&journal_path) {
+    let (journal_entries, journal_tail, journal_usable) = match read_journal(&journal_path) {
         Ok(read) => {
             match read.header {
                 Some(h) if h != expected => {
@@ -137,13 +144,17 @@ pub fn recover(dir: &Path, expected: JournalHeader) -> io::Result<Recovery> {
                     (read.entries, read.tail, true)
                 }
                 // Header itself torn/corrupt: nothing in the file can be
-                // trusted; it will be recreated on resume.
+                // trusted; resume rewrites it.
                 None => (Vec::new(), read.tail, false),
             }
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), TailStatus::Clean, false),
         Err(e) => return Err(e),
     };
+
+    // The file holds its whole prefix when nothing is missing in front
+    // of its frames and (below) nothing recovered lies beyond them.
+    let journal_from_zero = journal_entries.first().is_none_or(|e| e.0 == 0);
 
     let mut merged: BTreeMap<u64, ZoneEvent> = BTreeMap::new();
     let mut checkpoint_only = 0usize;
@@ -169,47 +180,43 @@ pub fn recover(dir: &Path, expected: JournalHeader) -> io::Result<Recovery> {
         events,
         journal_tail,
         checkpoint_only,
-        journal_writable,
+        journal_whole: journal_usable && journal_from_zero && checkpoint_only == 0,
     })
 }
 
-/// The production [`ProgressSink`]: write-ahead journal + periodic
-/// checkpoints. Returns `false` from `on_zone` (stopping the scan) only
-/// when the journal itself cannot be written — a failed *checkpoint* is
-/// logged state that simply doesn't compact, never a reason to stop.
-/// When the sink compacts the journal into a checkpoint.
+/// When the sink checkpoints the journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Cadence {
     Never,
     /// Strictly every N events (predictable coverage; O(n²) total
-    /// rewrite work over a long run — fine for tests and short scans).
+    /// copy work over a long run — fine for tests and short scans).
     EveryN(u64),
     /// When the journal has grown ≥50 % since the last checkpoint (and
-    /// by at least `min` events). Each checkpoint rewrites the full
-    /// prefix, so the doubling schedule keeps *total* rewrite work O(n)
+    /// by at least `min` events). Each checkpoint copies the full
+    /// prefix, so the doubling schedule keeps *total* copy work O(n)
     /// — the default for registry-scale scans.
     Amortized {
         min: u64,
     },
 }
 
+/// The production [`ProgressSink`]: write-ahead journal + periodic
+/// checkpoints. Returns `false` from `on_zone` (stopping the scan) only
+/// when the journal itself cannot be written — a failed *checkpoint*
+/// just leaves the previous one in place, never a reason to stop.
 pub struct JournalSink {
     dir: PathBuf,
-    header: JournalHeader,
     cadence: Cadence,
-    sync_every: u64,
-    shards: u32,
     inner: Mutex<SinkInner>,
     /// True while some thread is writing a checkpoint (outside the
     /// `inner` lock). A due checkpoint that finds this set is deferred —
     /// `since_checkpoint` keeps accumulating, so a later event retries —
-    /// rather than rewriting the same prefix twice concurrently.
+    /// rather than copying the same prefix twice concurrently.
     checkpointing: AtomicBool,
 }
 
 struct SinkInner {
     writer: JournalWriter,
-    entries: Vec<(u64, ZoneEvent)>,
     since_checkpoint: u64,
     since_sync: u64,
 }
@@ -219,73 +226,68 @@ impl JournalSink {
     /// cadence (and the interval [`with_checkpoint_every`] is documented
     /// against).
     pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
-    /// `fdatasync` the journal every this-many events by default (group
-    /// commit): power loss can cost at most this many re-scans.
+    /// `fdatasync` the journal every this-many events (group commit):
+    /// power loss can cost at most this many re-scans.
     pub const DEFAULT_SYNC_EVERY: u64 = 8;
-    /// Default shard count for checkpoints.
-    pub const DEFAULT_SHARDS: u32 = 4;
+
+    fn over(dir: &Path, writer: JournalWriter) -> Self {
+        JournalSink {
+            dir: dir.to_path_buf(),
+            cadence: Cadence::Amortized {
+                min: Self::DEFAULT_CHECKPOINT_EVERY,
+            },
+            inner: Mutex::new(SinkInner {
+                writer,
+                since_checkpoint: 0,
+                since_sync: 0,
+            }),
+            checkpointing: AtomicBool::new(false),
+        }
+    }
 
     /// Start a fresh run in `dir` (created if needed). Any stale
-    /// checkpoint manifest in the directory is removed so the directory
+    /// checkpoint in the directory is removed so the directory
     /// unambiguously describes this run.
     pub fn create(dir: &Path, header: JournalHeader) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
-        match fs::remove_file(dir.join(crate::checkpoint::MANIFEST_FILE)) {
+        match fs::remove_file(dir.join(CHECKPOINT_FILE)) {
             Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
         let writer = JournalWriter::create(&dir.join(JOURNAL_FILE), header, 0)?;
-        Ok(JournalSink {
-            dir: dir.to_path_buf(),
-            header,
-            cadence: Cadence::Amortized {
-                min: Self::DEFAULT_CHECKPOINT_EVERY,
-            },
-            sync_every: Self::DEFAULT_SYNC_EVERY,
-            shards: Self::DEFAULT_SHARDS,
-            inner: Mutex::new(SinkInner {
-                writer,
-                entries: Vec::new(),
-                since_checkpoint: 0,
-                since_sync: 0,
-            }),
-            checkpointing: AtomicBool::new(false),
-        })
+        Ok(Self::over(dir, writer))
     }
 
-    /// Continue a recovered run: append to the surviving journal, or
-    /// recreate it (starting at the recovered sequence) when only a
-    /// checkpoint survived.
+    /// Continue a recovered run. Establishes the whole-prefix invariant
+    /// first: when the journal file does not hold every recovered event
+    /// from seq 0 (it is missing, its header is unusable, or a
+    /// checkpoint knew more than it did), it is rewritten from
+    /// `recovery.events` — into a `.tmp` sibling, synced, then renamed
+    /// over it, so a crash mid-rewrite loses nothing the checkpoint
+    /// still holds. Appending after a shorter file instead would leave
+    /// a sequence gap that the next read reports as a torn tail.
     pub fn resume(dir: &Path, recovery: &Recovery) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
-        let writer = if recovery.journal_writable {
+        let writer = if recovery.journal_whole {
             JournalWriter::open_append(&path, recovery.next_seq())?
         } else {
-            JournalWriter::create(&path, recovery.header, recovery.next_seq())?
+            let tmp = path.with_extension("tmp");
+            let mut writer = JournalWriter::create(&tmp, recovery.header, 0)?;
+            for (_, event) in &recovery.events {
+                writer.append(event)?;
+            }
+            writer.sync()?;
+            fs::rename(&tmp, &path)?;
+            writer
         };
-        Ok(JournalSink {
-            dir: dir.to_path_buf(),
-            header: recovery.header,
-            cadence: Cadence::Amortized {
-                min: Self::DEFAULT_CHECKPOINT_EVERY,
-            },
-            sync_every: Self::DEFAULT_SYNC_EVERY,
-            shards: Self::DEFAULT_SHARDS,
-            inner: Mutex::new(SinkInner {
-                writer,
-                entries: recovery.events.clone(),
-                since_checkpoint: 0,
-                since_sync: 0,
-            }),
-            checkpointing: AtomicBool::new(false),
-        })
+        Ok(Self::over(dir, writer))
     }
 
     /// Checkpoint strictly every `every` events (0 disables
     /// checkpoints). Overrides the default amortized cadence; strict
-    /// intervals rewrite the full prefix every N events, so prefer the
+    /// intervals copy the full prefix every N events, so prefer the
     /// default for long scans.
     pub fn with_checkpoint_every(mut self, every: u64) -> Self {
         self.cadence = if every == 0 {
@@ -296,30 +298,18 @@ impl JournalSink {
         self
     }
 
-    /// Override the checkpoint shard count (min 1).
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Override the group-commit interval: `fdatasync` every this-many
-    /// appends (min 1; 1 = sync every entry, the strictest durability).
-    pub fn with_sync_every(mut self, every: u64) -> Self {
-        self.sync_every = every.max(1);
-        self
-    }
-
     /// Number of events journaled so far (including recovered ones).
     pub fn entries_logged(&self) -> u64 {
-        self.inner.lock().entries.len() as u64
+        self.inner.lock().writer.next_seq()
     }
 
-    /// Force a checkpoint of everything journaled so far. Snapshots the
-    /// entries under the lock but writes the shards after dropping it,
-    /// so concurrent `on_zone` calls never stall behind checkpoint I/O.
+    /// Force a checkpoint of everything journaled so far. Reads the
+    /// journal's length under the lock but copies the prefix after
+    /// dropping it, so concurrent `on_zone` calls never stall behind
+    /// checkpoint I/O.
     pub fn checkpoint_now(&self) -> io::Result<()> {
-        let entries = self.inner.lock().entries.clone();
-        write_checkpoint(&self.dir, self.header, &entries, self.shards)
+        let len = self.inner.lock().writer.bytes_written();
+        write_checkpoint(&self.dir, len)
     }
 }
 
@@ -332,19 +322,18 @@ impl ProgressSink for JournalSink {
     /// Durability is unchanged: the sync handle commits every frame the
     /// file has received, so frames appended by other threads between
     /// our unlock and our `fdatasync` are committed early, never missed,
-    /// and each appender still triggers a sync every `sync_every` of its
-    /// own appends. Checkpoints snapshot the entries under the lock;
-    /// the `checkpointing` flag defers (not drops) a checkpoint that
-    /// becomes due while another is still being written.
+    /// and each appender still triggers a sync every
+    /// `DEFAULT_SYNC_EVERY` of its own appends. A checkpoint fixes the prefix it covers (the
+    /// journal's length) under the lock; the `checkpointing` flag defers
+    /// (not drops) a checkpoint that becomes due while another is still
+    /// being written.
     fn on_zone(&self, event: &ZoneEvent) -> bool {
         let mut inner = self.inner.lock();
-        let seq = match inner.writer.append(event) {
-            Ok(seq) => seq,
-            Err(_) => return false,
-        };
-        inner.entries.push((seq, event.clone()));
+        if inner.writer.append(event).is_err() {
+            return false;
+        }
         inner.since_sync += 1;
-        let need_sync = if inner.since_sync >= self.sync_every {
+        let need_sync = if inner.since_sync >= Self::DEFAULT_SYNC_EVERY {
             inner.since_sync = 0;
             Some(inner.writer.sync_handle())
         } else {
@@ -355,13 +344,13 @@ impl ProgressSink for JournalSink {
             Cadence::Never => false,
             Cadence::EveryN(n) => inner.since_checkpoint >= n,
             Cadence::Amortized { min } => {
-                let covered = inner.entries.len() as u64 - inner.since_checkpoint;
+                let covered = inner.writer.next_seq() - inner.since_checkpoint;
                 inner.since_checkpoint >= min.max(covered / 2)
             }
         };
-        let snapshot = if due && !self.checkpointing.swap(true, Ordering::Acquire) {
+        let prefix = if due && !self.checkpointing.swap(true, Ordering::Acquire) {
             inner.since_checkpoint = 0;
-            Some(inner.entries.clone())
+            Some(inner.writer.bytes_written())
         } else {
             // Either not due, or a checkpoint is already in flight — in
             // the latter case `since_checkpoint` keeps counting so a
@@ -374,15 +363,15 @@ impl ProgressSink for JournalSink {
             // Group commit: a failed sync means the WAL can no longer
             // promise durability — stop like a failed append.
             if handle.sync().is_err() {
-                if snapshot.is_some() {
+                if prefix.is_some() {
                     self.checkpointing.store(false, Ordering::Release);
                 }
                 return false;
             }
         }
-        if let Some(entries) = snapshot {
+        if let Some(len) = prefix {
             // Best-effort: the journal remains the source of truth.
-            let _ = write_checkpoint(&self.dir, self.header, &entries, self.shards);
+            let _ = write_checkpoint(&self.dir, len);
             self.checkpointing.store(false, Ordering::Release);
         }
         true
@@ -391,8 +380,8 @@ impl ProgressSink for JournalSink {
 
 impl Drop for JournalSink {
     /// Commit any unsynced tail when the scan finishes (best effort — a
-    /// failure here costs at most `sync_every` re-scans after power
-    /// loss, which recovery handles anyway).
+    /// failure here costs at most `DEFAULT_SYNC_EVERY` re-scans after
+    /// power loss, which recovery handles anyway).
     fn drop(&mut self) {
         let _ = self.inner.get_mut().writer.sync();
     }
@@ -559,10 +548,10 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_fills_gap_left_by_recreated_journal() {
-        // Checkpoint covers 0..=1; journal was lost and recreated from
-        // seq 2. The union is contiguous 0..=2.
-        let dir = tmpdir("gap");
+    fn resume_rewrites_a_lost_journal_so_the_checkpoint_is_no_longer_needed() {
+        // Checkpoint covers 0..=1; the journal was lost. Resume rewrites
+        // it from seq 0, so from then on the journal alone is whole.
+        let dir = tmpdir("rewrite");
         let sink = JournalSink::create(&dir, HDR).unwrap();
         journal_events(
             &sink,
@@ -573,21 +562,59 @@ mod tests {
         fs::remove_file(dir.join(JOURNAL_FILE)).unwrap();
         let rec = recover(&dir, HDR).unwrap();
         let sink = JournalSink::resume(&dir, &rec).unwrap();
+        assert!(!dir.join("journal.tmp").exists());
         journal_events(&sink, &[event_for("c.example", 0, 3)]);
         drop(sink);
 
-        // Now corrupt the checkpoint: only the journal (seq 2) is left,
-        // which is NOT a contiguous prefix from 0 → nothing usable.
-        let manifest = dir.join(crate::checkpoint::MANIFEST_FILE);
-        let mut raw = fs::read(&manifest).unwrap();
+        // Corrupting, then deleting, the checkpoint loses nothing.
+        let checkpoint = dir.join(CHECKPOINT_FILE);
+        let mut raw = fs::read(&checkpoint).unwrap();
         let idx = raw.len() - 1;
         raw[idx] ^= 0xFF;
-        fs::write(&manifest, &raw).unwrap();
-        let rec = recover(&dir, HDR).unwrap();
-        assert!(
-            rec.events.is_empty(),
-            "a non-contiguous survivor set must not be trusted"
+        fs::write(&checkpoint, &raw).unwrap();
+        for _ in 0..2 {
+            let rec = recover(&dir, HDR).unwrap();
+            assert_eq!(rec.events.len(), 3);
+            assert_eq!(rec.checkpoint_only, 0);
+            assert_eq!(rec.resume_state().duration_so_far, 6);
+            let _ = fs::remove_file(&checkpoint);
+        }
+    }
+
+    #[test]
+    fn checkpoint_ahead_of_the_journal_leaves_no_sequence_gap() {
+        // Power loss after a checkpoint: the checkpoint was synced, the
+        // journal's last frame was not. Appending at the recovered
+        // sequence behind the shorter file would skip seq 2 in the file,
+        // and every later read would report the new frames as torn.
+        let dir = tmpdir("seqgap");
+        let path = dir.join(JOURNAL_FILE);
+        let sink = JournalSink::create(&dir, HDR).unwrap();
+        journal_events(
+            &sink,
+            &[event_for("a.example", 0, 1), event_for("b.example", 0, 2)],
         );
+        let two_frames = fs::metadata(&path).unwrap().len();
+        journal_events(&sink, &[event_for("c.example", 0, 3)]);
+        sink.checkpoint_now().unwrap();
+        drop(sink);
+        truncate_torn_tail(&path, two_frames).unwrap();
+        assert_eq!(read_journal(&path).unwrap().entries.len(), 2);
+
+        let rec = recover(&dir, HDR).unwrap();
+        assert_eq!(rec.events.len(), 3);
+        assert_eq!(rec.checkpoint_only, 1);
+        let sink = JournalSink::resume(&dir, &rec).unwrap();
+        journal_events(&sink, &[event_for("d.example", 0, 4)]);
+        drop(sink);
+
+        let rec = recover(&dir, HDR).unwrap();
+        assert_eq!(rec.events.len(), 4);
+        assert_eq!(rec.journal_tail, TailStatus::Clean);
+        let alone = read_journal(&path).unwrap();
+        assert_eq!(alone.tail, TailStatus::Clean);
+        let seqs: Vec<u64> = alone.entries.iter().map(|e| e.0).collect();
+        assert_eq!(seqs, [0, 1, 2, 3]);
     }
 
     #[test]

@@ -300,7 +300,7 @@ fn corrupt_checkpoint_falls_back_to_journal_replay() {
 
     // Corrupt the checkpoint manifest; the journal alone must carry the
     // full recovery.
-    let manifest = dir.join(scan_journal::MANIFEST_FILE);
+    let manifest = dir.join(scan_journal::CHECKPOINT_FILE);
     let mut raw = fs::read(&manifest).unwrap();
     let idx = raw.len() / 2;
     raw[idx] ^= 0xFF;
