@@ -89,46 +89,6 @@ impl CircuitBreaker {
             s.open_until = Some(now + self.cooldown);
         }
     }
-
-    /// Sorted snapshot of the per-address state, for checkpointing.
-    pub fn snapshot(&self) -> Vec<BreakerEntry> {
-        let mut v: Vec<BreakerEntry> = self
-            .state
-            .iter()
-            .map(|(a, s)| BreakerEntry {
-                addr: *a,
-                consecutive_failures: s.consecutive_failures,
-                open_until: s.open_until,
-            })
-            .collect();
-        v.sort_by_key(|e| e.addr);
-        v
-    }
-
-    /// Rebuild a breaker from a checkpoint snapshot. The restored breaker
-    /// behaves identically to the live one it was taken from: same allow
-    /// decisions, same reopen-on-half-open-failure semantics.
-    pub fn restore(threshold: u32, cooldown: SimMicros, entries: &[BreakerEntry]) -> Self {
-        let mut b = CircuitBreaker::new(threshold, cooldown);
-        for e in entries {
-            b.state.insert(
-                e.addr,
-                BreakerState {
-                    consecutive_failures: e.consecutive_failures,
-                    open_until: e.open_until,
-                },
-            );
-        }
-        b
-    }
-}
-
-/// One address's circuit-breaker state, as checkpointed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerEntry {
-    pub addr: Addr,
-    pub consecutive_failures: u32,
-    pub open_until: Option<SimMicros>,
 }
 
 /// Aggregate health of one server address over the whole scan.
@@ -284,73 +244,6 @@ mod tests {
             !b.allows(a, 1_014),
             "re-opened after a fresh threshold streak"
         );
-    }
-
-    /// Drive a live breaker and a restored-from-snapshot copy through
-    /// the same event script: every allow decision and every subsequent
-    /// snapshot must match. This is what guarantees a scan resumed from
-    /// a checkpoint treats flaky servers exactly like the uninterrupted
-    /// run would have.
-    #[test]
-    fn restored_breaker_is_indistinguishable_from_live() {
-        // Build a live breaker holding every phase at once: a1 open and
-        // cooling, a2 mid-streak (closed), a3 past its cooldown
-        // (half-open eligible).
-        let mut live = CircuitBreaker::new(2, 1_000);
-        live.record_failure(addr(1), 500);
-        live.record_failure(addr(1), 500); // open until 1_500
-        live.record_failure(addr(2), 600); // streak 1, still closed
-        live.record_failure(addr(3), 0);
-        live.record_failure(addr(3), 0); // open until 1_000 → half-open soon
-
-        let mut restored = CircuitBreaker::restore(2, 1_000, &live.snapshot());
-        assert_eq!(live.snapshot(), restored.snapshot());
-
-        // Identical decisions at every probe point, including the
-        // half-open transition (which mutates state) ...
-        for (a, now) in [
-            (addr(1), 700),   // still open
-            (addr(3), 1_200), // half-open: probe allowed, deadline cleared
-            (addr(3), 1_250), // allowed again (deadline was cleared)
-            (addr(2), 700),   // closed
-            (addr(1), 1_499), // still open
-            (addr(1), 1_500), // half-open boundary
-        ] {
-            assert_eq!(
-                live.allows(a, now),
-                restored.allows(a, now),
-                "diverged at {a:?} t={now}"
-            );
-            assert_eq!(live.snapshot(), restored.snapshot());
-        }
-
-        // ... and identical re-open behaviour when the half-open probe
-        // fails: a3's streak survived the snapshot, so one failure
-        // re-opens both immediately.
-        live.record_failure(addr(3), 1_300);
-        restored.record_failure(addr(3), 1_300);
-        assert!(!live.allows(addr(3), 1_400));
-        assert!(!restored.allows(addr(3), 1_400));
-        assert_eq!(live.snapshot(), restored.snapshot());
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_exactly() {
-        let mut b = CircuitBreaker::new(4, 2_000);
-        b.record_failure(addr(2), 10);
-        b.record_failure(addr(7), 20);
-        for _ in 0..4 {
-            b.record_failure(addr(9), 30);
-        }
-        let snap = b.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert!(snap.windows(2).all(|w| w[0].addr < w[1].addr));
-        let restored = CircuitBreaker::restore(4, 2_000, &snap);
-        assert_eq!(restored.snapshot(), snap);
-        // The open entry carried its deadline across.
-        let e9 = snap.iter().find(|e| e.addr == addr(9)).unwrap();
-        assert_eq!(e9.open_until, Some(2_030));
-        assert_eq!(e9.consecutive_failures, 4);
     }
 
     /// Merging per-zone deltas (what journal replay does) must rebuild

@@ -26,8 +26,8 @@ use std::sync::Arc;
 /// Side effects one zone scan had on shared scanner state.
 ///
 /// The resolver-cache entries hold `Arc`s into the live cache values:
-/// sealing a zone's effects costs one pointer bump per insert, and only
-/// the (rare) journal-replay path ever deep-clones them.
+/// sealing a zone's effects costs one pointer bump per insert, and so
+/// does seeding them back (`Scanner::seed_effects`).
 #[derive(Debug, Clone, Default)]
 pub struct ZoneEffects {
     /// Validated-DNSKEY cache inserts (zone apex → keys), in order.
@@ -56,13 +56,15 @@ pub struct ZoneEvent {
     pub duration_delta: SimMicros,
 }
 
-/// Receives zone events as they complete. Implementations must be
-/// `Sync`: workers call `on_zone` concurrently when `parallelism > 1`.
+/// Receives zone events as they complete. A scan with a sink is one
+/// sequential lane: every `on_zone` call comes from the thread that
+/// called `scan_all_with`, one at a time, in seed order — so a sink
+/// needs neither `Sync` nor a lock around its own state.
 ///
 /// Returning `false` stops the scan (used by the journal sink on I/O
 /// errors, and by the crash harness to simulate process death); the
 /// event that got `false` is *not* folded into the in-memory results.
-pub trait ProgressSink: Sync {
+pub trait ProgressSink {
     fn on_zone(&self, event: &ZoneEvent) -> bool;
 }
 

@@ -19,7 +19,7 @@ use crate::operator::OperatorTable;
 use crate::progress::{ProgressSink, ResumeState, ZoneEffects, ZoneEvent};
 use crate::types::*;
 use dns_crypto::UnixTime;
-use dns_resolver::validate::key_matches_any_ds;
+use dns_resolver::validate::{ds_link_verifies, verified_dnskeys};
 use dns_resolver::{
     ClientErrorKind, DnsClient, HostileCause, QueryMeter, Resolution, Resolver, ResolverError,
     RetryPolicy, RootHints,
@@ -33,7 +33,7 @@ use dns_zone::signer::verify_rrset_with_keys;
 use netsim::{Addr, DeterministicDraw, Network, RateLimiter, SimMicros};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Scanner policy knobs.
@@ -48,7 +48,8 @@ pub struct ScanPolicy {
     pub rate_per_sec: f64,
     /// Probe the RFC 9615 signal names.
     pub probe_signal: bool,
-    /// Worker threads for `scan_all`.
+    /// Worker threads for a sink-less scan (`scan_all`). A scan given a
+    /// [`ProgressSink`] is one sequential lane whatever this says.
     pub parallelism: usize,
     /// Whole-exchange retries per query on timeout/malformed replies.
     pub retries: u32,
@@ -66,7 +67,7 @@ pub struct ScanPolicy {
     /// Run the Byzantine-hardening layer (response-acceptance gate
     /// consequences surfaced as named causes, referral/alias loop
     /// detection, lame-delegation detection). Off only for the
-    /// amplification ablation bench.
+    /// counterfactual in `tests/hostile_world.rs`.
     pub hardened: bool,
     /// Per-zone logical-query budget — the amplification cap (0 =
     /// unlimited). Sized as ≈3× the worst benign zone cost, so no
@@ -100,8 +101,8 @@ impl Default for ScanPolicy {
 /// descents — signal probes, DNSKEY walks — cache hits), so 240 gives
 /// every benign zone several-fold headroom; the acceptance rules, not
 /// the budget, keep adversarial cost within 3× of the worst benign zone
-/// (see `crates/bench/benches/amplification_cost.rs`, which re-measures
-/// both bounds every run).
+/// (see `tests/hostile_world.rs`, which re-measures both bounds every
+/// run).
 pub const DEFAULT_ZONE_QUERY_BUDGET: u64 = 240;
 
 /// Stripe count for the validated-key cache. Like the resolver's cache
@@ -156,8 +157,8 @@ impl WorkerScratch {
 /// budget and failure accounting, a borrow of the worker's (reset)
 /// breaker + limiter scratch, plus the logs of side effects on shared
 /// state. No state carries over between zones, so results are
-/// independent of scan order — and, at `parallelism = 1`, of which zones
-/// ran in an earlier process life.
+/// independent of scan order — and, in a journaled scan (one sequential
+/// lane), of which zones ran in an earlier process life.
 struct Probe<'w> {
     clock: SimMicros,
     queries: u32,
@@ -288,11 +289,6 @@ impl Scanner {
         self.key_shard(owner).lock().insert(owner.clone(), entry);
     }
 
-    /// The operator table (exposed for reports).
-    pub fn operator_table(&self) -> &OperatorTable {
-        &self.table
-    }
-
     /// Global per-address health statistics gathered so far.
     pub fn health(&self) -> &HealthTracker {
         &self.health
@@ -304,31 +300,23 @@ impl Scanner {
         &self.resolver
     }
 
-    /// Test hook for the cache-poisoning regression suite: plant a
-    /// key-cache entry with an explicit provenance tag. An entry whose
-    /// provenance does not contain the owner must never be consulted.
-    pub fn poison_key_cache(&self, owner: Name, keys: Vec<DnskeyData>, provenance: Name) {
-        self.cache_validated_keys(
-            &owner,
-            KeyCacheEntry {
-                keys,
-                provenance,
-                expires_at: SimMicros::MAX,
-            },
-        );
-    }
-
-    /// Seed the validated-key cache with an explicit virtual-time expiry
-    /// — the epoch carry-over path, mirroring
-    /// [`Resolver::seed_address_until`](dns_resolver::Resolver::seed_address_until):
-    /// a carried entry keeps only its *remaining* validity.
-    pub fn seed_validated_keys_until(
+    /// Seed the validated-key cache, not logged: journal replay
+    /// (`expires_at = SimMicros::MAX`, the interrupted run's cache
+    /// verbatim) and epoch carry-over (the entry's *remaining* validity),
+    /// the key-cache twin of
+    /// [`Resolver::seed_address`](dns_resolver::Resolver::seed_address).
+    /// `provenance: None` tags the entry with its owner, as an organic
+    /// insert does; `Some` is the cache-poisoning suite's hook (an entry
+    /// whose provenance does not contain the owner must never be
+    /// consulted).
+    pub fn seed_validated_keys(
         &self,
         owner: Name,
         keys: Vec<DnskeyData>,
+        provenance: Option<Name>,
         expires_at: SimMicros,
     ) {
-        let provenance = owner.clone();
+        let provenance = provenance.unwrap_or_else(|| owner.clone());
         self.cache_validated_keys(
             &owner,
             KeyCacheEntry {
@@ -485,41 +473,9 @@ impl Scanner {
             if msg.rcode().is_error() {
                 continue;
             }
-            let keys: Vec<DnskeyData> = msg
-                .answers
-                .iter()
-                .filter_map(|r| match &r.rdata {
-                    RData::Dnskey(d) if r.name == *zone => Some(d.clone()),
-                    _ => None,
-                })
-                .collect();
-            if keys.is_empty() {
-                return None;
-            }
-            if !keys.iter().any(|k| key_matches_any_ds(zone, k, ds)) {
-                return None;
-            }
-            let rrsigs: Vec<RrsigData> = msg
-                .answers
-                .iter()
-                .filter_map(|r| match &r.rdata {
-                    RData::Rrsig(s) if s.type_covered == RecordType::Dnskey.code() => {
-                        Some(s.clone())
-                    }
-                    _ => None,
-                })
-                .collect();
-            let set = RrSet {
-                name: zone.clone(),
-                class: RecordClass::In,
-                rtype: RecordType::Dnskey,
-                ttl: 3600,
-                rdatas: keys.iter().cloned().map(RData::Dnskey).collect(),
-            };
-            if verify_rrset_with_keys(&set, &rrsigs, &keys, self.now).is_err() {
-                return None;
-            }
-            return Some(keys);
+            // The first server that answers decides: a reply that
+            // fails the DNSKEY rule is not retried elsewhere.
+            return verified_dnskeys(&msg, zone, ds, self.now);
         }
         None
     }
@@ -546,14 +502,7 @@ impl Scanner {
                 };
             };
             // DS RRset must be signed by the parent.
-            let ds_set = RrSet {
-                name: link.child_apex.clone(),
-                class: RecordClass::In,
-                rtype: RecordType::Ds,
-                ttl: 300,
-                rdatas: ds.iter().cloned().map(RData::Ds).collect(),
-            };
-            if verify_rrset_with_keys(&ds_set, &link.ds_rrsigs, &keys, self.now).is_err() {
+            if !ds_link_verifies(link, &keys, self.now) {
                 return ChainStatus::Bogus;
             }
             if last {
@@ -1048,111 +997,53 @@ impl Scanner {
     /// progress: zones already present in `resume` are skipped and their
     /// recorded results carried forward.
     ///
-    /// With `parallelism = 1` (the default) the combination of per-zone
-    /// query meters, per-probe rate limiters and replayed cache effects
-    /// makes resumption *deterministic*: killing a journaled scan at any
-    /// event boundary and resuming yields results byte-identical to the
-    /// uninterrupted run.
+    /// A scan with a sink is one sequential lane whatever
+    /// `policy.parallelism` says: every `on_zone` runs on the calling
+    /// thread, in seed order. Together with per-zone query meters,
+    /// per-probe rate limiters and replayed cache effects that makes
+    /// resumption *deterministic*: killing a journaled scan at any event
+    /// boundary and resuming yields results byte-identical to the
+    /// uninterrupted run. Parallelism across journaled scans lives
+    /// between lanes (one scanner and one sink per `scan-fabric` shard),
+    /// never inside one; `policy.parallelism` threads serve sink-less
+    /// scans only.
     pub fn scan_all_with(
         self: &Arc<Self>,
         seeds: &[Name],
         sink: Option<&dyn ProgressSink>,
         resume: Option<ResumeState>,
     ) -> ScanResults {
-        self.scan_with_workers(seeds, sink, resume, self.policy.parallelism.max(1))
-    }
-
-    /// Scan one fabric shard: exactly [`scan_all_with`](Self::scan_all_with)
-    /// but pinned to a single in-scanner worker regardless of
-    /// `policy.parallelism`.
-    ///
-    /// The distributed scan fabric (`scan-fabric`) gives every shard a
-    /// *fresh* scanner (cold caches) and scans it sequentially; shard
-    /// results are then a pure function of (world, shard seed slice,
-    /// policy) — independent of which fabric worker ran the shard, how
-    /// many workers exist, and how often the shard was killed and
-    /// resumed. That per-shard determinism extends to the *full* zone
-    /// records including cost counters, which is what makes the merged
-    /// fabric report byte-identical across worker counts and fault
-    /// plans (see `tests/fabric_recovery.rs`).
-    pub fn scan_shard_with(
-        self: &Arc<Self>,
-        seeds: &[Name],
-        sink: Option<&dyn ProgressSink>,
-        resume: Option<ResumeState>,
-    ) -> ScanResults {
-        self.scan_with_workers(seeds, sink, resume, 1)
-    }
-
-    fn scan_with_workers(
-        self: &Arc<Self>,
-        seeds: &[Name],
-        sink: Option<&dyn ProgressSink>,
-        resume: Option<ResumeState>,
-        workers: usize,
-    ) -> ScanResults {
         let mut base_duration: SimMicros = 0;
         let mut completed: HashSet<Name> = HashSet::new();
-        let mut carried: Vec<ZoneScan> = Vec::new();
+        let mut zones: Vec<ZoneScan> = Vec::new();
         if let Some(resume) = resume {
             base_duration = resume.duration_so_far;
             for z in resume.zones {
                 completed.insert(z.name.clone());
-                carried.push(z);
+                zones.push(z);
             }
         }
-        let zones: Mutex<Vec<ZoneScan>> = Mutex::new(carried);
+        let workers = self.policy.parallelism.max(1);
         let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let worker_time: Mutex<Vec<SimMicros>> = Mutex::new(vec![0; workers]);
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let me = Arc::clone(self);
-                let zones = &zones;
-                let next = &next;
-                let stop = &stop;
-                let worker_time = &worker_time;
-                let completed = &completed;
-                s.spawn(move || {
-                    let mut local_time: SimMicros = 0;
-                    let mut scratch = WorkerScratch::new(&me.policy);
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= seeds.len() {
-                            break;
-                        }
-                        if completed.contains(&seeds[i]) {
-                            continue;
-                        }
-                        let (scan, effects) = me.scan_zone_pass(&mut scratch, &seeds[i], 0);
-                        local_time += scan.elapsed;
-                        if let Some(sink) = sink {
-                            let event = ZoneEvent {
-                                pass: 0,
-                                duration_delta: scan.elapsed,
-                                scan,
-                                effects,
-                            };
-                            if !sink.on_zone(&event) {
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            zones.lock().push(event.scan);
-                        } else {
-                            zones.lock().push(scan);
-                        }
-                    }
-                    worker_time.lock()[w] = local_time;
-                });
-            }
-        });
+        let zones = Mutex::new(zones);
+        let (makespan, stopped) = if sink.is_none() && workers > 1 {
+            std::thread::scope(|s| {
+                let lanes: Vec<_> = (0..workers)
+                    .map(|_| {
+                        s.spawn(|| self.main_pass_lane(seeds, &completed, &next, None, &zones))
+                    })
+                    .collect();
+                let elapsed = lanes
+                    .into_iter()
+                    .map(|lane| lane.join().expect("a scan worker panicked").0);
+                (elapsed.max().unwrap_or(0), false)
+            })
+        } else {
+            self.main_pass_lane(seeds, &completed, &next, sink, &zones)
+        };
         let mut zones = zones.into_inner();
         zones.sort_by(|a, b| a.name.canonical_cmp(&b.name));
-        let mut simulated_duration =
-            base_duration + worker_time.into_inner().into_iter().max().unwrap_or(0);
+        let mut simulated_duration = base_duration + makespan;
 
         // Re-scan queue: zones whose evidence came back incomplete get
         // fresh sequential passes (fresh per-pass query-ID seeds → fresh
@@ -1160,7 +1051,7 @@ impl Scanner {
         // old/new result is kept; costs accumulate either way. Each
         // completed pass stamps `rescans`, so a resumed run can tell
         // which zones pass `p` already covered in an earlier life.
-        if !stop.load(Ordering::Relaxed) {
+        if !stopped {
             let mut scratch = WorkerScratch::new(&self.policy);
             'passes: for pass in 1..=self.policy.rescan_passes {
                 let pending: Vec<usize> = zones
@@ -1217,6 +1108,47 @@ impl Scanner {
         }
     }
 
+    /// One main-pass lane: claim seed indices from `next` until the list
+    /// runs out or `sink` refuses an event, scanning every zone not in
+    /// `completed` and pushing the result onto `zones` (shared between
+    /// the lanes of a threaded scan; a refused event is not pushed).
+    /// Returns the lane's summed virtual time and whether the sink
+    /// stopped it. A lone lane claims every index, so it scans — and
+    /// emits — in seed order.
+    fn main_pass_lane(
+        &self,
+        seeds: &[Name],
+        completed: &HashSet<Name>,
+        next: &AtomicUsize,
+        sink: Option<&dyn ProgressSink>,
+        zones: &Mutex<Vec<ZoneScan>>,
+    ) -> (SimMicros, bool) {
+        let mut elapsed: SimMicros = 0;
+        let mut scratch = WorkerScratch::new(&self.policy);
+        while let Some(zone) = seeds.get(next.fetch_add(1, Ordering::Relaxed)) {
+            if completed.contains(zone) {
+                continue;
+            }
+            let (scan, effects) = self.scan_zone_pass(&mut scratch, zone, 0);
+            elapsed += scan.elapsed;
+            let Some(sink) = sink else {
+                zones.lock().push(scan);
+                continue;
+            };
+            let event = ZoneEvent {
+                pass: 0,
+                duration_delta: scan.elapsed,
+                scan,
+                effects,
+            };
+            if !sink.on_zone(&event) {
+                return (elapsed, true);
+            }
+            zones.lock().push(event.scan);
+        }
+        (elapsed, false)
+    }
+
     /// Budget counters are cumulative across re-scan passes, whichever
     /// result is kept: the wire traffic happened either way.
     fn accumulate_io(into: &mut RetryStats, other: &RetryStats) {
@@ -1226,29 +1158,35 @@ impl Scanner {
         into.bytes_received += other.bytes_received;
     }
 
+    /// Seed the shared caches with one zone event's inserts, in the
+    /// order the scan made them, each valid until `expires_at` on this
+    /// scanner's virtual clock. The one walk over key / address /
+    /// referral inserts: journal replay ([`restore_effects`](Self::restore_effects))
+    /// and epoch carry-over (`CarryLedger::seed_into`) differ only in
+    /// the expiry they pass. The address and referral entries share the
+    /// effects' `Arc`s — nothing is deep-cloned per seed.
+    pub fn seed_effects(&self, effects: &ZoneEffects, expires_at: SimMicros) {
+        for (zone, keys) in &effects.key_inserts {
+            self.seed_validated_keys(zone.clone(), keys.clone(), None, expires_at);
+        }
+        for (ns, addrs) in &effects.addr_inserts {
+            self.resolver
+                .seed_address(ns.clone(), Arc::clone(addrs), None, expires_at);
+        }
+        for (cut, data) in &effects.referral_inserts {
+            self.resolver
+                .seed_referral(cut.clone(), Arc::clone(data), None, expires_at);
+        }
+    }
+
     /// Replay one journaled event's side effects into the shared caches
     /// and the health tracker. Recovery calls this for every event in
     /// sequence order before resuming, so resumed zone scans see exactly
-    /// the cache state they would have seen in the uninterrupted run.
+    /// the cache state they would have seen in the uninterrupted run —
+    /// which is why replayed entries never expire: expiry is an
+    /// epoch-level concern.
     pub fn restore_effects(&self, effects: &ZoneEffects) {
-        for (zone, keys) in &effects.key_inserts {
-            self.cache_validated_keys(
-                zone,
-                KeyCacheEntry {
-                    keys: keys.clone(),
-                    provenance: zone.clone(),
-                    // Replay must reproduce the interrupted run's cache
-                    // state verbatim; expiry is an epoch-level concern.
-                    expires_at: SimMicros::MAX,
-                },
-            );
-        }
-        for (ns, addrs) in &effects.addr_inserts {
-            self.resolver.seed_address(ns.clone(), (**addrs).clone());
-        }
-        for (cut, data) in &effects.referral_inserts {
-            self.resolver.seed_referral(cut.clone(), (**data).clone());
-        }
+        self.seed_effects(effects, SimMicros::MAX);
         for (addr, delta) in &effects.health {
             self.health.merge(*addr, *delta);
         }

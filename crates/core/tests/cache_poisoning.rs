@@ -13,7 +13,7 @@ use bootscan::{ReferralData, ScanPolicy, Scanner};
 use dns_ecosystem::{build, DnssecState, Ecosystem, EcosystemConfig};
 use dns_wire::name::Name;
 use dns_wire::rdata::DnskeyData;
-use netsim::Addr;
+use netsim::{Addr, SimMicros};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -52,10 +52,25 @@ fn poisoned_key_cache_entries_are_never_consulted() {
     // ancestors, tagged with a provenance that does not contain them.
     let scanner = scanner_for(&eco);
     let foreign = Name::parse("zzadv").unwrap();
-    scanner.poison_key_cache(Name::root(), garbage_keys(), foreign.clone());
-    scanner.poison_key_cache(Name::parse("com").unwrap(), garbage_keys(), foreign.clone());
-    scanner.poison_key_cache(zone.parent().unwrap(), garbage_keys(), foreign.clone());
-    scanner.poison_key_cache(zone.clone(), garbage_keys(), foreign);
+    scanner.seed_validated_keys(
+        Name::root(),
+        garbage_keys(),
+        Some(foreign.clone()),
+        SimMicros::MAX,
+    );
+    scanner.seed_validated_keys(
+        Name::parse("com").unwrap(),
+        garbage_keys(),
+        Some(foreign.clone()),
+        SimMicros::MAX,
+    );
+    scanner.seed_validated_keys(
+        zone.parent().unwrap(),
+        garbage_keys(),
+        Some(foreign.clone()),
+        SimMicros::MAX,
+    );
+    scanner.seed_validated_keys(zone.clone(), garbage_keys(), Some(foreign), SimMicros::MAX);
 
     let poisoned = scanner.scan_all(std::slice::from_ref(&zone));
     assert_eq!(
@@ -84,10 +99,11 @@ fn poisoned_address_cache_entries_are_never_consulted() {
     let attacker = Addr::V4(Ipv4Addr::new(10, 200, 0, 77));
     let scanner = scanner_for(&eco);
     for host in &op.hosts {
-        scanner.resolver().seed_address_with_provenance(
+        scanner.resolver().seed_address(
             host.clone(),
-            vec![attacker],
-            Name::parse("zzadv").unwrap(),
+            Arc::new(vec![attacker]),
+            Some(Name::parse("zzadv").unwrap()),
+            SimMicros::MAX,
         );
     }
 
@@ -125,17 +141,18 @@ fn poisoned_delegation_cache_entries_are_never_consulted() {
     let foreign = Name::parse("zzadv").unwrap();
     for cut in [zone.clone(), zone.parent().unwrap()] {
         let parent = cut.parent().unwrap_or_else(Name::root);
-        scanner.resolver().seed_referral_with_provenance(
+        scanner.resolver().seed_referral(
             cut.clone(),
-            ReferralData {
+            Arc::new(ReferralData {
                 parent_apex: parent,
                 ns_names: vec![Name::parse("ns.zzadv").unwrap()],
                 ds: None,
                 ds_rrsigs: vec![],
                 child_servers: vec![attacker],
                 parent_servers: vec![attacker],
-            },
-            foreign.clone(),
+            }),
+            Some(foreign.clone()),
+            SimMicros::MAX,
         );
     }
 

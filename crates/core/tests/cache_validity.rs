@@ -55,7 +55,7 @@ fn expired_key_cache_entries_are_never_consulted() {
         zone.parent().unwrap(),
         zone.clone(),
     ] {
-        scanner.seed_validated_keys_until(owner, garbage_keys(), 0);
+        scanner.seed_validated_keys(owner, garbage_keys(), None, 0);
     }
 
     let rescanned = scanner.scan_all(std::slice::from_ref(&zone));
@@ -82,7 +82,7 @@ fn unexpired_seeded_keys_are_consulted() {
     let baseline = serde_json::to_string(&clean.zones[0]).unwrap();
 
     let scanner = scanner_for(&eco);
-    scanner.seed_validated_keys_until(Name::root(), garbage_keys(), netsim::SimMicros::MAX);
+    scanner.seed_validated_keys(Name::root(), garbage_keys(), None, netsim::SimMicros::MAX);
     let rescanned = scanner.scan_all(std::slice::from_ref(&zone));
     assert_ne!(
         baseline,
@@ -105,11 +105,11 @@ fn expired_address_cache_entries_are_refetched() {
     // correct provenance, expired stamp. If any is consulted the zone's
     // servers all fail and the scan degrades.
     let scanner = scanner_for(&eco);
-    let sinkhole = vec![Addr::V4(Ipv4Addr::new(192, 0, 2, 77))];
+    let sinkhole = Arc::new(vec![Addr::V4(Ipv4Addr::new(192, 0, 2, 77))]);
     for host in &op.hosts {
         scanner
             .resolver()
-            .seed_address_until(host.clone(), sinkhole.clone(), 0);
+            .seed_address(host.clone(), Arc::clone(&sinkhole), None, 0);
     }
 
     let rescanned = scanner.scan_all(std::slice::from_ref(&zone));
@@ -143,7 +143,7 @@ fn expired_referral_entries_are_rewalked() {
     };
     scanner
         .resolver()
-        .seed_referral_until(zone.clone(), bogus, 0);
+        .seed_referral(zone.clone(), Arc::new(bogus), None, 0);
 
     let rescanned = scanner.scan_all(std::slice::from_ref(&zone));
     assert_eq!(

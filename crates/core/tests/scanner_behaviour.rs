@@ -248,3 +248,66 @@ fn per_zone_io_accounting_conserves_netsim_totals() {
     assert_eq!(bytes_sent, snap.bytes_sent, "bytes sent");
     assert_eq!(bytes_received, snap.bytes_received, "bytes received");
 }
+
+#[test]
+fn a_scan_with_a_sink_is_one_sequential_lane_at_any_parallelism() {
+    use bootscan::{ProgressSink, ZoneEvent};
+    use std::cell::RefCell;
+    use std::thread::ThreadId;
+
+    /// Records where and in what order events arrive. `RefCell`, no
+    /// lock: the scanner promises a sink one thread.
+    struct Recorder(RefCell<Vec<(ThreadId, u32, Name)>>);
+    impl ProgressSink for Recorder {
+        fn on_zone(&self, event: &ZoneEvent) -> bool {
+            let at = (
+                std::thread::current().id(),
+                event.pass,
+                event.scan.name.clone(),
+            );
+            self.0.borrow_mut().push(at);
+            true
+        }
+    }
+
+    let run = |parallelism: usize| {
+        let eco = build(dns_ecosystem::EcosystemConfig::tiny(11));
+        let policy = ScanPolicy {
+            parallelism,
+            ..ScanPolicy::default()
+        };
+        let seeds = eco.seeds.compile(&eco.psl);
+        let recorder = Recorder(RefCell::new(Vec::new()));
+        let results = scanner_with(&eco, policy).scan_all_with(&seeds, Some(&recorder), None);
+        (seeds, recorder.0.into_inner(), results)
+    };
+    let (_, _, sequential) = run(1);
+    let (seeds, events, threaded_policy) = run(4);
+
+    let me = std::thread::current().id();
+    assert!(
+        events.iter().all(|(thread, _, _)| *thread == me),
+        "every on_zone must run on the thread that called scan_all_with"
+    );
+    let main_pass: Vec<&Name> = events
+        .iter()
+        .filter(|(_, pass, _)| *pass == 0)
+        .map(|(_, _, name)| name)
+        .collect();
+    assert_eq!(
+        main_pass,
+        seeds.iter().collect::<Vec<_>>(),
+        "main-pass events must arrive in seed order"
+    );
+    // Costs included: one lane, so the same cache hits, the same query
+    // counts and the same virtual makespan as the parallelism-1 run.
+    assert_eq!(
+        serde_json::to_string(&threaded_policy.zones).unwrap(),
+        serde_json::to_string(&sequential.zones).unwrap()
+    );
+    assert_eq!(
+        threaded_policy.simulated_duration,
+        sequential.simulated_duration
+    );
+    assert_eq!(threaded_policy.total_queries, sequential.total_queries);
+}

@@ -13,7 +13,7 @@
 //! * [`spec`] — operator behaviour profiles calibrated to the paper's
 //!   Tables 1–3 and the §4 census counts, plus [`spec::EcosystemConfig`]
 //!   presets (`paper_default`, `tiny` for tests).
-//! * [`build`] — turns a config into a running world: zones built and
+//! * [`build()`] — turns a config into a running world: zones built and
 //!   signed, signal zones populated, TLD/root zones delegating
 //!   everything, servers registered on a [`netsim::Network`], trust
 //!   anchors exported.

@@ -363,11 +363,6 @@ impl DnsClient {
         }
     }
 
-    /// The configured retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// The underlying network (for stats access).
     pub fn network(&self) -> &Arc<Network> {
         &self.net

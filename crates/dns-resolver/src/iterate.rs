@@ -191,7 +191,8 @@ impl Resolver {
     /// Like [`new`](Self::new), choosing whether the hardening layer is
     /// active. The unhardened walk trusts referrals the way the
     /// pre-adversarial resolver did; it exists for the amplification
-    /// ablation bench, not for production scans.
+    /// counterfactual in `tests/hostile_world.rs`, not for production
+    /// scans.
     pub fn with_hardening(client: Arc<DnsClient>, roots: RootHints, hardened: bool) -> Self {
         Resolver {
             client,
@@ -717,85 +718,54 @@ impl Resolver {
         Ok(addrs)
     }
 
-    /// Pre-seed the address cache (the ecosystem does this for operator
-    /// NS hostnames whose addresses are part of the ground truth; journal
-    /// recovery does it when replaying logged inserts). Not logged. The
-    /// entry's provenance is the hostname itself, so it serves exactly
-    /// that name and nothing else.
-    pub fn seed_address(&self, ns: Name, addrs: Vec<Addr>) {
-        let provenance = ns.clone();
-        self.seed_address_with_provenance(ns, addrs, provenance);
-    }
-
-    /// [`seed_address`](Self::seed_address) with an explicit virtual-time
-    /// expiry — the epoch service uses this to carry cache entries across
-    /// epochs with their *remaining* validity, so a carried entry expires
-    /// at exactly the same virtual instant it would have in a single
-    /// continuous run.
-    pub fn seed_address_until(&self, ns: Name, addrs: Vec<Addr>, expires_at: SimMicros) {
-        let provenance = ns.clone();
+    /// Seed the address cache, not logged — journal replay, epoch
+    /// carry-over and tests that plant ground-truth addresses. The entry
+    /// is never consulted at or past `expires_at` (replay passes
+    /// `SimMicros::MAX`: it must reproduce the interrupted run's cache
+    /// verbatim; carry-over passes the entry's *remaining* validity, so
+    /// it expires at the same virtual instant it would have in one
+    /// continuous run). `provenance: None` tags the entry with the
+    /// hostname itself, so it serves exactly that name; `Some` is the
+    /// cache-poisoning suite's hook (an entry whose provenance does not
+    /// contain the hostname must never be consulted).
+    pub fn seed_address(
+        &self,
+        ns: Name,
+        addrs: Arc<Vec<Addr>>,
+        provenance: Option<Name>,
+        expires_at: SimMicros,
+    ) {
+        let provenance = provenance.unwrap_or_else(|| ns.clone());
         self.cache_address(
             &ns,
             AddrEntry {
-                addrs: Arc::new(addrs),
+                addrs,
                 provenance,
                 expires_at,
             },
         );
     }
 
-    /// Insert an address-cache entry with an explicit provenance tag —
-    /// test hook for the cache-poisoning regression suite (a poisoned
-    /// entry whose provenance does not contain the hostname must never be
-    /// consulted). Seeded entries never expire: journal replay must
-    /// reproduce the interrupted run's cache state verbatim.
-    pub fn seed_address_with_provenance(&self, ns: Name, addrs: Vec<Addr>, provenance: Name) {
-        self.cache_address(
-            &ns,
-            AddrEntry {
-                addrs: Arc::new(addrs),
-                provenance,
-                expires_at: SimMicros::MAX,
-            },
-        );
-    }
-
-    /// Pre-seed the delegation cache with referral data for `cut`, as
-    /// journal recovery does when replaying a completed zone's logged
-    /// inserts. Not logged. Provenance is the parent apex, exactly as an
-    /// organic insert records it.
-    pub fn seed_referral(&self, cut: Name, data: ReferralData) {
-        let provenance = data.parent_apex.clone();
-        self.seed_referral_with_provenance(cut, data, provenance);
-    }
-
-    /// [`seed_referral`](Self::seed_referral) with an explicit
-    /// virtual-time expiry — the epoch carry-over path, mirroring
-    /// [`seed_address_until`](Self::seed_address_until).
-    pub fn seed_referral_until(&self, cut: Name, data: ReferralData, expires_at: SimMicros) {
-        let provenance = data.parent_apex.clone();
+    /// Seed the delegation cache with referral data for `cut` — the
+    /// delegation-cache twin of [`seed_address`](Self::seed_address),
+    /// same `expires_at` rule. `provenance: None` is the parent apex,
+    /// exactly as an organic insert records it; `Some` is the poisoning
+    /// suite's hook (referral data whose provenance is not a proper
+    /// ancestor of the cut must never be consulted).
+    pub fn seed_referral(
+        &self,
+        cut: Name,
+        data: Arc<ReferralData>,
+        provenance: Option<Name>,
+        expires_at: SimMicros,
+    ) {
+        let provenance = provenance.unwrap_or_else(|| data.parent_apex.clone());
         self.cache_delegation(
             &cut,
             DelegationEntry {
-                data: Arc::new(data),
+                data,
                 provenance,
                 expires_at,
-            },
-        );
-    }
-
-    /// Insert a delegation-cache entry with an explicit provenance tag —
-    /// test hook for the cache-poisoning regression suite (referral data
-    /// whose provenance is not a proper ancestor of the cut must never
-    /// be consulted). Seeded entries never expire: journal replay must
-    /// reproduce the interrupted run's cache state verbatim.
-    pub fn seed_referral_with_provenance(&self, cut: Name, data: ReferralData, provenance: Name) {
-        self.cache_delegation(
-            &cut,
-            DelegationEntry {
-                data: Arc::new(data),
-                provenance,
-                expires_at: SimMicros::MAX,
             },
         );
     }

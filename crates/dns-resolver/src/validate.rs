@@ -1,7 +1,7 @@
 //! RFC 4035 chain validation over a recorded [`Resolution`].
 
 use crate::client::DnsClient;
-use crate::iterate::Resolution;
+use crate::iterate::{ChainLink, Resolution};
 use dns_crypto::UnixTime;
 use dns_crypto::{ds_digest, DigestType};
 use dns_wire::message::Message;
@@ -42,16 +42,11 @@ pub fn validate_resolution(
     now: UnixTime,
 ) -> Security {
     // 1. Root keys.
-    let mut current_keys = match fetch_and_verify_keys(
-        client,
-        &Name::root(),
-        roots,
-        KeyCheck::Anchors(trust_anchors),
-        now,
-    ) {
-        Ok(k) => k,
-        Err(s) => return s,
-    };
+    let mut current_keys =
+        match fetch_and_verify_keys(client, &Name::root(), roots, trust_anchors, now) {
+            Ok(k) => k,
+            Err(s) => return s,
+        };
 
     // 2. Walk each recorded cut.
     for link in &res.chain {
@@ -60,27 +55,16 @@ pub fn validate_resolution(
             return Security::Insecure;
         };
         // The DS RRset itself must be signed by the parent.
-        let ds_rrset = RrSet {
-            name: link.child_apex.clone(),
-            class: RecordClass::In,
-            rtype: RecordType::Ds,
-            ttl: 300,
-            rdatas: ds_set.iter().cloned().map(RData::Ds).collect(),
-        };
-        if verify_rrset_with_keys(&ds_rrset, &link.ds_rrsigs, &current_keys, now).is_err() {
+        if !ds_link_verifies(link, &current_keys, now) {
             return Security::Bogus;
         }
         // Child DNSKEYs must chain from the DS.
-        current_keys = match fetch_and_verify_keys(
-            client,
-            &link.child_apex,
-            &link.child_servers,
-            KeyCheck::Ds(ds_set),
-            now,
-        ) {
-            Ok(k) => k,
-            Err(s) => return s,
-        };
+        current_keys =
+            match fetch_and_verify_keys(client, &link.child_apex, &link.child_servers, ds_set, now)
+            {
+                Ok(k) => k,
+                Err(s) => return s,
+            };
     }
 
     // 3. Verify the answer RRsets with the answering zone's keys.
@@ -103,27 +87,34 @@ pub fn validate_resolution(
     Security::Secure
 }
 
-enum KeyCheck<'a> {
-    /// Root: keys must match one of these DS-form trust anchors.
-    Anchors(&'a [DsData]),
-    /// Interior: keys must match one of the parent's DS records.
-    Ds(&'a [DsData]),
-}
-
-/// Fetch the DNSKEY RRset of `zone` from `servers`, check it against the
-/// DS/anchor set, and verify its self-signature.
+/// Fetch the DNSKEY RRset of `zone` from `servers` and check it against
+/// `ds` (the parent's DS set, or the DS-form trust anchors at the root).
 fn fetch_and_verify_keys(
     client: &DnsClient,
     zone: &Name,
     servers: &[Addr],
-    check: KeyCheck,
+    ds: &[DsData],
     now: UnixTime,
 ) -> Result<Vec<DnskeyData>, Security> {
-    let msg = match query_any(client, servers, zone, RecordType::Dnskey) {
-        Some(m) => m,
-        None => return Err(Security::Indeterminate),
-    };
-    let keys: Vec<DnskeyData> = msg
+    let msg =
+        query_any(client, servers, zone, RecordType::Dnskey).ok_or(Security::Indeterminate)?;
+    // A DS (or anchor) exists, so a reply that fails the rule is bogus.
+    verified_dnskeys(&msg, zone, ds, now).ok_or(Security::Bogus)
+}
+
+/// The RFC 4035 §5.2 DNSKEY step, stated once for both validators: the
+/// DNSKEY records `reply` carries at `zone`, provided at least one of
+/// them matches a record in `ds` (parent DS set or DS-form trust
+/// anchors) and the RRset's self-signature verifies at `now`. `None`
+/// when the reply has no key at the owner, none is anchored, or the
+/// signature fails — which of the three is the caller's to map.
+pub fn verified_dnskeys(
+    reply: &Message,
+    zone: &Name,
+    ds: &[DsData],
+    now: UnixTime,
+) -> Option<Vec<DnskeyData>> {
+    let keys: Vec<DnskeyData> = reply
         .answers
         .iter()
         .filter_map(|r| match &r.rdata {
@@ -131,20 +122,10 @@ fn fetch_and_verify_keys(
             _ => None,
         })
         .collect();
-    if keys.is_empty() {
-        // A DS (or anchor) exists but the zone serves no DNSKEY: bogus.
-        return Err(Security::Bogus);
+    if !keys.iter().any(|k| key_matches_any_ds(zone, k, ds)) {
+        return None;
     }
-    let ds_list = match check {
-        KeyCheck::Anchors(a) => a,
-        KeyCheck::Ds(d) => d,
-    };
-    let anchored = keys.iter().any(|k| key_matches_any_ds(zone, k, ds_list));
-    if !anchored {
-        return Err(Security::Bogus);
-    }
-    // Verify the DNSKEY RRset self-signature.
-    let rrsigs: Vec<RrsigData> = msg
+    let rrsigs: Vec<RrsigData> = reply
         .answers
         .iter()
         .filter_map(|r| match &r.rdata {
@@ -152,27 +133,37 @@ fn fetch_and_verify_keys(
             _ => None,
         })
         .collect();
-    let ttl = msg
-        .answers
-        .iter()
-        .find(|r| r.rtype() == RecordType::Dnskey)
-        .map(|r| r.ttl)
-        .unwrap_or(3600);
+    // Verification canonicalises with the RRSIG's original TTL, so the
+    // set's own TTL is immaterial.
     let set = RrSet {
         name: zone.clone(),
         class: RecordClass::In,
         rtype: RecordType::Dnskey,
-        ttl,
+        ttl: 0,
         rdatas: keys.iter().cloned().map(RData::Dnskey).collect(),
     };
-    if verify_rrset_with_keys(&set, &rrsigs, &keys, now).is_err() {
-        return Err(Security::Bogus);
-    }
-    Ok(keys)
+    verify_rrset_with_keys(&set, &rrsigs, &keys, now).ok()?;
+    Some(keys)
+}
+
+/// Is the DS RRset recorded on `link` signed by `parent_keys`? `false`
+/// for a link without DS (an insecure delegation has nothing to verify).
+pub fn ds_link_verifies(link: &ChainLink, parent_keys: &[DnskeyData], now: UnixTime) -> bool {
+    let Some(ds) = &link.ds else {
+        return false;
+    };
+    let set = RrSet {
+        name: link.child_apex.clone(),
+        class: RecordClass::In,
+        rtype: RecordType::Ds,
+        ttl: 0,
+        rdatas: ds.iter().cloned().map(RData::Ds).collect(),
+    };
+    verify_rrset_with_keys(&set, &link.ds_rrsigs, parent_keys, now).is_ok()
 }
 
 /// Does `key` (at `zone`) match any DS in `ds_list`?
-pub fn key_matches_any_ds(zone: &Name, key: &DnskeyData, ds_list: &[DsData]) -> bool {
+fn key_matches_any_ds(zone: &Name, key: &DnskeyData, ds_list: &[DsData]) -> bool {
     let mut rdata = Vec::with_capacity(4 + key.public_key.len());
     rdata.extend_from_slice(&key.flags.to_be_bytes());
     rdata.push(key.protocol);
@@ -218,7 +209,7 @@ mod tests {
     use dns_wire::rdata::SoaData;
     use dns_wire::record::Record;
     use dns_zone::{Corruption, Zone, ZoneKeys, ZoneSigner};
-    use netsim::Network;
+    use netsim::{Network, SimMicros};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::net::Ipv4Addr;
@@ -395,15 +386,21 @@ mod tests {
         );
         r.seed_address(
             name!("ns1.tld-servers.net"),
-            vec![Addr::V4(Ipv4Addr::new(192, 5, 6, 30))],
+            Arc::new(vec![Addr::V4(Ipv4Addr::new(192, 5, 6, 30))]),
+            None,
+            SimMicros::MAX,
         );
         r.seed_address(
             name!("ns1.leafhost.test"),
-            vec![Addr::V4(Ipv4Addr::new(192, 0, 2, 53))],
+            Arc::new(vec![Addr::V4(Ipv4Addr::new(192, 0, 2, 53))]),
+            None,
+            SimMicros::MAX,
         );
         r.seed_address(
             name!("a.root-servers.net"),
-            vec![Addr::V4(Ipv4Addr::new(198, 41, 0, 4))],
+            Arc::new(vec![Addr::V4(Ipv4Addr::new(198, 41, 0, 4))]),
+            None,
+            SimMicros::MAX,
         );
         r
     }

@@ -175,7 +175,12 @@ fn seeded_addresses_bypass_resolution() {
     let client = Arc::new(DnsClient::new(Arc::clone(&net)));
     let resolver = Resolver::new(client, RootHints { addrs: roots });
     let fake = Addr::V4(Ipv4Addr::new(10, 9, 9, 9));
-    resolver.seed_address(Name::parse("seeded.example").unwrap(), vec![fake]);
+    resolver.seed_address(
+        Name::parse("seeded.example").unwrap(),
+        Arc::new(vec![fake]),
+        None,
+        SimMicros::MAX,
+    );
     let got = resolver
         .addresses_of(&Name::parse("seeded.example").unwrap())
         .unwrap();

@@ -238,11 +238,6 @@ impl Message {
         Rcode::from_code(self.header.flags.rcode_bits)
     }
 
-    /// Set the response code.
-    pub fn set_rcode(&mut self, rcode: Rcode) {
-        self.header.flags.rcode_bits = rcode.code();
-    }
-
     /// The opcode.
     pub fn opcode(&self) -> Opcode {
         Opcode::from_code(self.header.flags.opcode_bits)

@@ -281,11 +281,6 @@ impl Network {
         self.bind(addr, server, 10_000, 2_000, 0.0, 1);
     }
 
-    /// Whether anything is bound at `addr`.
-    pub fn is_bound(&self, addr: Addr) -> bool {
-        self.inner.read().bindings.contains_key(&addr)
-    }
-
     /// Perform one request/response exchange starting at virtual time 0.
     ///
     /// Losses consume virtual timeout time and retry up to the attempt

@@ -13,7 +13,7 @@
 //! 1. **Fabric-distributed epochs.** Each epoch's delta set is sharded
 //!    with the same fnv64 [`ShardPlan`] the one-shot fabric uses and
 //!    driven across a **persistent** worker fleet
-//!    ([`with_fleet`](scan_fabric::with_fleet)) — workers idle between
+//!    ([`with_fleet`]) — workers idle between
 //!    epochs instead of being torn down.
 //! 2. **Distributed carry-over.** The [`CarryLedger`] is partitioned by
 //!    each entry's *source zone* shard
@@ -57,10 +57,11 @@ use netsim::SimMicros;
 use parking_lot::RwLock;
 use scan_epochs::{CarryLedger, EpochReport, SkippedEpoch, TimeSeries};
 use scan_fabric::{
-    indeterminate_placeholder, with_fleet, FabricConfig, FabricFaultPlan, FabricOps,
-    ShardAssignment, ShardPlan, ShardWork, WorkerFault,
+    fill_shard, with_fleet, FabricConfig, FabricFaultPlan, FabricOps, ShardAssignment, ShardPlan,
+    ShardWork, WorkerFault,
 };
-use scan_journal::{recover, write_atomically, Namespace};
+use scan_journal::{latest_per_zone, recover, write_atomically, Namespace};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Write};
@@ -402,32 +403,21 @@ fn fold_epoch(
         for (_, event) in &recovery.events {
             ledger.absorb(epoch, &event.scan.name, &event.effects);
         }
-        let resume = recovery.resume_state();
-        makespan = makespan.max(resume.duration_so_far);
-        queries += resume.zones.iter().map(|z| z.queries as u64).sum::<u64>();
-        if abandoned.contains(&shard) {
-            // Gaps in an abandoned shard surface as explicit
-            // placeholders — mirror of the fabric merge, never silent.
-            let mut have: Vec<&Name> = resume.zones.iter().map(|z| &z.name).collect();
-            have.sort_by(|a, b| a.canonical_cmp(b));
-            for name in shard_zones.iter() {
-                if have.binary_search_by(|h| h.canonical_cmp(name)).is_err() {
-                    stale.push(name.clone());
-                    zones.push(indeterminate_placeholder(name));
-                }
+        let (table, duration) = latest_per_zone(&recovery.events);
+        makespan = makespan.max(duration);
+        // The fabric merge's hole rule: a gap in an abandoned shard is an
+        // explicit placeholder, a gap in a completed one is corruption.
+        let filled = fill_shard(shard_zones, &table, abandoned.contains(&shard)).map_err(|e| {
+            let context = format!("epoch {epoch} shard {shard} was not abandoned: {e}");
+            io::Error::new(e.kind(), context)
+        })?;
+        for zone in filled {
+            if let Cow::Owned(placeholder) = &zone {
+                stale.push(placeholder.name.clone());
             }
-        } else if resume.zones.len() != shard_zones.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "epoch {epoch} shard {shard}: journal holds {}/{} zones but the \
-                     shard was not abandoned",
-                    resume.zones.len(),
-                    shard_zones.len()
-                ),
-            ));
+            queries += u64::from(zone.queries);
+            zones.push(zone.into_owned());
         }
-        zones.extend(resume.zones);
     }
     stale.sort_by(|a, b| a.canonical_cmp(b));
     Ok(EpochFold {
@@ -667,6 +657,59 @@ mod tests {
         // hand-edited state) is a hard error, not a commit.
         assert!(read_commit(&dir, 4).is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The fabric merge's hole rule, through the epoch fold: a completed
+    /// shard must cover its whole slice (a hole is corruption, named),
+    /// an abandoned one gets an explicit placeholder for it.
+    #[test]
+    fn hole_in_a_completed_shard_is_invalid_data_naming_the_zone() {
+        use bootscan::{ProgressSink, ZoneEvent};
+        let root = std::env::temp_dir().join(format!(
+            "scan-continuous-hole-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&root);
+        let (a, b) = (
+            Name::parse("a.example").unwrap(),
+            Name::parse("b.example").unwrap(),
+        );
+        let plan = Arc::new(vec![a.clone(), b.clone()]);
+        let ns_epoch = Namespace::root(&root, 7).epoch(0);
+        let ns = ns_epoch.shard(0);
+        // Only a.example reaches the shard's journal.
+        let sink = scan_journal::JournalSink::create(ns.dir(), ns.header(&plan)).unwrap();
+        let scan = fill_shard(std::slice::from_ref(&a), &[], true)
+            .unwrap()
+            .remove(0)
+            .into_owned();
+        assert!(sink.on_zone(&ZoneEvent {
+            pass: 0,
+            scan,
+            effects: Default::default(),
+            duration_delta: 5,
+        }));
+        drop(sink);
+
+        let shards = [Arc::clone(&plan)];
+        let completed = fold_epoch(
+            &ns_epoch,
+            &shards,
+            &BTreeSet::new(),
+            &mut CarryLedger::new(),
+            0,
+        );
+        let err = completed.err().expect("a hole in a completed shard");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("b.example."), "{err}");
+
+        let abandoned = BTreeSet::from([0]);
+        let fold = fold_epoch(&ns_epoch, &shards, &abandoned, &mut CarryLedger::new(), 0).unwrap();
+        assert_eq!(fold.stale, vec![b]);
+        assert_eq!(fold.zones.len(), 2);
+        assert_eq!(fold.makespan, 5);
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

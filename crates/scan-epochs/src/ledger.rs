@@ -20,43 +20,25 @@
 
 use bootscan::scanner::Scanner;
 use bootscan::ZoneEffects;
-use dns_resolver::ReferralData;
 use dns_wire::name::Name;
-use dns_wire::rdata::DnskeyData;
-use netsim::{Addr, SimMicros};
-use std::sync::Arc;
+use netsim::SimMicros;
 
-/// One cache insert remembered from a past epoch.
-#[derive(Debug, Clone)]
-enum CarriedInsert {
-    /// Validated-DNSKEY cache: zone apex → keys.
-    Keys(Name, Vec<DnskeyData>),
-    /// Resolver address cache: NS hostname → addresses.
-    Addrs(Name, Arc<Vec<Addr>>),
-    /// Resolver delegation cache: zone cut → referral data.
-    Referral(Name, Arc<ReferralData>),
-}
-
-impl CarriedInsert {
-    fn name(&self) -> &Name {
-        match self {
-            CarriedInsert::Keys(n, _)
-            | CarriedInsert::Addrs(n, _)
-            | CarriedInsert::Referral(n, _) => n,
-        }
-    }
-}
-
-/// One ledger entry: the insert, the epoch that learned it, and the
-/// **source zone** — the scanned zone whose event produced the insert.
-/// The source is what makes the ledger distributable: the continuous
-/// service partitions entries by the source zone's fabric shard, so a
-/// carried cache travels with the shard that will re-scan its zone.
+/// One ledger entry: the cache inserts of one zone event (its
+/// [`ZoneEffects`] minus the health deltas), the epoch that learned them
+/// and the **source zone** whose scan made them. The source is what
+/// makes the ledger distributable: the continuous service partitions
+/// entries by the source zone's fabric shard, so a carried cache travels
+/// with the shard that will re-scan its zone.
 #[derive(Debug, Clone)]
 struct CarriedEntry {
     epoch: u32,
     source: Name,
-    insert: CarriedInsert,
+    inserts: ZoneEffects,
+}
+
+/// Cache inserts in one event's effects (health deltas are not carried).
+fn insert_count(effects: &ZoneEffects) -> usize {
+    effects.key_inserts.len() + effects.addr_inserts.len() + effects.referral_inserts.len()
 }
 
 /// Cache inserts carried across epochs, in journal order, each stamped
@@ -71,9 +53,9 @@ impl CarryLedger {
         CarryLedger::default()
     }
 
-    /// Number of live entries.
+    /// Number of live cache inserts.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().map(|e| insert_count(&e.inserts)).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -85,25 +67,16 @@ impl CarryLedger {
     /// absorption order, so later inserts overwrite earlier ones exactly
     /// as the live caches did.
     pub fn absorb(&mut self, epoch: u32, source: &Name, effects: &ZoneEffects) {
-        for (zone, keys) in &effects.key_inserts {
+        if insert_count(effects) > 0 {
             self.entries.push(CarriedEntry {
                 epoch,
                 source: source.clone(),
-                insert: CarriedInsert::Keys(zone.clone(), keys.clone()),
-            });
-        }
-        for (ns, addrs) in &effects.addr_inserts {
-            self.entries.push(CarriedEntry {
-                epoch,
-                source: source.clone(),
-                insert: CarriedInsert::Addrs(ns.clone(), Arc::clone(addrs)),
-            });
-        }
-        for (cut, data) in &effects.referral_inserts {
-            self.entries.push(CarriedEntry {
-                epoch,
-                source: source.clone(),
-                insert: CarriedInsert::Referral(cut.clone(), Arc::clone(data)),
+                inserts: ZoneEffects {
+                    key_inserts: effects.key_inserts.clone(),
+                    addr_inserts: effects.addr_inserts.clone(),
+                    referral_inserts: effects.referral_inserts.clone(),
+                    health: Vec::new(),
+                },
             });
         }
     }
@@ -125,7 +98,7 @@ impl CarryLedger {
         parts
     }
 
-    /// Drop every entry at or below one of the churn-invalidated zone
+    /// Drop every insert at or below one of the churn-invalidated zone
     /// cuts. Called before an epoch's scan with that epoch's
     /// [`ChurnLog::invalidated_cuts`](dns_ecosystem::ChurnLog) — a
     /// churned zone's keys and referral must never be consulted again,
@@ -134,8 +107,13 @@ impl CarryLedger {
         if cuts.is_empty() {
             return;
         }
-        self.entries
-            .retain(|e| !cuts.iter().any(|c| e.insert.name().is_subdomain_of(c)));
+        let live = |name: &Name| !cuts.iter().any(|c| name.is_subdomain_of(c));
+        self.entries.retain_mut(|e| {
+            e.inserts.key_inserts.retain(|(n, _)| live(n));
+            e.inserts.addr_inserts.retain(|(n, _)| live(n));
+            e.inserts.referral_inserts.retain(|(n, _)| live(n));
+            insert_count(&e.inserts) > 0
+        });
     }
 
     /// Drop entries already expired at virtual time `now` (epoch start).
@@ -149,34 +127,18 @@ impl CarryLedger {
     }
 
     /// Seed every still-valid entry into a fresh scanner for the epoch
-    /// starting at virtual time `now`. The entry's expiry is translated
-    /// into the scanner's local clock (which starts each epoch at 0):
-    /// `remaining = (learn time + TTL) − now`. Entries with no validity
-    /// left are skipped — never consulted, exactly like an in-scanner
-    /// expired entry.
+    /// starting at virtual time `now`, through the same
+    /// [`Scanner::seed_effects`] walk journal replay uses. The entry's
+    /// expiry is translated into the scanner's local clock (which starts
+    /// each epoch at 0): `remaining = (learn time + TTL) − now`. Entries
+    /// with no validity left are skipped — never consulted, exactly like
+    /// an in-scanner expired entry.
     pub fn seed_into(&self, scanner: &Scanner, now: SimMicros, ttl: SimMicros, spacing: SimMicros) {
         for entry in &self.entries {
             let learned = (entry.epoch as SimMicros).saturating_mul(spacing);
             let expires_at_world = learned.saturating_add(ttl);
-            let Some(remaining) = expires_at_world.checked_sub(now).filter(|r| *r > 0) else {
-                continue;
-            };
-            match &entry.insert {
-                CarriedInsert::Keys(zone, keys) => {
-                    scanner.seed_validated_keys_until(zone.clone(), keys.clone(), remaining);
-                }
-                CarriedInsert::Addrs(ns, addrs) => {
-                    scanner
-                        .resolver()
-                        .seed_address_until(ns.clone(), (**addrs).clone(), remaining);
-                }
-                CarriedInsert::Referral(cut, data) => {
-                    scanner.resolver().seed_referral_until(
-                        cut.clone(),
-                        (**data).clone(),
-                        remaining,
-                    );
-                }
+            if let Some(remaining) = expires_at_world.checked_sub(now).filter(|r| *r > 0) {
+                scanner.seed_effects(&entry.inserts, remaining);
             }
         }
     }
@@ -185,6 +147,8 @@ impl CarryLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dns_resolver::ReferralData;
+    use std::sync::Arc;
 
     fn name(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -255,7 +219,12 @@ mod tests {
             let source = name(s);
             let home = dns_ecosystem::shard_of(&source, shards) as usize;
             for (k, part) in parts.iter().enumerate() {
-                let here = part.entries.iter().filter(|e| e.source == source).count();
+                let here: usize = part
+                    .entries
+                    .iter()
+                    .filter(|e| e.source == source)
+                    .map(|e| insert_count(&e.inserts))
+                    .sum();
                 assert_eq!(here, if k == home { 2 } else { 0 }, "{s} in shard {k}");
             }
         }

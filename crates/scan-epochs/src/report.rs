@@ -221,8 +221,8 @@ impl TimeSeries {
     /// as explicit `SKIPPED` lines. Two series with equal bytes went
     /// through identical epochs — including identical per-epoch costs
     /// and identical admission decisions — which is what the
-    /// crash-recovery matrices compare (at `parallelism = 1`, where
-    /// resumed costs are exactly reproducible).
+    /// crash-recovery matrices compare (every shard journal is one
+    /// sequential lane, so resumed costs are exactly reproducible).
     pub fn canonical_bytes(&self) -> String {
         let mut out = String::new();
         let mut skipped = self.skipped.iter().peekable();

@@ -48,8 +48,7 @@ pub use channel::{pipe, PipeReader, PipeWriter, Polled, WakeSet};
 pub use coordinator::{run_fabric, with_fleet, FabricConfig, FabricOutput, FleetHandle};
 pub use faults::{FabricFaultPlan, WorkerFault};
 pub use merge::{
-    indeterminate_placeholder, CollectSink, FabricOps, MergeSink, MergedReport, NullMergeSink,
-    StreamingMerge,
+    fill_shard, CollectSink, FabricOps, MergeSink, MergedReport, NullMergeSink, StreamingMerge,
 };
 pub use protocol::{encode_msg, FailReason, FrameDecoder, FrameError, Msg, MAX_PAYLOAD};
 pub use shard::ShardPlan;

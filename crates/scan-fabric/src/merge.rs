@@ -2,8 +2,9 @@
 //!
 //! The merge never materializes the full zone list. It loads **one
 //! shard's** recovered events at a time, reduces them to
-//! latest-per-zone, emits the zones in canonical order to a
-//! [`MergeSink`], folds them into O(1) aggregate state ([`Figure1`],
+//! latest-per-zone ([`latest_per_zone`], the fold resume uses), fills
+//! holes by the one [`fill_shard`] rule, emits the zones in canonical
+//! order to a [`MergeSink`], folds them into O(1) aggregate state ([`Figure1`],
 //! degradation counters, totals, rolling digests), and drops the shard
 //! before touching the next. Peak residency is therefore the largest
 //! shard, regardless of world size — the property that unlocks
@@ -25,8 +26,9 @@ use bootscan::{
 };
 use dns_wire::name::Name;
 use netsim::Addr;
-use scan_journal::fnv64;
+use scan_journal::{fnv64, latest_per_zone};
 use serde::Serialize;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
 
@@ -163,39 +165,24 @@ impl StreamingMerge {
         abandoned: bool,
         sink: &mut dyn MergeSink,
     ) -> io::Result<()> {
-        // Latest-per-zone: a re-scan pass event supersedes the main
-        // pass for the same zone, exactly like ResumeState.
-        let mut latest: BTreeMap<Vec<u8>, ZoneScan> = BTreeMap::new();
-        let mut shard_duration: u64 = 0;
-        for (_, event) in events {
-            shard_duration += event.duration_delta;
+        for (_, event) in &events {
             for (addr, delta) in &event.effects.health {
                 let h = self.health.entry(*addr).or_default();
                 h.successes += delta.successes;
                 h.failures += delta.failures;
                 h.breaker_skips += delta.breaker_skips;
             }
-            latest.insert(event.scan.name.to_wire(), event.scan);
         }
-        self.peak_resident = self.peak_resident.max(latest.len());
-        for name in zones {
-            match latest.remove(&name.to_wire()) {
-                Some(zone) => self.emit(&zone, sink),
-                None if abandoned => {
-                    let placeholder = indeterminate_placeholder(name);
-                    self.report.indeterminate_placeholders += 1;
-                    self.report.abandoned_zones.push(name.to_string_fqdn());
-                    self.emit(&placeholder, sink);
-                }
-                None => {
-                    // A completed shard must cover its whole slice; a
-                    // hole here is journal corruption, not degradation.
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("completed shard is missing zone {}", name.to_string_fqdn()),
-                    ));
-                }
+        let (table, shard_duration) = latest_per_zone(&events);
+        self.peak_resident = self.peak_resident.max(table.len());
+        for zone in fill_shard(zones, &table, abandoned)? {
+            if let Cow::Owned(placeholder) = &zone {
+                self.report.indeterminate_placeholders += 1;
+                self.report
+                    .abandoned_zones
+                    .push(placeholder.name.to_string_fqdn());
             }
+            self.emit(&zone, sink);
         }
         self.report.virtual_makespan_us = self.report.virtual_makespan_us.max(shard_duration);
         self.report.virtual_total_us += shard_duration;
@@ -239,9 +226,37 @@ impl StreamingMerge {
     }
 }
 
+/// The one hole rule for a shard journal, shared by the fabric merge
+/// and the continuous epoch fold. `table` is the journal's
+/// [`latest_per_zone`] fold (canonical order); the result has one entry
+/// per planned zone, in plan order: `Cow::Borrowed` is the zone's
+/// journaled scan, `Cow::Owned` an explicit Indeterminate placeholder
+/// for a zone an **abandoned** shard never got to. A hole in a
+/// **completed** shard is journal corruption, not degradation:
+/// `InvalidData`, naming the zone.
+pub fn fill_shard<'a>(
+    plan_zones: &[Name],
+    table: &[&'a ZoneScan],
+    abandoned: bool,
+) -> io::Result<Vec<Cow<'a, ZoneScan>>> {
+    plan_zones
+        .iter()
+        .map(
+            |name| match table.binary_search_by(|z| z.name.canonical_cmp(name)) {
+                Ok(i) => Ok(Cow::Borrowed(table[i])),
+                Err(_) if abandoned => Ok(Cow::Owned(indeterminate_placeholder(name))),
+                Err(_) => Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("completed shard is missing zone {}", name.to_string_fqdn()),
+                )),
+            },
+        )
+        .collect()
+}
+
 /// The explicit "we could not scan this" record for an abandoned
 /// shard's zone: Indeterminate and degraded, never silently dropped.
-pub fn indeterminate_placeholder(name: &Name) -> ZoneScan {
+fn indeterminate_placeholder(name: &Name) -> ZoneScan {
     ZoneScan {
         name: name.clone(),
         ns_names: Vec::new(),

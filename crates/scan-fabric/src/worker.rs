@@ -4,8 +4,9 @@
 //! attempt, lease)` it recovers the shard's journal from the shard
 //! state directory, builds a **fresh scanner** from the factory (cold
 //! caches — the per-shard determinism contract), replays recovered
-//! side effects, and scans the shard sequentially, journaling every
-//! zone event write-ahead.
+//! side effects, and scans the shard through
+//! [`Scanner::scan_all_with`] — with a sink that is one sequential
+//! lane by construction — journaling every zone event write-ahead.
 //!
 //! **Fencing.** Every journal append happens while holding the
 //! worker's [`Fence`] lock, and only if the append's lease has not
@@ -22,6 +23,7 @@ use bootscan::scanner::Scanner;
 use bootscan::{ProgressSink, ZoneEvent};
 use dns_wire::name::Name;
 use scan_journal::{recover, JournalHeader, JournalSink, CHECKPOINT_FILE};
+use std::cell::Cell;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -122,16 +124,11 @@ enum AttemptEnd {
     JournalIo,
 }
 
-struct SinkState {
-    /// Events journaled by *this attempt* (resumed events don't count:
-    /// fault event-indices are per-attempt, which keeps kill points
-    /// meaningful on re-runs).
-    events: u64,
-    end: Option<AttemptEnd>,
-}
-
 /// The per-attempt [`ProgressSink`]: fence-guarded journal append,
-/// heartbeats, and fault injection.
+/// heartbeats, and fault injection. Called from the one thread that
+/// scans the shard, so its own state is two `Cell`s; the only lock on
+/// the event path is the [`Fence`], which the coordinator really does
+/// take from another thread.
 struct ShardSink<'a> {
     inner: JournalSink,
     fence: &'a Fence,
@@ -143,36 +140,32 @@ struct ShardSink<'a> {
     shard: u32,
     heartbeat_every: u64,
     state_dir: PathBuf,
-    state: Mutex<SinkState>,
+    /// Events journaled by *this attempt* (resumed events don't count:
+    /// fault event-indices are per-attempt, which keeps kill points
+    /// meaningful on re-runs).
+    events: Cell<u64>,
+    end: Cell<Option<AttemptEnd>>,
 }
 
 impl ShardSink<'_> {
-    fn end(&self) -> Option<AttemptEnd> {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .end
+    /// Record why the attempt ends and stop the scan.
+    fn stop(&self, end: AttemptEnd) -> bool {
+        self.end.set(Some(end));
+        false
     }
 }
 
 impl ProgressSink for ShardSink<'_> {
     fn on_zone(&self, event: &ZoneEvent) -> bool {
-        let k = {
-            let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.events
-        };
+        let k = self.events.get();
         match self.fault {
             Some(WorkerFault::Kill { at_event }) if k == at_event => {
-                let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.end = Some(AttemptEnd::Died);
-                return false;
+                return self.stop(AttemptEnd::Died);
             }
             Some(WorkerFault::Stall { at_event }) if k == at_event => {
                 // Hang until the coordinator gives up on us, then die.
                 self.fence.wait_revoked(self.lease);
-                let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.end = Some(AttemptEnd::Died);
-                return false;
+                return self.stop(AttemptEnd::Died);
             }
             Some(WorkerFault::SlowDrain) => std::thread::yield_now(),
             _ => {}
@@ -185,23 +178,12 @@ impl ProgressSink for ShardSink<'_> {
         // the sink is the fencing contract, not an oversight.
         let appended = fence.with_lease(self.lease, || self.inner.on_zone(event));
         match appended {
-            None => {
-                let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.end = Some(AttemptEnd::Fenced);
-                return false;
-            }
-            Some(false) => {
-                let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.end = Some(AttemptEnd::JournalIo);
-                return false;
-            }
+            None => return self.stop(AttemptEnd::Fenced),
+            Some(false) => return self.stop(AttemptEnd::JournalIo),
             Some(true) => {}
         }
-        let events = {
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.events += 1;
-            state.events
-        };
+        let events = k + 1;
+        self.events.set(events);
         if let Some(WorkerFault::KillDuringCheckpoint { at_event }) = self.fault {
             if k == at_event {
                 // Die mid-checkpoint: the checkpoint gets written, then
@@ -210,12 +192,10 @@ impl ProgressSink for ShardSink<'_> {
                 // this off and replay the journal alone.
                 let _ = self.inner.checkpoint_now();
                 let _ = fs::write(self.state_dir.join(CHECKPOINT_FILE), b"");
-                let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.end = Some(AttemptEnd::Died);
-                return false;
+                return self.stop(AttemptEnd::Died);
             }
         }
-        if self.heartbeat_every > 0 && events % self.heartbeat_every == 0 {
+        if self.heartbeat_every > 0 && events.is_multiple_of(self.heartbeat_every) {
             self.out.send(&Msg::Heartbeat {
                 worker: self.worker,
                 epoch: self.epoch,
@@ -298,7 +278,7 @@ pub(crate) fn worker_main(ctx: WorkerCtx<'_>, mut inbox: PipeReader, out: PipeWr
 }
 
 /// One shard attempt: recover → fresh scanner → replay effects →
-/// sequential scan with the fence-guarded journal sink.
+/// `scan_all_with` the fence-guarded journal sink (one sequential lane).
 fn run_shard(
     ctx: &WorkerCtx<'_>,
     out: &PipeWriter,
@@ -335,13 +315,11 @@ fn run_shard(
         shard,
         heartbeat_every: ctx.heartbeat_every,
         state_dir: dir,
-        state: Mutex::new(SinkState {
-            events: 0,
-            end: None,
-        }),
+        events: Cell::new(0),
+        end: Cell::new(None),
     };
-    let results = scanner.scan_shard_with(&zones, Some(&sink), Some(resume));
-    if let Some(end) = sink.end() {
+    let results = scanner.scan_all_with(&zones, Some(&sink), Some(resume));
+    if let Some(end) = sink.end.get() {
         return Err(end);
     }
     if matches!(fault, Some(WorkerFault::KillBeforeHandoff)) {

@@ -39,7 +39,6 @@ use bootscan::ZoneEvent;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
-use std::sync::Arc;
 
 /// Journal file magic ("Bootstrap Scan Journal v1").
 pub const JOURNAL_MAGIC: [u8; 4] = *b"BSJ1";
@@ -99,26 +98,10 @@ impl JournalHeader {
 /// [`sync`](Self::sync) (group commit).
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: Arc<File>,
+    file: File,
     next_seq: u64,
     /// Bytes in the file: header plus every frame appended so far.
     len: u64,
-}
-
-/// A clonable handle that can `fdatasync` the journal file without
-/// borrowing the [`JournalWriter`]. This lets a caller serialize
-/// appends under a lock but run the (slow, kernel-blocking) sync after
-/// dropping it: `fdatasync` commits every byte the file has received,
-/// so frames appended by other threads between the handoff and the sync
-/// are simply committed early, never skipped.
-#[derive(Debug, Clone)]
-pub struct SyncHandle(Arc<File>);
-
-impl SyncHandle {
-    /// Commit every appended frame to stable storage (group commit).
-    pub fn sync(&self) -> io::Result<()> {
-        self.0.sync_data()
-    }
 }
 
 impl JournalWriter {
@@ -130,7 +113,7 @@ impl JournalWriter {
         file.write_all(&header.to_bytes())?;
         file.sync_data()?;
         Ok(JournalWriter {
-            file: Arc::new(file),
+            file,
             next_seq: first_seq,
             len: HEADER_LEN,
         })
@@ -142,16 +125,10 @@ impl JournalWriter {
         let file = OpenOptions::new().append(true).open(path)?;
         let len = file.metadata()?.len();
         Ok(JournalWriter {
-            file: Arc::new(file),
+            file,
             next_seq,
             len,
         })
-    }
-
-    /// A handle for syncing this journal outside whatever lock guards
-    /// the writer itself.
-    pub fn sync_handle(&self) -> SyncHandle {
-        SyncHandle(Arc::clone(&self.file))
     }
 
     /// The sequence number the next [`append`](Self::append) will use.
@@ -178,7 +155,7 @@ impl JournalWriter {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
-        (&*self.file).write_all(&frame)?;
+        self.file.write_all(&frame)?;
         self.next_seq = seq + 1;
         self.len += frame.len() as u64;
         Ok(seq)

@@ -63,4 +63,4 @@ pub use journal::{
     FORMAT_VERSION, JOURNAL_FILE, JOURNAL_MAGIC,
 };
 pub use namespace::{Level, Namespace};
-pub use recover::{fingerprint_names, recover, JournalSink, Recovery};
+pub use recover::{fingerprint_names, latest_per_zone, recover, JournalSink, Recovery};

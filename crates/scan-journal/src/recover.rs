@@ -18,7 +18,13 @@
 //!
 //! [`JournalSink`] is the production [`ProgressSink`]: it appends each
 //! event to the journal (stopping the scan — returning `false` — if the
-//! disk fails) and checkpoints the journal's prefix every so often.
+//! disk fails) and checkpoints the journal's prefix every so often. A
+//! journaled scan is one sequential lane, so the sink is plain
+//! single-threaded state: each fabric shard has its own.
+//!
+//! [`latest_per_zone`] is the one fold from a journal's events to "the
+//! kept scan of every zone": resume, the fabric merge and the epoch
+//! fold all read a shard journal through it.
 //!
 //! **The whole-prefix invariant.** After [`JournalSink::resume`] the
 //! journal file holds every recovered event from seq 0, whatever mix of
@@ -32,14 +38,14 @@ use crate::journal::{
     read_journal, truncate_torn_tail, JournalHeader, JournalWriter, TailStatus, JOURNAL_FILE,
 };
 use bootscan::scanner::Scanner;
-use bootscan::{ProgressSink, ResumeState, ZoneEvent};
+use bootscan::{ProgressSink, ResumeState, ZoneEvent, ZoneScan};
 use dns_wire::name::Name;
-use parking_lot::Mutex;
+use netsim::SimMicros;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Stable fingerprint of a seed-zone list. Stored in the journal header
 /// so a journal cannot silently be resumed against a different target
@@ -52,6 +58,20 @@ pub fn fingerprint_names(names: &[Name]) -> u64 {
         chunks.push(w);
     }
     fnv64(&chunks)
+}
+
+/// Fold a journal's events to the latest kept scan per zone, in
+/// canonical name order, plus the summed duration deltas of *every*
+/// event. A later event supersedes an earlier one for the same zone: a
+/// re-scan pass's kept result replaces the main-pass one.
+pub fn latest_per_zone(events: &[(u64, ZoneEvent)]) -> (Vec<&ZoneScan>, SimMicros) {
+    let duration = events.iter().map(|(_, e)| e.duration_delta).sum();
+    // Newest first, then a stable sort: the first scan of each run of
+    // equal names is the newest, and `dedup_by` keeps the first.
+    let mut latest: Vec<&ZoneScan> = events.iter().rev().map(|(_, e)| &e.scan).collect();
+    latest.sort_by(|a, b| a.name.canonical_cmp(&b.name));
+    latest.dedup_by(|older, newest| older.name == newest.name);
+    (latest, duration)
 }
 
 /// Everything recovered from a run directory.
@@ -80,19 +100,10 @@ impl Recovery {
     /// virtual duration, ready for
     /// [`scan_all_with`](bootscan::scanner::Scanner::scan_all_with).
     pub fn resume_state(&self) -> ResumeState {
-        let mut latest: BTreeMap<Vec<u8>, &ZoneEvent> = BTreeMap::new();
-        let mut duration = 0;
-        for (_, event) in &self.events {
-            duration += event.duration_delta;
-            // Later events overwrite: a re-scan pass supersedes the
-            // main-pass result for the same zone.
-            latest.insert(event.scan.name.to_wire(), event);
-        }
-        let mut zones: Vec<_> = latest.values().map(|e| e.scan.clone()).collect();
-        zones.sort_by(|a, b| a.name.canonical_cmp(&b.name));
+        let (latest, duration_so_far) = latest_per_zone(&self.events);
         ResumeState {
-            zones,
-            duration_so_far: duration,
+            zones: latest.into_iter().cloned().collect(),
+            duration_so_far,
         }
     }
 
@@ -204,26 +215,20 @@ enum Cadence {
 /// checkpoints. Returns `false` from `on_zone` (stopping the scan) only
 /// when the journal itself cannot be written — a failed *checkpoint*
 /// just leaves the previous one in place, never a reason to stop.
+///
+/// Interior mutability is `RefCell`/`Cell`, not a lock: the scanner
+/// calls a sink from one thread, one event at a time.
 pub struct JournalSink {
     dir: PathBuf,
     cadence: Cadence,
-    inner: Mutex<SinkInner>,
-    /// True while some thread is writing a checkpoint (outside the
-    /// `inner` lock). A due checkpoint that finds this set is deferred —
-    /// `since_checkpoint` keeps accumulating, so a later event retries —
-    /// rather than copying the same prefix twice concurrently.
-    checkpointing: AtomicBool,
-}
-
-struct SinkInner {
-    writer: JournalWriter,
-    since_checkpoint: u64,
-    since_sync: u64,
+    writer: RefCell<JournalWriter>,
+    since_checkpoint: Cell<u64>,
+    since_sync: Cell<u64>,
 }
 
 impl JournalSink {
     /// Minimum events between checkpoints under the default amortized
-    /// cadence (and the interval [`with_checkpoint_every`] is documented
+    /// cadence (and the interval [`with_checkpoint_every`](Self::with_checkpoint_every) is documented
     /// against).
     pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
     /// `fdatasync` the journal every this-many events (group commit):
@@ -236,12 +241,9 @@ impl JournalSink {
             cadence: Cadence::Amortized {
                 min: Self::DEFAULT_CHECKPOINT_EVERY,
             },
-            inner: Mutex::new(SinkInner {
-                writer,
-                since_checkpoint: 0,
-                since_sync: 0,
-            }),
-            checkpointing: AtomicBool::new(false),
+            writer: RefCell::new(writer),
+            since_checkpoint: Cell::new(0),
+            since_sync: Cell::new(0),
         }
     }
 
@@ -300,80 +302,48 @@ impl JournalSink {
 
     /// Number of events journaled so far (including recovered ones).
     pub fn entries_logged(&self) -> u64 {
-        self.inner.lock().writer.next_seq()
+        self.writer.borrow().next_seq()
     }
 
-    /// Force a checkpoint of everything journaled so far. Reads the
-    /// journal's length under the lock but copies the prefix after
-    /// dropping it, so concurrent `on_zone` calls never stall behind
-    /// checkpoint I/O.
+    /// Force a checkpoint of everything journaled so far.
     pub fn checkpoint_now(&self) -> io::Result<()> {
-        let len = self.inner.lock().writer.bytes_written();
-        write_checkpoint(&self.dir, len)
+        write_checkpoint(&self.dir, self.writer.borrow().bytes_written())
     }
 }
 
 impl ProgressSink for JournalSink {
-    /// Append (and book-keep) under the `inner` lock, but run both slow
-    /// I/O stages — the group-commit `fdatasync` and any due checkpoint
-    /// — after dropping it, so concurrent shard workers funnelling into
-    /// one sink serialize only on the append itself.
+    /// Append, then `fdatasync` on every [`DEFAULT_SYNC_EVERY`]th event
+    /// (group commit), then checkpoint the journal's prefix when the
+    /// cadence says one is due.
     ///
-    /// Durability is unchanged: the sync handle commits every frame the
-    /// file has received, so frames appended by other threads between
-    /// our unlock and our `fdatasync` are committed early, never missed,
-    /// and each appender still triggers a sync every
-    /// `DEFAULT_SYNC_EVERY` of its own appends. A checkpoint fixes the prefix it covers (the
-    /// journal's length) under the lock; the `checkpointing` flag defers
-    /// (not drops) a checkpoint that becomes due while another is still
-    /// being written.
+    /// [`DEFAULT_SYNC_EVERY`]: JournalSink::DEFAULT_SYNC_EVERY
     fn on_zone(&self, event: &ZoneEvent) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.writer.append(event).is_err() {
+        let mut writer = self.writer.borrow_mut();
+        if writer.append(event).is_err() {
             return false;
         }
-        inner.since_sync += 1;
-        let need_sync = if inner.since_sync >= Self::DEFAULT_SYNC_EVERY {
-            inner.since_sync = 0;
-            Some(inner.writer.sync_handle())
-        } else {
-            None
-        };
-        inner.since_checkpoint += 1;
+        let unsynced = self.since_sync.get() + 1;
+        let commit = unsynced >= Self::DEFAULT_SYNC_EVERY;
+        self.since_sync.set(if commit { 0 } else { unsynced });
+        // A failed sync means the WAL can no longer promise durability
+        // — stop like a failed append.
+        if commit && writer.sync().is_err() {
+            return false;
+        }
+        let since = self.since_checkpoint.get() + 1;
         let due = match self.cadence {
             Cadence::Never => false,
-            Cadence::EveryN(n) => inner.since_checkpoint >= n,
+            Cadence::EveryN(n) => since >= n,
             Cadence::Amortized { min } => {
-                let covered = inner.writer.next_seq() - inner.since_checkpoint;
-                inner.since_checkpoint >= min.max(covered / 2)
+                let covered = writer.next_seq() - since;
+                since >= min.max(covered / 2)
             }
         };
-        let prefix = if due && !self.checkpointing.swap(true, Ordering::Acquire) {
-            inner.since_checkpoint = 0;
-            Some(inner.writer.bytes_written())
-        } else {
-            // Either not due, or a checkpoint is already in flight — in
-            // the latter case `since_checkpoint` keeps counting so a
-            // later event re-offers the (larger) prefix.
-            None
-        };
-        drop(inner);
-
-        if let Some(handle) = need_sync {
-            // Group commit: a failed sync means the WAL can no longer
-            // promise durability — stop like a failed append.
-            if handle.sync().is_err() {
-                if prefix.is_some() {
-                    self.checkpointing.store(false, Ordering::Release);
-                }
-                return false;
-            }
-        }
-        if let Some(len) = prefix {
+        if due {
             // Best-effort: the journal remains the source of truth.
-            let _ = write_checkpoint(&self.dir, len);
-            self.checkpointing.store(false, Ordering::Release);
+            let _ = write_checkpoint(&self.dir, writer.bytes_written());
         }
+        self.since_checkpoint.set(if due { 0 } else { since });
         true
     }
 }
@@ -383,7 +353,7 @@ impl Drop for JournalSink {
     /// failure here costs at most `DEFAULT_SYNC_EVERY` re-scans after
     /// power loss, which recovery handles anyway).
     fn drop(&mut self) {
-        let _ = self.inner.get_mut().writer.sync();
+        let _ = self.writer.get_mut().sync();
     }
 }
 
@@ -471,6 +441,25 @@ mod tests {
         assert_eq!(
             a.retry_stats,
             event_for("a.example", 1, 30).scan.retry_stats
+        );
+    }
+
+    /// Once the group commit fails the journal can no longer promise
+    /// durability: the sink must stop the scan, not carry on unsynced.
+    /// `/dev/null` takes every write and refuses `fdatasync` (EINVAL).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_group_commit_stops_the_scan() {
+        let dir = tmpdir("syncfail");
+        let writer = JournalWriter::open_append(Path::new("/dev/null"), 0).unwrap();
+        let sink = JournalSink::over(&dir, writer).with_checkpoint_every(0);
+        let event = event_for("a.example", 0, 1);
+        for _ in 1..JournalSink::DEFAULT_SYNC_EVERY {
+            assert!(sink.on_zone(&event), "appends before the commit succeed");
+        }
+        assert!(
+            !sink.on_zone(&event),
+            "the failed fdatasync must stop the scan"
         );
     }
 

@@ -19,7 +19,7 @@ use dns_wire::record::{Record, RecordType};
 use dns_zone::rollover::{introduce_new_ksk, retire_old_ksk};
 use dns_zone::signer::Denial;
 use dns_zone::{CdsPublication, Zone, ZoneKeys, ZoneSigner};
-use netsim::{Addr, Network};
+use netsim::{Addr, Network, SimMicros};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::Ipv4Addr;
@@ -138,7 +138,9 @@ fn security_of(w: &World, name: &Name) -> Security {
     );
     resolver.seed_address(
         Name::parse("ns1.op.net").unwrap(),
-        vec![Addr::V4(Ipv4Addr::new(192, 0, 2, 53))],
+        Arc::new(vec![Addr::V4(Ipv4Addr::new(192, 0, 2, 53))]),
+        None,
+        SimMicros::MAX,
     );
     let res = resolver.resolve(name, RecordType::A).expect("resolves");
     validate_resolution(&client, &w.anchors, &w.roots, &res, NOW)

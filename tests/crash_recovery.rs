@@ -26,16 +26,18 @@ const WORLD_SEED: u64 = 42;
 const CHAOS_SEED: u64 = 0xC4A0;
 const RUN_ID: u64 = 0xB007_5CA7;
 
-/// Fresh chaos-profiled world + scanner (parallelism 1: the
-/// deterministic-resume guarantee is specified at parallelism 1).
-fn fresh_world() -> (Ecosystem, Arc<Scanner>) {
+/// Fresh chaos-profiled world + scanner. `parallelism` is an input
+/// because the deterministic-resume guarantee holds for every journaled
+/// scan: a scan with a sink is one sequential lane whatever the policy
+/// says, so the reference below (parallelism 1) is the reference for all.
+fn fresh_world(parallelism: usize) -> (Ecosystem, Arc<Scanner>) {
     let eco = build(EcosystemConfig::tiny(WORLD_SEED));
     let plan = FaultPlan::standard_chaos(CHAOS_SEED, &eco.net.bound_addrs());
     eco.net.set_faults(plan);
     let scanner = Scanner::for_ecosystem(
         &eco,
         ScanPolicy {
-            parallelism: 1,
+            parallelism,
             ..ScanPolicy::default()
         },
     );
@@ -122,7 +124,7 @@ impl ProgressSink for KillSwitch<'_> {
 
 /// The uninterrupted reference run: its outcome and its event count.
 fn reference() -> (Outcome, u64) {
-    let (eco, scanner) = fresh_world();
+    let (eco, scanner) = fresh_world(1);
     let seeds = eco.seeds.compile(&eco.psl);
     let counter = CountSink(AtomicU64::new(0));
     let results = scanner.scan_all_with(&seeds, Some(&counter), None);
@@ -142,8 +144,8 @@ fn header(seeds: &[dns_wire::name::Name]) -> JournalHeader {
 
 /// Run until `k` events are journaled, then "die". Returns how many
 /// events actually made it to disk.
-fn run_killed_at(dir: &Path, k: u64, checkpoint_every: u64) -> u64 {
-    let (eco, scanner) = fresh_world();
+fn run_killed_at(dir: &Path, k: u64, checkpoint_every: u64, parallelism: usize) -> u64 {
+    let (eco, scanner) = fresh_world(parallelism);
     let seeds = eco.seeds.compile(&eco.psl);
     let sink = JournalSink::create(dir, header(&seeds))
         .expect("create journal")
@@ -158,8 +160,8 @@ fn run_killed_at(dir: &Path, k: u64, checkpoint_every: u64) -> u64 {
 
 /// Restart from whatever `dir` holds: fresh world, recover, replay
 /// effects, resume the scan, keep journaling.
-fn resume_from(dir: &Path) -> Outcome {
-    let (eco, scanner) = fresh_world();
+fn resume_from(dir: &Path, parallelism: usize) -> Outcome {
+    let (eco, scanner) = fresh_world(parallelism);
     let seeds = eco.seeds.compile(&eco.psl);
     let recovery = recover(dir, header(&seeds)).expect("recovery must not fail");
     recovery.apply_to(&scanner);
@@ -188,12 +190,12 @@ fn killed_at_any_cut_point_resumes_byte_identically() {
 
     for &k in &cuts {
         let dir = run_dir(&format!("cut-{k}"));
-        let journaled = run_killed_at(&dir, k, JournalSink::DEFAULT_CHECKPOINT_EVERY);
+        let journaled = run_killed_at(&dir, k, JournalSink::DEFAULT_CHECKPOINT_EVERY, 4);
         assert_eq!(
             journaled, k,
             "kill switch must stop after exactly {k} events"
         );
-        let resumed = resume_from(&dir);
+        let resumed = resume_from(&dir, 4);
         resumed.assert_identical(&expected, &format!("cut at {k}/{n}"));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -221,7 +223,7 @@ fn torn_journal_tails_are_detected_and_survived() {
 
     for (tag, mutate) in mutations {
         let dir = run_dir(&format!("torn-{tag}"));
-        let journaled = run_killed_at(&dir, mid, 0);
+        let journaled = run_killed_at(&dir, mid, 0, 1);
         assert_eq!(journaled, mid);
         let path = dir.join(JOURNAL_FILE);
         let mut raw = fs::read(&path).unwrap();
@@ -232,7 +234,7 @@ fn torn_journal_tails_are_detected_and_survived() {
         // Recovery must flag the torn tail, trust at most the clean
         // prefix, and truncate the file — never panic, never carry
         // corrupt bytes forward.
-        let (eco, _) = fresh_world();
+        let (eco, _) = fresh_world(1);
         let seeds = eco.seeds.compile(&eco.psl);
         let rec = recover(&dir, header(&seeds)).expect("recovery over torn tail");
         assert!(
@@ -248,7 +250,7 @@ fn torn_journal_tails_are_detected_and_survived() {
             "{tag}: torn tail must be physically truncated"
         );
 
-        let resumed = resume_from(&dir);
+        let resumed = resume_from(&dir, 1);
         resumed.assert_identical(&expected, tag);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -260,10 +262,10 @@ fn checkpoint_alone_recovers_after_journal_loss() {
     let kill = (n * 2) / 3;
     let every = 8u64;
     let dir = run_dir("checkpoint-only");
-    run_killed_at(&dir, kill, every);
+    run_killed_at(&dir, kill, every, 1);
     fs::remove_file(dir.join(JOURNAL_FILE)).unwrap();
 
-    let (eco, _) = fresh_world();
+    let (eco, _) = fresh_world(1);
     let seeds = eco.seeds.compile(&eco.psl);
     let rec = recover(&dir, header(&seeds)).expect("checkpoint-only recovery");
     let expected_covered = (kill / every) * every;
@@ -274,7 +276,7 @@ fn checkpoint_alone_recovers_after_journal_loss() {
     );
     assert_eq!(rec.checkpoint_only as u64, expected_covered);
 
-    let resumed = resume_from(&dir);
+    let resumed = resume_from(&dir, 1);
     resumed.assert_identical(&expected, "checkpoint-only");
     let _ = fs::remove_dir_all(&dir);
 }
@@ -282,9 +284,9 @@ fn checkpoint_alone_recovers_after_journal_loss() {
 #[test]
 fn resuming_against_a_different_seed_list_is_refused() {
     let dir = run_dir("fingerprint");
-    run_killed_at(&dir, 5, 0);
+    run_killed_at(&dir, 5, 0, 1);
 
-    let (eco, _) = fresh_world();
+    let (eco, _) = fresh_world(1);
     let mut seeds = eco.seeds.compile(&eco.psl);
     seeds.truncate(seeds.len() - 1); // a different target list
     let err = recover(&dir, header(&seeds)).unwrap_err();
@@ -296,7 +298,7 @@ fn resuming_against_a_different_seed_list_is_refused() {
 fn corrupt_checkpoint_falls_back_to_journal_replay() {
     let (expected, n) = reference();
     let dir = run_dir("bad-checkpoint");
-    run_killed_at(&dir, n / 2, 8);
+    run_killed_at(&dir, n / 2, 8, 1);
 
     // Corrupt the checkpoint manifest; the journal alone must carry the
     // full recovery.
@@ -306,13 +308,13 @@ fn corrupt_checkpoint_falls_back_to_journal_replay() {
     raw[idx] ^= 0xFF;
     fs::write(&manifest, &raw).unwrap();
 
-    let (eco, _) = fresh_world();
+    let (eco, _) = fresh_world(1);
     let seeds = eco.seeds.compile(&eco.psl);
     let rec = recover(&dir, header(&seeds)).expect("recovery");
     assert_eq!(rec.checkpoint_only, 0, "corrupt checkpoint must be ignored");
     assert_eq!(rec.next_seq(), n / 2, "journal alone covers everything");
 
-    let resumed = resume_from(&dir);
+    let resumed = resume_from(&dir, 1);
     resumed.assert_identical(&expected, "corrupt-checkpoint");
     let _ = fs::remove_dir_all(&dir);
 }
