@@ -1,22 +1,19 @@
-//! Per-nameserver health tracking and circuit breaking.
+//! Per-nameserver circuit breaking.
 //!
-//! Two layers with deliberately different scopes:
+//! [`CircuitBreaker`] is scoped to *one zone scan* and keyed on the scan's
+//! own virtual clock. After `threshold` consecutive failures against one
+//! address, further queries to it are skipped for `cooldown` µs of
+//! scan-local virtual time, then one probe is let through (half-open).
+//! Because the breaker's state never leaves the zone scan, results stay
+//! independent of the order in which zones are scanned — byte-identical
+//! reports regardless of worker interleaving.
 //!
-//! * [`CircuitBreaker`] — *per zone scan*, keyed on the scan's own virtual
-//!   clock. After `threshold` consecutive failures against one address,
-//!   further queries to it are skipped for `cooldown` µs of scan-local
-//!   virtual time, then one probe is let through (half-open). Because the
-//!   breaker's state never leaves the zone scan, results stay independent
-//!   of the order in which zones are scanned — byte-identical reports
-//!   regardless of worker interleaving.
-//! * [`HealthTracker`] — *global*, pure observation. Aggregates
-//!   per-address success/failure counts across the whole scan for the
-//!   degradation report. It feeds no decision, so sharing it across
-//!   threads cannot perturb determinism.
+//! What the breaker did to a zone is evidence and travels with it
+//! (`RetryStats::{failures, breaker_skips}`). Scan-wide per-address
+//! aggregates are not kept: nothing read them, and they belong to the
+//! ops telemetry plane (ROADMAP item 4), never to the journal.
 
 use netsim::{Addr, SimMicros};
-use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -88,65 +85,6 @@ impl CircuitBreaker {
         if s.consecutive_failures >= self.threshold {
             s.open_until = Some(now + self.cooldown);
         }
-    }
-}
-
-/// Aggregate health of one server address over the whole scan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct AddrHealth {
-    pub successes: u64,
-    pub failures: u64,
-    pub breaker_skips: u64,
-}
-
-/// Global, observation-only per-address health statistics.
-#[derive(Debug, Default)]
-pub struct HealthTracker {
-    map: Mutex<BTreeMap<Addr, AddrHealth>>,
-}
-
-impl HealthTracker {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn record_success(&self, addr: Addr) {
-        self.map.lock().entry(addr).or_default().successes += 1;
-    }
-
-    pub fn record_failure(&self, addr: Addr) {
-        self.map.lock().entry(addr).or_default().failures += 1;
-    }
-
-    pub fn record_skip(&self, addr: Addr) {
-        self.map.lock().entry(addr).or_default().breaker_skips += 1;
-    }
-
-    /// Fold a per-zone delta into the global tracker. The scanner records
-    /// health probe-locally and merges at end of zone, so journal replay
-    /// of the same deltas rebuilds an identical tracker.
-    pub fn merge(&self, addr: Addr, delta: AddrHealth) {
-        let mut map = self.map.lock();
-        let h = map.entry(addr).or_default();
-        h.successes += delta.successes;
-        h.failures += delta.failures;
-        h.breaker_skips += delta.breaker_skips;
-    }
-
-    /// Sorted snapshot (deterministic order for reports).
-    pub fn snapshot(&self) -> Vec<(Addr, AddrHealth)> {
-        let mut v: Vec<(Addr, AddrHealth)> =
-            self.map.lock().iter().map(|(a, h)| (*a, *h)).collect();
-        v.sort_by_key(|(a, _)| *a);
-        v
-    }
-
-    /// Addresses that failed at least once, sorted.
-    pub fn unhealthy(&self) -> Vec<(Addr, AddrHealth)> {
-        self.snapshot()
-            .into_iter()
-            .filter(|(_, h)| h.failures > 0 || h.breaker_skips > 0)
-            .collect()
     }
 }
 
@@ -243,86 +181,6 @@ mod tests {
         assert!(
             !b.allows(a, 1_014),
             "re-opened after a fresh threshold streak"
-        );
-    }
-
-    /// Merging per-zone deltas (what journal replay does) must rebuild
-    /// the same tracker as live recording.
-    #[test]
-    fn merged_deltas_rebuild_the_live_tracker() {
-        let live = HealthTracker::new();
-        live.record_success(addr(1));
-        live.record_success(addr(1));
-        live.record_failure(addr(1));
-        live.record_skip(addr(2));
-        live.record_failure(addr(3));
-
-        let replayed = HealthTracker::new();
-        replayed.merge(
-            addr(1),
-            AddrHealth {
-                successes: 2,
-                failures: 1,
-                breaker_skips: 0,
-            },
-        );
-        replayed.merge(
-            addr(2),
-            AddrHealth {
-                successes: 0,
-                failures: 0,
-                breaker_skips: 1,
-            },
-        );
-        replayed.merge(
-            addr(3),
-            AddrHealth {
-                successes: 0,
-                failures: 1,
-                breaker_skips: 0,
-            },
-        );
-        assert_eq!(live.snapshot(), replayed.snapshot());
-        // Merge is additive, not overwriting.
-        replayed.merge(
-            addr(3),
-            AddrHealth {
-                successes: 5,
-                failures: 0,
-                breaker_skips: 0,
-            },
-        );
-        let snap = replayed.snapshot();
-        let e3 = snap.iter().find(|(a, _)| *a == addr(3)).unwrap();
-        assert_eq!(
-            e3.1,
-            AddrHealth {
-                successes: 5,
-                failures: 1,
-                breaker_skips: 0
-            }
-        );
-    }
-
-    #[test]
-    fn tracker_snapshots_sorted_and_filters_unhealthy() {
-        let t = HealthTracker::new();
-        t.record_success(addr(9));
-        t.record_failure(addr(3));
-        t.record_skip(addr(5));
-        t.record_success(addr(3));
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
-        let bad = t.unhealthy();
-        assert_eq!(bad.len(), 2);
-        assert_eq!(
-            bad[0].1,
-            AddrHealth {
-                successes: 1,
-                failures: 1,
-                breaker_skips: 0
-            }
         );
     }
 }

@@ -50,7 +50,7 @@ pub mod types;
 
 pub use dns_resolver::ReferralData;
 pub use error::{RetryStats, ScanError};
-pub use health::{AddrHealth, CircuitBreaker, HealthTracker};
+pub use health::CircuitBreaker;
 pub use operator::{Identified, OperatorTable};
 pub use progress::{ProgressSink, ResumeState, ZoneEffects, ZoneEvent};
 pub use scanner::{ScanPolicy, ScanResults, Scanner};

@@ -9,13 +9,12 @@
 //!
 //! Each event carries not just the [`ZoneScan`] but the scan's *side
 //! effects* on shared scanner state ([`ZoneEffects`]): validated-key
-//! cache inserts, resolver address-cache inserts, and per-address health
-//! deltas. Replaying events in order therefore rebuilds the scanner's
+//! cache inserts, resolver address-cache inserts and delegation-cache
+//! inserts. Replaying events in order therefore rebuilds the scanner's
 //! shared caches exactly, which is what makes resumption deterministic:
 //! a resumed zone scan sees the same cache hits and misses it would have
 //! seen in the uninterrupted run.
 
-use crate::health::AddrHealth;
 use crate::types::ZoneScan;
 use dns_resolver::ReferralData;
 use dns_wire::name::Name;
@@ -23,7 +22,8 @@ use dns_wire::rdata::DnskeyData;
 use netsim::{Addr, SimMicros};
 use std::sync::Arc;
 
-/// Side effects one zone scan had on shared scanner state.
+/// Side effects one zone scan had on shared scanner state: exactly the
+/// cache inserts it paid for.
 ///
 /// The resolver-cache entries hold `Arc`s into the live cache values:
 /// sealing a zone's effects costs one pointer bump per insert, and so
@@ -37,9 +37,6 @@ pub struct ZoneEffects {
     /// Resolver delegation-cache inserts (zone cut → referral data
     /// learned from its parent), in order.
     pub referral_inserts: Vec<(Name, Arc<ReferralData>)>,
-    /// Per-address health deltas recorded during this zone scan, sorted
-    /// by address.
-    pub health: Vec<(Addr, AddrHealth)>,
 }
 
 /// One finished zone scan, as emitted to a [`ProgressSink`].

@@ -14,7 +14,7 @@
 
 use crate::classify;
 use crate::error::{RetryStats, ScanError};
-use crate::health::{AddrHealth, CircuitBreaker, HealthTracker};
+use crate::health::CircuitBreaker;
 use crate::operator::OperatorTable;
 use crate::progress::{ProgressSink, ResumeState, ZoneEffects, ZoneEvent};
 use crate::types::*;
@@ -32,7 +32,7 @@ use dns_zone::signal::signal_name;
 use dns_zone::signer::verify_rrset_with_keys;
 use netsim::{Addr, DeterministicDraw, Network, RateLimiter, SimMicros};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -51,19 +51,6 @@ pub struct ScanPolicy {
     /// Worker threads for a sink-less scan (`scan_all`). A scan given a
     /// [`ProgressSink`] is one sequential lane whatever this says.
     pub parallelism: usize,
-    /// Whole-exchange retries per query on timeout/malformed replies.
-    pub retries: u32,
-    /// Base backoff before the first retry (virtual µs, doubles each
-    /// retry, deterministic jitter on top).
-    pub backoff_base: SimMicros,
-    /// Consecutive failures that open a per-address circuit breaker
-    /// within one zone scan (0 = disabled).
-    pub breaker_threshold: u32,
-    /// Virtual µs an open breaker waits before a half-open probe.
-    pub breaker_cooldown: SimMicros,
-    /// Extra sequential passes over zones whose evidence came back
-    /// incomplete (degraded or `Indeterminate`).
-    pub rescan_passes: u32,
     /// Run the Byzantine-hardening layer (response-acceptance gate
     /// consequences surfaced as named causes, referral/alias loop
     /// detection, lame-delegation detection). Off only for the
@@ -84,11 +71,6 @@ impl Default for ScanPolicy {
             rate_per_sec: 50.0,
             probe_signal: true,
             parallelism: 1,
-            retries: 2,
-            backoff_base: 250_000,
-            breaker_threshold: 4,
-            breaker_cooldown: 30_000_000,
-            rescan_passes: 1,
             hardened: true,
             zone_query_budget: DEFAULT_ZONE_QUERY_BUDGET,
         }
@@ -104,6 +86,24 @@ impl Default for ScanPolicy {
 /// (see `tests/hostile_world.rs`, which re-measures both bounds every
 /// run).
 pub const DEFAULT_ZONE_QUERY_BUDGET: u64 = 240;
+
+/// Whole-exchange retries per query on timeout/malformed replies.
+const RETRIES: u32 = 2;
+
+/// Base backoff before the first retry (virtual µs, doubles each retry,
+/// deterministic jitter on top).
+const BACKOFF_BASE: SimMicros = 250_000;
+
+/// Consecutive failures that open a per-address circuit breaker within
+/// one zone scan.
+const BREAKER_THRESHOLD: u32 = 4;
+
+/// Virtual µs an open breaker waits before a half-open probe.
+const BREAKER_COOLDOWN: SimMicros = 30_000_000;
+
+/// Extra sequential passes over zones whose evidence came back incomplete
+/// (degraded or `Indeterminate`).
+const RESCAN_PASSES: u32 = 1;
 
 /// Stripe count for the validated-key cache. Like the resolver's cache
 /// shards, sized so that at `parallelism = 8` two workers rarely contend
@@ -137,11 +137,11 @@ pub(crate) struct WorkerScratch {
 }
 
 impl WorkerScratch {
-    fn new(policy: &ScanPolicy) -> Self {
+    fn new() -> Self {
         WorkerScratch {
             epoch: 0,
             limiters: HashMap::new(),
-            breaker: CircuitBreaker::new(policy.breaker_threshold, policy.breaker_cooldown),
+            breaker: CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN),
         }
     }
 
@@ -173,9 +173,6 @@ struct Probe<'w> {
     scratch: &'w mut WorkerScratch,
     /// Validated-key cache inserts made during this zone scan.
     key_inserts: Vec<(Name, Vec<DnskeyData>)>,
-    /// Per-address health deltas (merged into the global tracker at
-    /// seal time; sorted by address for deterministic serialization).
-    health: BTreeMap<Addr, AddrHealth>,
 }
 
 /// One validated-key-cache entry: the keys plus the bailiwick they were
@@ -212,10 +209,6 @@ pub struct Scanner {
     /// validation hits the root/TLD entries, and a single lock here
     /// serializes all workers.
     key_cache: Vec<Mutex<HashMap<Name, KeyCacheEntry>>>,
-    /// Global per-address health statistics (observation only — feeds no
-    /// decision, so it cannot perturb determinism). Fed by per-zone
-    /// deltas merged at seal time.
-    health: HealthTracker,
     seed: u64,
 }
 
@@ -229,8 +222,8 @@ impl Scanner {
         policy: ScanPolicy,
     ) -> Self {
         let retry = RetryPolicy {
-            retries: policy.retries,
-            backoff_base: policy.backoff_base,
+            retries: RETRIES,
+            backoff_base: BACKOFF_BASE,
             seed: 0xb007 ^ 0xca1e,
         };
         let client = Arc::new(DnsClient::with_retry(net, retry));
@@ -252,7 +245,6 @@ impl Scanner {
             key_cache: (0..KEY_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            health: HealthTracker::new(),
             seed: 0xb007,
         }
     }
@@ -287,11 +279,6 @@ impl Scanner {
     fn cache_validated_keys(&self, owner: &Name, entry: KeyCacheEntry) {
         // bootscan-allow(V001): the one approved provenance-tagged insert into the key cache
         self.key_shard(owner).lock().insert(owner.clone(), entry);
-    }
-
-    /// Global per-address health statistics gathered so far.
-    pub fn health(&self) -> &HealthTracker {
-        &self.health
     }
 
     /// The shared resolver (exposed for the cache-poisoning regression
@@ -350,7 +337,6 @@ impl Scanner {
             meter: QueryMeter::with_budget(id_seed, self.policy.zone_query_budget),
             scratch,
             key_inserts: Vec::new(),
-            health: BTreeMap::new(),
         }
     }
 
@@ -365,7 +351,6 @@ impl Scanner {
     ) -> Option<dns_wire::message::Message> {
         if !probe.scratch.breaker.allows(addr, probe.clock) {
             probe.stats.record(ScanError::BreakerOpen);
-            probe.health.entry(addr).or_default().breaker_skips += 1;
             return None;
         }
         // Limiters are zone-scoped (so zone results never depend on what
@@ -397,7 +382,6 @@ impl Scanner {
                     probe.stats.servfails += 1;
                 }
                 probe.scratch.breaker.record_success(addr);
-                probe.health.entry(addr).or_default().successes += 1;
                 Some(ex.message)
             }
             Err(e) => {
@@ -413,7 +397,6 @@ impl Scanner {
                     }
                 });
                 probe.scratch.breaker.record_failure(addr, probe.clock);
-                probe.health.entry(addr).or_default().failures += 1;
                 None
             }
         }
@@ -519,7 +502,7 @@ impl Scanner {
 
     /// Scan one zone.
     pub fn scan_zone(&self, zone: &Name) -> ZoneScan {
-        let mut scratch = WorkerScratch::new(&self.policy);
+        let mut scratch = WorkerScratch::new();
         self.scan_zone_pass(&mut scratch, zone, 0).0
     }
 
@@ -533,26 +516,19 @@ impl Scanner {
     ) -> (ZoneScan, ZoneEffects) {
         let mut probe = self.new_probe(scratch, zone, pass);
         let mut scan = self.scan_zone_inner(zone, &mut probe);
-        // Seal: fold the meter's budget totals into the zone's stats,
+        // Seal: fold the meter's budget totals into the zone's stats and
         // drain the meter's cache-insert log (the resolver attributed
-        // every shared-cache insert this zone paid for to its meter),
-        // and merge the probe-local health deltas into the global
-        // tracker.
+        // every shared-cache insert this zone paid for to its meter).
         let io = probe.meter.io();
         scan.retry_stats.datagrams = io.datagrams as u32;
         scan.retry_stats.tcp_fallbacks = io.tcp_fallbacks as u32;
         scan.retry_stats.bytes_sent = io.bytes_sent;
         scan.retry_stats.bytes_received = io.bytes_received;
-        let health: Vec<(Addr, AddrHealth)> = probe.health.iter().map(|(a, h)| (*a, *h)).collect();
-        for (addr, delta) in &health {
-            self.health.merge(*addr, *delta);
-        }
         let cache_log = probe.meter.take_cache_log();
         let effects = ZoneEffects {
             key_inserts: std::mem::take(&mut probe.key_inserts),
             addr_inserts: cache_log.addr_inserts,
             referral_inserts: cache_log.referral_inserts,
-            health,
         };
         (scan, effects)
     }
@@ -1052,8 +1028,8 @@ impl Scanner {
         // completed pass stamps `rescans`, so a resumed run can tell
         // which zones pass `p` already covered in an earlier life.
         if !stopped {
-            let mut scratch = WorkerScratch::new(&self.policy);
-            'passes: for pass in 1..=self.policy.rescan_passes {
+            let mut scratch = WorkerScratch::new();
+            'passes: for pass in 1..=RESCAN_PASSES {
                 let pending: Vec<usize> = zones
                     .iter()
                     .enumerate()
@@ -1124,7 +1100,7 @@ impl Scanner {
         zones: &Mutex<Vec<ZoneScan>>,
     ) -> (SimMicros, bool) {
         let mut elapsed: SimMicros = 0;
-        let mut scratch = WorkerScratch::new(&self.policy);
+        let mut scratch = WorkerScratch::new();
         while let Some(zone) = seeds.get(next.fetch_add(1, Ordering::Relaxed)) {
             if completed.contains(zone) {
                 continue;
@@ -1161,9 +1137,9 @@ impl Scanner {
     /// Seed the shared caches with one zone event's inserts, in the
     /// order the scan made them, each valid until `expires_at` on this
     /// scanner's virtual clock. The one walk over key / address /
-    /// referral inserts: journal replay ([`restore_effects`](Self::restore_effects))
-    /// and epoch carry-over (`CarryLedger::seed_into`) differ only in
-    /// the expiry they pass. The address and referral entries share the
+    /// referral inserts: journal replay (`Recovery::apply_to`) and epoch
+    /// carry-over (`CarryLedger::seed_into`) differ only in the expiry
+    /// they pass. The address and referral entries share the
     /// effects' `Arc`s — nothing is deep-cloned per seed.
     pub fn seed_effects(&self, effects: &ZoneEffects, expires_at: SimMicros) {
         for (zone, keys) in &effects.key_inserts {
@@ -1176,19 +1152,6 @@ impl Scanner {
         for (cut, data) in &effects.referral_inserts {
             self.resolver
                 .seed_referral(cut.clone(), Arc::clone(data), None, expires_at);
-        }
-    }
-
-    /// Replay one journaled event's side effects into the shared caches
-    /// and the health tracker. Recovery calls this for every event in
-    /// sequence order before resuming, so resumed zone scans see exactly
-    /// the cache state they would have seen in the uninterrupted run —
-    /// which is why replayed entries never expire: expiry is an
-    /// epoch-level concern.
-    pub fn restore_effects(&self, effects: &ZoneEffects) {
-        self.seed_effects(effects, SimMicros::MAX);
-        for (addr, delta) in &effects.health {
-            self.health.merge(*addr, *delta);
         }
     }
 

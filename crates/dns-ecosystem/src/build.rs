@@ -237,6 +237,36 @@ pub fn build(cfg: EcosystemConfig) -> Ecosystem {
     }
 }
 
+/// The SOA every generated zone carries.
+pub(crate) fn soa(apex: &Name) -> Record {
+    Record::new(
+        apex.clone(),
+        3600,
+        RData::Soa(SoaData {
+            mname: Name::parse("ns.invalid").unwrap(),
+            rname: Name::parse("hostmaster.invalid").unwrap(),
+            serial: 20_250_401,
+            refresh: 7200,
+            retry: 3600,
+            expire: 1_209_600,
+            minimum: 300,
+        }),
+    )
+}
+
+/// Leaf-zone signer honouring the operator's denial-chain flavour.
+pub(crate) fn leaf_signer(now: UnixTime, nsec3: bool) -> ZoneSigner {
+    let s = ZoneSigner::new(now);
+    if nsec3 {
+        s.with_denial(Denial::Nsec3 {
+            iterations: 0,
+            salt: [0x5a, 0x17, 0xed, 0x01],
+        })
+    } else {
+        s
+    }
+}
+
 impl Builder {
     fn alloc_v4(&mut self) -> Addr {
         let v = self.next_v4;
@@ -256,44 +286,15 @@ impl Builder {
         Addr::V4(Ipv4Addr::from(v))
     }
 
-    fn soa(apex: &Name) -> Record {
-        Record::new(
-            apex.clone(),
-            3600,
-            RData::Soa(SoaData {
-                mname: Name::parse("ns.invalid").unwrap(),
-                rname: Name::parse("hostmaster.invalid").unwrap(),
-                serial: 20_250_401,
-                refresh: 7200,
-                retry: 3600,
-                expire: 1_209_600,
-                minimum: 300,
-            }),
-        )
-    }
-
     fn signer(&self) -> ZoneSigner {
         ZoneSigner::new(self.cfg.now)
-    }
-
-    /// Signer honouring the operator's denial-chain flavour.
-    fn leaf_signer(&self, op_idx: usize) -> ZoneSigner {
-        let s = ZoneSigner::new(self.cfg.now);
-        if self.ops[op_idx].spec.nsec3 {
-            s.with_denial(Denial::Nsec3 {
-                iterations: 0,
-                salt: [0x5a, 0x17, 0xed, 0x01],
-            })
-        } else {
-            s
-        }
     }
 
     fn init_tld_zones(&mut self) {
         let suffixes: Vec<Name> = self.psl.suffixes().cloned().collect();
         for s in suffixes {
             let mut z = Zone::new(s.clone());
-            z.add(Self::soa(&s));
+            z.add(soa(&s));
             // Placeholder apex NS; replaced with the shared registry
             // server name when the zone is finalised.
             let ns = s
@@ -472,7 +473,7 @@ impl Builder {
 
         // Base records.
         let mut zone = Zone::new(name.clone());
-        zone.add(Self::soa(name));
+        zone.add(soa(name));
         for ns in &ns_names {
             zone.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
         }
@@ -502,14 +503,14 @@ impl Builder {
         match dnssec {
             DnssecState::Unsigned => {}
             DnssecState::Secured | DnssecState::Island => {
-                self.leaf_signer(op_idx).sign(&mut zone, &keys);
+                leaf_signer(self.cfg.now, self.ops[op_idx].spec.nsec3).sign(&mut zone, &keys);
             }
             DnssecState::Invalid if errant_ds => {
                 // Errant DS in the parent over a plain unsigned zone —
                 // the no-DNSSEC-operator case; nothing to sign here.
             }
             DnssecState::Invalid => {
-                self.leaf_signer(op_idx)
+                leaf_signer(self.cfg.now, self.ops[op_idx].spec.nsec3)
                     .with_corruption(Corruption {
                         garbage_signatures: true,
                         expired: false,
@@ -548,7 +549,7 @@ impl Builder {
             if cds == CdsState::Inconsistent && second_op.is_none() {
                 // Intra-operator divergence: host 1 serves different CDS.
                 let mut alt = Zone::new(name.clone());
-                alt.add(Self::soa(name));
+                alt.add(soa(name));
                 for ns in &ns_names {
                     alt.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
                 }
@@ -564,7 +565,7 @@ impl Builder {
         if let Some(op2) = second_op {
             if cds == CdsState::Inconsistent {
                 let mut alt = Zone::new(name.clone());
-                alt.add(Self::soa(name));
+                alt.add(soa(name));
                 for ns in &ns_names {
                     alt.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
                 }
@@ -878,7 +879,7 @@ impl Builder {
             let name = Name::parse(&format!("selfns{:06}.com", self.zone_seq)).unwrap();
             let ns = name.prepend_label(b"ns1").unwrap();
             let mut z = Zone::new(name.clone());
-            z.add(Self::soa(&name));
+            z.add(soa(&name));
             z.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
             z.add(Record::new(ns.clone(), 3600, rdata_for(addr)));
             store.insert(z);
@@ -948,7 +949,7 @@ impl Builder {
             based.sort_by(|a, b| a.0.canonical_cmp(&b.0));
             for (base, host_idxs) in based {
                 let mut z = Zone::new(base.clone());
-                z.add(Self::soa(&base));
+                z.add(soa(&base));
                 for &h in &host_idxs {
                     z.add(Record::new(
                         base.clone(),
@@ -1077,7 +1078,7 @@ impl Builder {
         let chain_a = sigop_base.prepend_label(b"zzchaina").unwrap();
         let chain_b = sigop_base.prepend_label(b"zzchainb").unwrap();
         let mut sigop_zone = Zone::new(sigop_base.clone());
-        sigop_zone.add(Self::soa(&sigop_base));
+        sigop_zone.add(soa(&sigop_base));
         for (ns, addr) in sigop_ns.iter().zip(&sigop_addrs) {
             sigop_zone.add(Record::new(sigop_base.clone(), 3600, RData::Ns(ns.clone())));
             sigop_zone.add(Record::new(ns.clone(), 3600, rdata_for(*addr)));
@@ -1156,7 +1157,7 @@ impl Builder {
                         cds = CdsState::Valid;
                         let keys = ZoneKeys::generate(&mut adv_rng, Algorithm::EcdsaP256Sha256);
                         let mut z = Zone::new(name.clone());
-                        z.add(Self::soa(&name));
+                        z.add(soa(&name));
                         for ns in &sigop_ns {
                             z.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
                         }
@@ -1221,7 +1222,7 @@ impl Builder {
         let ns = zone.prepend_label(b"ns1").unwrap();
         let addr = self.alloc_adv_v4();
         let mut z = Zone::new(zone.clone());
-        z.add(Self::soa(zone));
+        z.add(soa(zone));
         z.add(Record::new(zone.clone(), 3600, RData::Ns(ns.clone())));
         z.add(Record::new(ns.clone(), 3600, rdata_for(addr)));
         let store = Arc::new(ZoneStore::new());
@@ -1260,7 +1261,7 @@ impl Builder {
         HashMap<Name, ZoneKeys>,
     ) {
         let mut root = Zone::new(Name::root());
-        root.add(Self::soa(&Name::root()));
+        root.add(soa(&Name::root()));
         let root_ns = Name::parse("a.root-servers.net").unwrap();
         root.add(Record::new(Name::root(), 3600, RData::Ns(root_ns.clone())));
         let root_addr = self.alloc_v4();

@@ -26,13 +26,12 @@
 //! planted defect) churn. The planted defect tiers are the controlled
 //! experiment — churning them would unpin the paper-shape tests.
 
-use crate::build::{corrupt_rrsigs_at, expire_rrsigs_at, rdata_for, Ecosystem};
+use crate::build::{corrupt_rrsigs_at, expire_rrsigs_at, leaf_signer, rdata_for, soa, Ecosystem};
 use crate::truth::{CdsState, DnssecState, SignalDefect, SignalTruth};
 use dns_crypto::{Algorithm, DigestType};
 use dns_wire::name::Name;
-use dns_wire::rdata::{DsData, RData, SoaData};
+use dns_wire::rdata::{DsData, RData};
 use dns_wire::record::{Record, RecordType};
-use dns_zone::signer::Denial;
 use dns_zone::{signal, Zone, ZoneKeys, ZoneSigner};
 use netsim::DeterministicDraw;
 use rand::rngs::StdRng;
@@ -288,37 +287,6 @@ impl EditSession {
             self.bases.insert(base.clone(), (op_idx, (*zone).clone()));
         }
         self.bases.get_mut(base).map(|(_, z)| z)
-    }
-}
-
-/// The SOA every generated zone carries (mirrors the builder's).
-fn soa(apex: &Name) -> Record {
-    Record::new(
-        apex.clone(),
-        3600,
-        RData::Soa(SoaData {
-            mname: Name::parse("ns.invalid").unwrap(),
-            rname: Name::parse("hostmaster.invalid").unwrap(),
-            serial: 20_250_401,
-            refresh: 7200,
-            retry: 3600,
-            expire: 1_209_600,
-            minimum: 300,
-        }),
-    )
-}
-
-/// Leaf signer honouring the operator's denial flavour (mirrors the
-/// builder's `leaf_signer`).
-fn leaf_signer(now: dns_crypto::UnixTime, nsec3: bool) -> ZoneSigner {
-    let s = ZoneSigner::new(now);
-    if nsec3 {
-        s.with_denial(Denial::Nsec3 {
-            iterations: 0,
-            salt: [0x5a, 0x17, 0xed, 0x01],
-        })
-    } else {
-        s
     }
 }
 

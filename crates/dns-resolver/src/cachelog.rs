@@ -4,7 +4,8 @@
 //! produced it. The scanner drains the log after each zone and writes it
 //! to the crash-recovery journal, so a resumed scan can replay the exact
 //! cache state the uninterrupted run would have seen — even when several
-//! workers share the caches and inserts interleave.
+//! workers share the caches and inserts interleave. The log itself
+//! belongs to one meter, hence to one lane: appending takes no lock.
 //!
 //! Entries hold `Arc`s into the live cache values, so logging costs one
 //! pointer bump per insert instead of a deep clone under the cache lock.

@@ -12,8 +12,8 @@ use dns_wire::message::Message;
 use dns_wire::name::Name;
 use dns_wire::record::RecordType;
 use netsim::{Addr, DeterministicDraw, NetError, Network, SimMicros, Transport};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 
 /// The result of one logical query (possibly UDP + TCP retry).
@@ -176,6 +176,10 @@ type QueryCoords = (Addr, u64, u16);
 /// The meter also collects the [`CacheLog`] of resolver-cache inserts
 /// performed on its behalf, so the scanner can journal each zone's exact
 /// cache side effects even when workers share the caches.
+///
+/// A meter belongs to one zone scan on one lane, so it is `!Sync` by
+/// construction: `&self` methods update `Cell`s, and no `RefCell` borrow
+/// outlives the statement that takes it.
 #[derive(Debug)]
 pub struct QueryMeter {
     /// Seed for the per-query ID derivation.
@@ -185,22 +189,19 @@ pub struct QueryMeter {
     /// repeat queries (health re-probes, CNAME re-walks) distinct while
     /// staying independent of anything *between* them. A zone issues a
     /// few dozen queries, so this is a short list scanned linearly.
-    issued: Mutex<Vec<(QueryCoords, u32)>>,
+    issued: RefCell<Vec<(QueryCoords, u32)>>,
     /// Resolver-cache inserts made while working under this meter.
-    cache_log: Mutex<CacheLog>,
-    datagrams: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    tcp_fallbacks: AtomicU64,
+    cache_log: RefCell<CacheLog>,
+    io: Cell<IoCounters>,
     /// Logical queries begun (each `query_at_with` call, before netsim
     /// retries fan out into datagrams).
-    logical: AtomicU64,
+    logical: Cell<u64>,
     /// Hard cap on `logical`; 0 = unlimited. Once reached, further
     /// queries fail instantly with [`ClientErrorKind::BudgetExceeded`] —
     /// this is the amplification cap.
     budget: u64,
-    /// Per-cause hostile-event counters, [`HostileCause::index`]-ordered.
-    hostile: [AtomicU64; 7],
+    /// Per-cause hostile-event counters.
+    hostile: Cell<HostileTally>,
 }
 
 impl QueryMeter {
@@ -214,15 +215,12 @@ impl QueryMeter {
         QueryMeter {
             id_seed,
             // Sized for a typical zone so the list never regrows mid-scan.
-            issued: Mutex::new(Vec::with_capacity(32)),
-            cache_log: Mutex::new(CacheLog::default()),
-            datagrams: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-            tcp_fallbacks: AtomicU64::new(0),
-            logical: AtomicU64::new(0),
+            issued: RefCell::new(Vec::with_capacity(32)),
+            cache_log: RefCell::default(),
+            io: Cell::default(),
+            logical: Cell::new(0),
             budget,
-            hostile: Default::default(),
+            hostile: Cell::default(),
         }
     }
 
@@ -234,7 +232,7 @@ impl QueryMeter {
     pub fn id_for(&self, server: Addr, qname: &Name, qtype: RecordType) -> u16 {
         let occurrence = {
             let key = (server, qname.fnv64(), qtype.code());
-            let mut issued = self.issued.lock();
+            let mut issued = self.issued.borrow_mut();
             match issued.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, n)) => {
                     *n += 1;
@@ -260,17 +258,20 @@ impl QueryMeter {
 
     /// Record an address-cache insert made on this meter's behalf.
     pub fn log_addr_insert(&self, ns: Name, addrs: Arc<Vec<Addr>>) {
-        self.cache_log.lock().addr_inserts.push((ns, addrs));
+        self.cache_log.borrow_mut().addr_inserts.push((ns, addrs));
     }
 
     /// Record a delegation-cache insert made on this meter's behalf.
     pub fn log_referral_insert(&self, cut: Name, data: Arc<ReferralData>) {
-        self.cache_log.lock().referral_inserts.push((cut, data));
+        self.cache_log
+            .borrow_mut()
+            .referral_inserts
+            .push((cut, data));
     }
 
     /// Take the cache-insert log accumulated so far, leaving it empty.
     pub fn take_cache_log(&self) -> CacheLog {
-        std::mem::take(&mut *self.cache_log.lock())
+        self.cache_log.take()
     }
 
     /// The configured logical-query budget (0 = unlimited).
@@ -280,58 +281,41 @@ impl QueryMeter {
 
     /// Logical queries begun so far.
     pub fn logical_queries(&self) -> u64 {
-        self.logical.load(Ordering::Relaxed)
+        self.logical.get()
     }
 
     /// Charge one logical query against the budget. `false` means the
     /// budget is exhausted (the exceed event is tallied once per refusal).
     fn begin_query(&self) -> bool {
-        if self.budget != 0 && self.logical.load(Ordering::Relaxed) >= self.budget {
+        if self.budget != 0 && self.logical.get() >= self.budget {
             self.note_hostile(HostileCause::BudgetExceeded);
             return false;
         }
-        self.logical.fetch_add(1, Ordering::Relaxed);
+        self.logical.set(self.logical.get() + 1);
         true
     }
 
     /// Tally a hostile event observed while working under this meter.
     pub fn note_hostile(&self, cause: HostileCause) {
-        // bootscan-allow(P002): fixed-arity tally array; HostileCause::index() < ALL.len() by construction
-        self.hostile[cause.index()].fetch_add(1, Ordering::Relaxed);
+        let mut tally = self.hostile.get();
+        tally.note(cause);
+        self.hostile.set(tally);
     }
 
     /// Snapshot of the per-cause hostile-event counters.
     pub fn hostile(&self) -> HostileTally {
-        // bootscan-allow(P002): fixed-arity tally array; HostileCause::index() < ALL.len() by construction
-        let at = |c: HostileCause| self.hostile[c.index()].load(Ordering::Relaxed);
-        HostileTally {
-            mismatched_replies: at(HostileCause::MismatchedReply),
-            foreign_records: at(HostileCause::ForeignRecords),
-            referral_loops: at(HostileCause::ReferralLoop),
-            wide_referrals: at(HostileCause::WideReferral),
-            alias_loops: at(HostileCause::AliasLoop),
-            budget_exceeded: at(HostileCause::BudgetExceeded),
-            lame_delegations: at(HostileCause::LameDelegation),
-        }
+        self.hostile.get()
     }
 
     fn record(&self, io: IoCounters) {
-        self.datagrams.fetch_add(io.datagrams, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(io.bytes_sent, Ordering::Relaxed);
-        self.bytes_received
-            .fetch_add(io.bytes_received, Ordering::Relaxed);
-        self.tcp_fallbacks
-            .fetch_add(io.tcp_fallbacks, Ordering::Relaxed);
+        let mut total = self.io.get();
+        total.add(io);
+        self.io.set(total);
     }
 
     /// Snapshot of the totals recorded so far.
     pub fn io(&self) -> IoCounters {
-        IoCounters {
-            datagrams: self.datagrams.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            tcp_fallbacks: self.tcp_fallbacks.load(Ordering::Relaxed),
-        }
+        self.io.get()
     }
 }
 
@@ -347,11 +331,7 @@ pub struct DnsClient {
 
 impl DnsClient {
     pub fn new(net: Arc<Network>) -> Self {
-        DnsClient {
-            net,
-            next_id: AtomicU16::new(1),
-            retry: RetryPolicy::NONE,
-        }
+        DnsClient::with_retry(net, RetryPolicy::NONE)
     }
 
     /// Same client, but retrying per `policy`.

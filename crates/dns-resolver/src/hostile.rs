@@ -57,19 +57,6 @@ impl HostileCause {
             HostileCause::LameDelegation => "lame-delegation",
         }
     }
-
-    /// Index into [`HostileCause::ALL`] / the meter's per-cause counters.
-    pub fn index(self) -> usize {
-        match self {
-            HostileCause::MismatchedReply => 0,
-            HostileCause::ForeignRecords => 1,
-            HostileCause::ReferralLoop => 2,
-            HostileCause::WideReferral => 3,
-            HostileCause::AliasLoop => 4,
-            HostileCause::BudgetExceeded => 5,
-            HostileCause::LameDelegation => 6,
-        }
-    }
 }
 
 impl fmt::Display for HostileCause {
@@ -149,13 +136,6 @@ mod tests {
         for cause in HostileCause::ALL {
             assert!(seen.insert(cause.label()), "duplicate label");
             assert_eq!(cause.to_string(), cause.label());
-        }
-    }
-
-    #[test]
-    fn indices_match_all_order() {
-        for (i, cause) in HostileCause::ALL.iter().enumerate() {
-            assert_eq!(cause.index(), i);
         }
     }
 

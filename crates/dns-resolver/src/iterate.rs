@@ -246,19 +246,10 @@ impl Resolver {
     }
 
     /// Like [`resolve`](Self::resolve), but the walk starts at virtual
-    /// time `now`, so time-windowed faults see when each query lands.
-    pub fn resolve_at(
-        &self,
-        now: SimMicros,
-        qname: &Name,
-        qtype: RecordType,
-    ) -> Result<Resolution, ResolverError> {
-        self.resolve_at_with(None, now, qname, qtype)
-    }
-
-    /// Like [`resolve_at`](Self::resolve_at), charging every exchange of
-    /// the walk — including nested NS-address resolutions, whose cost the
-    /// returned [`Resolution`] does not itemise — to `meter`.
+    /// time `now`, so time-windowed faults see when each query lands,
+    /// and every exchange of the walk — including nested NS-address
+    /// resolutions, whose cost the returned [`Resolution`] does not
+    /// itemise — is charged to `meter`.
     pub fn resolve_at_with(
         &self,
         meter: Option<&QueryMeter>,
@@ -625,17 +616,7 @@ impl Resolver {
     }
 
     /// Like [`addresses_of`](Self::addresses_of), starting at virtual
-    /// time `now`.
-    pub fn addresses_of_at(
-        &self,
-        now: SimMicros,
-        ns: &Name,
-    ) -> Result<Arc<Vec<Addr>>, ResolverError> {
-        self.addresses_of_at_with(None, now, ns)
-    }
-
-    /// Like [`addresses_of_at`](Self::addresses_of_at), charging the
-    /// lookups to `meter`.
+    /// time `now` and charging the lookups to `meter`.
     pub fn addresses_of_at_with(
         &self,
         meter: Option<&QueryMeter>,

@@ -36,6 +36,9 @@ pub struct Report {
     /// Total lexed tokens across all scanned files — the analysis-cost
     /// currency the CI runtime guard budgets against.
     pub tokens_scanned: usize,
+    /// Every `Mutex<`/`RwLock<` class the L-series discovered, as sorted
+    /// `crate::field` strings.
+    pub lock_classes: Vec<String>,
 }
 
 impl Report {
@@ -269,6 +272,7 @@ pub fn run(root: &Path) -> io::Result<Report> {
     findings.dedup();
     Ok(Report {
         tokens_scanned: files.iter().map(|f| f.toks.len()).sum(),
+        lock_classes: crate::locks::class_ledger(&files),
         findings,
         files_scanned: files.len(),
     })

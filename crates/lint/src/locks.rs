@@ -125,6 +125,16 @@ fn discover_classes(files: &[SourceFile]) -> (Vec<LockClass>, Vec<bool>) {
     (classes, striped)
 }
 
+/// The discovered lock classes as sorted `crate::field` strings — the
+/// ledger `tests/self_check.rs` pins, so a new lock fails a test until
+/// someone writes down who its second thread is.
+pub fn class_ledger(files: &[SourceFile]) -> Vec<String> {
+    let (classes, _) = discover_classes(files);
+    let mut ledger: Vec<String> = classes.iter().map(LockClass::to_string).collect();
+    ledger.sort();
+    ledger
+}
+
 /// Exclusive token end of the enclosing block: forward from `i`,
 /// stopping one past the `}` that closes the block `i` is inside.
 fn enclosing_block_end(sf: &SourceFile, i: usize) -> usize {

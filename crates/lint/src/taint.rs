@@ -82,7 +82,6 @@ const CACHE_SINKS: &[&str] = &[
     "cache_address",
     "cache_delegation",
     "cache_validated_keys",
-    "restore_effects",
     "seed_into",
 ];
 

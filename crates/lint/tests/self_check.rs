@@ -7,12 +7,16 @@
 use bootscan_lint::run;
 use std::path::Path;
 
-#[test]
-fn workspace_satisfies_all_invariants() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
-        .expect("lint crate lives two levels under the workspace root");
+        .expect("lint crate lives two levels under the workspace root")
+}
+
+#[test]
+fn workspace_satisfies_all_invariants() {
+    let root = workspace_root();
     let report = run(root).expect("scan workspace");
     assert!(
         report.clean(),
@@ -41,10 +45,7 @@ fn workspace_satisfies_all_invariants() {
 /// silently doubling CI time.
 #[test]
 fn workspace_scan_stays_within_budget() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("lint crate lives two levels under the workspace root");
+    let root = workspace_root();
     let started = std::time::Instant::now();
     let report = run(root).expect("scan workspace");
     let elapsed = started.elapsed();
@@ -66,5 +67,71 @@ fn workspace_scan_stays_within_budget() {
         elapsed.as_secs() < 60,
         "workspace scan took {elapsed:?}; the cross-crate passes must \
          stay far under a minute"
+    );
+}
+
+/// The lock-class ledger: every `Mutex<`/`RwLock<` class the L-series
+/// discovers, with who the second thread is. A new lock in the
+/// workspace fails here until its reason is written down; a removed
+/// one fails until its line is deleted.
+#[test]
+fn lock_classes_are_the_known_set() {
+    const KNOWN: &[(&str, &str)] = &[
+        (
+            "core::key_cache",
+            "scan lanes share the validated-key cache (16 stripes)",
+        ),
+        (
+            "core::zones",
+            "threaded scan_all lanes push into one results vector",
+        ),
+        (
+            "dns-resolver::shards",
+            "scan lanes share the address/delegation caches (16 stripes)",
+        ),
+        (
+            "dns-server::zones",
+            "churn writes a store that every scan lane reads",
+        ),
+        (
+            "netsim::faults",
+            "tests swap the fault plan while scan lanes read it",
+        ),
+        (
+            "netsim::inner",
+            "bind/rebind writes the topology that every lane reads",
+        ),
+        (
+            "netsim::per_dest",
+            "bind registers a counter while snapshots read the map",
+        ),
+        (
+            "scan-continuous::eco",
+            "reconcile loop applies churn; workers build scanners",
+        ),
+        (
+            "scan-continuous::state",
+            "reconcile loop publishes the epoch; workers resolve it",
+        ),
+        (
+            "scan-fabric::revoked",
+            "coordinator revokes a lease its worker appends under",
+        ),
+        (
+            "scan-fabric::stamp",
+            "workers wake the coordinator parked on the condvar",
+        ),
+        (
+            "scan-fabric::state",
+            "pipe buffer between one worker and the coordinator",
+        ),
+    ];
+    let root = workspace_root();
+    let report = run(root).expect("scan workspace");
+    let known: Vec<&str> = KNOWN.iter().map(|(class, _)| *class).collect();
+    assert_eq!(
+        report.lock_classes, known,
+        "lock classes changed: add the new class to KNOWN with the reason a \
+         second thread reaches it, or delete the line of a lock that left"
     );
 }

@@ -8,18 +8,13 @@
 //! deterministic.
 
 use crate::SimMicros;
-use parking_lot::Mutex;
 
-/// A token bucket in virtual microseconds.
+/// A token bucket in virtual microseconds, owned by one scan lane.
 pub struct RateLimiter {
     /// Tokens added per virtual second.
     rate_per_sec: f64,
     /// Maximum burst.
     burst: f64,
-    state: Mutex<State>,
-}
-
-struct State {
     tokens: f64,
     /// Virtual timestamp of the last update.
     last: SimMicros,
@@ -33,47 +28,38 @@ impl RateLimiter {
         RateLimiter {
             rate_per_sec,
             burst,
-            state: Mutex::new(State {
-                tokens: burst,
-                last: 0,
-            }),
+            tokens: burst,
+            last: 0,
         }
-    }
-
-    /// The paper's per-NS politeness budget: 50 qps, burst of 10.
-    pub fn paper_default() -> Self {
-        RateLimiter::new(50.0, 10.0)
     }
 
     /// Re-arm the bucket to its just-constructed state (full burst,
     /// epoch zero). Lets callers pool limiters across independent scan
     /// units instead of reallocating them, while keeping results
     /// identical to a fresh limiter.
-    pub fn reset(&self) {
-        let mut st = self.state.lock();
-        st.tokens = self.burst;
-        st.last = 0;
+    pub fn reset(&mut self) {
+        self.tokens = self.burst;
+        self.last = 0;
     }
 
     /// Acquire one token at virtual time `now`, returning the virtual
     /// delay the caller must charge before sending (0 when under budget).
-    pub fn acquire(&self, now: SimMicros) -> SimMicros {
-        let mut st = self.state.lock();
-        // Refill for elapsed time (clamped: callers' clocks may be
-        // per-worker and slightly out of order).
-        if now > st.last {
-            let dt = (now - st.last) as f64 / 1_000_000.0;
-            st.tokens = (st.tokens + dt * self.rate_per_sec).min(self.burst);
-            st.last = now;
+    pub fn acquire(&mut self, now: SimMicros) -> SimMicros {
+        // Refill for elapsed time (clamped: a wait pushes `last` ahead of
+        // the caller's clock, and clocks may arrive out of order).
+        if now > self.last {
+            let dt = (now - self.last) as f64 / 1_000_000.0;
+            self.tokens = (self.tokens + dt * self.rate_per_sec).min(self.burst);
+            self.last = now;
         }
-        if st.tokens >= 1.0 {
-            st.tokens -= 1.0;
+        if self.tokens >= 1.0 {
+            self.tokens -= 1.0;
             0
         } else {
-            let deficit = 1.0 - st.tokens;
+            let deficit = 1.0 - self.tokens;
             let wait = (deficit / self.rate_per_sec * 1_000_000.0).ceil() as SimMicros;
-            st.tokens = 0.0;
-            st.last = st.last.max(now) + wait;
+            self.tokens = 0.0;
+            self.last = self.last.max(now) + wait;
             wait
         }
     }
@@ -85,7 +71,7 @@ mod tests {
 
     #[test]
     fn burst_then_steady_state() {
-        let l = RateLimiter::new(50.0, 10.0);
+        let mut l = RateLimiter::new(50.0, 10.0);
         // First 10 are free.
         for _ in 0..10 {
             assert_eq!(l.acquire(0), 0);
@@ -97,7 +83,7 @@ mod tests {
 
     #[test]
     fn refill_restores_tokens() {
-        let l = RateLimiter::new(50.0, 10.0);
+        let mut l = RateLimiter::new(50.0, 10.0);
         for _ in 0..10 {
             l.acquire(0);
         }
@@ -110,7 +96,7 @@ mod tests {
 
     #[test]
     fn sustained_rate_is_bounded() {
-        let l = RateLimiter::new(50.0, 1.0);
+        let mut l = RateLimiter::new(50.0, 1.0);
         let mut now: SimMicros = 0;
         let n = 500;
         for _ in 0..n {
@@ -123,8 +109,8 @@ mod tests {
 
     #[test]
     fn independent_limiters_do_not_interact() {
-        let a = RateLimiter::new(50.0, 1.0);
-        let b = RateLimiter::new(50.0, 1.0);
+        let mut a = RateLimiter::new(50.0, 1.0);
+        let mut b = RateLimiter::new(50.0, 1.0);
         assert_eq!(a.acquire(0), 0);
         assert_eq!(b.acquire(0), 0);
         assert!(a.acquire(0) > 0);
@@ -132,7 +118,7 @@ mod tests {
 
     #[test]
     fn reset_is_indistinguishable_from_a_fresh_limiter() {
-        let l = RateLimiter::new(50.0, 2.0);
+        let mut l = RateLimiter::new(50.0, 2.0);
         let mut now: SimMicros = 5_000_000;
         for _ in 0..20 {
             now += l.acquire(now);
@@ -146,7 +132,7 @@ mod tests {
 
     /// Helper view: the wait the `n`-th acquire at time 0 returns.
     impl RateLimiter {
-        fn acquire_n(&self, n: u32) -> SimMicros {
+        fn acquire_n(&mut self, n: u32) -> SimMicros {
             let mut last = 0;
             for _ in 0..n {
                 last = self.acquire(0);
@@ -157,7 +143,7 @@ mod tests {
 
     #[test]
     fn out_of_order_clocks_do_not_panic() {
-        let l = RateLimiter::new(50.0, 2.0);
+        let mut l = RateLimiter::new(50.0, 2.0);
         assert_eq!(l.acquire(1_000_000), 0);
         // A worker with a lagging clock.
         let _ = l.acquire(500_000);

@@ -77,7 +77,7 @@ proptest! {
         burst in 1.0f64..20.0,
         n in 1u32..300,
     ) {
-        let l = RateLimiter::new(rate, burst);
+        let mut l = RateLimiter::new(rate, burst);
         let mut now = 0u64;
         for _ in 0..n {
             now += l.acquire(now);
@@ -92,7 +92,7 @@ proptest! {
     /// time).
     #[test]
     fn limiter_wait_bounded(rate in 1.0f64..200.0, n in 1u32..100) {
-        let l = RateLimiter::new(rate, 1.0);
+        let mut l = RateLimiter::new(rate, 1.0);
         let mut now = 0u64;
         let max_wait = (1.0 / rate * 1e6).ceil() as u64 + 1;
         for _ in 0..n {

@@ -116,6 +116,10 @@ impl ContinuousFaultPlan {
     }
 }
 
+/// Evidence validity (24 h of virtual time): zones whose last fresh scan
+/// is older than this are re-scanned even without churn.
+const EVIDENCE_TTL: SimMicros = 86_400_000_000;
+
 /// Configuration of one continuous study.
 #[derive(Debug, Clone)]
 pub struct ContinuousConfig {
@@ -132,9 +136,6 @@ pub struct ContinuousConfig {
     pub epoch_spacing: SimMicros,
     /// Cache-entry validity, matching the resolver's in-scan TTL.
     pub cache_ttl: SimMicros,
-    /// Evidence validity: zones whose last fresh scan is older than
-    /// this are re-scanned even without churn.
-    pub evidence_ttl: SimMicros,
     /// Backpressure bound: how many spacings the pipeline may run
     /// behind before arrivals coalesce (see [`AdmissionConfig`]).
     pub max_pipeline_depth: u32,
@@ -155,7 +156,6 @@ impl ContinuousConfig {
             run_id: 1,
             epoch_spacing: 1_800_000_000,
             cache_ttl: dns_resolver::CACHE_TTL_MICROS,
-            evidence_ttl: 86_400_000_000,
             max_pipeline_depth: 1,
             fabric: FabricConfig::default(),
             faults: ContinuousFaultPlan::none(),
@@ -542,7 +542,7 @@ pub fn run_continuous(
                 d.append(&mut pending_churned);
                 for (name, ev) in &evidence {
                     let age = now.saturating_sub((ev.epoch as SimMicros) * cfg.epoch_spacing);
-                    let expired = age >= cfg.evidence_ttl;
+                    let expired = age >= EVIDENCE_TTL;
                     let weak =
                         ev.scan.degraded || ev.scan.dnssec == bootscan::DnssecClass::Indeterminate;
                     if expired || weak {

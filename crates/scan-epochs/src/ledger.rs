@@ -9,12 +9,8 @@
 //! would have in one continuous run. Expired entries are never seeded
 //! (the lazy-eviction analog of the in-scanner expiry check), and
 //! churn-invalidated entries are dropped the moment the churn log names
-//! their zone cut.
-//!
-//! Health deltas are deliberately **not** carried: a fresh health
-//! tracker per epoch is what a cold scan would see, and health, unlike
-//! the caches, is not a pure function of the world (it encodes failure
-//! history). Within-epoch crash resume still replays health via
+//! their zone cut. Within-epoch crash resume replays the same effects
+//! with no expiry via
 //! [`Recovery::apply_to`](scan_journal::Recovery::apply_to) — that path
 //! must reproduce the interrupted epoch verbatim.
 
@@ -24,8 +20,8 @@ use dns_wire::name::Name;
 use netsim::SimMicros;
 
 /// One ledger entry: the cache inserts of one zone event (its
-/// [`ZoneEffects`] minus the health deltas), the epoch that learned them
-/// and the **source zone** whose scan made them. The source is what
+/// [`ZoneEffects`]), the epoch that learned them and the **source zone**
+/// whose scan made them. The source is what
 /// makes the ledger distributable: the continuous service partitions
 /// entries by the source zone's fabric shard, so a carried cache travels
 /// with the shard that will re-scan its zone.
@@ -36,7 +32,7 @@ struct CarriedEntry {
     inserts: ZoneEffects,
 }
 
-/// Cache inserts in one event's effects (health deltas are not carried).
+/// Cache inserts in one event's effects.
 fn insert_count(effects: &ZoneEffects) -> usize {
     effects.key_inserts.len() + effects.addr_inserts.len() + effects.referral_inserts.len()
 }
@@ -71,12 +67,7 @@ impl CarryLedger {
             self.entries.push(CarriedEntry {
                 epoch,
                 source: source.clone(),
-                inserts: ZoneEffects {
-                    key_inserts: effects.key_inserts.clone(),
-                    addr_inserts: effects.addr_inserts.clone(),
-                    referral_inserts: effects.referral_inserts.clone(),
-                    health: Vec::new(),
-                },
+                inserts: effects.clone(),
             });
         }
     }
@@ -167,7 +158,6 @@ mod tests {
             key_inserts: vec![(name(zone), Vec::new())],
             addr_inserts: Vec::new(),
             referral_inserts: vec![(name(zone), Arc::new(referral))],
-            health: Vec::new(),
         }
     }
 

@@ -5,7 +5,8 @@
 //! latest-per-zone ([`latest_per_zone`], the fold resume uses), fills
 //! holes by the one [`fill_shard`] rule, emits the zones in canonical
 //! order to a [`MergeSink`], folds them into O(1) aggregate state ([`Figure1`],
-//! degradation counters, totals, rolling digests), and drops the shard
+//! degradation counters, totals, rolling digests over the zone stream
+//! and the evidence plane), and drops the shard
 //! before touching the next. Peak residency is therefore the largest
 //! shard, regardless of world size — the property that unlocks
 //! registry-scale worlds under a fixed memory ceiling
@@ -21,15 +22,12 @@
 
 use bootscan::report::{DegradationReport, Figure1};
 use bootscan::{
-    AbClass, AddrHealth, CdsClass, DnssecClass, Identified, RetryStats, ScanResults, ZoneEvent,
-    ZoneScan,
+    AbClass, CdsClass, DnssecClass, Identified, RetryStats, ScanResults, ZoneEvent, ZoneScan,
 };
 use dns_wire::name::Name;
-use netsim::Addr;
 use scan_journal::{fnv64, latest_per_zone};
 use serde::Serialize;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::io;
 
 /// Receives merged zones one at a time, in canonical order.
@@ -98,8 +96,6 @@ pub struct MergedReport {
     pub zone_stream_digest: u64,
     /// Same, with cost counters zeroed (the PR-4 evidence plane).
     pub evidence_digest: u64,
-    /// FNV-1a over the accumulated per-address health table.
-    pub health_digest: u64,
     /// Zones emitted as explicit Indeterminate placeholders because
     /// their shard exhausted its attempt budget. Never silent: each is
     /// also named in `abandoned_zones`.
@@ -133,7 +129,6 @@ pub struct FabricOps {
 /// [`finish`](Self::finish).
 pub struct StreamingMerge {
     report: MergedReport,
-    health: BTreeMap<Addr, AddrHealth>,
     peak_resident: usize,
 }
 
@@ -147,7 +142,6 @@ impl StreamingMerge {
     pub fn new() -> StreamingMerge {
         StreamingMerge {
             report: MergedReport::default(),
-            health: BTreeMap::new(),
             peak_resident: 0,
         }
     }
@@ -165,14 +159,6 @@ impl StreamingMerge {
         abandoned: bool,
         sink: &mut dyn MergeSink,
     ) -> io::Result<()> {
-        for (_, event) in &events {
-            for (addr, delta) in &event.effects.health {
-                let h = self.health.entry(*addr).or_default();
-                h.successes += delta.successes;
-                h.failures += delta.failures;
-                h.breaker_skips += delta.breaker_skips;
-            }
-        }
         let (table, shard_duration) = latest_per_zone(&events);
         self.peak_resident = self.peak_resident.max(table.len());
         for zone in fill_shard(zones, &table, abandoned)? {
@@ -210,18 +196,7 @@ impl StreamingMerge {
     }
 
     /// Seal the report. Returns it plus the observed peak residency.
-    pub fn finish(mut self) -> (MergedReport, usize) {
-        let mut digest: u64 = 0;
-        for (addr, h) in &self.health {
-            digest = fnv64(&[
-                &digest.to_le_bytes(),
-                &addr.to_bytes(),
-                &h.successes.to_le_bytes(),
-                &h.failures.to_le_bytes(),
-                &h.breaker_skips.to_le_bytes(),
-            ]);
-        }
-        self.report.health_digest = digest;
+    pub fn finish(self) -> (MergedReport, usize) {
         (self.report, self.peak_resident)
     }
 }

@@ -15,7 +15,7 @@ use bootscan::types::{
     AbClass, CannotReason, CdsClass, CdsSeen, DnssecClass, NsObservation, SignalObservation,
     SignalViolation, ZoneScan,
 };
-use bootscan::{AddrHealth, ReferralData, RetryStats, ZoneEffects, ZoneEvent};
+use bootscan::{ReferralData, RetryStats, ZoneEffects, ZoneEvent};
 use dns_wire::name::Name;
 use dns_wire::rdata::{DnskeyData, DsData, RrsigData};
 use netsim::Addr;
@@ -353,13 +353,6 @@ impl Enc {
             self.name(cut);
             self.referral(data);
         }
-        self.u32(e.health.len() as u32);
-        for (addr, h) in &e.health {
-            self.addr(addr);
-            self.u64(h.successes);
-            self.u64(h.failures);
-            self.u64(h.breaker_skips);
-        }
     }
 }
 
@@ -692,16 +685,6 @@ impl<'a> Dec<'a> {
             let cut = self.name()?;
             e.referral_inserts.push((cut, Arc::new(self.referral()?)));
         }
-        let n = self.count()?;
-        for _ in 0..n {
-            let addr = self.addr()?;
-            let h = AddrHealth {
-                successes: self.u64()?,
-                failures: self.u64()?,
-                breaker_skips: self.u64()?,
-            };
-            e.health.push((addr, h));
-        }
         Ok(e)
     }
 }
@@ -867,14 +850,6 @@ pub(crate) mod tests {
                         }),
                     ),
                 ],
-                health: vec![(
-                    Addr::V4(Ipv4Addr::new(192, 0, 2, 1)),
-                    AddrHealth {
-                        successes: 10,
-                        failures: 2,
-                        breaker_skips: 1,
-                    },
-                )],
             },
         }
     }
@@ -898,7 +873,6 @@ pub(crate) mod tests {
         assert_eq!(a.effects.key_inserts, b.effects.key_inserts);
         assert_eq!(a.effects.addr_inserts, b.effects.addr_inserts);
         assert_eq!(a.effects.referral_inserts, b.effects.referral_inserts);
-        assert_eq!(a.effects.health, b.effects.health);
     }
 
     #[test]

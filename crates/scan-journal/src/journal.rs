@@ -46,7 +46,8 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"BSJ1";
 /// v2: `RetryStats` grew logical-query and per-cause hostile counters.
 /// v3: `ZoneEffects` grew delegation-cache inserts (`referral_inserts`),
 ///     replayed on resume alongside the address-cache inserts.
-pub const FORMAT_VERSION: u16 = 3;
+/// v4: `ZoneEffects` lost its per-address health deltas (nothing read them).
+pub const FORMAT_VERSION: u16 = 4;
 /// Default journal file name inside a run directory.
 pub const JOURNAL_FILE: &str = "journal.bsj";
 

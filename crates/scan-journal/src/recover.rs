@@ -11,8 +11,8 @@
 //!   — the latest kept result per completed zone plus the virtual time
 //!   already accounted for;
 //! * [`Recovery::apply_to`] replays every event's side effects
-//!   (validated-key cache, resolver address cache, health counters) into
-//!   a fresh [`Scanner`] in journal order, so resumed zone scans see
+//!   (validated-key, address and delegation cache inserts) into a
+//!   fresh [`Scanner`] in journal order, so resumed zone scans see
 //!   exactly the shared-cache state the uninterrupted run would have
 //!   had at that point.
 //!
@@ -107,12 +107,15 @@ impl Recovery {
         }
     }
 
-    /// Replay every recovered event's side effects into `scanner`, in
+    /// Replay every recovered event's cache inserts into `scanner`, in
     /// journal order. Must be called on the scanner that will run the
-    /// resumed scan, before `scan_all_with`.
+    /// resumed scan, before `scan_all_with`, so resumed zone scans see
+    /// exactly the cache state they would have seen in the uninterrupted
+    /// run — which is why replayed entries never expire: expiry is an
+    /// epoch-level concern.
     pub fn apply_to(&self, scanner: &Scanner) {
         for (_, event) in &self.events {
-            scanner.restore_effects(&event.effects);
+            scanner.seed_effects(&event.effects, SimMicros::MAX);
         }
     }
 }
@@ -523,6 +526,39 @@ mod tests {
         let rec2 = recover(&dir, HDR).unwrap();
         assert_eq!(rec2.events.len(), 3);
         assert_eq!(rec2.journal_tail, TailStatus::Clean);
+    }
+
+    /// A journal of the previous format version is not migrated: its
+    /// header does not parse, so it contributes nothing and resume
+    /// rewrites it — the shard is simply re-scanned.
+    #[test]
+    fn previous_format_version_contributes_nothing() {
+        let dir = tmpdir("oldversion");
+        let sink = JournalSink::create(&dir, HDR).unwrap();
+        journal_events(&sink, &[event_for("a.example", 0, 100)]);
+        drop(sink);
+        let path = dir.join(JOURNAL_FILE);
+        let mut raw = fs::read(&path).unwrap();
+        raw[4..6].copy_from_slice(&3u16.to_le_bytes());
+        let crc = crate::crc::crc32(&raw[0..22]);
+        raw[22..26].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &raw).unwrap();
+
+        let read = read_journal(&path).unwrap();
+        assert_eq!(read.header, None);
+        assert!(read.entries.is_empty());
+
+        let rec = recover(&dir, HDR).unwrap();
+        assert!(rec.events.is_empty());
+        assert_eq!(rec.next_seq(), 0);
+        // Resume rewrites the file at the current version.
+        let sink = JournalSink::resume(&dir, &rec).unwrap();
+        journal_events(&sink, &[event_for("b.example", 0, 7)]);
+        drop(sink);
+        let read = read_journal(&path).unwrap();
+        assert_eq!(read.header, Some(HDR));
+        assert_eq!(read.entries.len(), 1);
+        assert_eq!(read.entries[0].1.scan.name, name!("b.example"));
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! is exercised across retries, open circuit breakers, degraded zones,
 //! and re-scan passes — not just the happy path.
 
-use bootscan::health::AddrHealth;
 use bootscan::report;
 use bootscan::{ProgressSink, ScanPolicy, ScanResults, Scanner, ZoneEvent};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
-use netsim::{Addr, FaultPlan};
+use netsim::FaultPlan;
 use scan_journal::{
     fingerprint_names, recover, JournalHeader, JournalSink, TailStatus, JOURNAL_FILE,
 };
@@ -52,7 +51,7 @@ fn run_dir(case: &str) -> PathBuf {
 }
 
 /// Everything a run's outcome is compared on: the three serialized
-/// reports plus scan totals and the shared health-tracker state.
+/// reports plus scan totals.
 #[derive(PartialEq)]
 struct Outcome {
     zones: String,
@@ -60,18 +59,16 @@ struct Outcome {
     degradation: String,
     simulated_duration: u64,
     total_queries: u64,
-    health: Vec<(Addr, AddrHealth)>,
 }
 
 impl Outcome {
-    fn of(results: &ScanResults, scanner: &Scanner) -> Self {
+    fn of(results: &ScanResults) -> Self {
         Outcome {
             zones: serde_json::to_string(&results.zones).unwrap(),
             figure1: serde_json::to_string(&report::figure1(results)).unwrap(),
             degradation: serde_json::to_string(&report::degradation(results)).unwrap(),
             simulated_duration: results.simulated_duration,
             total_queries: results.total_queries,
-            health: scanner.health().snapshot(),
         }
     }
 
@@ -90,7 +87,6 @@ impl Outcome {
             self.total_queries, other.total_queries,
             "{what}: total queries differ"
         );
-        assert_eq!(self.health, other.health, "{what}: health state differs");
     }
 }
 
@@ -129,10 +125,7 @@ fn reference() -> (Outcome, u64) {
     let counter = CountSink(AtomicU64::new(0));
     let results = scanner.scan_all_with(&seeds, Some(&counter), None);
     assert!(!results.zones.is_empty());
-    (
-        Outcome::of(&results, &scanner),
-        counter.0.load(Ordering::SeqCst),
-    )
+    (Outcome::of(&results), counter.0.load(Ordering::SeqCst))
 }
 
 fn header(seeds: &[dns_wire::name::Name]) -> JournalHeader {
@@ -167,7 +160,7 @@ fn resume_from(dir: &Path, parallelism: usize) -> Outcome {
     recovery.apply_to(&scanner);
     let sink = JournalSink::resume(dir, &recovery).expect("resume journal");
     let results = scanner.scan_all_with(&seeds, Some(&sink), Some(recovery.resume_state()));
-    Outcome::of(&results, &scanner)
+    Outcome::of(&results)
 }
 
 #[test]
