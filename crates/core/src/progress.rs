@@ -8,36 +8,22 @@
 //! can never leave a zone counted in memory but missing from the journal.
 //!
 //! Each event carries not just the [`ZoneScan`] but the scan's *side
-//! effects* on shared scanner state ([`ZoneEffects`]): validated-key
-//! cache inserts, resolver address-cache inserts and delegation-cache
-//! inserts. Replaying events in order therefore rebuilds the scanner's
-//! shared caches exactly, which is what makes resumption deterministic:
-//! a resumed zone scan sees the same cache hits and misses it would have
-//! seen in the uninterrupted run.
+//! effects* on shared scanner state ([`ZoneEffects`] — the zone meter's
+//! own [`CacheLog`](dns_resolver::CacheLog), not a copy of it):
+//! validated-key cache inserts, resolver address-cache inserts and
+//! delegation-cache inserts. Replaying events in order therefore
+//! rebuilds the scanner's shared caches exactly, which is what makes
+//! resumption deterministic: a resumed zone scan sees the same cache
+//! hits and misses it would have seen in the uninterrupted run.
 
 use crate::types::ZoneScan;
-use dns_resolver::ReferralData;
-use dns_wire::name::Name;
-use dns_wire::rdata::DnskeyData;
-use netsim::{Addr, SimMicros};
-use std::sync::Arc;
+use netsim::SimMicros;
 
 /// Side effects one zone scan had on shared scanner state: exactly the
-/// cache inserts it paid for.
-///
-/// The resolver-cache entries hold `Arc`s into the live cache values:
-/// sealing a zone's effects costs one pointer bump per insert, and so
-/// does seeding them back (`Scanner::seed_effects`).
-#[derive(Debug, Clone, Default)]
-pub struct ZoneEffects {
-    /// Validated-DNSKEY cache inserts (zone apex → keys), in order.
-    pub key_inserts: Vec<(Name, Vec<DnskeyData>)>,
-    /// Resolver address-cache inserts (NS hostname → addrs), in order.
-    pub addr_inserts: Vec<(Name, Arc<Vec<Addr>>)>,
-    /// Resolver delegation-cache inserts (zone cut → referral data
-    /// learned from its parent), in order.
-    pub referral_inserts: Vec<(Name, Arc<ReferralData>)>,
-}
+/// cache inserts it paid for, as its meter logged them. Every entry
+/// holds the `Arc` the cache holds, so sealing a zone moves the log and
+/// seeding it back (`Scanner::seed_effects`) bumps pointers.
+pub use dns_resolver::CacheLog as ZoneEffects;
 
 /// One finished zone scan, as emitted to a [`ProgressSink`].
 #[derive(Debug, Clone)]

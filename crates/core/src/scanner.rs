@@ -21,8 +21,8 @@ use crate::types::*;
 use dns_crypto::UnixTime;
 use dns_resolver::validate::{ds_link_verifies, verified_dnskeys};
 use dns_resolver::{
-    ClientErrorKind, DnsClient, HostileCause, QueryMeter, Resolution, Resolver, ResolverError,
-    RetryPolicy, RootHints,
+    ClientErrorKind, DnsClient, HostileCause, ProvenanceCache, QueryMeter, Resolution, Resolver,
+    ResolverError, RetryPolicy, RootHints, CACHE_TTL_MICROS,
 };
 use dns_wire::message::Rcode;
 use dns_wire::name::Name;
@@ -105,11 +105,6 @@ const BREAKER_COOLDOWN: SimMicros = 30_000_000;
 /// (degraded or `Indeterminate`).
 const RESCAN_PASSES: u32 = 1;
 
-/// Stripe count for the validated-key cache. Like the resolver's cache
-/// shards, sized so that at `parallelism = 8` two workers rarely contend
-/// on the same stripe even when both are crossing the root/TLD entries.
-const KEY_SHARDS: usize = 16;
-
 /// Aggregated scan output.
 #[derive(Debug, Default)]
 pub struct ScanResults {
@@ -154,38 +149,23 @@ impl WorkerScratch {
 }
 
 /// Per-zone-scan probing context: the scan-local virtual clock, query,
-/// budget and failure accounting, a borrow of the worker's (reset)
-/// breaker + limiter scratch, plus the logs of side effects on shared
-/// state. No state carries over between zones, so results are
-/// independent of scan order — and, in a journaled scan (one sequential
-/// lane), of which zones ran in an earlier process life.
+/// budget and failure accounting (the meter also logs the scan's side
+/// effects on shared caches), and a borrow of the worker's (reset)
+/// breaker + limiter scratch. No state carries over between zones, so
+/// results are independent of scan order — and, in a journaled scan (one
+/// sequential lane), of which zones ran in an earlier process life.
 struct Probe<'w> {
     clock: SimMicros,
     queries: u32,
     stats: RetryStats,
     /// Per-zone I/O meter: derives query IDs from stable per-query
     /// coordinates (seeded from the zone name and pass number), counts
-    /// datagrams/bytes against the budget, and logs resolver-cache
-    /// inserts for the journal.
+    /// datagrams/bytes against the budget, and logs every shared-cache
+    /// insert (resolver and key cache) for the journal.
     meter: QueryMeter,
     /// Worker-pooled breaker + per-address politeness limiters, reset
     /// for this zone scan.
     scratch: &'w mut WorkerScratch,
-    /// Validated-key cache inserts made during this zone scan.
-    key_inserts: Vec<(Name, Vec<DnskeyData>)>,
-}
-
-/// One validated-key-cache entry: the keys plus the bailiwick they were
-/// validated under. Lookups for owners outside the provenance are refused.
-struct KeyCacheEntry {
-    keys: Vec<DnskeyData>,
-    provenance: Name,
-    /// Virtual-time expiry: the entry is never consulted at or past
-    /// this instant and is evicted lazily (DESIGN.md §10). Organic
-    /// inserts stamp insert-time + [`dns_resolver::CACHE_TTL_MICROS`];
-    /// journal replay stamps `SimMicros::MAX` (the replayed run must see
-    /// exactly the cache the interrupted run had).
-    expires_at: SimMicros,
 }
 
 /// The scanner. Thread-safe: share via `Arc` across workers.
@@ -200,15 +180,12 @@ pub struct Scanner {
     /// Validated DNSKEY sets per zone apex (root, TLDs — hot in every
     /// chain validation). Only *successful* validations are cached: a
     /// transient failure against one zone must not poison every later
-    /// chain that crosses it. Every entry is provenance-tagged (the
-    /// bailiwick the keys were validated under) and only consulted for
-    /// owners inside that provenance, so a poisoned insert can never
-    /// flip another zone's classification. Inserts are logged per zone
-    /// (via [`Probe::key_inserts`]) so journal replay can rebuild the
-    /// cache. Striped `KEY_SHARDS` ways by name hash: every zone's chain
-    /// validation hits the root/TLD entries, and a single lock here
-    /// serializes all workers.
-    key_cache: Vec<Mutex<HashMap<Name, KeyCacheEntry>>>,
+    /// chain that crosses it. An entry serves owners at or below the
+    /// bailiwick the keys were validated under, so a poisoned insert can
+    /// never flip another zone's classification. Organic inserts are
+    /// logged to the zone's meter so journal replay can rebuild the
+    /// cache.
+    key_cache: ProvenanceCache<Arc<Vec<DnskeyData>>>,
     seed: u64,
 }
 
@@ -242,9 +219,7 @@ impl Scanner {
             table,
             policy,
             now,
-            key_cache: (0..KEY_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            key_cache: ProvenanceCache::at_or_below(),
             seed: 0xb007,
         }
     }
@@ -266,19 +241,6 @@ impl Scanner {
             eco.now,
             policy,
         ))
-    }
-
-    /// The key-cache stripe responsible for `name`.
-    fn key_shard(&self, name: &Name) -> &Mutex<HashMap<Name, KeyCacheEntry>> {
-        &self.key_cache[(name.fnv64() % KEY_SHARDS as u64) as usize]
-    }
-
-    /// Sole approved write path into the shared key cache. Every entry
-    /// carries its provenance tag; audited by bootscan-lint (V001),
-    /// which forbids raw map inserts anywhere else.
-    fn cache_validated_keys(&self, owner: &Name, entry: KeyCacheEntry) {
-        // bootscan-allow(V001): the one approved provenance-tagged insert into the key cache
-        self.key_shard(owner).lock().insert(owner.clone(), entry);
     }
 
     /// The shared resolver (exposed for the cache-poisoning regression
@@ -304,14 +266,8 @@ impl Scanner {
         expires_at: SimMicros,
     ) {
         let provenance = provenance.unwrap_or_else(|| owner.clone());
-        self.cache_validated_keys(
-            &owner,
-            KeyCacheEntry {
-                keys,
-                provenance,
-                expires_at,
-            },
-        );
+        self.key_cache
+            .insert_tagged(owner, Arc::new(keys), provenance, expires_at);
     }
 
     /// A fresh probe for one scan of `zone`, borrowing the worker's
@@ -336,7 +292,6 @@ impl Scanner {
             stats: RetryStats::default(),
             meter: QueryMeter::with_budget(id_seed, self.policy.zone_query_budget),
             scratch,
-            key_inserts: Vec::new(),
         }
     }
 
@@ -411,35 +366,19 @@ impl Scanner {
         zone: &Name,
         servers: &[Addr],
         ds: &[DsData],
-    ) -> Option<Vec<DnskeyData>> {
-        {
-            let mut shard = self.key_shard(zone).lock();
-            if let Some(cached) = shard.get(zone) {
-                if cached.expires_at <= probe.clock {
-                    // Expired: never consulted, evicted lazily.
-                    shard.remove(zone);
-                } else if zone.is_subdomain_of(&cached.provenance) {
-                    // Bailiwick rule: a cached key set only serves owners
-                    // inside its provenance. A well-formed entry has
-                    // provenance == owner; anything else is a poisoned
-                    // insert and is ignored.
-                    return Some(cached.keys.clone());
-                }
-            }
+    ) -> Option<Arc<Vec<DnskeyData>>> {
+        if let Some(cached) = self.key_cache.lookup(zone, probe.clock) {
+            return Some(cached);
         }
-        let keys = self.fetch_keys_uncached(probe, zone, servers, ds);
-        if let Some(k) = &keys {
-            self.cache_validated_keys(
-                zone,
-                KeyCacheEntry {
-                    keys: k.clone(),
-                    provenance: zone.clone(),
-                    expires_at: probe.clock.saturating_add(dns_resolver::CACHE_TTL_MICROS),
-                },
-            );
-            probe.key_inserts.push((zone.clone(), k.clone()));
-        }
-        keys
+        let keys = Arc::new(self.fetch_keys_uncached(probe, zone, servers, ds)?);
+        self.key_cache.insert_tagged(
+            zone.clone(),
+            Arc::clone(&keys),
+            zone.clone(),
+            probe.clock.saturating_add(CACHE_TTL_MICROS),
+        );
+        probe.meter.log_key_insert(zone.clone(), Arc::clone(&keys));
+        Some(keys)
     }
 
     fn fetch_keys_uncached(
@@ -524,13 +463,7 @@ impl Scanner {
         scan.retry_stats.tcp_fallbacks = io.tcp_fallbacks as u32;
         scan.retry_stats.bytes_sent = io.bytes_sent;
         scan.retry_stats.bytes_received = io.bytes_received;
-        let cache_log = probe.meter.take_cache_log();
-        let effects = ZoneEffects {
-            key_inserts: std::mem::take(&mut probe.key_inserts),
-            addr_inserts: cache_log.addr_inserts,
-            referral_inserts: cache_log.referral_inserts,
-        };
-        (scan, effects)
+        (scan, probe.meter.take_cache_log())
     }
 
     fn scan_zone_inner(&self, zone: &Name, probe: &mut Probe) -> ZoneScan {
@@ -963,7 +896,7 @@ impl Scanner {
     }
 
     /// Scan every zone in `seeds`, optionally in parallel.
-    pub fn scan_all(self: &Arc<Self>, seeds: &[Name]) -> ScanResults {
+    pub fn scan_all(&self, seeds: &[Name]) -> ScanResults {
         self.scan_all_with(seeds, None, None)
     }
 
@@ -984,7 +917,7 @@ impl Scanner {
     /// never inside one; `policy.parallelism` threads serve sink-less
     /// scans only.
     pub fn scan_all_with(
-        self: &Arc<Self>,
+        &self,
         seeds: &[Name],
         sink: Option<&dyn ProgressSink>,
         resume: Option<ResumeState>,
@@ -1139,11 +1072,12 @@ impl Scanner {
     /// scanner's virtual clock. The one walk over key / address /
     /// referral inserts: journal replay (`Recovery::apply_to`) and epoch
     /// carry-over (`CarryLedger::seed_into`) differ only in the expiry
-    /// they pass. The address and referral entries share the
-    /// effects' `Arc`s — nothing is deep-cloned per seed.
+    /// they pass. Every cache entry shares the effects' `Arc` — nothing
+    /// is deep-cloned per seed.
     pub fn seed_effects(&self, effects: &ZoneEffects, expires_at: SimMicros) {
         for (zone, keys) in &effects.key_inserts {
-            self.seed_validated_keys(zone.clone(), keys.clone(), None, expires_at);
+            self.key_cache
+                .insert_tagged(zone.clone(), Arc::clone(keys), zone.clone(), expires_at);
         }
         for (ns, addrs) in &effects.addr_inserts {
             self.resolver

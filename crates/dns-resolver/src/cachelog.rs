@@ -1,19 +1,21 @@
-//! Per-meter cache-effect log: every insert the resolver makes into its
-//! shared caches while working under a [`QueryMeter`] is recorded here,
-//! attributed to exactly the zone whose meter paid for the queries that
-//! produced it. The scanner drains the log after each zone and writes it
-//! to the crash-recovery journal, so a resumed scan can replay the exact
+//! Per-meter cache-effect log: every insert made into a shared cache
+//! while working under a [`QueryMeter`] — the resolver's address and
+//! delegation caches, the scanner's validated-key cache — is recorded
+//! here, attributed to exactly the zone whose meter paid for the queries
+//! that produced it. The scanner takes the log when it seals a zone and
+//! hands it, as is, to the crash-recovery journal (`bootscan` re-exports
+//! [`CacheLog`] as `ZoneEffects`), so a resumed scan can replay the exact
 //! cache state the uninterrupted run would have seen — even when several
-//! workers share the caches and inserts interleave. The log itself
-//! belongs to one meter, hence to one lane: appending takes no lock.
+//! lanes share the caches and inserts interleave. The log itself belongs
+//! to one meter, hence to one lane: appending takes no lock.
 //!
-//! Entries hold `Arc`s into the live cache values, so logging costs one
-//! pointer bump per insert instead of a deep clone under the cache lock.
+//! Entries hold the same `Arc`s the caches hold, so logging an insert
+//! and seeding it back both cost a pointer bump, never a deep clone.
 //!
 //! [`QueryMeter`]: crate::client::QueryMeter
 
 use dns_wire::name::Name;
-use dns_wire::rdata::{DsData, RrsigData};
+use dns_wire::rdata::{DnskeyData, DsData, RrsigData};
 use netsim::Addr;
 use std::sync::Arc;
 
@@ -39,17 +41,15 @@ pub struct ReferralData {
     pub parent_servers: Vec<Addr>,
 }
 
-/// Cache inserts performed under one meter, in insertion order.
-#[derive(Debug, Default)]
+/// Cache inserts performed under one meter — one zone scan's side
+/// effects on shared scanner state — each list in insertion order.
+#[derive(Debug, Clone, Default)]
 pub struct CacheLog {
-    /// NS hostname → resolved addresses.
+    /// Validated-key cache: zone apex → its validated DNSKEY set.
+    pub key_inserts: Vec<(Name, Arc<Vec<DnskeyData>>)>,
+    /// Address cache: NS hostname → resolved addresses.
     pub addr_inserts: Vec<(Name, Arc<Vec<Addr>>)>,
-    /// Zone cut → referral data learned from its parent.
+    /// Delegation cache: zone cut → referral data learned from its
+    /// parent.
     pub referral_inserts: Vec<(Name, Arc<ReferralData>)>,
-}
-
-impl CacheLog {
-    pub fn is_empty(&self) -> bool {
-        self.addr_inserts.is_empty() && self.referral_inserts.is_empty()
-    }
 }

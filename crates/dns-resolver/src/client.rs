@@ -10,6 +10,7 @@ use crate::cachelog::{CacheLog, ReferralData};
 use crate::hostile::{HostileCause, HostileTally};
 use dns_wire::message::Message;
 use dns_wire::name::Name;
+use dns_wire::rdata::DnskeyData;
 use dns_wire::record::RecordType;
 use netsim::{Addr, DeterministicDraw, NetError, Network, SimMicros, Transport};
 use std::cell::{Cell, RefCell};
@@ -173,9 +174,10 @@ type QueryCoords = (Addr, u64, u16);
 /// a query's payload does not change when *other* queries in the same
 /// scope are elided by a cache hit.
 ///
-/// The meter also collects the [`CacheLog`] of resolver-cache inserts
-/// performed on its behalf, so the scanner can journal each zone's exact
-/// cache side effects even when workers share the caches.
+/// The meter also collects the [`CacheLog`] of shared-cache inserts
+/// performed on its behalf (resolver and scanner caches alike), so the
+/// scanner can journal each zone's exact cache side effects even when
+/// workers share the caches.
 ///
 /// A meter belongs to one zone scan on one lane, so it is `!Sync` by
 /// construction: `&self` methods update `Cell`s, and no `RefCell` borrow
@@ -190,7 +192,7 @@ pub struct QueryMeter {
     /// staying independent of anything *between* them. A zone issues a
     /// few dozen queries, so this is a short list scanned linearly.
     issued: RefCell<Vec<(QueryCoords, u32)>>,
-    /// Resolver-cache inserts made while working under this meter.
+    /// Shared-cache inserts made while working under this meter.
     cache_log: RefCell<CacheLog>,
     io: Cell<IoCounters>,
     /// Logical queries begun (each `query_at_with` call, before netsim
@@ -254,6 +256,11 @@ impl QueryMeter {
             ],
         )
         .below(0x1_0000) as u16
+    }
+
+    /// Record a validated-key-cache insert made on this meter's behalf.
+    pub fn log_key_insert(&self, zone: Name, keys: Arc<Vec<DnskeyData>>) {
+        self.cache_log.borrow_mut().key_inserts.push((zone, keys));
     }
 
     /// Record an address-cache insert made on this meter's behalf.
@@ -418,9 +425,9 @@ impl DnsClient {
             elapsed += self.retry.backoff(id, retry);
             match self.exchange_once(now + elapsed, server, &q, &bytes) {
                 Ok(once) => {
-                    attempts += once.attempts;
-                    bytes_received += once.bytes_received;
-                    tcp_fallbacks += u64::from(once.used_tcp);
+                    attempts += once.cost.attempts;
+                    bytes_received += once.cost.bytes_received;
+                    tcp_fallbacks += u64::from(once.cost.used_tcp);
                     if once.foreign > 0 {
                         if let Some(m) = meter {
                             m.note_hostile(HostileCause::ForeignRecords);
@@ -428,20 +435,20 @@ impl DnsClient {
                     }
                     outcome = Some(Ok(Exchange {
                         message: once.message,
-                        elapsed: elapsed + once.elapsed,
+                        elapsed: elapsed + once.cost.elapsed,
                         attempts,
                         bytes_sent: u64::from(attempts) * wire_len,
                         bytes_received,
-                        used_tcp: once.used_tcp,
+                        used_tcp: once.cost.used_tcp,
                         retries: retry,
                     }));
                     break;
                 }
                 Err(once) => {
-                    elapsed += once.elapsed;
-                    attempts += once.attempts;
-                    bytes_received += once.bytes_received;
-                    tcp_fallbacks += u64::from(once.used_tcp);
+                    elapsed += once.cost.elapsed;
+                    attempts += once.cost.attempts;
+                    bytes_received += once.cost.bytes_received;
+                    tcp_fallbacks += u64::from(once.cost.used_tcp);
                     kind = once.kind;
                     // No server will appear mid-scan: don't retry.
                     if once.kind == ClientErrorKind::Unreachable {
@@ -490,108 +497,63 @@ impl DnsClient {
         query: &Message,
         bytes: &[u8],
     ) -> Result<OnceOk, OnceErr> {
-        let udp = match self.net.query_at(at, server, bytes, Transport::Udp) {
-            Ok(o) => o,
-            Err(f) => {
-                return Err(OnceErr {
-                    kind: kind_of(f.error),
-                    elapsed: f.elapsed,
-                    attempts: f.attempts,
-                    bytes_received: 0,
-                    used_tcp: false,
-                })
-            }
-        };
-        let mut elapsed = udp.elapsed;
-        let mut attempts = udp.attempts;
-        let mut bytes_received = udp.reply.len() as u64;
-        let mut msg = match Message::from_bytes(&udp.reply) {
-            Ok(m) => m,
-            Err(_) => {
-                return Err(OnceErr {
-                    kind: ClientErrorKind::Malformed,
-                    elapsed,
-                    attempts,
-                    bytes_received,
-                    used_tcp: false,
-                })
-            }
-        };
-        let mut foreign = match accept_reply(query, &mut msg) {
-            Ok(n) => n,
-            Err(()) => {
-                return Err(OnceErr {
-                    kind: ClientErrorKind::Rejected,
-                    elapsed,
-                    attempts,
-                    bytes_received,
-                    used_tcp: false,
-                })
-            }
-        };
-        if !msg.header.flags.truncated {
+        let mut cost = OnceCost::default();
+        let (message, foreign) =
+            match self.exchange_leg(at, server, query, bytes, Transport::Udp, &mut cost) {
+                Ok(accepted) => accepted,
+                Err(kind) => return Err(OnceErr { kind, cost }),
+            };
+        if !message.header.flags.truncated {
             return Ok(OnceOk {
-                message: msg,
-                elapsed,
-                attempts,
-                bytes_received,
-                used_tcp: false,
+                message,
                 foreign,
+                cost,
             });
         }
         // TC=1 → retry the same question over TCP. The truncated UDP
         // reply already cost its bytes, and the TCP attempts cost theirs
         // whether or not the fallback ultimately succeeds.
-        let tcp = match self
+        cost.used_tcp = true;
+        match self.exchange_leg(at, server, query, bytes, Transport::Tcp, &mut cost) {
+            Ok((message, more)) => Ok(OnceOk {
+                message,
+                foreign: foreign + more,
+                cost,
+            }),
+            Err(kind) => Err(OnceErr { kind, cost }),
+        }
+    }
+
+    /// One leg of an exchange: send `bytes` over `transport` once the
+    /// legs before it are paid for (`at + cost.elapsed`), decode the
+    /// reply and pass it through the acceptance gate. Whatever the leg
+    /// spent is added to `cost` whether or not it succeeds — a lost
+    /// datagram still cost its attempts, a malformed or rejected reply
+    /// still crossed the wire. Returns the accepted message and the
+    /// number of foreign records the gate stripped.
+    fn exchange_leg(
+        &self,
+        at: SimMicros,
+        server: Addr,
+        query: &Message,
+        bytes: &[u8],
+        transport: Transport,
+        cost: &mut OnceCost,
+    ) -> Result<(Message, u32), ClientErrorKind> {
+        let sent = self
             .net
-            .query_at(at + elapsed, server, bytes, Transport::Tcp)
-        {
-            Ok(o) => o,
-            Err(f) => {
-                return Err(OnceErr {
-                    kind: kind_of(f.error),
-                    elapsed: elapsed + f.elapsed,
-                    attempts: attempts + f.attempts,
-                    bytes_received,
-                    used_tcp: true,
-                })
-            }
+            .query_at(at + cost.elapsed, server, bytes, transport);
+        let (elapsed, attempts) = match &sent {
+            Ok(o) => (o.elapsed, o.attempts),
+            Err(f) => (f.elapsed, f.attempts),
         };
-        elapsed += tcp.elapsed;
-        attempts += tcp.attempts;
-        bytes_received += tcp.reply.len() as u64;
-        let mut msg = match Message::from_bytes(&tcp.reply) {
-            Ok(m) => m,
-            Err(_) => {
-                return Err(OnceErr {
-                    kind: ClientErrorKind::Malformed,
-                    elapsed,
-                    attempts,
-                    bytes_received,
-                    used_tcp: true,
-                })
-            }
-        };
-        foreign += match accept_reply(query, &mut msg) {
-            Ok(n) => n,
-            Err(()) => {
-                return Err(OnceErr {
-                    kind: ClientErrorKind::Rejected,
-                    elapsed,
-                    attempts,
-                    bytes_received,
-                    used_tcp: true,
-                })
-            }
-        };
-        Ok(OnceOk {
-            message: msg,
-            elapsed,
-            attempts,
-            bytes_received,
-            used_tcp: true,
-            foreign,
-        })
+        cost.elapsed += elapsed;
+        cost.attempts += attempts;
+        let reply = sent.map_err(|f| kind_of(f.error))?.reply;
+        cost.bytes_received += reply.len() as u64;
+        let mut message = Message::from_bytes(&reply).map_err(|_| ClientErrorKind::Malformed)?;
+        let foreign = accept_reply(query, &mut message).map_err(|()| ClientErrorKind::Rejected)?;
+        Ok((message, foreign))
     }
 }
 
@@ -625,24 +587,27 @@ fn accept_reply(query: &Message, reply: &mut Message) -> Result<u32, ()> {
     Ok((before - reply.answers.len()) as u32)
 }
 
-/// One successful UDP(+TCP) exchange, before retry accounting.
-struct OnceOk {
-    message: Message,
+/// What one UDP(+TCP) exchange cost, before retry accounting.
+#[derive(Default)]
+struct OnceCost {
     elapsed: SimMicros,
     attempts: u32,
     bytes_received: u64,
     used_tcp: bool,
-    /// Foreign answer records stripped by the acceptance gate.
-    foreign: u32,
 }
 
-/// One failed UDP(+TCP) exchange, before retry accounting.
+/// One successful UDP(+TCP) exchange.
+struct OnceOk {
+    message: Message,
+    /// Foreign answer records stripped by the acceptance gate.
+    foreign: u32,
+    cost: OnceCost,
+}
+
+/// One failed UDP(+TCP) exchange.
 struct OnceErr {
     kind: ClientErrorKind,
-    elapsed: SimMicros,
-    attempts: u32,
-    bytes_received: u64,
-    used_tcp: bool,
+    cost: OnceCost,
 }
 
 fn kind_of(e: NetError) -> ClientErrorKind {

@@ -13,30 +13,33 @@
 //!
 //! ## Caching (DESIGN.md §7)
 //!
-//! Two caches share [`CACHE_SHARDS`]-way striped storage keyed by
-//! `fnv64(name) % N`, so concurrent workers rarely contend on the same
-//! lock:
+//! The resolver holds two [`ProvenanceCache`]s — the type owns the
+//! stripes, lazy expiry and the bailiwick rule, so nothing here locks,
+//! compares an expiry or checks a provenance:
 //!
-//! * the **address cache** — NS hostname → addresses, as before, now
-//!   `Arc`-shared so a hit costs a pointer bump, not a `Vec` clone;
+//! * the **address cache** — NS hostname → addresses, served for names
+//!   at or below the zone that produced them;
 //! * the **delegation cache** — zone cut → [`ReferralData`] (NS set, DS
-//!   presence *or absence*, glue, the servers on both sides). A walk
-//!   first looks up the deepest cached ancestor of its QNAME whose
-//!   parent chain closes at the root, reconstructs those [`ChainLink`]s
-//!   without any network traffic, and wire-walks only the remainder —
-//!   root and TLD servers are hit O(distinct zone cuts) instead of
-//!   O(zones × queries).
+//!   presence *or absence*, glue, the servers on both sides), believed
+//!   only when spoken by a proper ancestor of the cut. A walk first
+//!   looks up the deepest cached ancestor of its QNAME whose parent
+//!   chain closes at the root, takes those [`ChainLink`]s without any
+//!   network traffic, and wire-walks only the remainder — root and TLD
+//!   servers are hit O(distinct zone cuts) instead of O(zones × queries).
+//!
+//! Both hold `Arc`s, and a [`ChainLink`] *is* the cached `Arc` plus the
+//! cut's name: a hit, a link and a journal log entry are pointer bumps
+//! on one allocation.
 //!
 //! Both caches are pure accelerators: every entry is a deterministic
 //! function of the simulated world, so a hit changes *when* datagrams go
 //! out, never *what* any response contains — classifications are
-//! invariant under cache state. Entries carry the same provenance tags
-//! as the poisoning-hardened address cache (referral data is believed
-//! only when spoken by a proper ancestor of the cut), and every insert
-//! made under a [`QueryMeter`] is logged to that meter's
+//! invariant under cache state. Every insert made under a
+//! [`QueryMeter`] is logged to that meter's
 //! [`CacheLog`](crate::cachelog::CacheLog) so the crash-recovery journal
 //! can replay identical cache state on resume.
 
+use crate::cache::ProvenanceCache;
 use crate::cachelog::ReferralData;
 use crate::client::{ClientErrorKind, DnsClient, QueryMeter};
 use crate::hostile::HostileCause;
@@ -45,15 +48,9 @@ use dns_wire::name::Name;
 use dns_wire::rdata::{DsData, RData};
 use dns_wire::record::{Record, RecordType};
 use netsim::{Addr, SimMicros};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
-
-/// Stripe count for the shared caches. A power of two so the modulo
-/// compiles to a mask; 16 stripes keep 8 workers' collision probability
-/// low without bloating the resolver.
-const CACHE_SHARDS: usize = 16;
 
 /// Validity window stamped on organic cache inserts, in virtual
 /// microseconds: one hour, matching the TTL the ecosystem puts on NS
@@ -69,24 +66,24 @@ pub struct RootHints {
     pub addrs: Vec<Addr>,
 }
 
-/// One crossed zone cut, recorded during the walk.
+/// One crossed zone cut, recorded during the walk: the cut's name and
+/// the very [`ReferralData`] allocation the delegation cache holds for
+/// it. Derefs to the data, so `link.ds`, `link.child_servers`, … read
+/// through.
 #[derive(Debug, Clone)]
 pub struct ChainLink {
-    /// Apex of the zone that delegated.
-    pub parent_apex: Name,
     /// The delegated (child) zone apex.
     pub child_apex: Name,
-    /// DS RRs seen at the parent side of the cut (`None` = no DS RRs in
-    /// the referral — an insecure delegation).
-    pub ds: Option<Vec<DsData>>,
-    /// RRSIGs over the DS RRset (for validating the DS itself).
-    pub ds_rrsigs: Vec<dns_wire::rdata::RrsigData>,
-    /// NS target names at the cut.
-    pub ns_names: Vec<Name>,
-    /// Server addresses used for the child zone.
-    pub child_servers: Vec<Addr>,
-    /// Server addresses of the parent zone (for re-querying DS).
-    pub parent_servers: Vec<Addr>,
+    /// What the parent said at the cut.
+    pub data: Arc<ReferralData>,
+}
+
+impl Deref for ChainLink {
+    type Target = ReferralData;
+
+    fn deref(&self) -> &ReferralData {
+        &self.data
+    }
 }
 
 /// A completed resolution.
@@ -136,44 +133,14 @@ impl fmt::Display for ResolverError {
 
 impl std::error::Error for ResolverError {}
 
-/// One address-cache entry: the addresses plus the apex of the zone whose
-/// servers supplied them. A cached datum is only consulted for names
-/// inside that provenance, so a poisoned insert can never leak across
-/// bailiwicks.
-struct AddrEntry {
-    addrs: Arc<Vec<Addr>>,
-    provenance: Name,
-    /// Virtual-time expiry: the entry is never consulted at or past
-    /// this instant and is evicted lazily when a lookup finds it stale.
-    expires_at: SimMicros,
-}
-
-/// One delegation-cache entry: the referral data for a zone cut plus the
-/// apex of the zone that spoke it. Consulted only when the provenance is
-/// a proper ancestor of the cut — the same bailiwick discipline as the
-/// address cache, so an out-of-provenance insert is dead weight.
-struct DelegationEntry {
-    data: Arc<ReferralData>,
-    provenance: Name,
-    /// Virtual-time expiry, same semantics as [`AddrEntry::expires_at`].
-    expires_at: SimMicros,
-}
-
-/// One stripe of the shared caches; which stripe a name lands in is
-/// `fnv64(name) % CACHE_SHARDS`.
-#[derive(Default)]
-struct CacheShard {
-    /// ns hostname → addresses, provenance-tagged.
-    addresses: HashMap<Name, AddrEntry>,
-    /// zone cut → referral data, provenance-tagged.
-    delegations: HashMap<Name, DelegationEntry>,
-}
-
 /// The iterative resolver.
 pub struct Resolver {
     client: Arc<DnsClient>,
     roots: RootHints,
-    shards: Vec<Mutex<CacheShard>>,
+    /// NS hostname → addresses.
+    addresses: ProvenanceCache<Arc<Vec<Addr>>>,
+    /// Zone cut → referral data.
+    delegations: ProvenanceCache<Arc<ReferralData>>,
     max_referrals: usize,
     max_depth: usize,
     hardened: bool,
@@ -197,37 +164,14 @@ impl Resolver {
         Resolver {
             client,
             roots,
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(CacheShard::default()))
-                .collect(),
+            addresses: ProvenanceCache::at_or_below(),
+            delegations: ProvenanceCache::strictly_below(),
             max_referrals: 32,
             max_depth: 6,
             hardened,
             max_ns_fanout: 16,
             max_alias_hops: 4,
         }
-    }
-
-    /// The stripe holding `name`'s cache entries.
-    fn shard(&self, name: &Name) -> &Mutex<CacheShard> {
-        // bootscan-allow(P002): stripe index is fnv64 % CACHE_SHARDS and the vec holds exactly CACHE_SHARDS stripes
-        &self.shards[(name.fnv64() % CACHE_SHARDS as u64) as usize]
-    }
-
-    /// Sole approved write path into the shared address cache. Every
-    /// entry carries its provenance tag; audited by bootscan-lint (V001),
-    /// which forbids raw map inserts anywhere else.
-    fn cache_address(&self, ns: &Name, entry: AddrEntry) {
-        // bootscan-allow(V001): the one approved provenance-tagged insert into the address cache
-        self.shard(ns).lock().addresses.insert(ns.clone(), entry);
-    }
-
-    /// Sole approved write path into the shared delegation cache — the
-    /// V001 provenance discipline, same as [`Self::cache_address`].
-    fn cache_delegation(&self, cut: &Name, entry: DelegationEntry) {
-        let mut shard = self.shard(cut).lock();
-        // bootscan-allow(V001): the one approved provenance-tagged insert into the delegation cache
-        shard.delegations.insert(cut.clone(), entry);
     }
 
     /// Whether the hardening layer is active.
@@ -489,39 +433,32 @@ impl Resolver {
             if addrs.is_empty() {
                 return Err(ResolverError::NoAddresses(cut));
             }
-            // The cut is crossed: record it in the chain and publish the
-            // referral data so later walks can skip this hop. Inserts
-            // overwrite (an unusable poisoned entry is replaced by the
-            // organic re-fetch, exactly like the address cache) and are
-            // logged to the meter for journal replay.
+            // The cut is crossed: publish the referral data so later
+            // walks can skip this hop, and record the same allocation in
+            // the chain. Inserts overwrite (an unusable poisoned entry is
+            // replaced by the organic re-fetch, exactly like the address
+            // cache) and are logged to the meter for journal replay.
             let data = Arc::new(ReferralData {
-                parent_apex: zone_apex.clone(),
+                parent_apex: zone_apex,
                 ns_names,
                 ds: if ds.is_empty() { None } else { Some(ds) },
                 ds_rrsigs,
                 child_servers: addrs.clone(),
-                parent_servers: std::mem::take(&mut servers),
+                parent_servers: servers,
             });
-            chain.push(ChainLink {
-                parent_apex: data.parent_apex.clone(),
-                child_apex: cut.clone(),
-                ds: data.ds.clone(),
-                ds_rrsigs: data.ds_rrsigs.clone(),
-                ns_names: data.ns_names.clone(),
-                child_servers: data.child_servers.clone(),
-                parent_servers: data.parent_servers.clone(),
-            });
-            self.cache_delegation(
-                &cut,
-                DelegationEntry {
-                    data: Arc::clone(&data),
-                    provenance: data.parent_apex.clone(),
-                    expires_at: (now + elapsed).saturating_add(CACHE_TTL_MICROS),
-                },
+            self.delegations.insert_tagged(
+                cut.clone(),
+                Arc::clone(&data),
+                data.parent_apex.clone(),
+                (now + elapsed).saturating_add(CACHE_TTL_MICROS),
             );
             if let Some(m) = meter {
                 m.log_referral_insert(cut.clone(), Arc::clone(&data));
             }
+            chain.push(ChainLink {
+                child_apex: cut.clone(),
+                data,
+            });
             zone_apex = cut;
             servers = addrs;
         }
@@ -569,45 +506,23 @@ impl Resolver {
             cut = cut.parent()?;
         }
         let apex = cut.clone();
-        let mut links_rev: Vec<ChainLink> = Vec::new();
-        let mut servers: Option<Vec<Addr>> = None;
+        let mut links: Vec<ChainLink> = Vec::new();
         loop {
-            let data = {
-                let mut shard = self.shard(&cut).lock();
-                let e = shard.delegations.get(&cut)?;
-                // Validity rule: an expired entry is never consulted and
-                // is evicted on the spot (lazy eviction — DESIGN.md §10).
-                if e.expires_at <= now {
-                    shard.delegations.remove(&cut);
-                    return None;
-                }
-                // Bailiwick rule, mirroring the address cache: referral
-                // data for a cut is believed only when it was spoken by
-                // a proper ancestor of that cut.
-                if !cut.is_strict_subdomain_of(&e.provenance) {
-                    return None;
-                }
-                Arc::clone(&e.data)
-            };
-            if servers.is_none() {
-                servers = Some(data.child_servers.clone());
-            }
-            links_rev.push(ChainLink {
-                parent_apex: data.parent_apex.clone(),
+            let data = self.delegations.lookup(&cut, now)?;
+            let parent = data.parent_apex.clone();
+            links.push(ChainLink {
                 child_apex: cut,
-                ds: data.ds.clone(),
-                ds_rrsigs: data.ds_rrsigs.clone(),
-                ns_names: data.ns_names.clone(),
-                child_servers: data.child_servers.clone(),
-                parent_servers: data.parent_servers.clone(),
+                data,
             });
-            if data.parent_apex.label_count() == 0 {
+            if parent.label_count() == 0 {
                 break;
             }
-            cut = data.parent_apex.clone();
+            cut = parent;
         }
-        links_rev.reverse();
-        Some((links_rev, apex, servers?))
+        // Deepest link first until reversed: its servers are the apex's.
+        let servers = links.first()?.child_servers.clone();
+        links.reverse();
+        Some((links, apex, servers))
     }
 
     /// Resolve the addresses of a nameserver hostname (cached).
@@ -635,18 +550,8 @@ impl Resolver {
         depth: usize,
         visited: &mut Vec<Name>,
     ) -> Result<Arc<Vec<Addr>>, ResolverError> {
-        {
-            let mut shard = self.shard(ns).lock();
-            if let Some(e) = shard.addresses.get(ns) {
-                if e.expires_at <= now {
-                    // Expired: never consulted, evicted lazily.
-                    shard.addresses.remove(ns);
-                } else if ns.is_subdomain_of(&e.provenance) {
-                    // Bailiwick rule: a cached datum only serves names
-                    // inside the zone that produced it.
-                    return Ok(Arc::clone(&e.addrs));
-                }
-            }
+        if let Some(addrs) = self.addresses.lookup(ns, now) {
+            return Ok(addrs);
         }
         if self.hardened && visited.iter().any(|v| v == ns) {
             // This NS hostname's resolution is already in flight above us:
@@ -676,22 +581,20 @@ impl Resolver {
                     visited.pop();
                     return Err(e);
                 }
+                // Falls through to the insert below: a failed lookup
+                // memoises what it has, possibly nothing (DESIGN.md §13).
                 Err(_) => {}
             }
         }
         visited.pop();
         // One allocation, shared three ways: the cache entry, the meter
-        // log and the caller all hold the same `Arc`. The meter append
-        // happens outside the shard lock — the old global cache cloned
-        // the full vector twice inside its critical section.
+        // log and the caller all hold the same `Arc`.
         let addrs = Arc::new(addrs);
-        self.cache_address(
-            ns,
-            AddrEntry {
-                addrs: Arc::clone(&addrs),
-                provenance,
-                expires_at: now.saturating_add(CACHE_TTL_MICROS),
-            },
+        self.addresses.insert_tagged(
+            ns.clone(),
+            Arc::clone(&addrs),
+            provenance,
+            now.saturating_add(CACHE_TTL_MICROS),
         );
         if let Some(m) = meter {
             m.log_addr_insert(ns.clone(), Arc::clone(&addrs));
@@ -717,14 +620,8 @@ impl Resolver {
         expires_at: SimMicros,
     ) {
         let provenance = provenance.unwrap_or_else(|| ns.clone());
-        self.cache_address(
-            &ns,
-            AddrEntry {
-                addrs,
-                provenance,
-                expires_at,
-            },
-        );
+        self.addresses
+            .insert_tagged(ns, addrs, provenance, expires_at);
     }
 
     /// Seed the delegation cache with referral data for `cut` — the
@@ -741,14 +638,8 @@ impl Resolver {
         expires_at: SimMicros,
     ) {
         let provenance = provenance.unwrap_or_else(|| data.parent_apex.clone());
-        self.cache_delegation(
-            &cut,
-            DelegationEntry {
-                data,
-                provenance,
-                expires_at,
-            },
-        );
+        self.delegations
+            .insert_tagged(cut, data, provenance, expires_at);
     }
 
     fn query_first_responsive(

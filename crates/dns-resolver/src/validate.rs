@@ -504,6 +504,27 @@ mod tests {
     }
 
     #[test]
+    fn chain_links_share_the_cached_referral() {
+        let m = build();
+        let r = resolver(&m);
+        let meter = crate::QueryMeter::new(7);
+        let qname = name!("www.secure.test");
+        let cold = r
+            .resolve_at_with(Some(&meter), 0, &qname, RecordType::A)
+            .unwrap();
+        let warm = r.resolve_at_with(None, 0, &qname, RecordType::A).unwrap();
+        assert_eq!(warm.queries, 1, "the warm walk asks only the leaf");
+        let logged = meter.take_cache_log().referral_inserts;
+        assert_eq!(logged.len(), cold.chain.len());
+        for ((cold, warm), (cut, data)) in cold.chain.iter().zip(&warm.chain).zip(&logged) {
+            assert_eq!(cold.child_apex, warm.child_apex);
+            assert_eq!(cold.child_apex, *cut);
+            assert!(Arc::ptr_eq(&cold.data, &warm.data));
+            assert!(Arc::ptr_eq(&cold.data, data));
+        }
+    }
+
+    #[test]
     fn elapsed_and_queries_accumulate() {
         let m = build();
         let r = resolver(&m);

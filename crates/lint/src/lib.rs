@@ -3,8 +3,9 @@
 //! A zero-dependency, offline static-analysis pass that mechanically
 //! enforces the reproduction's load-bearing invariants: determinism of
 //! the evidence plane (D-rules), panic-safety of hostile-input paths
-//! (P-rules), cache-write provenance (V001), error-taxonomy
-//! exhaustiveness (E001), and suppression hygiene (U/J/X rules).
+//! (P-rules), untrusted-byte taint and lock discipline across crates
+//! (T- and L-rules), error-taxonomy exhaustiveness (E001), and
+//! suppression hygiene (U/J/X rules).
 //!
 //! Run it with `cargo run -p bootscan-lint` from anywhere inside the
 //! workspace; it exits non-zero if any invariant is violated.

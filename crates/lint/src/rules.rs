@@ -10,9 +10,6 @@
 //! * **P — panic-safety.** Hostile wire bytes must degrade into typed
 //!   errors, never abort the scanner: no `unwrap`/`panic!`/indexing in
 //!   decode and response-acceptance paths.
-//! * **V — cache provenance.** Shared caches may only be written
-//!   through the provenance-tagged wrappers; a raw map insert is how a
-//!   poisoning bug would start.
 //! * **E — error taxonomy.** Every `ScanError`/`HostileCause` variant
 //!   must be explicitly reported in the degradation path; a wildcard
 //!   arm is a silent fold.
@@ -143,18 +140,6 @@ pub fn catalog() -> Vec<Rule> {
             exclude: PANIC_SCOPE_EXCLUDE,
             skip_tests: true,
             check: check_p002,
-        },
-        Rule {
-            id: "V001",
-            summary: "raw insert into a shared cache map (key/address/delegation \
-                      caches accept writes only through provenance-tagged wrappers)",
-            include: &[
-                "crates/dns-resolver/src/iterate.rs",
-                "crates/core/src/scanner.rs",
-            ],
-            exclude: &[],
-            skip_tests: true,
-            check: check_v001,
         },
         Rule {
             id: "J001",
@@ -532,35 +517,6 @@ fn check_p002(sf: &SourceFile) -> Vec<RawFinding> {
                     .to_string(),
                 tok: i,
             });
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// V001 — raw cache inserts
-// ---------------------------------------------------------------------
-
-fn check_v001(sf: &SourceFile) -> Vec<RawFinding> {
-    const CACHE_IDENTS: &[&str] = &["addresses", "delegations", "key_shard", "key_cache"];
-    let mut out = Vec::new();
-    for i in 0..sf.toks.len() {
-        if text(sf, i) == "."
-            && matches!(text(sf, i + 1), "insert" | "entry")
-            && text(sf, i + 2) == "("
-        {
-            let recv = receiver_idents(sf, i, 24);
-            if let Some(n) = recv.iter().find(|n| CACHE_IDENTS.contains(&n.as_str())) {
-                out.push(RawFinding {
-                    line: sf.toks[i + 1].line,
-                    msg: format!(
-                        "raw `.{}()` on shared cache `{n}`; writes must go through the \
-                         provenance-tagged wrapper",
-                        text(sf, i + 1)
-                    ),
-                    tok: i + 1,
-                });
-            }
         }
     }
     out

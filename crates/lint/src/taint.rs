@@ -76,14 +76,10 @@ const SANITIZERS: &[&str] = &[
     "validate_commit_epoch",
 ];
 
-/// Provenance-tagged cache-write wrappers and classifier-state entry
-/// points (T002 sinks): tainted data must never reach these.
-const CACHE_SINKS: &[&str] = &[
-    "cache_address",
-    "cache_delegation",
-    "cache_validated_keys",
-    "seed_into",
-];
+/// The provenance-tagged cache write (`ProvenanceCache::insert_tagged`,
+/// the only one there is) and the carry-ledger entry point (T002
+/// sinks): tainted data must never reach these.
+const CACHE_SINKS: &[&str] = &["insert_tagged", "seed_into"];
 
 /// Disk reads must be validated in-function by one of these (T003).
 const VALIDATORS: &[&str] = &["crc32", "from_bytes", "validate_commit_epoch"];
@@ -96,7 +92,7 @@ fn text(sf: &SourceFile, i: usize) -> &str {
 }
 
 /// Is `name` a T002 sink? Exact names plus the `seed_*` wrapper family
-/// (`seed_address`, `seed_referral_with_provenance`, ...).
+/// (`seed_address`, `seed_referral`, `seed_effects`, ...).
 fn is_cache_sink(name: &str) -> bool {
     // `seed_from_u64` is deterministic-simulation RNG seeding, not
     // scanner state — the one `seed_*` name that is not a sink.
@@ -424,11 +420,11 @@ mod tests {
             (
                 "crates/dns-resolver/src/client.rs",
                 "fn accept_reply(q: &M, r: &mut M) -> Result<u32, ()> { Ok(0) }\n\
-                 fn exchange_once(b: &[u8]) { let m = from_bytes(b); accept_reply(&m, &mut m); cache_address(m); }",
+                 fn exchange_once(b: &[u8]) { let m = from_bytes(b); accept_reply(&m, &mut m); insert_tagged(m); }",
             ),
             (
-                "crates/dns-resolver/src/iterate.rs",
-                "fn cache_address(m: M) {}",
+                "crates/dns-resolver/src/cache.rs",
+                "fn insert_tagged(m: M) {}",
             ),
         ]);
         assert!(findings.is_empty(), "{findings:?}");
@@ -442,9 +438,9 @@ mod tests {
                 "fn from_bytes(b: &[u8]) -> M { M }",
             ),
             (
-                "crates/dns-resolver/src/iterate.rs",
-                "fn cache_address(m: M) {}\n\
-                 fn ingest(b: &[u8]) { let m = from_bytes(b); cache_address(m); }",
+                "crates/dns-resolver/src/cache.rs",
+                "fn insert_tagged(m: M) {}\n\
+                 fn ingest(b: &[u8]) { let m = from_bytes(b); insert_tagged(m); }",
             ),
         ]);
         assert_eq!(findings.len(), 1);

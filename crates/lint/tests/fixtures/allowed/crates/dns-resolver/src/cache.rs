@@ -6,7 +6,7 @@ pub fn ingest(buf: &[u8]) {
     let msg = from_bytes(buf);
     // bootscan-allow(T002): fixture — this seed path runs only against
     // operator-supplied warmup captures, never live responses
-    cache_address(msg);
+    insert_tagged(msg);
 }
 
-pub fn cache_address(_msg: Vec<u8>) {}
+pub fn insert_tagged(_msg: Vec<u8>) {}

@@ -24,5 +24,5 @@ pub fn ambient_config() -> bool {
 #[allow(dead_code)]
 fn unjustified() {}
 
-// bootscan-allow(V001): stale — this file contains no cache inserts at all
+// bootscan-allow(P001): stale — this file is outside every decode path
 pub fn nothing_to_suppress() {}

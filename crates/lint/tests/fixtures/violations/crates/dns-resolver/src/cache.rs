@@ -4,7 +4,7 @@
 
 pub fn ingest(buf: &[u8]) {
     let msg = from_bytes(buf);
-    cache_address(msg);
+    insert_tagged(msg);
 }
 
-pub fn cache_address(_msg: Vec<u8>) {}
+pub fn insert_tagged(_msg: Vec<u8>) {}

@@ -1,8 +1,8 @@
 //! The live workspace must satisfy its own invariants: running the
 //! lint over the repository root yields zero findings. This is the
 //! test that keeps the codebase honest — any new ambient clock, hash
-//! iteration, decode-path panic, raw cache insert, or stale
-//! suppression fails the suite with a file:line diagnostic.
+//! iteration, decode-path panic, or stale suppression fails the suite
+//! with a file:line diagnostic.
 
 use bootscan_lint::run;
 use std::path::Path;
@@ -78,16 +78,12 @@ fn workspace_scan_stays_within_budget() {
 fn lock_classes_are_the_known_set() {
     const KNOWN: &[(&str, &str)] = &[
         (
-            "core::key_cache",
-            "scan lanes share the validated-key cache (16 stripes)",
-        ),
-        (
             "core::zones",
             "threaded scan_all lanes push into one results vector",
         ),
         (
-            "dns-resolver::shards",
-            "scan lanes share the address/delegation caches (16 stripes)",
+            "dns-resolver::stripes",
+            "threaded scan_all lanes share every ProvenanceCache (16 stripes each)",
         ),
         (
             "dns-server::zones",

@@ -155,7 +155,7 @@ mod tests {
             parent_servers: Vec::new(),
         };
         ZoneEffects {
-            key_inserts: vec![(name(zone), Vec::new())],
+            key_inserts: vec![(name(zone), Arc::default())],
             addr_inserts: Vec::new(),
             referral_inserts: vec![(name(zone), Arc::new(referral))],
         }

@@ -339,7 +339,7 @@ impl Enc {
         for (name, keys) in &e.key_inserts {
             self.name(name);
             self.u32(keys.len() as u32);
-            for k in keys {
+            for k in keys.iter() {
                 self.dnskey(k);
             }
         }
@@ -673,7 +673,7 @@ impl<'a> Dec<'a> {
             let name = self.name()?;
             let k = self.count()?;
             let keys = (0..k).map(|_| self.dnskey()).collect::<Result<_>>()?;
-            e.key_inserts.push((name, keys));
+            e.key_inserts.push((name, Arc::new(keys)));
         }
         let n = self.count()?;
         for _ in 0..n {
@@ -799,7 +799,7 @@ pub(crate) mod tests {
             duration_delta: 777_001,
             scan,
             effects: ZoneEffects {
-                key_inserts: vec![(name!("zone.example"), vec![key])],
+                key_inserts: vec![(name!("zone.example"), Arc::new(vec![key]))],
                 addr_inserts: vec![(
                     name!("ns1.example"),
                     Arc::new(vec![
