@@ -16,9 +16,19 @@
 //! a single condvar the coordinator parks on, so it can wait for
 //! "*any* worker said something" with a bounded timeout (its lease
 //! poll tick) without spinning.
+//!
+//! **Heartbeats mark, results notify.** A worker heartbeats after every
+//! journaled event, and nothing the coordinator does with a heartbeat
+//! is urgent: it only has to know, when its poll tick ends, that the
+//! tick was not quiet. So a [`Msg::Heartbeat`] advances the wake set's
+//! stamp — the coordinator's next [`WakeSet::wait`] returns `true`, and
+//! lease supervision counts exactly the quiet ticks it always did —
+//! without waking the parked coordinator; the heartbeat is read at the
+//! next result or poll tick. Every other message, and the writer's
+//! drop, wakes it at once.
 
 use crate::protocol::{encode_msg, FrameDecoder, FrameError, Msg};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Shared wake signal for a set of pipes ("any of them has data").
@@ -33,19 +43,36 @@ impl WakeSet {
         Arc::new(WakeSet::default())
     }
 
-    fn notify(&self) {
+    /// Advance the stamp, so the next [`wait`](Self::wait) reports
+    /// activity; `wake` also ends a wait that is parked right now.
+    fn signal(&self, wake: bool) {
         let mut stamp = self.stamp.lock().unwrap_or_else(PoisonError::into_inner);
         *stamp = stamp.wrapping_add(1);
-        self.cv.notify_all();
+        if wake {
+            self.cv.notify_all();
+        }
     }
 
-    /// Wait until any associated pipe signals, or `timeout` elapses.
-    /// `last_seen` is the caller's cursor into the signal stream;
-    /// returns `true` if something was signalled since the last call
-    /// (i.e. the caller should drain its pipes), `false` on a quiet
-    /// timeout (a "silent poll" for lease accounting).
+    /// Wait until any associated pipe wakes the set, or `timeout`
+    /// elapses. `last_seen` is the caller's cursor into the signal
+    /// stream; returns `true` if anything — heartbeats included — was
+    /// signalled since the last call (i.e. the caller should drain its
+    /// pipes), `false` on a quiet timeout (a "silent poll" for lease
+    /// accounting).
     pub fn wait(&self, last_seen: &mut u64, timeout: Duration) -> bool {
-        let mut stamp = self.stamp.lock().unwrap_or_else(PoisonError::into_inner);
+        let stamp = self.stamp.lock().unwrap_or_else(PoisonError::into_inner);
+        self.wait_locked(stamp, last_seen, timeout)
+    }
+
+    /// [`wait`](Self::wait) from the stamp lock already held: the lock
+    /// is released only by parking, which is what lets a test know the
+    /// waiter is parked.
+    fn wait_locked(
+        &self,
+        mut stamp: MutexGuard<'_, u64>,
+        last_seen: &mut u64,
+        timeout: Duration,
+    ) -> bool {
         if *stamp != *last_seen {
             *last_seen = *stamp;
             return true;
@@ -100,8 +127,9 @@ pub enum Polled {
 }
 
 /// Create a connected pipe. `wake` (optional) is additionally
-/// signalled on every send — share one across all worker→coordinator
-/// pipes so the coordinator parks on a single condvar.
+/// signalled on every send (a heartbeat marks it, anything else wakes
+/// it) — share one across all worker→coordinator pipes so the
+/// coordinator parks on a single condvar.
 pub fn pipe(wake: Option<Arc<WakeSet>>) -> (PipeWriter, PipeReader) {
     let p = Arc::new(Pipe::default());
     (
@@ -131,7 +159,7 @@ impl PipeWriter {
         }
         self.pipe.cv.notify_all();
         if let Some(wake) = &self.wake {
-            wake.notify();
+            wake.signal(!matches!(msg, Msg::Heartbeat { .. }));
         }
     }
 }
@@ -147,7 +175,7 @@ impl Drop for PipeWriter {
         drop(state);
         self.pipe.cv.notify_all();
         if let Some(wake) = &self.wake {
-            wake.notify();
+            wake.signal(true);
         }
     }
 }
@@ -260,6 +288,66 @@ mod tests {
         assert!(wake.wait(&mut cursor, Duration::from_millis(1)));
         // Cursor caught up: quiet again.
         assert!(!wake.wait(&mut cursor, Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn heartbeats_mark_the_tick_busy_without_waking_a_parked_waiter() {
+        const HOUR: Duration = Duration::from_secs(3600);
+        let heartbeat = Msg::Heartbeat {
+            worker: 1,
+            epoch: 0,
+            shard: 2,
+            lease: 3,
+            events: 4,
+        };
+        let done = Msg::ShardDone {
+            worker: 1,
+            epoch: 0,
+            shard: 2,
+            lease: 3,
+            zones: 4,
+            queries: 5,
+            duration: 6,
+        };
+        let wake = WakeSet::new();
+        let (tx, mut rx) = pipe(Some(Arc::clone(&wake)));
+
+        // A heartbeat advances the stamp: the next wait does not block.
+        let mut cursor = 0u64;
+        tx.send(&heartbeat);
+        assert!(wake.wait(&mut cursor, HOUR));
+        assert_eq!(rx.try_recv().unwrap(), Polled::Msg(heartbeat));
+        assert_eq!(rx.try_recv().unwrap(), Polled::Empty);
+
+        // A waiter that is parked stays parked through a heartbeat and
+        // is woken by the result behind it. It takes the stamp lock
+        // before saying so, and gives it up only by parking — so once
+        // this thread gets the lock, the waiter is parked.
+        let (entering, entered) = std::sync::mpsc::channel();
+        let waiter = {
+            let wake = Arc::clone(&wake);
+            std::thread::spawn(move || {
+                let stamp = wake.stamp.lock().unwrap();
+                entering.send(()).unwrap();
+                let woke = wake.wait_locked(stamp, &mut cursor, HOUR);
+                let mut drained = Vec::new();
+                while let Polled::Msg(msg) = rx.try_recv().unwrap() {
+                    drained.push(msg);
+                }
+                (woke, drained)
+            })
+        };
+        entered.recv().unwrap();
+        drop(wake.stamp.lock().unwrap());
+        tx.send(&heartbeat);
+        tx.send(&done);
+        let (woke, drained) = waiter.join().unwrap();
+        assert!(woke);
+        assert_eq!(
+            drained,
+            [heartbeat, done],
+            "woken once, by the result, with the heartbeat already queued in front of it"
+        );
     }
 
     #[test]

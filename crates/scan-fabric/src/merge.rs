@@ -19,13 +19,20 @@
 //! The merge visits shards in shard-id order and zones in canonical
 //! order, so the [`MergedReport`] is byte-identical across worker
 //! counts and fault plans (`tests/fabric_recovery.rs`).
+//!
+//! **Digests are hashed as they are written.** The two rolling digests
+//! cover each zone's JSON; the serializer writes that JSON straight into
+//! the hash (`chain_digest`), so no string is built to be walked once
+//! and dropped. A zone that fails to serialize is an `InvalidData`
+//! error out of [`StreamingMerge::absorb_shard`] — a digest over
+//! nothing would be a silent difference.
 
 use bootscan::report::{DegradationReport, Figure1};
 use bootscan::{
     AbClass, CdsClass, DnssecClass, Identified, RetryStats, ScanResults, ZoneEvent, ZoneScan,
 };
 use dns_wire::name::Name;
-use scan_journal::{fnv64, latest_per_zone};
+use scan_journal::{latest_per_zone, Fnv64};
 use serde::Serialize;
 use std::borrow::Cow;
 use std::io;
@@ -168,37 +175,53 @@ impl StreamingMerge {
                     .abandoned_zones
                     .push(placeholder.name.to_string_fqdn());
             }
-            self.emit(&zone, sink);
+            self.emit(&zone, sink)?;
         }
         self.report.virtual_makespan_us = self.report.virtual_makespan_us.max(shard_duration);
         self.report.virtual_total_us += shard_duration;
         Ok(())
     }
 
-    fn emit(&mut self, zone: &ZoneScan, sink: &mut dyn MergeSink) {
+    fn emit(&mut self, zone: &ZoneScan, sink: &mut dyn MergeSink) -> io::Result<()> {
         self.report.zones_total += 1;
         self.report.total_queries += u64::from(zone.queries);
         self.report.figure1.absorb(zone);
         self.report.degradation.absorb_counters(zone);
-        let full = serde_json::to_string(zone).unwrap_or_default();
-        self.report.zone_stream_digest = fnv64(&[
-            &self.report.zone_stream_digest.to_le_bytes(),
-            full.as_bytes(),
-        ]);
+        self.report.zone_stream_digest = chain_digest(self.report.zone_stream_digest, zone)?;
         let mut evidence = zone.clone();
         evidence.queries = 0;
         evidence.elapsed = 0;
         evidence.retry_stats = RetryStats::default();
-        let ev = serde_json::to_string(&evidence).unwrap_or_default();
-        self.report.evidence_digest =
-            fnv64(&[&self.report.evidence_digest.to_le_bytes(), ev.as_bytes()]);
+        self.report.evidence_digest = chain_digest(self.report.evidence_digest, &evidence)?;
         sink.on_zone(zone);
+        Ok(())
     }
 
     /// Seal the report. Returns it plus the observed peak residency.
     pub fn finish(self) -> (MergedReport, usize) {
         (self.report, self.peak_resident)
     }
+}
+
+/// One link of a rolling digest: FNV-1a over the previous digest
+/// (little-endian) followed by `zone`'s compact JSON, with the
+/// serializer writing into the hash.
+fn chain_digest(prev: u64, zone: &ZoneScan) -> io::Result<u64> {
+    struct Hashed(Fnv64);
+    impl io::Write for Hashed {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.write(bytes);
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+    let mut hashed = Hashed(Fnv64::new());
+    hashed.0.write(&prev.to_le_bytes());
+    serde_json::to_writer(&mut hashed, zone)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    Ok(hashed.0.finish())
 }
 
 /// The one hole rule for a shard journal, shared by the fabric merge
@@ -287,6 +310,45 @@ mod tests {
         assert_eq!(peak, 2);
         assert_eq!(sink.zones.len(), 2);
         assert!(report.abandoned_zones.is_empty());
+    }
+
+    #[test]
+    fn streamed_digests_equal_the_formula_over_whole_strings() {
+        use scan_journal::fnv64;
+        let zones = vec![name!("a.example"), name!("b.example"), name!("c.example")];
+        let events: Vec<_> = ["a.example", "b.example", "c.example"]
+            .into_iter()
+            .zip([3, 4, 5])
+            .map(|(zone, queries)| {
+                let mut e = event_for(zone, queries);
+                e.1.scan.elapsed = 1_000 + u64::from(queries);
+                e.1.scan.retry_stats.logical_queries = u64::from(queries);
+                e
+            })
+            .collect();
+        // The digests as they are defined: each link hashes the previous
+        // digest and the zone's JSON string, the evidence one with the
+        // cost counters zeroed.
+        let (mut full, mut evidence) = (0u64, 0u64);
+        for (_, event) in &events {
+            let json = serde_json::to_string(&event.scan).unwrap();
+            full = fnv64(&[&full.to_le_bytes(), json.as_bytes()]);
+            let costless = ZoneScan {
+                queries: 0,
+                elapsed: 0,
+                retry_stats: RetryStats::default(),
+                ..event.scan.clone()
+            };
+            let json = serde_json::to_string(&costless).unwrap();
+            evidence = fnv64(&[&evidence.to_le_bytes(), json.as_bytes()]);
+        }
+        let mut m = StreamingMerge::new();
+        m.absorb_shard(&zones, events, false, &mut NullMergeSink)
+            .unwrap();
+        let (report, _) = m.finish();
+        assert_eq!(report.zone_stream_digest, full);
+        assert_eq!(report.evidence_digest, evidence);
+        assert_ne!(full, evidence, "the cost counters are in the full digest");
     }
 
     #[test]

@@ -59,11 +59,11 @@ type Result<T> = std::result::Result<T, CodecError>;
 
 // ---------------------------------------------------------------- writer
 
-struct Enc {
-    buf: Vec<u8>,
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Enc {
+impl Enc<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -96,9 +96,8 @@ impl Enc {
     /// A name as its label count followed by length-prefixed labels
     /// (root = zero labels).
     fn name(&mut self, n: &Name) {
-        let labels: Vec<&[u8]> = n.labels().collect();
-        self.u8(labels.len() as u8);
-        for l in labels {
+        self.u8(n.label_count() as u8);
+        for l in n.labels() {
             self.u8(l.len() as u8);
             self.buf.extend_from_slice(l);
         }
@@ -358,12 +357,19 @@ impl Enc {
 
 /// Encode one event into a standalone payload (no framing/checksum).
 pub fn encode_event(event: &ZoneEvent) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::new() };
+    let mut buf = Vec::new();
+    encode_event_into(&mut buf, event);
+    buf
+}
+
+/// Append one event's payload bytes to `buf` — what the journal writer
+/// does, straight into the frame it is building.
+pub fn encode_event_into(buf: &mut Vec<u8>, event: &ZoneEvent) {
+    let mut e = Enc { buf };
     e.u32(event.pass);
     e.u64(event.duration_delta);
     e.zone_scan(&event.scan);
     e.effects(&event.effects);
-    e.buf
 }
 
 // ---------------------------------------------------------------- reader
@@ -881,6 +887,14 @@ pub(crate) mod tests {
         let payload = encode_event(&event);
         let back = decode_event(&payload).expect("decode");
         assert_events_equal(&event, &back);
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_the_standalone_payload() {
+        let event = rich_event();
+        let mut buf = b"already here".to_vec();
+        encode_event_into(&mut buf, &event);
+        assert_eq!(buf, [&b"already here"[..], &encode_event(&event)].concat());
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! rewrites a file that does not), which is what lets a checkpoint be a
 //! plain copy of the file's first bytes; the reader itself accepts any
 //! first seq. Every append is written before the scanner is allowed to
-//! fold the zone into memory — the write-ahead discipline. *Durability*
+//! fold the zone into memory — the write-ahead discipline — and costs
+//! one encode, one checksum and one `write`: the writer builds each
+//! frame in place in a buffer it keeps ([`JournalWriter::append`]).
+//! *Durability*
 //! is batched (group commit): the caller decides when to
 //! [`sync`](JournalWriter::sync), trading a bounded window of re-scannable
 //! work on power loss for not paying an `fdatasync` per zone.
@@ -33,7 +36,7 @@
 //! `valid_len` so the next append starts on a clean boundary. The zones
 //! whose events were dropped simply get re-scanned.
 
-use crate::codec::{decode_event, encode_event};
+use crate::codec::{decode_event, encode_event_into};
 use crate::crc::crc32;
 use bootscan::ZoneEvent;
 use std::fs::{File, OpenOptions};
@@ -80,7 +83,9 @@ impl JournalHeader {
         b
     }
 
-    fn from_bytes(b: &[u8]) -> Option<Self> {
+    /// The header of a journal-format byte image, if it carries a valid
+    /// one.
+    pub(crate) fn from_bytes(b: &[u8]) -> Option<Self> {
         if b.len() < HEADER_LEN as usize
             || b[0..4] != JOURNAL_MAGIC
             || u16::from_le_bytes(b[4..6].try_into().unwrap()) != FORMAT_VERSION
@@ -103,6 +108,8 @@ pub struct JournalWriter {
     next_seq: u64,
     /// Bytes in the file: header plus every frame appended so far.
     len: u64,
+    /// The frame being appended, reused from one append to the next.
+    frame: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -117,6 +124,7 @@ impl JournalWriter {
             file,
             next_seq: first_seq,
             len: HEADER_LEN,
+            frame: Vec::new(),
         })
     }
 
@@ -129,6 +137,7 @@ impl JournalWriter {
             file,
             next_seq,
             len,
+            frame: Vec::new(),
         })
     }
 
@@ -147,16 +156,23 @@ impl JournalWriter {
     /// Append one event; returns its sequence number. The frame is
     /// handed to the OS before returning but not `fdatasync`ed — call
     /// [`sync`](Self::sync) to commit a batch.
+    ///
+    /// The frame is built in place in the writer's one buffer — room
+    /// for `len | crc`, then `seq`, then the event encoded straight
+    /// behind it, then the two fields filled in — and leaves in one
+    /// `write_all`, so an append allocates only while that buffer is
+    /// still growing to the largest event seen.
     pub fn append(&mut self, event: &ZoneEvent) -> io::Result<u64> {
         let seq = self.next_seq;
-        let mut payload = Vec::with_capacity(64);
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.extend_from_slice(&encode_event(event));
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.extend_from_slice(&[0; 8]);
+        frame.extend_from_slice(&seq.to_le_bytes());
+        encode_event_into(frame, event);
+        let (head, payload) = frame.split_at_mut(8);
+        head[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        head[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
+        self.file.write_all(frame)?;
         self.next_seq = seq + 1;
         self.len += frame.len() as u64;
         Ok(seq)
@@ -198,43 +214,46 @@ pub struct JournalRead {
 pub fn read_journal(path: &Path) -> io::Result<JournalRead> {
     let mut raw = Vec::new();
     File::open(path)?.read_to_end(&mut raw)?;
-    let total = raw.len() as u64;
+    Ok(parse(JournalHeader::from_bytes(&raw), &raw))
+}
 
-    let header = JournalHeader::from_bytes(&raw);
+#[cfg(test)]
+thread_local! {
+    /// Frames [`parse`] has decoded on this thread: lets a test count
+    /// how often a recovery touches each event.
+    pub(crate) static FRAMES_DECODED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The one frame reader: walk the journal-format byte image `raw`,
+/// whose header the caller has already read as `header`, up to the
+/// first byte that cannot be trusted.
+pub(crate) fn parse(header: Option<JournalHeader>, raw: &[u8]) -> JournalRead {
+    let total = raw.len() as u64;
+    let torn = |entries: Vec<(u64, ZoneEvent)>, valid_len: u64| JournalRead {
+        header,
+        entries,
+        tail: TailStatus::Torn {
+            dropped_bytes: total - valid_len,
+        },
+        valid_len,
+    };
     if header.is_none() {
-        return Ok(JournalRead {
-            header: None,
-            entries: Vec::new(),
-            tail: TailStatus::Torn {
-                dropped_bytes: total,
-            },
-            valid_len: 0,
-        });
+        return torn(Vec::new(), 0);
     }
 
     let mut entries: Vec<(u64, ZoneEvent)> = Vec::new();
     let mut pos = HEADER_LEN as usize;
-    let mut valid_len = HEADER_LEN;
     loop {
+        let valid_len = pos as u64;
         let rest = &raw[pos..];
         if rest.is_empty() {
-            return Ok(JournalRead {
+            return JournalRead {
                 header,
                 entries,
                 tail: TailStatus::Clean,
                 valid_len,
-            });
+            };
         }
-        let torn = |entries: Vec<(u64, ZoneEvent)>, valid_len: u64| {
-            Ok(JournalRead {
-                header,
-                entries,
-                tail: TailStatus::Torn {
-                    dropped_bytes: total - valid_len,
-                },
-                valid_len,
-            })
-        };
         if rest.len() < 8 {
             return torn(entries, valid_len);
         }
@@ -259,8 +278,9 @@ pub fn read_journal(path: &Path) -> io::Result<JournalRead> {
             // treat it like corruption rather than trusting it.
             Err(_) => return torn(entries, valid_len),
         }
+        #[cfg(test)]
+        FRAMES_DECODED.with(|n| n.set(n.get() + 1));
         pos += 8 + len as usize;
-        valid_len = pos as u64;
     }
 }
 
@@ -317,6 +337,24 @@ mod tests {
             assert_eq!(sa, sb);
             assert_eq!(ea.scan.queries, eb.scan.queries);
         }
+    }
+
+    #[test]
+    fn appended_frame_is_len_crc_seq_event_assembled_the_long_way() {
+        use crate::codec::encode_event;
+        let dir = tmpdir("framebytes");
+        let path = dir.join(JOURNAL_FILE);
+        let written = write_n(&path, 2);
+        // Every frame from its parts, each in a buffer of its own.
+        let mut expected = HDR.to_bytes().to_vec();
+        for (seq, event) in &written {
+            let mut payload = seq.to_le_bytes().to_vec();
+            payload.extend_from_slice(&encode_event(event));
+            expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&crc32(&payload).to_le_bytes());
+            expected.extend_from_slice(&payload);
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
     }
 
     #[test]

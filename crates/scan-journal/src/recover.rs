@@ -4,7 +4,11 @@
 //! reads whatever survived — a checkpoint, a journal, both, or neither —
 //! validates everything against the expected run identity, truncates any
 //! torn journal tail on disk, and returns the maximal contiguous event
-//! prefix. From that prefix:
+//! prefix. It is also the fabric merge's and the epoch fold's reader, so
+//! it touches each event once: both files are read once, and a
+//! checkpoint that is a byte prefix of the journal (the normal case —
+//! that is what a checkpoint *is*) is compared, not parsed. From that
+//! prefix:
 //!
 //! * [`Recovery::resume_state`] yields the [`ResumeState`] to pass to
 //!   [`Scanner::scan_all_with`](bootscan::scanner::Scanner::scan_all_with)
@@ -32,10 +36,10 @@
 //! checkpoint a plain copy of the journal's first bytes, and what keeps
 //! a resumed append contiguous with the frames already in the file.
 
-use crate::checkpoint::{read_checkpoint, write_checkpoint, CHECKPOINT_FILE};
+use crate::checkpoint::{write_checkpoint, CHECKPOINT_FILE};
 use crate::crc::fnv64;
 use crate::journal::{
-    read_journal, truncate_torn_tail, JournalHeader, JournalWriter, TailStatus, JOURNAL_FILE,
+    parse, truncate_torn_tail, JournalHeader, JournalRead, JournalWriter, TailStatus, JOURNAL_FILE,
 };
 use bootscan::scanner::Scanner;
 use bootscan::{ProgressSink, ResumeState, ZoneEvent, ZoneScan};
@@ -133,50 +137,86 @@ impl Recovery {
 /// ignored and a corrupt one contributes its valid prefix (the journal
 /// is authoritative); a corrupt journal header drops the file's
 /// contents (a valid checkpoint still contributes).
+///
+/// **Each file is read once and, normally, each event parsed once.** A
+/// checkpoint is a copy of the journal's first bytes, so when the
+/// checkpoint found on disk still *is* a byte prefix of this run's
+/// journal — of its checksum-valid bytes — it parses to a prefix of the
+/// journal's own frames and holds nothing the journal does not: it is
+/// not parsed, and the journal's entries are the recovery. Only when
+/// that is not so (journal missing, headerless or not starting at seq
+/// 0; checkpoint longer than the valid journal, or different from it)
+/// does the union run — the rule [`read_checkpoint`] + [`read_journal`]
+/// spell out, over the bytes already in hand.
+///
+/// [`read_checkpoint`]: crate::read_checkpoint
+/// [`read_journal`]: crate::read_journal
 pub fn recover(dir: &Path, expected: JournalHeader) -> io::Result<Recovery> {
-    let checkpoint = read_checkpoint(dir, expected)?;
-
-    let journal_path = dir.join(JOURNAL_FILE);
-    let (journal_entries, journal_tail, journal_usable) = match read_journal(&journal_path) {
-        Ok(read) => {
-            match read.header {
-                Some(h) if h != expected => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "journal belongs to a different run \
-                             (found run_id={} fingerprint={:#x}, \
-                             expected run_id={} fingerprint={:#x})",
-                            h.run_id, h.fingerprint, expected.run_id, expected.fingerprint
-                        ),
-                    ));
-                }
-                Some(_) => {
-                    if let TailStatus::Torn { .. } = read.tail {
-                        truncate_torn_tail(&journal_path, read.valid_len)?;
-                    }
-                    (read.entries, read.tail, true)
-                }
-                // Header itself torn/corrupt: nothing in the file can be
-                // trusted; resume rewrites it.
-                None => (Vec::new(), read.tail, false),
-            }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), TailStatus::Clean, false),
-        Err(e) => return Err(e),
+    let read = |file: &str| match fs::read(dir.join(file)) {
+        Ok(raw) => Ok(Some(raw)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
     };
+    // No checkpoint and a zero-length one contribute the same: nothing.
+    let checkpoint_raw = read(CHECKPOINT_FILE)?.unwrap_or_default();
+    let journal_raw = read(JOURNAL_FILE)?;
+
+    let journal = match &journal_raw {
+        Some(raw) => match JournalHeader::from_bytes(raw) {
+            Some(h) if h != expected => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "journal belongs to a different run \
+                         (found run_id={} fingerprint={:#x}, \
+                         expected run_id={} fingerprint={:#x})",
+                        h.run_id, h.fingerprint, expected.run_id, expected.fingerprint
+                    ),
+                ));
+            }
+            // `None`: the header itself is torn/corrupt, so nothing in
+            // the file can be trusted (no entries); resume rewrites it.
+            header => parse(header, raw),
+        },
+        None => JournalRead {
+            header: None,
+            entries: Vec::new(),
+            tail: TailStatus::Clean,
+            valid_len: 0,
+        },
+    };
+    let journal_usable = journal.header.is_some();
+    let journal_tail = journal.tail;
+    if journal_usable && journal_tail != TailStatus::Clean {
+        truncate_torn_tail(&dir.join(JOURNAL_FILE), journal.valid_len)?;
+    }
 
     // The file holds its whole prefix when nothing is missing in front
     // of its frames and (below) nothing recovered lies beyond them.
-    let journal_from_zero = journal_entries.first().is_none_or(|e| e.0 == 0);
+    let journal_from_zero = journal.entries.first().is_none_or(|e| e.0 == 0);
 
+    let valid = &journal_raw.as_deref().unwrap_or_default()[..journal.valid_len as usize];
+    if journal_usable && journal_from_zero && valid.starts_with(&checkpoint_raw) {
+        return Ok(Recovery {
+            header: expected,
+            events: journal.entries,
+            journal_tail,
+            checkpoint_only: 0,
+            journal_whole: true,
+        });
+    }
+
+    let checkpoint = match JournalHeader::from_bytes(&checkpoint_raw) {
+        Some(h) if h == expected => parse(Some(h), &checkpoint_raw).entries,
+        _ => Vec::new(),
+    };
     let mut merged: BTreeMap<u64, ZoneEvent> = BTreeMap::new();
     let mut checkpoint_only = 0usize;
     for (seq, event) in checkpoint {
         merged.insert(seq, event);
         checkpoint_only += 1;
     }
-    for (seq, event) in journal_entries {
+    for (seq, event) in journal.entries {
         if merged.insert(seq, event).is_some() {
             checkpoint_only -= 1;
         }
@@ -363,7 +403,10 @@ impl Drop for JournalSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::read_checkpoint;
+    use crate::codec::encode_event;
     use crate::codec::tests::rich_event;
+    use crate::journal::{read_journal, FRAMES_DECODED};
     use crate::namespace::Namespace;
     use dns_wire::name;
 
@@ -640,6 +683,181 @@ mod tests {
         assert_eq!(alone.tail, TailStatus::Clean);
         let seqs: Vec<u64> = alone.entries.iter().map(|e| e.0).collect();
         assert_eq!(seqs, [0, 1, 2, 3]);
+    }
+
+    /// The events (encoded: the codec carries every field),
+    /// `checkpoint_only`, and whether resume may append in place.
+    type Recovered = (Vec<(u64, Vec<u8>)>, usize, bool);
+
+    /// What `recover` returned while it still parsed both files whole:
+    /// the checkpoint and the journal through their public readers,
+    /// every event through the union. Reads only (it does not truncate),
+    /// so it can run before `recover` over the same directory.
+    fn union_by_the_old_rule(dir: &Path, expected: JournalHeader) -> io::Result<Recovered> {
+        let checkpoint = read_checkpoint(dir, expected)?;
+        let (journal_entries, journal_usable) = match read_journal(&dir.join(JOURNAL_FILE)) {
+            Ok(read) => match read.header {
+                Some(h) if h != expected => {
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, "foreign"))
+                }
+                Some(_) => (read.entries, true),
+                None => (Vec::new(), false),
+            },
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), false),
+            Err(e) => return Err(e),
+        };
+        let journal_from_zero = journal_entries.first().is_none_or(|e| e.0 == 0);
+        let mut merged: BTreeMap<u64, ZoneEvent> = BTreeMap::new();
+        let mut checkpoint_only = 0usize;
+        for (seq, event) in checkpoint {
+            merged.insert(seq, event);
+            checkpoint_only += 1;
+        }
+        for (seq, event) in journal_entries {
+            if merged.insert(seq, event).is_some() {
+                checkpoint_only -= 1;
+            }
+        }
+        let events = (0..)
+            .map_while(|want| Some((want, encode_event(&merged.remove(&want)?))))
+            .collect();
+        let whole = journal_usable && journal_from_zero && checkpoint_only == 0;
+        Ok((events, checkpoint_only, whole))
+    }
+
+    /// A directory holding a journal of `journal` events and a
+    /// checkpoint of its first `checkpointed`.
+    fn dir_with(tag: &str, journal: u32, checkpointed: u32) -> PathBuf {
+        let dir = tmpdir(tag);
+        let sink = JournalSink::create(&dir, HDR)
+            .unwrap()
+            .with_checkpoint_every(0);
+        for i in 0..journal {
+            if i == checkpointed {
+                sink.checkpoint_now().unwrap();
+            }
+            let mut e = event_for("a.example", 0, 1);
+            e.scan.queries = i;
+            assert!(sink.on_zone(&e));
+        }
+        if checkpointed >= journal {
+            sink.checkpoint_now().unwrap();
+        }
+        dir
+    }
+
+    fn cut(path: &Path, bytes: u64) {
+        let len = fs::metadata(path).unwrap().len();
+        truncate_torn_tail(path, len - bytes).unwrap();
+    }
+
+    fn flip(path: &Path, at: impl Fn(usize) -> usize) {
+        let mut raw = fs::read(path).unwrap();
+        let idx = at(raw.len());
+        raw[idx] ^= 0xFF;
+        fs::write(path, &raw).unwrap();
+    }
+
+    #[test]
+    fn recover_equals_the_union_of_both_readers_in_every_surviving_combination() {
+        // (journal, checkpoint, bytes in one frame)
+        type Damage = fn(&Path, &Path, u64);
+        // (tag, journal events, checkpointed events, damage done after)
+        let cases: &[(&str, u32, u32, Damage)] = &[
+            ("m-whole", 9, 9, |_, _, _| {}),
+            ("m-stale", 9, 5, |_, _, _| {}),
+            ("m-nockpt", 9, 0, |_, c, _| fs::remove_file(c).unwrap()),
+            ("m-emptyckpt", 9, 0, |_, _, _| {}),
+            ("m-neither", 0, 0, |j, c, _| {
+                fs::remove_file(j).unwrap();
+                fs::remove_file(c).unwrap();
+            }),
+            // Power cut: the checkpoint was synced, the journal's last
+            // frames were not.
+            ("m-ahead", 9, 9, |j, _, frame| cut(j, 2 * frame)),
+            ("m-ahead-torn", 9, 9, |j, _, frame| cut(j, frame + 7)),
+            ("m-zero", 9, 9, |_, c, _| fs::write(c, b"").unwrap()),
+            ("m-stub", 9, 9, |_, c, frame| cut(c, 9 * frame + 15)),
+            ("m-cut-midframe", 9, 9, |_, c, _| cut(c, 5)),
+            ("m-ckpt-flipped", 9, 9, |_, c, _| flip(c, |len| len / 2)),
+            ("m-ckpt-hdr-flipped", 9, 9, |_, c, _| flip(c, |_| 1)),
+            ("m-journal-torn", 9, 5, |j, _, _| cut(j, 5)),
+            ("m-journal-flipped", 9, 9, |j, _, _| flip(j, |len| len / 2)),
+            ("m-both-flipped", 9, 9, |j, c, _| {
+                flip(j, |len| len / 2);
+                flip(c, |len| len / 2);
+            }),
+            ("m-journal-garbage", 9, 9, |j, _, _| {
+                let mut raw = fs::read(j).unwrap();
+                raw.extend_from_slice(&[0x55; 23]);
+                fs::write(j, &raw).unwrap();
+            }),
+            ("m-journal-missing", 9, 9, |j, _, _| {
+                fs::remove_file(j).unwrap()
+            }),
+            ("m-journal-missing-stale", 9, 5, |j, _, _| {
+                fs::remove_file(j).unwrap()
+            }),
+            ("m-journal-hdr-flipped", 9, 5, |j, _, _| flip(j, |_| 1)),
+            ("m-journal-stub", 9, 5, |j, _, frame| cut(j, 9 * frame + 15)),
+        ];
+        for &(tag, journal, checkpointed, damage) in cases {
+            let dir = dir_with(tag, journal, checkpointed);
+            let journal_path = dir.join(JOURNAL_FILE);
+            let frames = fs::metadata(&journal_path).unwrap().len() - crate::journal::HEADER_LEN;
+            let frame = frames / u64::from(journal.max(1));
+            damage(&journal_path, &dir.join(CHECKPOINT_FILE), frame);
+            // Under this run's header, and under another's: a foreign
+            // checkpoint is invisible, a foreign journal a hard error.
+            for expected in [HDR, JournalHeader { run_id: 999, ..HDR }] {
+                let old = union_by_the_old_rule(&dir, expected);
+                let new = recover(&dir, expected);
+                match (old, new) {
+                    (Err(old), Err(new)) => assert_eq!(old.kind(), new.kind(), "{tag}"),
+                    (Ok((events, checkpoint_only, whole)), Ok(rec)) => {
+                        let got: Vec<(u64, Vec<u8>)> = rec
+                            .events
+                            .iter()
+                            .map(|(seq, e)| (*seq, encode_event(e)))
+                            .collect();
+                        assert_eq!(got, events, "{tag}: events");
+                        assert_eq!(rec.checkpoint_only, checkpoint_only, "{tag}");
+                        assert_eq!(rec.journal_whole, whole, "{tag}: resume rewrites");
+                    }
+                    (old, new) => {
+                        panic!("{tag}: old {old:?}, new {:?}", new.map(|r| r.events.len()))
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn journal_not_starting_at_seq_zero_recovers_by_the_union_rule() {
+        // No sink writes such a file; the reader accepts it, so the
+        // prefix shortcut must not mistake its entries for the recovery.
+        let dir = tmpdir("m-nonzero");
+        let mut w = JournalWriter::create(&dir.join(JOURNAL_FILE), HDR, 7).unwrap();
+        w.append(&event_for("a.example", 0, 1)).unwrap();
+        let (events, checkpoint_only, whole) = union_by_the_old_rule(&dir, HDR).unwrap();
+        let rec = recover(&dir, HDR).unwrap();
+        assert!(events.is_empty() && rec.events.is_empty());
+        assert_eq!(rec.checkpoint_only, checkpoint_only);
+        assert_eq!((rec.journal_whole, whole), (false, false));
+    }
+
+    #[test]
+    fn a_checkpointed_journal_is_decoded_once() {
+        let dir = dir_with("once", 13, 13);
+        assert_eq!(read_checkpoint(&dir, HDR).unwrap().len(), 13);
+        let before = FRAMES_DECODED.with(|n| n.get());
+        let rec = recover(&dir, HDR).unwrap();
+        assert_eq!(rec.events.len(), 13);
+        assert_eq!(
+            FRAMES_DECODED.with(|n| n.get()) - before,
+            13,
+            "a checkpoint that is a byte prefix of the journal is not parsed"
+        );
     }
 
     #[test]

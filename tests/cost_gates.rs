@@ -182,3 +182,28 @@ fn continuous_study_costs_stay_within_baseline() {
         |key| key == "skipped",
     );
 }
+
+/// The measured side of ROADMAP item 1: every perf PR appends its
+/// parent and change rows to `BENCH_trajectory.json`. Nothing here
+/// parses JSON (the serde shim only serializes): the file must be
+/// there, hold rows, and name every workload and both revisions of the
+/// PR that created it.
+#[test]
+fn bench_trajectory_names_every_workload_and_both_revisions() {
+    let text = include_str!("../BENCH_trajectory.json");
+    for needle in [
+        "\"rows\"",
+        "\"cold_scan\"",
+        "\"parallel_scan\"",
+        "\"fabric_scan\"",
+        "\"continuous_study\"",
+        "\"revision\": \"b5f7e62\"",
+        "\"revision\": \"PR 23\"",
+        "\"cpu_ns_per_query\"",
+    ] {
+        assert!(
+            text.contains(needle),
+            "BENCH_trajectory.json lacks {needle}"
+        );
+    }
+}
