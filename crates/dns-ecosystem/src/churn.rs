@@ -15,11 +15,16 @@
 //!   seed and the epoch number; applying the same plan to two
 //!   identically-built worlds produces identical worlds (zone stores,
 //!   TLD zones, truth) — pinned by `tests/churn_determinism.rs`.
-//! * **Locality.** Zones untouched by an epoch's plan keep their zone
-//!   content byte-identical: re-signing is incremental (a TLD's edited
-//!   DS RRsets, a base zone's changed signal names) and always uses the
-//!   *retained* original keys at the *original* `eco.now`, so unchanged
-//!   RRsets keep byte-identical RRSIGs.
+//! * **Locality.** Churn costs what it changes. Zones untouched by an
+//!   epoch's plan keep their zone content byte-identical, and inside an
+//!   edited zone so does every owner the edit did not reach: a TLD
+//!   re-signs the DS RRsets it was handed, an operator base zone the
+//!   signal owners that changed plus their NSEC predecessors
+//!   ([`ZoneSigner::resign_owners`]) — always with the *retained*
+//!   original keys at the *original* `eco.now`, so the result is, record
+//!   for record, what stripping and re-signing the whole zone would give
+//!   (`tests/churn_determinism.rs` holds that oracle). Edited zones are
+//!   taken out of their stores, mutated and put back — never copied.
 //!
 //! Eligibility is deliberately conservative: only benign, single-
 //! operator, out-of-domain, non-legacy zones in plain states (no
@@ -29,6 +34,7 @@
 use crate::build::{corrupt_rrsigs_at, expire_rrsigs_at, leaf_signer, rdata_for, soa, Ecosystem};
 use crate::truth::{CdsState, DnssecState, SignalDefect, SignalTruth};
 use dns_crypto::{Algorithm, DigestType};
+use dns_server::ZoneStore;
 use dns_wire::name::Name;
 use dns_wire::rdata::{DsData, RData};
 use dns_wire::record::{Record, RecordType};
@@ -140,6 +146,13 @@ pub struct ChurnLog {
     /// may have invalidated (sorted, deduplicated). The epoch service
     /// drops carried cache entries at or below any of these cuts.
     pub invalidated_cuts: Vec<Name>,
+    /// Distinct signal owner names published, replaced or withdrawn in
+    /// signed operator base zones.
+    pub signal_owners_changed: usize,
+    /// RRsets signed to bring those base zones back to their fully
+    /// signed state: bounded by `signal_owners_changed`, never by the
+    /// zones' size (`tests/cost_gates.rs` pins the bound).
+    pub base_rrsets_signed: usize,
 }
 
 impl ChurnLog {
@@ -254,23 +267,51 @@ impl ChurnPlan {
     }
 }
 
-/// The batched world edits of one `apply_churn` run: TLD zones and
-/// operator base zones are cloned lazily, edited in place, and
-/// re-installed (base zones re-signed) once at the end.
+/// The batched world edits of one `apply_churn` run, made in place: the
+/// first edit of a TLD or operator base zone *takes it out* of every
+/// store serving it ([`take_zone`]), later edits find it here, and
+/// `apply_churn` puts every taken zone back (base zones re-signed at
+/// their changed owners) after the last event — whatever path the event
+/// loop took. Nothing may scan in between: a zone held here is in no
+/// store. `run_continuous` guarantees that by churning under the world
+/// write lock, between drives, before the epoch is published to the fleet.
 struct EditSession {
-    /// TLD apex → working copy.
+    /// TLD apex → the zone, out of its registry store.
     tlds: BTreeMap<Name, Zone>,
-    /// Base apex → (operator index, working copy).
-    bases: BTreeMap<Name, (usize, Zone)>,
+    /// Base apex → the zone, out of its operator's host stores.
+    bases: BTreeMap<Name, BaseEdit>,
     invalidated: BTreeSet<Name>,
+}
+
+/// One operator base zone under edit.
+struct BaseEdit {
+    op_idx: usize,
+    zone: Zone,
+    /// Signal owners whose records were added or removed: what the
+    /// re-sign at the end is proportional to.
+    changed: BTreeSet<Name>,
+}
+
+/// Take the zone at `apex` out of every one of `stores` and own it. The
+/// stores share one `Arc`, so with their handles dropped the unwrap is
+/// free; should anything else still hold the zone (a scanner's reply
+/// in flight cannot — see [`EditSession`] — but a caller's own handle
+/// can), that holder keeps the old content and a clone is edited.
+fn take_zone<'a>(
+    stores: impl IntoIterator<Item = &'a Arc<ZoneStore>>,
+    apex: &Name,
+) -> Option<Zone> {
+    let mut handles = stores.into_iter().filter_map(|store| store.remove(apex));
+    let first = handles.next()?;
+    handles.for_each(drop);
+    Some(Arc::try_unwrap(first).unwrap_or_else(|held| (*held).clone()))
 }
 
 impl EditSession {
     fn tld_mut<'a>(&'a mut self, eco: &Ecosystem, tld: &Name) -> Option<&'a mut Zone> {
         if !self.tlds.contains_key(tld) {
-            let store = eco.registry_stores.get(tld)?;
-            let zone = store.get(tld)?;
-            self.tlds.insert(tld.clone(), (*zone).clone());
+            let zone = take_zone(eco.registry_stores.get(tld), tld)?;
+            self.tlds.insert(tld.clone(), zone);
         }
         self.tlds.get_mut(tld)
     }
@@ -280,13 +321,17 @@ impl EditSession {
         eco: &Ecosystem,
         op_idx: usize,
         base: &Name,
-    ) -> Option<&'a mut Zone> {
+    ) -> Option<&'a mut BaseEdit> {
         if !self.bases.contains_key(base) {
-            let store = eco.operator_stores[op_idx].first()?;
-            let zone = store.get(base)?;
-            self.bases.insert(base.clone(), (op_idx, (*zone).clone()));
+            let zone = take_zone(&eco.operator_stores[op_idx], base)?;
+            let edit = BaseEdit {
+                op_idx,
+                zone,
+                changed: BTreeSet::new(),
+            };
+            self.bases.insert(base.clone(), edit);
         }
-        self.bases.get_mut(base).map(|(_, z)| z)
+        self.bases.get_mut(base)
     }
 }
 
@@ -333,11 +378,16 @@ fn withdraw_signal(eco: &Ecosystem, session: &mut EditSession, op_idx: usize, zo
         let Some(base) = eco.psl.registrable_part(host) else {
             continue;
         };
-        let Some(basez) = session.base_mut(eco, op_idx, &base) else {
+        let Some(edit) = session.base_mut(eco, op_idx, &base) else {
             continue;
         };
-        for rt in [RecordType::Cds, RecordType::Cdnskey, RecordType::Rrsig] {
-            basez.remove_rrset(&sig_name, rt);
+        // The owner's NSEC and RRSIGs go when the base is re-signed.
+        let mut removed = false;
+        for rt in [RecordType::Cds, RecordType::Cdnskey] {
+            removed |= edit.zone.remove_rrset(&sig_name, rt).is_some();
+        }
+        if removed {
+            edit.changed.insert(sig_name);
         }
     }
 }
@@ -359,11 +409,12 @@ fn publish_signal(
         let Some(base) = eco.psl.registrable_part(&host) else {
             continue;
         };
-        let Some(basez) = session.base_mut(eco, op_idx, &base) else {
+        let Some(edit) = session.base_mut(eco, op_idx, &base) else {
             continue;
         };
         for r in recs {
-            basez.add(r);
+            edit.changed.insert(r.name.clone());
+            edit.zone.add(r);
         }
     }
 }
@@ -479,25 +530,6 @@ fn rebuild_zone(
         }
     }
     keys
-}
-
-/// Strip every DNSSEC-generated RRset from a zone, returning a clean
-/// unsigned copy (dropping now-empty NSEC3 owner names with it).
-fn unsigned_copy(z: &Zone) -> Zone {
-    let mut out = Zone::new(z.apex().clone());
-    for r in z.records() {
-        if !matches!(
-            r.rtype(),
-            RecordType::Rrsig
-                | RecordType::Nsec
-                | RecordType::Nsec3
-                | RecordType::Nsec3param
-                | RecordType::Dnskey
-        ) {
-            out.add(r);
-        }
-    }
-    out
 }
 
 /// Apply one epoch's planned transitions to the world. Returns the
@@ -731,33 +763,46 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
         });
     }
 
-    // Install edited TLD zones (clone-modify-replace; atomic per zone
-    // from the servers' view).
+    // Close the take-out window: every zone the session holds goes back
+    // into the store(s) it came from. No scan ran while it was open (see
+    // `EditSession`), so no server ever missed a zone.
     for (tld, zone) in std::mem::take(&mut session.tlds) {
         if let Some(store) = eco.registry_stores.get(&tld) {
             store.insert(zone);
         }
     }
-    // Re-sign and install edited base zones with their retained keys at
-    // the original `eco.now`: unchanged RRsets keep byte-identical
-    // RRSIGs, planted defects are re-applied verbatim.
-    for (base, (op_idx, zone)) in std::mem::take(&mut session.bases) {
+    // Base zones first get their changed owners re-signed, with their
+    // retained keys at the original `eco.now`: every other owner keeps
+    // its records, RRSIG bytes included. Planted defects are re-applied
+    // at the re-signed owners *only* — `corrupt_rrsigs_at` is an XOR, so
+    // a second pass over an owner that kept its RRSIGs would repair it.
+    let mut signal_owners_changed = 0;
+    let mut base_rrsets_signed = 0;
+    for (base, edit) in std::mem::take(&mut session.bases) {
+        let BaseEdit {
+            op_idx,
+            mut zone,
+            changed,
+        } = edit;
         let signed = eco.operator_flavors[op_idx].signal_enabled;
-        let mut z = if signed { unsigned_copy(&zone) } else { zone };
-        if signed {
-            if let Some(keys) = eco.base_keys.get(&base) {
-                ZoneSigner::new(eco.now).sign(&mut z, keys);
-                if let Some((badsig, expired)) = eco.base_defects.get(&base) {
-                    for n in badsig {
-                        corrupt_rrsigs_at(&mut z, n, &[RecordType::Cds, RecordType::Cdnskey]);
-                    }
-                    for n in expired {
-                        expire_rrsigs_at(&mut z, n, eco.now);
-                    }
+        if let Some(keys) = eco.base_keys.get(&base).filter(|_| signed) {
+            let resigned = ZoneSigner::new(eco.now).resign_owners(&mut zone, keys, &changed);
+            if let Some((badsig, expired)) = eco.base_defects.get(&base) {
+                for n in badsig.iter().filter(|n| resigned.contains(n)) {
+                    corrupt_rrsigs_at(&mut zone, n, &[RecordType::Cds, RecordType::Cdnskey]);
+                }
+                for n in expired.iter().filter(|n| resigned.contains(n)) {
+                    expire_rrsigs_at(&mut zone, n, eco.now);
                 }
             }
+            signal_owners_changed += changed.len();
+            base_rrsets_signed += resigned
+                .iter()
+                .filter_map(|n| zone.rrset(n, RecordType::Rrsig))
+                .map(|sigs| sigs.rdatas.len())
+                .sum::<usize>();
         }
-        let arc = Arc::new(z);
+        let arc = Arc::new(zone);
         for store in &eco.operator_stores[op_idx] {
             store.insert_shared(Arc::clone(&arc));
         }
@@ -767,6 +812,8 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
         epoch: plan.epoch,
         deltas,
         invalidated_cuts: session.invalidated.into_iter().collect(),
+        signal_owners_changed,
+        base_rrsets_signed,
     }
 }
 
@@ -788,6 +835,117 @@ mod tests {
         // Different seed or epoch shifts at least the draw stream; the
         // tiny world has enough eligible zones that plans differ.
         assert!(a != c || a != d);
+    }
+
+    /// Every `(store, apex)` an infrastructure zone — TLD or operator
+    /// base — is served from, with the zone: `(label, handle)`.
+    fn infrastructure_zones(eco: &Ecosystem) -> Vec<(String, Arc<Zone>)> {
+        let mut out = Vec::new();
+        for (tld, store) in &eco.registry_stores {
+            out.extend(store.get(tld).map(|z| (format!("registry/{tld}"), z)));
+        }
+        for (op_idx, stores) in eco.operator_stores.iter().enumerate() {
+            for (h, store) in stores.iter().enumerate() {
+                for base in eco.base_keys.keys() {
+                    out.extend(
+                        store
+                            .get(base)
+                            .map(|z| (format!("op{op_idx}/host{h}/{base}"), z)),
+                    );
+                }
+            }
+        }
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    fn labels(zones: &[(String, Arc<Zone>)]) -> Vec<&String> {
+        zones.iter().map(|(label, _)| label).collect()
+    }
+
+    #[test]
+    fn taken_zones_are_back_in_every_store_after_churn() {
+        let mut eco = build(EcosystemConfig::tiny(42));
+        let before: Vec<String> = labels(&infrastructure_zones(&eco))
+            .into_iter()
+            .cloned()
+            .collect();
+        assert!(before.len() > eco.registry_stores.len() + eco.base_keys.len());
+
+        let cfg = ChurnConfig::default();
+        let mut moved = 0;
+        for epoch in 1..=3 {
+            let mut plan = ChurnPlan::generate(&eco, &cfg, 7, epoch);
+            // End on an event that leaves the loop body early (a
+            // migration onto the zone's own operator), after the epoch's
+            // real edits took zones out.
+            let t = eco
+                .truth
+                .iter()
+                .find(|t| eligible(t))
+                .expect("an eligible zone");
+            plan.events
+                .push((t.name.clone(), ChurnAction::MigrateNs { to_op: t.operator }));
+            let log = apply_churn(&mut eco, &plan);
+            moved += log.signal_owners_changed;
+
+            let after = infrastructure_zones(&eco);
+            assert_eq!(
+                labels(&after),
+                before.iter().collect::<Vec<_>>(),
+                "epoch {epoch}"
+            );
+            // One `Arc` per base zone, shared by all of the operator's
+            // host stores — edited or not.
+            for stores in &eco.operator_stores {
+                for base in eco.base_keys.keys() {
+                    let held: Vec<Arc<Zone>> = stores.iter().filter_map(|s| s.get(base)).collect();
+                    assert!(held.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])), "{base}");
+                }
+            }
+        }
+        assert!(moved > 0, "three epochs must edit some base zone");
+    }
+
+    #[test]
+    fn a_zone_someone_still_holds_is_cloned_not_stolen() {
+        let cfg = ChurnConfig::default();
+        let mut free = build(EcosystemConfig::tiny(42));
+        let mut pinned = build(EcosystemConfig::tiny(42));
+        // Hold every infrastructure zone of `pinned` across the calls:
+        // `try_unwrap` fails and the clone fallback edits a copy.
+        let held = infrastructure_zones(&pinned);
+        let held_text: Vec<String> = held.iter().map(|(_, z)| z.to_zone_file()).collect();
+        for epoch in 1..=3 {
+            let plan = ChurnPlan::generate(&free, &cfg, 7, epoch);
+            assert_eq!(plan, ChurnPlan::generate(&pinned, &cfg, 7, epoch));
+            assert_eq!(
+                apply_churn(&mut free, &plan),
+                apply_churn(&mut pinned, &plan)
+            );
+        }
+        let (a, b) = (infrastructure_zones(&free), infrastructure_zones(&pinned));
+        assert_eq!(labels(&a), labels(&b));
+        let mut edited = 0;
+        for (((label, za), (_, zb)), ((_, old), old_text)) in
+            a.iter().zip(&b).zip(held.iter().zip(&held_text))
+        {
+            assert_eq!(
+                za.records(),
+                zb.records(),
+                "{label}: fallback world differs"
+            );
+            assert_eq!(
+                &old.to_zone_file(),
+                old_text,
+                "{label}: the held zone was edited"
+            );
+            edited += usize::from(!Arc::ptr_eq(old, zb));
+        }
+        assert!(
+            edited > 0,
+            "three epochs must edit some infrastructure zone"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! paper's §4 catalogues.
 
 use crate::keys::ZoneKeys;
-use crate::zone::Zone;
+use crate::zone::{CanonicalName, Zone};
 use dns_crypto::sign::{sign_rrset, ValidityWindow};
 use dns_crypto::UnixTime;
 use dns_wire::canonical::canonical_rrset_wire;
@@ -12,6 +12,7 @@ use dns_wire::name::Name;
 use dns_wire::rdata::{Nsec3Data, Nsec3ParamData, NsecData, RData, RrsigData};
 use dns_wire::record::{Record, RecordType, RrSet};
 use dns_wire::typebitmap::TypeBitmap;
+use std::collections::BTreeSet;
 
 /// Deliberate signing defects, planted by the ecosystem generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,42 +86,129 @@ impl ZoneSigner {
 
     /// Sign `zone` in place with `keys`:
     ///
-    /// 1. publish the DNSKEY RRset at the apex,
-    /// 2. build the denial chain (NSEC or NSEC3) over authoritative names,
-    /// 3. add one RRSIG per authoritative RRset — DNSKEY RRsets signed by
-    ///    the KSK, everything else by the ZSK; delegation NS RRsets and
+    /// 1. publish the DNSKEY RRset at the apex (and, for NSEC3, build the
+    ///    hashed chain),
+    /// 2. at every authoritative name, in canonical order, take the
+    ///    per-owner step: link the owner's NSEC to its successor, then add
+    ///    one RRSIG per authoritative RRset there — DNSKEY RRsets signed
+    ///    by the KSK, everything else by the ZSK; delegation NS RRsets and
     ///    glue are *not* signed (they are not authoritative data).
     pub fn sign(&self, zone: &mut Zone, keys: &ZoneKeys) {
         let apex = zone.apex().clone();
-        // 1. DNSKEYs.
         for rec in keys.dnskey_records(&apex, 3600) {
             zone.add(rec);
         }
-        // 2. Denial chain.
-        match self.denial {
-            Denial::Nsec => self.add_nsec_chain(zone),
-            Denial::Nsec3 { iterations, salt } => self.add_nsec3_chain(zone, iterations, salt),
-            Denial::None => {}
+        if let Denial::Nsec3 { iterations, salt } = self.denial {
+            self.add_nsec3_chain(zone, iterations, salt);
         }
-        // 3. RRSIGs.
-        let sets: Vec<RrSet> = zone
-            .nodes()
-            .filter(|(name, _)| zone.is_authoritative(name))
-            .flat_map(|(name, node)| {
-                let is_cut = zone.is_delegation(name);
-                node.rrsets
-                    .values()
-                    .filter(move |set| {
-                        // At a cut, only DS and NSEC are authoritative.
-                        !is_cut || matches!(set.rtype, RecordType::Ds | RecordType::Nsec)
-                    })
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
+        // Authoritative names in canonical order (zone iterates that way).
+        let names: Vec<Name> = zone
+            .names()
+            .filter(|n| zone.is_authoritative(n))
+            .cloned()
             .collect();
+        let nsec_ttl = soa_minimum(zone);
+        for (i, owner) in names.iter().enumerate() {
+            let next = &names[(i + 1) % names.len()];
+            self.sign_owner(zone, keys, owner, next, nsec_ttl);
+        }
+    }
+
+    /// Bring a zone this signer signed before back to exactly what
+    /// [`ZoneSigner::sign`] would make of its present content, after the
+    /// unsigned RRsets at the `changed` owners were added, replaced or
+    /// removed — at a cost proportional to `changed`, not to the zone.
+    ///
+    /// The NSEC and RRSIG sets at each changed owner go (an owner left
+    /// with nothing else leaves the chain with them); then every surviving
+    /// changed owner and, under NSEC, each changed owner's authoritative
+    /// predecessor — the one name whose NSEC pointed at or past it — takes
+    /// the same per-owner step `sign` takes. Signatures are deterministic,
+    /// so with the same keys and window the result equals the full re-sign
+    /// record for record. Returns the re-signed owners in canonical order:
+    /// a caller that alters RRSIGs after signing must redo that there and
+    /// nowhere else.
+    ///
+    /// The edit may not add or remove a delegation (that moves names in
+    /// and out of the chain wholesale), and NSEC3 zones, whose chain order
+    /// is not the name order, are signed whole.
+    pub fn resign_owners<'a>(
+        &self,
+        zone: &mut Zone,
+        keys: &ZoneKeys,
+        changed: impl IntoIterator<Item = &'a Name>,
+    ) -> Vec<Name> {
+        assert!(
+            !matches!(self.denial, Denial::Nsec3 { .. }),
+            "NSEC3 zones are re-signed whole"
+        );
+        let changed: Vec<&Name> = changed.into_iter().collect();
+        for owner in &changed {
+            strip_denial_and_sigs(zone, owner);
+        }
+        // The final name order decides who is dirty: an emptied owner is
+        // already out of it, so its predecessor links past it.
+        let mut dirty = BTreeSet::new();
+        for owner in changed {
+            if zone.node_exists(owner) && zone.is_authoritative(owner) {
+                dirty.insert(CanonicalName(owner.clone()));
+            }
+            if self.denial == Denial::Nsec {
+                if let Some(prev) = authoritative_neighbour(zone, owner, Zone::name_before) {
+                    dirty.insert(CanonicalName(prev));
+                }
+            }
+        }
+        let dirty: Vec<Name> = dirty.into_iter().map(|k| k.0).collect();
+        let nsec_ttl = soa_minimum(zone);
+        for owner in &dirty {
+            strip_denial_and_sigs(zone, owner);
+            let next = authoritative_neighbour(zone, owner, Zone::name_after)
+                .expect("a dirty owner is in the zone");
+            self.sign_owner(zone, keys, owner, &next, nsec_ttl);
+        }
+        dirty
+    }
+
+    /// The per-owner signing step: under [`Denial::Nsec`] the owner's NSEC
+    /// (types at the node, next = `next`), then one RRSIG per
+    /// authoritative RRset at the node, in type-code order.
+    fn sign_owner(
+        &self,
+        zone: &mut Zone,
+        keys: &ZoneKeys,
+        owner: &Name,
+        next: &Name,
+        nsec_ttl: u32,
+    ) {
+        if self.denial == Denial::Nsec {
+            let mut types: Vec<RecordType> = zone
+                .node(owner)
+                .map(|node| node.types().collect())
+                .unwrap_or_default();
+            types.push(RecordType::Nsec);
+            types.push(RecordType::Rrsig);
+            zone.add(Record::new(
+                owner.clone(),
+                nsec_ttl,
+                RData::Nsec(NsecData {
+                    next_name: next.clone(),
+                    types: TypeBitmap::from_types(types),
+                }),
+            ));
+        }
+        // At a cut, only DS and NSEC are authoritative.
+        let is_cut = zone.is_delegation(owner);
+        let sets: Vec<RrSet> = zone
+            .node(owner)
+            .into_iter()
+            .flat_map(|node| node.rrsets.values())
+            .filter(|set| !is_cut || matches!(set.rtype, RecordType::Ds | RecordType::Nsec))
+            .cloned()
+            .collect();
+        let apex = zone.apex().clone();
         for set in sets {
-            let sig = self.sign_rrset_record(&set, keys, &apex);
-            zone.add(sig);
+            zone.add(self.sign_rrset_record(&set, keys, &apex));
         }
     }
 
@@ -167,44 +255,6 @@ impl ZoneSigner {
         }
         rrsig.signature = signature;
         Record::new(set.name.clone(), set.ttl, RData::Rrsig(rrsig))
-    }
-
-    fn add_nsec_chain(&self, zone: &mut Zone) {
-        // Authoritative names in canonical order (zone iterates that way).
-        let names: Vec<Name> = zone
-            .names()
-            .filter(|n| zone.is_authoritative(n))
-            .cloned()
-            .collect();
-        if names.is_empty() {
-            return;
-        }
-        let soa_min = zone
-            .rrset(zone.apex(), RecordType::Soa)
-            .map(|s| match &s.rdatas[0] {
-                RData::Soa(soa) => soa.minimum,
-                _ => 300,
-            })
-            .unwrap_or(300);
-        let mut additions = Vec::new();
-        for (i, name) in names.iter().enumerate() {
-            let next = &names[(i + 1) % names.len()];
-            let mut types: Vec<RecordType> = zone
-                .node(name)
-                .map(|node| node.types().collect())
-                .unwrap_or_default();
-            types.push(RecordType::Nsec);
-            types.push(RecordType::Rrsig);
-            additions.push(Record::new(
-                name.clone(),
-                soa_min,
-                RData::Nsec(NsecData {
-                    next_name: next.clone(),
-                    types: TypeBitmap::from_types(types),
-                }),
-            ));
-        }
-        zone.add_all(additions);
     }
 
     fn add_nsec3_chain(&self, zone: &mut Zone, iterations: u16, salt: [u8; 4]) {
@@ -259,6 +309,38 @@ impl ZoneSigner {
         }
         zone.add_all(additions);
     }
+}
+
+/// The NSEC TTL: the SOA minimum (RFC 4034 §4), 300 without an SOA.
+fn soa_minimum(zone: &Zone) -> u32 {
+    zone.rrset(zone.apex(), RecordType::Soa)
+        .map(|s| match &s.rdatas[0] {
+            RData::Soa(soa) => soa.minimum,
+            _ => 300,
+        })
+        .unwrap_or(300)
+}
+
+/// Drop the NSEC and RRSIG sets at `owner`; a node holding nothing else
+/// leaves the zone.
+fn strip_denial_and_sigs(zone: &mut Zone, owner: &Name) {
+    zone.remove_rrset(owner, RecordType::Nsec);
+    zone.remove_rrset(owner, RecordType::Rrsig);
+}
+
+/// The nearest authoritative name strictly before or after `from`
+/// (`step` is [`Zone::name_before`] or [`Zone::name_after`]), wrapping:
+/// glue below a cut is in the zone's name order but not in its chain.
+fn authoritative_neighbour(
+    zone: &Zone,
+    from: &Name,
+    step: for<'z> fn(&'z Zone, &Name) -> Option<&'z Name>,
+) -> Option<Name> {
+    let mut cur = step(zone, from)?;
+    while !zone.is_authoritative(cur) {
+        cur = step(zone, cur)?;
+    }
+    Some(cur.clone())
 }
 
 /// Verify one RRset's RRSIG against a DNSKEY RRset (helper shared by the
@@ -580,6 +662,201 @@ mod tests {
         assert!(z
             .rrset(&name!("ns1.sub.example.ch"), RecordType::Nsec)
             .is_none());
+    }
+
+    fn a(owner: &str, last: u8) -> Record {
+        Record::new(
+            Name::parse(owner).unwrap(),
+            300,
+            RData::A(Ipv4Addr::new(192, 0, 2, last)),
+        )
+    }
+
+    fn cds(owner: &str, tag: u16) -> Record {
+        Record::new(
+            Name::parse(owner).unwrap(),
+            300,
+            RData::Cds(dns_wire::rdata::DsData {
+                key_tag: tag,
+                algorithm: 13,
+                digest_type: 2,
+                digest: vec![tag as u8; 32],
+            }),
+        )
+    }
+
+    /// Sign `build_zone()` plus two signal-style owners, apply `edit`,
+    /// re-sign at `changed`: the zone must equal a fresh `sign` of the
+    /// same edited content, and at most the changed owners and one
+    /// predecessor each were re-signed.
+    fn assert_resign_equals_sign(denial: Denial, edit: impl Fn(&mut Zone), changed: &[&str]) {
+        let (mut unsigned, keys) = build_zone();
+        unsigned.add(cds("_dsboot.b._signal.ns1.example.ch", 1));
+        unsigned.add(cds("_dsboot.d._signal.ns1.example.ch", 2));
+        unsigned.add(a("_dsboot.d._signal.ns1.example.ch", 7));
+        let signer = ZoneSigner::new(NOW).with_denial(denial);
+
+        let mut incremental = unsigned.clone();
+        signer.sign(&mut incremental, &keys);
+        edit(&mut incremental);
+        let changed: Vec<Name> = changed.iter().map(|n| Name::parse(n).unwrap()).collect();
+        let resigned = signer.resign_owners(&mut incremental, &keys, &changed);
+
+        let mut full = unsigned;
+        edit(&mut full);
+        signer.sign(&mut full, &keys);
+        assert_eq!(incremental.records(), full.records());
+        assert!(
+            resigned.len() <= 2 * changed.len(),
+            "{} owners re-signed for {} changed",
+            resigned.len(),
+            changed.len()
+        );
+        assert!(resigned
+            .windows(2)
+            .all(|w| w[0].canonical_cmp(&w[1]).is_lt()));
+    }
+
+    #[test]
+    fn resign_after_adding_an_owner_in_the_middle() {
+        let owner = "_dsboot.c._signal.ns1.example.ch";
+        assert_resign_equals_sign(
+            Denial::Nsec,
+            |z| {
+                z.add(cds(owner, 9));
+            },
+            &[owner],
+        );
+    }
+
+    #[test]
+    fn resign_after_adding_the_first_name_after_the_apex() {
+        // `*` sorts before every letter and `_`: the apex is its predecessor.
+        let owner = "*.example.ch";
+        assert_resign_equals_sign(
+            Denial::Nsec,
+            |z| {
+                z.add(a(owner, 9));
+            },
+            &[owner],
+        );
+    }
+
+    #[test]
+    fn resign_after_adding_the_last_name_wraps_to_the_apex() {
+        let owner = "zzz.example.ch";
+        assert_resign_equals_sign(
+            Denial::Nsec,
+            |z| {
+                z.add(a(owner, 9));
+            },
+            &[owner],
+        );
+    }
+
+    #[test]
+    fn resign_after_removing_owners() {
+        // One with an address, one holding only signal types, and the
+        // zone's last name (its predecessor then wraps to the apex).
+        for owner in [
+            "_dsboot.d._signal.ns1.example.ch",
+            "_dsboot.b._signal.ns1.example.ch",
+            "www.example.ch",
+        ] {
+            assert_resign_equals_sign(
+                Denial::Nsec,
+                |z| {
+                    let name = Name::parse(owner).unwrap();
+                    for rt in [RecordType::A, RecordType::Cds] {
+                        z.remove_rrset(&name, rt);
+                    }
+                },
+                &[owner],
+            );
+        }
+    }
+
+    #[test]
+    fn resign_after_changing_an_owners_type_set_or_content() {
+        let owner = "_dsboot.d._signal.ns1.example.ch";
+        assert_resign_equals_sign(
+            Denial::Nsec,
+            |z| {
+                z.remove_rrset(&Name::parse(owner).unwrap(), RecordType::A);
+            },
+            &[owner],
+        );
+        assert_resign_equals_sign(
+            Denial::Nsec,
+            |z| {
+                z.remove_rrset(&Name::parse(owner).unwrap(), RecordType::Cds);
+                z.add(cds(owner, 77));
+            },
+            &[owner],
+        );
+    }
+
+    #[test]
+    fn resign_of_adjacent_and_repeated_changes_at_once() {
+        // A withdrawn owner next to a published one next to a replaced
+        // one: predecessors overlap with changed owners and each other.
+        assert_resign_equals_sign(
+            Denial::Nsec,
+            |z| {
+                z.remove_rrset(&name!("_dsboot.b._signal.ns1.example.ch"), RecordType::Cds);
+                z.add(cds("_dsboot.c._signal.ns1.example.ch", 9));
+                z.add(cds("_dsboot.d._signal.ns1.example.ch", 10));
+            },
+            &[
+                "_dsboot.b._signal.ns1.example.ch",
+                "_dsboot.c._signal.ns1.example.ch",
+                "_dsboot.d._signal.ns1.example.ch",
+                "_dsboot.c._signal.ns1.example.ch",
+            ],
+        );
+    }
+
+    #[test]
+    fn resign_links_past_glue_to_the_cut_above_it() {
+        // `t` sorts right after the glue `ns1.sub`; glue is in the name
+        // order but not in the chain, so the cut `sub` is the predecessor.
+        let with_cut = |z: &mut Zone| {
+            z.add(Record::new(
+                name!("sub.example.ch"),
+                300,
+                RData::Ns(name!("ns1.sub.example.ch")),
+            ));
+            z.add(a("ns1.sub.example.ch", 99));
+        };
+        let (mut z, keys) = build_zone();
+        with_cut(&mut z);
+        let signer = ZoneSigner::new(NOW);
+        let mut full = z.clone();
+        signer.sign(&mut z, &keys);
+        z.add(a("t.example.ch", 9));
+        let resigned = signer.resign_owners(&mut z, &keys, [&name!("t.example.ch")]);
+        assert_eq!(resigned, [name!("sub.example.ch"), name!("t.example.ch")]);
+        full.add(a("t.example.ch", 9));
+        signer.sign(&mut full, &keys);
+        assert_eq!(z.records(), full.records());
+    }
+
+    #[test]
+    fn resign_without_a_denial_chain_touches_the_changed_owner_only() {
+        let owner = "_dsboot.c._signal.ns1.example.ch";
+        assert_resign_equals_sign(
+            Denial::None,
+            |z| {
+                z.add(cds(owner, 9));
+            },
+            &[owner],
+        );
+        let (mut z, keys) = build_zone();
+        let signer = ZoneSigner::new(NOW).with_denial(Denial::None);
+        signer.sign(&mut z, &keys);
+        z.add(cds(owner, 9));
+        let resigned = signer.resign_owners(&mut z, &keys, [&Name::parse(owner).unwrap()]);
+        assert_eq!(resigned, [Name::parse(owner).unwrap()]);
     }
 
     #[test]

@@ -125,7 +125,11 @@ impl Zone {
 
     /// Add many records; returns how many were in-zone and added.
     pub fn add_all<I: IntoIterator<Item = Record>>(&mut self, records: I) -> usize {
-        records.into_iter().filter(|r| self.add(r.clone())).count()
+        records
+            .into_iter()
+            .map(|r| self.add(r))
+            .filter(|&added| added)
+            .count()
     }
 
     /// Remove an entire RRset; returns it if present.
@@ -282,6 +286,31 @@ impl Zone {
             .range(..=key)
             .next_back()
             .or_else(|| self.order.iter().next_back())
+            .map(|k| &k.0)
+    }
+
+    /// The owner name strictly before `name` in canonical order, wrapping
+    /// to the zone's last name; `name` itself need not be in the zone.
+    /// With [`Zone::name_after`], what re-linking an NSEC chain around one
+    /// changed owner needs.
+    pub fn name_before(&self, name: &Name) -> Option<&Name> {
+        let key = CanonicalName(name.clone());
+        self.order
+            .range(..key)
+            .next_back()
+            .or_else(|| self.order.iter().next_back())
+            .map(|k| &k.0)
+    }
+
+    /// The owner name strictly after `name` in canonical order, wrapping
+    /// to the zone's first name (the apex).
+    pub fn name_after(&self, name: &Name) -> Option<&Name> {
+        use std::ops::Bound::{Excluded, Unbounded};
+        let key = CanonicalName(name.clone());
+        self.order
+            .range((Excluded(key), Unbounded))
+            .next()
+            .or_else(|| self.order.iter().next())
             .map(|k| &k.0)
     }
 
@@ -538,6 +567,22 @@ mod tests {
         // ns1.sub.example.ch is the closest preceding name.
         let prev = z.nsec_predecessor(&name!("t.example.ch")).unwrap();
         assert_eq!(prev, &name!("ns1.sub.example.ch"));
+    }
+
+    #[test]
+    fn strict_neighbours_wrap_both_ways() {
+        let z = test_zone();
+        let named: Vec<Name> = z.names().cloned().collect();
+        let (first, last) = (&named[0], named.last().unwrap());
+        assert_eq!(z.name_before(first), Some(last));
+        assert_eq!(z.name_after(last), Some(first));
+        assert_eq!(z.name_after(first), Some(&named[1]));
+        assert_eq!(z.name_before(&named[1]), Some(first));
+        // A name the zone does not hold still has both neighbours.
+        let miss = name!("t.example.ch");
+        assert_eq!(z.name_before(&miss), Some(&name!("ns1.sub.example.ch")));
+        assert_eq!(z.name_after(&miss), Some(&name!("www.example.ch")));
+        assert_eq!(Zone::new(name!("empty")).name_before(&miss), None);
     }
 
     #[test]

@@ -288,7 +288,9 @@ struct ContinuousWork {
     /// The world. The reconcile loop takes the write side only to apply
     /// an epoch's churn, between drives, before that epoch is published
     /// (no shard of it can be assigned yet); assignments take the read
-    /// side to build their scanner over the churned world.
+    /// side to build their scanner over the churned world. `apply_churn`
+    /// relies on that window: it edits zones in place, and a zone under
+    /// edit is in no store until the call returns.
     eco: RwLock<Ecosystem>,
     policy: ScanPolicy,
     root: PathBuf,

@@ -9,7 +9,7 @@
 //! after an intended change, paste it over the baseline file.
 
 use bootscan::{ScanPolicy, Scanner};
-use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
+use dns_ecosystem::{apply_churn, build, ChurnConfig, ChurnPlan, Ecosystem, EcosystemConfig};
 use dns_wire::rdata::RData;
 use dns_wire::record::RecordType;
 use netsim::Addr;
@@ -183,11 +183,53 @@ fn continuous_study_costs_stay_within_baseline() {
     );
 }
 
+/// Churn costs what it changes: the RRsets `apply_churn` signs in
+/// operator base zones are bounded by the signal owners it moved — each
+/// re-signs itself and one NSEC predecessor, no node here holds more
+/// than four signable RRsets — and not by the size of the zones, which
+/// a strip-and-re-sign of every edited base would pay for.
+#[test]
+fn churn_signing_is_bounded_by_changed_owners() {
+    let mut eco = build(EcosystemConfig::tiny(WORLD_SEED));
+    // What re-signing every signed base zone whole signs: one RRSIG each.
+    let mut whole = 0;
+    for (op, stores) in eco.operator_stores.iter().enumerate() {
+        if !eco.operator_flavors[op].signal_enabled {
+            continue;
+        }
+        for zone in eco.base_keys.keys().filter_map(|b| stores[0].get(b)) {
+            let records = zone.records();
+            whole += records
+                .iter()
+                .filter(|r| r.rtype() == RecordType::Rrsig)
+                .count();
+        }
+    }
+    let (mut changed, mut signed) = (0, 0);
+    for epoch in 1..=4 {
+        let plan = ChurnPlan::generate(&eco, &ChurnConfig::default(), CHURN_SEED, epoch);
+        let log = apply_churn(&mut eco, &plan);
+        assert!(
+            log.base_rrsets_signed <= 8 * log.signal_owners_changed,
+            "epoch {epoch}: {} RRsets signed for {} changed signal owners",
+            log.base_rrsets_signed,
+            log.signal_owners_changed
+        );
+        changed += log.signal_owners_changed;
+        signed += log.base_rrsets_signed;
+    }
+    assert!(changed > 0, "four tiny epochs must move a signal owner");
+    assert!(
+        signed * 2 < whole,
+        "{signed} RRsets signed over four epochs; one whole re-sign is {whole}"
+    );
+}
+
 /// The measured side of ROADMAP item 1: every perf PR appends its
 /// parent and change rows to `BENCH_trajectory.json`. Nothing here
 /// parses JSON (the serde shim only serializes): the file must be
-/// there, hold rows, and name every workload and both revisions of the
-/// PR that created it.
+/// there, hold rows, and name every workload and both revisions of
+/// each PR that appended to it.
 #[test]
 fn bench_trajectory_names_every_workload_and_both_revisions() {
     let text = include_str!("../BENCH_trajectory.json");
@@ -199,6 +241,8 @@ fn bench_trajectory_names_every_workload_and_both_revisions() {
         "\"continuous_study\"",
         "\"revision\": \"b5f7e62\"",
         "\"revision\": \"PR 23\"",
+        "\"revision\": \"fdd6e4a\"",
+        "\"revision\": \"PR 24\"",
         "\"cpu_ns_per_query\"",
     ] {
         assert!(
