@@ -31,9 +31,9 @@
 //!   index comparison in scope): stripe i→j in one thread and j→i in
 //!   another deadlocks rarely and unreproducibly.
 //! * **L003** — a guard is held across blocking I/O: journal fsync or
-//!   group commit (`sync_data`/`sync_all`/`sync`/`write_checkpoint`)
-//!   or a fabric pipe send. Every other thread contending that class
-//!   stalls behind a disk flush.
+//!   group commit (`sync_data`/`sync_all`/`sync`/`write_checkpoint`).
+//!   Every other thread contending that class stalls behind a disk
+//!   flush.
 
 use crate::callgraph::CallGraph;
 use crate::engine::Finding;
@@ -326,7 +326,6 @@ fn is_io_sink(
     files: &[SourceFile],
     index: &SymbolIndex,
     site: &crate::callgraph::CallSite,
-    file: usize,
 ) -> bool {
     match site.name.as_str() {
         // fdatasync / fsync intrinsics, anywhere.
@@ -339,10 +338,6 @@ fn is_io_sink(
             .any(|&f| files[index.fns[f].file].rel == "crates/scan-journal/src/journal.rs"),
         // Checkpoint rewrite: a full prefix rewrite to disk.
         "write_checkpoint" => true,
-        // Fabric pipe send: blocks on a bounded channel (a real OS
-        // pipe once workers leave the process). Only inside the
-        // fabric — `send` elsewhere (netsim datagrams) is in-memory.
-        "send" => files[file].rel.starts_with("crates/scan-fabric/"),
         _ => false,
     }
 }
@@ -366,10 +361,7 @@ pub fn check(files: &[SourceFile], index: &SymbolIndex, graph: &CallGraph) -> Ve
         if sym.is_test {
             continue;
         }
-        if graph
-            .sites_from(f)
-            .any(|s| is_io_sink(files, index, s, sym.file))
-        {
+        if graph.sites_from(f).any(|s| is_io_sink(files, index, s)) {
             sink_fns.insert(f);
         }
     }
@@ -416,7 +408,7 @@ pub fn check(files: &[SourceFile], index: &SymbolIndex, graph: &CallGraph) -> Ve
         let mut sink_hit: Option<(u32, String, String)> = None;
         for (s, site) in sites_in_scope(graph, index, a) {
             // Direct sink call inside the guard scope.
-            if is_io_sink(files, index, site, a.file) {
+            if is_io_sink(files, index, site) {
                 sink_hit = Some((site.line, site.name.clone(), String::new()));
                 break;
             }
@@ -454,7 +446,7 @@ pub fn check(files: &[SourceFile], index: &SymbolIndex, graph: &CallGraph) -> Ve
                 rule: "L003".to_string(),
                 msg: format!(
                     "guard on `{}` (line {}) held across blocking I/O `{}`{}; \
-                     fsync/group-commit/checkpoint/pipe sends must run after the \
+                     fsync/group-commit/checkpoint must run after the \
                      guard drops",
                     classes[a.class], a.line, name, via
                 ),

@@ -69,9 +69,9 @@ const PANIC_SCOPE: &[&str] = &[
     "crates/dns-resolver/src/validate.rs",
     "crates/dns-resolver/src/iterate.rs",
     "crates/dns-resolver/src/hostile.rs",
-    // The fabric's channel frame decoder: worker pipes become real OS
-    // pipes when workers move out of process, so these bytes are as
-    // untrusted as network datagrams.
+    // The fabric's frame decoder. Off the fabric's path since workers
+    // exchange typed channel values; kept (with this entry) only for the
+    // frozen benchmark's frame probe until ROADMAP 2(b) removes both.
     "crates/scan-fabric/src/protocol.rs",
 ];
 

@@ -4,9 +4,9 @@
 //!
 //! **Sources** are the functions where unvalidated bytes enter the
 //! process: wire-message decode (netsim datagram payloads), the fabric
-//! frame decoder (worker pipe bytes), and every journal / checkpoint /
-//! commit-marker read (disk bytes a crash or an operator may have
-//! mangled). A source function is *tainted*; taint then propagates
+//! frame decoder (kept for the benchmark's frame probe), and every
+//! journal / checkpoint / commit-marker read (disk bytes a crash or an
+//! operator may have mangled). A source function is *tainted*; taint then propagates
 //! over the approximate call graph in two directions that are
 //! deliberately not symmetric:
 //!
@@ -54,8 +54,8 @@ use std::collections::BTreeMap;
 const SOURCES: &[(&str, &str)] = &[
     // Network datagram payloads entering wire decode.
     ("crates/dns-wire/src/message.rs", "from_bytes"),
-    // Fabric worker pipe frames (real OS pipes once workers leave the
-    // process).
+    // Fabric frame decoder: off the fabric's path, kept for the frozen
+    // benchmark's frame probe until ROADMAP 2(b) removes both.
     ("crates/scan-fabric/src/protocol.rs", "decode_payload"),
     // Journal / checkpoint / commit-marker bytes read back from disk.
     ("crates/scan-journal/src/journal.rs", "read_journal"),

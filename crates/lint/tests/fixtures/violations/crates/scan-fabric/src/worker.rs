@@ -1,6 +1,6 @@
 //! Fixture: fabric lock-discipline violations — opposite-order
 //! acquisition (L001), unordered stripe pairs (L002), and a guard
-//! held across a pipe send (L003). Never compiled; consumed only by
+//! held across an fdatasync (L003). Never compiled; consumed only by
 //! the bootscan-lint integration tests.
 
 pub struct Worker {
@@ -32,9 +32,9 @@ impl Worker {
         drop(g);
     }
 
-    pub fn flush(&self, pipe: &Pipe) {
+    pub fn flush(&self, journal: &File) {
         let g = self.state.lock();
-        pipe.send(Frame::Flush);
+        journal.sync_data();
         drop(g);
     }
 }

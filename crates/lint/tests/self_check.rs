@@ -113,14 +113,6 @@ fn lock_classes_are_the_known_set() {
             "scan-fabric::revoked",
             "coordinator revokes a lease its worker appends under",
         ),
-        (
-            "scan-fabric::stamp",
-            "workers wake the coordinator parked on the condvar",
-        ),
-        (
-            "scan-fabric::state",
-            "pipe buffer between one worker and the coordinator",
-        ),
     ];
     let root = workspace_root();
     let report = run(root).expect("scan workspace");

@@ -473,11 +473,7 @@ pub fn run_continuous(
     };
 
     let admission_cfg = cfg.admission();
-    let mut ops = FabricOps {
-        workers_spawned: cfg.fabric.workers.max(1) as u32,
-        attempts: vec![0; shards as usize],
-        ..FabricOps::default()
-    };
+    let mut ops = FabricOps::default();
     let mut evidence: BTreeMap<Name, Evidence> = BTreeMap::new();
     let mut ledger = CarryLedger::new();
     let mut series = TimeSeries::default();
@@ -488,7 +484,7 @@ pub fn run_continuous(
     let mut drain: SimMicros = 0;
     let mut last_committed: Option<u32> = None;
 
-    with_fleet(&work, cfg.run_id, &cfg.fabric, |fleet| {
+    with_fleet(&work, &cfg.fabric, |fleet| {
         for epoch in 0..cfg.epochs {
             let arrival = (epoch as SimMicros).saturating_mul(cfg.epoch_spacing);
 

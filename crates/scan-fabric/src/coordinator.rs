@@ -11,6 +11,16 @@
 //! coordinator did along the way. Scheduling noise lands in
 //! [`FabricOps`]; the byte-compared [`MergedReport`] cannot see it.
 //!
+//! Workers are threads. Each has its own inbox of lease grants, and the
+//! fleet shares one channel of `(worker id, report)` back. The
+//! coordinator parks on that channel for at most `poll_wait` per tick:
+//! a report — shard done, shard given back, worker exited — wakes it at
+//! once; a heartbeat never does, because it is a counter on the
+//! worker's [`Fence`] that the coordinator compares once per tick. A
+//! tick is busy if any report arrived or any counter moved; either
+//! resets that worker's quiet-tick count, and only quiet ticks count
+//! toward `lease_timeout_polls`.
+//!
 //! Two entry points share one engine:
 //!
 //! * [`run_fabric`] — one epoch, one shard plan, merge at the end (the
@@ -24,16 +34,18 @@
 //!   epoch-N−1 assignment can outrank, and its epoch-N−1 directory is
 //!   foreign to every epoch-N header.
 
-use crate::channel::{pipe, PipeReader, PipeWriter, Polled, WakeSet};
 use crate::faults::{FabricFaultPlan, WorkerFault};
 use crate::merge::{FabricOps, MergeSink, MergedReport, StreamingMerge};
-use crate::protocol::Msg;
 use crate::shard::ShardPlan;
-use crate::worker::{worker_main, Fence, ScannerFactory, ShardAssignment, ShardWork, WorkerCtx};
+use crate::worker::{
+    worker_main, Assign, Fence, Outbox, Report, ScannerFactory, ShardAssignment, ShardWork,
+    WorkerCtx,
+};
 use scan_journal::{recover, Namespace};
 use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,7 +68,7 @@ pub struct FabricConfig {
     /// is revoked and its shard stolen.
     pub lease_timeout_polls: u32,
     /// How long one coordinator poll tick parks waiting for worker
-    /// messages.
+    /// reports.
     pub poll_wait: Duration,
     /// Replacement workers the coordinator may spawn when workers die
     /// (each replacement gets a fresh worker id, like a new process
@@ -96,58 +108,58 @@ struct PendingShard {
     ready_round: u64,
 }
 
+/// One drive's shard queue: what waits to run, and what was given up.
+struct Queue {
+    epoch: u32,
+    max_attempts: u32,
+    pending: Vec<PendingShard>,
+    abandoned: BTreeSet<u32>,
+}
+
+impl Queue {
+    /// Take `run` back from its worker. Revoke first: after that no
+    /// append under the old lease can land, so the shard's journal is
+    /// safe to hand elsewhere. Then retry the shard after a capped
+    /// exponential backoff, or abandon it once its attempt budget is
+    /// spent. A stale-epoch attempt is fenced but never requeued into
+    /// this epoch's queue.
+    fn give_back(&mut self, fence: &Fence, run: Assign, round: u64, ops: &mut FabricOps) {
+        fence.revoke_through(run.lease);
+        if run.epoch != self.epoch {
+            return;
+        }
+        let next_attempt = run.attempt + 1;
+        if next_attempt >= self.max_attempts {
+            self.abandoned.insert(run.shard);
+            ops.shards_abandoned += 1;
+        } else {
+            // Exponential backoff in coordinator rounds, capped.
+            let backoff = 1u64 << next_attempt.min(3);
+            self.pending.push(PendingShard {
+                shard: run.shard,
+                attempt: next_attempt,
+                ready_round: round + backoff,
+            });
+            ops.reassignments += 1;
+        }
+    }
+}
+
 /// What a worker slot is doing.
 struct WorkerSlot {
-    tx: PipeWriter,
-    rx: PipeReader,
+    /// The worker's inbox; dropping it is the worker's shutdown.
+    inbox: Sender<Assign>,
     fence: Arc<Fence>,
     alive: bool,
     running: Option<RunningShard>,
+    /// The fence's heartbeat count at the last poll tick.
+    beats_seen: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct RunningShard {
-    epoch: u32,
-    shard: u32,
-    attempt: u32,
-    lease: u64,
+    assign: Assign,
     silent_polls: u32,
-}
-
-/// Spawn one worker thread (initial fleet member or replacement) with
-/// its own pipes and write fence.
-fn spawn_slot<'scope, 'env>(
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    id: u32,
-    run_id: u64,
-    heartbeat_every: u64,
-    work: &'env dyn ShardWork,
-    wake: &Arc<WakeSet>,
-) -> WorkerSlot {
-    let (to_worker, worker_inbox) = pipe(None);
-    let (worker_out, from_worker) = pipe(Some(Arc::clone(wake)));
-    let fence = Arc::new(Fence::default());
-    let thread_fence = Arc::clone(&fence);
-    scope.spawn(move || {
-        worker_main(
-            WorkerCtx {
-                worker: id,
-                run_id,
-                work,
-                fence: &thread_fence,
-                heartbeat_every,
-            },
-            worker_inbox,
-            worker_out,
-        )
-    });
-    WorkerSlot {
-        tx: to_worker,
-        rx: from_worker,
-        fence,
-        alive: true,
-        running: None,
-    }
 }
 
 /// A live worker fleet the caller drives epoch by epoch. Workers,
@@ -158,39 +170,36 @@ pub struct FleetHandle<'scope, 'env> {
     scope: &'scope std::thread::Scope<'scope, 'env>,
     work: &'env dyn ShardWork,
     config: &'env FabricConfig,
-    run_id: u64,
-    wake: Arc<WakeSet>,
+    /// Indexed by worker id: slots are only ever appended.
     slots: Vec<WorkerSlot>,
-    next_worker_id: u32,
+    /// Cloned into every worker's [`Outbox`].
+    report_tx: Sender<(u32, Report)>,
+    reports: Receiver<(u32, Report)>,
     respawns_left: u32,
     /// Globally monotonic across epochs: an epoch-N lease always
     /// outranks every epoch-N−1 lease on the same fence.
     lease_counter: u64,
     round: u64,
-    wake_cursor: u64,
 }
 
 impl<'scope, 'env> FleetHandle<'scope, 'env> {
     fn new(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         work: &'env dyn ShardWork,
-        run_id: u64,
         config: &'env FabricConfig,
     ) -> FleetHandle<'scope, 'env> {
         let workers = config.workers.max(1);
-        let wake = WakeSet::new();
+        let (report_tx, reports) = mpsc::channel();
         let mut fleet = FleetHandle {
             scope,
             work,
             config,
-            run_id,
-            wake,
             slots: Vec::with_capacity(workers),
-            next_worker_id: 0,
+            report_tx,
+            reports,
             respawns_left: config.max_respawns,
             lease_counter: 0,
             round: 0,
-            wake_cursor: 0,
         };
         for _ in 0..workers {
             fleet.spawn_one();
@@ -198,21 +207,35 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
         fleet
     }
 
+    /// Spawn one worker thread (initial fleet member or replacement)
+    /// with its own inbox and write fence. Its id is its slot index, so
+    /// a replacement gets a fresh id, like a new pid.
     fn spawn_one(&mut self) {
-        self.slots.push(spawn_slot(
-            self.scope,
-            self.next_worker_id,
-            self.run_id,
-            self.config.heartbeat_every,
-            self.work,
-            &self.wake,
-        ));
-        self.next_worker_id += 1;
-    }
-
-    /// Workers spawned so far (initial fleet plus respawns).
-    pub fn workers_spawned(&self) -> u32 {
-        self.next_worker_id
+        let worker = self.slots.len() as u32;
+        let (inbox, worker_inbox) = mpsc::channel();
+        let out = Outbox {
+            worker,
+            tx: self.report_tx.clone(),
+        };
+        let fence = Arc::new(Fence::default());
+        let thread_fence = Arc::clone(&fence);
+        let (work, heartbeat_every) = (self.work, self.config.heartbeat_every);
+        self.scope.spawn(move || {
+            let ctx = WorkerCtx {
+                worker,
+                work,
+                fence: &thread_fence,
+                heartbeat_every,
+            };
+            worker_main(ctx, worker_inbox, out)
+        });
+        self.slots.push(WorkerSlot {
+            inbox,
+            fence,
+            alive: true,
+            running: None,
+            beats_seen: 0,
+        });
     }
 
     /// Drive one epoch to completion: dispatch shards `0..shards` of
@@ -225,42 +248,25 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
         if ops.attempts.len() < shards as usize {
             ops.attempts.resize(shards as usize, 0);
         }
-        let mut pending: Vec<PendingShard> = (0..shards)
-            .map(|shard| PendingShard {
-                shard,
-                attempt: 0,
-                ready_round: 0,
-            })
-            .collect();
-        let mut completed: BTreeSet<u32> = BTreeSet::new();
-        let mut abandoned: BTreeSet<u32> = BTreeSet::new();
-
-        let requeue = |pending: &mut Vec<PendingShard>,
-                       abandoned: &mut BTreeSet<u32>,
-                       ops: &mut FabricOps,
-                       shard: u32,
-                       next_attempt: u32,
-                       round: u64| {
-            if next_attempt >= config.max_attempts {
-                abandoned.insert(shard);
-                ops.shards_abandoned += 1;
-            } else {
-                // Exponential backoff in coordinator rounds, capped.
-                let backoff = 1u64 << next_attempt.min(3);
-                pending.push(PendingShard {
+        let mut queue = Queue {
+            epoch,
+            max_attempts: config.max_attempts,
+            pending: (0..shards)
+                .map(|shard| PendingShard {
                     shard,
-                    attempt: next_attempt,
-                    ready_round: round + backoff,
-                });
-                ops.reassignments += 1;
-            }
+                    attempt: 0,
+                    ready_round: 0,
+                })
+                .collect(),
+            abandoned: BTreeSet::new(),
         };
+        let mut completed: BTreeSet<u32> = BTreeSet::new();
 
-        while (completed.len() + abandoned.len()) < shards as usize {
+        while (completed.len() + queue.abandoned.len()) < shards as usize {
             // If every worker is gone, nothing pending can ever run.
             if self.slots.iter().all(|s| !s.alive) {
-                for p in pending.drain(..) {
-                    if !completed.contains(&p.shard) && abandoned.insert(p.shard) {
+                for p in queue.pending.drain(..) {
+                    if !completed.contains(&p.shard) && queue.abandoned.insert(p.shard) {
                         ops.shards_abandoned += 1;
                     }
                 }
@@ -269,145 +275,82 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
 
             // Assign eligible pending shards to idle live workers,
             // lowest shard id first (deterministic preference).
-            pending.sort_by_key(|p| (p.ready_round, p.shard));
+            queue.pending.sort_by_key(|p| (p.ready_round, p.shard));
             let round = self.round;
             for slot in self.slots.iter_mut() {
                 if !slot.alive || slot.running.is_some() {
                     continue;
                 }
-                let Some(pos) = pending.iter().position(|p| p.ready_round <= round) else {
+                let Some(pos) = queue.pending.iter().position(|p| p.ready_round <= round) else {
                     break;
                 };
-                let p = pending.remove(pos);
+                let p = queue.pending.remove(pos);
                 self.lease_counter += 1;
                 if let Some(a) = ops.attempts.get_mut(p.shard as usize) {
                     *a += 1;
                 }
-                slot.tx.send(&Msg::Assign {
+                let assign = Assign {
                     epoch,
                     shard: p.shard,
                     attempt: p.attempt,
                     lease: self.lease_counter,
-                });
+                };
+                // A live worker's inbox is open: its receiver goes only
+                // when the thread returns, and then `Exited` is queued.
+                let _ = slot.inbox.send(assign);
                 slot.running = Some(RunningShard {
-                    epoch,
-                    shard: p.shard,
-                    attempt: p.attempt,
-                    lease: self.lease_counter,
+                    assign,
                     silent_polls: 0,
                 });
             }
 
-            let woke = self.wake.wait(&mut self.wake_cursor, config.poll_wait);
+            // Park until a report arrives or the tick ends, then drain.
+            let first = self.reports.recv_timeout(config.poll_wait).ok();
             self.round += 1;
             let round = self.round;
-
-            // Drain every live worker's pipe.
+            let mut busy = false;
             let mut lost_this_round = 0u32;
-            for slot in self.slots.iter_mut() {
-                if !slot.alive {
-                    continue;
+            for (worker, report) in first.into_iter().chain(self.reports.try_iter()) {
+                busy = true;
+                let slot = &mut self.slots[worker as usize];
+                if let Some(run) = slot.running.as_mut() {
+                    run.silent_polls = 0;
                 }
-                loop {
-                    let polled = match slot.rx.try_recv() {
-                        Ok(polled) => polled,
-                        // Corrupt channel: treat the worker as lost.
-                        Err(_) => Polled::Closed,
-                    };
-                    match polled {
-                        Polled::Empty => break,
-                        Polled::Closed => {
-                            slot.alive = false;
-                            ops.workers_lost += 1;
-                            lost_this_round += 1;
-                            if let Some(run) = slot.running.take() {
-                                // Died holding a shard: fence the lease
-                                // (a formality — the thread is gone) and
-                                // steal the shard. A stale-epoch attempt
-                                // (left running when an earlier drive
-                                // gave up on it) is fenced but never
-                                // requeued into *this* epoch's queue.
-                                slot.fence.revoke_through(run.lease);
-                                if run.epoch == epoch {
-                                    requeue(
-                                        &mut pending,
-                                        &mut abandoned,
-                                        ops,
-                                        run.shard,
-                                        run.attempt + 1,
-                                        round,
-                                    );
-                                }
-                            }
-                            break;
+                let running = slot.running.map(|r| r.assign);
+                match report {
+                    Report::Done(assign) if running == Some(assign) => {
+                        slot.running = None;
+                        if assign.epoch == epoch && completed.insert(assign.shard) {
+                            ops.shards_completed += 1;
                         }
-                        Polled::Msg(msg) => {
-                            // Any frame proves liveness.
-                            if let Some(run) = slot.running.as_mut() {
-                                run.silent_polls = 0;
-                            }
-                            match msg {
-                                Msg::ShardDone {
-                                    epoch: msg_epoch,
-                                    shard,
-                                    lease,
-                                    ..
-                                } => {
-                                    let current = slot
-                                        .running
-                                        .map(|r| {
-                                            r.lease == lease
-                                                && r.shard == shard
-                                                && r.epoch == msg_epoch
-                                        })
-                                        .unwrap_or(false);
-                                    if current && msg_epoch == epoch {
-                                        slot.running = None;
-                                        if completed.insert(shard) {
-                                            ops.shards_completed += 1;
-                                        }
-                                    }
-                                    // Stale Done (lease already revoked, or
-                                    // a previous epoch's shard): the current
-                                    // attempt will re-report from the same
-                                    // journal; ignore.
-                                }
-                                Msg::ShardFailed {
-                                    epoch: msg_epoch,
-                                    shard,
-                                    lease,
-                                    ..
-                                } => {
-                                    let current = slot
-                                        .running
-                                        .map(|r| {
-                                            r.lease == lease
-                                                && r.shard == shard
-                                                && r.epoch == msg_epoch
-                                        })
-                                        .unwrap_or(false);
-                                    if current && msg_epoch == epoch {
-                                        let run = slot.running.take();
-                                        if let Some(run) = run {
-                                            slot.fence.revoke_through(run.lease);
-                                            requeue(
-                                                &mut pending,
-                                                &mut abandoned,
-                                                ops,
-                                                run.shard,
-                                                run.attempt + 1,
-                                                round,
-                                            );
-                                        }
-                                    }
-                                    // Stale failure (e.g. Fenced after we
-                                    // already stole the shard): the worker
-                                    // is simply idle again.
-                                }
-                                // Hello / Heartbeat / unexpected: liveness only.
-                                _ => {}
-                            }
+                    }
+                    Report::GaveBack(assign) if running == Some(assign) => {
+                        slot.running = None;
+                        queue.give_back(&slot.fence, assign, round, ops);
+                    }
+                    // Stale (the lease was already revoked and the shard
+                    // stolen): the worker is simply idle again, and the
+                    // current attempt reports from the same journal.
+                    Report::Done(_) | Report::GaveBack(_) => {}
+                    Report::Exited => {
+                        slot.alive = false;
+                        ops.workers_lost += 1;
+                        lost_this_round += 1;
+                        // Died holding a shard: fence the lease (a
+                        // formality — the thread is gone) and steal it.
+                        if let Some(run) = slot.running.take() {
+                            queue.give_back(&slot.fence, run.assign, round, ops);
                         }
+                    }
+                }
+            }
+            for slot in self.slots.iter_mut().filter(|s| s.alive) {
+                let beats = slot.fence.beats();
+                if beats != slot.beats_seen {
+                    slot.beats_seen = beats;
+                    busy = true;
+                    if let Some(run) = slot.running.as_mut() {
+                        run.silent_polls = 0;
                     }
                 }
             }
@@ -421,55 +364,28 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
                 }
                 self.respawns_left -= 1;
                 self.spawn_one();
-                ops.workers_spawned += 1;
             }
 
-            // Lease supervision: only quiet ticks (no worker said
-            // anything at all) count toward expiry, so a busy fabric
-            // never expires a slow-but-heartbeating worker.
-            if !woke {
-                for slot in self.slots.iter_mut() {
-                    if !slot.alive {
-                        continue;
-                    }
+            // Lease supervision: only quiet ticks count toward expiry,
+            // so a busy fabric never expires a slow-but-heartbeating
+            // worker.
+            if !busy {
+                for slot in self.slots.iter_mut().filter(|s| s.alive) {
                     let Some(run) = slot.running.as_mut() else {
                         continue;
                     };
                     run.silent_polls += 1;
                     if run.silent_polls > config.lease_timeout_polls {
-                        let run = *run;
-                        // Revoke first: after this, the worker cannot
-                        // append under the old lease, so the shard's
-                        // journal is safe to hand elsewhere. As above,
-                        // stale-epoch attempts are fenced, not requeued.
-                        slot.fence.revoke_through(run.lease);
+                        let assign = run.assign;
                         slot.running = None;
                         ops.lease_expiries += 1;
-                        if run.epoch == epoch {
-                            requeue(
-                                &mut pending,
-                                &mut abandoned,
-                                ops,
-                                run.shard,
-                                run.attempt + 1,
-                                round,
-                            );
-                        }
+                        queue.give_back(&slot.fence, assign, round, ops);
                     }
                 }
             }
         }
-        abandoned
-    }
-
-    /// Orderly shutdown; dropping the writers EOFs every inbox.
-    fn shutdown(&mut self) {
-        for slot in &self.slots {
-            if slot.alive {
-                slot.tx.send(&Msg::Shutdown);
-            }
-        }
-        self.slots.clear();
+        ops.workers_spawned = self.slots.len() as u32;
+        queue.abandoned
     }
 }
 
@@ -479,15 +395,14 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
 /// orderly when the body returns — even on error.
 pub fn with_fleet<R>(
     work: &dyn ShardWork,
-    run_id: u64,
     config: &FabricConfig,
     body: impl FnOnce(&mut FleetHandle<'_, '_>) -> io::Result<R>,
 ) -> io::Result<R> {
     std::thread::scope(|scope| {
-        let mut fleet = FleetHandle::new(scope, work, run_id, config);
-        let result = body(&mut fleet);
-        fleet.shutdown();
-        result
+        let mut fleet = FleetHandle::new(scope, work, config);
+        // Dropping `fleet` drops every inbox's sender: each worker sees
+        // its inbox close and returns before the scope joins it.
+        body(&mut fleet)
     })
 }
 
@@ -540,10 +455,7 @@ pub fn run_fabric(
     sink: &mut dyn MergeSink,
 ) -> io::Result<FabricOutput> {
     let plan = ShardPlan::new(seeds, config.shards);
-    let workers = config.workers.max(1);
     let mut ops = FabricOps {
-        workers_spawned: workers as u32,
-        attempts: vec![0; plan.shards() as usize],
         largest_shard: plan.largest_shard(),
         ..FabricOps::default()
     };
@@ -555,7 +467,7 @@ pub fn run_fabric(
         run_id,
         faults,
     };
-    let abandoned = with_fleet(&work, run_id, config, |fleet| {
+    let abandoned = with_fleet(&work, config, |fleet| {
         Ok(fleet.drive(0, plan.shards(), &mut ops))
     })?;
 

@@ -15,8 +15,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// One injected worker failure, scoped to a (shard, attempt).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerFault {
-    /// Die (simulated SIGKILL: thread exits, pipes EOF) immediately
-    /// before journaling event number `at_event` of this attempt.
+    /// Die (simulated SIGKILL: the thread exits, its exit report goes
+    /// out) immediately before journaling event number `at_event` of
+    /// this attempt.
     Kill { at_event: u64 },
     /// Journal event `at_event`, force a checkpoint, corrupt the
     /// checkpoint the way a power cut does (the file truncated to zero
@@ -24,7 +25,7 @@ pub enum WorkerFault {
     /// alone.
     KillDuringCheckpoint { at_event: u64 },
     /// Complete the shard scan and its journal, then die *before*
-    /// reporting `ShardDone` — the merge-handoff kill. The next
+    /// reporting the shard done — the merge-handoff kill. The next
     /// attempt recovers a complete journal and re-reports instantly.
     KillBeforeHandoff,
     /// Hang (hold the shard without progress) right before journaling

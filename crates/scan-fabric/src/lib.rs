@@ -1,9 +1,9 @@
 //! scan-fabric: a fault-tolerant coordinator/worker scan fabric.
 //!
 //! The fabric shards the zone space by fnv64 of the zone name
-//! ([`ShardPlan`]), dispatches shards to N workers over a framed
-//! byte protocol (threads today; the protocol is process-agnostic, so
-//! separate-process workers are a transport swap, not a redesign), and
+//! ([`ShardPlan`]), dispatches shards to N worker threads over typed
+//! `std::sync::mpsc` channels (lease grants in, shard reports out;
+//! heartbeats are a counter on each worker's [`Fence`]), and
 //! stream-merges per-shard journals into one report with bounded
 //! memory — at most one shard's evidence plane is resident at a time.
 //!
@@ -24,19 +24,19 @@
 //! Workers hold time-limited leases enforced by a write [`Fence`]: a
 //! journal append lands only while its lease is live, and lease
 //! revocation linearizes with appends, so a stolen shard can never see
-//! a torn write from its previous owner. Dead workers (EOF on their
-//! pipe) and hung workers (lease expiry after quiet heartbeat polls)
-//! both cause deterministic work-stealing: the shard is requeued with
-//! capped exponential backoff and resumed — not restarted — from its
-//! journal. A shard that exhausts its attempt budget degrades to
-//! explicit [`DnssecClass::Indeterminate`] placeholders for its zones
-//! (never silent loss), named in `MergedReport::abandoned_zones`.
+//! a torn write from its previous owner. Dead workers (their exit
+//! report, sent as the thread returns) and hung workers (lease expiry
+//! after quiet poll ticks) both cause deterministic work-stealing: the
+//! shard is requeued with capped exponential backoff and resumed — not
+//! restarted — from its journal. A shard that exhausts its attempt
+//! budget degrades to explicit [`DnssecClass::Indeterminate`]
+//! placeholders for its zones (never silent loss), named in
+//! `MergedReport::abandoned_zones`.
 //!
 //! [`DnssecClass::Indeterminate`]: bootscan::DnssecClass::Indeterminate
 
 #![forbid(unsafe_code)]
 
-mod channel;
 mod coordinator;
 mod faults;
 mod merge;
@@ -44,7 +44,6 @@ mod protocol;
 mod shard;
 mod worker;
 
-pub use channel::{pipe, PipeReader, PipeWriter, Polled, WakeSet};
 pub use coordinator::{run_fabric, with_fleet, FabricConfig, FabricOutput, FleetHandle};
 pub use faults::{FabricFaultPlan, WorkerFault};
 pub use merge::{

@@ -1,15 +1,16 @@
-//! The coordinator↔worker wire protocol: small fixed-layout messages
-//! in CRC-framed byte frames.
+//! A coordinator↔worker wire format: small fixed-layout messages in
+//! CRC-framed byte frames.
 //!
-//! Workers run as threads today, but the protocol is process-agnostic
-//! by construction: everything that crosses the channel is *encoded to
-//! bytes* and decoded on the other side, so moving a worker into a
-//! separate process is a transport swap (pipe → socket), not a
-//! protocol change. That also means the decoder sits on an
-//! untrusted-input path in the separate-process future — it is written
-//! to the same panic-safety discipline as the DNS wire decoders: no
-//! indexing, no unwraps, hostile or torn bytes degrade into
-//! [`FrameError`], never abort.
+//! **Off the fabric's path.** Fabric workers are threads that exchange
+//! typed values over `std::sync::mpsc` (see the `worker` and
+//! `coordinator` modules); nothing here is encoded or decoded while a
+//! fabric runs. The module stays only because the frozen benchmark's
+//! `scan-fabric.frame_roundtrip_ns` probe links [`encode_msg`],
+//! [`FrameDecoder`] and [`Msg`]; it goes, with that probe, its P001/P002
+//! lint scope entry and the `decode_payload` taint source, in the
+//! `benchmark` PR of ROADMAP item 2(b). Until then the decoder keeps the
+//! DNS wire decoders' panic-safety discipline: no indexing, no unwraps,
+//! hostile or torn bytes degrade into [`FrameError`], never abort.
 //!
 //! Frame layout: `len u32 LE | crc32(payload) u32 LE | payload`, where
 //! the payload is `tag u8` followed by the message's fixed-width LE

@@ -1,24 +1,33 @@
 //! The worker side of the fabric: lease-fenced shard scanning.
 //!
-//! A worker owns nothing between assignments. On `Assign(shard,
-//! attempt, lease)` it recovers the shard's journal from the shard
-//! state directory, builds a **fresh scanner** from the factory (cold
-//! caches — the per-shard determinism contract), replays recovered
-//! side effects, and scans the shard through
-//! [`Scanner::scan_all_with`] — with a sink that is one sequential
-//! lane by construction — journaling every zone event write-ahead.
+//! A worker is a thread that owns nothing between assignments. It reads
+//! [`Assign`]s from its own inbox — an `mpsc` channel whose one sender
+//! the coordinator holds; dropping that sender is the shutdown. For each
+//! it recovers the shard's journal from the shard state directory,
+//! builds a **fresh scanner** from the factory (cold caches — the
+//! per-shard determinism contract), replays recovered side effects, and
+//! scans the shard through [`Scanner::scan_all_with`] — with a sink that
+//! is one sequential lane by construction — journaling every zone event
+//! write-ahead. It answers on the fleet's shared report channel:
+//! [`Report::Done`], or [`Report::GaveBack`] when the attempt ended
+//! fenced, on a stale epoch, or on an unwritable journal. Its [`Outbox`]
+//! sends [`Report::Exited`] when dropped, so a worker thread that
+//! returns — orderly or by an injected kill — is reported exactly once,
+//! after everything it sent before.
+//!
+//! **Heartbeats** are a counter on the worker's [`Fence`], bumped every
+//! `heartbeat_every` journaled events and read by the coordinator once
+//! per poll tick: nothing is sent, and nothing wakes the coordinator.
 //!
 //! **Fencing.** Every journal append happens while holding the
 //! worker's [`Fence`] lock, and only if the append's lease has not
 //! been revoked. The coordinator's revoke takes the same lock — so
 //! once `revoke` returns, no append under the old lease can ever land,
 //! and the shard's journal can be handed to another worker without
-//! torn-write races. A fenced worker is *not* dead: it reports
-//! `ShardFailed(Fenced)` and waits for new work.
+//! torn-write races. A fenced worker is *not* dead: it gives the shard
+//! back and waits for new work.
 
-use crate::channel::{PipeReader, PipeWriter};
 use crate::faults::WorkerFault;
-use crate::protocol::{FailReason, Msg};
 use bootscan::scanner::Scanner;
 use bootscan::{ProgressSink, ZoneEvent};
 use dns_wire::name::Name;
@@ -26,6 +35,8 @@ use scan_journal::{recover, JournalHeader, JournalSink, CHECKPOINT_FILE};
 use std::cell::Cell;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Builds a fresh scanner for one shard attempt. Fabric workers never
@@ -67,13 +78,63 @@ pub trait ShardWork: Sync {
     fn worker_dead(&self, worker: u32) -> bool;
 }
 
-/// Write fence for one worker's current lease.
+/// One lease grant: attempt `attempt` of `shard` in `epoch`, fenced by
+/// `lease`. Single-epoch fabrics use `epoch: 0` throughout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Assign {
+    pub epoch: u32,
+    pub shard: u32,
+    pub attempt: u32,
+    pub lease: u64,
+}
+
+/// What a worker tells the coordinator. It travels as `(worker id,
+/// report)` on the channel the whole fleet shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Report {
+    /// The assignment's shard journal is complete.
+    Done(Assign),
+    /// The attempt ended without completing it; the coordinator decides
+    /// retry vs abandon.
+    GaveBack(Assign),
+    /// The worker thread is gone. Sent only by [`Outbox`]'s drop.
+    Exited,
+}
+
+/// A worker's end of the fleet's report channel.
+pub(crate) struct Outbox {
+    pub worker: u32,
+    pub tx: Sender<(u32, Report)>,
+}
+
+impl Outbox {
+    /// Send `report`. Once the coordinator is gone nobody is left to
+    /// supervise, so a failed send is dropped.
+    fn send(&self, report: Report) {
+        let _ = self.tx.send((self.worker, report));
+    }
+}
+
+impl Drop for Outbox {
+    /// The death signal: the worker thread returned — served its last
+    /// assignment or died by an injected fault, like a SIGKILL'd
+    /// process whose pipe reaches EOF.
+    fn drop(&mut self) {
+        self.send(Report::Exited);
+    }
+}
+
+/// Write fence for one worker's current lease, and its heartbeat.
 #[derive(Debug, Default)]
 pub struct Fence {
     /// Highest revoked lease id (leases are globally unique and
     /// monotonically increasing, so `lease <= revoked` means dead).
     revoked: Mutex<u64>,
     cv: Condvar,
+    /// Heartbeats so far. An atomic, not `revoked`: the coordinator
+    /// reads it every poll tick and must never wait behind an append's
+    /// `fdatasync` to do so.
+    beats: AtomicU64,
 }
 
 impl Fence {
@@ -111,14 +172,26 @@ impl Fence {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
+
+    /// One heartbeat: the worker journaled `heartbeat_every` more events.
+    /// `Relaxed` on both sides: the count publishes no other data, and
+    /// the coordinator only asks whether it moved.
+    pub(crate) fn beat(&self) {
+        self.beats.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Heartbeats so far; the coordinator compares it tick to tick.
+    pub(crate) fn beats(&self) -> u64 {
+        self.beats.load(Ordering::Relaxed)
+    }
 }
 
-/// Why a shard attempt ended without `ShardDone`.
+/// Why a shard attempt ended without completing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AttemptEnd {
     /// Injected death: the worker thread must exit (simulated SIGKILL).
     Died,
-    /// Lease revoked mid-scan.
+    /// Lease revoked mid-scan, or the epoch is no longer current.
     Fenced,
     /// Shard journal unwritable.
     JournalIo,
@@ -134,10 +207,6 @@ struct ShardSink<'a> {
     fence: &'a Fence,
     lease: u64,
     fault: Option<WorkerFault>,
-    out: &'a PipeWriter,
-    worker: u32,
-    epoch: u32,
-    shard: u32,
     heartbeat_every: u64,
     state_dir: PathBuf,
     /// Events journaled by *this attempt* (resumed events don't count:
@@ -196,13 +265,7 @@ impl ProgressSink for ShardSink<'_> {
             }
         }
         if self.heartbeat_every > 0 && events.is_multiple_of(self.heartbeat_every) {
-            self.out.send(&Msg::Heartbeat {
-                worker: self.worker,
-                epoch: self.epoch,
-                shard: self.shard,
-                lease: self.lease,
-                events,
-            });
+            self.fence.beat();
         }
         true
     }
@@ -211,86 +274,35 @@ impl ProgressSink for ShardSink<'_> {
 /// Everything a worker thread needs.
 pub(crate) struct WorkerCtx<'a> {
     pub worker: u32,
-    pub run_id: u64,
     pub work: &'a dyn ShardWork,
     pub fence: &'a Fence,
     pub heartbeat_every: u64,
 }
 
-/// The worker thread body: serve assignments until shutdown or death.
-/// Returning from this function drops the out-pipe writer — the
-/// coordinator observes EOF, exactly like a SIGKILL'd process.
-pub(crate) fn worker_main(ctx: WorkerCtx<'_>, mut inbox: PipeReader, out: PipeWriter) {
-    out.send(&Msg::Hello {
-        worker: ctx.worker,
-        run_id: ctx.run_id,
-    });
-    loop {
-        let msg = match inbox.recv_blocking() {
-            Ok(Some(msg)) => msg,
-            // Coordinator gone or channel corrupt: exit.
-            Ok(None) | Err(_) => return,
-        };
-        let (epoch, shard, attempt, lease) = match msg {
-            Msg::Shutdown => return,
-            Msg::Assign {
-                epoch,
-                shard,
-                attempt,
-                lease,
-            } => (epoch, shard, attempt, lease),
-            // Unexpected message kinds are ignored (forward compat).
-            _ => continue,
-        };
+/// The worker thread body: serve assignments until the coordinator
+/// drops the inbox's sender, or until death. Either way returning drops
+/// `out`, which reports [`Report::Exited`].
+pub(crate) fn worker_main(ctx: WorkerCtx<'_>, inbox: Receiver<Assign>, out: Outbox) {
+    for assign in inbox {
         if ctx.work.worker_dead(ctx.worker) {
             // Permanently dead worker: dies the moment it gets work.
             return;
         }
-        match run_shard(&ctx, &out, epoch, shard, attempt, lease) {
-            Ok(Some((zones, queries, duration))) => out.send(&Msg::ShardDone {
-                worker: ctx.worker,
-                epoch,
-                shard,
-                lease,
-                zones,
-                queries,
-                duration,
-            }),
-            // KillBeforeHandoff: work is journaled, report never sent.
-            Ok(None) => return,
+        match run_shard(&ctx, assign) {
+            Ok(()) => out.send(Report::Done(assign)),
             Err(AttemptEnd::Died) => return,
-            Err(AttemptEnd::Fenced) => out.send(&Msg::ShardFailed {
-                worker: ctx.worker,
-                epoch,
-                shard,
-                lease,
-                reason: FailReason::Fenced,
-            }),
-            Err(AttemptEnd::JournalIo) => out.send(&Msg::ShardFailed {
-                worker: ctx.worker,
-                epoch,
-                shard,
-                lease,
-                reason: FailReason::JournalIo,
-            }),
+            Err(AttemptEnd::Fenced | AttemptEnd::JournalIo) => out.send(Report::GaveBack(assign)),
         }
     }
 }
 
 /// One shard attempt: recover → fresh scanner → replay effects →
 /// `scan_all_with` the fence-guarded journal sink (one sequential lane).
-fn run_shard(
-    ctx: &WorkerCtx<'_>,
-    out: &PipeWriter,
-    epoch: u32,
-    shard: u32,
-    attempt: u32,
-    lease: u64,
-) -> Result<Option<(u64, u64, u64)>, AttemptEnd> {
+fn run_shard(ctx: &WorkerCtx<'_>, assign: Assign) -> Result<(), AttemptEnd> {
     // A stale-epoch assignment resolves to no work: give the shard back
     // as fenced without ever opening a journal — epoch N−1's namespace
     // is unreachable from here by construction.
-    let Some(assignment) = ctx.work.assignment(epoch, shard) else {
+    let Some(assignment) = ctx.work.assignment(assign.epoch, assign.shard) else {
         return Err(AttemptEnd::Fenced);
     };
     let ShardAssignment {
@@ -303,38 +315,32 @@ fn run_shard(
     recovery.apply_to(&scanner);
     let resume = recovery.resume_state();
     let inner = JournalSink::resume(&dir, &recovery).map_err(|_| AttemptEnd::JournalIo)?;
-    let fault = ctx.work.fault(epoch, shard, attempt);
+    let fault = ctx.work.fault(assign.epoch, assign.shard, assign.attempt);
     let sink = ShardSink {
         inner,
         fence: ctx.fence,
-        lease,
+        lease: assign.lease,
         fault,
-        out,
-        worker: ctx.worker,
-        epoch,
-        shard,
         heartbeat_every: ctx.heartbeat_every,
         state_dir: dir,
         events: Cell::new(0),
         end: Cell::new(None),
     };
-    let results = scanner.scan_all_with(&zones, Some(&sink), Some(resume));
+    scanner.scan_all_with(&zones, Some(&sink), Some(resume));
     if let Some(end) = sink.end.get() {
         return Err(end);
     }
     if matches!(fault, Some(WorkerFault::KillBeforeHandoff)) {
-        return Ok(None);
+        // The journal is complete; die before reporting it.
+        return Err(AttemptEnd::Died);
     }
-    Ok(Some((
-        results.zones.len() as u64,
-        results.total_queries,
-        results.simulated_duration,
-    )))
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn fence_blocks_appends_after_revoke() {
@@ -355,5 +361,59 @@ mod tests {
         t.join().unwrap();
         // Already-revoked leases return immediately.
         fence.wait_revoked(2);
+    }
+
+    #[test]
+    fn heartbeats_move_without_touching_the_lease_lock() {
+        let fence = Fence::default();
+        assert_eq!(fence.beats(), 0);
+        // Beat and read while an append holds `revoked` — neither may
+        // wait for it (this would deadlock if they took the lock).
+        let inside = fence.with_lease(1, || {
+            fence.beat();
+            fence.beat();
+            fence.beats()
+        });
+        assert_eq!(inside, Some(2));
+        assert_eq!(
+            *fence.revoked.lock().unwrap(),
+            0,
+            "beats leave `revoked` alone"
+        );
+        // Lease behaviour is unchanged by the counter.
+        fence.revoke_through(1);
+        assert_eq!(fence.with_lease(1, || ()), None);
+        assert_eq!(fence.with_lease(2, || ()), Some(()));
+        fence.beat();
+        assert_eq!(fence.beats(), 3);
+        assert_eq!(*fence.revoked.lock().unwrap(), 1);
+    }
+
+    #[test]
+    fn dropping_the_outbox_reports_one_exit_after_everything_before_it() {
+        let (tx, rx) = mpsc::channel();
+        let run = Assign {
+            epoch: 0,
+            shard: 2,
+            attempt: 1,
+            lease: 3,
+        };
+        let worker = std::thread::spawn(move || {
+            let out = Outbox { worker: 7, tx };
+            out.send(Report::GaveBack(run));
+            out.send(Report::Done(run));
+            // `out` drops as the thread returns.
+        });
+        worker.join().unwrap();
+        let got: Vec<(u32, Report)> = rx.iter().collect();
+        assert_eq!(
+            got,
+            [
+                (7, Report::GaveBack(run)),
+                (7, Report::Done(run)),
+                (7, Report::Exited)
+            ],
+            "exactly one exit, last"
+        );
     }
 }

@@ -239,9 +239,12 @@ fn worker_kills_at_every_point_merge_byte_identically() {
             report_bytes(&got),
             "merged report diverged after kill {tag}"
         );
-        // Every derived kill point must actually cost a worker its life
-        // and force a shard reassignment.
-        assert!(ops.workers_lost >= 1, "{tag}: no worker died");
+        // Every derived kill point must cost exactly one worker its life
+        // (an exit reported twice, or a shutdown counted as a death,
+        // would read more), refill the fleet once, and force a shard
+        // reassignment.
+        assert_eq!(ops.workers_lost, 1, "{tag}: one worker must die");
+        assert_eq!(ops.workers_spawned, 5, "{tag}: 4 workers + 1 respawn");
         assert!(ops.reassignments >= 1, "{tag}: shard was never stolen");
         fired += 1;
     }
@@ -352,6 +355,7 @@ fn exhausted_attempt_budget_degrades_to_explicit_indeterminate() {
 
     assert_eq!(ops.shards_abandoned, 1);
     assert_eq!(ops.workers_lost, 4, "each failed attempt costs one worker");
+    assert_eq!(ops.workers_spawned, 12, "8 workers + 4 respawns");
     assert_eq!(got.zones_total as usize, seeds.len(), "zones went missing");
     assert_eq!(
         got.abandoned_zones, doomed_zones,
