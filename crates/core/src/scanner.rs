@@ -51,16 +51,6 @@ pub struct ScanPolicy {
     /// Worker threads for a sink-less scan (`scan_all`). A scan given a
     /// [`ProgressSink`] is one sequential lane whatever this says.
     pub parallelism: usize,
-    /// Run the Byzantine-hardening layer (response-acceptance gate
-    /// consequences surfaced as named causes, referral/alias loop
-    /// detection, lame-delegation detection). Off only for the
-    /// counterfactual in `tests/hostile_world.rs`.
-    pub hardened: bool,
-    /// Per-zone logical-query budget — the amplification cap (0 =
-    /// unlimited). Sized as ≈3× the worst benign zone cost, so no
-    /// adversarial response pattern can make one zone cost more than a
-    /// small constant multiple of an honest one.
-    pub zone_query_budget: u64,
 }
 
 impl Default for ScanPolicy {
@@ -71,20 +61,18 @@ impl Default for ScanPolicy {
             rate_per_sec: 50.0,
             probe_signal: true,
             parallelism: 1,
-            hardened: true,
-            zone_query_budget: DEFAULT_ZONE_QUERY_BUDGET,
         }
     }
 }
 
-/// Default per-zone amplification cap. Empirically, the costliest benign
-/// zone needs 35 logical queries in the `tiny` world with cold caches
-/// (the shared delegation cache makes even a zone's *own* repeat
-/// descents — signal probes, DNSKEY walks — cache hits), so 240 gives
-/// every benign zone several-fold headroom; the acceptance rules, not
-/// the budget, keep adversarial cost within 3× of the worst benign zone
-/// (see `tests/hostile_world.rs`, which re-measures both bounds every
-/// run).
+/// Per-zone logical-query budget — the amplification cap. Empirically,
+/// the costliest benign zone needs 35 logical queries in the `tiny` world
+/// with cold caches (the shared delegation cache makes even a zone's
+/// *own* repeat descents — signal probes, DNSKEY walks — cache hits), so
+/// 240 gives every benign zone several-fold headroom; the acceptance
+/// rules, not the budget, keep adversarial cost within 3× of the worst
+/// benign zone (see `tests/hostile_world.rs`, which re-measures both
+/// bounds every run).
 pub const DEFAULT_ZONE_QUERY_BUDGET: u64 = 240;
 
 /// Whole-exchange retries per query on timeout/malformed replies.
@@ -204,12 +192,11 @@ impl Scanner {
             seed: 0xb007 ^ 0xca1e,
         };
         let client = Arc::new(DnsClient::with_retry(net, retry));
-        let resolver = Resolver::with_hardening(
+        let resolver = Resolver::new(
             Arc::clone(&client),
             RootHints {
                 addrs: roots.clone(),
             },
-            policy.hardened,
         );
         Scanner {
             client,
@@ -290,7 +277,7 @@ impl Scanner {
             clock: 0,
             queries: 0,
             stats: RetryStats::default(),
-            meter: QueryMeter::with_budget(id_seed, self.policy.zone_query_budget),
+            meter: QueryMeter::with_budget(id_seed, DEFAULT_ZONE_QUERY_BUDGET),
             scratch,
         }
     }
@@ -500,7 +487,7 @@ impl Scanner {
             // The zone is not actually delegated.
             return self.unresolvable(zone, probe);
         }
-        if self.policy.hardened && res.rcode == Rcode::Refused {
+        if res.rcode == Rcode::Refused {
             // Delegated, yet the delegated servers refuse to answer for
             // it: a lame delegation. Without this check the zone would
             // fall through and read as an artificial Unsigned.

@@ -1043,8 +1043,8 @@ impl Builder {
 
         // Glueless referral ping-pong web: each web zone's only NS is
         // named under the other, so resolving either address recurses
-        // until the visited-set (hardened) or the depth cap (unhardened)
-        // breaks the cycle. Served entirely by the honest registry.
+        // until the resolver's visited set breaks the cycle. Served
+        // entirely by the honest registry.
         let web1 = adv_tld.prepend_label(b"zzrlweb1").unwrap();
         let web2 = adv_tld.prepend_label(b"zzrlweb2").unwrap();
         let web1_ns = web1.prepend_label(b"ns1").unwrap();

@@ -221,8 +221,8 @@ pub struct MultiOpSpec {
 /// A hostile-operator archetype: one way a misconfigured or actively
 /// adversarial delegation can try to waste, mislead, or poison a scanner.
 ///
-/// Each archetype exercises a distinct acceptance rule in the hardened
-/// resolver (see DESIGN.md §6c for the archetype → `HostileCause` map).
+/// Each archetype exercises a distinct acceptance rule in the resolver
+/// (see DESIGN.md §6c for the archetype → `HostileCause` map).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AdversaryArchetype {
     /// Delegation points at a server that answers REFUSED for everything.

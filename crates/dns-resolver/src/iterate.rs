@@ -1,15 +1,16 @@
 //! Iterative resolution: walk referrals from the root, recording the
 //! delegation chain for later DNSSEC validation.
 //!
-//! The walk is *hardened* by default (DESIGN.md §6c): referrals must step
-//! strictly downwards along the QNAME, NS fan-out is capped, glue is only
-//! believed inside the cut's bailiwick, NS-hostname address resolution
-//! carries a visited set so delegation loops terminate with a named cause
-//! instead of burning the depth budget, CNAME chains at the queried name
-//! are chased with an alias cap, and every cache entry is tagged with the
-//! zone apex that produced it so a record can never serve a name outside
-//! its provenance. `Resolver::with_hardening(.., false)` restores the
-//! trusting pre-hardening walk (kept for the amplification ablation).
+//! The walk distrusts what it is told (DESIGN.md §6c): referrals must
+//! step strictly downwards along the QNAME, NS fan-out is capped, glue is
+//! only believed inside the cut's bailiwick, NS-hostname address
+//! resolution carries a visited set so delegation loops terminate with a
+//! named cause instead of burning the depth budget, CNAME chains at the
+//! queried name are chased with an alias cap, and every cache entry is
+//! tagged with the zone apex that produced it so a record can never serve
+//! a name outside its provenance. The visited set is what bounds the
+//! recursion, so a failed address lookup is not cached: the next walk
+//! that needs the hostname asks again.
 //!
 //! ## Caching (DESIGN.md §7)
 //!
@@ -59,6 +60,18 @@ use std::sync::Arc;
 /// epochs (where virtual time advances by hours) stale entries stop
 /// being consulted and are evicted lazily.
 pub const CACHE_TTL_MICROS: SimMicros = 3_600_000_000;
+
+/// Referrals followed by one walk before it gives up.
+const MAX_REFERRALS: usize = 32;
+
+/// Nesting depth of NS-address resolutions inside one walk.
+const MAX_DEPTH: usize = 6;
+
+/// NS-set width cap per referral (NXNS amplification defence).
+const MAX_NS_FANOUT: usize = 16;
+
+/// CNAME hops chased at the queried name before declaring a loop.
+const MAX_ALIAS_HOPS: usize = 4;
 
 /// Root server hints: the addresses of the (simulated) root servers.
 #[derive(Debug, Clone)]
@@ -111,7 +124,7 @@ pub struct Resolution {
 pub enum ResolverError {
     /// No server for a zone could be reached.
     AllServersFailed(Name),
-    /// Referral loop or excessive depth.
+    /// Depth or hop limit exhausted.
     TooManyReferrals,
     /// NS addresses could not be resolved.
     NoAddresses(Name),
@@ -141,42 +154,22 @@ pub struct Resolver {
     addresses: ProvenanceCache<Arc<Vec<Addr>>>,
     /// Zone cut → referral data.
     delegations: ProvenanceCache<Arc<ReferralData>>,
-    max_referrals: usize,
-    max_depth: usize,
-    hardened: bool,
-    /// NS-set width cap per referral (NXNS amplification defence).
-    max_ns_fanout: usize,
-    /// CNAME hops chased at the queried name before declaring a loop.
-    max_alias_hops: usize,
 }
 
 impl Resolver {
     pub fn new(client: Arc<DnsClient>, roots: RootHints) -> Self {
-        Resolver::with_hardening(client, roots, true)
-    }
-
-    /// Like [`new`](Self::new), choosing whether the hardening layer is
-    /// active. The unhardened walk trusts referrals the way the
-    /// pre-adversarial resolver did; it exists for the amplification
-    /// counterfactual in `tests/hostile_world.rs`, not for production
-    /// scans.
-    pub fn with_hardening(client: Arc<DnsClient>, roots: RootHints, hardened: bool) -> Self {
         Resolver {
             client,
             roots,
             addresses: ProvenanceCache::at_or_below(),
             delegations: ProvenanceCache::strictly_below(),
-            max_referrals: 32,
-            max_depth: 6,
-            hardened,
-            max_ns_fanout: 16,
-            max_alias_hops: 4,
         }
     }
 
-    /// Whether the hardening layer is active.
-    pub fn hardened(&self) -> bool {
-        self.hardened
+    /// [`new`](Self::new); the flag is ignored. Exists only because the
+    /// benchmark's resolver probe still calls it by this name.
+    pub fn with_hardening(client: Arc<DnsClient>, roots: RootHints, _: bool) -> Self {
+        Resolver::new(client, roots)
     }
 
     /// The underlying client (for direct per-NS queries by the scanner).
@@ -205,12 +198,12 @@ impl Resolver {
         self.resolve_chased(meter, now, qname, qtype, 0, &mut visited)
     }
 
-    /// Walk to (qname, qtype), then — hardened only — chase an in-answer
-    /// CNAME chain under the alias cap, accumulating cost. The benign
-    /// ecosystem never aliases scanner-resolved names, so the chase is
-    /// pure adversary defence: a looping or over-long chain at a signal
-    /// name fails with [`HostileCause::AliasLoop`] instead of silently
-    /// reading as "no signal records".
+    /// Walk to (qname, qtype), then chase an in-answer CNAME chain under
+    /// the alias cap, accumulating cost. The benign ecosystem never
+    /// aliases scanner-resolved names, so the chase is pure adversary
+    /// defence: a looping or over-long chain at a signal name fails with
+    /// [`HostileCause::AliasLoop`] instead of silently reading as "no
+    /// signal records".
     fn resolve_chased(
         &self,
         meter: Option<&QueryMeter>,
@@ -221,7 +214,7 @@ impl Resolver {
         visited: &mut Vec<Name>,
     ) -> Result<Resolution, ResolverError> {
         let mut res = self.walk(meter, now, qname, qtype, depth, visited)?;
-        if !self.hardened || qtype == RecordType::Cname {
+        if qtype == RecordType::Cname {
             return Ok(res);
         }
         let mut aliases: Vec<Name> = vec![qname.clone()];
@@ -239,7 +232,7 @@ impl Resolver {
                 (false, Some(t)) => t,
                 _ => return Ok(res),
             };
-            if aliases.contains(&target) || aliases.len() > self.max_alias_hops {
+            if aliases.contains(&target) || aliases.len() > MAX_ALIAS_HOPS {
                 if let Some(m) = meter {
                     m.note_hostile(HostileCause::AliasLoop);
                 }
@@ -265,7 +258,7 @@ impl Resolver {
         depth: usize,
         visited: &mut Vec<Name>,
     ) -> Result<Resolution, ResolverError> {
-        if depth > self.max_depth {
+        if depth > MAX_DEPTH {
             return Err(ResolverError::TooManyReferrals);
         }
         // Warm start: reconstruct the deepest cached ancestor chain of
@@ -276,7 +269,7 @@ impl Resolver {
         let mut elapsed: SimMicros = 0;
         let mut queries: u32 = 0;
 
-        for _hop in 0..self.max_referrals {
+        for _hop in 0..MAX_REFERRALS {
             let (msg, ex_elapsed, ex_queries) =
                 self.query_first_responsive(meter, now + elapsed, &servers, qname, qtype)?;
             elapsed += ex_elapsed;
@@ -289,15 +282,13 @@ impl Resolver {
             {
                 let rcode = msg.rcode();
                 let mut authorities = msg.authorities;
-                if self.hardened {
-                    // Final answers may only carry authority records from
-                    // the answering zone's own bailiwick.
-                    let before = authorities.len();
-                    authorities.retain(|r| r.name.is_subdomain_of(&zone_apex));
-                    if authorities.len() < before {
-                        if let Some(m) = meter {
-                            m.note_hostile(HostileCause::ForeignRecords);
-                        }
+                // Final answers may only carry authority records from the
+                // answering zone's own bailiwick.
+                let before = authorities.len();
+                authorities.retain(|r| r.name.is_subdomain_of(&zone_apex));
+                if authorities.len() < before {
+                    if let Some(m) = meter {
+                        m.note_hostile(HostileCause::ForeignRecords);
                     }
                 }
                 return Ok(Resolution {
@@ -331,45 +322,35 @@ impl Resolver {
                 });
             };
             let cut = first_ns.name.clone();
-            let ns_records: Vec<&Record> = if self.hardened {
-                // Only NS records owned by the cut name delegate; stray NS
-                // rows at other names are injected padding.
-                let kept: Vec<&Record> = ns_all.iter().copied().filter(|r| r.name == cut).collect();
-                let foreign_auth = msg
-                    .authorities
-                    .iter()
-                    .filter(|r| !r.name.is_subdomain_of(&zone_apex))
-                    .count();
-                if ns_all.len() - kept.len() + foreign_auth > 0 {
-                    if let Some(m) = meter {
-                        m.note_hostile(HostileCause::ForeignRecords);
-                    }
-                }
-                // The cut must descend from the delegating zone AND lie on
-                // the path to qname: anything else (upward, sideways, or
-                // self-referral) can never make progress.
-                if !cut.is_strict_subdomain_of(&zone_apex) || !qname.is_subdomain_of(&cut) {
-                    if let Some(m) = meter {
-                        m.note_hostile(HostileCause::ReferralLoop);
-                    }
-                    return Err(ResolverError::Hostile(HostileCause::ReferralLoop));
-                }
-                kept
-            } else {
-                if !cut.is_strict_subdomain_of(&zone_apex) {
-                    // Upward or sideways referral: bogus server, stop.
-                    return Err(ResolverError::TooManyReferrals);
-                }
-                ns_all
-            };
-            let ns_names: Vec<Name> = ns_records
+            // Only NS records owned by the cut name delegate; stray NS rows
+            // at other names are injected padding.
+            let ns_names: Vec<Name> = ns_all
                 .iter()
                 .filter_map(|r| match &r.rdata {
-                    RData::Ns(n) => Some(n.clone()),
+                    RData::Ns(n) if r.name == cut => Some(n.clone()),
                     _ => None,
                 })
                 .collect();
-            if self.hardened && ns_names.len() > self.max_ns_fanout {
+            let foreign_auth = msg
+                .authorities
+                .iter()
+                .filter(|r| !r.name.is_subdomain_of(&zone_apex))
+                .count();
+            if ns_all.len() - ns_names.len() + foreign_auth > 0 {
+                if let Some(m) = meter {
+                    m.note_hostile(HostileCause::ForeignRecords);
+                }
+            }
+            // The cut must descend from the delegating zone AND lie on the
+            // path to qname: anything else (upward, sideways, or
+            // self-referral) can never make progress.
+            if !cut.is_strict_subdomain_of(&zone_apex) || !qname.is_subdomain_of(&cut) {
+                if let Some(m) = meter {
+                    m.note_hostile(HostileCause::ReferralLoop);
+                }
+                return Err(ResolverError::Hostile(HostileCause::ReferralLoop));
+            }
+            if ns_names.len() > MAX_NS_FANOUT {
                 if let Some(m) = meter {
                     m.note_hostile(HostileCause::WideReferral);
                 }
@@ -393,8 +374,8 @@ impl Resolver {
                     _ => None,
                 })
                 .collect();
-            // Addresses: glue first, then recursive resolution. Hardened,
-            // glue is only believed for NS targets inside the cut. Courtesy
+            // Addresses: glue first, then recursive resolution. Glue is
+            // only believed for NS targets inside the cut. Courtesy
             // glue for a *wanted* but out-of-bailiwick NS is normal benign
             // behaviour — ignored without suspicion; address records for
             // names that are not delegation targets at all are injected
@@ -404,14 +385,13 @@ impl Resolver {
             for rec in &msg.additionals {
                 let is_addr = matches!(rec.rdata, RData::A(_) | RData::Aaaa(_));
                 let wanted = ns_names.contains(&rec.name);
-                let in_cut = rec.name.is_subdomain_of(&cut);
-                if is_addr && wanted && (!self.hardened || in_cut) {
+                if is_addr && wanted && rec.name.is_subdomain_of(&cut) {
                     match &rec.rdata {
                         RData::A(a) => addrs.push(Addr::V4(*a)),
                         RData::Aaaa(a) => addrs.push(Addr::V6(*a)),
                         _ => {}
                     }
-                } else if is_addr && self.hardened && !wanted {
+                } else if is_addr && !wanted {
                     foreign_glue += 1;
                 }
             }
@@ -553,7 +533,7 @@ impl Resolver {
         if let Some(addrs) = self.addresses.lookup(ns, now) {
             return Ok(addrs);
         }
-        if self.hardened && visited.iter().any(|v| v == ns) {
+        if visited.iter().any(|v| v == ns) {
             // This NS hostname's resolution is already in flight above us:
             // a delegation loop (A's servers are named under B, B's under
             // A) would recurse forever without this.
@@ -565,6 +545,7 @@ impl Resolver {
         visited.push(ns.clone());
         let mut addrs = Vec::new();
         let mut provenance = ns.clone();
+        let mut complete = true;
         for qtype in [RecordType::A, RecordType::Aaaa] {
             match self.resolve_chased(meter, now, ns, qtype, depth, visited) {
                 Ok(res) => {
@@ -581,15 +562,18 @@ impl Resolver {
                     visited.pop();
                     return Err(e);
                 }
-                // Falls through to the insert below: a failed lookup
-                // memoises what it has, possibly nothing (DESIGN.md §13).
-                Err(_) => {}
+                // The other family may still answer; what was found is
+                // returned, but a partial list is not cached.
+                Err(_) => complete = false,
             }
         }
         visited.pop();
+        let addrs = Arc::new(addrs);
+        if !complete {
+            return Ok(addrs);
+        }
         // One allocation, shared three ways: the cache entry, the meter
         // log and the caller all hold the same `Arc`.
-        let addrs = Arc::new(addrs);
         self.addresses.insert_tagged(
             ns.clone(),
             Arc::clone(&addrs),

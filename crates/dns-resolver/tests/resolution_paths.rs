@@ -1,14 +1,18 @@
 //! Resolver path tests: caching, out-of-bailiwick NS chasing, truncation
-//! fallback through full resolution, and referral-loop protection.
+//! fallback through full resolution, referral-loop protection, and that a
+//! failed address lookup is retried rather than cached.
 
-use dns_resolver::{DnsClient, Resolver, RootHints};
+use dns_resolver::{DnsClient, HostileCause, Resolver, ResolverError, RootHints};
 use dns_server::{AuthServer, ZoneStore};
 use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
 use dns_wire::rdata::{RData, SoaData};
 use dns_wire::record::{Record, RecordType};
 use dns_zone::Zone;
-use netsim::{Addr, Network, ServerHandler, ServerResponse, SimMicros, Transport};
+use netsim::{
+    Addr, FaultKind, FaultPlan, FaultScope, FaultSpec, Network, ServerHandler, ServerResponse,
+    SimMicros, Transport, Window,
+};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -170,6 +174,31 @@ fn address_cache_prevents_re_resolution() {
 }
 
 #[test]
+fn a_failed_address_lookup_is_not_memoised() {
+    let (net, roots) = build_oob_world();
+    // otherhost.test's only server is dark for the first virtual minute.
+    net.set_faults(FaultPlan::new(7).with(FaultSpec {
+        scope: FaultScope::to_addr(Addr::V4(Ipv4Addr::new(192, 0, 2, 60))),
+        window: Window::Interval {
+            start: 0,
+            end: 60_000_000,
+        },
+        kind: FaultKind::BlackHole,
+    }));
+    let client = Arc::new(DnsClient::new(Arc::clone(&net)));
+    let resolver = Resolver::new(client, RootHints { addrs: roots });
+    let ns = Name::parse("dns.otherhost.test").unwrap();
+    let during = resolver.addresses_of_at_with(None, 0, &ns).unwrap();
+    assert_eq!(*during, Vec::<Addr>::new());
+    // Once the outage is over the hostname resolves: the failure above
+    // must not have been cached as "no addresses".
+    let after = resolver
+        .addresses_of_at_with(None, 600_000_000, &ns)
+        .unwrap();
+    assert_eq!(*after, vec![Addr::V4(Ipv4Addr::new(192, 0, 2, 61))]);
+}
+
+#[test]
 fn seeded_addresses_bypass_resolution() {
     let (net, roots) = build_oob_world();
     let client = Arc::new(DnsClient::new(Arc::clone(&net)));
@@ -233,7 +262,10 @@ fn sideways_referrals_do_not_loop() {
             addrs: vec![root_addr],
         },
     );
-    // Must terminate with an error, not hang.
+    // Must terminate with a named cause, not hang.
     let res = resolver.resolve(&Name::parse("victim.test").unwrap(), RecordType::A);
-    assert!(res.is_err());
+    assert_eq!(
+        res.unwrap_err(),
+        ResolverError::Hostile(HostileCause::ReferralLoop)
+    );
 }

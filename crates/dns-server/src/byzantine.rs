@@ -5,8 +5,8 @@
 //! servers whose whole point is to waste a scanner's query budget, poison
 //! its caches, or feed it answers for questions it never asked. Each
 //! [`ByzantineMode`] realises one archetype from the ecosystem's
-//! adversarial tier; the hardened resolver's acceptance rules (DESIGN.md
-//! §6c) are what these servers are built to probe.
+//! adversarial tier; the resolver's acceptance rules (DESIGN.md §6c) are
+//! what these servers are built to probe.
 
 use crate::server::AuthServer;
 use crate::store::ZoneStore;

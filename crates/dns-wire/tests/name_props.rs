@@ -1,6 +1,6 @@
 //! Property-based tests for [`Name`] ancestry and bailiwick helpers.
 //!
-//! The hardened resolver's acceptance rules (DESIGN.md §6c) are built
+//! The resolver's acceptance rules (DESIGN.md §6c) are built
 //! on exactly three primitives — `is_subdomain_of`,
 //! `is_strict_subdomain_of` and `parent` — so their algebra is
 //! load-bearing for every bailiwick decision: a hole here is a cache

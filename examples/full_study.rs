@@ -271,8 +271,8 @@ fn main() {
         for (label, (zones, degraded, worst)) in &per {
             println!("{label:>12} | {zones:>5} | {degraded:>8} | {worst:>13}");
         }
-        let budget = ScanPolicy::default().zone_query_budget;
-        println!("per-zone query budget: {budget} (hardened scan; see tests/hostile_world.rs)\n");
+        let budget = bootscan::scanner::DEFAULT_ZONE_QUERY_BUDGET;
+        println!("per-zone query budget: {budget}\n");
     }
 
     if let Some((config, policy)) = longitudinal {
