@@ -115,15 +115,8 @@ fn union_matches_keys(union: &[CdsSeen], keys: &[DnskeyData]) -> bool {
         CdsSeen::Cds {
             key_tag, algorithm, ..
         } => keys.iter().any(|k| {
-            if k.algorithm != *algorithm {
-                return false;
-            }
-            let mut rdata = Vec::with_capacity(4 + k.public_key.len());
-            rdata.extend_from_slice(&k.flags.to_be_bytes());
-            rdata.push(k.protocol);
-            rdata.push(k.algorithm);
-            rdata.extend_from_slice(&k.public_key);
-            dns_crypto::key_tag(&rdata) == *key_tag
+            k.algorithm == *algorithm
+                && dns_crypto::key_tag(k.flags, k.protocol, k.algorithm, &k.public_key) == *key_tag
         }),
     })
 }
@@ -254,13 +247,8 @@ mod tests {
     }
 
     fn cds_for(k: &DnskeyData) -> CdsSeen {
-        let mut rdata = Vec::new();
-        rdata.extend_from_slice(&k.flags.to_be_bytes());
-        rdata.push(k.protocol);
-        rdata.push(k.algorithm);
-        rdata.extend_from_slice(&k.public_key);
         CdsSeen::Cds {
-            key_tag: dns_crypto::key_tag(&rdata),
+            key_tag: dns_crypto::key_tag(k.flags, k.protocol, k.algorithm, &k.public_key),
             algorithm: k.algorithm,
             digest_type: 2,
             digest: vec![1, 2, 3],

@@ -21,8 +21,8 @@ use crate::types::*;
 use dns_crypto::UnixTime;
 use dns_resolver::validate::{ds_link_verifies, verified_dnskeys};
 use dns_resolver::{
-    ClientErrorKind, DnsClient, HostileCause, ProvenanceCache, QueryMeter, Resolution, Resolver,
-    ResolverError, RetryPolicy, RootHints, CACHE_TTL_MICROS,
+    ChainLink, ClientErrorKind, DnsClient, HostileCause, ProvenanceCache, QueryMeter, ReferralData,
+    Resolution, Resolver, ResolverError, RetryPolicy, RootHints, CACHE_TTL_MICROS,
 };
 use dns_wire::message::Rcode;
 use dns_wire::name::Name;
@@ -174,7 +174,28 @@ pub struct Scanner {
     /// logged to the zone's meter so journal replay can rebuild the
     /// cache.
     key_cache: ProvenanceCache<Arc<Vec<DnskeyData>>>,
+    /// DS links already verified, per child apex: the referral and the
+    /// parent key set that verified it. A link is served only when both
+    /// are the very allocations recorded (`Arc::ptr_eq`): both are
+    /// immutable and `now` is fixed, so the verdict is the one a fresh
+    /// check would reach. The memo changes no query and no verdict, so
+    /// it is not logged in the zone's `CacheLog`. Only successes are
+    /// stored.
+    ds_verdicts: ProvenanceCache<DsVerdict>,
     seed: u64,
+}
+
+/// A verified DS link: the referral whose DS RRset verified, and the
+/// parent key set it verified under.
+type DsVerdict = (Arc<ReferralData>, Arc<Vec<DnskeyData>>);
+
+/// One address's CDS/CDNSKEY signature check input, compared by value:
+/// another address of the same zone serving the same records reuses the
+/// verdict (the zone, and the scanner's `now`, are fixed within a scan).
+struct CdsSigInput {
+    rdatas: Vec<RData>,
+    rrsigs: Vec<RrsigData>,
+    dnskeys: Vec<DnskeyData>,
 }
 
 impl Scanner {
@@ -207,6 +228,7 @@ impl Scanner {
             policy,
             now,
             key_cache: ProvenanceCache::at_or_below(),
+            ds_verdicts: ProvenanceCache::at_or_below(),
             seed: 0xb007,
         }
     }
@@ -411,7 +433,7 @@ impl Scanner {
                 };
             };
             // DS RRset must be signed by the parent.
-            if !ds_link_verifies(link, &keys, self.now) {
+            if !self.ds_link_verified(probe, link, &keys) {
                 return ChainStatus::Bogus;
             }
             if last {
@@ -424,6 +446,31 @@ impl Scanner {
         }
         // No chain at all (zone served by the root?) — treat as insecure.
         ChainStatus::InsecureAbove
+    }
+
+    /// [`ds_link_verifies`], answered from `ds_verdicts` when this very
+    /// referral was already verified under this very key set.
+    fn ds_link_verified(
+        &self,
+        probe: &Probe,
+        link: &ChainLink,
+        parent_keys: &Arc<Vec<DnskeyData>>,
+    ) -> bool {
+        if let Some((data, keys)) = self.ds_verdicts.lookup(&link.child_apex, probe.clock) {
+            if Arc::ptr_eq(&data, &link.data) && Arc::ptr_eq(&keys, parent_keys) {
+                return true;
+            }
+        }
+        if !ds_link_verifies(link, parent_keys, self.now) {
+            return false;
+        }
+        self.ds_verdicts.insert_tagged(
+            link.child_apex.clone(),
+            (Arc::clone(&link.data), Arc::clone(parent_keys)),
+            link.child_apex.clone(),
+            SimMicros::MAX,
+        );
+        true
     }
 
     /// Scan one zone.
@@ -521,8 +568,9 @@ impl Scanner {
 
         // 3. Per-address DNSSEC/CDS observations.
         let mut observations = Vec::new();
+        let mut cds_verdicts = Vec::new();
         for (ns, addr) in &targets {
-            observations.push(self.observe_address(probe, zone, ns, *addr));
+            observations.push(self.observe_address(probe, zone, ns, *addr, &mut cds_verdicts));
         }
 
         // Zone DNSKEY validation (for Secured/Invalid/Island split).
@@ -638,13 +686,15 @@ impl Scanner {
         true
     }
 
-    /// Query one address for DNSKEY/CDS/CDNSKEY.
+    /// Query one address for DNSKEY/CDS/CDNSKEY. `cds_verdicts` holds the
+    /// zone's CDS signature checks so far, each with its verdict.
     fn observe_address(
         &self,
         probe: &mut Probe,
         zone: &Name,
         ns: &Name,
         addr: Addr,
+        cds_verdicts: &mut Vec<(CdsSigInput, bool)>,
     ) -> NsObservation {
         let mut obs = NsObservation {
             ns_name: ns.clone(),
@@ -715,17 +765,45 @@ impl Scanner {
                 .any(|r| r.rtype() == RecordType::Csync && r.name == *zone);
         }
         // Verify the RRSIG over the CDS RRset against the zone's DNSKEYs
-        // as served by this same address.
+        // as served by this same address — once per distinct input.
         if !cds_rdatas.is_empty() && !obs.dnskeys.is_empty() {
-            let mut valid = true;
-            for rtype in [RecordType::Cds, RecordType::Cdnskey] {
-                let rdatas: Vec<RData> = cds_rdatas
+            let seen = cds_verdicts.iter().find(|(seen, _)| {
+                seen.rdatas == cds_rdatas
+                    && seen.rrsigs == cds_rrsigs
+                    && seen.dnskeys == obs.dnskeys
+            });
+            let valid = match seen {
+                Some(&(_, valid)) => valid,
+                None => {
+                    let input = CdsSigInput {
+                        rdatas: cds_rdatas,
+                        rrsigs: cds_rrsigs,
+                        dnskeys: obs.dnskeys.clone(),
+                    };
+                    let valid = self.cds_sigs_valid(zone, &input);
+                    cds_verdicts.push((input, valid));
+                    valid
+                }
+            };
+            obs.cds_sig_valid = Some(valid);
+        }
+        obs
+    }
+
+    /// Whether the CDS and the CDNSKEY RRset in `input` (each, if
+    /// present) verify against its DNSKEYs.
+    fn cds_sigs_valid(&self, zone: &Name, input: &CdsSigInput) -> bool {
+        [RecordType::Cds, RecordType::Cdnskey]
+            .into_iter()
+            .all(|rtype| {
+                let rdatas: Vec<RData> = input
+                    .rdatas
                     .iter()
                     .filter(|r| r.rtype() == rtype)
                     .cloned()
                     .collect();
                 if rdatas.is_empty() {
-                    continue;
+                    return true;
                 }
                 let set = RrSet {
                     name: zone.clone(),
@@ -734,13 +812,8 @@ impl Scanner {
                     ttl: 300,
                     rdatas,
                 };
-                if verify_rrset_with_keys(&set, &cds_rrsigs, &obs.dnskeys, self.now).is_err() {
-                    valid = false;
-                }
-            }
-            obs.cds_sig_valid = Some(valid);
-        }
-        obs
+                verify_rrset_with_keys(&set, &input.rrsigs, &input.dnskeys, self.now).is_ok()
+            })
     }
 
     /// Keys that self-validate from the NS observations (island check).

@@ -7,12 +7,16 @@
 //! below it). These tests plant poisoned entries directly through the
 //! test hooks and prove they are dead weight: lookups ignore them,
 //! evidence is re-fetched from the network, and classifications match an
-//! unpoisoned scan bit for bit.
+//! unpoisoned scan bit for bit. The scanner's memo of verified DS links
+//! is keyed on the identity of the referral and the parent key set, not
+//! on names: the last test plants in-bailiwick entries that differ from
+//! a verified link in exactly one of the two.
 
-use bootscan::{ReferralData, ScanPolicy, Scanner};
+use bootscan::{DnssecClass, ReferralData, ScanPolicy, Scanner};
 use dns_ecosystem::{build, DnssecState, Ecosystem, EcosystemConfig};
 use dns_wire::name::Name;
 use dns_wire::rdata::DnskeyData;
+use dns_wire::record::RecordType;
 use netsim::{Addr, SimMicros};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -172,5 +176,57 @@ fn poisoned_delegation_cache_entries_are_never_consulted() {
         snap.per_dest.get(&attacker).copied().unwrap_or(0),
         0,
         "{zone}: scanner followed a poisoned (out-of-provenance) referral"
+    );
+}
+
+#[test]
+fn verified_ds_links_are_reused_only_for_the_same_referral_and_keys() {
+    let eco = build(EcosystemConfig::tiny(7));
+    let zone = secured_zone(&eco);
+    let scanner = scanner_for(&eco);
+    let scan = |scanner: &Scanner| scanner.scan_all(std::slice::from_ref(&zone)).zones[0].dnssec;
+    assert_eq!(scan(&scanner), DnssecClass::Secured, "{zone}: baseline");
+
+    // The referral at the zone's cut, as the scan cached and verified it.
+    let res = scanner.resolver().resolve(&zone, RecordType::Soa).unwrap();
+    let verified = res.chain.last().expect("delegated zone").clone();
+    assert_eq!(verified.child_apex, zone);
+    assert!(!verified.ds_rrsigs.is_empty(), "{zone}: signed DS RRset");
+
+    // Same cut, its own allocation, DS RRSIG corrupted — planted under
+    // the parent's provenance, so the walk does take it.
+    let mut forged = (*verified.data).clone();
+    for sig in &mut forged.ds_rrsigs {
+        for b in &mut sig.signature {
+            *b ^= 0x5a;
+        }
+    }
+    scanner
+        .resolver()
+        .seed_referral(zone.clone(), Arc::new(forged), None, SimMicros::MAX);
+    assert_eq!(
+        scan(&scanner),
+        DnssecClass::Invalid,
+        "{zone}: a forged referral for a verified cut was served the cut's verdict"
+    );
+
+    // The verified referral itself, under another parent key set: keys
+    // that sign nothing, cached for the parent in its own bailiwick.
+    scanner.resolver().seed_referral(
+        zone.clone(),
+        Arc::clone(&verified.data),
+        None,
+        SimMicros::MAX,
+    );
+    scanner.seed_validated_keys(
+        verified.parent_apex.clone(),
+        garbage_keys(),
+        None,
+        SimMicros::MAX,
+    );
+    assert_eq!(
+        scan(&scanner),
+        DnssecClass::Invalid,
+        "{zone}: a verified referral kept its verdict under other parent keys"
     );
 }

@@ -58,7 +58,7 @@ impl KeyPair {
 
     /// The key tag of this key's DNSKEY record.
     pub fn key_tag(&self) -> u16 {
-        key_tag(&self.dnskey_rdata())
+        key_tag(self.flags, 3, self.algorithm.code(), &self.public)
     }
 
     /// Whether the SEP flag is set (key signing key).
@@ -93,15 +93,19 @@ pub(crate) fn expand(parts: &[&[u8]], len: usize) -> Vec<u8> {
     out
 }
 
-/// RFC 4034 Appendix B key-tag computation over DNSKEY RDATA.
-pub fn key_tag(dnskey_rdata: &[u8]) -> u16 {
-    let mut acc: u32 = 0;
-    for (i, &b) in dnskey_rdata.iter().enumerate() {
-        if i % 2 == 0 {
-            acc += (b as u32) << 8;
-        } else {
-            acc += b as u32;
-        }
+/// RFC 4034 Appendix B key-tag computation over the DNSKEY RDATA
+/// `flags ‖ protocol ‖ algorithm ‖ public key`, read from its fields: the
+/// RDATA is summed as big-endian 16-bit words (an odd trailing octet is
+/// a high byte), so the four fixed octets are two whole words and the key
+/// starts on a word boundary.
+pub fn key_tag(flags: u16, protocol: u8, algorithm: u8, public_key: &[u8]) -> u16 {
+    let mut acc = flags as u32 + ((protocol as u32) << 8 | algorithm as u32);
+    for word in public_key.chunks(2) {
+        acc += match *word {
+            [hi, lo] => (hi as u32) << 8 | lo as u32,
+            [hi] => (hi as u32) << 8,
+            _ => 0,
+        };
     }
     acc += (acc >> 16) & 0xffff;
     (acc & 0xffff) as u16
@@ -157,21 +161,9 @@ mod tests {
         assert!(k.is_ksk());
     }
 
-    #[test]
-    fn key_tag_known_value() {
-        // Hand-computed: rdata [0x01, 0x01, 0x03, 0x0d] →
-        // 0x0101 + 0x030d = 0x040e, no carry.
-        assert_eq!(key_tag(&[0x01, 0x01, 0x03, 0x0d]), 0x040e);
-        // Odd length: trailing byte counts as high octet.
-        assert_eq!(key_tag(&[0x01, 0x01, 0x03]), 0x0101 + 0x0300);
-    }
-
-    #[test]
-    fn key_tag_carry_folding() {
-        // Force accumulation above 0xffff to exercise the fold.
-        let rdata = vec![0xff; 600];
-        let tag = key_tag(&rdata);
-        // Reference computation in u64.
+    /// RFC 4034 Appendix B as printed: the byte loop over the whole
+    /// RDATA, accumulated in u64.
+    fn reference_tag(rdata: &[u8]) -> u16 {
         let mut acc: u64 = 0;
         for (i, &b) in rdata.iter().enumerate() {
             acc += if i % 2 == 0 {
@@ -181,7 +173,32 @@ mod tests {
             };
         }
         acc += (acc >> 16) & 0xffff;
-        assert_eq!(tag, (acc & 0xffff) as u16);
+        (acc & 0xffff) as u16
+    }
+
+    #[test]
+    fn key_tag_known_value() {
+        // Hand-computed: rdata [0x01, 0x01, 0x03, 0x0d] →
+        // 0x0101 + 0x030d = 0x040e, no carry.
+        assert_eq!(key_tag(0x0101, 3, 0x0d, &[]), 0x040e);
+        // Odd length: the trailing key byte counts as a high octet.
+        assert_eq!(key_tag(0x0101, 3, 0x0d, &[0x05]), 0x040e + 0x0500);
+    }
+
+    #[test]
+    fn key_tag_matches_the_byte_loop_and_folds_carries() {
+        // All-0xff keys push the sum past 0xffff; odd and even lengths.
+        for len in [0, 1, 2, 63, 64, 260, 596, 597] {
+            let key = vec![0xff; len];
+            let mut rdata = vec![0xff, 0xff, 0xff, 0xff];
+            rdata.extend_from_slice(&key);
+            assert_eq!(key_tag(0xffff, 0xff, 0xff, &key), reference_tag(&rdata));
+        }
+        let mut rng = StdRng::seed_from_u64(6);
+        for alg in [Algorithm::Ed25519, Algorithm::RsaSha256] {
+            let k = KeyPair::generate(&mut rng, alg, 257);
+            assert_eq!(k.key_tag(), reference_tag(&k.dnskey_rdata()));
+        }
     }
 
     #[test]

@@ -122,10 +122,24 @@ proptest! {
         }
     }
 
-    /// Key tags are a pure function of the RDATA.
+    /// The field-wise key tag is RFC 4034 Appendix B's byte loop over
+    /// the assembled RDATA.
     #[test]
-    fn key_tag_pure(rdata in proptest::collection::vec(any::<u8>(), 4..=64)) {
-        prop_assert_eq!(key_tag(&rdata), key_tag(&rdata));
+    fn key_tag_is_the_rdata_byte_loop(
+        flags in any::<u16>(),
+        protocol in any::<u8>(),
+        algorithm in any::<u8>(),
+        public_key in proptest::collection::vec(any::<u8>(), 0..=600),
+    ) {
+        let mut rdata = flags.to_be_bytes().to_vec();
+        rdata.extend_from_slice(&[protocol, algorithm]);
+        rdata.extend_from_slice(&public_key);
+        let mut acc: u32 = 0;
+        for (i, &b) in rdata.iter().enumerate() {
+            acc += if i % 2 == 0 { (b as u32) << 8 } else { b as u32 };
+        }
+        acc += (acc >> 16) & 0xffff;
+        prop_assert_eq!(key_tag(flags, protocol, algorithm, &public_key), acc as u16);
     }
 
     /// Independent keys have distinct public keys.

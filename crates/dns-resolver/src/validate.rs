@@ -164,12 +164,12 @@ pub fn ds_link_verifies(link: &ChainLink, parent_keys: &[DnskeyData], now: UnixT
 
 /// Does `key` (at `zone`) match any DS in `ds_list`?
 fn key_matches_any_ds(zone: &Name, key: &DnskeyData, ds_list: &[DsData]) -> bool {
+    let tag = dns_crypto::key_tag(key.flags, key.protocol, key.algorithm, &key.public_key);
     let mut rdata = Vec::with_capacity(4 + key.public_key.len());
     rdata.extend_from_slice(&key.flags.to_be_bytes());
     rdata.push(key.protocol);
     rdata.push(key.algorithm);
     rdata.extend_from_slice(&key.public_key);
-    let tag = dns_crypto::key_tag(&rdata);
     ds_list.iter().any(|ds| {
         ds.key_tag == tag
             && ds.algorithm == key.algorithm

@@ -8,47 +8,8 @@
 
 use crate::name::Name;
 use crate::rdata::RData;
-use crate::record::{Record, RecordClass};
+use crate::record::RecordClass;
 use crate::wire::WireWriter;
-use std::cmp::Ordering;
-
-/// A record rendered into canonical wire form, ready for hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CanonicalRecord {
-    /// Owner name, lowercased (names are stored lowercase already).
-    pub owner: Name,
-    pub rtype: u16,
-    pub class: u16,
-    /// TTL to embed — callers pass the RRSIG "original TTL".
-    pub ttl: u32,
-    /// Canonical RDATA octets.
-    pub rdata: Vec<u8>,
-}
-
-impl CanonicalRecord {
-    /// Render a record into canonical form with the given TTL override.
-    pub fn from_record(rec: &Record, original_ttl: u32) -> Self {
-        CanonicalRecord {
-            owner: rec.name.clone(),
-            rtype: rec.rtype().code(),
-            class: rec.class.code(),
-            ttl: original_ttl,
-            rdata: canonical_rdata(&rec.rdata),
-        }
-    }
-
-    /// Serialise: owner | type | class | TTL | RDLENGTH | RDATA.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.owner.wire_len() + 10 + self.rdata.len());
-        self.owner.write_uncompressed(&mut out);
-        out.extend_from_slice(&self.rtype.to_be_bytes());
-        out.extend_from_slice(&self.class.to_be_bytes());
-        out.extend_from_slice(&self.ttl.to_be_bytes());
-        out.extend_from_slice(&(self.rdata.len() as u16).to_be_bytes());
-        out.extend_from_slice(&self.rdata);
-        out
-    }
-}
 
 /// Canonical RDATA octets for an RDATA value: uncompressed, names already
 /// lowercase (enforced by [`Name`]'s construction).
@@ -62,33 +23,47 @@ pub fn canonical_rdata(rdata: &RData) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// RFC 4034 §6.3 comparison of two RDATA values as canonical octet strings.
-pub fn canonical_rdata_cmp(a: &RData, b: &RData) -> Ordering {
-    canonical_rdata(a).cmp(&canonical_rdata(b))
-}
-
 /// Serialise a full RRset in canonical order with the RRSIG original TTL,
-/// concatenating the canonical wire form of each RR. This is the exact byte
+/// concatenating the canonical wire form of each RR
+/// (owner | type | class | TTL | RDLENGTH | RDATA). This is the exact byte
 /// string that RFC 4034 §3.1.8.1 appends after the RRSIG RDATA prefix when
 /// computing a signature.
+///
+/// Each RDATA is rendered once, back to back into one buffer; the sort
+/// (stable, so of equal RDATAs the first given survives the dedup)
+/// compares spans of that buffer.
 pub fn canonical_rrset_wire(
     owner: &Name,
     class: RecordClass,
     original_ttl: u32,
     rdatas: &[RData],
 ) -> Vec<u8> {
-    let mut sorted: Vec<&RData> = rdatas.iter().collect();
-    sorted.sort_by(|a, b| canonical_rdata_cmp(a, b));
-    sorted.dedup_by(|a, b| canonical_rdata_cmp(a, b) == Ordering::Equal);
-    let mut out = Vec::new();
-    for rd in sorted {
-        let rec = Record {
-            name: owner.clone(),
-            class,
-            ttl: original_ttl,
-            rdata: (*rd).clone(),
-        };
-        out.extend_from_slice(&CanonicalRecord::from_record(&rec, original_ttl).to_wire());
+    let mut w = WireWriter::new();
+    // (start, end, type code) of each RDATA's canonical octets in `w`.
+    let mut spans: Vec<(usize, usize, u16)> = Vec::with_capacity(rdatas.len());
+    w.without_compression(|w| {
+        for rd in rdatas {
+            let start = w.len();
+            rd.write(w);
+            spans.push((start, w.len(), rd.rtype().code()));
+        }
+    });
+    let rendered = w.into_bytes();
+    let octets = |&(start, end, _): &(usize, usize, u16)| rendered.get(start..end).unwrap_or(&[]);
+    spans.sort_by(|a, b| octets(a).cmp(octets(b)));
+    spans.dedup_by(|a, b| octets(a) == octets(b));
+
+    let owner = owner.wire_bytes();
+    let rdata_len: usize = spans.iter().map(|s| octets(s).len()).sum();
+    let mut out = Vec::with_capacity(spans.len() * (owner.len() + 10) + rdata_len);
+    for span in &spans {
+        let rdata = octets(span);
+        out.extend_from_slice(owner);
+        out.extend_from_slice(&span.2.to_be_bytes());
+        out.extend_from_slice(&class.code().to_be_bytes());
+        out.extend_from_slice(&original_ttl.to_be_bytes());
+        out.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
+        out.extend_from_slice(rdata);
     }
     out
 }
@@ -136,22 +111,18 @@ mod tests {
 
     #[test]
     fn rdata_ordering_is_bytewise() {
+        // 10.0.0.1 sorts before 192.0.2.1 whatever the input order.
         let a = RData::A(Ipv4Addr::new(10, 0, 0, 1));
         let b = RData::A(Ipv4Addr::new(192, 0, 2, 1));
-        assert_eq!(canonical_rdata_cmp(&a, &b), Ordering::Less);
-        assert_eq!(canonical_rdata_cmp(&b, &a), Ordering::Greater);
-        assert_eq!(canonical_rdata_cmp(&a, &a), Ordering::Equal);
+        let w = canonical_rrset_wire(&name!("x"), RecordClass::In, 0, &[b, a]);
+        assert_eq!(&w[13..17], &[10, 0, 0, 1]);
+        assert_eq!(&w[30..34], &[192, 0, 2, 1]);
     }
 
     #[test]
     fn canonical_record_layout() {
-        let rec = Record::new(
-            name!("a.example"),
-            999,
-            RData::A(Ipv4Addr::new(192, 0, 2, 1)),
-        );
-        let c = CanonicalRecord::from_record(&rec, 300);
-        let w = c.to_wire();
+        let a = RData::A(Ipv4Addr::new(192, 0, 2, 1));
+        let w = canonical_rrset_wire(&name!("a.example"), RecordClass::In, 300, &[a]);
         // owner (11) + type(2)+class(2)+ttl(4)+rdlen(2)+rdata(4)
         assert_eq!(w.len(), 11 + 10 + 4);
         // TTL replaced by original TTL 300.

@@ -31,7 +31,7 @@ pub mod record;
 pub mod typebitmap;
 pub mod wire;
 
-pub use canonical::{canonical_rdata_cmp, canonical_rrset_wire, CanonicalRecord};
+pub use canonical::canonical_rrset_wire;
 pub use message::{Flags, Header, Message, Opcode, Question, Rcode};
 pub use name::{Name, NameError};
 pub use rdata::RData;

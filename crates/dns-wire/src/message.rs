@@ -187,6 +187,37 @@ impl Default for Edns {
     }
 }
 
+impl Edns {
+    /// The parameters an OPT record carries in its CLASS (the UDP
+    /// payload) and TTL (extended rcode, version, DO bit) fields.
+    fn from_opt(class: u16, ttl: u32) -> Self {
+        Edns {
+            udp_payload: class,
+            extended_rcode: (ttl >> 24) as u8,
+            version: (ttl >> 16) as u8,
+            dnssec_ok: ttl & 0x8000 != 0,
+        }
+    }
+}
+
+/// Read a root-owned OPT record at the cursor straight into its EDNS
+/// parameters (its options are skipped, as opaque as a decoded
+/// `RData::Opt`). `Ok(None)` with the cursor unmoved when the record at
+/// the cursor is anything else, an OPT under another owner included; the
+/// errors are the ones [`Record::read`] returns on the same bytes.
+fn read_root_opt(r: &mut WireReader) -> Result<Option<Edns>, WireError> {
+    let start = r.position();
+    if r.read_u8()? != 0 || r.read_u16()? != RecordType::Opt.code() {
+        r.seek(start)?;
+        return Ok(None);
+    }
+    let class = r.read_u16()?;
+    let ttl = r.read_u32()?;
+    let rdlen = r.read_u16()? as usize;
+    r.read_bytes(rdlen)?;
+    Ok(Some(Edns::from_opt(class, ttl)))
+}
+
 /// A complete DNS message.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Message {
@@ -297,22 +328,23 @@ impl Message {
         };
         let answers = read_section(ancount, &mut r)?;
         let authorities = read_section(nscount, &mut r)?;
-        let mut additionals = read_section(arcount, &mut r)?;
-        // Extract the OPT pseudo-record, if any.
+        // An OPT pseudo-record becomes `edns` (of several, the last
+        // wins) instead of an additional record. A root-owned one — what
+        // every query and reply carries — is read straight into it.
+        let mut additionals = Vec::new();
         let mut edns = None;
-        additionals.retain(|rec| {
-            if rec.rtype() == RecordType::Opt {
-                edns = Some(Edns {
-                    udp_payload: rec.class.code(),
-                    extended_rcode: (rec.ttl >> 24) as u8,
-                    version: (rec.ttl >> 16) as u8,
-                    dnssec_ok: rec.ttl & 0x8000 != 0,
-                });
-                false
-            } else {
-                true
+        for _ in 0..arcount {
+            if let Some(opt) = read_root_opt(&mut r)? {
+                edns = Some(opt);
+                continue;
             }
-        });
+            let rec = Record::read(&mut r)?;
+            if rec.rtype() == RecordType::Opt {
+                edns = Some(Edns::from_opt(rec.class.code(), rec.ttl));
+            } else {
+                additionals.push(rec);
+            }
+        }
         Ok(Message {
             header: Header { id, flags },
             questions,
@@ -421,6 +453,31 @@ mod tests {
         let back = Message::from_bytes(&q.to_bytes()).unwrap();
         assert!(back.edns.is_none());
         assert!(!back.dnssec_ok());
+    }
+
+    #[test]
+    fn root_opt_becomes_edns_beside_other_additionals() {
+        let mut q = Message::query(0x4242, name!("Example.CH"), RecordType::Cdnskey, true);
+        let glue = Record::new(name!("x.test"), 300, RData::A(Ipv4Addr::new(192, 0, 2, 1)));
+        q.additionals.push(glue.clone());
+        let back = Message::from_bytes(&q.to_bytes()).unwrap();
+        assert_eq!(back.edns, q.edns);
+        assert_eq!(back.additionals, vec![glue]);
+    }
+
+    #[test]
+    fn opt_under_another_owner_and_repeated_opts_last_wins() {
+        let q = Message::query(5, name!("x.test"), RecordType::A, false);
+        let mut bytes = q.to_bytes();
+        // A second OPT owned by `x.test` (a pointer to the question
+        // name), DO set, payload 4096.
+        bytes[11] = 2;
+        bytes.extend_from_slice(&[0xc0, 12, 0, 41, 0x10, 0, 0, 0, 0x80, 0, 0, 0]);
+        let back = Message::from_bytes(&bytes).unwrap();
+        assert!(back.additionals.is_empty());
+        let e = back.edns.unwrap();
+        assert!(e.dnssec_ok);
+        assert_eq!(e.udp_payload, 4096);
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! Property-based tests over the wire format: round-trip invariants for
-//! names, messages, type bitmaps and canonical ordering, plus the two
-//! byte-identity oracles for the compressing encoder: a test-local
-//! reference writer (the hash-map algorithm the linear table replaced)
-//! and golden replies captured from the previous encoder.
+//! names, messages, type bitmaps and canonical ordering, plus the
+//! byte-identity oracles for code that was rewritten for speed: a
+//! test-local reference writer (the hash-map algorithm the linear
+//! compression table replaced), golden replies captured from the
+//! previous encoder, and the sort-by-rendering canonical RRset form that
+//! the render-once one replaced.
 
+use dns_wire::canonical::{canonical_rdata, canonical_rrset_wire};
 use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
-use dns_wire::rdata::{DnskeyData, DsData, RData, RrsigData, SoaData};
-use dns_wire::record::{Record, RecordType};
+use dns_wire::rdata::{
+    CsyncData, DnskeyData, DsData, Nsec3Data, Nsec3ParamData, NsecData, RData, RrsigData, SoaData,
+};
+use dns_wire::record::{Record, RecordClass, RecordType};
 use dns_wire::typebitmap::TypeBitmap;
 use dns_wire::{WireReader, WireWriter};
 use proptest::prelude::*;
@@ -111,6 +116,88 @@ fn rdata() -> impl Strategy<Value = RData> {
             }
         }),
     ]
+}
+
+/// A type bitmap of up to eight types from a few windows.
+fn bitmap() -> impl Strategy<Value = TypeBitmap> {
+    proptest::collection::vec(prop_oneof![0u16..64, 250u16..300, 1200u16..1300], 0..=8)
+        .prop_map(|codes| TypeBitmap::from_types(codes.into_iter().map(RecordType::from_code)))
+}
+
+/// Strategy: every `RData` variant, including the ones `rdata()` leaves
+/// out because they do not survive a message or zone-file round trip.
+fn any_variant_rdata() -> impl Strategy<Value = RData> {
+    let blob = |max| proptest::collection::vec(any::<u8>(), 0..=max);
+    prop_oneof![
+        rdata(),
+        (any::<u16>(), any::<u8>(), any::<u8>(), blob(24)).prop_map(
+            |(key_tag, algorithm, digest_type, digest)| RData::Ds(DsData {
+                key_tag,
+                algorithm,
+                digest_type,
+                digest,
+            })
+        ),
+        (any::<u16>(), any::<u8>(), blob(24)).prop_map(|(flags, algorithm, public_key)| {
+            RData::Cdnskey(DnskeyData {
+                flags,
+                protocol: 3,
+                algorithm,
+                public_key,
+            })
+        }),
+        (name(), bitmap())
+            .prop_map(|(next_name, types)| RData::Nsec(NsecData { next_name, types })),
+        (any::<u8>(), any::<u16>(), blob(8), blob(20), bitmap()).prop_map(
+            |(flags, iterations, salt, next_hashed, types)| RData::Nsec3(Nsec3Data {
+                hash_algorithm: 1,
+                flags,
+                iterations,
+                salt,
+                next_hashed,
+                types,
+            })
+        ),
+        (any::<u8>(), any::<u16>(), blob(8)).prop_map(|(flags, iterations, salt)| {
+            RData::Nsec3param(Nsec3ParamData {
+                hash_algorithm: 1,
+                flags,
+                iterations,
+                salt,
+            })
+        }),
+        (any::<u32>(), any::<u16>(), bitmap()).prop_map(|(serial, flags, types)| RData::Csync(
+            CsyncData {
+                serial,
+                flags,
+                types
+            }
+        )),
+        blob(12).prop_map(RData::Opt),
+        // Narrow values, so that equal prefixes and duplicates are common.
+        (0u8..3).prop_map(|b| RData::A([192, 0, 2, b].into())),
+        (0u8..3).prop_map(|b| RData::Txt(vec![vec![b'x'; b as usize]])),
+    ]
+}
+
+/// The canonical RRset form before each RDATA was rendered once: sort
+/// the RDATA by rendering both sides of every comparison, dedup the same
+/// way, then render each record whole.
+fn sort_by_rendering(owner: &Name, class: RecordClass, ttl: u32, rdatas: &[RData]) -> Vec<u8> {
+    let mut sorted: Vec<&RData> = rdatas.iter().collect();
+    sorted.sort_by_key(|a| canonical_rdata(a));
+    sorted.dedup_by(|a, b| canonical_rdata(a) == canonical_rdata(b));
+    let mut out = Vec::new();
+    for rd in sorted {
+        let rdata = canonical_rdata(rd);
+        owner.write_uncompressed(&mut out);
+        out.extend_from_slice(&rd.rtype().code().to_be_bytes());
+        out.extend_from_slice(&class.code().to_be_bytes());
+        out.extend_from_slice(&ttl.to_be_bytes());
+        out.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
+        out.extend_from_slice(&rdata);
+    }
+    out
 }
 
 /// The compression algorithm `WireWriter` replaced, kept here as the
@@ -253,6 +340,26 @@ proptest! {
             }
         }
         prop_assert_eq!(w.into_bytes(), reference.buf);
+    }
+
+    #[test]
+    fn canonical_rrset_matches_sort_by_rendering(
+        owner in name(),
+        ttl in any::<u32>(),
+        rdatas in proptest::collection::vec(any_variant_rdata(), 0..=8),
+        repeats in proptest::collection::vec(any::<usize>(), 0..=4),
+    ) {
+        // Duplicates: copies of members, appended after the originals.
+        let mut set = rdatas.clone();
+        if !rdatas.is_empty() {
+            set.extend(repeats.iter().map(|i| rdatas[i % rdatas.len()].clone()));
+        }
+        for class in [RecordClass::In, RecordClass::Ch] {
+            prop_assert_eq!(
+                canonical_rrset_wire(&owner, class, ttl, &set),
+                sort_by_rendering(&owner, class, ttl, &set)
+            );
+        }
     }
 
     #[test]

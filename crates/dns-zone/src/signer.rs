@@ -368,15 +368,10 @@ pub fn verify_rrset_with_keys(
             &set.rdatas,
         ));
         for key in dnskeys {
-            if key.algorithm != sig.algorithm {
-                continue;
-            }
-            let mut rdata = Vec::with_capacity(4 + key.public_key.len());
-            rdata.extend_from_slice(&key.flags.to_be_bytes());
-            rdata.push(key.protocol);
-            rdata.push(key.algorithm);
-            rdata.extend_from_slice(&key.public_key);
-            if dns_crypto::key_tag(&rdata) != sig.key_tag {
+            if key.algorithm != sig.algorithm
+                || dns_crypto::key_tag(key.flags, key.protocol, key.algorithm, &key.public_key)
+                    != sig.key_tag
+            {
                 continue;
             }
             match verify_rrset(

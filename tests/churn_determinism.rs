@@ -187,14 +187,12 @@ fn deltas_match_applied_mutation_exactly() {
                 .rdatas
                 .iter()
                 .filter_map(|rd| match rd {
-                    RData::Dnskey(k) => {
-                        let mut rdata = Vec::with_capacity(4 + k.public_key.len());
-                        rdata.extend_from_slice(&k.flags.to_be_bytes());
-                        rdata.push(k.protocol);
-                        rdata.push(k.algorithm);
-                        rdata.extend_from_slice(&k.public_key);
-                        Some(dns_crypto::key_tag(&rdata))
-                    }
+                    RData::Dnskey(k) => Some(dns_crypto::key_tag(
+                        k.flags,
+                        k.protocol,
+                        k.algorithm,
+                        &k.public_key,
+                    )),
                     _ => None,
                 })
                 .collect();
