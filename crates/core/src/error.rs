@@ -109,6 +109,12 @@ pub struct RetryStats {
 
 impl RetryStats {
     /// Record one failed query.
+    // E001 (DESIGN.md §8): every failure variant is matched by name, so a
+    // new one cannot fold silently into another's tally.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn record(&mut self, e: ScanError) {
         match e {
             ScanError::BreakerOpen => {
@@ -125,6 +131,11 @@ impl RetryStats {
     }
 
     /// Tally one hostile event under its named cause.
+    // E001, as for `record`.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn note_hostile(&mut self, cause: HostileCause) {
         match cause {
             HostileCause::MismatchedReply => self.hostile_mismatched += 1,

@@ -35,8 +35,6 @@
 //! println!("{}", bootscan::report::figure1(&results).render());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod budget;
 pub mod classify;
 pub mod error;

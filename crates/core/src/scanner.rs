@@ -34,20 +34,15 @@ use netsim::{Addr, DeterministicDraw, Network, RateLimiter, SimMicros};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Scanner policy knobs.
 #[derive(Debug, Clone)]
 pub struct ScanPolicy {
-    /// Fraction of anycast-pool zones scanned with only 1 IPv4 + 1 IPv6
-    /// address (the paper's 95 % Cloudflare sampling).
+    /// Fraction of anycast-pool zones (every NS under
+    /// `ns.cloudflare.com`) scanned with only 1 IPv4 + 1 IPv6 address
+    /// (the paper's 95 % Cloudflare sampling).
     pub sample_fraction: f64,
-    /// NS-name suffixes subject to sampling (Cloudflare-style pools).
-    pub sampled_suffixes: Vec<Name>,
-    /// Per-address politeness rate (queries per virtual second).
-    pub rate_per_sec: f64,
-    /// Probe the RFC 9615 signal names.
-    pub probe_signal: bool,
     /// Worker threads for a sink-less scan (`scan_all`). A scan given a
     /// [`ProgressSink`] is one sequential lane whatever this says.
     pub parallelism: usize,
@@ -57,13 +52,18 @@ impl Default for ScanPolicy {
     fn default() -> Self {
         ScanPolicy {
             sample_fraction: 0.95,
-            sampled_suffixes: vec![Name::parse("ns.cloudflare.com").unwrap()],
-            rate_per_sec: 50.0,
-            probe_signal: true,
             parallelism: 1,
         }
     }
 }
+
+/// The NS-name suffix of the anycast pool the sampling policy applies
+/// to (paper §3: Cloudflare's `*.ns.cloudflare.com`).
+static SAMPLED_SUFFIX: LazyLock<Name> =
+    LazyLock::new(|| Name::parse("ns.cloudflare.com").expect("valid suffix literal"));
+
+/// Per-address politeness rate, queries per virtual second (paper §3).
+const RATE_PER_SEC: f64 = 50.0;
 
 /// Per-zone logical-query budget — the amplification cap. Empirically,
 /// the costliest benign zone needs 35 logical queries in the `tiny` world
@@ -327,7 +327,7 @@ impl Scanner {
             .scratch
             .limiters
             .entry(addr)
-            .or_insert_with(|| (epoch, RateLimiter::new(self.policy.rate_per_sec, 2.0)));
+            .or_insert_with(|| (epoch, RateLimiter::new(RATE_PER_SEC, 2.0)));
         if *tag != epoch {
             limiter.reset();
             *tag = epoch;
@@ -584,10 +584,8 @@ impl Scanner {
 
         // 4. Signal probes.
         let mut signal_observations = Vec::new();
-        if self.policy.probe_signal {
-            for ns in &ns_names {
-                signal_observations.push(self.probe_signal(probe, zone, ns));
-            }
+        for ns in &ns_names {
+            signal_observations.push(self.probe_signal(probe, zone, ns));
         }
 
         // 5. Classify. First fold in hostile events the client/resolver
@@ -663,12 +661,9 @@ impl Scanner {
     /// Apply the Cloudflare sampling policy. Returns whether sampling
     /// reduced the target set.
     fn apply_sampling(&self, zone: &Name, targets: &mut Vec<(Name, Addr)>) -> bool {
-        let pooled = targets.iter().all(|(ns, _)| {
-            self.policy
-                .sampled_suffixes
-                .iter()
-                .any(|s| ns.is_subdomain_of(s))
-        });
+        let pooled = targets
+            .iter()
+            .all(|(ns, _)| ns.is_subdomain_of(&SAMPLED_SUFFIX));
         if !pooled || targets.is_empty() || targets.len() <= 2 {
             return false;
         }

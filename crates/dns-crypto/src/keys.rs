@@ -15,35 +15,27 @@ pub struct KeyPair {
     pub algorithm: Algorithm,
     /// DNSKEY flags this key is published with (256 = ZSK, 257 = KSK).
     pub flags: u16,
-    private: Vec<u8>,
     public: Vec<u8>,
 }
 
 impl KeyPair {
     /// Generate a fresh key of `algorithm` with the given DNSKEY flags.
+    /// The private key is drawn and hashed into the public key, then
+    /// dropped: the simulation signs with the *public* key (see crate
+    /// docs), so nothing reads it.
     pub fn generate<R: RngCore>(rng: &mut R, algorithm: Algorithm, flags: u16) -> Self {
-        let mut private = vec![0u8; 32];
+        let mut private = [0u8; 32];
         rng.fill_bytes(&mut private);
-        let public = derive_public(&private, algorithm);
         KeyPair {
             algorithm,
             flags,
-            private,
-            public,
+            public: derive_public(&private, algorithm),
         }
     }
 
     /// Public key octets as published in DNSKEY RDATA.
     pub fn public_key(&self) -> &[u8] {
         &self.public
-    }
-
-    /// Private key octets. The simulation's signing path never reads this
-    /// (the signature is keyed on the *public* key, see crate docs); it is
-    /// retained so the data model matches real key material.
-    #[allow(dead_code)]
-    pub(crate) fn private_key(&self) -> &[u8] {
-        &self.private
     }
 
     /// The DNSKEY RDATA this key publishes: flags ‖ protocol=3 ‖ alg ‖ key.

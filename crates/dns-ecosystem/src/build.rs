@@ -411,9 +411,6 @@ impl Builder {
     }
 
     /// Category descriptor consumed by `make_zone`.
-    // Retained: the argument list mirrors the per-category columns of the
-    // paper's population table; a builder would obscure that correspondence.
-    #[allow(clippy::too_many_arguments)]
     fn plant(
         &mut self,
         op_idx: usize,
@@ -444,9 +441,11 @@ impl Builder {
     /// `second_op` plants a multi-operator setup: the second operator's
     /// first host also serves the zone (with divergent CDS when `cds` is
     /// `Inconsistent`).
-    // Retained: each argument is one independently-varied axis of the zone
-    // truth table; collapsing them into a struct would just move the noise.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one independently-varied axis of the zone truth table; \
+                  collapsing them into a struct would just move the noise"
+    )]
     fn make_zone(
         &mut self,
         name: &Name,
@@ -1249,9 +1248,11 @@ impl Builder {
     }
 
     /// Sign the TLD zones, build TLD servers, the root, and the anchors.
-    // Retained: the tuple is unpacked immediately by the single caller; a
-    // one-shot named struct would add API surface without clarity.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the tuple is unpacked immediately by the single caller; a one-shot named struct \
+                  would add API surface without clarity"
+    )]
     fn finish_registries(
         &mut self,
     ) -> (

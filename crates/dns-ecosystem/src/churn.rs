@@ -481,9 +481,6 @@ fn set_delegation_ns(
 /// Rebuild a customer zone from scratch with fresh keys and install it
 /// into the given hosts' stores (removing it from every other store of
 /// `op_idx` first). Returns the keys when the zone is signed.
-#[allow(clippy::too_many_arguments)]
-// Retained: each argument is one independently-varied axis of the rebuild;
-// collapsing them into a struct would just move the noise.
 fn rebuild_zone(
     eco: &mut Ecosystem,
     rng: &mut StdRng,

@@ -25,8 +25,6 @@
 //!   (zone files via CZDS/AXFR, top lists, CT-log-derived ccTLD samples
 //!   at 43–80 % coverage).
 
-#![forbid(unsafe_code)]
-
 pub mod build;
 pub mod churn;
 pub mod psl;

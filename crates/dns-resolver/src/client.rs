@@ -6,6 +6,19 @@
 //! [`RetryPolicy`] re-sends timed-out or malformed exchanges with
 //! exponential backoff and deterministic jitter.
 
+// P001/P002 (DESIGN.md §8): a hostile reply degrades into a typed error
+// and never aborts the scanner, so nothing here unwraps, panics or indexes.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing
+)]
+
 use crate::cachelog::{CacheLog, ReferralData};
 use crate::hostile::{HostileCause, HostileTally};
 use dns_wire::message::Message;

@@ -6,6 +6,19 @@
 //! measurable set shows up in the report as *hostile casualty with a named
 //! cause*, never as a silent misclassification (DESIGN.md §6c).
 
+// P001/P002 (DESIGN.md §8): a hostile reply degrades into a typed error
+// and never aborts the scanner, so nothing here unwraps, panics or indexes.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing
+)]
+
 use std::fmt;
 
 /// Why a response (or a whole resolution) was judged hostile.

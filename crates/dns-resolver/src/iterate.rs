@@ -40,6 +40,19 @@
 //! [`CacheLog`](crate::cachelog::CacheLog) so the crash-recovery journal
 //! can replay identical cache state on resume.
 
+// P001/P002 (DESIGN.md §8): a hostile reply degrades into a typed error
+// and never aborts the scanner, so nothing here unwraps, panics or indexes.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing
+)]
+
 use crate::cache::ProvenanceCache;
 use crate::cachelog::ReferralData;
 use crate::client::{ClientErrorKind, DnsClient, QueryMeter};

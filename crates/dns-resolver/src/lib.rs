@@ -16,8 +16,6 @@
 //!   needs (signed, unsigned, invalid, island are derived from these plus
 //!   the DS/DNSKEY presence data).
 
-#![forbid(unsafe_code)]
-
 pub mod cache;
 pub mod cachelog;
 pub mod client;

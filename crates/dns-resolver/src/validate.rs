@@ -1,5 +1,18 @@
 //! RFC 4035 chain validation over a recorded [`Resolution`].
 
+// P001/P002 (DESIGN.md §8): a hostile reply degrades into a typed error
+// and never aborts the scanner, so nothing here unwraps, panics or indexes.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing
+)]
+
 use crate::client::DnsClient;
 use crate::iterate::{ChainLink, Resolution};
 use dns_crypto::UnixTime;

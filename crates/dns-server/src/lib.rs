@@ -19,8 +19,6 @@
 //! Servers implement [`netsim::ServerHandler`], so they plug straight into
 //! the simulated network.
 
-#![forbid(unsafe_code)]
-
 pub mod byzantine;
 pub mod parking;
 pub mod quirks;

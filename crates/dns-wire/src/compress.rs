@@ -1,12 +1,18 @@
 //! The compressing message writer (RFC 1035 §4.1.4) and the streaming
 //! message encoder on top of it.
 //!
-//! Split out of [`crate::wire`] so the panic-safety lint scope can cover
-//! the decode module without the encoder: a [`WireWriter`] only ever
+//! Split out of [`crate::wire`] so the panic-safety lints can cover the
+//! decode module without the encoder: a [`WireWriter`] only ever
 //! consumes `Name` values whose canonical wire buffers were validated at
 //! construction, so its internal offset arithmetic is in-bounds by
 //! invariant, never by the grace of network input. Roundtrip coverage
 //! stays with the reader tests in `wire.rs`.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the encoder indexes only Name buffers the decode path or a constructor already \
+              validated; it never sees network bytes"
+)]
 
 use crate::message::{Edns, Flags, Question};
 use crate::name::Name;

@@ -19,7 +19,18 @@
 //! The crate is deliberately synchronous and allocation-conscious in the
 //! spirit of `smoltcp`: simple, explicit framing with no macro tricks.
 
-#![forbid(unsafe_code)]
+// P001/P002 (DESIGN.md §8): hostile wire bytes degrade into typed errors
+// and never abort the scanner, so nothing here unwraps, panics or indexes.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing
+)]
 
 pub mod canonical;
 pub mod compress;

@@ -497,7 +497,6 @@ impl FromStr for Name {
 #[macro_export]
 macro_rules! name {
     ($s:expr) => {
-        // bootscan-allow(P001): compile-time literal helper for tests and examples; never fed network input
         $crate::name::Name::parse($s).expect("invalid name literal")
     };
 }

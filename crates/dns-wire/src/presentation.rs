@@ -8,6 +8,11 @@
 //! parenthesised records are intentionally out of scope — our serialiser
 //! never emits them.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "zone text is operator-authored, not hostile wire input"
+)]
+
 use crate::name::Name;
 use crate::rdata::{
     unhex, CsyncData, DnskeyData, DsData, Nsec3Data, Nsec3ParamData, NsecData, RData, RrsigData,

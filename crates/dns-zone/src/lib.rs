@@ -15,8 +15,6 @@
 //!   signal-record construction
 //!   (`_dsboot.<child>._signal.<ns>`, paper Listing 1).
 
-#![forbid(unsafe_code)]
-
 pub mod keys;
 pub mod rollover;
 pub mod signal;

@@ -1,9 +1,7 @@
-//! The scan driver: walks a workspace, applies the rule catalog under
-//! each rule's path scope, resolves `bootscan-allow` escape hatches,
-//! and runs the cross-file checks (U001 forbid-unsafe, E001 error
-//! taxonomy, X001/X002 allow hygiene).
+//! The scan driver: walks a workspace, runs D002 and the cross-crate
+//! T/L passes, resolves `bootscan-allow` escape hatches, and checks
+//! their hygiene (X001/X002).
 
-use crate::rules::{self, Rule};
 use crate::source::SourceFile;
 use std::fs;
 use std::io;
@@ -45,29 +43,6 @@ impl Report {
     pub fn clean(&self) -> bool {
         self.findings.is_empty()
     }
-}
-
-/// Match a workspace-relative path against a glob: `*` matches one
-/// path segment, `**` matches any number (including zero).
-pub fn glob_match(pattern: &str, path: &str) -> bool {
-    fn seg_match(pat: &[&str], path: &[&str]) -> bool {
-        match (pat.first(), path.first()) {
-            (None, None) => true,
-            (Some(&"**"), _) => {
-                seg_match(&pat[1..], path) || (!path.is_empty() && seg_match(pat, &path[1..]))
-            }
-            (Some(&p), Some(&s)) if p == "*" || p == s => seg_match(&pat[1..], &path[1..]),
-            _ => false,
-        }
-    }
-    let pat: Vec<&str> = pattern.split('/').collect();
-    let segs: Vec<&str> = path.split('/').collect();
-    seg_match(&pat, &segs)
-}
-
-fn in_scope(rule: &Rule, rel: &str) -> bool {
-    rule.include.iter().any(|p| glob_match(p, rel))
-        && !rule.exclude.iter().any(|p| glob_match(p, rel))
 }
 
 /// Directories never descended into: build output, VCS metadata, and
@@ -123,111 +98,18 @@ pub fn run(root: &Path) -> io::Result<Report> {
         files.push(SourceFile::parse(rel, &src));
     }
 
-    let catalog = rules::catalog();
-    let mut findings = Vec::new();
-
-    // Per-file rules under their path scopes.
-    for sf in &files {
-        for rule in &catalog {
-            if !in_scope(rule, &sf.rel) {
-                continue;
-            }
-            for raw in (rule.check)(sf) {
-                if rule.skip_tests && sf.in_test.get(raw.tok).copied().unwrap_or(false) {
-                    continue;
-                }
-                if suppressed(sf, rule.id, raw.line) {
-                    continue;
-                }
-                findings.push(Finding {
-                    rel: sf.rel.clone(),
-                    line: raw.line,
-                    rule: rule.id.to_string(),
-                    msg: raw.msg,
-                });
-            }
-        }
-    }
-
-    // U001: every crate root must forbid unsafe code.
-    for sf in &files {
-        if rules::is_crate_root(&sf.rel) && !rules::has_forbid_unsafe(sf) {
-            if suppressed(sf, "U001", 1) {
-                continue;
-            }
-            findings.push(Finding {
-                rel: sf.rel.clone(),
-                line: 1,
-                rule: "U001".to_string(),
-                msg: "crate root is missing `#![forbid(unsafe_code)]`; every workspace \
-                      crate locks out unsafe code"
-                    .to_string(),
-            });
-        }
-    }
-
-    // E001: degradation reporting must name every taxonomy variant.
-    for check in rules::taxonomy_checks() {
-        let Some(enum_sf) = files.iter().find(|f| f.rel == check.enum_file) else {
-            continue;
-        };
-        let Some(report_sf) = files.iter().find(|f| f.rel == check.report_file) else {
-            continue;
-        };
-        let variants = rules::enum_variants(enum_sf, check.enum_name);
-        let bodies: Vec<(usize, usize)> = check
-            .report_fns
-            .iter()
-            .filter_map(|f| rules::fn_body(report_sf, f))
-            .collect();
-        if variants.is_empty() || bodies.is_empty() {
-            continue;
-        }
-        let fn_line = report_sf.toks[bodies[0].0].line;
-        for v in &variants {
-            let named = bodies
-                .iter()
-                .any(|&b| rules::body_names_variant(report_sf, b, check.enum_name, v));
-            if !named && !suppressed(report_sf, "E001", fn_line) {
-                findings.push(Finding {
-                    rel: report_sf.rel.clone(),
-                    line: fn_line,
-                    rule: "E001".to_string(),
-                    msg: format!(
-                        "degradation reporting ({}) never names `{}::{v}`; every \
-                         taxonomy variant must be matched explicitly",
-                        check.report_fns.join("/"),
-                        check.enum_name
-                    ),
-                });
-            }
-        }
-        for &body in &bodies {
-            if let Some(line) = rules::body_wildcard_arm(report_sf, body) {
-                if !suppressed(report_sf, "E001", line) {
-                    findings.push(Finding {
-                        rel: report_sf.rel.clone(),
-                        line,
-                        rule: "E001".to_string(),
-                        msg: "wildcard match arm in degradation reporting silently folds \
-                              taxonomy variants; match each variant explicitly"
-                            .to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    // Cross-crate passes: symbol index → call graph → taint (T-rules)
-    // and lock discipline (L-rules). These run before the X checks so
-    // their suppressions count as used.
+    // D002, then the cross-crate passes: symbol index → call graph →
+    // taint (T-rules) and lock discipline (L-rules). These run before
+    // the X checks so their suppressions count as used.
     let index = crate::symbols::SymbolIndex::build(&files);
     let graph = crate::callgraph::CallGraph::build(&files, &index);
     let taint = crate::taint::Taint::analyze(&files, &index, &graph);
     let by_rel: std::collections::BTreeMap<&str, &SourceFile> =
         files.iter().map(|sf| (sf.rel.as_str(), sf)).collect();
-    for finding in crate::taint::check(&files, &index, &graph, &taint)
+    let mut findings = Vec::new();
+    for finding in crate::rules::check(&files)
         .into_iter()
+        .chain(crate::taint::check(&files, &index, &graph, &taint))
         .chain(crate::locks::check(&files, &index, &graph))
     {
         if let Some(sf) = by_rel.get(finding.rel.as_str()) {
@@ -276,22 +158,4 @@ pub fn run(root: &Path) -> io::Result<Report> {
         findings,
         files_scanned: files.len(),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn glob_semantics() {
-        assert!(glob_match("**", "a/b/c.rs"));
-        assert!(glob_match("crates/*/src/**", "crates/core/src/a/b.rs"));
-        assert!(glob_match("crates/core/src/**", "crates/core/src/lib.rs"));
-        assert!(!glob_match("crates/core/src/**", "crates/core/tests/x.rs"));
-        assert!(glob_match(
-            "crates/dns-resolver/src/client.rs",
-            "crates/dns-resolver/src/client.rs"
-        ));
-        assert!(!glob_match("crates/*/src/lib.rs", "crates/a/b/src/lib.rs"));
-    }
 }

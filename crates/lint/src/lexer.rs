@@ -2,20 +2,20 @@
 //! invariant checks.
 //!
 //! This is deliberately *not* a full Rust parser. The invariants the
-//! workspace enforces (DESIGN.md §8) are all expressible over a flat
-//! token stream plus brace matching: "no `.unwrap()` in this file",
-//! "no slice indexing outside tests", "this identifier is iterated".
-//! A token-level view is robust against formatting, comments and
-//! string contents — the three things that break naive `grep`-based
-//! enforcement — while staying a few hundred lines of dependency-free
-//! code that cannot rot out from under the build.
+//! lint enforces (DESIGN.md §8, §12) are all expressible over a flat
+//! token stream plus brace matching: "this identifier is iterated",
+//! "this lock is held across that call". A token-level view is robust
+//! against formatting, comments and string contents — the three things
+//! that break naive `grep`-based enforcement — while staying a few
+//! hundred lines of dependency-free code that cannot rot out from under
+//! the build.
 //!
 //! What it gets right, because the rules need it:
 //! * comments (line, nested block) are lexed out of the token stream
 //!   and kept separately, with line spans, so escape-hatch directives
-//!   and justification comments can be matched to the code they cover;
+//!   can be matched to the code they cover;
 //! * string/char/byte/raw-string literals are opaque single tokens —
-//!   a `"panic!"` inside a log message is not a panic;
+//!   a `".lock()"` inside a log message is not a lock;
 //! * lifetimes are distinguished from char literals;
 //! * every token carries its 1-based source line for diagnostics.
 

@@ -7,8 +7,6 @@
 //! report object instead (findings, file and token counts) — the
 //! shape CI archives as the `lint-invariants` artifact.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -29,7 +29,6 @@ pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub rel: String,
     pub toks: Vec<Tok>,
-    pub comments: Vec<Comment>,
     /// Parallel to `toks`: true when the token is inside a
     /// `#[cfg(test)]`-gated item or a `#[test]` function.
     pub in_test: Vec<bool>,
@@ -44,27 +43,9 @@ impl SourceFile {
         SourceFile {
             rel,
             toks: lexed.toks,
-            comments: lexed.comments,
             in_test,
             allows,
         }
-    }
-
-    /// Is there a non-directive comment ending on `line` (used for
-    /// `#[allow]` justification comments)? Directive comments do not
-    /// count: a `bootscan-allow` for one rule is not a justification
-    /// for a rustc/clippy allow.
-    pub fn justifying_comment_ending_at(&self, line: u32) -> bool {
-        self.comments.iter().any(|c| {
-            c.end_line == line && !c.text.contains("bootscan-allow") && {
-                let stripped: String = c
-                    .text
-                    .chars()
-                    .filter(|ch| !matches!(ch, '/' | '*' | '!'))
-                    .collect();
-                !stripped.trim().is_empty()
-            }
-        })
     }
 }
 
@@ -245,13 +226,13 @@ mod tests {
     fn allow_parses_rule_reason_and_coverage() {
         let sf = SourceFile::parse(
             "x.rs".into(),
-            "// bootscan-allow(P001): macro for literals\nfn f() {}\nlet x = 1; // bootscan-allow(D001): trailing\n",
+            "// bootscan-allow(T001): bounded draw\nfn f() {}\nlet x = 1; // bootscan-allow(D002): trailing\n",
         );
         assert_eq!(sf.allows.len(), 2);
-        assert_eq!(sf.allows[0].rule, "P001");
-        assert_eq!(sf.allows[0].reason, "macro for literals");
+        assert_eq!(sf.allows[0].rule, "T001");
+        assert_eq!(sf.allows[0].reason, "bounded draw");
         assert!(sf.allows[0].covers.contains(&2));
-        assert_eq!(sf.allows[1].rule, "D001");
+        assert_eq!(sf.allows[1].rule, "D002");
         assert!(sf.allows[1].covers.contains(&3));
     }
 
@@ -268,21 +249,9 @@ mod tests {
     fn stacked_allows_cover_the_same_code_line() {
         let sf = SourceFile::parse(
             "x.rs".into(),
-            "// bootscan-allow(P001): a\n// bootscan-allow(P002): b\nlet x = y[0].unwrap();",
+            "// bootscan-allow(L003): a\n// bootscan-allow(T002): b\ninsert_tagged(x.lock());",
         );
         assert!(sf.allows[0].covers.contains(&3));
         assert!(sf.allows[1].covers.contains(&3));
-    }
-
-    #[test]
-    fn justifying_comment_lookup() {
-        let sf = SourceFile::parse(
-            "x.rs".into(),
-            "// real reason\n#[allow(dead_code)]\nfn f() {}",
-        );
-        assert!(sf.justifying_comment_ending_at(1));
-        assert!(!sf.justifying_comment_ending_at(2));
-        let sf = SourceFile::parse("x.rs".into(), "//\n#[allow(dead_code)]\nfn f() {}");
-        assert!(!sf.justifying_comment_ending_at(1));
     }
 }

@@ -21,26 +21,12 @@ fn violations_tree_trips_every_rule() {
         .collect();
     got.sort();
     let want: &[(&str, &str, u32)] = &[
-        ("E001", "crates/core/src/error.rs", 13),
-        ("E001", "crates/core/src/error.rs", 17),
-        ("E001", "crates/core/src/error.rs", 21),
-        ("E001", "crates/core/src/error.rs", 24),
-        ("U001", "crates/core/src/lib.rs", 1),
-        ("D001", "crates/core/src/lib.rs", 10),
-        ("D002", "crates/core/src/lib.rs", 17),
-        ("D003", "crates/core/src/lib.rs", 21),
-        ("J001", "crates/core/src/lib.rs", 24),
-        ("X001", "crates/core/src/lib.rs", 27),
-        ("P002", "crates/dns-wire/src/decode.rs", 6),
-        ("X002", "crates/dns-wire/src/decode.rs", 10),
-        ("P001", "crates/dns-wire/src/decode.rs", 11),
-        ("P002", "crates/scan-fabric/src/protocol.rs", 6),
-        ("P002", "crates/scan-fabric/src/protocol.rs", 10),
-        ("P001", "crates/scan-fabric/src/protocol.rs", 10),
-        ("D002", "crates/scan-epochs/src/lib.rs", 13),
-        ("D003", "crates/scan-epochs/src/lib.rs", 17),
-        ("D002", "crates/scan-continuous/src/lib.rs", 13),
-        ("D003", "crates/scan-continuous/src/lib.rs", 17),
+        ("D002", "crates/core/src/lib.rs", 12),
+        ("X002", "crates/core/src/lib.rs", 18),
+        ("D002", "crates/core/src/lib.rs", 19),
+        ("X001", "crates/core/src/lib.rs", 22),
+        ("D002", "crates/scan-epochs/src/lib.rs", 10),
+        ("D002", "crates/scan-continuous/src/lib.rs", 10),
         ("T001", "crates/dns-wire/src/message.rs", 7),
         ("T002", "crates/dns-resolver/src/cache.rs", 7),
         ("T003", "crates/scan-journal/src/recover.rs", 6),
@@ -62,17 +48,18 @@ fn violations_tree_trips_every_rule() {
 
 #[test]
 fn empty_reason_never_suppresses() {
-    // The reason-less allow in decode.rs must yield BOTH the X002
-    // hygiene finding and the underlying P001 it failed to suppress.
+    // The reason-less allow in core/src/lib.rs must yield BOTH the X002
+    // hygiene finding and the underlying D002 it failed to suppress on
+    // the line below it.
     let report = run(&fixture("violations")).expect("scan fixture tree");
-    let in_decode: Vec<&str> = report
+    let in_core: Vec<(&str, u32)> = report
         .findings
         .iter()
-        .filter(|f| f.rel.ends_with("decode.rs"))
-        .map(|f| f.rule.as_str())
+        .filter(|f| f.rel == "crates/core/src/lib.rs")
+        .map(|f| (f.rule.as_str(), f.line))
         .collect();
-    assert!(in_decode.contains(&"X002"));
-    assert!(in_decode.contains(&"P001"));
+    assert!(in_core.contains(&("X002", 18)));
+    assert!(in_core.contains(&("D002", 19)));
 }
 
 #[test]
@@ -83,7 +70,7 @@ fn allowed_tree_scans_clean() {
         "justified suppressions should silence every finding:\n{:#?}",
         report.findings
     );
-    assert_eq!(report.files_scanned, 12);
+    assert_eq!(report.files_scanned, 7);
 }
 
 #[test]
@@ -92,7 +79,7 @@ fn findings_render_with_file_and_line() {
     let first = report.findings.first().expect("at least one finding");
     let rendered = first.to_string();
     assert!(
-        rendered.starts_with("crates/core/src/error.rs:13: [E001]"),
+        rendered.starts_with("crates/core/src/lib.rs:12: [D002]"),
         "diagnostic format drifted: {rendered}"
     );
 }

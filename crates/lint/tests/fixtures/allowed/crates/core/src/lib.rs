@@ -1,17 +1,8 @@
-//! Fixture: the same patterns as the violations tree, each carried by
-//! a justified `bootscan-allow` (or, for J001, a justifying comment).
-//! The integration test asserts this tree scans clean.
-
-#![forbid(unsafe_code)]
+//! Fixture: the same pattern as the violations tree, carried by a
+//! justified `bootscan-allow`. The integration test asserts this tree
+//! scans clean.
 
 use std::collections::HashMap;
-use std::time::Instant;
-
-pub fn elapsed_tally() -> u64 {
-    // bootscan-allow(D001): fixture — wall clock feeds a log line only, never evidence
-    let t0 = Instant::now();
-    t0.elapsed().as_millis() as u64
-}
 
 pub fn key_sum() -> u32 {
     let mut m: HashMap<u32, u32> = HashMap::new();
@@ -19,12 +10,3 @@ pub fn key_sum() -> u32 {
     // bootscan-allow(D002): fixture — summation is order-insensitive
     m.keys().copied().sum()
 }
-
-pub fn ambient_config() -> bool {
-    // bootscan-allow(D003): fixture — diagnostic toggle, not scan configuration
-    std::env::var("BOOTSCAN_FIXTURE").is_ok()
-}
-
-// Retained deliberately: this fixture exercises the justified-#[allow] path.
-#[allow(dead_code)]
-fn justified() {}

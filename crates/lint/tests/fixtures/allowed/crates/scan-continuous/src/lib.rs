@@ -1,15 +1,9 @@
 //! Fixture: the continuous service written to the determinism contract
-//! — ordered collections for the coalesce backlog, backpressure knobs
-//! through explicit configuration. Never compiled; consumed only by
-//! the bootscan-lint integration tests.
-#![forbid(unsafe_code)]
+//! — an ordered collection for the coalesce backlog. Never compiled;
+//! consumed only by the bootscan-lint integration tests.
 
 use std::collections::BTreeSet;
 
 pub fn pending_epochs(backlog: &BTreeSet<u32>) -> Vec<u32> {
     backlog.iter().copied().collect()
-}
-
-pub fn pipeline_depth(configured: u32) -> u32 {
-    configured
 }

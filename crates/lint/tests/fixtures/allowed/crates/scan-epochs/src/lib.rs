@@ -1,15 +1,9 @@
 //! Fixture: the longitudinal service written to the determinism
-//! contract — BTree collections only, configuration through explicit
-//! arguments. Never compiled; consumed only by the bootscan-lint
-//! integration tests.
-#![forbid(unsafe_code)]
+//! contract — BTree collections only. Never compiled; consumed only by
+//! the bootscan-lint integration tests.
 
 use std::collections::BTreeMap;
 
 pub fn carried_names(ledger: &BTreeMap<u32, u32>) -> Vec<u32> {
     ledger.keys().copied().collect()
-}
-
-pub fn epoch_count(configured: usize) -> usize {
-    configured.max(1)
 }

@@ -1,15 +1,10 @@
-//! Fixture: an evidence-plane crate root that violates U001 (no
-//! `#![forbid(unsafe_code)]`), D001, D002, D003, and J001, and carries
-//! one stale suppression (X001). Never compiled; consumed only by the
-//! bootscan-lint integration tests.
+//! Fixture: an evidence-plane crate that iterates a hash collection
+//! twice (D002), once under a reason-less suppression (X002 — which
+//! leaves that D002 finding live, since an empty reason never
+//! suppresses), and carries one stale suppression (X001). Never
+//! compiled; consumed only by the bootscan-lint integration tests.
 
-use std::collections::HashMap;
-use std::time::Instant;
-
-pub fn elapsed_tally() -> u64 {
-    let t0 = Instant::now();
-    t0.elapsed().as_millis() as u64
-}
+use std::collections::{HashMap, HashSet};
 
 pub fn key_dump() -> Vec<u32> {
     let mut m: HashMap<u32, u32> = HashMap::new();
@@ -17,12 +12,12 @@ pub fn key_dump() -> Vec<u32> {
     m.keys().copied().collect()
 }
 
-pub fn ambient_config() -> bool {
-    std::env::var("BOOTSCAN_FIXTURE").is_ok()
+pub fn seen_dump() -> Vec<u32> {
+    let mut seen: HashSet<u32> = HashSet::new();
+    seen.insert(3);
+    // bootscan-allow(D002):
+    seen.iter().copied().collect()
 }
 
-#[allow(dead_code)]
-fn unjustified() {}
-
-// bootscan-allow(P001): stale — this file is outside every decode path
+// bootscan-allow(D002): stale — nothing below iterates a hash collection
 pub fn nothing_to_suppress() {}

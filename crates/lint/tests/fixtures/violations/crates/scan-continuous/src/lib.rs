@@ -1,9 +1,6 @@
-//! Fixture: the continuous service inside the extended evidence-plane
-//! scope — trips D002 (hash-order iteration over the coalesce backlog)
-//! and D003 (ambient pipeline depth from the environment). Never
+//! Fixture: the continuous service inside the evidence-plane scope —
+//! trips D002 (hash-order iteration over the coalesce backlog). Never
 //! compiled; consumed only by the bootscan-lint integration tests.
-//!
-#![forbid(unsafe_code)]
 
 use std::collections::HashSet;
 
@@ -11,11 +8,4 @@ pub fn pending_epochs() -> Vec<u32> {
     let mut backlog: HashSet<u32> = HashSet::new();
     backlog.insert(1);
     backlog.iter().copied().collect()
-}
-
-pub fn ambient_pipeline_depth() -> u32 {
-    std::env::var("BOOTSCAN_PIPELINE_DEPTH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
 }

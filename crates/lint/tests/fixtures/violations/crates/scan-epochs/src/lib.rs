@@ -1,9 +1,6 @@
-//! Fixture: the longitudinal service inside the extended
-//! evidence-plane scope — trips D002 (hash-order iteration over the
-//! carried ledger) and D003 (ambient epoch count from the
-//! environment). Never compiled; consumed only by the bootscan-lint
-//! integration tests.
-#![forbid(unsafe_code)]
+//! Fixture: the longitudinal service inside the evidence-plane scope —
+//! trips D002 (hash-order iteration over the carried ledger). Never
+//! compiled; consumed only by the bootscan-lint integration tests.
 
 use std::collections::HashMap;
 
@@ -11,11 +8,4 @@ pub fn carried_names() -> Vec<u32> {
     let mut ledger: HashMap<u32, u32> = HashMap::new();
     ledger.insert(1, 2);
     ledger.keys().copied().collect()
-}
-
-pub fn ambient_epoch_count() -> usize {
-    std::env::var("BOOTSCAN_EPOCHS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
 }

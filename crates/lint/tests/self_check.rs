@@ -1,8 +1,8 @@
 //! The live workspace must satisfy its own invariants: running the
 //! lint over the repository root yields zero findings. This is the
-//! test that keeps the codebase honest — any new ambient clock, hash
-//! iteration, decode-path panic, or stale suppression fails the suite
-//! with a file:line diagnostic.
+//! test that keeps the codebase honest — any new hash iteration in the
+//! evidence plane, unsanitized taint path, lock-discipline break, or
+//! stale suppression fails the suite with a file:line diagnostic.
 
 use bootscan_lint::run;
 use std::path::Path;
@@ -44,6 +44,10 @@ fn workspace_satisfies_all_invariants() {
 /// runaway fixture tree blows the ceiling and fails here instead of
 /// silently doubling CI time.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the wall-clock ceiling times the lint itself; nothing here is scan evidence"
+)]
 fn workspace_scan_stays_within_budget() {
     let root = workspace_root();
     let started = std::time::Instant::now();
@@ -67,6 +71,43 @@ fn workspace_scan_stays_within_budget() {
         elapsed.as_secs() < 60,
         "workspace scan took {elapsed:?}; the cross-crate passes must \
          stay far under a minute"
+    );
+}
+
+/// U001 is `unsafe_code = "forbid"` in the root manifest's
+/// `[workspace.lints.rust]`, and the `clippy` half of the catalog sits
+/// beside it. Both reach a package only through its own `[lints]
+/// workspace = true`, so a member that omits it silently opts out.
+#[test]
+fn every_member_inherits_the_workspace_lints() {
+    fn inherits(manifest: &str) -> bool {
+        let mut in_lints = false;
+        manifest.lines().map(str::trim).any(|line| {
+            if line.starts_with('[') {
+                in_lints = line == "[lints]";
+            }
+            in_lints && line.replace(' ', "") == "workspace=true"
+        })
+    }
+    let root = workspace_root();
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for dir in ["crates", "shims"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("list members") {
+            let manifest = entry.expect("member entry").path().join("Cargo.toml");
+            if manifest.exists() {
+                manifests.push(manifest);
+            }
+        }
+    }
+    assert!(manifests.len() > 15, "only {} manifests", manifests.len());
+    let opted_out: Vec<String> = manifests
+        .iter()
+        .filter(|m| !inherits(&std::fs::read_to_string(m).expect("read manifest")))
+        .map(|m| m.display().to_string())
+        .collect();
+    assert!(
+        opted_out.is_empty(),
+        "these manifests lack `[lints] workspace = true`: {opted_out:?}"
     );
 }
 

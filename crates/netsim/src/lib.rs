@@ -26,8 +26,6 @@
 //!   malformed replies) per binding over virtual time, deterministic and
 //!   replayable byte for byte.
 
-#![forbid(unsafe_code)]
-
 pub mod accounting;
 pub mod faults;
 pub mod limiter;

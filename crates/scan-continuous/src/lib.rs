@@ -40,8 +40,6 @@
 //!    byte-identical to an independent cold scan of the same churned
 //!    world at any worker count (`tests/continuous_equivalence.rs`).
 
-#![forbid(unsafe_code)]
-
 pub mod admission;
 
 pub use admission::{admit, render_decisions, Admission, AdmissionConfig, Decision};

@@ -21,8 +21,6 @@
 //!
 //! Nothing here scans, journals or reads a state root.
 
-#![forbid(unsafe_code)]
-
 pub mod ledger;
 pub mod report;
 

@@ -35,8 +35,6 @@
 //!
 //! [`DnssecClass::Indeterminate`]: bootscan::DnssecClass::Indeterminate
 
-#![forbid(unsafe_code)]
-
 mod coordinator;
 mod faults;
 mod merge;

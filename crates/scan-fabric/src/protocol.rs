@@ -6,15 +6,28 @@
 //! `coordinator` modules); nothing here is encoded or decoded while a
 //! fabric runs. The module stays only because the frozen benchmark's
 //! `scan-fabric.frame_roundtrip_ns` probe links [`encode_msg`],
-//! [`FrameDecoder`] and [`Msg`]; it goes, with that probe, its P001/P002
-//! lint scope entry and the `decode_payload` taint source, in the
-//! `benchmark` PR of ROADMAP item 2(b). Until then the decoder keeps the
-//! DNS wire decoders' panic-safety discipline: no indexing, no unwraps,
-//! hostile or torn bytes degrade into [`FrameError`], never abort.
+//! [`FrameDecoder`] and [`Msg`]; it goes, with that probe and the
+//! `decode_payload` taint source, in the `benchmark` PR of ROADMAP item
+//! 3(c). Until then the decoder keeps the DNS wire decoders'
+//! panic-safety discipline: no indexing, no unwraps, hostile or torn
+//! bytes degrade into [`FrameError`], never abort.
 //!
 //! Frame layout: `len u32 LE | crc32(payload) u32 LE | payload`, where
 //! the payload is `tag u8` followed by the message's fixed-width LE
 //! fields.
+
+// P001/P002 (DESIGN.md §8): torn or hostile frame bytes degrade into a
+// `FrameError`, so nothing here unwraps, panics or indexes.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn,
+    clippy::indexing_slicing
+)]
 
 use scan_journal::crc32;
 
@@ -313,10 +326,12 @@ impl FrameDecoder {
     /// Decode the next complete frame, if one is buffered.
     /// `Ok(None)` means "need more bytes". Any error poisons the
     /// stream: the caller must drop the channel.
-    // Not an Iterator: `Ok(None)` means "need more bytes", not "end of
-    // stream", and errors must stop the caller — the Iterator contract
-    // would invite silently skipping both.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "not an Iterator: `Ok(None)` means \"need more bytes\", not \"end of stream\", \
+                  and errors must stop the caller; the Iterator contract would invite silently \
+                  skipping both"
+    )]
     pub fn next(&mut self) -> Result<Option<Msg>, FrameError> {
         let mut view = self.buf.get(self.pos..).unwrap_or(&[]);
         let Some(len) = take_u32(&mut view) else {

@@ -46,8 +46,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod checkpoint;
 mod codec;
 mod crc;

@@ -238,22 +238,6 @@ pub fn recover(dir: &Path, expected: JournalHeader) -> io::Result<Recovery> {
     })
 }
 
-/// When the sink checkpoints the journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cadence {
-    Never,
-    /// Strictly every N events (predictable coverage; O(n²) total
-    /// copy work over a long run — fine for tests and short scans).
-    EveryN(u64),
-    /// When the journal has grown ≥50 % since the last checkpoint (and
-    /// by at least `min` events). Each checkpoint copies the full
-    /// prefix, so the doubling schedule keeps *total* copy work O(n)
-    /// — the default for registry-scale scans.
-    Amortized {
-        min: u64,
-    },
-}
-
 /// The production [`ProgressSink`]: write-ahead journal + periodic
 /// checkpoints. Returns `false` from `on_zone` (stopping the scan) only
 /// when the journal itself cannot be written — a failed *checkpoint*
@@ -263,16 +247,15 @@ enum Cadence {
 /// calls a sink from one thread, one event at a time.
 pub struct JournalSink {
     dir: PathBuf,
-    cadence: Cadence,
     writer: RefCell<JournalWriter>,
     since_checkpoint: Cell<u64>,
     since_sync: Cell<u64>,
 }
 
 impl JournalSink {
-    /// Minimum events between checkpoints under the default amortized
-    /// cadence (and the interval [`with_checkpoint_every`](Self::with_checkpoint_every) is documented
-    /// against).
+    /// Minimum events between two checkpoints; past it, a checkpoint
+    /// waits for the journal to grow by half of what the last one
+    /// covered.
     pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
     /// `fdatasync` the journal every this-many events (group commit):
     /// power loss can cost at most this many re-scans.
@@ -281,9 +264,6 @@ impl JournalSink {
     fn over(dir: &Path, writer: JournalWriter) -> Self {
         JournalSink {
             dir: dir.to_path_buf(),
-            cadence: Cadence::Amortized {
-                min: Self::DEFAULT_CHECKPOINT_EVERY,
-            },
             writer: RefCell::new(writer),
             since_checkpoint: Cell::new(0),
             since_sync: Cell::new(0),
@@ -330,19 +310,6 @@ impl JournalSink {
         Ok(Self::over(dir, writer))
     }
 
-    /// Checkpoint strictly every `every` events (0 disables
-    /// checkpoints). Overrides the default amortized cadence; strict
-    /// intervals copy the full prefix every N events, so prefer the
-    /// default for long scans.
-    pub fn with_checkpoint_every(mut self, every: u64) -> Self {
-        self.cadence = if every == 0 {
-            Cadence::Never
-        } else {
-            Cadence::EveryN(every)
-        };
-        self
-    }
-
     /// Number of events journaled so far (including recovered ones).
     pub fn entries_logged(&self) -> u64 {
         self.writer.borrow().next_seq()
@@ -356,8 +323,8 @@ impl JournalSink {
 
 impl ProgressSink for JournalSink {
     /// Append, then `fdatasync` on every [`DEFAULT_SYNC_EVERY`]th event
-    /// (group commit), then checkpoint the journal's prefix when the
-    /// cadence says one is due.
+    /// (group commit), then checkpoint the journal's prefix when one is
+    /// due.
     ///
     /// [`DEFAULT_SYNC_EVERY`]: JournalSink::DEFAULT_SYNC_EVERY
     fn on_zone(&self, event: &ZoneEvent) -> bool {
@@ -374,14 +341,10 @@ impl ProgressSink for JournalSink {
             return false;
         }
         let since = self.since_checkpoint.get() + 1;
-        let due = match self.cadence {
-            Cadence::Never => false,
-            Cadence::EveryN(n) => since >= n,
-            Cadence::Amortized { min } => {
-                let covered = writer.next_seq() - since;
-                since >= min.max(covered / 2)
-            }
-        };
+        // Each checkpoint copies the full prefix, so waiting for the
+        // journal to grow by half keeps *total* copy work O(n).
+        let covered = writer.next_seq() - since;
+        let due = since >= Self::DEFAULT_CHECKPOINT_EVERY.max(covered / 2);
         if due {
             // Best-effort: the journal remains the source of truth.
             let _ = write_checkpoint(&self.dir, writer.bytes_written());
@@ -461,9 +424,7 @@ mod tests {
     #[test]
     fn journal_only_recovery() {
         let dir = tmpdir("jonly");
-        let sink = JournalSink::create(&dir, HDR)
-            .unwrap()
-            .with_checkpoint_every(0);
+        let sink = JournalSink::create(&dir, HDR).unwrap();
         journal_events(
             &sink,
             &[
@@ -498,7 +459,7 @@ mod tests {
     fn failed_group_commit_stops_the_scan() {
         let dir = tmpdir("syncfail");
         let writer = JournalWriter::open_append(Path::new("/dev/null"), 0).unwrap();
-        let sink = JournalSink::over(&dir, writer).with_checkpoint_every(0);
+        let sink = JournalSink::over(&dir, writer);
         let event = event_for("a.example", 0, 1);
         for _ in 1..JournalSink::DEFAULT_SYNC_EVERY {
             assert!(sink.on_zone(&event), "appends before the commit succeed");
@@ -539,9 +500,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_on_disk_during_recovery() {
         let dir = tmpdir("torn");
-        let sink = JournalSink::create(&dir, HDR)
-            .unwrap()
-            .with_checkpoint_every(0);
+        let sink = JournalSink::create(&dir, HDR).unwrap();
         journal_events(
             &sink,
             &[event_for("a.example", 0, 10), event_for("b.example", 0, 20)],
@@ -729,9 +688,7 @@ mod tests {
     /// checkpoint of its first `checkpointed`.
     fn dir_with(tag: &str, journal: u32, checkpointed: u32) -> PathBuf {
         let dir = tmpdir(tag);
-        let sink = JournalSink::create(&dir, HDR)
-            .unwrap()
-            .with_checkpoint_every(0);
+        let sink = JournalSink::create(&dir, HDR).unwrap();
         for i in 0..journal {
             if i == checkpointed {
                 sink.checkpoint_now().unwrap();

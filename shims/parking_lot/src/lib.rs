@@ -5,8 +5,6 @@
 //! Poisoning is deliberately ignored — parking_lot has no poisoning, and
 //! the workspace relies on that.
 
-#![forbid(unsafe_code)]
-
 use std::sync::{self, PoisonError};
 
 pub use sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};

@@ -8,8 +8,6 @@
 //! float ranges, tuples, `prop_map`, `prop_oneof!`, collection
 //! strategies, and simple `"[a-z0-9]{1,12}"`-style regex literals.
 
-#![forbid(unsafe_code)]
-
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
@@ -237,9 +235,10 @@ impl Strategy for std::ops::Range<f64> {
 
 macro_rules! impl_tuple_strategy {
     ($(($($t:ident),+))*) => {$(
-        // The macro reuses the tuple type parameters (A, B, ...) as value
-        // binding names, which rustc would otherwise flag as non-snake-case.
-        #[allow(non_snake_case)]
+        #[expect(
+            non_snake_case,
+            reason = "the macro reuses the tuple type parameters (A, B, ...) as value binding names"
+        )]
         impl<$($t: Strategy),+> Strategy for ($($t,)+) {
             type Value = ($($t::Value,)+);
 

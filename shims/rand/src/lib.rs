@@ -10,8 +10,6 @@
 //! contract the workspace relies on: deterministic per seed, uniform, and
 //! independent across seeds.
 
-#![forbid(unsafe_code)]
-
 /// Core RNG interface (subset of `rand_core::RngCore`).
 pub trait RngCore {
     fn next_u32(&mut self) -> u32;

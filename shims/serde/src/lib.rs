@@ -9,8 +9,6 @@
 //! Deserialization is intentionally absent — nothing in the workspace
 //! deserializes.
 
-#![forbid(unsafe_code)]
-
 #[cfg(feature = "derive")]
 pub use serde_derive::Serialize;
 

@@ -11,8 +11,6 @@
 //! Generics are unsupported and panic at expansion time — every derived
 //! type in the workspace is concrete.
 
-#![forbid(unsafe_code)]
-
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[proc_macro_derive(Serialize, attributes(serde))]

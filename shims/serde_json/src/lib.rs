@@ -12,8 +12,6 @@
 //! string is copied in runs between its escapes, so serializing allocates
 //! only what the sink does.
 
-#![forbid(unsafe_code)]
-
 use serde::{ser, Serialize, Serializer};
 use std::fmt;
 use std::io;

@@ -22,8 +22,6 @@
 //! | [`scan_epochs`] | carry ledger and time-series report types |
 //! | [`scan_continuous`] | [`scan_continuous::run_continuous`], the journaled study driver over epochs |
 
-#![forbid(unsafe_code)]
-
 pub use bootscan;
 pub use dns_crypto;
 pub use dns_ecosystem;

@@ -107,6 +107,9 @@ impl ProgressSink for CountSink {
 struct KillSwitch<'a> {
     journal: &'a JournalSink,
     remaining: AtomicI64,
+    /// Checkpoint once this many events are journaled, on top of the
+    /// sink's own schedule.
+    checkpoint_at: Option<u64>,
 }
 
 impl ProgressSink for KillSwitch<'_> {
@@ -114,7 +117,11 @@ impl ProgressSink for KillSwitch<'_> {
         if self.remaining.fetch_sub(1, Ordering::SeqCst) <= 0 {
             return false;
         }
-        self.journal.on_zone(event)
+        let journaled = self.journal.on_zone(event);
+        if journaled && Some(self.journal.entries_logged()) == self.checkpoint_at {
+            self.journal.checkpoint_now().expect("checkpoint");
+        }
+        journaled
     }
 }
 
@@ -137,15 +144,14 @@ fn header(seeds: &[dns_wire::name::Name]) -> JournalHeader {
 
 /// Run until `k` events are journaled, then "die". Returns how many
 /// events actually made it to disk.
-fn run_killed_at(dir: &Path, k: u64, checkpoint_every: u64, parallelism: usize) -> u64 {
+fn run_killed_at(dir: &Path, k: u64, checkpoint_at: Option<u64>, parallelism: usize) -> u64 {
     let (eco, scanner) = fresh_world(parallelism);
     let seeds = eco.seeds.compile(&eco.psl);
-    let sink = JournalSink::create(dir, header(&seeds))
-        .expect("create journal")
-        .with_checkpoint_every(checkpoint_every);
+    let sink = JournalSink::create(dir, header(&seeds)).expect("create journal");
     let kill = KillSwitch {
         journal: &sink,
         remaining: AtomicI64::new(k as i64),
+        checkpoint_at,
     };
     let _abandoned = scanner.scan_all_with(&seeds, Some(&kill), None);
     sink.entries_logged()
@@ -183,7 +189,7 @@ fn killed_at_any_cut_point_resumes_byte_identically() {
 
     for &k in &cuts {
         let dir = run_dir(&format!("cut-{k}"));
-        let journaled = run_killed_at(&dir, k, JournalSink::DEFAULT_CHECKPOINT_EVERY, 4);
+        let journaled = run_killed_at(&dir, k, None, 4);
         assert_eq!(
             journaled, k,
             "kill switch must stop after exactly {k} events"
@@ -216,7 +222,7 @@ fn torn_journal_tails_are_detected_and_survived() {
 
     for (tag, mutate) in mutations {
         let dir = run_dir(&format!("torn-{tag}"));
-        let journaled = run_killed_at(&dir, mid, 0, 1);
+        let journaled = run_killed_at(&dir, mid, None, 1);
         assert_eq!(journaled, mid);
         let path = dir.join(JOURNAL_FILE);
         let mut raw = fs::read(&path).unwrap();
@@ -253,21 +259,19 @@ fn torn_journal_tails_are_detected_and_survived() {
 fn checkpoint_alone_recovers_after_journal_loss() {
     let (expected, n) = reference();
     let kill = (n * 2) / 3;
-    let every = 8u64;
     let dir = run_dir("checkpoint-only");
-    run_killed_at(&dir, kill, every, 1);
+    run_killed_at(&dir, kill, Some(kill), 1);
     fs::remove_file(dir.join(JOURNAL_FILE)).unwrap();
 
     let (eco, _) = fresh_world(1);
     let seeds = eco.seeds.compile(&eco.psl);
     let rec = recover(&dir, header(&seeds)).expect("checkpoint-only recovery");
-    let expected_covered = (kill / every) * every;
     assert_eq!(
         rec.next_seq(),
-        expected_covered,
-        "checkpoint must cover every full interval written before the kill"
+        kill,
+        "checkpoint must cover every event journaled before it"
     );
-    assert_eq!(rec.checkpoint_only as u64, expected_covered);
+    assert_eq!(rec.checkpoint_only as u64, kill);
 
     let resumed = resume_from(&dir, 1);
     resumed.assert_identical(&expected, "checkpoint-only");
@@ -277,7 +281,7 @@ fn checkpoint_alone_recovers_after_journal_loss() {
 #[test]
 fn resuming_against_a_different_seed_list_is_refused() {
     let dir = run_dir("fingerprint");
-    run_killed_at(&dir, 5, 0, 1);
+    run_killed_at(&dir, 5, None, 1);
 
     let (eco, _) = fresh_world(1);
     let mut seeds = eco.seeds.compile(&eco.psl);
@@ -291,7 +295,7 @@ fn resuming_against_a_different_seed_list_is_refused() {
 fn corrupt_checkpoint_falls_back_to_journal_replay() {
     let (expected, n) = reference();
     let dir = run_dir("bad-checkpoint");
-    run_killed_at(&dir, n / 2, 8, 1);
+    run_killed_at(&dir, n / 2, Some(n / 4), 1);
 
     // Corrupt the checkpoint manifest; the journal alone must carry the
     // full recovery.
