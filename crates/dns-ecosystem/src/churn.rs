@@ -273,8 +273,10 @@ impl ChurnPlan {
 /// `apply_churn` puts every taken zone back (base zones re-signed at
 /// their changed owners) after the last event — whatever path the event
 /// loop took. Nothing may scan in between: a zone held here is in no
-/// store. `run_continuous` guarantees that by churning under the world
-/// write lock, between drives, before the epoch is published to the fleet.
+/// store. Two things guarantee it in `run_continuous`: `apply_churn`
+/// takes the world `&mut`, so no scanner can borrow it meanwhile, and
+/// the previous epoch's `scan_fabric::drive` has joined every worker
+/// thread before it returned.
 struct EditSession {
     /// TLD apex → the zone, out of its registry store.
     tlds: BTreeMap<Name, Zone>,

@@ -143,14 +143,6 @@ fn lock_classes_are_the_known_set() {
             "bind registers a counter while snapshots read the map",
         ),
         (
-            "scan-continuous::eco",
-            "reconcile loop applies churn; workers build scanners",
-        ),
-        (
-            "scan-continuous::state",
-            "reconcile loop publishes the epoch; workers resolve it",
-        ),
-        (
             "scan-fabric::revoked",
             "coordinator revokes a lease its worker appends under",
         ),

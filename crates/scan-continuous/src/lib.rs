@@ -10,11 +10,11 @@
 //! epoch and observations that arrive on a schedule which does not wait
 //! for the scanner:
 //!
-//! 1. **Fabric-distributed epochs.** Each epoch's delta set is sharded
-//!    with the same fnv64 [`ShardPlan`] the one-shot fabric uses and
-//!    driven across a **persistent** worker fleet
-//!    ([`with_fleet`]) — workers idle between
-//!    epochs instead of being torn down.
+//! 1. **Fabric-distributed epochs.** Each admitted epoch's delta set is
+//!    sharded with the same fnv64 [`ShardPlan`] the one-shot fabric uses
+//!    and run by one [`drive`] — a fleet that lives for that epoch and is
+//!    joined before the next epoch churns. A committed epoch starts no
+//!    thread.
 //! 2. **Distributed carry-over.** The [`CarryLedger`] is partitioned by
 //!    each entry's *source zone* shard
 //!    ([`CarryLedger::partition`]), so a carried cache travels with the
@@ -30,10 +30,10 @@
 //! 4. **Crash-resumable pipeline.** Every `(epoch, shard)` journals
 //!    under the nested [`Namespace`] (`epoch-NNNN/shard-NNNN`, chained
 //!    run ids), so epoch N−1's journal can never satisfy epoch N's
-//!    header — lease fencing extends across epoch boundaries by
-//!    construction. An epoch enters the time series only after its
-//!    `COMMIT` marker (which also records abandoned shards) is renamed
-//!    into place; a kill anywhere — mid-shard, between epochs, during
+//!    header — the journals fence across epochs and process
+//!    incarnations by construction. An epoch enters the time series
+//!    only after its `COMMIT` marker (which also records abandoned
+//!    shards) is renamed into place; a kill anywhere — mid-shard, between epochs, during
 //!    carry-over distribution, or while a coalesce decision is pending —
 //!    resumes to a byte-identical [`TimeSeries`]
 //!    (`tests/continuous_recovery.rs`), and every committed epoch stays
@@ -47,24 +47,19 @@ pub use admission::{admit, render_decisions, Admission, AdmissionConfig, Decisio
 use bootscan::scanner::Scanner;
 use bootscan::types::ZoneScan;
 use bootscan::ScanPolicy;
-use dns_ecosystem::{
-    apply_churn, build, ChurnConfig, ChurnLog, ChurnPlan, Ecosystem, EcosystemConfig,
-};
+use dns_ecosystem::{apply_churn, build, ChurnConfig, ChurnLog, ChurnPlan, EcosystemConfig};
 use dns_wire::name::Name;
 use netsim::SimMicros;
-use parking_lot::RwLock;
 use scan_epochs::{CarryLedger, EpochReport, SkippedEpoch, TimeSeries};
 use scan_fabric::{
-    fill_shard, with_fleet, FabricConfig, FabricFaultPlan, FabricOps, ShardAssignment, ShardPlan,
-    ShardWork, WorkerFault,
+    drive, fill_shard, FabricConfig, FabricFaultPlan, FabricOps, ShardJob, ShardPlan,
 };
 use scan_journal::{latest_per_zone, recover, write_atomically, Namespace};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::Path;
 
 /// Injected coordinator crash points for the continuous kill matrix.
 /// Worker-level faults (kill / stall / checkpoint-torn mid-shard) are
@@ -75,8 +70,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContinuousKill {
     /// Die after `epoch` committed, while the *next admitted* epoch's
-    /// carry-over is being distributed (ledger partitioned and published
-    /// to the fleet, nothing of the new epoch scanned or committed).
+    /// carry-over is being distributed: its ledger is partitioned and
+    /// its fleet has not started, so the state on disk is exactly what
+    /// the commit left.
     DuringCarryOver { epoch: u32 },
     /// Die after `epoch`'s shards all drained and folded, before its
     /// `COMMIT` marker lands — the classic torn epoch boundary.
@@ -259,109 +255,6 @@ fn killed(point: ContinuousKill) -> io::Error {
     )
 }
 
-/// The current epoch as the fleet sees it: published by the reconcile
-/// loop right before `drive`, consulted by every shard assignment.
-struct EpochState {
-    epoch: u32,
-    /// Shard → seed slice (the epoch's delta plan).
-    zones: Vec<Arc<Vec<Name>>>,
-    /// Shard → carried-ledger partition, seeded into that shard's fresh
-    /// scanner. `Arc` so an assignment can clone its shard's partition
-    /// out and seed it *after* releasing the state lock — seeding takes
-    /// the scanner's internal cache locks, and holding the epoch-state
-    /// lock across them would order the two lock classes.
-    parts: Vec<Arc<CarryLedger>>,
-    /// The epoch's virtual start (its admitted `start`, not its
-    /// scheduled arrival), for remaining-validity translation.
-    now: SimMicros,
-}
-
-/// The continuous [`ShardWork`]: resolves `(epoch, shard)` against the
-/// published [`EpochState`]. A request for any *other* epoch resolves to
-/// `None` — the worker reports the shard back as fenced without ever
-/// opening a journal, which is the cross-epoch fencing guarantee at the
-/// assignment layer (the namespace scheme enforces it again at the
-/// journal layer).
-struct ContinuousWork {
-    /// The world. The reconcile loop takes the write side only to apply
-    /// an epoch's churn, between drives, before that epoch is published
-    /// (no shard of it can be assigned yet); assignments take the read
-    /// side to build their scanner over the churned world. `apply_churn`
-    /// relies on that window: it edits zones in place, and a zone under
-    /// edit is in no store until the call returns.
-    eco: RwLock<Ecosystem>,
-    policy: ScanPolicy,
-    root: PathBuf,
-    run_id: u64,
-    cache_ttl: SimMicros,
-    epoch_spacing: SimMicros,
-    faults: ContinuousFaultPlan,
-    state: RwLock<Option<EpochState>>,
-}
-
-impl ContinuousWork {
-    fn publish(&self, state: EpochState) {
-        *self.state.write() = Some(state);
-    }
-}
-
-impl ShardWork for ContinuousWork {
-    fn assignment(&self, epoch: u32, shard: u32) -> Option<ShardAssignment> {
-        // Clone the shard's slice and ledger partition out of the
-        // published state, then release the lock: seeding walks the
-        // scanner's striped cache locks, and building the scanner takes
-        // the world lock — neither belongs under the epoch-state read
-        // guard.
-        let (zones, part, now) = {
-            let guard = self.state.read();
-            let st = guard.as_ref()?;
-            if st.epoch != epoch {
-                return None;
-            }
-            (
-                Arc::clone(st.zones.get(shard as usize)?),
-                st.parts.get(shard as usize).map(Arc::clone),
-                st.now,
-            )
-        };
-        let ns = Namespace::root(&self.root, self.run_id)
-            .epoch(epoch)
-            .shard(shard);
-        // Fresh scanner per attempt, deterministically pre-seeded with
-        // this shard's carried-ledger partition: shard results stay a
-        // pure function of (world, zones, carried state).
-        let scanner = Scanner::for_ecosystem(&self.eco.read(), self.policy.clone());
-        if let Some(part) = part {
-            part.seed_into(&scanner, now, self.cache_ttl, self.epoch_spacing);
-        }
-        Some(ShardAssignment {
-            header: ns.header(&zones),
-            dir: ns.dir().to_path_buf(),
-            zones,
-            scanner,
-        })
-    }
-
-    fn fault(&self, epoch: u32, shard: u32, attempt: u32) -> Option<WorkerFault> {
-        self.faults
-            .epochs
-            .get(&epoch)
-            .and_then(|plan| plan.fault_for(shard, attempt))
-    }
-
-    fn worker_dead(&self, worker: u32) -> bool {
-        let guard = self.state.read();
-        let Some(st) = guard.as_ref() else {
-            return false;
-        };
-        self.faults
-            .epochs
-            .get(&st.epoch)
-            .map(|plan| plan.worker_dead(worker))
-            .unwrap_or(false)
-    }
-}
-
 /// What folding one epoch's shard journals yields.
 struct EpochFold {
     /// Every zone record the epoch produced: journaled scans plus
@@ -387,7 +280,7 @@ struct EpochFold {
 /// scanned what when.
 fn fold_epoch(
     ns_epoch: &Namespace,
-    zones_per_shard: &[Arc<Vec<Name>>],
+    plan: &ShardPlan,
     abandoned: &BTreeSet<u32>,
     ledger: &mut CarryLedger,
     epoch: u32,
@@ -396,8 +289,8 @@ fn fold_epoch(
     let mut stale = Vec::new();
     let mut queries = 0u64;
     let mut makespan: SimMicros = 0;
-    for (k, shard_zones) in zones_per_shard.iter().enumerate() {
-        let shard = k as u32;
+    for shard in 0..plan.shards() {
+        let shard_zones = plan.zones(shard);
         let ns = ns_epoch.shard(shard);
         let recovery = recover(ns.dir(), ns.header(shard_zones))?;
         for (_, event) in &recovery.events {
@@ -453,23 +346,15 @@ pub fn run_continuous(
     state_root: &Path,
 ) -> io::Result<ContinuousOutput> {
     fs::create_dir_all(state_root)?;
-    let eco = build(world);
+    // The world is a plain local: `apply_churn` takes it `&mut`, so no
+    // scanner can read it while an epoch's churn edits it in place.
+    let mut eco = build(world);
     let mut seeds = eco.seeds.compile(&eco.psl);
     seeds.sort_by(|a, b| a.canonical_cmp(b));
     seeds.dedup();
 
     let shards = cfg.fabric.shards.max(1);
-    let work = ContinuousWork {
-        eco: RwLock::new(eco),
-        policy,
-        root: state_root.to_path_buf(),
-        run_id: cfg.run_id,
-        cache_ttl: cfg.cache_ttl,
-        epoch_spacing: cfg.epoch_spacing,
-        faults: cfg.faults.clone(),
-        state: RwLock::new(None),
-    };
-
+    let clean = FabricFaultPlan::none();
     let admission_cfg = cfg.admission();
     let mut ops = FabricOps::default();
     let mut evidence: BTreeMap<Name, Evidence> = BTreeMap::new();
@@ -482,147 +367,147 @@ pub fn run_continuous(
     let mut drain: SimMicros = 0;
     let mut last_committed: Option<u32> = None;
 
-    with_fleet(&work, &cfg.fabric, |fleet| {
-        for epoch in 0..cfg.epochs {
-            let arrival = (epoch as SimMicros).saturating_mul(cfg.epoch_spacing);
+    for epoch in 0..cfg.epochs {
+        let arrival = (epoch as SimMicros).saturating_mul(cfg.epoch_spacing);
 
-            // -- Churn: the world mutates on schedule, admitted or not.
-            let churn: ChurnLog = if epoch == 0 {
-                ChurnLog::default()
-            } else {
-                let mut eco = work.eco.write();
-                let plan = ChurnPlan::generate(&eco, &cfg.churn, cfg.churn_seed, epoch);
-                apply_churn(&mut eco, &plan)
-            };
-            let churned: Vec<Name> = churn
-                .churned_zones()
-                .into_iter()
-                .filter(|z| seeds.binary_search_by(|s| s.canonical_cmp(z)).is_ok())
-                .collect();
-            // Carried caches hit by this window's churn are dead either
-            // way — a coalesced epoch's churn still invalidates.
-            ledger.invalidate(&churn.invalidated_cuts);
+        // -- Churn: the world mutates on schedule, admitted or not. The
+        //    previous epoch's `drive` has joined every worker, so nothing
+        //    scans while the zones are out of their stores.
+        let churn: ChurnLog = if epoch == 0 {
+            ChurnLog::default()
+        } else {
+            let plan = ChurnPlan::generate(&eco, &cfg.churn, cfg.churn_seed, epoch);
+            apply_churn(&mut eco, &plan)
+        };
+        let churned: Vec<Name> = churn
+            .churned_zones()
+            .into_iter()
+            .filter(|z| seeds.binary_search_by(|s| s.canonical_cmp(z)).is_ok())
+            .collect();
+        // Carried caches hit by this window's churn are dead either
+        // way — a coalesced epoch's churn still invalidates.
+        ledger.invalidate(&churn.invalidated_cuts);
 
-            // -- Admission: pipeline or coalesce, never silently drop.
-            let decision = admit(drain, arrival, &admission_cfg);
-            decisions.push(Decision {
-                epoch,
-                arrival,
-                admission: decision,
-            });
-            let start = match decision {
-                Admission::Coalesce { behind } => {
-                    if cfg.faults.kill == Some(ContinuousKill::DuringCoalesce { epoch }) {
-                        return Err(killed(ContinuousKill::DuringCoalesce { epoch }));
-                    }
-                    pending_churned.extend(churned.iter().cloned());
-                    series.skipped.push(SkippedEpoch {
-                        epoch,
-                        arrival,
-                        behind,
-                        churned,
-                    });
-                    continue;
+        // -- Admission: pipeline or coalesce, never silently drop.
+        let decision = admit(drain, arrival, &admission_cfg);
+        decisions.push(Decision {
+            epoch,
+            arrival,
+            admission: decision,
+        });
+        let start = match decision {
+            Admission::Coalesce { behind } => {
+                if cfg.faults.kill == Some(ContinuousKill::DuringCoalesce { epoch }) {
+                    return Err(killed(ContinuousKill::DuringCoalesce { epoch }));
                 }
-                Admission::Pipeline { start, .. } => start,
-            };
-            let now = start;
-            ledger.prune_expired(now, cfg.cache_ttl, cfg.epoch_spacing);
-
-            // -- Delta set: churned (this window + absorbed coalesced
-            //    windows), expired, weak, and never-scanned zones.
-            let mut delta: Vec<Name> = if epoch == 0 {
-                seeds.clone()
-            } else {
-                let mut d = churned.clone();
-                d.append(&mut pending_churned);
-                for (name, ev) in &evidence {
-                    let age = now.saturating_sub((ev.epoch as SimMicros) * cfg.epoch_spacing);
-                    let expired = age >= EVIDENCE_TTL;
-                    let weak =
-                        ev.scan.degraded || ev.scan.dnssec == bootscan::DnssecClass::Indeterminate;
-                    if expired || weak {
-                        d.push(name.clone());
-                    }
-                }
-                for s in &seeds {
-                    if !evidence.contains_key(s) {
-                        d.push(s.clone());
-                    }
-                }
-                d
-            };
-            pending_churned.clear();
-            delta.sort_by(|a, b| a.canonical_cmp(b));
-            delta.dedup();
-
-            let plan = ShardPlan::new(&delta, shards);
-            ops.largest_shard = ops.largest_shard.max(plan.largest_shard());
-            let zones_per_shard: Vec<Arc<Vec<Name>>> = (0..shards)
-                .map(|k| Arc::new(plan.zones(k).to_vec()))
-                .collect();
-            let ns_epoch = Namespace::root(state_root, cfg.run_id).epoch(epoch);
-
-            // -- Drive or fold: committed epochs never re-scan.
-            let (abandoned, committed) = match read_commit(ns_epoch.dir(), epoch)? {
-                Some(abandoned) => (abandoned, true),
-                None => {
-                    // Distribute carry-over: partition the ledger and
-                    // publish the epoch to the fleet. From this point a
-                    // worker can resolve (epoch, shard) — and only this
-                    // epoch.
-                    let parts = ledger.partition(shards).into_iter().map(Arc::new).collect();
-                    work.publish(EpochState {
-                        epoch,
-                        zones: zones_per_shard.clone(),
-                        parts,
-                        now,
-                    });
-                    if let Some(ContinuousKill::DuringCarryOver { epoch: at }) = cfg.faults.kill {
-                        if last_committed == Some(at) {
-                            return Err(killed(ContinuousKill::DuringCarryOver { epoch: at }));
-                        }
-                    }
-                    (fleet.drive(epoch, shards, &mut ops), false)
-                }
-            };
-
-            let fold = fold_epoch(&ns_epoch, &zones_per_shard, &abandoned, &mut ledger, epoch)?;
-            if !committed {
-                if cfg.faults.kill == Some(ContinuousKill::BeforeCommit { epoch }) {
-                    return Err(killed(ContinuousKill::BeforeCommit { epoch }));
-                }
-                write_commit(ns_epoch.dir(), epoch, &abandoned)?;
+                pending_churned.extend(churned.iter().cloned());
+                series.skipped.push(SkippedEpoch {
+                    epoch,
+                    arrival,
+                    behind,
+                    churned,
+                });
+                continue;
             }
-            last_committed = Some(epoch);
-            drain = now.saturating_add(fold.makespan);
+            Admission::Pipeline { start, .. } => start,
+        };
+        let now = start;
+        ledger.prune_expired(now, cfg.cache_ttl, cfg.epoch_spacing);
 
-            // -- Fold evidence: fresh results (and explicit
-            //    placeholders) overwrite; everyone else carries forward.
-            let stale = fold.stale;
-            for z in fold.zones {
-                evidence.insert(z.name.clone(), Evidence { scan: z, epoch });
+        // -- Delta set: churned (this window + absorbed coalesced
+        //    windows), expired, weak, and never-scanned zones.
+        let mut delta: Vec<Name> = if epoch == 0 {
+            seeds.clone()
+        } else {
+            let mut d = churned.clone();
+            d.append(&mut pending_churned);
+            for (name, ev) in &evidence {
+                let age = now.saturating_sub((ev.epoch as SimMicros) * cfg.epoch_spacing);
+                let expired = age >= EVIDENCE_TTL;
+                let weak =
+                    ev.scan.degraded || ev.scan.dnssec == bootscan::DnssecClass::Indeterminate;
+                if expired || weak {
+                    d.push(name.clone());
+                }
             }
-            let mut table: Vec<ZoneScan> = evidence.values().map(|e| e.scan.clone()).collect();
-            table.sort_by(|a, b| a.name.canonical_cmp(&b.name));
-            ops.peak_resident_zones = ops.peak_resident_zones.max(table.len());
-            let fresh: Vec<Name> = delta
-                .iter()
-                .filter(|n| stale.binary_search_by(|s| s.canonical_cmp(n)).is_err())
-                .cloned()
-                .collect();
-            series.epochs.push(EpochReport {
-                epoch,
-                zones: table,
-                fresh,
-                stale,
-                churned,
-                queries: fold.queries,
-                simulated_duration: fold.makespan,
-            });
+            for s in &seeds {
+                if !evidence.contains_key(s) {
+                    d.push(s.clone());
+                }
+            }
+            d
+        };
+        pending_churned.clear();
+        delta.sort_by(|a, b| a.canonical_cmp(b));
+        delta.dedup();
+
+        let plan = ShardPlan::new(&delta, shards);
+        ops.largest_shard = ops.largest_shard.max(plan.largest_shard());
+        let ns_epoch = Namespace::root(state_root, cfg.run_id).epoch(epoch);
+
+        // -- Drive or fold: committed epochs never re-scan.
+        let (abandoned, committed) = match read_commit(ns_epoch.dir(), epoch)? {
+            Some(abandoned) => (abandoned, true),
+            None => {
+                // Distribute carry-over: each shard's fresh scanner is
+                // pre-seeded with its partition of the ledger.
+                let parts = ledger.partition(shards);
+                if let Some(ContinuousKill::DuringCarryOver { epoch: at }) = cfg.faults.kill {
+                    if last_committed == Some(at) {
+                        return Err(killed(ContinuousKill::DuringCarryOver { epoch: at }));
+                    }
+                }
+                let scanner = |k: u32| {
+                    let scanner = Scanner::for_ecosystem(&eco, policy.clone());
+                    if let Some(part) = parts.get(k as usize) {
+                        part.seed_into(&scanner, now, cfg.cache_ttl, cfg.epoch_spacing);
+                    }
+                    scanner
+                };
+                let job = ShardJob {
+                    plan: &plan,
+                    ns: ns_epoch.clone(),
+                    scanner: &scanner,
+                    faults: cfg.faults.epochs.get(&epoch).unwrap_or(&clean),
+                };
+                (drive(&job, &cfg.fabric, &mut ops), false)
+            }
+        };
+
+        let fold = fold_epoch(&ns_epoch, &plan, &abandoned, &mut ledger, epoch)?;
+        if !committed {
+            if cfg.faults.kill == Some(ContinuousKill::BeforeCommit { epoch }) {
+                return Err(killed(ContinuousKill::BeforeCommit { epoch }));
+            }
+            write_commit(ns_epoch.dir(), epoch, &abandoned)?;
         }
-        Ok(())
-    })?;
+        last_committed = Some(epoch);
+        drain = now.saturating_add(fold.makespan);
+
+        // -- Fold evidence: fresh results (and explicit
+        //    placeholders) overwrite; everyone else carries forward.
+        let stale = fold.stale;
+        for z in fold.zones {
+            evidence.insert(z.name.clone(), Evidence { scan: z, epoch });
+        }
+        let mut table: Vec<ZoneScan> = evidence.values().map(|e| e.scan.clone()).collect();
+        table.sort_by(|a, b| a.name.canonical_cmp(&b.name));
+        ops.peak_resident_zones = ops.peak_resident_zones.max(table.len());
+        let fresh: Vec<Name> = delta
+            .iter()
+            .filter(|n| stale.binary_search_by(|s| s.canonical_cmp(n)).is_err())
+            .cloned()
+            .collect();
+        series.epochs.push(EpochReport {
+            epoch,
+            zones: table,
+            fresh,
+            stale,
+            churned,
+            queries: fold.queries,
+            simulated_duration: fold.makespan,
+        });
+    }
 
     Ok(ContinuousOutput {
         series,
@@ -671,11 +556,11 @@ mod tests {
             Name::parse("a.example").unwrap(),
             Name::parse("b.example").unwrap(),
         );
-        let plan = Arc::new(vec![a.clone(), b.clone()]);
+        let plan = ShardPlan::new(&[a.clone(), b.clone()], 1);
         let ns_epoch = Namespace::root(&root, 7).epoch(0);
         let ns = ns_epoch.shard(0);
         // Only a.example reaches the shard's journal.
-        let sink = scan_journal::JournalSink::create(ns.dir(), ns.header(&plan)).unwrap();
+        let sink = scan_journal::JournalSink::create(ns.dir(), ns.header(plan.zones(0))).unwrap();
         let scan = fill_shard(std::slice::from_ref(&a), &[], true)
             .unwrap()
             .remove(0)
@@ -688,10 +573,9 @@ mod tests {
         }));
         drop(sink);
 
-        let shards = [Arc::clone(&plan)];
         let completed = fold_epoch(
             &ns_epoch,
-            &shards,
+            &plan,
             &BTreeSet::new(),
             &mut CarryLedger::new(),
             0,
@@ -701,7 +585,7 @@ mod tests {
         assert!(err.to_string().contains("b.example."), "{err}");
 
         let abandoned = BTreeSet::from([0]);
-        let fold = fold_epoch(&ns_epoch, &shards, &abandoned, &mut CarryLedger::new(), 0).unwrap();
+        let fold = fold_epoch(&ns_epoch, &plan, &abandoned, &mut CarryLedger::new(), 0).unwrap();
         assert_eq!(fold.stale, vec![b]);
         assert_eq!(fold.zones.len(), 2);
         assert_eq!(fold.makespan, 5);

@@ -21,31 +21,26 @@
 //! resets that worker's quiet-tick count, and only quiet ticks count
 //! toward `lease_timeout_polls`.
 //!
-//! Two entry points share one engine:
-//!
-//! * [`run_fabric`] — one epoch, one shard plan, merge at the end (the
-//!   PR-6 API, unchanged).
-//! * [`with_fleet`] — a persistent worker fleet the caller *drives*
-//!   epoch by epoch ([`FleetHandle::drive`]); the continuous study
-//!   service pipelines successive epochs through the same fleet.
-//!   Leases stay globally monotonic across drives, so cross-epoch
-//!   fencing composes with the per-epoch journal namespaces: a shard
-//!   stolen in epoch N−1 and resumed in epoch N holds a lease no
-//!   epoch-N−1 assignment can outrank, and its epoch-N−1 directory is
-//!   foreign to every epoch-N header.
+//! A fleet lives for exactly one [`drive`]: the call spawns its workers
+//! inside a `std::thread::scope` and joins every one before it returns.
+//! [`run_fabric`] drives one [`ShardJob`] under the root shard
+//! namespace and merges; `scan_continuous::run_continuous` drives one
+//! per admitted epoch under that epoch's namespace. Leases, fences, the
+//! coordinator round and the respawn budget all start fresh in each
+//! drive — nothing crosses drives but the journals, whose namespaces
+//! keep one drive's directories foreign to every other's headers.
 
-use crate::faults::{FabricFaultPlan, WorkerFault};
+use crate::faults::FabricFaultPlan;
 use crate::merge::{FabricOps, MergeSink, MergedReport, StreamingMerge};
 use crate::shard::ShardPlan;
 use crate::worker::{
-    worker_main, Assign, Fence, Outbox, Report, ScannerFactory, ShardAssignment, ShardWork,
-    WorkerCtx,
+    worker_main, Assign, Fence, Outbox, Report, ScannerFactory, ShardJob, WorkerCtx,
 };
 use scan_journal::{recover, Namespace};
 use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,10 +65,12 @@ pub struct FabricConfig {
     /// How long one coordinator poll tick parks waiting for worker
     /// reports.
     pub poll_wait: Duration,
-    /// Replacement workers the coordinator may spawn when workers die
+    /// Replacement workers one [`drive`] may spawn when workers die
     /// (each replacement gets a fresh worker id, like a new process
-    /// pid). Once exhausted, losses shrink the fleet; if the fleet
-    /// empties, unfinished shards are abandoned — never lost silently.
+    /// pid). A per-drive budget: every drive — every epoch of a
+    /// continuous study — starts with all of it. Once exhausted, losses
+    /// shrink the fleet; if the fleet empties, unfinished shards are
+    /// abandoned — never lost silently.
     pub max_respawns: u32,
 }
 
@@ -110,7 +107,6 @@ struct PendingShard {
 
 /// One drive's shard queue: what waits to run, and what was given up.
 struct Queue {
-    epoch: u32,
     max_attempts: u32,
     pending: Vec<PendingShard>,
     abandoned: BTreeSet<u32>,
@@ -121,13 +117,9 @@ impl Queue {
     /// append under the old lease can land, so the shard's journal is
     /// safe to hand elsewhere. Then retry the shard after a capped
     /// exponential backoff, or abandon it once its attempt budget is
-    /// spent. A stale-epoch attempt is fenced but never requeued into
-    /// this epoch's queue.
+    /// spent.
     fn give_back(&mut self, fence: &Fence, run: Assign, round: u64, ops: &mut FabricOps) {
         fence.revoke_through(run.lease);
-        if run.epoch != self.epoch {
-            return;
-        }
         let next_attempt = run.attempt + 1;
         if next_attempt >= self.max_attempts {
             self.abandoned.insert(run.shard);
@@ -148,7 +140,7 @@ impl Queue {
 /// What a worker slot is doing.
 struct WorkerSlot {
     /// The worker's inbox; dropping it is the worker's shutdown.
-    inbox: Sender<Assign>,
+    inbox: mpsc::Sender<Assign>,
     fence: Arc<Fence>,
     alive: bool,
     running: Option<RunningShard>,
@@ -162,94 +154,65 @@ struct RunningShard {
     silent_polls: u32,
 }
 
-/// A live worker fleet the caller drives epoch by epoch. Workers,
-/// respawn budget, the lease counter, and the coordinator round all
-/// persist across [`drive`](FleetHandle::drive) calls — an idle worker
-/// between epochs simply parks on its inbox.
-pub struct FleetHandle<'scope, 'env> {
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    work: &'env dyn ShardWork,
-    config: &'env FabricConfig,
-    /// Indexed by worker id: slots are only ever appended.
-    slots: Vec<WorkerSlot>,
-    /// Cloned into every worker's [`Outbox`].
-    report_tx: Sender<(u32, Report)>,
-    reports: Receiver<(u32, Report)>,
-    respawns_left: u32,
-    /// Globally monotonic across epochs: an epoch-N lease always
-    /// outranks every epoch-N−1 lease on the same fence.
-    lease_counter: u64,
-    round: u64,
-}
-
-impl<'scope, 'env> FleetHandle<'scope, 'env> {
-    fn new(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        work: &'env dyn ShardWork,
-        config: &'env FabricConfig,
-    ) -> FleetHandle<'scope, 'env> {
-        let workers = config.workers.max(1);
+/// Drive `job` to completion on a fleet that lives for this call only:
+/// spawn `config.workers` threads, dispatch shards `0..plan.shards()`,
+/// supervise leases, steal from the fallen, respawn within
+/// `max_respawns`. Returns the shards abandoned after `max_attempts`
+/// (their zones surface as explicit Indeterminate placeholders
+/// downstream — never silent loss).
+///
+/// **Join guarantee.** Every worker thread has been joined when this
+/// returns — a straggler whose lease expired mid-zone included. So no
+/// scanner the job built is still querying, and whatever the job
+/// borrows (the world its scanners read) is free to mutate afterwards.
+/// The join cannot hang: at loop exit no slot holds a lease that was
+/// not revoked, so every worker is parked on its inbox, fenced at its
+/// next append, or gone, and dropping the inboxes ends them all.
+pub fn drive(job: &ShardJob<'_>, config: &FabricConfig, ops: &mut FabricOps) -> BTreeSet<u32> {
+    let shards = job.plan.shards();
+    if ops.attempts.len() < shards as usize {
+        ops.attempts.resize(shards as usize, 0);
+    }
+    std::thread::scope(|scope| {
         let (report_tx, reports) = mpsc::channel();
-        let mut fleet = FleetHandle {
-            scope,
-            work,
-            config,
-            slots: Vec::with_capacity(workers),
-            report_tx,
-            reports,
-            respawns_left: config.max_respawns,
-            lease_counter: 0,
-            round: 0,
-        };
-        for _ in 0..workers {
-            fleet.spawn_one();
-        }
-        fleet
-    }
-
-    /// Spawn one worker thread (initial fleet member or replacement)
-    /// with its own inbox and write fence. Its id is its slot index, so
-    /// a replacement gets a fresh id, like a new pid.
-    fn spawn_one(&mut self) {
-        let worker = self.slots.len() as u32;
-        let (inbox, worker_inbox) = mpsc::channel();
-        let out = Outbox {
-            worker,
-            tx: self.report_tx.clone(),
-        };
-        let fence = Arc::new(Fence::default());
-        let thread_fence = Arc::clone(&fence);
-        let (work, heartbeat_every) = (self.work, self.config.heartbeat_every);
-        self.scope.spawn(move || {
-            let ctx = WorkerCtx {
+        // Spawn one worker thread (initial fleet member or replacement)
+        // with its own inbox and write fence. Its id is its slot index,
+        // so a replacement gets a fresh id, like a new pid.
+        let spawn = |slots: &mut Vec<WorkerSlot>| {
+            let worker = slots.len() as u32;
+            let (inbox, worker_inbox) = mpsc::channel();
+            let out = Outbox {
                 worker,
-                work,
-                fence: &thread_fence,
-                heartbeat_every,
+                tx: report_tx.clone(),
             };
-            worker_main(ctx, worker_inbox, out)
-        });
-        self.slots.push(WorkerSlot {
-            inbox,
-            fence,
-            alive: true,
-            running: None,
-            beats_seen: 0,
-        });
-    }
-
-    /// Drive one epoch to completion: dispatch shards `0..shards` of
-    /// `epoch` across the fleet, supervise leases, steal from the
-    /// fallen, respawn within budget. Returns the shards abandoned
-    /// after `max_attempts` (their zones surface as explicit
-    /// Indeterminate placeholders downstream — never silent loss).
-    pub fn drive(&mut self, epoch: u32, shards: u32, ops: &mut FabricOps) -> BTreeSet<u32> {
-        let config = self.config;
-        if ops.attempts.len() < shards as usize {
-            ops.attempts.resize(shards as usize, 0);
+            let fence = Arc::new(Fence::default());
+            let thread_fence = Arc::clone(&fence);
+            scope.spawn(move || {
+                let ctx = WorkerCtx {
+                    worker,
+                    job,
+                    fence: &thread_fence,
+                    heartbeat_every: config.heartbeat_every,
+                };
+                worker_main(ctx, worker_inbox, out)
+            });
+            slots.push(WorkerSlot {
+                inbox,
+                fence,
+                alive: true,
+                running: None,
+                beats_seen: 0,
+            });
+        };
+        // Indexed by worker id: slots are only ever appended.
+        let mut slots: Vec<WorkerSlot> = Vec::with_capacity(config.workers.max(1));
+        for _ in 0..config.workers.max(1) {
+            spawn(&mut slots);
         }
+        let mut respawns_left = config.max_respawns;
+        let mut lease = 0u64;
+        let mut round = 0u64;
         let mut queue = Queue {
-            epoch,
             max_attempts: config.max_attempts,
             pending: (0..shards)
                 .map(|shard| PendingShard {
@@ -264,7 +227,7 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
 
         while (completed.len() + queue.abandoned.len()) < shards as usize {
             // If every worker is gone, nothing pending can ever run.
-            if self.slots.iter().all(|s| !s.alive) {
+            if slots.iter().all(|s| !s.alive) {
                 for p in queue.pending.drain(..) {
                     if !completed.contains(&p.shard) && queue.abandoned.insert(p.shard) {
                         ops.shards_abandoned += 1;
@@ -276,8 +239,7 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
             // Assign eligible pending shards to idle live workers,
             // lowest shard id first (deterministic preference).
             queue.pending.sort_by_key(|p| (p.ready_round, p.shard));
-            let round = self.round;
-            for slot in self.slots.iter_mut() {
+            for slot in slots.iter_mut() {
                 if !slot.alive || slot.running.is_some() {
                     continue;
                 }
@@ -285,15 +247,14 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
                     break;
                 };
                 let p = queue.pending.remove(pos);
-                self.lease_counter += 1;
+                lease += 1;
                 if let Some(a) = ops.attempts.get_mut(p.shard as usize) {
                     *a += 1;
                 }
                 let assign = Assign {
-                    epoch,
                     shard: p.shard,
                     attempt: p.attempt,
-                    lease: self.lease_counter,
+                    lease,
                 };
                 // A live worker's inbox is open: its receiver goes only
                 // when the thread returns, and then `Exited` is queued.
@@ -305,14 +266,13 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
             }
 
             // Park until a report arrives or the tick ends, then drain.
-            let first = self.reports.recv_timeout(config.poll_wait).ok();
-            self.round += 1;
-            let round = self.round;
+            let first = reports.recv_timeout(config.poll_wait).ok();
+            round += 1;
             let mut busy = false;
             let mut lost_this_round = 0u32;
-            for (worker, report) in first.into_iter().chain(self.reports.try_iter()) {
+            for (worker, report) in first.into_iter().chain(reports.try_iter()) {
                 busy = true;
-                let slot = &mut self.slots[worker as usize];
+                let slot = &mut slots[worker as usize];
                 if let Some(run) = slot.running.as_mut() {
                     run.silent_polls = 0;
                 }
@@ -320,7 +280,7 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
                 match report {
                     Report::Done(assign) if running == Some(assign) => {
                         slot.running = None;
-                        if assign.epoch == epoch && completed.insert(assign.shard) {
+                        if completed.insert(assign.shard) {
                             ops.shards_completed += 1;
                         }
                     }
@@ -344,7 +304,7 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
                     }
                 }
             }
-            for slot in self.slots.iter_mut().filter(|s| s.alive) {
+            for slot in slots.iter_mut().filter(|s| s.alive) {
                 let beats = slot.fence.beats();
                 if beats != slot.beats_seen {
                     slot.beats_seen = beats;
@@ -359,18 +319,18 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
             // fresh worker ids (like new pids), so a fault plan that
             // condemned the dead worker does not condemn its successor.
             for _ in 0..lost_this_round {
-                if self.respawns_left == 0 {
+                if respawns_left == 0 {
                     break;
                 }
-                self.respawns_left -= 1;
-                self.spawn_one();
+                respawns_left -= 1;
+                spawn(&mut slots);
             }
 
             // Lease supervision: only quiet ticks count toward expiry,
             // so a busy fabric never expires a slow-but-heartbeating
             // worker.
             if !busy {
-                for slot in self.slots.iter_mut().filter(|s| s.alive) {
+                for slot in slots.iter_mut().filter(|s| s.alive) {
                     let Some(run) = slot.running.as_mut() else {
                         continue;
                     };
@@ -384,58 +344,11 @@ impl<'scope, 'env> FleetHandle<'scope, 'env> {
                 }
             }
         }
-        ops.workers_spawned = self.slots.len() as u32;
+        ops.workers_spawned += slots.len() as u32;
+        // `slots` drops as this closure returns: every inbox closes, each
+        // worker returns, and the scope joins it.
         queue.abandoned
-    }
-}
-
-/// Run `body` against a live worker fleet scanning `work`. The fleet
-/// (threads, respawn budget, monotonic lease counter) persists across
-/// every [`FleetHandle::drive`] call the body makes, and is shut down
-/// orderly when the body returns — even on error.
-pub fn with_fleet<R>(
-    work: &dyn ShardWork,
-    config: &FabricConfig,
-    body: impl FnOnce(&mut FleetHandle<'_, '_>) -> io::Result<R>,
-) -> io::Result<R> {
-    std::thread::scope(|scope| {
-        let mut fleet = FleetHandle::new(scope, work, config);
-        // Dropping `fleet` drops every inbox's sender: each worker sees
-        // its inbox close and returns before the scope joins it.
-        body(&mut fleet)
     })
-}
-
-/// The single-epoch [`ShardWork`]: a fixed shard plan under the root
-/// shard namespace (`<state_root>/shard-NNNN`), a fresh cold scanner
-/// per attempt.
-struct OneShotWork<'a> {
-    factory: ScannerFactory<'a>,
-    plan: &'a ShardPlan,
-    state_root: &'a Path,
-    run_id: u64,
-    faults: &'a FabricFaultPlan,
-}
-
-impl ShardWork for OneShotWork<'_> {
-    fn assignment(&self, _epoch: u32, shard: u32) -> Option<ShardAssignment> {
-        let zones = self.plan.zones(shard).to_vec();
-        let ns = Namespace::root(self.state_root, self.run_id).shard(shard);
-        Some(ShardAssignment {
-            dir: ns.dir().to_path_buf(),
-            header: ns.header(&zones),
-            zones: Arc::new(zones),
-            scanner: (self.factory)(),
-        })
-    }
-
-    fn fault(&self, _epoch: u32, shard: u32, attempt: u32) -> Option<WorkerFault> {
-        self.faults.fault_for(shard, attempt)
-    }
-
-    fn worker_dead(&self, worker: u32) -> bool {
-        self.faults.worker_dead(worker)
-    }
 }
 
 /// Run a full fabric scan: shard `seeds`, dispatch to workers, survive
@@ -459,23 +372,19 @@ pub fn run_fabric(
         largest_shard: plan.largest_shard(),
         ..FabricOps::default()
     };
-
-    let work = OneShotWork {
-        factory,
+    let job = ShardJob {
         plan: &plan,
-        state_root,
-        run_id,
+        ns: Namespace::root(state_root, run_id),
+        scanner: &|_| factory(),
         faults,
     };
-    let abandoned = with_fleet(&work, config, |fleet| {
-        Ok(fleet.drive(0, plan.shards(), &mut ops))
-    })?;
+    let abandoned = drive(&job, config, &mut ops);
 
     // Merge phase: one shard's journal at a time, in shard-id order.
     let mut merge = StreamingMerge::new();
     for shard in 0..plan.shards() {
         let zones = plan.zones(shard);
-        let ns = Namespace::root(state_root, run_id).shard(shard);
+        let ns = job.ns.shard(shard);
         let recovery = recover(ns.dir(), ns.header(zones))?;
         merge.absorb_shard(zones, recovery.events, abandoned.contains(&shard), sink)?;
     }

@@ -7,6 +7,12 @@
 //! stream-merges per-shard journals into one report with bounded
 //! memory — at most one shard's evidence plane is resident at a time.
 //!
+//! [`drive`] is the engine both journaled drivers share: it runs one
+//! [`ShardJob`] on a fleet that lives for that call alone and joins
+//! every worker thread before it returns. [`run_fabric`] drives one job
+//! and merges it; `scan_continuous::run_continuous` drives one per
+//! admitted epoch.
+//!
 //! # Determinism contract
 //!
 //! Every shard attempt scans its zones **sequentially** with a **fresh
@@ -42,11 +48,11 @@ mod protocol;
 mod shard;
 mod worker;
 
-pub use coordinator::{run_fabric, with_fleet, FabricConfig, FabricOutput, FleetHandle};
+pub use coordinator::{drive, run_fabric, FabricConfig, FabricOutput};
 pub use faults::{FabricFaultPlan, WorkerFault};
 pub use merge::{
     fill_shard, CollectSink, FabricOps, MergeSink, MergedReport, NullMergeSink, StreamingMerge,
 };
 pub use protocol::{encode_msg, FailReason, FrameDecoder, FrameError, Msg, MAX_PAYLOAD};
 pub use shard::ShardPlan;
-pub use worker::{Fence, ScannerFactory, ShardAssignment, ShardWork};
+pub use worker::{Fence, ScannerFactory, ShardJob};

@@ -3,14 +3,14 @@
 //! A worker is a thread that owns nothing between assignments. It reads
 //! [`Assign`]s from its own inbox — an `mpsc` channel whose one sender
 //! the coordinator holds; dropping that sender is the shutdown. For each
-//! it recovers the shard's journal from the shard state directory,
-//! builds a **fresh scanner** from the factory (cold caches — the
-//! per-shard determinism contract), replays recovered side effects, and
-//! scans the shard through [`Scanner::scan_all_with`] — with a sink that
-//! is one sequential lane by construction — journaling every zone event
-//! write-ahead. It answers on the fleet's shared report channel:
-//! [`Report::Done`], or [`Report::GaveBack`] when the attempt ended
-//! fenced, on a stale epoch, or on an unwritable journal. Its [`Outbox`]
+//! it builds a **fresh scanner** from its drive's [`ShardJob`] (cold
+//! caches — the per-shard determinism contract), recovers the shard's
+//! journal from the shard state directory, replays recovered side
+//! effects, and scans the shard through [`Scanner::scan_all_with`] —
+//! with a sink that is one sequential lane by construction — journaling
+//! every zone event write-ahead. It answers on the fleet's shared report
+//! channel: [`Report::Done`], or [`Report::GaveBack`] when the attempt
+//! ended fenced or on an unwritable journal. Its [`Outbox`]
 //! sends [`Report::Exited`] when dropped, so a worker thread that
 //! returns — orderly or by an injected kill — is reported exactly once,
 //! after everything it sent before.
@@ -27,14 +27,14 @@
 //! torn-write races. A fenced worker is *not* dead: it gives the shard
 //! back and waits for new work.
 
-use crate::faults::WorkerFault;
+use crate::faults::{FabricFaultPlan, WorkerFault};
+use crate::shard::ShardPlan;
 use bootscan::scanner::Scanner;
 use bootscan::{ProgressSink, ZoneEvent};
-use dns_wire::name::Name;
-use scan_journal::{recover, JournalHeader, JournalSink, CHECKPOINT_FILE};
+use scan_journal::{recover, JournalSink, Namespace, CHECKPOINT_FILE};
 use std::cell::Cell;
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -44,45 +44,25 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 /// results independent of scheduling.
 pub type ScannerFactory<'a> = &'a (dyn Fn() -> Arc<Scanner> + Sync);
 
-/// Everything one shard attempt needs, resolved by the [`ShardWork`]
-/// driving the fleet. The scanner must be **fresh per attempt** (cold
-/// caches apart from deterministic pre-seeding such as a distributed
-/// carry ledger): shard results must be a pure function of
-/// `(world, zones, pre-seeded state)`, never of scheduling history.
-pub struct ShardAssignment {
-    /// The shard's seed slice, in canonical order.
-    pub zones: Arc<Vec<Name>>,
-    /// The shard's journal directory (a [`Namespace`](scan_journal::Namespace) leaf).
-    pub dir: PathBuf,
-    /// The header every journal under `dir` must carry.
-    pub header: JournalHeader,
-    /// A fresh, deterministically pre-seeded scanner for this attempt.
-    pub scanner: Arc<Scanner>,
+/// What one [`drive`](crate::drive) scans. Every shard attempt reads
+/// its zones, journal and scanner from here, so a shard's result is a
+/// pure function of the job, never of scheduling history.
+pub struct ShardJob<'a> {
+    /// The partition: shard k scans `plan.zones(k)`.
+    pub plan: &'a ShardPlan,
+    /// Shard k journals under `ns.shard(k)`.
+    pub ns: Namespace,
+    /// A fresh scanner for shard k, called once per attempt: cold caches
+    /// apart from deterministic pre-seeding (such as shard k's
+    /// partition of a carry ledger).
+    pub scanner: &'a (dyn Fn(u32) -> Arc<Scanner> + Sync),
+    /// The faults this drive injects.
+    pub faults: &'a FabricFaultPlan,
 }
 
-/// What the fleet scans: a source of shard assignments, keyed by
-/// `(epoch, shard)`. One-shot fabrics ignore the epoch (always 0);
-/// the continuous service resolves each epoch's delta plan and
-/// partitioned carry ledger here. `assignment` returning `None` means
-/// the epoch is no longer current — the worker gives the shard back as
-/// fenced, which is exactly the cross-epoch fencing guarantee (a stale
-/// assignment can never append under a superseded epoch's namespace,
-/// because it never gets a sink for it).
-pub trait ShardWork: Sync {
-    /// Resolve the assignment for `shard` of `epoch`, or `None` if that
-    /// epoch is no longer scannable.
-    fn assignment(&self, epoch: u32, shard: u32) -> Option<ShardAssignment>;
-    /// Fault to inject for this `(epoch, shard, attempt)`, if any.
-    fn fault(&self, epoch: u32, shard: u32, attempt: u32) -> Option<WorkerFault>;
-    /// Whether `worker` is permanently dead (dies on first assignment).
-    fn worker_dead(&self, worker: u32) -> bool;
-}
-
-/// One lease grant: attempt `attempt` of `shard` in `epoch`, fenced by
-/// `lease`. Single-epoch fabrics use `epoch: 0` throughout.
+/// One lease grant: attempt `attempt` of `shard`, fenced by `lease`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Assign {
-    pub epoch: u32,
     pub shard: u32,
     pub attempt: u32,
     pub lease: u64,
@@ -191,7 +171,7 @@ impl Fence {
 enum AttemptEnd {
     /// Injected death: the worker thread must exit (simulated SIGKILL).
     Died,
-    /// Lease revoked mid-scan, or the epoch is no longer current.
+    /// Lease revoked mid-scan.
     Fenced,
     /// Shard journal unwritable.
     JournalIo,
@@ -208,7 +188,7 @@ struct ShardSink<'a> {
     lease: u64,
     fault: Option<WorkerFault>,
     heartbeat_every: u64,
-    state_dir: PathBuf,
+    state_dir: &'a Path,
     /// Events journaled by *this attempt* (resumed events don't count:
     /// fault event-indices are per-attempt, which keeps kill points
     /// meaningful on re-runs).
@@ -274,7 +254,7 @@ impl ProgressSink for ShardSink<'_> {
 /// Everything a worker thread needs.
 pub(crate) struct WorkerCtx<'a> {
     pub worker: u32,
-    pub work: &'a dyn ShardWork,
+    pub job: &'a ShardJob<'a>,
     pub fence: &'a Fence,
     pub heartbeat_every: u64,
 }
@@ -284,7 +264,7 @@ pub(crate) struct WorkerCtx<'a> {
 /// `out`, which reports [`Report::Exited`].
 pub(crate) fn worker_main(ctx: WorkerCtx<'_>, inbox: Receiver<Assign>, out: Outbox) {
     for assign in inbox {
-        if ctx.work.worker_dead(ctx.worker) {
+        if ctx.job.faults.worker_dead(ctx.worker) {
             // Permanently dead worker: dies the moment it gets work.
             return;
         }
@@ -296,37 +276,29 @@ pub(crate) fn worker_main(ctx: WorkerCtx<'_>, inbox: Receiver<Assign>, out: Outb
     }
 }
 
-/// One shard attempt: recover → fresh scanner → replay effects →
+/// One shard attempt: fresh scanner → recover → replay effects →
 /// `scan_all_with` the fence-guarded journal sink (one sequential lane).
 fn run_shard(ctx: &WorkerCtx<'_>, assign: Assign) -> Result<(), AttemptEnd> {
-    // A stale-epoch assignment resolves to no work: give the shard back
-    // as fenced without ever opening a journal — epoch N−1's namespace
-    // is unreachable from here by construction.
-    let Some(assignment) = ctx.work.assignment(assign.epoch, assign.shard) else {
-        return Err(AttemptEnd::Fenced);
-    };
-    let ShardAssignment {
-        zones,
-        dir,
-        header,
-        scanner,
-    } = assignment;
-    let recovery = recover(&dir, header).map_err(|_| AttemptEnd::JournalIo)?;
+    let job = ctx.job;
+    let zones = job.plan.zones(assign.shard);
+    let ns = job.ns.shard(assign.shard);
+    let scanner = (job.scanner)(assign.shard);
+    let recovery = recover(ns.dir(), ns.header(zones)).map_err(|_| AttemptEnd::JournalIo)?;
     recovery.apply_to(&scanner);
     let resume = recovery.resume_state();
-    let inner = JournalSink::resume(&dir, &recovery).map_err(|_| AttemptEnd::JournalIo)?;
-    let fault = ctx.work.fault(assign.epoch, assign.shard, assign.attempt);
+    let inner = JournalSink::resume(ns.dir(), &recovery).map_err(|_| AttemptEnd::JournalIo)?;
+    let fault = job.faults.fault_for(assign.shard, assign.attempt);
     let sink = ShardSink {
         inner,
         fence: ctx.fence,
         lease: assign.lease,
         fault,
         heartbeat_every: ctx.heartbeat_every,
-        state_dir: dir,
+        state_dir: ns.dir(),
         events: Cell::new(0),
         end: Cell::new(None),
     };
-    scanner.scan_all_with(&zones, Some(&sink), Some(resume));
+    scanner.scan_all_with(zones, Some(&sink), Some(resume));
     if let Some(end) = sink.end.get() {
         return Err(end);
     }
@@ -393,7 +365,6 @@ mod tests {
     fn dropping_the_outbox_reports_one_exit_after_everything_before_it() {
         let (tx, rx) = mpsc::channel();
         let run = Assign {
-            epoch: 0,
             shard: 2,
             attempt: 1,
             lease: 3,

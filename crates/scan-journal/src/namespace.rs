@@ -9,9 +9,9 @@
 //! * **foreign-by-construction run ids** — a sibling's journal (or a
 //!   previous epoch's journal for the same shard) recovered under the
 //!   wrong identity is a *hard error* in [`recover`](crate::recover),
-//!   never a silent mis-resume. This is what extends lease fencing
-//!   across epoch boundaries: a stolen shard resumed in epoch N opens a
-//!   directory whose header epoch-N−1 state can never satisfy.
+//!   never a silent mis-resume. This is what fences epochs from each
+//!   other, across process incarnations too: a shard attempt of epoch N
+//!   opens a directory whose header epoch-N−1 state can never satisfy.
 //!
 //! [`Namespace`] folds both: every [`child`](Namespace::child) level
 //! joins a `"<prefix>-NNNN"` directory component and chains the run id

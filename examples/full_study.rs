@@ -318,8 +318,8 @@ fn main() {
         println!();
         println!("{}", out.series.render_trend());
         println!(
-            "fabric over the run: {} workers spawned ({} lost), {} reassignments, \
-             largest shard {} zones",
+            "fabric over the run: {} workers spawned, summed over epochs ({} lost), \
+             {} reassignments, largest shard {} zones",
             out.ops.workers_spawned,
             out.ops.workers_lost,
             out.ops.reassignments,

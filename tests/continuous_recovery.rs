@@ -9,8 +9,9 @@
 //! * **coordinator kills between epochs** — after an epoch's shards
 //!   drained but before its `COMMIT` marker lands;
 //! * **kills during carry-over distribution** — after an epoch
-//!   committed, while the next admitted epoch's partitioned ledger is
-//!   being published to the fleet;
+//!   committed, once the next admitted epoch's ledger is partitioned
+//!   and before that epoch's fleet starts: nothing on disk has changed
+//!   since the commit;
 //! * **kills while a coalesce decision is pending** — the admission
 //!   controller decided to skip an epoch but its explicit marker was
 //!   never recorded; resume must re-derive the same decision from the
@@ -19,7 +20,7 @@
 //! The schedule is the calibrated overlap from
 //! `continuous_equivalence.rs` (spacing = makespan/3, depth 1), so the
 //! matrix also exercises kills *around* pipelined and coalesced epochs
-//! — the cross-epoch lease-fencing surface.
+//! — the cross-epoch journal-fencing surface.
 
 use bootscan::{DnssecClass, ScanPolicy, Scanner};
 use dns_ecosystem::{apply_churn, build, ChurnConfig, ChurnPlan, EcosystemConfig};
@@ -229,9 +230,9 @@ fn kill_matrix_resumes_to_byte_identical_series() {
     }
 
     // -- Category 3: coordinator dies during carry-over distribution.
-    // DuringCarryOver{e} fires while the next admitted epoch's ledger
-    // partition is being published, so the last admitted epoch has no
-    // successor to fire under.
+    // DuringCarryOver{e} fires once the next admitted epoch's ledger is
+    // partitioned, before its fleet starts, so the last admitted epoch
+    // has no successor to fire under.
     for &e in admitted.iter().take(admitted.len() - 1) {
         points.push((
             format!("carry-e{e}"),
@@ -362,6 +363,46 @@ fn stolen_shards_never_cross_epoch_namespaces() {
         baseline.series.canonical_bytes(),
         got.series.canonical_bytes()
     );
+}
+
+/// The respawn budget is per drive: with one worker and one respawn, a
+/// worker death in each of two epochs is survived both times, because
+/// the second epoch's fleet starts with the whole budget again.
+#[test]
+fn a_respawn_budget_lasts_one_epoch() {
+    let lean = |faults: ContinuousFaultPlan| {
+        let mut cfg = config(1_800_000_000, faults);
+        cfg.epochs = 2;
+        cfg.fabric.workers = 1;
+        cfg.fabric.max_respawns = 1;
+        cfg
+    };
+    let run = |cfg: ContinuousConfig, tag: &str| {
+        let dir = state_dir(tag);
+        let out =
+            run_continuous(EcosystemConfig::tiny(WORLD_SEED), policy(), &cfg, &dir).expect(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    };
+    // The kill comes after the scan, so it fires on an empty shard too.
+    let handoff_kill = FabricFaultPlan::none().with_fault(0, 0, WorkerFault::KillBeforeHandoff);
+    let faults = ContinuousFaultPlan::none()
+        .with_epoch_faults(0, handoff_kill.clone())
+        .with_epoch_faults(1, handoff_kill);
+
+    let clean = run(lean(ContinuousFaultPlan::none()), "budget-clean");
+    let got = run(lean(faults), "budget");
+    assert_eq!(got.series.canonical_bytes(), clean.series.canonical_bytes());
+    assert_eq!(
+        render_decisions(&got.decisions),
+        render_decisions(&clean.decisions)
+    );
+    assert_eq!(
+        got.ops.shards_abandoned, 0,
+        "epoch 1's death found the budget spent"
+    );
+    assert_eq!(got.ops.workers_lost, 2, "one death per epoch");
+    assert_eq!(got.ops.workers_spawned, 4, "1 worker + 1 respawn per epoch");
 }
 
 /// A kill before an epoch's COMMIT must never leak that epoch: a
