@@ -20,19 +20,20 @@
 //! order, so the [`MergedReport`] is byte-identical across worker
 //! counts and fault plans (`tests/fabric_recovery.rs`).
 //!
-//! **Digests are hashed as they are written.** The two rolling digests
-//! cover each zone's JSON; the serializer writes that JSON straight into
-//! the hash (`chain_digest`), so no string is built to be walked once
-//! and dropped. A zone that fails to serialize is an `InvalidData`
-//! error out of [`StreamingMerge::absorb_shard`] — a digest over
-//! nothing would be a silent difference.
+//! **Digests hash the journal's encoding.** Each link of the two rolling
+//! digests is FNV-1a over the previous digest (little-endian) followed
+//! by the zone's journal-codec bytes ([`encode_scan_into`]), written
+//! into one buffer reused from zone to zone. The codec carries every
+//! field of a [`ZoneScan`], the ones the JSON reports skip
+//! (`parent_ds`, observation addresses, raw DNSKEYs) included, so two
+//! zones that differ anywhere get different links.
 
 use bootscan::report::{DegradationReport, Figure1};
 use bootscan::{
     AbClass, CdsClass, DnssecClass, Identified, RetryStats, ScanResults, ZoneEvent, ZoneScan,
 };
 use dns_wire::name::Name;
-use scan_journal::{latest_per_zone, Fnv64};
+use scan_journal::{encode_scan_into, fnv64, latest_per_zone};
 use serde::Serialize;
 use std::borrow::Cow;
 use std::io;
@@ -99,9 +100,10 @@ pub struct MergedReport {
     pub virtual_makespan_us: u64,
     /// Summed virtual time across shards (what one worker would take).
     pub virtual_total_us: u64,
-    /// FNV-1a over the serialized full zone records, in emission order.
+    /// Rolling FNV-1a over the full zone records' codec bytes, in
+    /// emission order.
     pub zone_stream_digest: u64,
-    /// Same, with cost counters zeroed (the PR-4 evidence plane).
+    /// Same, with cost counters zeroed (the evidence plane).
     pub evidence_digest: u64,
     /// Zones emitted as explicit Indeterminate placeholders because
     /// their shard exhausted its attempt budget. Never silent: each is
@@ -137,6 +139,8 @@ pub struct FabricOps {
 pub struct StreamingMerge {
     report: MergedReport,
     peak_resident: usize,
+    /// A zone's codec bytes, reused for every digest link.
+    encoded: Vec<u8>,
 }
 
 impl Default for StreamingMerge {
@@ -150,6 +154,7 @@ impl StreamingMerge {
         StreamingMerge {
             report: MergedReport::default(),
             peak_resident: 0,
+            encoded: Vec::new(),
         }
     }
 
@@ -175,26 +180,29 @@ impl StreamingMerge {
                     .abandoned_zones
                     .push(placeholder.name.to_string_fqdn());
             }
-            self.emit(&zone, sink)?;
+            self.emit(&zone, sink);
         }
         self.report.virtual_makespan_us = self.report.virtual_makespan_us.max(shard_duration);
         self.report.virtual_total_us += shard_duration;
         Ok(())
     }
 
-    fn emit(&mut self, zone: &ZoneScan, sink: &mut dyn MergeSink) -> io::Result<()> {
-        self.report.zones_total += 1;
-        self.report.total_queries += u64::from(zone.queries);
-        self.report.figure1.absorb(zone);
-        self.report.degradation.absorb_counters(zone);
-        self.report.zone_stream_digest = chain_digest(self.report.zone_stream_digest, zone)?;
-        let mut evidence = zone.clone();
-        evidence.queries = 0;
-        evidence.elapsed = 0;
-        evidence.retry_stats = RetryStats::default();
-        self.report.evidence_digest = chain_digest(self.report.evidence_digest, &evidence)?;
+    fn emit(&mut self, zone: &ZoneScan, sink: &mut dyn MergeSink) {
+        let report = &mut self.report;
+        report.zones_total += 1;
+        report.total_queries += u64::from(zone.queries);
+        report.figure1.absorb(zone);
+        report.degradation.absorb_counters(zone);
+        report.zone_stream_digest =
+            chain_digest(&mut self.encoded, report.zone_stream_digest, zone);
+        let evidence = ZoneScan {
+            queries: 0,
+            elapsed: 0,
+            retry_stats: RetryStats::default(),
+            ..zone.clone()
+        };
+        report.evidence_digest = chain_digest(&mut self.encoded, report.evidence_digest, &evidence);
         sink.on_zone(zone);
-        Ok(())
     }
 
     /// Seal the report. Returns it plus the observed peak residency.
@@ -204,24 +212,12 @@ impl StreamingMerge {
 }
 
 /// One link of a rolling digest: FNV-1a over the previous digest
-/// (little-endian) followed by `zone`'s compact JSON, with the
-/// serializer writing into the hash.
-fn chain_digest(prev: u64, zone: &ZoneScan) -> io::Result<u64> {
-    struct Hashed(Fnv64);
-    impl io::Write for Hashed {
-        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-            self.0.write(bytes);
-            Ok(bytes.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-    let mut hashed = Hashed(Fnv64::new());
-    hashed.0.write(&prev.to_le_bytes());
-    serde_json::to_writer(&mut hashed, zone)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok(hashed.0.finish())
+/// (little-endian) followed by `zone`'s codec bytes, encoded into
+/// `buf`.
+fn chain_digest(buf: &mut Vec<u8>, prev: u64, zone: &ZoneScan) -> u64 {
+    buf.clear();
+    encode_scan_into(buf, zone);
+    fnv64(&[&prev.to_le_bytes(), buf])
 }
 
 /// The one hole rule for a shard journal, shared by the fabric merge
@@ -312,9 +308,29 @@ mod tests {
         assert!(report.abandoned_zones.is_empty());
     }
 
+    /// The zone's codec bytes, in a buffer of their own.
+    fn encoded(zone: &ZoneScan) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_scan_into(&mut buf, zone);
+        buf
+    }
+
+    fn stream_digest(zone: ZoneScan) -> u64 {
+        let (_, mut event) = event_for("a.example", 0);
+        event.scan = zone;
+        let mut m = StreamingMerge::new();
+        m.absorb_shard(
+            &[name!("a.example")],
+            vec![(0, event)],
+            false,
+            &mut NullMergeSink,
+        )
+        .unwrap();
+        m.finish().0.zone_stream_digest
+    }
+
     #[test]
     fn streamed_digests_equal_the_formula_over_whole_strings() {
-        use scan_journal::fnv64;
         let zones = vec![name!("a.example"), name!("b.example"), name!("c.example")];
         let events: Vec<_> = ["a.example", "b.example", "c.example"]
             .into_iter()
@@ -327,20 +343,18 @@ mod tests {
             })
             .collect();
         // The digests as they are defined: each link hashes the previous
-        // digest and the zone's JSON string, the evidence one with the
+        // digest and the zone's codec bytes, the evidence one with the
         // cost counters zeroed.
         let (mut full, mut evidence) = (0u64, 0u64);
         for (_, event) in &events {
-            let json = serde_json::to_string(&event.scan).unwrap();
-            full = fnv64(&[&full.to_le_bytes(), json.as_bytes()]);
+            full = fnv64(&[&full.to_le_bytes(), &encoded(&event.scan)]);
             let costless = ZoneScan {
                 queries: 0,
                 elapsed: 0,
                 retry_stats: RetryStats::default(),
                 ..event.scan.clone()
             };
-            let json = serde_json::to_string(&costless).unwrap();
-            evidence = fnv64(&[&evidence.to_le_bytes(), json.as_bytes()]);
+            evidence = fnv64(&[&evidence.to_le_bytes(), &encoded(&costless)]);
         }
         let mut m = StreamingMerge::new();
         m.absorb_shard(&zones, events, false, &mut NullMergeSink)
@@ -349,6 +363,52 @@ mod tests {
         assert_eq!(report.zone_stream_digest, full);
         assert_eq!(report.evidence_digest, evidence);
         assert_ne!(full, evidence, "the cost counters are in the full digest");
+    }
+
+    /// Zones the JSON reports cannot tell apart — they differ only in a
+    /// field the JSON skips — still get different digests. A digest
+    /// over the JSON fails this.
+    #[test]
+    fn digests_cover_the_fields_json_skips() {
+        use bootscan::types::NsObservation;
+        use dns_wire::rdata::DsData;
+        use netsim::Addr;
+        use std::net::Ipv4Addr;
+        let (_, event) = event_for("a.example", 3);
+        let base = ZoneScan {
+            ns_observations: vec![NsObservation {
+                ns_name: name!("ns1.example"),
+                addr: Addr::V4(Ipv4Addr::new(192, 0, 2, 1)),
+                responded: true,
+                soa_present: true,
+                cds_query_error: false,
+                dnskeys: vec![],
+                cds: vec![],
+                cds_sig_valid: None,
+                csync_present: false,
+            }],
+            ..event.scan
+        };
+        let with_ds = ZoneScan {
+            parent_ds: vec![DsData {
+                key_tag: 4711,
+                algorithm: 13,
+                digest_type: 2,
+                digest: vec![9; 32],
+            }],
+            ..base.clone()
+        };
+        let mut moved = base.clone();
+        moved.ns_observations[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 2));
+        let json = serde_json::to_string(&base).unwrap();
+        for (what, other) in [("parent_ds", with_ds), ("NsObservation::addr", moved)] {
+            assert_eq!(serde_json::to_string(&other).unwrap(), json, "{what}");
+            assert_ne!(
+                stream_digest(other),
+                stream_digest(base.clone()),
+                "{what} must reach the digest"
+            );
+        }
     }
 
     #[test]

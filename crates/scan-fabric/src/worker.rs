@@ -9,8 +9,9 @@
 //! effects, and scans the shard through [`Scanner::scan_all_with`] —
 //! with a sink that is one sequential lane by construction — journaling
 //! every zone event write-ahead. It answers on the fleet's shared report
-//! channel: [`Report::Done`], or [`Report::GaveBack`] when the attempt
-//! ended fenced or on an unwritable journal. Its [`Outbox`]
+//! channel: [`Report::Done`] once the journal's tail is committed
+//! ([`JournalSink::finish`]), or [`Report::GaveBack`] when the attempt
+//! ended fenced or on a journal it could not write or commit. Its [`Outbox`]
 //! sends [`Report::Exited`] when dropped, so a worker thread that
 //! returns — orderly or by an injected kill — is reported exactly once,
 //! after everything it sent before.
@@ -173,7 +174,7 @@ enum AttemptEnd {
     Died,
     /// Lease revoked mid-scan.
     Fenced,
-    /// Shard journal unwritable.
+    /// Shard journal unwritable, or its commit failed.
     JournalIo,
 }
 
@@ -302,6 +303,9 @@ fn run_shard(ctx: &WorkerCtx<'_>, assign: Assign) -> Result<(), AttemptEnd> {
     if let Some(end) = sink.end.get() {
         return Err(end);
     }
+    // A shard is `Done` only once its tail is committed; a failed commit
+    // hands it back for a retry.
+    sink.inner.finish().map_err(|_| AttemptEnd::JournalIo)?;
     if matches!(fault, Some(WorkerFault::KillBeforeHandoff)) {
         // The journal is complete; die before reporting it.
         return Err(AttemptEnd::Died);

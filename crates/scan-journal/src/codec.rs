@@ -372,6 +372,13 @@ pub fn encode_event_into(buf: &mut Vec<u8>, event: &ZoneEvent) {
     e.effects(&event.effects);
 }
 
+/// Append one zone scan's bytes to `buf`, exactly as they sit inside an
+/// event payload — every field, the JSON-skipped ones included. The
+/// fabric merge's digests hash these bytes.
+pub fn encode_scan_into(buf: &mut Vec<u8>, scan: &ZoneScan) {
+    Enc { buf }.zone_scan(scan);
+}
+
 // ---------------------------------------------------------------- reader
 
 struct Dec<'a> {
@@ -895,6 +902,15 @@ pub(crate) mod tests {
         let mut buf = b"already here".to_vec();
         encode_event_into(&mut buf, &event);
         assert_eq!(buf, [&b"already here"[..], &encode_event(&event)].concat());
+    }
+
+    #[test]
+    fn scan_bytes_are_the_event_payload_after_pass_and_duration() {
+        let event = rich_event();
+        let mut scan = Vec::new();
+        encode_scan_into(&mut scan, &event.scan);
+        let payload = encode_event(&event);
+        assert_eq!(&payload[12..12 + scan.len()], &scan[..]);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! event is checksummed once when appended and once per read, so the
 //! table walk is on both the scan's and the merge's critical path.
 //! FNV-1a provides the stable 64-bit hashes used for shard assignment,
-//! run fingerprints and the merge's rolling digests ([`Fnv64`] is the
-//! streaming form); both are hand-rolled because the build environment
-//! has no registry access.
+//! run fingerprints and the merge's rolling digests; both are
+//! hand-rolled because the build environment has no registry access.
 
 /// CRC32 lookup tables for the reflected IEEE polynomial `0xEDB88320`,
 /// generated at compile time. `CRC_TABLES[0]` is the classic bytewise
@@ -77,47 +76,14 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Streaming FNV-1a 64-bit hash: feed bytes as they are produced,
-/// [`finish`](Self::finish) at any point. Chunking never changes the
-/// value.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64::new()
-    }
-}
-
-impl Fnv64 {
-    /// The empty hash (the FNV offset basis).
-    pub const fn new() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Hash `bytes` onto what was written so far.
-    pub fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    /// The hash of everything written so far.
-    pub const fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// FNV-1a 64-bit hash of the concatenation of `chunks`.
 pub fn fnv64(chunks: &[&[u8]]) -> u64 {
-    let mut h = Fnv64::new();
-    for chunk in chunks {
-        h.write(chunk);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in chunks.iter().copied().flatten() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h.finish()
+    h
 }
 
 #[cfg(test)]
@@ -177,11 +143,9 @@ mod tests {
     fn fnv64_is_chunking_invariant() {
         assert_eq!(fnv64(&[b"ab", b"cd"]), fnv64(&[b"abcd"]));
         assert_ne!(fnv64(&[b"abcd"]), fnv64(&[b"abce"]));
-        let mut h = Fnv64::new();
-        assert_eq!(h.finish(), fnv64(&[]));
-        h.write(b"a");
-        h.write(b"");
-        h.write(b"bcd");
-        assert_eq!(h.finish(), fnv64(&[b"abcd"]));
+        assert_eq!(fnv64(&[b"a", b"", b"bcd"]), fnv64(&[b"abcd"]));
+        // The FNV-1a 64 reference values of "" and "a".
+        assert_eq!(fnv64(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -9,6 +9,10 @@
 //! payload := seq u64 LE | encoded ZoneEvent (codec.rs)
 //! ```
 //!
+//! The `ZoneScan` bytes inside an encoded event
+//! ([`encode_scan_into`](crate::encode_scan_into)) are also what the
+//! fabric merge's rolling digests hash, link by link.
+//!
 //! Sequence numbers are assigned by the writer and must be contiguous
 //! within a file. Every journal this crate writes starts at seq 0 and
 //! holds its whole prefix ([`JournalSink::resume`](crate::recover::JournalSink::resume)
@@ -21,10 +25,15 @@
 //! *Durability*
 //! is batched (group commit): the caller decides when to
 //! [`sync`](JournalWriter::sync), trading a bounded window of re-scannable
-//! work on power loss for not paying an `fdatasync` per zone.
-//! [`JournalSink`](crate::recover::JournalSink) syncs every few entries
-//! by default; whatever an unsynced tail loses is exactly what recovery
-//! re-scans, so determinism is unaffected.
+//! work on power loss for not paying an `fdatasync` per zone. Every sync
+//! is a commit — not even the header is synced on its own.
+//! [`JournalSink`](crate::recover::JournalSink) commits at every
+//! [`COMMIT_EVERY`](crate::recover::JournalSink::COMMIT_EVERY)th
+//! sequence number and when the scan finishes; whatever an unsynced tail
+//! loses is exactly what recovery re-scans, so determinism is unaffected.
+//! Power loss before the first commit can take the header too; the file
+//! then reads as "no journal", and fewer than one commit unit of events
+//! stood behind it.
 //!
 //! ## Torn tails
 //!
@@ -115,11 +124,11 @@ pub struct JournalWriter {
 impl JournalWriter {
     /// Create (truncating) a fresh journal starting at `first_seq`
     /// (0 for every journal [`JournalSink`](crate::recover::JournalSink)
-    /// writes).
+    /// writes). The header is written, not synced: the first
+    /// [`sync`](Self::sync) commits it with the first frames.
     pub fn create(path: &Path, header: JournalHeader, first_seq: u64) -> io::Result<Self> {
         let mut file = File::create(path)?;
         file.write_all(&header.to_bytes())?;
-        file.sync_data()?;
         Ok(JournalWriter {
             file,
             next_seq: first_seq,

@@ -54,8 +54,8 @@ mod namespace;
 mod recover;
 
 pub use checkpoint::{read_checkpoint, write_atomically, write_checkpoint, CHECKPOINT_FILE};
-pub use codec::{decode_event, encode_event, encode_event_into, CodecError};
-pub use crc::{crc32, fnv64, Fnv64};
+pub use codec::{decode_event, encode_event, encode_event_into, encode_scan_into, CodecError};
+pub use crc::{crc32, fnv64};
 pub use journal::{
     read_journal, truncate_torn_tail, JournalHeader, JournalRead, JournalWriter, TailStatus,
     FORMAT_VERSION, JOURNAL_FILE, JOURNAL_MAGIC,

@@ -21,14 +21,20 @@
 //!   had at that point.
 //!
 //! [`JournalSink`] is the production [`ProgressSink`]: it appends each
-//! event to the journal (stopping the scan — returning `false` — if the
-//! disk fails) and checkpoints the journal's prefix every so often. A
-//! journaled scan is one sequential lane, so the sink is plain
-//! single-threaded state: each fabric shard has its own.
+//! event to the journal, commits every
+//! [`COMMIT_EVERY`](JournalSink::COMMIT_EVERY) events (stopping the scan
+//! — returning `false` — if the disk fails), checkpoints a committed
+//! prefix now and then, and commits the tail in
+//! [`JournalSink::finish`]. A journaled scan is one sequential lane, so
+//! the sink is plain single-threaded state: each fabric shard has its
+//! own.
 //!
 //! [`latest_per_zone`] is the one fold from a journal's events to "the
 //! kept scan of every zone": resume, the fabric merge and the epoch
-//! fold all read a shard journal through it.
+//! fold all read a shard journal through it. The merge's digests then
+//! hash each kept scan in the journal's own encoding
+//! ([`encode_scan_into`](crate::encode_scan_into)), so a field the
+//! journal carries is a field the digest covers.
 //!
 //! **The whole-prefix invariant.** After [`JournalSink::resume`] the
 //! journal file holds every recovered event from seq 0, whatever mix of
@@ -238,35 +244,35 @@ pub fn recover(dir: &Path, expected: JournalHeader) -> io::Result<Recovery> {
     })
 }
 
-/// The production [`ProgressSink`]: write-ahead journal + periodic
-/// checkpoints. Returns `false` from `on_zone` (stopping the scan) only
-/// when the journal itself cannot be written — a failed *checkpoint*
-/// just leaves the previous one in place, never a reason to stop.
+/// The production [`ProgressSink`]: write-ahead journal, group commit
+/// and checkpoints of committed prefixes. Returns `false` from `on_zone`
+/// (stopping the scan) only when the journal itself cannot be written
+/// or committed — a failed *checkpoint* just leaves the previous one in
+/// place, never a reason to stop. A scan that ran to the end is durable
+/// only once [`finish`](Self::finish) has committed its tail.
 ///
 /// Interior mutability is `RefCell`/`Cell`, not a lock: the scanner
 /// calls a sink from one thread, one event at a time.
 pub struct JournalSink {
     dir: PathBuf,
     writer: RefCell<JournalWriter>,
-    since_checkpoint: Cell<u64>,
-    since_sync: Cell<u64>,
+    /// Events the last checkpoint covered (for a resumed sink: the
+    /// events recovered, as if checkpointed on resume).
+    checkpointed: Cell<u64>,
 }
 
 impl JournalSink {
-    /// Minimum events between two checkpoints; past it, a checkpoint
-    /// waits for the journal to grow by half of what the last one
-    /// covered.
-    pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
-    /// `fdatasync` the journal every this-many events (group commit):
-    /// power loss can cost at most this many re-scans.
-    pub const DEFAULT_SYNC_EVERY: u64 = 8;
+    /// The commit unit: `on_zone` `fdatasync`s the journal once its
+    /// sequence reaches a multiple of this. Power loss therefore costs
+    /// fewer than `COMMIT_EVERY` re-scanned zones per journal, and every
+    /// automatic checkpoint copies a committed prefix.
+    pub const COMMIT_EVERY: u64 = 64;
 
     fn over(dir: &Path, writer: JournalWriter) -> Self {
         JournalSink {
             dir: dir.to_path_buf(),
+            checkpointed: Cell::new(writer.next_seq()),
             writer: RefCell::new(writer),
-            since_checkpoint: Cell::new(0),
-            since_sync: Cell::new(0),
         }
     }
 
@@ -315,51 +321,50 @@ impl JournalSink {
         self.writer.borrow().next_seq()
     }
 
-    /// Force a checkpoint of everything journaled so far.
+    /// Force a checkpoint of everything journaled so far, committed or
+    /// not.
     pub fn checkpoint_now(&self) -> io::Result<()> {
         write_checkpoint(&self.dir, self.writer.borrow().bytes_written())
+    }
+
+    /// Commit the tail the last [`COMMIT_EVERY`](Self::COMMIT_EVERY)
+    /// boundary left unsynced. A scan is durable — and may be reported
+    /// complete — only once this returns `Ok`; a sink dropped without it
+    /// leaves the tail to the OS, like a killed process.
+    pub fn finish(self) -> io::Result<()> {
+        self.writer.into_inner().sync()
     }
 }
 
 impl ProgressSink for JournalSink {
-    /// Append, then `fdatasync` on every [`DEFAULT_SYNC_EVERY`]th event
-    /// (group commit), then checkpoint the journal's prefix when one is
-    /// due.
+    /// Append; on every [`COMMIT_EVERY`]th sequence number `fdatasync`
+    /// (group commit) and then, if the journal has grown by half of what
+    /// the last checkpoint covered, checkpoint the prefix just committed.
     ///
-    /// [`DEFAULT_SYNC_EVERY`]: JournalSink::DEFAULT_SYNC_EVERY
+    /// [`COMMIT_EVERY`]: JournalSink::COMMIT_EVERY
     fn on_zone(&self, event: &ZoneEvent) -> bool {
         let mut writer = self.writer.borrow_mut();
         if writer.append(event).is_err() {
             return false;
         }
-        let unsynced = self.since_sync.get() + 1;
-        let commit = unsynced >= Self::DEFAULT_SYNC_EVERY;
-        self.since_sync.set(if commit { 0 } else { unsynced });
+        let logged = writer.next_seq();
+        if !logged.is_multiple_of(Self::COMMIT_EVERY) {
+            return true;
+        }
         // A failed sync means the WAL can no longer promise durability
         // — stop like a failed append.
-        if commit && writer.sync().is_err() {
+        if writer.sync().is_err() {
             return false;
         }
-        let since = self.since_checkpoint.get() + 1;
         // Each checkpoint copies the full prefix, so waiting for the
         // journal to grow by half keeps *total* copy work O(n).
-        let covered = writer.next_seq() - since;
-        let due = since >= Self::DEFAULT_CHECKPOINT_EVERY.max(covered / 2);
-        if due {
+        let covered = self.checkpointed.get();
+        if logged - covered >= covered / 2 {
             // Best-effort: the journal remains the source of truth.
             let _ = write_checkpoint(&self.dir, writer.bytes_written());
+            self.checkpointed.set(logged);
         }
-        self.since_checkpoint.set(if due { 0 } else { since });
         true
-    }
-}
-
-impl Drop for JournalSink {
-    /// Commit any unsynced tail when the scan finishes (best effort — a
-    /// failure here costs at most `DEFAULT_SYNC_EVERY` re-scans after
-    /// power loss, which recovery handles anyway).
-    fn drop(&mut self) {
-        let _ = self.writer.get_mut().sync();
     }
 }
 
@@ -461,13 +466,61 @@ mod tests {
         let writer = JournalWriter::open_append(Path::new("/dev/null"), 0).unwrap();
         let sink = JournalSink::over(&dir, writer);
         let event = event_for("a.example", 0, 1);
-        for _ in 1..JournalSink::DEFAULT_SYNC_EVERY {
+        for _ in 1..JournalSink::COMMIT_EVERY {
             assert!(sink.on_zone(&event), "appends before the commit succeed");
         }
         assert!(
             !sink.on_zone(&event),
             "the failed fdatasync must stop the scan"
         );
+    }
+
+    /// A scan is durable only once its tail is committed: a `finish`
+    /// whose `fdatasync` fails is an error the caller must see.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn finish_reports_a_failed_tail_commit() {
+        let dir = tmpdir("finishfail");
+        let writer = JournalWriter::open_append(Path::new("/dev/null"), 0).unwrap();
+        let sink = JournalSink::over(&dir, writer);
+        assert!(sink.on_zone(&event_for("a.example", 0, 1)));
+        assert!(sink.finish().is_err());
+    }
+
+    #[test]
+    fn every_automatic_checkpoint_is_a_committed_prefix() {
+        let dir = tmpdir("ckptcommit");
+        let sink = JournalSink::create(&dir, HDR).unwrap();
+        let journal = dir.join(JOURNAL_FILE);
+        let checkpoint = dir.join(CHECKPOINT_FILE);
+        let mut committed = vec![];
+        let mut checkpoints = vec![];
+        for i in 0..20 * JournalSink::COMMIT_EVERY {
+            let mut e = event_for("a.example", 0, 1);
+            e.scan.queries = i as u32;
+            assert!(sink.on_zone(&e));
+            if sink
+                .entries_logged()
+                .is_multiple_of(JournalSink::COMMIT_EVERY)
+            {
+                committed.push(fs::metadata(&journal).unwrap().len());
+            }
+            if let Ok(meta) = fs::metadata(&checkpoint) {
+                if checkpoints.last() != Some(&meta.len()) {
+                    checkpoints.push(meta.len());
+                }
+            }
+        }
+        assert!(checkpoints.len() >= 4, "{checkpoints:?}");
+        for len in &checkpoints {
+            assert!(
+                committed.contains(len),
+                "checkpoint of {len} bytes is not the journal at any commit"
+            );
+        }
+        let prefix = &fs::read(&journal).unwrap()[..*checkpoints.last().unwrap() as usize];
+        assert_eq!(fs::read(&checkpoint).unwrap(), prefix);
+        sink.finish().unwrap();
     }
 
     #[test]

@@ -200,6 +200,74 @@ fn killed_at_any_cut_point_resumes_byte_identically() {
     }
 }
 
+/// Size of a journal header (magic, version, run id, fingerprint, CRC;
+/// the layout in `scan-journal`'s `journal.rs`).
+const HEADER_LEN: usize = 26;
+
+/// Cut the journal in `dir` to its header and first `frames` frames
+/// (each `len u32 | crc u32 | payload`).
+fn keep_frames(dir: &Path, frames: u64) {
+    let path = dir.join(JOURNAL_FILE);
+    let raw = fs::read(&path).unwrap();
+    let mut len = HEADER_LEN;
+    for _ in 0..frames {
+        len += 8 + u32::from_le_bytes(raw[len..len + 4].try_into().unwrap()) as usize;
+    }
+    fs::write(&path, &raw[..len]).unwrap();
+}
+
+#[test]
+fn power_loss_at_any_event_costs_less_than_one_commit_unit() {
+    const UNIT: u64 = JournalSink::COMMIT_EVERY;
+    let (expected, n) = reference();
+    assert!(n > UNIT + 1, "the cuts must cross a commit, got {n} events");
+
+    let mut cuts: Vec<u64> = vec![0, 1, UNIT - 1, UNIT, UNIT + 1, n - 1, n];
+    cuts.extend((0..n).step_by((n / 20).max(1) as usize));
+    cuts.sort_unstable();
+    cuts.dedup();
+    assert!(cuts.len() >= 24, "only {} cut points", cuts.len());
+
+    for &k in &cuts {
+        // Power loss right after the kill keeps what the last commit
+        // synced: the first `k - k % UNIT` frames. Every automatic
+        // checkpoint is a committed prefix; its rename is not synced to
+        // the directory, so it may survive or not.
+        let committed = k - k % UNIT;
+        let with_checkpoint = run_dir(&format!("power-{k}"));
+        assert_eq!(run_killed_at(&with_checkpoint, k, None, 1), k);
+        keep_frames(&with_checkpoint, committed);
+        let without = run_dir(&format!("power-{k}-nockpt"));
+        if committed == 0 {
+            // Nothing was ever committed, the header included.
+            fs::write(without.join(JOURNAL_FILE), b"").unwrap();
+        } else {
+            fs::copy(
+                with_checkpoint.join(JOURNAL_FILE),
+                without.join(JOURNAL_FILE),
+            )
+            .unwrap();
+        }
+
+        for (dir, what) in [
+            (&with_checkpoint, "checkpoint"),
+            (&without, "no checkpoint"),
+        ] {
+            let (eco, _) = fresh_world(1);
+            let seeds = eco.seeds.compile(&eco.psl);
+            let rec = recover(dir, header(&seeds)).expect("recovery after power loss");
+            assert!(
+                rec.next_seq() + UNIT > k,
+                "power loss after {k} events, {what}: only {} recovered",
+                rec.next_seq()
+            );
+            resume_from(dir, 1)
+                .assert_identical(&expected, &format!("power loss at {k}/{n}, {what}"));
+            let _ = fs::remove_dir_all(dir);
+        }
+    }
+}
+
 #[test]
 fn torn_journal_tails_are_detected_and_survived() {
     let (expected, n) = reference();
