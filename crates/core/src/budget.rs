@@ -9,11 +9,10 @@
 use crate::scanner::ScanResults;
 use crate::types::{AbClass, DnssecClass};
 use netsim::StatsSnapshot;
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// Cost summary of one scan run.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ScanCost {
     pub zones: u64,
     pub total_queries: u64,
@@ -73,7 +72,7 @@ impl ScanCost {
 /// Appendix D's registry-feasibility estimate: how many zones a registry
 /// implementing AB would actually need to scan (those with signal RRs),
 /// versus the full dataset, and the short-circuit savings.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RegistryFeasibility {
     pub all_zones: u64,
     /// Zones with extant DS (excluded at zero query cost from registry

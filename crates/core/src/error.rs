@@ -7,7 +7,6 @@
 //! with these statistics attached.
 
 use dns_resolver::hostile::{HostileCause, HostileTally};
-use serde::Serialize;
 use std::fmt;
 
 /// Why one scanner-level query (or whole resolution) failed.
@@ -31,18 +30,6 @@ pub enum ScanError {
     Hostile(HostileCause),
 }
 
-// Hand-rolled: `HostileCause` lives in dns-resolver (which has no serde
-// dependency), so the derive cannot reach it. Unit variants keep their
-// derived-style string form; `Hostile` carries its cause label.
-impl Serialize for ScanError {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        match self {
-            ScanError::Hostile(c) => s.serialize_str(&format!("Hostile({})", c.label())),
-            other => s.serialize_str(&format!("{other:?}")),
-        }
-    }
-}
-
 impl fmt::Display for ScanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -58,9 +45,9 @@ impl fmt::Display for ScanError {
 
 impl std::error::Error for ScanError {}
 
-/// Per-zone retry and failure statistics, serialized into reports so
+/// Per-zone retry and failure statistics, carried in every zone scan so
 /// degraded classifications are auditable.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Failed logical queries (after client-level retries).
     pub failures: u32,
@@ -243,22 +230,9 @@ mod tests {
         assert_eq!(s.hostile_budget, 1);
         assert_eq!(s.hostile_events(), 3);
 
-        let json = serde_json::to_string(&ScanError::Hostile(HostileCause::AliasLoop)).unwrap();
-        assert!(json.contains("alias-loop"), "{json}");
         assert_eq!(
             ScanError::Hostile(HostileCause::LameDelegation).to_string(),
             "hostile: lame-delegation"
         );
-    }
-
-    #[test]
-    fn stats_serialize() {
-        let s = RetryStats {
-            timeouts: 3,
-            failures: 3,
-            ..RetryStats::default()
-        };
-        let json = serde_json::to_string(&s).unwrap();
-        assert!(json.contains("\"timeouts\":3"));
     }
 }

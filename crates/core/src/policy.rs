@@ -11,7 +11,6 @@
 use crate::scanner::ScanResults;
 use crate::types::{AbClass, CdsClass, DnssecClass};
 use netsim::DeterministicDraw;
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// One of the Appendix C policies (or RFC 9615 itself).
@@ -93,7 +92,7 @@ impl BootstrapPolicy {
 }
 
 /// Outcome of running one policy over a scan.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyOutcome {
     pub policy: String,
     /// Zones that could traditionally be bootstrapped (the denominator).

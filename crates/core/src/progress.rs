@@ -26,7 +26,7 @@ use netsim::SimMicros;
 pub use dns_resolver::CacheLog as ZoneEffects;
 
 /// One finished zone scan, as emitted to a [`ProgressSink`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZoneEvent {
     /// 0 = main pass; `p ≥ 1` = re-scan pass `p`. A re-scan event's
     /// `scan` is the *kept* (merged) result, while its `effects` are

@@ -5,12 +5,11 @@ use crate::error::RetryStats;
 use crate::operator::Identified;
 use crate::scanner::ScanResults;
 use crate::types::*;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Figure 1: DNSSEC status and bootstrapping-possibility breakdown.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Figure1 {
     pub resolved: u64,
     pub unsigned: u64,
@@ -138,7 +137,7 @@ impl Figure1 {
 }
 
 /// A Table 1 row: DNSSEC among one operator's domains.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     pub operator: String,
     pub domains: u64,
@@ -212,7 +211,7 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
 }
 
 /// A Table 2 row: CDS publication per operator.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     pub operator: String,
     pub swiss: bool,
@@ -284,7 +283,7 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 }
 
 /// One Table 3 column (per signal-publishing operator).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Table3Col {
     pub with_signal_cds: u64,
     pub already_secured: u64,
@@ -298,7 +297,7 @@ pub struct Table3Col {
 
 /// Table 3: signal-zone census, grouped by operator with an "Others"
 /// bucket for operators outside `named`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     pub columns: Vec<(String, Table3Col)>,
 }
@@ -393,7 +392,7 @@ impl Table3 {
 }
 
 /// The §4.2 CDS deployment census.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CdsCensus {
     pub resolved: u64,
     pub with_cds: u64,
@@ -538,7 +537,7 @@ impl CdsCensus {
 }
 
 /// §4.3's AB-potential summary (the other half of Figure 1).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AbPotential {
     pub cannot_benefit: u64,
     pub cannot_unsigned: u64,
@@ -631,7 +630,7 @@ impl AbPotential {
 }
 
 /// One degraded zone in the [`DegradationReport`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedZone {
     pub name: String,
     pub class: DnssecClass,
@@ -642,7 +641,7 @@ pub struct DegradedZone {
 /// classify cleanly, and the failure statistics behind each. Nothing in
 /// here is folded into the substantive classes — this report is the
 /// honest remainder.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DegradationReport {
     pub total_zones: u64,
     /// Zones that saw transient failures (including recovered ones).
@@ -959,18 +958,5 @@ mod tests {
         let f = figure1(&r);
         assert_eq!(f.resolved, 6);
         assert_eq!(f.indeterminate, 1);
-        assert!(serde_json::to_string(&d).unwrap().contains("breaker_skips"));
-    }
-
-    #[test]
-    fn reports_serialize_to_json() {
-        let r = sample_results();
-        let f = figure1(&r);
-        let json = serde_json::to_string(&f).unwrap();
-        assert!(json.contains("island_bootstrappable"));
-        let t3 = table3(&r, &["OpA"]);
-        assert!(serde_json::to_string(&t3)
-            .unwrap()
-            .contains("with_signal_cds"));
     }
 }

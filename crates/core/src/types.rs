@@ -4,26 +4,10 @@ use crate::error::RetryStats;
 use dns_wire::name::Name;
 use dns_wire::rdata::{DnskeyData, DsData};
 use netsim::{Addr, SimMicros};
-use serde::Serialize;
-
-/// Serialize a [`Name`] as its presentation string.
-fn ser_name<S: serde::Serializer>(n: &Name, s: S) -> Result<S::Ok, S::Error> {
-    s.serialize_str(&n.to_string_fqdn())
-}
-
-/// Serialize a list of [`Name`]s as presentation strings.
-fn ser_names<S: serde::Serializer>(v: &[Name], s: S) -> Result<S::Ok, S::Error> {
-    use serde::ser::SerializeSeq;
-    let mut seq = s.serialize_seq(Some(v.len()))?;
-    for n in v {
-        seq.serialize_element(&n.to_string_fqdn())?;
-    }
-    seq.end()
-}
 
 /// One CDS-shaped record observed on the wire (CDS or CDNSKEY), reduced
 /// to a comparable form.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CdsSeen {
     Cds {
         key_tag: u16,
@@ -66,12 +50,11 @@ impl CdsSeen {
 }
 
 /// What one nameserver address said when asked about a zone.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NsObservation {
     /// NS hostname this address belongs to.
-    #[serde(serialize_with = "ser_name")]
     pub ns_name: Name,
-    #[serde(skip)]
+    /// The address asked.
     pub addr: Addr,
     /// The server answered (vs timeout/unreachable).
     pub responded: bool,
@@ -83,7 +66,6 @@ pub struct NsObservation {
     /// pre-RFC 3597 behaviour of §4.2).
     pub cds_query_error: bool,
     /// DNSKEY records returned.
-    #[serde(skip)]
     pub dnskeys: Vec<DnskeyData>,
     /// CDS/CDNSKEY content returned (sorted for comparison).
     pub cds: Vec<CdsSeen>,
@@ -96,10 +78,9 @@ pub struct NsObservation {
 
 /// What the scanner saw for one signal name
 /// (`_dsboot.<zone>._signal.<ns>`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignalObservation {
     /// The NS hostname whose signal subtree was probed.
-    #[serde(serialize_with = "ser_name")]
     pub ns_name: Name,
     /// The signal name could not even be formed (overlong /
     /// in-domain NS).
@@ -113,7 +94,7 @@ pub struct SignalObservation {
 }
 
 /// DNSSEC status per paper §4.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DnssecClass {
     Unsigned,
     Secured,
@@ -130,7 +111,7 @@ pub enum DnssecClass {
 }
 
 /// CDS status per paper §4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CdsClass {
     /// No CDS anywhere.
     Absent,
@@ -149,7 +130,7 @@ pub enum CdsClass {
 
 /// Authenticated-Bootstrapping status per paper §4.3/§4.4 (Table 3's
 /// waterfall).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbClass {
     /// No signal RRs anywhere.
     NoSignal,
@@ -166,7 +147,7 @@ pub enum AbClass {
 }
 
 /// Why a signal-bearing zone cannot be bootstrapped (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CannotReason {
     DeletionRequest,
     ZoneUnsigned,
@@ -177,7 +158,7 @@ pub enum CannotReason {
 }
 
 /// Which RFC 9615 requirement the signal setup violates (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SignalViolation {
     /// A zone cut inside the signal zone path.
     ZoneCut,
@@ -189,16 +170,14 @@ pub enum SignalViolation {
     ContentMismatch,
 }
 
-/// Everything measured about one zone.
-#[derive(Debug, Clone, Serialize)]
+/// Everything measured about one zone. `==` compares every field; the
+/// journal codec (`scan_journal::encode_scan_into`) is its byte form.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZoneScan {
-    #[serde(serialize_with = "ser_name")]
     pub name: Name,
     /// NS hostnames per the registry (parent zone).
-    #[serde(serialize_with = "ser_names")]
     pub ns_names: Vec<Name>,
     /// DS records at the parent.
-    #[serde(skip)]
     pub parent_ds: Vec<DsData>,
     /// Per-address observations.
     pub ns_observations: Vec<NsObservation>,
@@ -223,6 +202,19 @@ pub struct ZoneScan {
 }
 
 impl ZoneScan {
+    /// The evidence plane of this scan: a copy with the cost counters
+    /// (`queries`, `elapsed`, `retry_stats`) zeroed. Caches, retries and
+    /// shard boundaries may change what a scan costs, never what it
+    /// observed or concluded, so evidence comparisons use this.
+    pub fn evidence(&self) -> ZoneScan {
+        ZoneScan {
+            queries: 0,
+            elapsed: 0,
+            retry_stats: RetryStats::default(),
+            ..self.clone()
+        }
+    }
+
     /// All distinct CDS contents seen in-zone (union over NSes).
     pub fn cds_union(&self) -> Vec<CdsSeen> {
         let mut v: Vec<CdsSeen> = Vec::new();
@@ -248,17 +240,6 @@ impl ZoneScan {
     /// Whether any signal RRs were observed.
     pub fn has_signal(&self) -> bool {
         self.signal_observations.iter().any(|s| !s.cds.is_empty())
-    }
-}
-
-// Manual Serialize for Identified so reports can dump JSON.
-impl Serialize for crate::operator::Identified {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        match self {
-            crate::operator::Identified::Single(n) => s.serialize_str(n),
-            crate::operator::Identified::Multi(v) => s.serialize_str(&v.join("+")),
-            crate::operator::Identified::Unknown => s.serialize_str("unknown"),
-        }
     }
 }
 

@@ -50,7 +50,7 @@ fn poisoned_key_cache_entries_are_never_consulted() {
     let zone = secured_zone(&eco);
 
     let clean = scanner_for(&eco).scan_all(std::slice::from_ref(&zone));
-    let baseline = serde_json::to_string(&clean.zones[0]).unwrap();
+    let baseline = &clean.zones[0];
 
     // Attacker-grade inserts: garbage key sets for the validation chain's
     // ancestors, tagged with a provenance that does not contain them.
@@ -78,8 +78,7 @@ fn poisoned_key_cache_entries_are_never_consulted() {
 
     let poisoned = scanner.scan_all(std::slice::from_ref(&zone));
     assert_eq!(
-        baseline,
-        serde_json::to_string(&poisoned.zones[0]).unwrap(),
+        baseline, &poisoned.zones[0],
         "{zone}: poisoned key-cache entries changed the scan outcome"
     );
     assert!(
@@ -96,7 +95,7 @@ fn poisoned_address_cache_entries_are_never_consulted() {
     let op = &eco.operators[truth.operator];
 
     let clean = scanner_for(&eco).scan_all(std::slice::from_ref(&zone));
-    let baseline = serde_json::to_string(&clean.zones[0]).unwrap();
+    let baseline = &clean.zones[0];
 
     // Redirect every NS hostname of the zone's operator to an attacker
     // address — but with a provenance that does not contain the hostname.
@@ -113,8 +112,7 @@ fn poisoned_address_cache_entries_are_never_consulted() {
 
     let poisoned = scanner.scan_all(std::slice::from_ref(&zone));
     assert_eq!(
-        baseline,
-        serde_json::to_string(&poisoned.zones[0]).unwrap(),
+        baseline, &poisoned.zones[0],
         "{zone}: poisoned address-cache entries changed the scan outcome"
     );
     // The attacker address must never have seen a single datagram.
@@ -132,7 +130,7 @@ fn poisoned_delegation_cache_entries_are_never_consulted() {
     let zone = secured_zone(&eco);
 
     let clean = scanner_for(&eco).scan_all(std::slice::from_ref(&zone));
-    let baseline = serde_json::to_string(&clean.zones[0]).unwrap();
+    let baseline = &clean.zones[0];
 
     // Plant referral data redirecting the zone's cut — and its TLD's cut
     // — to an attacker server, tagged with an out-of-bailiwick
@@ -162,8 +160,7 @@ fn poisoned_delegation_cache_entries_are_never_consulted() {
 
     let poisoned = scanner.scan_all(std::slice::from_ref(&zone));
     assert_eq!(
-        baseline,
-        serde_json::to_string(&poisoned.zones[0]).unwrap(),
+        baseline, &poisoned.zones[0],
         "{zone}: poisoned delegation-cache entries changed the scan outcome"
     );
     assert!(

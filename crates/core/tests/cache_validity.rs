@@ -43,7 +43,7 @@ fn expired_key_cache_entries_are_never_consulted() {
     let zone = secured_zone(&eco);
 
     let clean = scanner_for(&eco).scan_all(std::slice::from_ref(&zone));
-    let baseline = serde_json::to_string(&clean.zones[0]).unwrap();
+    let baseline = &clean.zones[0];
 
     // Garbage keys with *correct* provenance but expiry at virtual time
     // zero: every consult happens at clock >= 0, so only the validity
@@ -60,8 +60,7 @@ fn expired_key_cache_entries_are_never_consulted() {
 
     let rescanned = scanner.scan_all(std::slice::from_ref(&zone));
     assert_eq!(
-        baseline,
-        serde_json::to_string(&rescanned.zones[0]).unwrap(),
+        baseline, &rescanned.zones[0],
         "{zone}: an expired key-cache entry was consulted"
     );
     assert!(
@@ -79,14 +78,13 @@ fn unexpired_seeded_keys_are_consulted() {
     let zone = secured_zone(&eco);
 
     let clean = scanner_for(&eco).scan_all(std::slice::from_ref(&zone));
-    let baseline = serde_json::to_string(&clean.zones[0]).unwrap();
+    let baseline = &clean.zones[0];
 
     let scanner = scanner_for(&eco);
     scanner.seed_validated_keys(Name::root(), garbage_keys(), None, netsim::SimMicros::MAX);
     let rescanned = scanner.scan_all(std::slice::from_ref(&zone));
     assert_ne!(
-        baseline,
-        serde_json::to_string(&rescanned.zones[0]).unwrap(),
+        baseline, &rescanned.zones[0],
         "{zone}: a live seeded key set should have altered the outcome"
     );
 }
@@ -99,7 +97,7 @@ fn expired_address_cache_entries_are_refetched() {
     let op = &eco.operators[truth.operator];
 
     let clean = scanner_for(&eco).scan_all(std::slice::from_ref(&zone));
-    let baseline = serde_json::to_string(&clean.zones[0]).unwrap();
+    let baseline = &clean.zones[0];
 
     // Black-hole addresses for every NS hostname of the zone's operator,
     // correct provenance, expired stamp. If any is consulted the zone's
@@ -114,8 +112,7 @@ fn expired_address_cache_entries_are_refetched() {
 
     let rescanned = scanner.scan_all(std::slice::from_ref(&zone));
     assert_eq!(
-        baseline,
-        serde_json::to_string(&rescanned.zones[0]).unwrap(),
+        baseline, &rescanned.zones[0],
         "{zone}: an expired address-cache entry was consulted"
     );
     assert!(!rescanned.zones[0].degraded);
@@ -127,7 +124,7 @@ fn expired_referral_entries_are_rewalked() {
     let zone = secured_zone(&eco);
 
     let clean = scanner_for(&eco).scan_all(std::slice::from_ref(&zone));
-    let baseline = serde_json::to_string(&clean.zones[0]).unwrap();
+    let baseline = &clean.zones[0];
 
     // An expired referral entry for the zone's own cut pointing at a
     // black hole: consulted, it would strand the walk; expired, the walk
@@ -147,8 +144,7 @@ fn expired_referral_entries_are_rewalked() {
 
     let rescanned = scanner.scan_all(std::slice::from_ref(&zone));
     assert_eq!(
-        baseline,
-        serde_json::to_string(&rescanned.zones[0]).unwrap(),
+        baseline, &rescanned.zones[0],
         "{zone}: an expired delegation-cache entry was consulted"
     );
     assert!(!rescanned.zones[0].degraded);

@@ -43,7 +43,7 @@ pub struct ReferralData {
 
 /// Cache inserts performed under one meter — one zone scan's side
 /// effects on shared scanner state — each list in insertion order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheLog {
     /// Validated-key cache: zone apex → its validated DNSKEY set.
     pub key_inserts: Vec<(Name, Arc<Vec<DnskeyData>>)>,

@@ -156,3 +156,46 @@ fn lock_classes_are_the_known_set() {
          second thread reaches it, or delete the line of a lock that left"
     );
 }
+
+/// The evidence has one encoding, the journal codec, and `==` in memory.
+/// The JSON crates stay linked only because the frozen benchmark's
+/// lockfile lists their edges (ROADMAP 7(b)); no source outside the
+/// benchmark may name them, so nothing drifts back to JSON before the
+/// edges go.
+#[test]
+fn evidence_code_does_not_use_serde() {
+    fn walk(dir: &Path, bench: &Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("list directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                if path != bench {
+                    walk(&path, bench, out);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples", "src"] {
+        walk(&root.join(dir), &root.join("crates/bench"), &mut files);
+    }
+    // This file names what it forbids.
+    let this_file = root.join("crates/lint/tests/self_check.rs");
+    files.retain(|f| *f != this_file);
+    assert!(files.len() > 50, "only {} files", files.len());
+    let offenders: Vec<String> = files
+        .iter()
+        .filter(|f| {
+            std::fs::read_to_string(f)
+                .expect("read source")
+                .contains("serde")
+        })
+        .map(|f| f.display().to_string())
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "these files name serde: {offenders:?}"
+    );
+}

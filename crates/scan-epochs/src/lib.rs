@@ -14,7 +14,7 @@
 //! * [`TimeSeries`] — committed [`EpochReport`]s (the full evidence
 //!   table as of each epoch, plus what was re-scanned, what churned and
 //!   which zones are explicit degraded placeholders) and
-//!   [`SkippedEpoch`] markers, with the canonical byte serialization
+//!   [`SkippedEpoch`] markers, with the canonical byte form
 //!   ([`canonical_evidence`], [`TimeSeries::canonical_bytes`]) the
 //!   equivalence and recovery suites compare, and the per-epoch
 //!   adoption-trend table.

@@ -2,48 +2,41 @@
 //!
 //! Every epoch's report is the *full* evidence table as of that epoch —
 //! freshly scanned delta zones plus carried-forward evidence — in
-//! canonical zone order. [`canonical_evidence`] normalizes it exactly
-//! like the evidence-plane invariance suite (`parallel_invariance.rs`):
-//! cost counters zeroed, zones + figure 1 + degradation population
-//! serialized. Two reports with equal canonical bytes are
+//! canonical zone order. [`canonical_evidence`] renders it in the one
+//! byte form a zone has, the journal codec's, over each zone's
+//! [`ZoneScan::evidence`] (cost counters zeroed). Two reports with equal
+//! canonical bytes hold equal zones in every evidence field, so they are
 //! indistinguishable everywhere the paper's analysis looks — which is
 //! what lets the headline test pin each incremental epoch byte-identical
 //! to a cold from-scratch scan of the same world state.
 
-use bootscan::{report, DnssecClass, RetryStats, ScanResults, ZoneScan};
-use bootscan::{AbClass, CdsClass};
+use bootscan::{AbClass, CdsClass, DnssecClass, ZoneScan};
 use dns_wire::name::Name;
+use dns_wire::rdata::hex;
 use netsim::SimMicros;
+use scan_journal::encode_scan_into;
 
-/// The evidence plane of a zone table, serialized canonically. Mirrors
-/// `parallel_invariance.rs::evidence`: cost counters (queries, elapsed,
-/// I/O stats) are exactly what carried caches exist to change, so they
-/// are excluded; everything the classifier concluded is included.
+/// The evidence plane of a zone table: one line per zone, in canonical
+/// order, holding the hex of the journal codec's bytes for the zone's
+/// [`ZoneScan::evidence`]. Cost counters (queries, elapsed, I/O stats)
+/// are exactly what carried caches exist to change, so they are
+/// excluded; every field the scanner observed or concluded is included.
+/// Figure 1 and the degradation population are functions of these
+/// zones, so they add nothing to the string.
 pub fn canonical_evidence(zones: &[ZoneScan]) -> String {
-    let mut zones = zones.to_vec();
-    zones.sort_by(|a, b| a.name.canonical_cmp(&b.name));
-    for z in &mut zones {
-        z.queries = 0;
-        z.elapsed = 0;
-        z.retry_stats = RetryStats::default();
+    let mut sorted: Vec<&ZoneScan> = zones.iter().collect();
+    sorted.sort_by(|a, b| a.name.canonical_cmp(&b.name));
+    let mut out = String::new();
+    let mut buf = Vec::new();
+    for (i, z) in sorted.into_iter().enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        buf.clear();
+        encode_scan_into(&mut buf, &z.evidence());
+        out.push_str(&hex(&buf));
     }
-    let results = ScanResults {
-        zones,
-        simulated_duration: 0,
-        total_queries: 0,
-    };
-    let zones_json = serde_json::to_string(&results.zones).expect("zones serialize");
-    let fig1 = serde_json::to_string(&report::figure1(&results)).expect("figure1 serializes");
-    let deg = report::degradation(&results);
-    let deg_zones: Vec<String> = deg
-        .zones
-        .iter()
-        .map(|z| format!("{}:{:?}", z.name, z.class))
-        .collect();
-    format!(
-        "{zones_json}\n{fig1}\ndegraded={} indeterminate={} {:?}",
-        deg.degraded_zones, deg.indeterminate_zones, deg_zones
-    )
+    out
 }
 
 /// One epoch's complete report.
@@ -215,7 +208,7 @@ impl TimeSeries {
         out
     }
 
-    /// Full deterministic serialization of the series: canonical
+    /// Full deterministic byte form of the series: canonical
     /// evidence plus the cost plane and the fresh/stale/churned sets,
     /// with coalesced observations interleaved at their epoch position
     /// as explicit `SKIPPED` lines. Two series with equal bytes went
@@ -260,4 +253,85 @@ fn push_skipped(out: &mut String, s: &SkippedEpoch) {
         s.behind,
         s.churned.iter().map(|n| n.to_string()).collect::<Vec<_>>(),
     ));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bootscan::types::NsObservation;
+    use bootscan::{Identified, RetryStats};
+    use dns_wire::name;
+    use dns_wire::rdata::{DnskeyData, DsData};
+    use netsim::Addr;
+    use std::net::Ipv4Addr;
+
+    /// A one-zone table: a secured zone with two NS addresses.
+    fn table() -> Vec<ZoneScan> {
+        let observation = |ns: &str, last_octet| NsObservation {
+            ns_name: name!(ns),
+            addr: Addr::V4(Ipv4Addr::new(192, 0, 2, last_octet)),
+            responded: true,
+            soa_present: true,
+            cds_query_error: false,
+            dnskeys: vec![DnskeyData {
+                flags: 257,
+                protocol: 3,
+                algorithm: 13,
+                public_key: vec![7; 32],
+            }],
+            cds: vec![],
+            cds_sig_valid: None,
+            csync_present: false,
+        };
+        vec![ZoneScan {
+            name: name!("a.example"),
+            ns_names: vec![name!("ns1.example"), name!("ns2.example")],
+            parent_ds: vec![DsData {
+                key_tag: 4711,
+                algorithm: 13,
+                digest_type: 2,
+                digest: vec![9; 32],
+            }],
+            ns_observations: vec![observation("ns1.example", 1), observation("ns2.example", 2)],
+            signal_observations: vec![],
+            dnssec: DnssecClass::Secured,
+            cds: CdsClass::Absent,
+            ab: AbClass::NoSignal,
+            operator: Identified::Single("Op".into()),
+            queries: 12,
+            elapsed: 3_000,
+            sampled: false,
+            retry_stats: RetryStats::default(),
+            degraded: false,
+        }]
+    }
+
+    /// The §4.1 classes rest on the parent's DS set and the child's
+    /// DNSKEYs, so a table that differs from another in either, or in
+    /// one NS address, must render differently.
+    #[test]
+    fn canonical_evidence_covers_every_zone_field() {
+        let base = table();
+        let mut no_ds = table();
+        no_ds[0].parent_ds.clear();
+        let mut moved = table();
+        moved[0].ns_observations[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 99));
+        let mut rekeyed = table();
+        rekeyed[0].ns_observations[1].dnskeys[0].public_key[0] ^= 1;
+
+        let expected = canonical_evidence(&base);
+        for (what, other) in [
+            ("parent_ds", no_ds),
+            ("NsObservation::addr", moved),
+            ("NsObservation::dnskeys", rekeyed),
+        ] {
+            assert_ne!(canonical_evidence(&other), expected, "{what}");
+            assert_ne!(other, base, "{what}");
+        }
+        // Cost counters are not evidence.
+        let mut costlier = table();
+        costlier[0].queries += 1;
+        costlier[0].retry_stats.retries = 2;
+        assert_eq!(canonical_evidence(&costlier), expected);
+    }
 }

@@ -24,9 +24,8 @@
 //! digests is FNV-1a over the previous digest (little-endian) followed
 //! by the zone's journal-codec bytes ([`encode_scan_into`]), written
 //! into one buffer reused from zone to zone. The codec carries every
-//! field of a [`ZoneScan`], the ones the JSON reports skip
-//! (`parent_ds`, observation addresses, raw DNSKEYs) included, so two
-//! zones that differ anywhere get different links.
+//! field of a [`ZoneScan`], so two zones that differ anywhere get
+//! different links; the evidence digest hashes [`ZoneScan::evidence`].
 
 use bootscan::report::{DegradationReport, Figure1};
 use bootscan::{
@@ -34,7 +33,6 @@ use bootscan::{
 };
 use dns_wire::name::Name;
 use scan_journal::{encode_scan_into, fnv64, latest_per_zone};
-use serde::Serialize;
 use std::borrow::Cow;
 use std::io;
 
@@ -82,10 +80,9 @@ impl CollectSink {
 }
 
 /// The merged final report: everything the paper's analysis reads,
-/// plus digests strong enough that byte-equality of two serialized
-/// `MergedReport`s implies byte-equality of the full zone streams they
-/// summarize.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+/// plus digests strong enough that equality of two `MergedReport`s
+/// implies equality of the full zone streams they summarize.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MergedReport {
     /// Zones in the merged stream (= seed list size).
     pub zones_total: u64,
@@ -103,7 +100,7 @@ pub struct MergedReport {
     /// Rolling FNV-1a over the full zone records' codec bytes, in
     /// emission order.
     pub zone_stream_digest: u64,
-    /// Same, with cost counters zeroed (the evidence plane).
+    /// Same, over each zone's [`ZoneScan::evidence`].
     pub evidence_digest: u64,
     /// Zones emitted as explicit Indeterminate placeholders because
     /// their shard exhausted its attempt budget. Never silent: each is
@@ -116,8 +113,8 @@ pub struct MergedReport {
 /// Operational (non-deterministic) counters for one fabric run. Kept
 /// separate from [`MergedReport`] on purpose: reassignment counts vary
 /// with scheduling and faults, and must never leak into the
-/// byte-compared report.
-#[derive(Debug, Clone, Default, Serialize)]
+/// compared report.
+#[derive(Debug, Clone, Default)]
 pub struct FabricOps {
     pub workers_spawned: u32,
     pub workers_lost: u32,
@@ -195,13 +192,8 @@ impl StreamingMerge {
         report.degradation.absorb_counters(zone);
         report.zone_stream_digest =
             chain_digest(&mut self.encoded, report.zone_stream_digest, zone);
-        let evidence = ZoneScan {
-            queries: 0,
-            elapsed: 0,
-            retry_stats: RetryStats::default(),
-            ..zone.clone()
-        };
-        report.evidence_digest = chain_digest(&mut self.encoded, report.evidence_digest, &evidence);
+        report.evidence_digest =
+            chain_digest(&mut self.encoded, report.evidence_digest, &zone.evidence());
         sink.on_zone(zone);
     }
 
@@ -343,18 +335,12 @@ mod tests {
             })
             .collect();
         // The digests as they are defined: each link hashes the previous
-        // digest and the zone's codec bytes, the evidence one with the
-        // cost counters zeroed.
+        // digest and the zone's codec bytes, the evidence one those of
+        // the zone's evidence plane.
         let (mut full, mut evidence) = (0u64, 0u64);
         for (_, event) in &events {
             full = fnv64(&[&full.to_le_bytes(), &encoded(&event.scan)]);
-            let costless = ZoneScan {
-                queries: 0,
-                elapsed: 0,
-                retry_stats: RetryStats::default(),
-                ..event.scan.clone()
-            };
-            evidence = fnv64(&[&evidence.to_le_bytes(), &encoded(&costless)]);
+            evidence = fnv64(&[&evidence.to_le_bytes(), &encoded(&event.scan.evidence())]);
         }
         let mut m = StreamingMerge::new();
         m.absorb_shard(&zones, events, false, &mut NullMergeSink)
@@ -365,11 +351,10 @@ mod tests {
         assert_ne!(full, evidence, "the cost counters are in the full digest");
     }
 
-    /// Zones the JSON reports cannot tell apart — they differ only in a
-    /// field the JSON skips — still get different digests. A digest
-    /// over the JSON fails this.
+    /// Zones that differ only in the parent's DS set or in one NS
+    /// address get different digests.
     #[test]
-    fn digests_cover_the_fields_json_skips() {
+    fn digests_cover_parent_ds_and_ns_addresses() {
         use bootscan::types::NsObservation;
         use dns_wire::rdata::DsData;
         use netsim::Addr;
@@ -400,9 +385,7 @@ mod tests {
         };
         let mut moved = base.clone();
         moved.ns_observations[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 2));
-        let json = serde_json::to_string(&base).unwrap();
         for (what, other) in [("parent_ds", with_ds), ("NsObservation::addr", moved)] {
-            assert_eq!(serde_json::to_string(&other).unwrap(), json, "{what}");
             assert_ne!(
                 stream_digest(other),
                 stream_digest(base.clone()),

@@ -1,13 +1,14 @@
 //! Hand-rolled binary codec for [`ZoneEvent`].
 //!
 //! The journal must round-trip *everything* the scanner produced —
-//! including fields the JSON reports skip (`parent_ds`, per-observation
-//! addresses, raw DNSKEYs) — because a resumed run replays these events
-//! to rebuild scanner caches and must then render byte-identical
-//! reports. The serde shims in this workspace only serialize, so the
-//! format here is a small explicit little-endian encoding: fixed-width
-//! integers, length-prefixed byte strings, one tag byte per enum
-//! variant. Framing, checksums, and versioning live in
+//! `parent_ds`, per-observation addresses and raw DNSKEYs included —
+//! because a resumed run replays these events to rebuild scanner caches
+//! and must then render byte-identical reports. The format is a small
+//! explicit little-endian encoding: fixed-width integers,
+//! length-prefixed byte strings, one tag byte per enum variant. It is
+//! also the one byte form of a [`ZoneScan`]: the fabric merge's digests
+//! and `scan_epochs::canonical_evidence` are built from
+//! [`encode_scan_into`]. Framing, checksums, and versioning live in
 //! [`journal`](crate::journal); this module is only the payload.
 
 use bootscan::operator::Identified;
@@ -373,8 +374,8 @@ pub fn encode_event_into(buf: &mut Vec<u8>, event: &ZoneEvent) {
 }
 
 /// Append one zone scan's bytes to `buf`, exactly as they sit inside an
-/// event payload — every field, the JSON-skipped ones included. The
-/// fabric merge's digests hash these bytes.
+/// event payload — every field. The fabric merge's digests hash these
+/// bytes.
 pub fn encode_scan_into(buf: &mut Vec<u8>, scan: &ZoneScan) {
     Enc { buf }.zone_scan(scan);
 }
@@ -726,9 +727,8 @@ pub(crate) mod tests {
     use super::*;
     use dns_wire::name;
 
-    /// An event exercising every field the codec must carry, including
-    /// the serde-skipped ones (`parent_ds`, observation `addr`,
-    /// `dnskeys`) and both `Addr` families.
+    /// An event exercising every field the codec must carry, both `Addr`
+    /// families included.
     pub(crate) fn rich_event() -> ZoneEvent {
         let key = DnskeyData {
             flags: 257,
@@ -867,33 +867,12 @@ pub(crate) mod tests {
         }
     }
 
-    fn assert_events_equal(a: &ZoneEvent, b: &ZoneEvent) {
-        // ZoneScan has no PartialEq; its Serialize impl covers the
-        // report-visible fields, and the skipped fields are compared
-        // explicitly below.
-        assert_eq!(a.pass, b.pass);
-        assert_eq!(a.duration_delta, b.duration_delta);
-        assert_eq!(
-            serde_json::to_string(&a.scan).unwrap(),
-            serde_json::to_string(&b.scan).unwrap()
-        );
-        assert_eq!(a.scan.parent_ds, b.scan.parent_ds);
-        assert_eq!(a.scan.retry_stats, b.scan.retry_stats);
-        for (oa, ob) in a.scan.ns_observations.iter().zip(&b.scan.ns_observations) {
-            assert_eq!(oa.addr, ob.addr);
-            assert_eq!(oa.dnskeys, ob.dnskeys);
-        }
-        assert_eq!(a.effects.key_inserts, b.effects.key_inserts);
-        assert_eq!(a.effects.addr_inserts, b.effects.addr_inserts);
-        assert_eq!(a.effects.referral_inserts, b.effects.referral_inserts);
-    }
-
     #[test]
-    fn event_round_trips_including_skipped_fields() {
+    fn event_round_trips_every_field() {
         let event = rich_event();
         let payload = encode_event(&event);
         let back = decode_event(&payload).expect("decode");
-        assert_events_equal(&event, &back);
+        assert_eq!(event, back);
     }
 
     #[test]
@@ -938,7 +917,7 @@ pub(crate) mod tests {
         };
         let payload = encode_event(&event);
         let back = decode_event(&payload).expect("decode");
-        assert_events_equal(&event, &back);
+        assert_eq!(event, back);
     }
 
     #[test]

@@ -170,15 +170,13 @@ fn main() {
     println!("E1 — Figure 1 (paper: 93.2 % unsigned, 5.5 % secured, 0.2 % invalid,");
     println!("     1.1 % islands; 303.0 k bootstrappable of 3.12 M islands)");
     println!("================================================================");
-    let fig1 = report::figure1(&results);
-    println!("{}", fig1.render());
+    println!("{}", report::figure1(&results).render());
 
     println!("================================================================");
     println!("E2 — Table 1 (top 20 operators by domains; shape: GoDaddy first,");
     println!("     Google/OVH high secured %, WIX 15.7 % islands)");
     println!("================================================================");
-    let t1 = report::table1(&results, 20);
-    println!("{}", report::render_table1(&t1));
+    println!("{}", report::render_table1(&report::table1(&results, 20)));
 
     println!("================================================================");
     println!("E3 — Table 2 (top 20 CDS publishers; shape: Google/WIX/Cloudflare");
@@ -243,8 +241,10 @@ fn main() {
     println!("E7 — scan cost & registry feasibility (paper §3 + Appendix D:");
     println!("     ~20 queries/NS, month-long scan, 1.2 M of 287.6 M need full work)");
     println!("================================================================");
-    let cost = budget::scan_cost(&results, &eco.net.stats().snapshot());
-    println!("{}", cost.render());
+    println!(
+        "{}",
+        budget::scan_cost(&results, &eco.net.stats().snapshot()).render()
+    );
     println!("{}", budget::registry_feasibility(&results).render());
 
     if adv_fraction > 0.0 {
@@ -325,20 +325,5 @@ fn main() {
             out.ops.reassignments,
             out.ops.largest_shard
         );
-    }
-
-    // Machine-readable dump for EXPERIMENTS.md bookkeeping.
-    if std::env::var("BOOTSCAN_JSON").is_ok() {
-        let blob = serde_json::json!({
-            "scale": scale,
-            "figure1": fig1,
-            "table1": t1,
-            "table2": t2,
-            "table3": t3,
-            "cds_census": report::cds_census(&results),
-            "ab_potential": report::ab_potential(&results),
-            "scan_cost": cost,
-        });
-        println!("{}", serde_json::to_string_pretty(&blob).unwrap());
     }
 }

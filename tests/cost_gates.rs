@@ -227,9 +227,8 @@ fn churn_signing_is_bounded_by_changed_owners() {
 
 /// The measured side of ROADMAP item 1: every perf PR appends its
 /// parent and change rows to `BENCH_trajectory.json`. Nothing here
-/// parses JSON (the serde shim only serializes): the file must be
-/// there, hold rows, and name every workload and both revisions of
-/// each PR that appended to it.
+/// parses JSON: the file must be there, hold rows, and name every
+/// workload and both revisions of each PR that appended to it.
 #[test]
 fn bench_trajectory_names_every_workload_and_both_revisions() {
     let text = include_str!("../BENCH_trajectory.json");

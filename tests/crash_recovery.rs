@@ -9,8 +9,10 @@
 //! is exercised across retries, open circuit breakers, degraded zones,
 //! and re-scan passes — not just the happy path.
 
-use bootscan::report;
-use bootscan::{ProgressSink, ScanPolicy, ScanResults, Scanner, ZoneEvent};
+mod common;
+
+use bootscan::report::{self, DegradationReport, Figure1};
+use bootscan::{ProgressSink, ScanPolicy, ScanResults, Scanner, ZoneEvent, ZoneScan};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use netsim::FaultPlan;
 use scan_journal::{
@@ -50,13 +52,12 @@ fn run_dir(case: &str) -> PathBuf {
     d
 }
 
-/// Everything a run's outcome is compared on: the three serialized
-/// reports plus scan totals.
-#[derive(PartialEq)]
+/// Everything a run's outcome is compared on: every field of every
+/// zone, the two reports derived from them, and the scan totals.
 struct Outcome {
-    zones: String,
-    figure1: String,
-    degradation: String,
+    zones: Vec<ZoneScan>,
+    figure1: Figure1,
+    degradation: DegradationReport,
     simulated_duration: u64,
     total_queries: u64,
 }
@@ -64,16 +65,20 @@ struct Outcome {
 impl Outcome {
     fn of(results: &ScanResults) -> Self {
         Outcome {
-            zones: serde_json::to_string(&results.zones).unwrap(),
-            figure1: serde_json::to_string(&report::figure1(results)).unwrap(),
-            degradation: serde_json::to_string(&report::degradation(results)).unwrap(),
+            zones: results.zones.clone(),
+            figure1: report::figure1(results),
+            degradation: report::degradation(results),
             simulated_duration: results.simulated_duration,
             total_queries: results.total_queries,
         }
     }
 
     fn assert_identical(&self, other: &Outcome, what: &str) {
-        assert_eq!(self.zones, other.zones, "{what}: per-zone reports differ");
+        common::assert_same_zones(
+            &self.zones,
+            &other.zones,
+            &format!("{what}: per-zone reports differ"),
+        );
         assert_eq!(self.figure1, other.figure1, "{what}: figure 1 differs");
         assert_eq!(
             self.degradation, other.degradation,

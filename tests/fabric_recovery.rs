@@ -13,7 +13,9 @@
 //! open breakers, degraded zones, re-scan passes all exercised), scaled
 //! up to the paper's 1:10,000 world in release builds.
 
-use bootscan::{report, RetryStats, ScanPolicy, Scanner, ZoneScan};
+mod common;
+
+use bootscan::{report, ScanPolicy, Scanner, ZoneScan};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use netsim::FaultPlan;
 use scan_fabric::{
@@ -71,8 +73,8 @@ fn run_dir(case: &str) -> PathBuf {
     d
 }
 
-/// One full fabric run against a fresh chaos world: (serialized merged
-/// report, ops counters, collected zone stream).
+/// One full fabric run against a fresh chaos world: (merged report, ops
+/// counters, collected zone stream).
 fn fabric_run(
     workers: usize,
     faults: FabricFaultPlan,
@@ -97,24 +99,9 @@ fn fabric_run(
     (out.report, out.ops, sink.zones)
 }
 
-fn report_bytes(report: &MergedReport) -> String {
-    serde_json::to_string(report).expect("report serializes")
-}
-
-/// A zone's evidence-plane serialization (cost counters zeroed — the
-/// PR-4 cache contract: caches may change costs, never evidence).
-fn evidence_of(zone: &ZoneScan) -> String {
-    let mut z = zone.clone();
-    z.queries = 0;
-    z.elapsed = 0;
-    z.retry_stats = RetryStats::default();
-    serde_json::to_string(&z).expect("zone serializes")
-}
-
 #[test]
 fn merged_report_is_byte_identical_across_worker_counts() {
     let (reference, ops, zones) = fabric_run(1, FabricFaultPlan::none(), "wc-1");
-    let expected = report_bytes(&reference);
     assert!(reference.zones_total > 0, "fabric scanned nothing");
     assert_eq!(zones.len() as u64, reference.zones_total);
     assert!(reference.abandoned_zones.is_empty());
@@ -122,8 +109,7 @@ fn merged_report_is_byte_identical_across_worker_counts() {
     for workers in [2, 4, 8] {
         let (got, ops, _) = fabric_run(workers, FabricFaultPlan::none(), &format!("wc-{workers}"));
         assert_eq!(
-            expected,
-            report_bytes(&got),
+            reference, got,
             "merged report diverged at {workers} workers"
         );
         assert_eq!(ops.workers_lost, 0);
@@ -163,29 +149,29 @@ fn fabric_matches_the_classic_scanner_on_the_evidence_plane() {
     let (merged, fabric_zones) = (out.report, sink.zones);
     assert_eq!(fabric_zones.len(), classic.zones.len());
 
-    let collect = |zones: &[ZoneScan]| -> Vec<String> {
-        let mut v: Vec<(Vec<u8>, String)> = zones
-            .iter()
-            .map(|z| (z.name.to_wire(), evidence_of(z)))
-            .collect();
-        v.sort();
-        v.into_iter().map(|(_, e)| e).collect()
+    // Caches may change costs, never evidence: compare each zone's
+    // evidence plane, in one order for both.
+    let collect = |zones: &[ZoneScan]| -> Vec<ZoneScan> {
+        let mut v: Vec<ZoneScan> = zones.iter().map(ZoneScan::evidence).collect();
+        v.sort_by_key(|z| z.name.to_wire());
+        v
     };
-    assert_eq!(
-        collect(&classic.zones),
-        collect(&fabric_zones),
-        "fabric evidence plane diverged from the classic scanner"
+    common::assert_same_zones(
+        &collect(&classic.zones),
+        &collect(&fabric_zones),
+        "fabric evidence plane diverged from the classic scanner",
     );
     // Derived report artifacts agree too.
-    let classic_fig1 = serde_json::to_string(&report::figure1(&classic)).unwrap();
-    let fabric_fig1 = serde_json::to_string(&merged.figure1).unwrap();
-    assert_eq!(classic_fig1, fabric_fig1, "figure 1 diverged");
+    assert_eq!(
+        report::figure1(&classic),
+        merged.figure1,
+        "figure 1 diverged"
+    );
 }
 
 #[test]
 fn worker_kills_at_every_point_merge_byte_identically() {
     let (reference, _, _) = fabric_run(4, FabricFaultPlan::none(), "kill-ref");
-    let expected = report_bytes(&reference);
 
     // Enumerate kill points from the actual shard geometry so every
     // injected fault genuinely fires: first event, last event, and
@@ -234,11 +220,7 @@ fn worker_kills_at_every_point_merge_byte_identically() {
     for (tag, shard, fault) in &cases {
         let faults = FabricFaultPlan::none().with_fault(*shard, 0, *fault);
         let (got, ops, _) = fabric_run(4, faults, &format!("kill-{tag}"));
-        assert_eq!(
-            expected,
-            report_bytes(&got),
-            "merged report diverged after kill {tag}"
-        );
+        assert_eq!(reference, got, "merged report diverged after kill {tag}");
         // Every derived kill point must cost exactly one worker its life
         // (an exit reported twice, or a shutdown counted as a death,
         // would read more), refill the fleet once, and force a shard
@@ -254,14 +236,12 @@ fn worker_kills_at_every_point_merge_byte_identically() {
 #[test]
 fn seeded_fault_storms_merge_byte_identically() {
     let (reference, _, _) = fabric_run(4, FabricFaultPlan::none(), "storm-ref");
-    let expected = report_bytes(&reference);
     for seed in [1u64, 2, 3] {
         let faults = FabricFaultPlan::seeded(seed, SHARDS, 4);
         assert!(faults.injected() > 0, "seed {seed} injected nothing");
         let (got, _, _) = fabric_run(4, faults, &format!("storm-{seed}"));
         assert_eq!(
-            expected,
-            report_bytes(&got),
+            reference, got,
             "merged report diverged under seeded fault storm {seed}"
         );
     }
@@ -270,7 +250,6 @@ fn seeded_fault_storms_merge_byte_identically() {
 #[test]
 fn permanently_dead_workers_lose_no_work() {
     let (reference, _, _) = fabric_run(4, FabricFaultPlan::none(), "dead-ref");
-    let expected = report_bytes(&reference);
 
     // One worker dead on arrival; then half the fleet.
     for (tag, faults) in [
@@ -279,8 +258,7 @@ fn permanently_dead_workers_lose_no_work() {
     ] {
         let (got, ops, _) = fabric_run(4, faults, &format!("dead-{tag}"));
         assert_eq!(
-            expected,
-            report_bytes(&got),
+            reference, got,
             "survivors failed to reproduce the report ({tag} dead)"
         );
         assert!(ops.workers_lost >= 1, "{tag}: dead worker not observed");
@@ -292,7 +270,6 @@ fn permanently_dead_workers_lose_no_work() {
 #[test]
 fn hung_workers_are_fenced_and_their_shards_stolen() {
     let (reference, _, _) = fabric_run(4, FabricFaultPlan::none(), "stall-ref");
-    let expected = report_bytes(&reference);
 
     let eco = fresh_world();
     let seeds = eco.seeds.compile(&eco.psl);
@@ -304,8 +281,7 @@ fn hung_workers_are_fenced_and_their_shards_stolen() {
     let faults = FabricFaultPlan::none().with_fault(shard, 0, WorkerFault::Stall { at_event: 1 });
     let (got, ops, _) = fabric_run(4, faults, "stall");
     assert_eq!(
-        expected,
-        report_bytes(&got),
+        reference, got,
         "lease expiry + steal diverged from the reference report"
     );
     assert!(
@@ -319,13 +295,12 @@ fn hung_workers_are_fenced_and_their_shards_stolen() {
 #[test]
 fn slow_drain_workers_are_not_mistaken_for_dead() {
     let (reference, _, _) = fabric_run(4, FabricFaultPlan::none(), "slow-ref");
-    let expected = report_bytes(&reference);
     let mut faults = FabricFaultPlan::none();
     for shard in 0..SHARDS {
         faults = faults.with_fault(shard, 0, WorkerFault::SlowDrain);
     }
     let (got, ops, _) = fabric_run(4, faults, "slow");
-    assert_eq!(expected, report_bytes(&got));
+    assert_eq!(reference, got);
     // Heartbeats must have kept every lease alive.
     assert_eq!(ops.lease_expiries, 0, "a heartbeating worker was expired");
     assert_eq!(ops.workers_lost, 0);
@@ -406,7 +381,7 @@ fn paper_scale_fabric_is_worker_count_and_fault_invariant() {
     let factory = scanner_factory(&eco);
     let seeds = eco.seeds.compile(&eco.psl);
 
-    let run = |workers: usize, faults: &FabricFaultPlan, case: &str| -> (String, FabricOps) {
+    let run = |workers: usize, faults: &FabricFaultPlan, case: &str| -> (MergedReport, FabricOps) {
         let dir = run_dir(case);
         let out = run_fabric(
             &factory,
@@ -419,7 +394,7 @@ fn paper_scale_fabric_is_worker_count_and_fault_invariant() {
         )
         .expect("fabric run");
         let _ = fs::remove_dir_all(&dir);
-        (report_bytes(&out.report), out.ops)
+        (out.report, out.ops)
     };
 
     let (reference, ops) = run(1, &FabricFaultPlan::none(), "paper-1w");

@@ -8,14 +8,18 @@
 //! queries without renumbering the surviving ones, and every cache
 //! value is a pure function of the world, so it does not matter which
 //! zone's walk populated an entry first. These tests pin that contract:
-//! the evidence plane of the reports (observations, classifications,
-//! report artifacts) is byte-identical across worker counts 1/4/8 and
+//! the evidence plane of the reports (every observed and concluded field
+//! of every zone, and the report artifacts) is identical across worker
+//! counts 1/4/8 and
 //! across cold vs pre-warmed caches, in both the benign and the
 //! adversarial worlds. Cost counters (queries, elapsed, I/O stats) are
 //! exactly what the caches exist to change, so they are excluded here
 //! — and the warm-cache test asserts they actually *drop*.
 
-use bootscan::{report, RetryStats, ScanPolicy, ScanResults, Scanner};
+mod common;
+
+use bootscan::report::{self, Figure1};
+use bootscan::{DnssecClass, ScanPolicy, ScanResults, Scanner, ZoneScan};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use std::sync::Arc;
 
@@ -37,32 +41,38 @@ fn cold_scan(cfg: EcosystemConfig, parallelism: usize) -> ScanResults {
     scanner.scan_all(&seeds)
 }
 
-/// The evidence plane of a scan, serialized: per-zone observations and
-/// classifications with the cost counters zeroed, plus the derived
-/// report artifacts. Two scans with equal evidence strings produce
-/// byte-identical reports everywhere the paper's analysis looks.
-fn evidence(results: &ScanResults) -> String {
-    let mut zones = results.zones.clone();
-    for z in &mut zones {
-        z.queries = 0;
-        z.elapsed = 0;
-        z.retry_stats = RetryStats::default();
-    }
-    let zones = serde_json::to_string(&zones).expect("zones serialize");
-    let fig1 = serde_json::to_string(&report::figure1(results)).expect("figure1 serializes");
-    // The degradation report's *population* (which zones, which class)
-    // is evidence; its failure counters are I/O cost (a warm cache
-    // legitimately times out less before a budget cap bites).
+/// The evidence plane of a scan: every zone's [`ZoneScan::evidence`]
+/// (cost counters zeroed), plus the derived report artifacts. Two scans
+/// with equal evidence produce identical reports everywhere the paper's
+/// analysis looks.
+struct Evidence {
+    zones: Vec<ZoneScan>,
+    figure1: Figure1,
+    /// The degradation report's *population* (which zones, which class,
+    /// and the degraded and indeterminate counts); its failure counters
+    /// are I/O cost (a warm cache legitimately times out less before a
+    /// budget cap bites).
+    degraded: (u64, u64, Vec<(String, DnssecClass)>),
+}
+
+fn evidence(results: &ScanResults) -> Evidence {
     let deg = report::degradation(results);
-    let deg_zones: Vec<String> = deg
-        .zones
-        .iter()
-        .map(|z| format!("{}:{:?}", z.name, z.class))
-        .collect();
-    format!(
-        "{zones}\n{fig1}\ndegraded={} indeterminate={} {:?}",
-        deg.degraded_zones, deg.indeterminate_zones, deg_zones
-    )
+    Evidence {
+        zones: results.zones.iter().map(ZoneScan::evidence).collect(),
+        figure1: report::figure1(results),
+        degraded: (
+            deg.degraded_zones,
+            deg.indeterminate_zones,
+            deg.zones.into_iter().map(|z| (z.name, z.class)).collect(),
+        ),
+    }
+}
+
+#[track_caller]
+fn assert_same_evidence(expected: &Evidence, got: &Evidence, what: &str) {
+    common::assert_same_zones(&expected.zones, &got.zones, what);
+    assert_eq!(expected.figure1, got.figure1, "{what}: figure 1");
+    assert_eq!(expected.degraded, got.degraded, "{what}: degradation");
 }
 
 #[test]
@@ -70,9 +80,10 @@ fn benign_evidence_is_invariant_across_parallelism() {
     let base = evidence(&cold_scan(EcosystemConfig::tiny(42), 1));
     for parallelism in [4, 8] {
         let got = evidence(&cold_scan(EcosystemConfig::tiny(42), parallelism));
-        assert_eq!(
-            base, got,
-            "evidence plane diverged at parallelism {parallelism}"
+        assert_same_evidence(
+            &base,
+            &got,
+            &format!("evidence plane diverged at parallelism {parallelism}"),
         );
     }
 }
@@ -83,9 +94,10 @@ fn adversarial_evidence_is_invariant_across_parallelism() {
     let base = evidence(&cold_scan(cfg(), 1));
     for parallelism in [4, 8] {
         let got = evidence(&cold_scan(cfg(), parallelism));
-        assert_eq!(
-            base, got,
-            "adversarial evidence plane diverged at parallelism {parallelism}"
+        assert_same_evidence(
+            &base,
+            &got,
+            &format!("adversarial evidence plane diverged at parallelism {parallelism}"),
         );
     }
 }
@@ -99,10 +111,10 @@ fn prewarmed_caches_change_cost_not_evidence() {
     let seeds = eco.seeds.compile(&eco.psl);
     let cold = scanner.scan_all(&seeds);
     let warm = scanner.scan_all(&seeds);
-    assert_eq!(
-        evidence(&cold),
-        evidence(&warm),
-        "cache temperature leaked into the evidence plane"
+    assert_same_evidence(
+        &evidence(&cold),
+        &evidence(&warm),
+        "cache temperature leaked into the evidence plane",
     );
     // The caches must actually bite: a warm walk skips the whole
     // root-down descent, so the warm scan is strictly cheaper.
@@ -124,10 +136,10 @@ fn prewarmed_caches_are_invariant_under_parallel_rescan() {
     let seeds = eco.seeds.compile(&eco.psl);
     let _warmup = scanner.scan_all(&seeds);
     let warm = scanner.scan_all(&seeds);
-    assert_eq!(
-        reference,
-        evidence(&warm),
-        "warm parallel scan diverged from the cold sequential reference"
+    assert_same_evidence(
+        &reference,
+        &evidence(&warm),
+        "warm parallel scan diverged from the cold sequential reference",
     );
 }
 
@@ -139,9 +151,9 @@ fn adversarial_prewarm_changes_cost_not_evidence() {
     let seeds = eco.seeds.compile(&eco.psl);
     let cold = scanner.scan_all(&seeds);
     let warm = scanner.scan_all(&seeds);
-    assert_eq!(
-        evidence(&cold),
-        evidence(&warm),
-        "adversarial cache temperature leaked into the evidence plane"
+    assert_same_evidence(
+        &evidence(&cold),
+        &evidence(&warm),
+        "adversarial cache temperature leaked into the evidence plane",
     );
 }
