@@ -99,7 +99,10 @@ impl OperatorTable {
             // One known operator plus unknown NSes: ambiguous — the paper
             // tags these as unknown rather than guessing.
             (1, true) => Identified::Unknown,
-            _ => Identified::Multi(ops),
+            _ => {
+                ops.shrink_to_fit();
+                Identified::Multi(ops)
+            }
         }
     }
 }

@@ -566,8 +566,10 @@ impl Scanner {
         }
         let sampled = self.apply_sampling(zone, &mut targets);
 
-        // 3. Per-address DNSSEC/CDS observations.
-        let mut observations = Vec::new();
+        // 3. Per-address DNSSEC/CDS observations. Every vector a
+        // `ZoneScan` keeps is exactly sized: results live for the whole
+        // scan, one per zone.
+        let mut observations = Vec::with_capacity(targets.len());
         let mut cds_verdicts = Vec::new();
         for (ns, addr) in &targets {
             observations.push(self.observe_address(probe, zone, ns, *addr, &mut cds_verdicts));
@@ -583,10 +585,10 @@ impl Scanner {
         };
 
         // 4. Signal probes.
-        let mut signal_observations = Vec::new();
-        for ns in &ns_names {
-            signal_observations.push(self.probe_signal(probe, zone, ns));
-        }
+        let signal_observations: Vec<SignalObservation> = ns_names
+            .iter()
+            .map(|ns| self.probe_signal(probe, zone, ns))
+            .collect();
 
         // 5. Classify. First fold in hostile events the client/resolver
         // observed silently (stripped foreign records, loop detections
@@ -750,8 +752,10 @@ impl Scanner {
                 }
             }
         }
+        obs.dnskeys.shrink_to_fit();
         obs.cds.sort();
         obs.cds.dedup();
+        obs.cds.shrink_to_fit();
         // CSYNC (RFC 7477) — the other child→parent channel (paper §6).
         if let Some(msg) = self.query(probe, addr, zone, RecordType::Csync) {
             obs.csync_present = msg
@@ -875,6 +879,7 @@ impl Scanner {
         }
         obs.cds.sort();
         obs.cds.dedup();
+        obs.cds.shrink_to_fit();
         // Zone-cut probe runs regardless of whether signal records were
         // found: the parked-typo-NS case (§4.4) answers CDS queries with
         // nothing while faking NS RRsets at every label.
@@ -979,7 +984,7 @@ impl Scanner {
     ) -> ScanResults {
         let mut base_duration: SimMicros = 0;
         let mut completed: HashSet<Name> = HashSet::new();
-        let mut zones: Vec<ZoneScan> = Vec::new();
+        let mut zones: Vec<ZoneScan> = Vec::with_capacity(seeds.len());
         if let Some(resume) = resume {
             base_duration = resume.duration_so_far;
             for z in resume.zones {
@@ -1064,6 +1069,9 @@ impl Scanner {
             }
         }
 
+        // Exact already unless a sink stopped the scan early or the
+        // resumed zones were not all seeds.
+        zones.shrink_to_fit();
         let total_queries = zones.iter().map(|z| z.queries as u64).sum();
         ScanResults {
             zones,

@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 use std::net::{Ipv4Addr, Ipv6Addr};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Public view of one operator after building.
 #[derive(Debug, Clone)]
@@ -237,14 +237,24 @@ pub fn build(cfg: EcosystemConfig) -> Ecosystem {
     }
 }
 
+/// The SOA MNAME and RNAME of every generated zone, parsed once: each
+/// zone's SOA holds clones, which share one buffer per name.
+static SOA_NAMES: LazyLock<(Name, Name)> = LazyLock::new(|| {
+    (
+        Name::parse("ns.invalid").expect("valid SOA MNAME literal"),
+        Name::parse("hostmaster.invalid").expect("valid SOA RNAME literal"),
+    )
+});
+
 /// The SOA every generated zone carries.
 pub(crate) fn soa(apex: &Name) -> Record {
+    let (mname, rname) = &*SOA_NAMES;
     Record::new(
         apex.clone(),
         3600,
         RData::Soa(SoaData {
-            mname: Name::parse("ns.invalid").unwrap(),
-            rname: Name::parse("hostmaster.invalid").unwrap(),
+            mname: mname.clone(),
+            rname: rname.clone(),
             serial: 20_250_401,
             refresh: 7200,
             retry: 3600,

@@ -430,15 +430,22 @@ impl Resolver {
             // walks can skip this hop, and record the same allocation in
             // the chain. Inserts overwrite (an unusable poisoned entry is
             // replaced by the organic re-fetch, exactly like the address
-            // cache) and are logged to the meter for journal replay.
-            let data = Arc::new(ReferralData {
+            // cache) and are logged to the meter for journal replay. The
+            // entry lives as long as the scanner, so its lists are
+            // exactly sized.
+            let mut data = ReferralData {
                 parent_apex: zone_apex,
                 ns_names,
                 ds: if ds.is_empty() { None } else { Some(ds) },
                 ds_rrsigs,
                 child_servers: addrs.clone(),
                 parent_servers: servers,
-            });
+            };
+            data.ns_names.shrink_to_fit();
+            data.ds.iter_mut().for_each(Vec::shrink_to_fit);
+            data.ds_rrsigs.shrink_to_fit();
+            data.parent_servers.shrink_to_fit();
+            let data = Arc::new(data);
             self.delegations.insert_tagged(
                 cut.clone(),
                 Arc::clone(&data),

@@ -4,7 +4,7 @@
 //! paper's §4 catalogues.
 
 use crate::keys::ZoneKeys;
-use crate::zone::{CanonicalName, Zone};
+use crate::zone::{CanonicalName, Node, Zone};
 use dns_crypto::sign::{sign_rrset, ValidityWindow};
 use dns_crypto::UnixTime;
 use dns_wire::canonical::canonical_rrset_wire;
@@ -202,7 +202,7 @@ impl ZoneSigner {
         let sets: Vec<RrSet> = zone
             .node(owner)
             .into_iter()
-            .flat_map(|node| node.rrsets.values())
+            .flat_map(Node::rrsets)
             .filter(|set| !is_cut || matches!(set.rtype, RecordType::Ds | RecordType::Nsec))
             .cloned()
             .collect();

@@ -4,7 +4,7 @@ use dns_wire::name::{Name, NameMap};
 use dns_wire::rdata::RData;
 use dns_wire::record::{Record, RecordClass, RecordType, RrSet};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Wrapper giving [`Name`] the RFC 4034 §6.1 canonical ordering, so the
 /// zone's name index iterates in NSEC-chain order.
@@ -24,21 +24,38 @@ impl Ord for CanonicalName {
 }
 
 /// One node: the RRsets present at a single owner name.
+///
+/// A zone holds hundreds of thousands of nodes, most with one to four
+/// RRsets, so a node is one `Vec` sorted by type code and exactly sized
+/// (no spare slot), and each RRset's `rdatas` is exactly sized too.
+/// Only [`Zone::add`] and [`Zone::remove_rrset`] edit a node, and both
+/// keep the two invariants.
 #[derive(Debug, Clone, Default)]
 pub struct Node {
-    /// RRsets keyed by type code.
-    pub rrsets: BTreeMap<u16, RrSet>,
+    /// RRsets in ascending type-code order, at most one per type.
+    rrsets: Vec<RrSet>,
 }
 
 impl Node {
-    /// The RRset of `rtype`, if present.
-    pub fn rrset(&self, rtype: RecordType) -> Option<&RrSet> {
-        self.rrsets.get(&rtype.code())
+    /// The RRsets, in ascending type-code order. A `&Vec`, not a slice,
+    /// so footprint accounting can read the capacity.
+    pub fn rrsets(&self) -> &Vec<RrSet> {
+        &self.rrsets
     }
 
-    /// Types present at this node.
+    /// Where the RRset of type code `code` is, or would be inserted.
+    fn slot(&self, code: u16) -> Result<usize, usize> {
+        self.rrsets.binary_search_by_key(&code, |s| s.rtype.code())
+    }
+
+    /// The RRset of `rtype`, if present.
+    pub fn rrset(&self, rtype: RecordType) -> Option<&RrSet> {
+        self.slot(rtype.code()).ok().map(|i| &self.rrsets[i])
+    }
+
+    /// Types present at this node, in ascending type-code order.
     pub fn types(&self) -> impl Iterator<Item = RecordType> + '_ {
-        self.rrsets.keys().map(|&c| RecordType::from_code(c))
+        self.rrsets.iter().map(|s| s.rtype)
     }
 }
 
@@ -98,6 +115,10 @@ impl Zone {
     }
 
     /// Add one record. Records outside the apex are rejected with `false`.
+    ///
+    /// Both the node's RRset list and the RRset's `rdatas` grow by exactly
+    /// one slot: most RRsets hold one record, and a doubling `Vec` would
+    /// leave three empty 96-byte `RData` slots behind in each.
     pub fn add(&mut self, record: Record) -> bool {
         if !record.name.is_subdomain_of(&self.apex) {
             return false;
@@ -106,18 +127,25 @@ impl Zone {
             self.order.insert(CanonicalName(record.name.clone()));
             Node::default()
         });
-        let set = node
-            .rrsets
-            .entry(record.rtype().code())
-            .or_insert_with(|| RrSet {
-                name: record.name.clone(),
-                class: record.class,
-                rtype: record.rtype(),
-                ttl: record.ttl,
-                rdatas: Vec::new(),
-            });
+        let rtype = record.rtype();
+        let i = node.slot(rtype.code()).unwrap_or_else(|i| {
+            node.rrsets.reserve_exact(1);
+            node.rrsets.insert(
+                i,
+                RrSet {
+                    name: record.name.clone(),
+                    class: record.class,
+                    rtype,
+                    ttl: record.ttl,
+                    rdatas: Vec::new(),
+                },
+            );
+            i
+        });
+        let set = &mut node.rrsets[i];
         set.ttl = set.ttl.min(record.ttl);
         if !set.rdatas.contains(&record.rdata) {
+            set.rdatas.reserve_exact(1);
             set.rdatas.push(record.rdata);
         }
         true
@@ -132,15 +160,18 @@ impl Zone {
             .count()
     }
 
-    /// Remove an entire RRset; returns it if present.
+    /// Remove an entire RRset; returns it if present. The node keeps no
+    /// spare slot for it.
     pub fn remove_rrset(&mut self, name: &Name, rtype: RecordType) -> Option<RrSet> {
         let node = self.nodes.get_mut(name)?;
-        let set = node.rrsets.remove(&rtype.code());
+        let set = node.rrsets.remove(node.slot(rtype.code()).ok()?);
         if node.rrsets.is_empty() {
             self.nodes.remove(name);
             self.order.remove(&CanonicalName(name.clone()));
+        } else {
+            node.rrsets.shrink_to_fit();
         }
-        set
+        Some(set)
     }
 
     /// The node at exactly `name`, if any RRset exists there.
@@ -172,7 +203,7 @@ impl Zone {
     /// All records, flattened, canonical owner order.
     pub fn records(&self) -> Vec<Record> {
         self.nodes()
-            .flat_map(|(_, node)| node.rrsets.values())
+            .flat_map(|(_, node)| node.rrsets.iter())
             .flat_map(|set| set.records())
             .collect()
     }
@@ -180,7 +211,7 @@ impl Zone {
     /// Total record count.
     pub fn record_count(&self) -> usize {
         self.nodes()
-            .flat_map(|(_, n)| n.rrsets.values())
+            .flat_map(|(_, n)| n.rrsets.iter())
             .map(|s| s.rdatas.len())
             .sum()
     }
@@ -607,6 +638,63 @@ mod tests {
         assert!(z
             .remove_rrset(&name!("www.example.ch"), RecordType::A)
             .is_none());
+    }
+
+    fn spare_slots(z: &Zone) -> usize {
+        z.nodes()
+            .map(|(_, n)| {
+                let sets = n.rrsets.capacity() - n.rrsets.len();
+                let rdatas: usize = n
+                    .rrsets
+                    .iter()
+                    .map(|s| s.rdatas.capacity() - s.rdatas.len())
+                    .sum();
+                sets + rdatas
+            })
+            .sum()
+    }
+
+    #[test]
+    fn add_keeps_rrsets_sorted_by_type_code_and_exactly_sized() {
+        let mut z = test_zone();
+        let apex = name!("example.ch");
+        // Out of type-code order: TXT (16), A (1), MX (15) after SOA/NS.
+        for rdata in [
+            RData::Txt(vec![b"v=1".to_vec()]),
+            RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+            RData::A(Ipv4Addr::new(192, 0, 2, 2)),
+            RData::Mx {
+                preference: 10,
+                exchange: name!("mx.example.ch"),
+            },
+        ] {
+            z.add(Record::new(apex.clone(), 300, rdata));
+        }
+        let node = z.node(&apex).unwrap();
+        let codes: Vec<u16> = node.types().map(RecordType::code).collect();
+        assert_eq!(codes, [1, 2, 6, 15, 16]);
+        assert_eq!(node.rrset(RecordType::A).unwrap().rdatas.len(), 2);
+        assert!(node.rrset(RecordType::Aaaa).is_none());
+        assert_eq!(spare_slots(&z), 0);
+    }
+
+    #[test]
+    fn remove_rrset_leaves_no_spare_slot() {
+        let mut z = test_zone();
+        let apex = name!("example.ch");
+        z.add(Record::new(
+            apex.clone(),
+            300,
+            RData::A(Ipv4Addr::new(192, 0, 2, 1)),
+        ));
+        assert!(z.remove_rrset(&apex, RecordType::Ns).is_some());
+        assert!(z.remove_rrset(&apex, RecordType::Mx).is_none());
+        let node = z.node(&apex).unwrap();
+        assert_eq!(
+            node.types().collect::<Vec<_>>(),
+            [RecordType::A, RecordType::Soa]
+        );
+        assert_eq!(spare_slots(&z), 0);
     }
 
     #[test]

@@ -433,6 +433,18 @@ impl<'a> Dec<'a> {
         }
         Ok(n)
     }
+    /// A counted list, allocated at exactly its length: decoded scans are
+    /// held for the whole study, so a doubling `Vec` would keep its spare
+    /// slots that long. Every item takes at least one byte, so `count`'s
+    /// bound caps the reservation.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let n = self.count()?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(item(self)?);
+        }
+        Ok(v)
+    }
     fn bytes(&mut self) -> Result<Vec<u8>> {
         let n = self.count()?;
         Ok(self.take(n)?.to_vec())
@@ -453,8 +465,7 @@ impl<'a> Dec<'a> {
         Name::from_labels(labels).map_err(|_| CodecError::BadName)
     }
     fn names(&mut self) -> Result<Vec<Name>> {
-        let n = self.count()?;
-        (0..n).map(|_| self.name()).collect()
+        self.list(Self::name)
     }
     fn addr(&mut self) -> Result<Addr> {
         match self.u8()? {
@@ -499,8 +510,7 @@ impl<'a> Dec<'a> {
         })
     }
     fn addrs(&mut self) -> Result<Vec<Addr>> {
-        let n = self.count()?;
-        (0..n).map(|_| self.addr()).collect()
+        self.list(Self::addr)
     }
     fn referral(&mut self) -> Result<ReferralData> {
         Ok(ReferralData {
@@ -508,16 +518,10 @@ impl<'a> Dec<'a> {
             ns_names: self.names()?,
             ds: match self.u8()? {
                 0 => None,
-                1 => {
-                    let n = self.count()?;
-                    Some((0..n).map(|_| self.ds()).collect::<Result<_>>()?)
-                }
+                1 => Some(self.list(Self::ds)?),
                 t => return Err(CodecError::BadTag("referral ds presence", t)),
             },
-            ds_rrsigs: {
-                let n = self.count()?;
-                (0..n).map(|_| self.rrsig()).collect::<Result<_>>()?
-            },
+            ds_rrsigs: self.list(Self::rrsig)?,
             child_servers: self.addrs()?,
             parent_servers: self.addrs()?,
         })
@@ -539,8 +543,7 @@ impl<'a> Dec<'a> {
         }
     }
     fn cds_list(&mut self) -> Result<Vec<CdsSeen>> {
-        let n = self.count()?;
-        (0..n).map(|_| self.cds_seen()).collect()
+        self.list(Self::cds_seen)
     }
     fn ns_observation(&mut self) -> Result<NsObservation> {
         Ok(NsObservation {
@@ -549,10 +552,7 @@ impl<'a> Dec<'a> {
             responded: self.boolean()?,
             soa_present: self.boolean()?,
             cds_query_error: self.boolean()?,
-            dnskeys: {
-                let n = self.count()?;
-                (0..n).map(|_| self.dnskey()).collect::<Result<_>>()?
-            },
+            dnskeys: self.list(Self::dnskey)?,
             cds: self.cds_list()?,
             cds_sig_valid: self.opt_bool()?,
             csync_present: self.boolean()?,
@@ -617,10 +617,7 @@ impl<'a> Dec<'a> {
         Ok(match self.u8()? {
             0 => Identified::Unknown,
             1 => Identified::Single(self.string()?),
-            2 => {
-                let n = self.count()?;
-                Identified::Multi((0..n).map(|_| self.string()).collect::<Result<_>>()?)
-            }
+            2 => Identified::Multi(self.list(Self::string)?),
             t => return Err(CodecError::BadTag("identified", t)),
         })
     }
@@ -653,22 +650,9 @@ impl<'a> Dec<'a> {
         Ok(ZoneScan {
             name: self.name()?,
             ns_names: self.names()?,
-            parent_ds: {
-                let n = self.count()?;
-                (0..n).map(|_| self.ds()).collect::<Result<_>>()?
-            },
-            ns_observations: {
-                let n = self.count()?;
-                (0..n)
-                    .map(|_| self.ns_observation())
-                    .collect::<Result<_>>()?
-            },
-            signal_observations: {
-                let n = self.count()?;
-                (0..n)
-                    .map(|_| self.signal_observation())
-                    .collect::<Result<_>>()?
-            },
+            parent_ds: self.list(Self::ds)?,
+            ns_observations: self.list(Self::ns_observation)?,
+            signal_observations: self.list(Self::signal_observation)?,
             dnssec: self.dnssec_class()?,
             cds: self.cds_class()?,
             ab: self.ab_class()?,
@@ -685,9 +669,8 @@ impl<'a> Dec<'a> {
         let n = self.count()?;
         for _ in 0..n {
             let name = self.name()?;
-            let k = self.count()?;
-            let keys = (0..k).map(|_| self.dnskey()).collect::<Result<_>>()?;
-            e.key_inserts.push((name, Arc::new(keys)));
+            e.key_inserts
+                .push((name, Arc::new(self.list(Self::dnskey)?)));
         }
         let n = self.count()?;
         for _ in 0..n {

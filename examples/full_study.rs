@@ -2,7 +2,8 @@
 //! the calibrated synthetic Internet.
 //!
 //! ```sh
-//! # default 1:1000 scale (≈300 k zones, a few minutes single-threaded):
+//! # default 1:1000 scale (≈300 k zones; ≈30 s and ≈1.2 GiB peak RSS
+//! # single-threaded on a 2-core Xeon, docs/full_study_1x1000.txt):
 //! cargo run --release --example full_study
 //! # faster, coarser:
 //! BOOTSCAN_SCALE=20000 cargo run --release --example full_study
@@ -154,9 +155,14 @@ fn main() {
         run_study(config, policy)
     };
     eprintln!(
-        "built + scanned {} zones in {:.1}s (real time)",
+        "built + scanned {} zones in {:.1}s (real time){}",
         results.zones.len(),
-        t0.elapsed().as_secs_f64()
+        t0.elapsed().as_secs_f64(),
+        peak_rss().map_or(String::new(), |kib| format!(
+            ", peak RSS {:.0} MiB ({:.1} KiB per zone)",
+            kib as f64 / 1024.0,
+            kib as f64 / results.zones.len().max(1) as f64
+        ))
     );
 
     let swiss: Vec<String> = eco
@@ -326,4 +332,18 @@ fn main() {
             out.ops.largest_shard
         );
     }
+}
+
+/// The process's peak resident set (`VmHWM`) in KiB, where
+/// `/proc/self/status` exists (Linux); `None` elsewhere.
+fn peak_rss() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()
 }

@@ -2,20 +2,28 @@
 //! datagrams and virtual time are pure functions of (world, policy,
 //! schedule), so they gate efficiency regressions on any runner.
 //! Wall-clock belongs to the repo benchmark (`BENCHMARK.json`), not here.
+//! So do vector slots: the footprint gate counts the slots every zone and
+//! scan result holds, and pins their spare slots at zero.
 //!
 //! Each gate computes a `key=value` map and fails when a gated counter
 //! exceeds its committed baseline in `crates/bench/baselines/` by more
 //! than 20 %. A failure prints the full current map: to re-baseline
 //! after an intended change, paste it over the baseline file.
 
-use bootscan::{ScanPolicy, Scanner};
+use bootscan::types::{CdsSeen, NsObservation, SignalObservation};
+use bootscan::{Identified, ProgressSink, ReferralData, ScanPolicy, Scanner, ZoneEvent, ZoneScan};
 use dns_ecosystem::{apply_churn, build, ChurnConfig, ChurnPlan, Ecosystem, EcosystemConfig};
-use dns_wire::rdata::RData;
-use dns_wire::record::RecordType;
+use dns_wire::name::Name;
+use dns_wire::rdata::{DnskeyData, DsData, RData, RrsigData};
+use dns_wire::record::{RecordType, RrSet};
+use dns_zone::Zone;
 use netsim::Addr;
 use scan_continuous::{run_continuous, ContinuousConfig, ContinuousOutput};
 use scan_fabric::FabricConfig;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use scan_journal::{decode_event, encode_event};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 const WORLD_SEED: u64 = 42;
@@ -223,6 +231,319 @@ fn churn_signing_is_bounded_by_changed_owners() {
         signed * 2 < whole,
         "{signed} RRsets signed over four epochs; one whole re-sign is {whole}"
     );
+}
+
+/// Every zone reachable from the world's public stores, each once (hosts
+/// of one operator share `Arc`s), classed as a customer zone (in the
+/// planted truth), an operator base zone, a registry (TLD) zone, or
+/// anything else an operator store holds (parking, hostile tiers).
+fn stored_zones(eco: &Ecosystem) -> BTreeMap<&'static str, Vec<Arc<Zone>>> {
+    let customers: HashSet<&Name> = eco.truth.iter().map(|t| &t.name).collect();
+    let mut seen = HashSet::new();
+    let mut out: BTreeMap<&'static str, Vec<Arc<Zone>>> = BTreeMap::new();
+    let registry = eco.registry_stores.values().map(|s| (true, s));
+    let operators = eco.operator_stores.iter().flatten().map(|s| (false, s));
+    for (is_registry, store) in registry.chain(operators) {
+        for apex in store.apexes() {
+            let Some(zone) = store.get(&apex) else {
+                continue;
+            };
+            if !seen.insert(Arc::as_ptr(&zone)) {
+                continue;
+            }
+            let owner = if is_registry {
+                "registry"
+            } else if customers.contains(&apex) {
+                "customer"
+            } else if eco.base_keys.contains_key(&apex) {
+                "base"
+            } else {
+                "other"
+            };
+            out.entry(owner).or_default().push(zone);
+        }
+    }
+    out
+}
+
+/// Capacity and length totals over a family of vectors.
+#[derive(Default)]
+struct Slots {
+    slots: usize,
+    len: usize,
+}
+
+impl Slots {
+    fn of<T>(&mut self, v: &Vec<T>) {
+        self.slots += v.capacity();
+        self.len += v.len();
+    }
+
+    fn render(&self, key: &str) -> String {
+        format!(
+            "{key}_slots={}\n{key}_spare={}\n",
+            self.slots,
+            self.slots - self.len
+        )
+    }
+}
+
+/// RRset slots (each node's `rrsets`) and RDATA slots (each RRset's
+/// `rdatas`) over `zones`.
+fn zone_slots(zones: &[Arc<Zone>]) -> (Slots, Slots) {
+    let (mut rrsets, mut rdatas) = (Slots::default(), Slots::default());
+    for (_, node) in zones.iter().flat_map(|z| z.nodes()) {
+        rrsets.of(node.rrsets());
+        for set in node.rrsets() {
+            rdatas.of(&set.rdatas);
+        }
+    }
+    (rrsets, rdatas)
+}
+
+/// Item slots of every vector a `ZoneScan` keeps, nested ones included.
+fn scan_slots(scan: &ZoneScan, s: &mut Slots) {
+    s.of(&scan.ns_names);
+    s.of(&scan.parent_ds);
+    s.of(&scan.ns_observations);
+    s.of(&scan.signal_observations);
+    for o in &scan.ns_observations {
+        s.of(&o.dnskeys);
+        s.of(&o.cds);
+    }
+    for o in &scan.signal_observations {
+        s.of(&o.cds);
+    }
+    if let Identified::Multi(ops) = &scan.operator {
+        s.of(ops);
+    }
+}
+
+/// The zone stores' footprint map: RRset and RDATA slots per owner class.
+fn render_zones(eco: &Ecosystem, stage: &str) -> String {
+    let mut out = String::new();
+    for (owner, zones) in stored_zones(eco) {
+        let (rrsets, rdatas) = zone_slots(&zones);
+        out.push_str(&format!("{stage}.{owner}.zones={}\n", zones.len()));
+        out.push_str(&rrsets.render(&format!("{stage}.{owner}.rrset")));
+        out.push_str(&rdatas.render(&format!("{stage}.{owner}.rdata")));
+    }
+    out
+}
+
+/// A zone and a scan result hold no spare vector slot: every RRset and
+/// node is exactly sized by `Zone::add` and `Zone::remove_rrset` (so
+/// also after churn's edits), and every `ZoneScan` vector by the scanner
+/// and by the journal decoder. Spare slots must stay 0; slot totals may
+/// grow 20 % over `crates/bench/baselines/footprint_tiny.txt`.
+#[test]
+fn footprint_is_exact() {
+    let mut eco = build(EcosystemConfig::tiny(WORLD_SEED));
+    let mut current = String::from("world=tiny\n");
+    current.push_str(&render_zones(&eco, "build"));
+
+    let seeds = eco.seeds.compile(&eco.psl);
+    let results = Scanner::for_ecosystem(&eco, ScanPolicy::default()).scan_all(&seeds);
+    let (mut scan, mut journal) = (Slots::default(), Slots::default());
+    scan.of(&results.zones);
+    for z in &results.zones {
+        scan_slots(z, &mut scan);
+        let event = ZoneEvent {
+            pass: 0,
+            scan: z.clone(),
+            effects: Default::default(),
+            duration_delta: 0,
+        };
+        let back = decode_event(&encode_event(&event)).expect("codec round trip");
+        scan_slots(&back.scan, &mut journal);
+    }
+    current.push_str(&scan.render("scan"));
+    current.push_str(&journal.render("journal"));
+
+    let plan = ChurnPlan::generate(&eco, &ChurnConfig::default(), CHURN_SEED, 1);
+    apply_churn(&mut eco, &plan);
+    current.push_str(&render_zones(&eco, "churn"));
+
+    gate(
+        &current,
+        include_str!("../crates/bench/baselines/footprint_tiny.txt"),
+        |key| key.ends_with("_slots"),
+        |key| key.ends_with("_spare"),
+    );
+}
+
+/// Bytes by owner, `size_of` × capacity, on `paper_default(100_000)`
+/// (the benchmark's world): the attribution behind DESIGN §7's "Bytes
+/// per zone" table. Zone bytes count `RData` and `RrSet` slots, RRSIG
+/// signature and DNSKEY/CDNSKEY key bytes, and each distinct owner name's
+/// buffer once (an `Arc<[u8]>`: 16 header bytes plus the wire form).
+/// Scan results count every `ZoneScan` slot and nested vector; the
+/// scanner caches count the entries a cold scan's cache log inserted,
+/// last write per name, values at their capacity. Prints; gates nothing:
+/// `cargo test --release --test cost_gates -- --ignored --nocapture`.
+#[test]
+#[ignore = "paper-scale attribution, prints only"]
+fn footprint_by_owner() {
+    use std::mem::size_of;
+    let eco = build(EcosystemConfig::paper_default(100_000));
+    let seeds = eco.seeds.compile(&eco.psl);
+    let mut rows: Vec<(String, &str, usize)> = Vec::new();
+    for (owner, zones) in stored_zones(&eco) {
+        let (rrsets, rdatas) = zone_slots(&zones);
+        let (mut sig, mut key) = (0, 0);
+        let mut names = HashSet::new();
+        for (name, node) in zones.iter().flat_map(|z| z.nodes()) {
+            names.insert(name.clone());
+            for rd in node.rrsets().iter().flat_map(|s| &s.rdatas) {
+                match rd {
+                    RData::Rrsig(s) => sig += s.signature.capacity(),
+                    RData::Dnskey(k) | RData::Cdnskey(k) => key += k.public_key.capacity(),
+                    _ => {}
+                }
+            }
+        }
+        let name_bytes: usize = names.iter().map(|n| 16 + n.wire_len()).sum();
+        let zones = format!("{owner} zones ({})", zones.len());
+        rows.push((
+            zones.clone(),
+            "RData slots",
+            rdatas.slots * size_of::<RData>(),
+        ));
+        rows.push((
+            zones.clone(),
+            "RrSet slots",
+            rrsets.slots * size_of::<RrSet>(),
+        ));
+        rows.push((zones.clone(), "signature bytes", sig));
+        rows.push((zones.clone(), "key bytes", key));
+        rows.push((zones, "owner names", name_bytes));
+    }
+
+    let log = CacheLogSink::default();
+    let results =
+        Scanner::for_ecosystem(&eco, ScanPolicy::default()).scan_all_with(&seeds, Some(&log), None);
+    let mut items = Slots::default();
+    let mut bytes = size_of::<ZoneScan>() * results.zones.capacity();
+    for z in &results.zones {
+        scan_slots(z, &mut items);
+        bytes += z.ns_names.capacity() * size_of::<Name>()
+            + z.parent_ds.capacity() * size_of::<DsData>()
+            + z.ns_observations.capacity() * size_of::<NsObservation>()
+            + z.signal_observations.capacity() * size_of::<SignalObservation>();
+        for o in &z.ns_observations {
+            bytes += o.dnskeys.capacity() * size_of::<DnskeyData>()
+                + o.dnskeys
+                    .iter()
+                    .map(|k| k.public_key.capacity())
+                    .sum::<usize>()
+                + o.cds.capacity() * size_of::<CdsSeen>();
+        }
+        for o in &z.signal_observations {
+            bytes += o.cds.capacity() * size_of::<CdsSeen>();
+        }
+    }
+    let scans = format!("scan results ({} zones)", results.zones.len());
+    rows.push((scans.clone(), "ZoneScan and nested slots", bytes));
+    rows.push((scans, "spare nested slots (count)", items.slots - items.len));
+    for (cache, b) in log.bytes() {
+        rows.push(("scanner caches".into(), cache, b));
+    }
+
+    let per_zone = seeds.len().max(1);
+    println!("footprint by owner, paper_default(100_000), {per_zone} seeds");
+    println!(
+        "{:<34} {:<28} {:>12} {:>10}",
+        "owner", "what", "bytes", "B/seed"
+    );
+    for (owner, what, b) in &rows {
+        println!(
+            "{owner:<34} {what:<28} {b:>12} {:>10.1}",
+            *b as f64 / per_zone as f64
+        );
+    }
+    let total: usize = rows
+        .iter()
+        .filter(|(_, what, _)| !what.ends_with("(count)"))
+        .map(|(_, _, b)| b)
+        .sum();
+    println!(
+        "{:<34} {:<28} {total:>12} {:>10.1}",
+        "total",
+        "",
+        total as f64 / per_zone as f64
+    );
+}
+
+/// Keeps the last value each cache insert of a scan wrote per name.
+#[derive(Default)]
+struct CacheLogSink {
+    keys: RefCell<HashMap<Name, Arc<Vec<DnskeyData>>>>,
+    addrs: RefCell<HashMap<Name, Arc<Vec<Addr>>>>,
+    referrals: RefCell<HashMap<Name, Arc<ReferralData>>>,
+}
+
+impl ProgressSink for CacheLogSink {
+    fn on_zone(&self, event: &ZoneEvent) -> bool {
+        let e = &event.effects;
+        self.keys.borrow_mut().extend(e.key_inserts.iter().cloned());
+        self.addrs
+            .borrow_mut()
+            .extend(e.addr_inserts.iter().cloned());
+        self.referrals
+            .borrow_mut()
+            .extend(e.referral_inserts.iter().cloned());
+        true
+    }
+}
+
+impl CacheLogSink {
+    /// Bytes per cache: one entry (key name, provenance name, value `Arc`
+    /// and expiry) per name plus the value's heap at its capacity.
+    fn bytes(&self) -> [(&'static str, usize); 3] {
+        use std::mem::size_of;
+        let entry = 2 * size_of::<Name>() + size_of::<Arc<()>>() + size_of::<u64>();
+        let arc = 16;
+        let keys = self.keys.borrow();
+        let addrs = self.addrs.borrow();
+        let referrals = self.referrals.borrow();
+        let key_bytes = keys
+            .values()
+            .map(|k| {
+                entry
+                    + arc
+                    + size_of::<Vec<DnskeyData>>()
+                    + k.capacity() * size_of::<DnskeyData>()
+                    + k.iter().map(|d| d.public_key.capacity()).sum::<usize>()
+            })
+            .sum();
+        let addr_bytes = addrs
+            .values()
+            .map(|a| entry + arc + size_of::<Vec<Addr>>() + a.capacity() * size_of::<Addr>())
+            .sum();
+        let referral_bytes = referrals
+            .values()
+            .map(|r| {
+                entry
+                    + arc
+                    + size_of::<ReferralData>()
+                    + r.ns_names.capacity() * size_of::<Name>()
+                    + r.ds
+                        .as_ref()
+                        .map_or(0, |d| d.capacity() * size_of::<DsData>())
+                    + r.ds_rrsigs.capacity() * size_of::<RrsigData>()
+                    + r.ds_rrsigs
+                        .iter()
+                        .map(|s| s.signature.capacity())
+                        .sum::<usize>()
+                    + (r.child_servers.capacity() + r.parent_servers.capacity()) * size_of::<Addr>()
+            })
+            .sum();
+        [
+            ("validated keys", key_bytes),
+            ("addresses", addr_bytes),
+            ("referrals", referral_bytes),
+        ]
+    }
 }
 
 /// The measured side of ROADMAP item 1: every perf PR appends its
