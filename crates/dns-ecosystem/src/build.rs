@@ -348,10 +348,8 @@ impl Builder {
                 let store = Arc::new(ZoneStore::new());
                 let quirks = Quirks {
                     pre_rfc3597: spec.quirks.pre_rfc3597,
-                    transient_servfail: spec.quirks.transient_servfail,
                     transient_badsig: spec.quirks.transient_badsig,
                     seed: self.cfg.seed ^ stores.len() as u64,
-                    ..Quirks::CLEAN
                 };
                 let sid = self
                     .net

@@ -21,8 +21,6 @@ use dns_zone::keys::CdsPublication;
 pub struct QuirkSpec {
     /// NSes error on CDS/CDNSKEY queries (pre-RFC 3597, §4.2).
     pub pre_rfc3597: bool,
-    /// Transient SERVFAIL probability.
-    pub transient_servfail: f64,
     /// Transient invalid-signature probability.
     pub transient_badsig: f64,
 }

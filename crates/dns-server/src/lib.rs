@@ -9,9 +9,10 @@
 //!   the query sets the DO bit; EDNS-aware truncation with TCP fallback.
 //! * [`Quirks`] — the operator misbehaviours the paper measures:
 //!   pre-RFC 3597 servers erroring on CDS/CDNSKEY queries (§4.2 "Lack of
-//!   support for CDS"), transient SERVFAILs and transient bad signatures
-//!   (§4.4's deSEC/Cloudflare scan artefacts), per-backend failure in
-//!   anycast pools.
+//!   support for CDS") and transient bad signatures (§4.4's deSEC scan
+//!   artefacts), drawn per anycast backend. Outages and transient
+//!   SERVFAILs are network impairments: a `netsim::FaultPlan` injects
+//!   them.
 //! * [`ParkingServer`] — an Afternic/namefind-style parking responder that
 //!   answers *every* query identically, creating "the illusion of a zone
 //!   cut at every level of the DNS tree" (§4.4).

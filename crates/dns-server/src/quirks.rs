@@ -1,9 +1,11 @@
 //! Operator misbehaviour configuration.
 
-use netsim::{DeterministicDraw, SimMicros};
+use netsim::DeterministicDraw;
 
 /// Deliberate deviations from correct server behaviour, mirroring what the
-/// paper observes in the wild.
+/// paper observes in the wild. These are what a server *answers*; every
+/// impairment of the path to it — outages, flapping, loss, SERVFAIL
+/// bursts — is a `netsim::FaultPlan`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Quirks {
     /// Pre-RFC 3597 behaviour: queries for types the server does not know
@@ -12,62 +14,23 @@ pub struct Quirks {
     /// "failed to respond, or returned an error response, when queried
     /// about these RRs".
     pub pre_rfc3597: bool,
-    /// Probability that a query transiently fails with SERVFAIL (§4.4:
-    /// "transient failures by deSec to respond correctly during the
-    /// scan").
-    pub transient_servfail: f64,
     /// Probability that a response's RRSIGs are transiently corrupted
     /// (§4.4: "transient errors in which deSec returned invalid
     /// signatures during the scan, but now returns correct DNSSEC
     /// signatures").
     pub transient_badsig: f64,
-    /// Seed mixed into the transient-failure draws, so different servers
-    /// with the same probabilities fail on different queries.
+    /// Seed mixed into the transient-signature draw, so different servers
+    /// with the same probability fail on different queries.
     pub seed: u64,
-    /// Scheduled outage: the server drops every query whose virtual
-    /// arrival time falls in `[start, end)` (maintenance windows, the
-    /// paper's "failed to respond during the scan" cases).
-    pub outage: Option<(SimMicros, SimMicros)>,
-    /// Flapping outage: the server drops queries during the first
-    /// `(duty)` µs of every `(period)` µs of virtual time.
-    pub flap: Option<(SimMicros, SimMicros)>,
 }
 
 impl Quirks {
     /// Fully standards-compliant server.
     pub const CLEAN: Quirks = Quirks {
         pre_rfc3597: false,
-        transient_servfail: 0.0,
         transient_badsig: 0.0,
         seed: 0,
-        outage: None,
-        flap: None,
     };
-
-    /// Whether a query arriving at virtual time `now` hits a scheduled or
-    /// flapping outage.
-    pub fn outage_active(&self, now: SimMicros) -> bool {
-        if let Some((start, end)) = self.outage {
-            if now >= start && now < end {
-                return true;
-            }
-        }
-        if let Some((period, duty)) = self.flap {
-            if period > 0 && now % period < duty {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Whether this specific (query, backend) exchange should SERVFAIL.
-    pub fn draw_servfail(&self, query: &[u8], backend: u32) -> bool {
-        if self.transient_servfail <= 0.0 {
-            return false;
-        }
-        DeterministicDraw::new(self.seed ^ 0x5e4f_a11e, &[query, &backend.to_be_bytes()]).unit()
-            < self.transient_servfail
-    }
 
     /// Whether this specific (query, backend) exchange should corrupt its
     /// signatures.
@@ -88,7 +51,6 @@ mod tests {
     fn clean_never_fails() {
         let q = Quirks::CLEAN;
         for i in 0..100u8 {
-            assert!(!q.draw_servfail(&[i], 0));
             assert!(!q.draw_badsig(&[i], 0));
         }
     }
@@ -96,12 +58,12 @@ mod tests {
     #[test]
     fn transient_rates_approximate_probability() {
         let q = Quirks {
-            transient_servfail: 0.3,
+            transient_badsig: 0.3,
             seed: 9,
             ..Quirks::CLEAN
         };
         let fails = (0..1000u16)
-            .filter(|i| q.draw_servfail(&i.to_be_bytes(), 0))
+            .filter(|i| q.draw_badsig(&i.to_be_bytes(), 0))
             .count();
         assert!((200..400).contains(&fails), "{fails}");
     }
@@ -118,50 +80,5 @@ mod tests {
         // Across many queries, backends must disagree somewhere.
         let disagree = (0..100u8).any(|i| q.draw_badsig(&[i], 0) != q.draw_badsig(&[i], 1));
         assert!(disagree);
-    }
-
-    #[test]
-    fn outage_windows_cover_exactly_their_interval() {
-        let q = Quirks {
-            outage: Some((1_000, 2_000)),
-            ..Quirks::CLEAN
-        };
-        assert!(!q.outage_active(999));
-        assert!(q.outage_active(1_000));
-        assert!(q.outage_active(1_999));
-        assert!(!q.outage_active(2_000));
-        assert!(!Quirks::CLEAN.outage_active(1_500));
-    }
-
-    #[test]
-    fn flapping_outage_repeats_each_period() {
-        let q = Quirks {
-            flap: Some((10_000, 3_000)),
-            ..Quirks::CLEAN
-        };
-        for base in [0u64, 10_000, 250_000] {
-            assert!(q.outage_active(base));
-            assert!(q.outage_active(base + 2_999));
-            assert!(!q.outage_active(base + 3_000));
-            assert!(!q.outage_active(base + 9_999));
-        }
-        // Degenerate period never activates.
-        let z = Quirks {
-            flap: Some((0, 3_000)),
-            ..Quirks::CLEAN
-        };
-        assert!(!z.outage_active(0));
-    }
-
-    #[test]
-    fn servfail_and_badsig_draws_independent() {
-        let q = Quirks {
-            transient_servfail: 0.5,
-            transient_badsig: 0.5,
-            seed: 3,
-            ..Quirks::CLEAN
-        };
-        let both_same = (0..200u8).all(|i| q.draw_servfail(&[i], 0) == q.draw_badsig(&[i], 0));
-        assert!(!both_same);
     }
 }

@@ -210,22 +210,13 @@ impl ServerHandler for AuthServer {
         _dst: Addr,
         transport: Transport,
         backend: u32,
-        now: SimMicros,
+        _now: SimMicros,
     ) -> ServerResponse {
-        if self.quirks.outage_active(now) {
-            // Scheduled maintenance window: the server is simply gone.
-            return ServerResponse::Drop;
-        }
         let Ok(parsed) = Message::from_bytes(query) else {
             // Can't even recover an ID — drop, as real servers often do
             // with garbage.
             return ServerResponse::Drop;
         };
-        if self.quirks.draw_servfail(query, backend) {
-            return ServerResponse::Reply(
-                Message::response_to(&parsed, Rcode::ServFail).to_bytes(),
-            );
-        }
         let (bytes, flags) = if self.quirks.draw_badsig(query, backend) {
             // The rare corrupted reply is edited in owned form.
             let mut resp = self.answer(&parsed);
@@ -518,32 +509,6 @@ mod tests {
         };
         assert!(!tcp.header.flags.truncated);
         assert_eq!(tcp.answers_of(RecordType::Txt).len(), 20);
-    }
-
-    #[test]
-    fn transient_servfail_quirk_fires() {
-        let (store, _) = signed_store();
-        let s = AuthServer::new(store).with_quirks(Quirks {
-            transient_servfail: 0.5,
-            seed: 11,
-            ..Quirks::CLEAN
-        });
-        let mut fails = 0;
-        for id in 0..100u16 {
-            let q = Message::query(id, name!("www.example.ch"), RecordType::A, true);
-            if let ServerResponse::Reply(b) = s.handle(
-                &q.to_bytes(),
-                Addr::V4(Ipv4Addr::new(1, 1, 1, 1)),
-                Transport::Udp,
-                0,
-                0,
-            ) {
-                if Message::from_bytes(&b).unwrap().rcode() == Rcode::ServFail {
-                    fails += 1;
-                }
-            }
-        }
-        assert!((20..80).contains(&fails), "{fails}");
     }
 
     #[test]

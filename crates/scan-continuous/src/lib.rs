@@ -33,12 +33,17 @@
 //!    header — the journals fence across epochs and process
 //!    incarnations by construction. An epoch enters the time series
 //!    only after its `COMMIT` marker (which also records abandoned
-//!    shards) is renamed into place; a kill anywhere — mid-shard, between epochs, during
-//!    carry-over distribution, or while a coalesce decision is pending —
-//!    resumes to a byte-identical [`TimeSeries`]
-//!    (`tests/continuous_recovery.rs`), and every committed epoch stays
-//!    byte-identical to an independent cold scan of the same churned
-//!    world at any worker count (`tests/continuous_equivalence.rs`).
+//!    shards) is renamed into place, and nothing else the coordinator
+//!    does touches the disk. A coordinator death therefore leaves, for
+//!    some epoch e, one of three states: e committed and nothing after
+//!    it (a death during carry-over or with a coalesce decision pending
+//!    leaves this too); e's shard journals complete without a `COMMIT`;
+//!    or e's shard journals cut to a frame prefix without one.
+//!    `tests/continuous_recovery.rs` builds each state for every
+//!    admitted epoch and resumes it to a byte-identical [`TimeSeries`],
+//!    and every committed epoch stays byte-identical to an independent
+//!    cold scan of the same churned world at any worker count
+//!    (`tests/continuous_equivalence.rs`).
 
 pub mod admission;
 
@@ -60,55 +65,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
-
-/// Injected coordinator crash points for the continuous kill matrix.
-/// Worker-level faults (kill / stall / checkpoint-torn mid-shard) are
-/// injected per epoch through [`ContinuousFaultPlan::epochs`] and
-/// survived *live* by the fleet; these three kill the coordinator
-/// itself — the study returns [`io::ErrorKind::Interrupted`] and a
-/// re-run against the same state root must resume byte-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContinuousKill {
-    /// Die after `epoch` committed, while the *next admitted* epoch's
-    /// carry-over is being distributed: its ledger is partitioned and
-    /// its fleet has not started, so the state on disk is exactly what
-    /// the commit left.
-    DuringCarryOver { epoch: u32 },
-    /// Die after `epoch`'s shards all drained and folded, before its
-    /// `COMMIT` marker lands — the classic torn epoch boundary.
-    BeforeCommit { epoch: u32 },
-    /// Die while `epoch`'s coalesce decision is pending: the admission
-    /// controller has decided to skip it, but the explicit marker has
-    /// not been recorded. Resume must re-derive the same decision from
-    /// the journal-recoverable drain clock and record the marker.
-    DuringCoalesce { epoch: u32 },
-}
-
-/// Fault injection for one continuous run: per-epoch fabric fault plans
-/// (worker-level, survived live) plus at most one coordinator kill.
-#[derive(Debug, Clone, Default)]
-pub struct ContinuousFaultPlan {
-    /// Fabric fault plan per epoch; epochs without an entry run clean.
-    pub epochs: BTreeMap<u32, FabricFaultPlan>,
-    /// Coordinator kill point, if any.
-    pub kill: Option<ContinuousKill>,
-}
-
-impl ContinuousFaultPlan {
-    pub fn none() -> Self {
-        ContinuousFaultPlan::default()
-    }
-
-    pub fn with_epoch_faults(mut self, epoch: u32, plan: FabricFaultPlan) -> Self {
-        self.epochs.insert(epoch, plan);
-        self
-    }
-
-    pub fn with_kill(mut self, kill: ContinuousKill) -> Self {
-        self.kill = Some(kill);
-        self
-    }
-}
 
 /// Evidence validity (24 h of virtual time): zones whose last fresh scan
 /// is older than this are re-scanned even without churn.
@@ -137,8 +93,9 @@ pub struct ContinuousConfig {
     /// partition — reports are comparable across worker counts exactly
     /// when the shard count matches.
     pub fabric: FabricConfig,
-    /// Test-only fault injection.
-    pub faults: ContinuousFaultPlan,
+    /// Worker faults injected into an epoch's drive (test-only); epochs
+    /// without an entry run clean.
+    pub epoch_faults: BTreeMap<u32, FabricFaultPlan>,
 }
 
 impl ContinuousConfig {
@@ -152,7 +109,7 @@ impl ContinuousConfig {
             cache_ttl: dns_resolver::CACHE_TTL_MICROS,
             max_pipeline_depth: 1,
             fabric: FabricConfig::default(),
-            faults: ContinuousFaultPlan::none(),
+            epoch_faults: BTreeMap::new(),
         }
     }
 
@@ -246,13 +203,6 @@ fn read_commit(dir: &Path, epoch: u32) -> io::Result<Option<BTreeSet<u32>>> {
         }
     }
     Ok(Some(abandoned))
-}
-
-fn killed(point: ContinuousKill) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::Interrupted,
-        format!("injected kill: {point:?}"),
-    )
 }
 
 /// What folding one epoch's shard journals yields.
@@ -365,7 +315,6 @@ pub fn run_continuous(
     // epoch's delta set.
     let mut pending_churned: Vec<Name> = Vec::new();
     let mut drain: SimMicros = 0;
-    let mut last_committed: Option<u32> = None;
 
     for epoch in 0..cfg.epochs {
         let arrival = (epoch as SimMicros).saturating_mul(cfg.epoch_spacing);
@@ -397,9 +346,6 @@ pub fn run_continuous(
         });
         let start = match decision {
             Admission::Coalesce { behind } => {
-                if cfg.faults.kill == Some(ContinuousKill::DuringCoalesce { epoch }) {
-                    return Err(killed(ContinuousKill::DuringCoalesce { epoch }));
-                }
                 pending_churned.extend(churned.iter().cloned());
                 series.skipped.push(SkippedEpoch {
                     epoch,
@@ -452,11 +398,6 @@ pub fn run_continuous(
                 // Distribute carry-over: each shard's fresh scanner is
                 // pre-seeded with its partition of the ledger.
                 let parts = ledger.partition(shards);
-                if let Some(ContinuousKill::DuringCarryOver { epoch: at }) = cfg.faults.kill {
-                    if last_committed == Some(at) {
-                        return Err(killed(ContinuousKill::DuringCarryOver { epoch: at }));
-                    }
-                }
                 let scanner = |k: u32| {
                     let scanner = Scanner::for_ecosystem(&eco, policy.clone());
                     if let Some(part) = parts.get(k as usize) {
@@ -468,7 +409,7 @@ pub fn run_continuous(
                     plan: &plan,
                     ns: ns_epoch.clone(),
                     scanner: &scanner,
-                    faults: cfg.faults.epochs.get(&epoch).unwrap_or(&clean),
+                    faults: cfg.epoch_faults.get(&epoch).unwrap_or(&clean),
                 };
                 (drive(&job, &cfg.fabric, &mut ops), false)
             }
@@ -476,12 +417,8 @@ pub fn run_continuous(
 
         let fold = fold_epoch(&ns_epoch, &plan, &abandoned, &mut ledger, epoch)?;
         if !committed {
-            if cfg.faults.kill == Some(ContinuousKill::BeforeCommit { epoch }) {
-                return Err(killed(ContinuousKill::BeforeCommit { epoch }));
-            }
             write_commit(ns_epoch.dir(), epoch, &abandoned)?;
         }
-        last_committed = Some(epoch);
         drain = now.saturating_add(fold.makespan);
 
         // -- Fold evidence: fresh results (and explicit

@@ -19,11 +19,6 @@ pub enum WorkerFault {
     /// out) immediately before journaling event number `at_event` of
     /// this attempt.
     Kill { at_event: u64 },
-    /// Journal event `at_event`, force a checkpoint, corrupt the
-    /// checkpoint the way a power cut does (the file truncated to zero
-    /// length), then die. Exercises recovery's fallback to the journal
-    /// alone.
-    KillDuringCheckpoint { at_event: u64 },
     /// Complete the shard scan and its journal, then die *before*
     /// reporting the shard done — the merge-handoff kill. The next
     /// attempt recovers a complete journal and re-reports instantly.
@@ -65,8 +60,9 @@ impl FabricFaultPlan {
     }
 
     /// A reproducible random-looking plan: roughly half the shards get
-    /// a first-attempt fault drawn from the full fault menu, with kill
-    /// points spread over `0..max_event`.
+    /// a first-attempt `Kill`, `KillBeforeHandoff` or `SlowDrain`, with
+    /// kill points spread over `0..max_event`. (`Stall` waits for a lease
+    /// to expire, so storms leave it to the liveness tests.)
     pub fn seeded(seed: u64, shards: u32, max_event: u64) -> FabricFaultPlan {
         let mut plan = FabricFaultPlan::default();
         for shard in 0..shards {
@@ -77,10 +73,9 @@ impl FabricFaultPlan {
             let kind = DeterministicDraw::new(seed, &[b"fabric-kind", &shard.to_le_bytes()]);
             let at = DeterministicDraw::new(seed, &[b"fabric-at", &shard.to_le_bytes()])
                 .below(max_event.max(1));
-            let fault = match kind.below(4) {
+            let fault = match kind.below(3) {
                 0 => WorkerFault::Kill { at_event: at },
-                1 => WorkerFault::KillDuringCheckpoint { at_event: at },
-                2 => WorkerFault::KillBeforeHandoff,
+                1 => WorkerFault::KillBeforeHandoff,
                 _ => WorkerFault::SlowDrain,
             };
             plan.faults.insert((shard, 0), fault);

@@ -32,10 +32,8 @@ use crate::faults::{FabricFaultPlan, WorkerFault};
 use crate::shard::ShardPlan;
 use bootscan::scanner::Scanner;
 use bootscan::{ProgressSink, ZoneEvent};
-use scan_journal::{recover, JournalSink, Namespace, CHECKPOINT_FILE};
+use scan_journal::{recover, JournalSink, Namespace};
 use std::cell::Cell;
-use std::fs;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -189,7 +187,6 @@ struct ShardSink<'a> {
     lease: u64,
     fault: Option<WorkerFault>,
     heartbeat_every: u64,
-    state_dir: &'a Path,
     /// Events journaled by *this attempt* (resumed events don't count:
     /// fault event-indices are per-attempt, which keeps kill points
     /// meaningful on re-runs).
@@ -234,17 +231,6 @@ impl ProgressSink for ShardSink<'_> {
         }
         let events = k + 1;
         self.events.set(events);
-        if let Some(WorkerFault::KillDuringCheckpoint { at_event }) = self.fault {
-            if k == at_event {
-                // Die mid-checkpoint: the checkpoint gets written, then
-                // a power-cut artifact — the rename survived, the data
-                // did not — leaves it zero-length. Recovery must shrug
-                // this off and replay the journal alone.
-                let _ = self.inner.checkpoint_now();
-                let _ = fs::write(self.state_dir.join(CHECKPOINT_FILE), b"");
-                return self.stop(AttemptEnd::Died);
-            }
-        }
         if self.heartbeat_every > 0 && events.is_multiple_of(self.heartbeat_every) {
             self.fence.beat();
         }
@@ -295,7 +281,6 @@ fn run_shard(ctx: &WorkerCtx<'_>, assign: Assign) -> Result<(), AttemptEnd> {
         lease: assign.lease,
         fault,
         heartbeat_every: ctx.heartbeat_every,
-        state_dir: ns.dir(),
         events: Cell::new(0),
         end: Cell::new(None),
     };

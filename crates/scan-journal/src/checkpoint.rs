@@ -213,8 +213,8 @@ mod tests {
 
     #[test]
     fn zero_length_checkpoint_recovers_from_the_journal_alone() {
-        // What `KillDuringCheckpoint` leaves: the rename survived, the
-        // data did not.
+        // What a power cut can leave: the rename survived, the data
+        // did not.
         let dir = tmpdir("zero");
         checkpointed(&dir, HDR, 4);
         fs::write(dir.join(CHECKPOINT_FILE), b"").unwrap();

@@ -6,6 +6,7 @@
 //! it into Secured/Insecure/Invalid, and (c) stay byte-for-byte
 //! deterministic: same world seed + same fault plan = identical reports.
 
+#[expect(dead_code, reason = "`keep_frames` serves the journal-cut suites")]
 mod common;
 
 use bootscan::report;

@@ -205,22 +205,6 @@ fn killed_at_any_cut_point_resumes_byte_identically() {
     }
 }
 
-/// Size of a journal header (magic, version, run id, fingerprint, CRC;
-/// the layout in `scan-journal`'s `journal.rs`).
-const HEADER_LEN: usize = 26;
-
-/// Cut the journal in `dir` to its header and first `frames` frames
-/// (each `len u32 | crc u32 | payload`).
-fn keep_frames(dir: &Path, frames: u64) {
-    let path = dir.join(JOURNAL_FILE);
-    let raw = fs::read(&path).unwrap();
-    let mut len = HEADER_LEN;
-    for _ in 0..frames {
-        len += 8 + u32::from_le_bytes(raw[len..len + 4].try_into().unwrap()) as usize;
-    }
-    fs::write(&path, &raw[..len]).unwrap();
-}
-
 #[test]
 fn power_loss_at_any_event_costs_less_than_one_commit_unit() {
     const UNIT: u64 = JournalSink::COMMIT_EVERY;
@@ -241,17 +225,17 @@ fn power_loss_at_any_event_costs_less_than_one_commit_unit() {
         let committed = k - k % UNIT;
         let with_checkpoint = run_dir(&format!("power-{k}"));
         assert_eq!(run_killed_at(&with_checkpoint, k, None, 1), k);
-        keep_frames(&with_checkpoint, committed);
         let without = run_dir(&format!("power-{k}-nockpt"));
+        fs::copy(
+            with_checkpoint.join(JOURNAL_FILE),
+            without.join(JOURNAL_FILE),
+        )
+        .unwrap();
+        common::keep_frames(&with_checkpoint, committed, true);
+        common::keep_frames(&without, committed, false);
         if committed == 0 {
             // Nothing was ever committed, the header included.
             fs::write(without.join(JOURNAL_FILE), b"").unwrap();
-        } else {
-            fs::copy(
-                with_checkpoint.join(JOURNAL_FILE),
-                without.join(JOURNAL_FILE),
-            )
-            .unwrap();
         }
 
         for (dir, what) in [

@@ -6,36 +6,73 @@
 use bootscan::{DnssecClass, ScanPolicy, Scanner};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use dns_wire::Name;
+use netsim::{FaultKind, FaultPlan, FaultScope, FaultSpec, Window};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn scanner_of(eco: &Ecosystem) -> Arc<Scanner> {
     Scanner::for_ecosystem(eco, ScanPolicy::default())
 }
 
-/// A config with aggressive transient failures on one operator.
-fn flaky_config(seed: u64) -> EcosystemConfig {
+/// A world with aggressive transient failures on two operators:
+/// SignalSoft's servers corrupt 5 % of their signatures (a server quirk),
+/// and 10 % of the exchanges with CleanCorp's addresses come back
+/// SERVFAIL (a network fault).
+fn flaky_world(seed: u64) -> Ecosystem {
     let mut cfg = EcosystemConfig::tiny(seed);
     for op in &mut cfg.operators {
-        if op.name == "CleanCorp" {
-            op.quirks.transient_servfail = 0.10;
-        }
         if op.name == "SignalSoft" {
             op.quirks.transient_badsig = 0.05;
         }
     }
-    cfg
+    let eco = build(cfg);
+    let mut plan = FaultPlan::new(seed);
+    for &addr in eco.operators[clean_corp(&eco)].host_addrs.iter().flatten() {
+        plan = plan.with(FaultSpec {
+            scope: FaultScope::to_addr(addr),
+            window: Window::Always,
+            kind: FaultKind::ErrorRcode {
+                rcode: 2,
+                probability: 0.10,
+            },
+        });
+    }
+    eco.net.set_faults(plan);
+    eco
+}
+
+/// CleanCorp's index in `eco.operators` (and in `ZoneTruth::operator`).
+fn clean_corp(eco: &Ecosystem) -> usize {
+    eco.operators
+        .iter()
+        .position(|op| op.name == "CleanCorp")
+        .expect("the tiny world has CleanCorp")
 }
 
 #[test]
 fn flaky_world_still_scans_deterministically() {
     let run = || {
-        let eco = build(flaky_config(11));
-        let scanner = scanner_of(&eco);
-        let seeds = eco.seeds.compile(&eco.psl);
-        scanner.scan_all(&seeds)
+        let eco = flaky_world(11);
+        let results = scanner_of(&eco).scan_all(&eco.seeds.compile(&eco.psl));
+        (eco, results)
     };
-    let a = run();
-    let b = run();
+    let (eco, a) = run();
+    let (_, b) = run();
+    // The SERVFAILs reach CleanCorp's zones: a fault plan that matched
+    // nothing would pass every other assertion in this file.
+    let clean_corp = clean_corp(&eco);
+    let clean_corp_zones: BTreeSet<&Name> = eco
+        .truth
+        .iter()
+        .filter(|t| t.operator == clean_corp)
+        .map(|t| &t.name)
+        .collect();
+    assert!(
+        a.zones
+            .iter()
+            .any(|z| z.retry_stats.servfails > 0 && clean_corp_zones.contains(&z.name)),
+        "no CleanCorp zone recorded a SERVFAIL"
+    );
     assert_eq!(a.zones.len(), b.zones.len());
     for (x, y) in a.zones.iter().zip(b.zones.iter()) {
         assert_eq!(x.name, y.name);
@@ -52,7 +89,7 @@ fn transient_failures_shift_but_do_not_crash_classification() {
     // like the paper's transient deSEC artefacts (§4.4).
     let clean_eco = build(EcosystemConfig::tiny(11));
     let clean = scanner_of(&clean_eco).scan_all(&clean_eco.seeds.compile(&clean_eco.psl));
-    let flaky_eco = build(flaky_config(11));
+    let flaky_eco = flaky_world(11);
     let flaky = scanner_of(&flaky_eco).scan_all(&flaky_eco.seeds.compile(&flaky_eco.psl));
     assert_eq!(clean.zones.len(), flaky.zones.len());
     let mut diverged = 0;

@@ -16,6 +16,7 @@
 //! exactly what the caches exist to change, so they are excluded here
 //! — and the warm-cache test asserts they actually *drop*.
 
+#[expect(dead_code, reason = "`keep_frames` serves the journal-cut suites")]
 mod common;
 
 use bootscan::report::{self, Figure1};
