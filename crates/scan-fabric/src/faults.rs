@@ -62,7 +62,8 @@ impl FabricFaultPlan {
     /// A reproducible random-looking plan: roughly half the shards get
     /// a first-attempt `Kill`, `KillBeforeHandoff` or `SlowDrain`, with
     /// kill points spread over `0..max_event`. (`Stall` waits for a lease
-    /// to expire, so storms leave it to the liveness tests.)
+    /// to expire, so storms leave it out; every expiry path is explored in
+    /// `schedule.rs`'s unit tests.)
     pub fn seeded(seed: u64, shards: u32, max_event: u64) -> FabricFaultPlan {
         let mut plan = FabricFaultPlan::default();
         for shard in 0..shards {

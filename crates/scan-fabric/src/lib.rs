@@ -37,7 +37,8 @@
 //! restarted — from its journal. A shard that exhausts its attempt
 //! budget degrades to explicit [`DnssecClass::Indeterminate`]
 //! placeholders for its zones (never silent loss), named in
-//! `MergedReport::abandoned_zones`.
+//! `MergedReport::abandoned_zones`. Every such decision is one pure state
+//! machine (`schedule.rs`); its tests explore every interleaving.
 //!
 //! [`DnssecClass::Indeterminate`]: bootscan::DnssecClass::Indeterminate
 
@@ -45,6 +46,7 @@ mod coordinator;
 mod faults;
 mod merge;
 mod protocol;
+mod schedule;
 mod shard;
 mod worker;
 
@@ -53,6 +55,6 @@ pub use faults::{FabricFaultPlan, WorkerFault};
 pub use merge::{
     fill_shard, CollectSink, FabricOps, MergeSink, MergedReport, NullMergeSink, StreamingMerge,
 };
-pub use protocol::{encode_msg, FailReason, FrameDecoder, FrameError, Msg, MAX_PAYLOAD};
+pub use protocol::{encode_msg, FrameDecoder, FrameError, Msg, MAX_PAYLOAD};
 pub use shard::ShardPlan;
 pub use worker::{Fence, ScannerFactory, ShardJob};

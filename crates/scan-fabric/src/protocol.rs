@@ -35,30 +35,10 @@ use scan_journal::crc32;
 /// claiming more than this is corrupt, not merely unread.
 pub const MAX_PAYLOAD: u32 = 256;
 
-/// Why a worker gave a shard back instead of completing it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailReason {
-    /// The shard journal could not be written; the shard's state dir is
-    /// still recoverable.
-    JournalIo,
-    /// The worker's lease was revoked mid-scan (the coordinator expired
-    /// it); all journal writes after revocation were fenced off.
-    Fenced,
-}
-
-/// One coordinator↔worker message.
+/// One coordinator↔worker message: the heartbeat, the one message the
+/// benchmark probe encodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Msg {
-    /// Worker announces itself (and the run it believes it's part of).
-    Hello { worker: u32, run_id: u64 },
-    /// Coordinator grants `lease` on `shard` of `epoch`, attempt number
-    /// `attempt`. Single-epoch fabrics use `epoch: 0` throughout.
-    Assign {
-        epoch: u32,
-        shard: u32,
-        attempt: u32,
-        lease: u64,
-    },
     /// Worker liveness: `events` journaled so far under `lease`.
     Heartbeat {
         worker: u32,
@@ -67,27 +47,6 @@ pub enum Msg {
         lease: u64,
         events: u64,
     },
-    /// Shard complete; stats are advisory (the merge reads journals,
-    /// never this message).
-    ShardDone {
-        worker: u32,
-        epoch: u32,
-        shard: u32,
-        lease: u64,
-        zones: u64,
-        queries: u64,
-        duration: u64,
-    },
-    /// Shard given back; the coordinator decides retry vs abandon.
-    ShardFailed {
-        worker: u32,
-        epoch: u32,
-        shard: u32,
-        lease: u64,
-        reason: FailReason,
-    },
-    /// Coordinator asks the worker to exit cleanly.
-    Shutdown,
 }
 
 /// A frame that could not be decoded. The channel is corrupt from this
@@ -104,88 +63,24 @@ pub enum FrameError {
     BadLayout,
 }
 
-const TAG_HELLO: u8 = 1;
-const TAG_ASSIGN: u8 = 2;
 const TAG_HEARTBEAT: u8 = 3;
-const TAG_DONE: u8 = 4;
-const TAG_FAILED: u8 = 5;
-const TAG_SHUTDOWN: u8 = 6;
-
-const REASON_JOURNAL_IO: u8 = 1;
-const REASON_FENCED: u8 = 2;
 
 /// Encode one message as a complete frame.
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
     let mut payload = Vec::with_capacity(48);
-    match *msg {
-        Msg::Hello { worker, run_id } => {
-            payload.push(TAG_HELLO);
-            payload.extend_from_slice(&worker.to_le_bytes());
-            payload.extend_from_slice(&run_id.to_le_bytes());
-        }
-        Msg::Assign {
-            epoch,
-            shard,
-            attempt,
-            lease,
-        } => {
-            payload.push(TAG_ASSIGN);
-            payload.extend_from_slice(&epoch.to_le_bytes());
-            payload.extend_from_slice(&shard.to_le_bytes());
-            payload.extend_from_slice(&attempt.to_le_bytes());
-            payload.extend_from_slice(&lease.to_le_bytes());
-        }
-        Msg::Heartbeat {
-            worker,
-            epoch,
-            shard,
-            lease,
-            events,
-        } => {
-            payload.push(TAG_HEARTBEAT);
-            payload.extend_from_slice(&worker.to_le_bytes());
-            payload.extend_from_slice(&epoch.to_le_bytes());
-            payload.extend_from_slice(&shard.to_le_bytes());
-            payload.extend_from_slice(&lease.to_le_bytes());
-            payload.extend_from_slice(&events.to_le_bytes());
-        }
-        Msg::ShardDone {
-            worker,
-            epoch,
-            shard,
-            lease,
-            zones,
-            queries,
-            duration,
-        } => {
-            payload.push(TAG_DONE);
-            payload.extend_from_slice(&worker.to_le_bytes());
-            payload.extend_from_slice(&epoch.to_le_bytes());
-            payload.extend_from_slice(&shard.to_le_bytes());
-            payload.extend_from_slice(&lease.to_le_bytes());
-            payload.extend_from_slice(&zones.to_le_bytes());
-            payload.extend_from_slice(&queries.to_le_bytes());
-            payload.extend_from_slice(&duration.to_le_bytes());
-        }
-        Msg::ShardFailed {
-            worker,
-            epoch,
-            shard,
-            lease,
-            reason,
-        } => {
-            payload.push(TAG_FAILED);
-            payload.extend_from_slice(&worker.to_le_bytes());
-            payload.extend_from_slice(&epoch.to_le_bytes());
-            payload.extend_from_slice(&shard.to_le_bytes());
-            payload.extend_from_slice(&lease.to_le_bytes());
-            payload.push(match reason {
-                FailReason::JournalIo => REASON_JOURNAL_IO,
-                FailReason::Fenced => REASON_FENCED,
-            });
-        }
-        Msg::Shutdown => payload.push(TAG_SHUTDOWN),
-    }
+    let Msg::Heartbeat {
+        worker,
+        epoch,
+        shard,
+        lease,
+        events,
+    } = *msg;
+    payload.push(TAG_HEARTBEAT);
+    payload.extend_from_slice(&worker.to_le_bytes());
+    payload.extend_from_slice(&epoch.to_le_bytes());
+    payload.extend_from_slice(&shard.to_le_bytes());
+    payload.extend_from_slice(&lease.to_le_bytes());
+    payload.extend_from_slice(&events.to_le_bytes());
     let mut frame = Vec::with_capacity(8 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -220,23 +115,6 @@ fn take_u64(buf: &mut &[u8]) -> Option<u64> {
 fn decode_payload(mut p: &[u8]) -> Result<Msg, FrameError> {
     let tag = take_u8(&mut p).ok_or(FrameError::BadLayout)?;
     let msg = match tag {
-        TAG_HELLO => {
-            let worker = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
-            let run_id = take_u64(&mut p).ok_or(FrameError::BadLayout)?;
-            Msg::Hello { worker, run_id }
-        }
-        TAG_ASSIGN => {
-            let epoch = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
-            let shard = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
-            let attempt = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
-            let lease = take_u64(&mut p).ok_or(FrameError::BadLayout)?;
-            Msg::Assign {
-                epoch,
-                shard,
-                attempt,
-                lease,
-            }
-        }
         TAG_HEARTBEAT => {
             let worker = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
             let epoch = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
@@ -251,43 +129,6 @@ fn decode_payload(mut p: &[u8]) -> Result<Msg, FrameError> {
                 events,
             }
         }
-        TAG_DONE => {
-            let worker = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
-            let epoch = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
-            let shard = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
-            let lease = take_u64(&mut p).ok_or(FrameError::BadLayout)?;
-            let zones = take_u64(&mut p).ok_or(FrameError::BadLayout)?;
-            let queries = take_u64(&mut p).ok_or(FrameError::BadLayout)?;
-            let duration = take_u64(&mut p).ok_or(FrameError::BadLayout)?;
-            Msg::ShardDone {
-                worker,
-                epoch,
-                shard,
-                lease,
-                zones,
-                queries,
-                duration,
-            }
-        }
-        TAG_FAILED => {
-            let worker = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
-            let epoch = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
-            let shard = take_u32(&mut p).ok_or(FrameError::BadLayout)?;
-            let lease = take_u64(&mut p).ok_or(FrameError::BadLayout)?;
-            let reason = match take_u8(&mut p).ok_or(FrameError::BadLayout)? {
-                REASON_JOURNAL_IO => FailReason::JournalIo,
-                REASON_FENCED => FailReason::Fenced,
-                _ => return Err(FrameError::BadLayout),
-            };
-            Msg::ShardFailed {
-                worker,
-                epoch,
-                shard,
-                lease,
-                reason,
-            }
-        }
-        TAG_SHUTDOWN => Msg::Shutdown,
         _ => return Err(FrameError::BadTag),
     };
     if p.is_empty() {
@@ -360,49 +201,15 @@ mod tests {
     use super::*;
 
     fn all_msgs() -> Vec<Msg> {
-        vec![
-            Msg::Hello {
-                worker: 3,
-                run_id: 0xDEAD_BEEF,
-            },
-            Msg::Assign {
-                epoch: 5,
-                shard: 7,
-                attempt: 2,
-                lease: 99,
-            },
-            Msg::Heartbeat {
+        (0..3)
+            .map(|k| Msg::Heartbeat {
                 worker: 3,
                 epoch: 5,
                 shard: 7,
-                lease: 99,
-                events: 41,
-            },
-            Msg::ShardDone {
-                worker: 3,
-                epoch: 5,
-                shard: 7,
-                lease: 99,
-                zones: 120,
-                queries: 4321,
-                duration: 5_000_000,
-            },
-            Msg::ShardFailed {
-                worker: 3,
-                epoch: 5,
-                shard: 7,
-                lease: 99,
-                reason: FailReason::Fenced,
-            },
-            Msg::ShardFailed {
-                worker: 1,
-                epoch: 0,
-                shard: 0,
-                lease: 1,
-                reason: FailReason::JournalIo,
-            },
-            Msg::Shutdown,
-        ]
+                lease: 99 + k,
+                events: 41 * k,
+            })
+            .collect()
     }
 
     #[test]
@@ -432,7 +239,7 @@ mod tests {
 
     #[test]
     fn corrupt_payload_is_a_crc_error() {
-        let mut frame = encode_msg(&Msg::Shutdown);
+        let mut frame = encode_msg(&all_msgs()[0]);
         let last = frame.len() - 1;
         frame[last] ^= 0xFF;
         let mut dec = FrameDecoder::new();
@@ -462,9 +269,9 @@ mod tests {
 
     #[test]
     fn truncated_and_oversized_layouts_are_rejected() {
-        // Hello with one field missing.
-        let mut payload = vec![1u8];
-        payload.extend_from_slice(&3u32.to_le_bytes());
+        // A heartbeat with its last field missing.
+        let mut payload = vec![TAG_HEARTBEAT];
+        payload.extend_from_slice(&[0u8; 20]);
         let mut frame = Vec::new();
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -473,10 +280,11 @@ mod tests {
         dec.extend(&frame);
         assert_eq!(dec.next(), Err(FrameError::BadLayout));
 
-        // Shutdown with trailing junk.
-        let payload = [6u8, 0u8];
+        // A heartbeat with trailing junk.
+        let mut payload = vec![TAG_HEARTBEAT];
+        payload.extend_from_slice(&[0u8; 29]);
         let mut frame = Vec::new();
-        frame.extend_from_slice(&2u32.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         let mut dec = FrameDecoder::new();

@@ -17,7 +17,9 @@
 //! # journals under BOOTSCAN_JOURNAL (or a temp dir), and re-running the
 //! # same command after an interruption resumes every incomplete shard.
 //! # The merged report is byte-identical at any worker count; killed or
-//! # hung workers have their shards stolen:
+//! # hung workers have their shards stolen. BOOTSCAN_WORKERS is the one
+//! # parallelism knob; without it or a journal the headline scan runs in
+//! # memory on one thread:
 //! BOOTSCAN_JOURNAL=scan-state cargo run --release --example full_study
 //! BOOTSCAN_WORKERS=4 cargo run --release --example full_study
 //! # over time: after the headline tables, run N epochs of seeded churn
@@ -53,15 +55,10 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1000);
-    // BOOTSCAN_WORKERS=<n> sizes the fabric fleet (the headline scan
-    // runs on the fabric when n > 1 or BOOTSCAN_JOURNAL is set; the
-    // epoch study always does); BOOTSCAN_PARALLELISM is the in-memory
-    // scan's concurrent-walk knob.
+    // BOOTSCAN_WORKERS=<n> sizes the fabric fleet, the example's one
+    // parallelism knob: the headline scan runs on the fabric when n > 1
+    // or BOOTSCAN_JOURNAL is set, and the epoch study always does.
     let workers: usize = std::env::var("BOOTSCAN_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let parallelism: usize = std::env::var("BOOTSCAN_PARALLELISM")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
@@ -101,10 +98,7 @@ fn main() {
         );
         config = config.with_adversaries(per_archetype);
     }
-    let policy = ScanPolicy {
-        parallelism,
-        ..ScanPolicy::default()
-    };
+    let policy = ScanPolicy::default();
     let longitudinal = (epochs > 1).then(|| (config.clone(), policy.clone()));
     // With BOOTSCAN_JOURNAL set or BOOTSCAN_WORKERS > 1 the scan runs on
     // the fabric (DESIGN.md §9): the zone space is sharded, per-shard
