@@ -19,16 +19,16 @@ use crate::operator::OperatorTable;
 use crate::progress::{ProgressSink, ResumeState, ZoneEffects, ZoneEvent};
 use crate::types::*;
 use dns_crypto::UnixTime;
-use dns_resolver::validate::{ds_link_verifies, verified_dnskeys};
+use dns_resolver::validate::{ds_link_verifies, self_signed_dnskeys, verified_dnskeys};
 use dns_resolver::{
     ChainLink, ClientErrorKind, DnsClient, HostileCause, ProvenanceCache, QueryMeter, ReferralData,
     Resolution, Resolver, ResolverError, RetryPolicy, RootHints, CACHE_TTL_MICROS,
 };
-use dns_wire::message::Rcode;
+use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
 use dns_wire::rdata::{DnskeyData, DsData, RData, RrsigData};
 use dns_wire::record::{RecordClass, RecordType, RrSet};
-use dns_zone::signal::signal_name;
+use dns_zone::signal::{signal_name, signal_zone_apex};
 use dns_zone::signer::verify_rrset_with_keys;
 use netsim::{Addr, DeterministicDraw, Network, RateLimiter, SimMicros};
 use parking_lot::Mutex;
@@ -65,14 +65,14 @@ static SAMPLED_SUFFIX: LazyLock<Name> =
 /// Per-address politeness rate, queries per virtual second (paper §3).
 const RATE_PER_SEC: f64 = 50.0;
 
-/// Per-zone logical-query budget — the amplification cap. Empirically,
-/// the costliest benign zone needs 35 logical queries in the `tiny` world
-/// with cold caches (the shared delegation cache makes even a zone's
-/// *own* repeat descents — signal probes, DNSKEY walks — cache hits), so
-/// 240 gives every benign zone several-fold headroom; the acceptance
-/// rules, not the budget, keep adversarial cost within 3× of the worst
-/// benign zone (see `tests/hostile_world.rs`, which re-measures both
-/// bounds every run).
+/// Per-zone logical-query budget — the amplification cap. The costliest
+/// configuration of the RFC scenario space (`tests/rfc_space.rs`, re-scans
+/// included) needs 38 logical queries, cold or in a shared world (the
+/// shared delegation cache makes even a zone's *own* repeat descents —
+/// signal probes, DNSKEY walks — cache hits), so 240 gives every benign
+/// zone several-fold headroom; the acceptance rules, not the budget, keep
+/// adversarial cost within 3× of the worst benign zone (see
+/// `tests/hostile_world.rs`, which re-measures both bounds every run).
 pub const DEFAULT_ZONE_QUERY_BUDGET: u64 = 240;
 
 /// Whole-exchange retries per query on timeout/malformed replies.
@@ -312,7 +312,7 @@ impl Scanner {
         addr: Addr,
         name: &Name,
         rtype: RecordType,
-    ) -> Option<dns_wire::message::Message> {
+    ) -> Option<Message> {
         if !probe.scratch.breaker.allows(addr, probe.clock) {
             probe.stats.record(ScanError::BreakerOpen);
             return None;
@@ -571,14 +571,20 @@ impl Scanner {
         // scan, one per zone.
         let mut observations = Vec::with_capacity(targets.len());
         let mut cds_verdicts = Vec::new();
+        let mut first_dnskeys = None;
         for (ns, addr) in &targets {
-            observations.push(self.observe_address(probe, zone, ns, *addr, &mut cds_verdicts));
+            let (obs, dnskeys) = self.observe_address(probe, zone, ns, *addr, &mut cds_verdicts);
+            if first_dnskeys.is_none() && !obs.dnskeys.is_empty() {
+                first_dnskeys = dnskeys;
+            }
+            observations.push(obs);
         }
 
-        // Zone DNSKEY validation (for Secured/Invalid/Island split).
+        // The zone's authenticated keys, which its CDS is checked against:
+        // through the DS when there is one; for an island, the first
+        // DNSKEY answer's keys if its RRSIGs verify under them, else none.
         let zone_keys: Option<Vec<DnskeyData>> = if parent_ds.is_empty() {
-            // Island check: self-validate against its own keys.
-            self.self_validated_keys(&observations)
+            first_dnskeys.and_then(|msg| self_signed_dnskeys(&msg, zone, self.now))
         } else {
             let servers: Vec<Addr> = targets.iter().map(|(_, a)| *a).collect();
             self.fetch_keys_uncached(probe, zone, &servers, &parent_ds)
@@ -590,12 +596,9 @@ impl Scanner {
             .map(|ns| self.probe_signal(probe, zone, ns))
             .collect();
 
-        // 5. Classify. First fold in hostile events the client/resolver
-        // observed silently (stripped foreign records, loop detections
-        // inside nested address walks, budget refusals), so the
-        // degradation logic below — and the report — sees them.
-        probe.stats.absorb_hostile(&probe.meter.hostile());
-        probe.stats.logical_queries = probe.meter.logical_queries();
+        // 5. Classify, once what the client and resolver saw silently is
+        // folded in for the degradation logic below and the report.
+        Self::absorb_meter(probe);
         let mut dnssec = classify::dnssec_class(&chain, &observations, zone_keys.as_deref());
         // Degradation override: the zone resolved, but then *no* address
         // produced any answer while transient failures were piling up.
@@ -635,8 +638,7 @@ impl Scanner {
         // degradation, so they land in Indeterminate with their named
         // cause in the stats — never in Unresolvable, which would
         // misread an attack as a property of the world.
-        probe.stats.absorb_hostile(&probe.meter.hostile());
-        probe.stats.logical_queries = probe.meter.logical_queries();
+        Self::absorb_meter(probe);
         let degraded = probe.stats.degraded();
         ZoneScan {
             name: zone.clone(),
@@ -658,6 +660,17 @@ impl Scanner {
             retry_stats: probe.stats,
             degraded,
         }
+    }
+
+    /// Fold the meter's silent tallies into the probe's stats: hostile
+    /// events (stripped foreign records, nested loop detections, budget
+    /// refusals), failed NS address lookups and the logical queries.
+    fn absorb_meter(probe: &mut Probe) {
+        probe.stats.absorb_hostile(&probe.meter.hostile());
+        for _ in 0..probe.meter.failed_lookups() {
+            probe.stats.record(ScanError::ResolutionFailed);
+        }
+        probe.stats.logical_queries = probe.meter.logical_queries();
     }
 
     /// Apply the Cloudflare sampling policy. Returns whether sampling
@@ -683,8 +696,9 @@ impl Scanner {
         true
     }
 
-    /// Query one address for DNSKEY/CDS/CDNSKEY. `cds_verdicts` holds the
-    /// zone's CDS signature checks so far, each with its verdict.
+    /// Query one address for DNSKEY/CDS/CDNSKEY, returning the
+    /// observation and the DNSKEY answer. `cds_verdicts` holds the zone's
+    /// CDS signature checks so far, each with its verdict.
     fn observe_address(
         &self,
         probe: &mut Probe,
@@ -692,7 +706,7 @@ impl Scanner {
         ns: &Name,
         addr: Addr,
         cds_verdicts: &mut Vec<(CdsSigInput, bool)>,
-    ) -> NsObservation {
+    ) -> (NsObservation, Option<Message>) {
         let mut obs = NsObservation {
             ns_name: ns.clone(),
             addr,
@@ -713,7 +727,8 @@ impl Scanner {
                 .any(|r| r.rtype() == RecordType::Soa && r.name == *zone);
         }
         // DNSKEY.
-        if let Some(msg) = self.query(probe, addr, zone, RecordType::Dnskey) {
+        let dnskeys = self.query(probe, addr, zone, RecordType::Dnskey);
+        if let Some(msg) = &dnskeys {
             obs.responded = true;
             for r in &msg.answers {
                 if let RData::Dnskey(d) = &r.rdata {
@@ -786,7 +801,7 @@ impl Scanner {
             };
             obs.cds_sig_valid = Some(valid);
         }
-        obs
+        (obs, dnskeys)
     }
 
     /// Whether the CDS and the CDNSKEY RRset in `input` (each, if
@@ -813,14 +828,6 @@ impl Scanner {
                 };
                 verify_rrset_with_keys(&set, &input.rrsigs, &input.dnskeys, self.now).is_ok()
             })
-    }
-
-    /// Keys that self-validate from the NS observations (island check).
-    fn self_validated_keys(&self, observations: &[NsObservation]) -> Option<Vec<DnskeyData>> {
-        observations
-            .iter()
-            .find(|o| !o.dnskeys.is_empty())
-            .map(|o| o.dnskeys.clone())
     }
 
     /// Probe the signal name for (zone, ns): resolve its CDS, validate
@@ -863,12 +870,13 @@ impl Scanner {
             }
         }
         // CDNSKEY at the same name.
-        if let Ok(res2) = self.resolver.resolve_at_with(
+        let res2 = self.resolver.resolve_at_with(
             Some(&probe.meter),
             probe.clock,
             &signame,
             RecordType::Cdnskey,
-        ) {
+        );
+        if let Ok(res2) = &res2 {
             probe.clock += res2.elapsed;
             probe.queries += res2.queries;
             for r in &res2.answers {
@@ -880,10 +888,12 @@ impl Scanner {
         obs.cds.sort();
         obs.cds.dedup();
         obs.cds.shrink_to_fit();
-        // Zone-cut probe runs regardless of whether signal records were
-        // found: the parked-typo-NS case (§4.4) answers CDS queries with
-        // nothing while faking NS RRsets at every label.
-        obs.zone_cut = self.detect_zone_cut(probe, &res.zone_apex, &signame, &res.zone_servers);
+        // A zone cut: the answer came from below `_signal.<ns>`, or the
+        // path probe finds one — probed even without signal records, as
+        // the parked-typo-NS case (§4.4) fakes NS RRsets at every label.
+        let below = signal_zone_apex(ns).is_ok_and(|a| res.zone_apex.is_strict_subdomain_of(&a));
+        obs.zone_cut =
+            below || self.detect_zone_cut(probe, &res.zone_apex, &signame, &res.zone_servers);
         if obs.cds.is_empty() {
             return obs;
         }
@@ -891,12 +901,11 @@ impl Scanner {
         let chain = self.validate_chain_to_parent(probe, &res);
         let valid = match chain {
             ChainStatus::DsPresent(ds) => {
-                // Validate the answering zone's keys and the CDS RRsets.
+                // Validate the answering zone's keys, then the CDS and
+                // CDNSKEY answers.
                 let keys = self.validated_keys(probe, &res.zone_apex, &res.zone_servers, &ds);
-                match keys {
-                    Some(keys) => self.signal_rrsets_valid(&res, &keys),
-                    None => false,
-                }
+                let mut answers = [&res].into_iter().chain(&res2);
+                keys.is_some_and(|keys| answers.all(|r| self.signal_rrsets_valid(r, &keys)))
             }
             _ => false, // unsigned or broken chain → signal not authenticated
         };

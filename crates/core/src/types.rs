@@ -76,6 +76,17 @@ pub struct NsObservation {
     pub csync_present: bool,
 }
 
+/// The distinct CDS contents `observations` served, sorted.
+pub fn cds_union<'a>(observations: impl IntoIterator<Item = &'a NsObservation>) -> Vec<CdsSeen> {
+    let mut v: Vec<CdsSeen> = Vec::new();
+    for o in observations {
+        v.extend_from_slice(&o.cds);
+    }
+    v.sort();
+    v.dedup();
+    v
+}
+
 /// What the scanner saw for one signal name
 /// (`_dsboot.<zone>._signal.<ns>`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,16 +228,7 @@ impl ZoneScan {
 
     /// All distinct CDS contents seen in-zone (union over NSes).
     pub fn cds_union(&self) -> Vec<CdsSeen> {
-        let mut v: Vec<CdsSeen> = Vec::new();
-        for o in &self.ns_observations {
-            for c in &o.cds {
-                if !v.contains(c) {
-                    v.push(c.clone());
-                }
-            }
-        }
-        v.sort();
-        v
+        cds_union(&self.ns_observations)
     }
 
     /// Whether any NS failed/errored on CDS queries (§4.2 "lack of

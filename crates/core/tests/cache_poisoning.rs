@@ -12,69 +12,50 @@
 //! on names: the last test plants in-bailiwick entries that differ from
 //! a verified link in exactly one of the two.
 
-use bootscan::{DnssecClass, ReferralData, ScanPolicy, Scanner};
-use dns_ecosystem::{build, DnssecState, Ecosystem, EcosystemConfig};
+#[expect(
+    dead_code,
+    reason = "the scenario space serves the RFC oracle suite too"
+)]
+mod scenario;
+
+use bootscan::{DnssecClass, ReferralData, Scanner};
 use dns_wire::name::Name;
-use dns_wire::rdata::DnskeyData;
 use dns_wire::record::RecordType;
 use netsim::{Addr, SimMicros};
+use scenario::Point;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-fn scanner_for(eco: &Ecosystem) -> Arc<Scanner> {
-    Scanner::for_ecosystem(eco, ScanPolicy::default())
-}
-
-/// A secured, non-legacy zone from the tiny world (the class whose
-/// classification depends on chain validation, i.e. on trusted keys).
-fn secured_zone(eco: &Ecosystem) -> Name {
-    eco.truth
-        .iter()
-        .find(|t| t.dnssec == DnssecState::Secured && !t.legacy_ns && !t.in_domain_ns)
-        .map(|t| t.name.clone())
-        .expect("tiny world plants secured zones")
-}
-
-fn garbage_keys() -> Vec<DnskeyData> {
-    vec![DnskeyData {
-        flags: 257,
-        protocol: 3,
-        algorithm: 13,
-        public_key: vec![0xde; 64],
-    }]
-}
-
 #[test]
 fn poisoned_key_cache_entries_are_never_consulted() {
-    let eco = build(EcosystemConfig::tiny(7));
-    let zone = secured_zone(&eco);
+    let point = Point::named("secured");
+    let zone = point.zone.clone();
 
-    let clean = scanner_for(&eco).scan_all(std::slice::from_ref(&zone));
+    let clean = point.scanner().scan_all(std::slice::from_ref(&zone));
     let baseline = &clean.zones[0];
 
     // Attacker-grade inserts: garbage key sets for the validation chain's
     // ancestors, tagged with a provenance that does not contain them.
-    let scanner = scanner_for(&eco);
+    let scanner = point.scanner();
     let foreign = Name::parse("zzadv").unwrap();
     scanner.seed_validated_keys(
         Name::root(),
-        garbage_keys(),
-        Some(foreign.clone()),
-        SimMicros::MAX,
-    );
-    scanner.seed_validated_keys(
-        Name::parse("com").unwrap(),
-        garbage_keys(),
+        scenario::garbage_keys(),
         Some(foreign.clone()),
         SimMicros::MAX,
     );
     scanner.seed_validated_keys(
         zone.parent().unwrap(),
-        garbage_keys(),
+        scenario::garbage_keys(),
         Some(foreign.clone()),
         SimMicros::MAX,
     );
-    scanner.seed_validated_keys(zone.clone(), garbage_keys(), Some(foreign), SimMicros::MAX);
+    scanner.seed_validated_keys(
+        zone.clone(),
+        scenario::garbage_keys(),
+        Some(foreign),
+        SimMicros::MAX,
+    );
 
     let poisoned = scanner.scan_all(std::slice::from_ref(&zone));
     assert_eq!(
@@ -89,19 +70,17 @@ fn poisoned_key_cache_entries_are_never_consulted() {
 
 #[test]
 fn poisoned_address_cache_entries_are_never_consulted() {
-    let eco = build(EcosystemConfig::tiny(7));
-    let zone = secured_zone(&eco);
-    let truth = eco.truth_of(&zone).unwrap();
-    let op = &eco.operators[truth.operator];
+    let point = Point::named("secured");
+    let zone = point.zone.clone();
 
-    let clean = scanner_for(&eco).scan_all(std::slice::from_ref(&zone));
+    let clean = point.scanner().scan_all(std::slice::from_ref(&zone));
     let baseline = &clean.zones[0];
 
     // Redirect every NS hostname of the zone's operator to an attacker
     // address — but with a provenance that does not contain the hostname.
     let attacker = Addr::V4(Ipv4Addr::new(10, 200, 0, 77));
-    let scanner = scanner_for(&eco);
-    for host in &op.hosts {
+    let scanner = point.scanner();
+    for (host, _) in &point.hosts {
         scanner.resolver().seed_address(
             host.clone(),
             Arc::new(vec![attacker]),
@@ -116,7 +95,7 @@ fn poisoned_address_cache_entries_are_never_consulted() {
         "{zone}: poisoned address-cache entries changed the scan outcome"
     );
     // The attacker address must never have seen a single datagram.
-    let snap = eco.net.stats().snapshot();
+    let snap = point.world.net.stats().snapshot();
     assert_eq!(
         snap.per_dest.get(&attacker).copied().unwrap_or(0),
         0,
@@ -126,10 +105,10 @@ fn poisoned_address_cache_entries_are_never_consulted() {
 
 #[test]
 fn poisoned_delegation_cache_entries_are_never_consulted() {
-    let eco = build(EcosystemConfig::tiny(7));
-    let zone = secured_zone(&eco);
+    let point = Point::named("secured");
+    let zone = point.zone.clone();
 
-    let clean = scanner_for(&eco).scan_all(std::slice::from_ref(&zone));
+    let clean = point.scanner().scan_all(std::slice::from_ref(&zone));
     let baseline = &clean.zones[0];
 
     // Plant referral data redirecting the zone's cut — and its TLD's cut
@@ -139,7 +118,7 @@ fn poisoned_delegation_cache_entries_are_never_consulted() {
     // weight: the walk falls back to the root and re-derives the chain
     // from the network.
     let attacker = Addr::V4(Ipv4Addr::new(10, 200, 0, 88));
-    let scanner = scanner_for(&eco);
+    let scanner = point.scanner();
     let foreign = Name::parse("zzadv").unwrap();
     for cut in [zone.clone(), zone.parent().unwrap()] {
         let parent = cut.parent().unwrap_or_else(Name::root);
@@ -168,7 +147,7 @@ fn poisoned_delegation_cache_entries_are_never_consulted() {
         "{zone}: scan through a poisoned delegation cache must stay clean"
     );
     // The attacker server must never have seen a single datagram.
-    let snap = eco.net.stats().snapshot();
+    let snap = point.world.net.stats().snapshot();
     assert_eq!(
         snap.per_dest.get(&attacker).copied().unwrap_or(0),
         0,
@@ -178,9 +157,9 @@ fn poisoned_delegation_cache_entries_are_never_consulted() {
 
 #[test]
 fn verified_ds_links_are_reused_only_for_the_same_referral_and_keys() {
-    let eco = build(EcosystemConfig::tiny(7));
-    let zone = secured_zone(&eco);
-    let scanner = scanner_for(&eco);
+    let point = Point::named("secured");
+    let zone = point.zone.clone();
+    let scanner = point.scanner();
     let scan = |scanner: &Scanner| scanner.scan_all(std::slice::from_ref(&zone)).zones[0].dnssec;
     assert_eq!(scan(&scanner), DnssecClass::Secured, "{zone}: baseline");
 
@@ -217,7 +196,7 @@ fn verified_ds_links_are_reused_only_for_the_same_referral_and_keys() {
     );
     scanner.seed_validated_keys(
         verified.parent_apex.clone(),
-        garbage_keys(),
+        scenario::garbage_keys(),
         None,
         SimMicros::MAX,
     );

@@ -217,6 +217,8 @@ pub struct QueryMeter {
     budget: u64,
     /// Per-cause hostile-event counters.
     hostile: Cell<HostileTally>,
+    /// NS address lookups that came back incomplete.
+    pub(crate) failed_lookups: Cell<u32>,
 }
 
 impl QueryMeter {
@@ -236,6 +238,7 @@ impl QueryMeter {
             logical: Cell::new(0),
             budget,
             hostile: Cell::default(),
+            failed_lookups: Cell::default(),
         }
     }
 
@@ -325,6 +328,11 @@ impl QueryMeter {
     /// Snapshot of the per-cause hostile-event counters.
     pub fn hostile(&self) -> HostileTally {
         self.hostile.get()
+    }
+
+    /// NS address lookups whose A or AAAA walk failed (never cached).
+    pub fn failed_lookups(&self) -> u32 {
+        self.failed_lookups.get()
     }
 
     fn record(&self, io: IoCounters) {

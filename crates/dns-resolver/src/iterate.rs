@@ -590,6 +590,9 @@ impl Resolver {
         visited.pop();
         let addrs = Arc::new(addrs);
         if !complete {
+            if let Some(m) = meter {
+                m.failed_lookups.set(m.failed_lookups.get() + 1);
+            }
             return Ok(addrs);
         }
         // One allocation, shared three ways: the cache entry, the meter

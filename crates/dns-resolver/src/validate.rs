@@ -116,17 +116,26 @@ fn fetch_and_verify_keys(
 }
 
 /// The RFC 4035 §5.2 DNSKEY step, stated once for both validators: the
-/// DNSKEY records `reply` carries at `zone`, provided at least one of
-/// them matches a record in `ds` (parent DS set or DS-form trust
-/// anchors) and the RRset's self-signature verifies at `now`. `None`
-/// when the reply has no key at the owner, none is anchored, or the
-/// signature fails — which of the three is the caller's to map.
+/// [self-signed](self_signed_dnskeys) DNSKEY records `reply` carries at
+/// `zone`, provided at least one of them matches a record in `ds`
+/// (parent DS set or DS-form trust anchors). `None` when the reply has
+/// no key at the owner, the signature fails, or no key is anchored —
+/// which of the three is the caller's to map.
 pub fn verified_dnskeys(
     reply: &Message,
     zone: &Name,
     ds: &[DsData],
     now: UnixTime,
 ) -> Option<Vec<DnskeyData>> {
+    let keys = self_signed_dnskeys(reply, zone, now)?;
+    let anchored = keys.iter().any(|k| key_matches_any_ds(zone, k, ds));
+    anchored.then_some(keys)
+}
+
+/// The DNSKEY records `reply` carries at `zone`, provided the RRset's
+/// self-signature verifies at `now` under those same keys — all an
+/// island, which no DS vouches for, can show.
+pub fn self_signed_dnskeys(reply: &Message, zone: &Name, now: UnixTime) -> Option<Vec<DnskeyData>> {
     let keys: Vec<DnskeyData> = reply
         .answers
         .iter()
@@ -135,9 +144,6 @@ pub fn verified_dnskeys(
             _ => None,
         })
         .collect();
-    if !keys.iter().any(|k| key_matches_any_ds(zone, k, ds)) {
-        return None;
-    }
     let rrsigs: Vec<RrsigData> = reply
         .answers
         .iter()

@@ -6,12 +6,12 @@
 //! it into Secured/Insecure/Invalid, and (c) stay byte-for-byte
 //! deterministic: same world seed + same fault plan = identical reports.
 
-#[expect(dead_code, reason = "`keep_frames` serves the journal-cut suites")]
+#[expect(dead_code, reason = "each suite uses only some of the shared helpers")]
 mod common;
 
 use bootscan::report;
 use bootscan::{DnssecClass, ScanPolicy, ScanResults, Scanner};
-use dns_ecosystem::{build, DnssecState, Ecosystem, EcosystemConfig};
+use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use netsim::FaultPlan;
 
 /// Build the tiny world, arm the standard chaos profile on every bound
@@ -24,15 +24,6 @@ fn scan_under_chaos(world_seed: u64, chaos_seed: u64) -> (Ecosystem, ScanResults
     let seeds = eco.seeds.compile(&eco.psl);
     let results = scanner.scan_all(&seeds);
     (eco, results)
-}
-
-fn expect_dnssec(truth: &dns_ecosystem::ZoneTruth) -> DnssecClass {
-    match truth.dnssec {
-        DnssecState::Unsigned => DnssecClass::Unsigned,
-        DnssecState::Secured => DnssecClass::Secured,
-        DnssecState::Invalid => DnssecClass::Invalid,
-        DnssecState::Island => DnssecClass::Island,
-    }
 }
 
 #[test]
@@ -51,7 +42,7 @@ fn chaos_scan_recovers_planted_truth_within_tolerance() {
             continue;
         }
         checked += 1;
-        if scan.dnssec == expect_dnssec(truth) {
+        if scan.dnssec == common::expect_dnssec(truth) {
             matched += 1;
         } else {
             // Every casualty of the chaos must be *explicitly* degraded:

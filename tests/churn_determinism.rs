@@ -21,7 +21,10 @@
 //! Plus the end-to-end smoke that makes churn *meaningful*: a cold scan
 //! of a churned world recovers the *updated* truth table.
 
-use bootscan::{AbClass, CannotReason, CdsClass, DnssecClass, ScanPolicy, Scanner};
+#[expect(dead_code, reason = "each suite uses only some of the shared helpers")]
+mod common;
+
+use bootscan::{AbClass, CannotReason, ScanPolicy, Scanner};
 use dns_ecosystem::{
     apply_churn, build, CdsState, ChurnConfig, ChurnLog, ChurnPlan, DnssecState, Ecosystem,
     EcosystemConfig, SignalDefect, SignalTruth,
@@ -572,27 +575,6 @@ fn planted_bad_signature_survives_resigned_and_untouched_epochs() {
     );
 }
 
-/// Expected scanner classification for a (post-churn) planted truth.
-fn expect_dnssec(truth: &dns_ecosystem::ZoneTruth) -> DnssecClass {
-    match truth.dnssec {
-        DnssecState::Unsigned => DnssecClass::Unsigned,
-        DnssecState::Secured => DnssecClass::Secured,
-        DnssecState::Invalid => DnssecClass::Invalid,
-        DnssecState::Island => DnssecClass::Island,
-    }
-}
-
-fn expect_cds(truth: &dns_ecosystem::ZoneTruth) -> CdsClass {
-    match truth.cds {
-        CdsState::None => CdsClass::Absent,
-        CdsState::Valid => CdsClass::Valid,
-        CdsState::Delete => CdsClass::Delete,
-        CdsState::MismatchesDnskey => CdsClass::MismatchesDnskey,
-        CdsState::BadSignature => CdsClass::BadSignature,
-        CdsState::Inconsistent => CdsClass::Inconsistent,
-    }
-}
-
 #[test]
 fn churned_world_scans_to_updated_truth() {
     let (eco, logs) = churned_world(42, 7, 3);
@@ -619,20 +601,20 @@ fn churned_world_scans_to_updated_truth() {
         if churned.contains(&scan.name) {
             churned_checked += 1;
         }
-        if scan.dnssec != expect_dnssec(truth) {
+        if scan.dnssec != common::expect_dnssec(truth) {
             mismatches.push(format!(
                 "{}: dnssec {:?}, want {:?}",
                 scan.name,
                 scan.dnssec,
-                expect_dnssec(truth)
+                common::expect_dnssec(truth)
             ));
         }
-        if scan.cds != expect_cds(truth) {
+        if scan.cds != common::expect_cds(truth) {
             mismatches.push(format!(
                 "{}: cds {:?}, want {:?}",
                 scan.name,
                 scan.cds,
-                expect_cds(truth)
+                common::expect_cds(truth)
             ));
         }
         match truth.signal {

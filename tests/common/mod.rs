@@ -1,6 +1,7 @@
 //! Helpers shared by the integration suites.
 
-use bootscan::ZoneScan;
+use bootscan::{CdsClass, DnssecClass, ZoneScan};
+use dns_ecosystem::{CdsState, DnssecState, ZoneTruth};
 use scan_journal::{CHECKPOINT_FILE, JOURNAL_FILE};
 use std::fs;
 use std::path::Path;
@@ -33,5 +34,27 @@ pub fn keep_frames(dir: &Path, frames: u64, checkpoint: bool) {
     fs::write(&path, &raw[..len]).unwrap();
     if !checkpoint {
         let _ = fs::remove_file(dir.join(CHECKPOINT_FILE));
+    }
+}
+
+/// The DNSSEC class a perfect scanner must assign to a planted zone.
+pub fn expect_dnssec(truth: &ZoneTruth) -> DnssecClass {
+    match truth.dnssec {
+        DnssecState::Unsigned => DnssecClass::Unsigned,
+        DnssecState::Secured => DnssecClass::Secured,
+        DnssecState::Invalid => DnssecClass::Invalid,
+        DnssecState::Island => DnssecClass::Island,
+    }
+}
+
+/// The CDS class a perfect scanner must assign to a planted zone.
+pub fn expect_cds(truth: &ZoneTruth) -> CdsClass {
+    match truth.cds {
+        CdsState::None => CdsClass::Absent,
+        CdsState::Valid => CdsClass::Valid,
+        CdsState::Delete => CdsClass::Delete,
+        CdsState::MismatchesDnskey => CdsClass::MismatchesDnskey,
+        CdsState::BadSignature => CdsClass::BadSignature,
+        CdsState::Inconsistent => CdsClass::Inconsistent,
     }
 }

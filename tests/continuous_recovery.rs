@@ -25,7 +25,7 @@
 //! deaths also land *around* pipelined and coalesced epochs — the
 //! cross-epoch journal-fencing surface.
 
-#[expect(dead_code, reason = "`assert_same_zones` serves the scan-level suites")]
+#[expect(dead_code, reason = "each suite uses only some of the shared helpers")]
 mod common;
 
 use bootscan::{DnssecClass, ScanPolicy, Scanner};

@@ -9,6 +9,7 @@
 //! is exercised across retries, open circuit breakers, degraded zones,
 //! and re-scan passes — not just the happy path.
 
+#[expect(dead_code, reason = "each suite uses only some of the shared helpers")]
 mod common;
 
 use bootscan::report::{self, DegradationReport, Figure1};

@@ -2,9 +2,10 @@
 //! serve real DNS messages over the simulated network, the scanner
 //! measures, and the classifications must match what was planted.
 
-use bootscan::{
-    AbClass, CannotReason, CdsClass, DnssecClass, ScanPolicy, Scanner, SignalViolation,
-};
+#[expect(dead_code, reason = "each suite uses only some of the shared helpers")]
+mod common;
+
+use bootscan::{AbClass, CannotReason, ScanPolicy, Scanner, SignalViolation};
 use dns_ecosystem::{
     build, CdsState, DnssecState, Ecosystem, EcosystemConfig, SignalDefect, SignalTruth,
 };
@@ -14,27 +15,6 @@ fn scan_world(eco: &Ecosystem, policy: ScanPolicy) -> bootscan::ScanResults {
     let seeds = eco.seeds.compile(&eco.psl);
     assert!(!seeds.is_empty(), "seed compilation produced zones");
     scanner.scan_all(&seeds)
-}
-
-/// Expected scanner classification for a planted truth.
-fn expect_dnssec(truth: &dns_ecosystem::ZoneTruth) -> DnssecClass {
-    match truth.dnssec {
-        DnssecState::Unsigned => DnssecClass::Unsigned,
-        DnssecState::Secured => DnssecClass::Secured,
-        DnssecState::Invalid => DnssecClass::Invalid,
-        DnssecState::Island => DnssecClass::Island,
-    }
-}
-
-fn expect_cds(truth: &dns_ecosystem::ZoneTruth) -> CdsClass {
-    match truth.cds {
-        CdsState::None => CdsClass::Absent,
-        CdsState::Valid => CdsClass::Valid,
-        CdsState::Delete => CdsClass::Delete,
-        CdsState::MismatchesDnskey => CdsClass::MismatchesDnskey,
-        CdsState::BadSignature => CdsClass::BadSignature,
-        CdsState::Inconsistent => CdsClass::Inconsistent,
-    }
 }
 
 #[test]
@@ -63,7 +43,7 @@ fn scanner_recovers_planted_truth() {
             continue;
         }
 
-        let want_dnssec = expect_dnssec(truth);
+        let want_dnssec = common::expect_dnssec(truth);
         if scan.dnssec != want_dnssec {
             mismatches.push(format!(
                 "{}: dnssec {:?}, want {:?}",
@@ -71,7 +51,7 @@ fn scanner_recovers_planted_truth() {
             ));
             continue;
         }
-        let want_cds = expect_cds(truth);
+        let want_cds = common::expect_cds(truth);
         if scan.cds != want_cds {
             mismatches.push(format!(
                 "{}: cds {:?}, want {:?} (dnssec {:?})",

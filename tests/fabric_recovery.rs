@@ -12,7 +12,7 @@
 //! open breakers, degraded zones, re-scan passes all exercised), scaled
 //! up to the paper's 1:10,000 world in release builds.
 
-#[expect(dead_code, reason = "`keep_frames` serves the journal-cut suites")]
+#[expect(dead_code, reason = "each suite uses only some of the shared helpers")]
 mod common;
 
 use bootscan::{report, ScanPolicy, Scanner, ZoneScan};

@@ -9,9 +9,12 @@
 //! non-legacy zone's recovered DNSSEC/CDS classification must equal what
 //! was planted.
 
+#[expect(dead_code, reason = "each suite uses only some of the shared helpers")]
+mod common;
+
 use std::collections::BTreeMap;
 
-use bootscan::{report, AbClass, DnssecClass, Identified, ScanPolicy};
+use bootscan::{report, AbClass, Identified, ScanPolicy};
 use dns_ecosystem::{CdsState, DnssecState, EcosystemConfig, SignalDefect, SignalTruth, ZoneTruth};
 use dnssec_bootstrap::run_study;
 
@@ -70,16 +73,6 @@ fn shrunken_paper_config() -> EcosystemConfig {
     cfg
 }
 
-/// The DNSSEC class a perfect scanner must assign to a planted zone.
-fn expected_dnssec(t: &ZoneTruth) -> DnssecClass {
-    match t.dnssec {
-        DnssecState::Unsigned => DnssecClass::Unsigned,
-        DnssecState::Secured => DnssecClass::Secured,
-        DnssecState::Invalid => DnssecClass::Invalid,
-        DnssecState::Island => DnssecClass::Island,
-    }
-}
-
 #[test]
 fn headline_shapes_hold() {
     let (eco, results) = run_study(shrunken_paper_config(), ScanPolicy::default());
@@ -135,7 +128,7 @@ fn headline_shapes_hold() {
         if !t.legacy_ns {
             assert_eq!(
                 z.dnssec,
-                expected_dnssec(t),
+                common::expect_dnssec(t),
                 "{}: scanner {:?} vs planted {:?}",
                 z.name,
                 z.dnssec,
