@@ -143,10 +143,10 @@ mod tests {
     fn zone(n: &str, dnssec: DnssecClass, ab: AbClass, sampled: bool, queries: u32) -> ZoneScan {
         ZoneScan {
             name: name!(n),
-            ns_names: vec![],
-            parent_ds: vec![],
-            ns_observations: vec![],
-            signal_observations: vec![],
+            ns_names: [].into(),
+            parent_ds: [].into(),
+            ns_observations: [].into(),
+            signal_observations: [].into(),
             dnssec,
             cds: CdsClass::Absent,
             ab,

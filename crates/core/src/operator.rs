@@ -8,24 +8,27 @@
 
 use dns_wire::name::Name;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Maps NS-name suffixes to operator display names.
+/// Maps NS-name suffixes to operator display names. Each name is one
+/// shared `Arc<str>`, so every zone identified as that operator points at
+/// the table's copy.
 #[derive(Debug, Clone, Default)]
 pub struct OperatorTable {
     /// suffix → operator name.
-    suffixes: Vec<(Name, String)>,
+    suffixes: Vec<(Name, Arc<str>)>,
     /// white-label suffix → canonical operator name.
-    white_label: Vec<(Name, String)>,
+    white_label: Vec<(Name, Arc<str>)>,
 }
 
 /// The outcome of identifying a zone's operator(s).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Identified {
     /// All NSes belong to one known operator.
-    Single(String),
+    Single(Arc<str>),
     /// NSes belong to more than one known operator (multi-operator
     /// setup).
-    Multi(Vec<String>),
+    Multi(Vec<Arc<str>>),
     /// No NS matched a known suffix.
     Unknown,
 }
@@ -37,14 +40,13 @@ impl OperatorTable {
 
     /// Register an operator by NS suffix (e.g. `domaincontrol.com`).
     pub fn add(&mut self, suffix: &Name, operator: &str) {
-        self.suffixes.push((suffix.clone(), operator.to_string()));
+        self.suffixes.push((suffix.clone(), operator.into()));
     }
 
     /// Register a white-label suffix that fronts `operator` (the paper's
     /// `seized.gov` → Cloudflare case).
     pub fn add_white_label(&mut self, suffix: &Name, operator: &str) {
-        self.white_label
-            .push((suffix.clone(), operator.to_string()));
+        self.white_label.push((suffix.clone(), operator.into()));
     }
 
     /// Build from the generated ecosystem's operator table, adding every
@@ -71,6 +73,11 @@ impl OperatorTable {
 
     /// The operator owning one NS hostname, if known.
     pub fn of_ns(&self, ns: &Name) -> Option<&str> {
+        self.lookup(ns).map(|op| &**op)
+    }
+
+    /// The table's shared name for the operator owning `ns`.
+    fn lookup(&self, ns: &Name) -> Option<&Arc<str>> {
         for (suffix, op) in self.white_label.iter().chain(self.suffixes.iter()) {
             if ns.is_subdomain_of(suffix) {
                 return Some(op);
@@ -81,13 +88,13 @@ impl OperatorTable {
 
     /// Identify the operator(s) behind a full NS set.
     pub fn identify(&self, ns_set: &[Name]) -> Identified {
-        let mut ops: Vec<String> = Vec::new();
+        let mut ops: Vec<Arc<str>> = Vec::new();
         let mut any_unknown = false;
         for ns in ns_set {
-            match self.of_ns(ns) {
+            match self.lookup(ns) {
                 Some(op) => {
                     if !ops.iter().any(|o| o == op) {
-                        ops.push(op.to_string());
+                        ops.push(Arc::clone(op));
                     }
                 }
                 None => any_unknown = true,

@@ -210,10 +210,10 @@ mod tests {
     fn zone(n: &str, dnssec: DnssecClass, cds: CdsClass, ab: AbClass) -> ZoneScan {
         ZoneScan {
             name: name!(n),
-            ns_names: vec![],
-            parent_ds: vec![],
-            ns_observations: vec![],
-            signal_observations: vec![],
+            ns_names: [].into(),
+            parent_ds: [].into(),
+            ns_observations: [].into(),
+            signal_observations: [].into(),
             dnssec,
             cds,
             ab,

@@ -149,13 +149,13 @@ pub struct Table1Row {
 
 /// Table 1: DNSSEC among the top-N DNS operators by domain count.
 pub fn table1(results: &ScanResults, top_n: usize) -> Vec<Table1Row> {
-    let mut map: BTreeMap<String, Table1Row> = BTreeMap::new();
+    let mut map: BTreeMap<&str, Table1Row> = BTreeMap::new();
     for z in results.resolved() {
         let Identified::Single(op) = &z.operator else {
             continue;
         };
-        let row = map.entry(op.clone()).or_insert_with(|| Table1Row {
-            operator: op.clone(),
+        let row = map.entry(op).or_insert_with(|| Table1Row {
+            operator: op.to_string(),
             domains: 0,
             unsigned: 0,
             secured: 0,
@@ -222,27 +222,27 @@ pub struct Table2Row {
 
 /// Table 2: the top-N operators publishing CDS RRs.
 pub fn table2(results: &ScanResults, top_n: usize, swiss_ops: &[String]) -> Vec<Table2Row> {
-    let mut cds: BTreeMap<String, u64> = BTreeMap::new();
-    let mut portfolio: BTreeMap<String, u64> = BTreeMap::new();
+    let mut cds: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut portfolio: BTreeMap<&str, u64> = BTreeMap::new();
     for z in results.resolved() {
         let Identified::Single(op) = &z.operator else {
             continue;
         };
-        *portfolio.entry(op.clone()).or_insert(0) += 1;
+        *portfolio.entry(op).or_insert(0) += 1;
         if z.cds != CdsClass::Absent {
-            *cds.entry(op.clone()).or_insert(0) += 1;
+            *cds.entry(op).or_insert(0) += 1;
         }
     }
     let mut rows: Vec<Table2Row> = cds
         .into_iter()
         .map(|(op, n)| {
-            let p = portfolio.get(&op).copied().unwrap_or(n);
+            let p = portfolio.get(op).copied().unwrap_or(n);
             Table2Row {
-                swiss: swiss_ops.contains(&op),
+                swiss: swiss_ops.iter().any(|s| s == op),
                 domains_with_cds: n,
                 portfolio: p,
                 pct_of_portfolio: 100.0 * n as f64 / p.max(1) as f64,
-                operator: op,
+                operator: op.to_string(),
             }
         })
         .collect();
@@ -309,7 +309,7 @@ pub fn table3(results: &ScanResults, named: &[&str]) -> Table3 {
             continue;
         }
         let op = match &z.operator {
-            Identified::Single(op) if named.contains(&op.as_str()) => op.clone(),
+            Identified::Single(op) if named.contains(&&**op) => op.to_string(),
             _ => "Others".to_string(),
         };
         let col = cols.entry(op).or_default();
@@ -760,10 +760,10 @@ mod tests {
     fn zone(n: &str, op: Identified, dnssec: DnssecClass, cds: CdsClass, ab: AbClass) -> ZoneScan {
         ZoneScan {
             name: name!(n),
-            ns_names: vec![],
-            parent_ds: vec![],
-            ns_observations: vec![],
-            signal_observations: vec![],
+            ns_names: [].into(),
+            parent_ds: [].into(),
+            ns_observations: [].into(),
+            signal_observations: [].into(),
             dnssec,
             cds,
             ab,
@@ -777,7 +777,7 @@ mod tests {
     }
 
     fn single(op: &str) -> Identified {
-        Identified::Single(op.to_string())
+        Identified::Single(op.into())
     }
 
     fn sample_results() -> ScanResults {

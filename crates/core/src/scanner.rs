@@ -591,7 +591,7 @@ impl Scanner {
         };
 
         // 4. Signal probes.
-        let signal_observations: Vec<SignalObservation> = ns_names
+        let signal_observations: Arc<[SignalObservation]> = ns_names
             .iter()
             .map(|ns| self.probe_signal(probe, zone, ns))
             .collect();
@@ -613,11 +613,12 @@ impl Scanner {
         let operator = self.table.identify(&ns_names);
 
         let degraded = probe.stats.degraded();
+        // Sealed: from here on the lists are shared, never edited.
         ZoneScan {
             name: zone.clone(),
-            ns_names,
-            parent_ds,
-            ns_observations: observations,
+            ns_names: ns_names.into(),
+            parent_ds: parent_ds.into(),
+            ns_observations: observations.into(),
             signal_observations,
             dnssec,
             cds,
@@ -642,10 +643,10 @@ impl Scanner {
         let degraded = probe.stats.degraded();
         ZoneScan {
             name: zone.clone(),
-            ns_names: Vec::new(),
-            parent_ds: Vec::new(),
-            ns_observations: Vec::new(),
-            signal_observations: Vec::new(),
+            ns_names: [].into(),
+            parent_ds: [].into(),
+            ns_observations: [].into(),
+            signal_observations: [].into(),
             dnssec: if degraded {
                 DnssecClass::Indeterminate
             } else {

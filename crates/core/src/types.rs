@@ -4,6 +4,7 @@ use crate::error::RetryStats;
 use dns_wire::name::Name;
 use dns_wire::rdata::{DnskeyData, DsData};
 use netsim::{Addr, SimMicros};
+use std::sync::Arc;
 
 /// One CDS-shaped record observed on the wire (CDS or CDNSKEY), reduced
 /// to a comparable form.
@@ -183,17 +184,21 @@ pub enum SignalViolation {
 
 /// Everything measured about one zone. `==` compares every field; the
 /// journal codec (`scan_journal::encode_scan_into`) is its byte form.
+///
+/// A sealed scan is never edited, so its four observed lists are shared
+/// `Arc<[T]>` bodies: a clone (an epoch table carrying a row forward, the
+/// evidence plane) bumps reference counts and copies no observation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZoneScan {
     pub name: Name,
     /// NS hostnames per the registry (parent zone).
-    pub ns_names: Vec<Name>,
+    pub ns_names: Arc<[Name]>,
     /// DS records at the parent.
-    pub parent_ds: Vec<DsData>,
+    pub parent_ds: Arc<[DsData]>,
     /// Per-address observations.
-    pub ns_observations: Vec<NsObservation>,
+    pub ns_observations: Arc<[NsObservation]>,
     /// Per-NS-hostname signal observations.
-    pub signal_observations: Vec<SignalObservation>,
+    pub signal_observations: Arc<[SignalObservation]>,
     /// Classifications.
     pub dnssec: DnssecClass,
     pub cds: CdsClass,
@@ -228,7 +233,7 @@ impl ZoneScan {
 
     /// All distinct CDS contents seen in-zone (union over NSes).
     pub fn cds_union(&self) -> Vec<CdsSeen> {
-        cds_union(&self.ns_observations)
+        cds_union(self.ns_observations.iter())
     }
 
     /// Whether any NS failed/errored on CDS queries (§4.2 "lack of
@@ -295,13 +300,14 @@ mod tests {
     fn cds_union_dedupes_and_sorts() {
         let scan = ZoneScan {
             name: name!("z.test"),
-            ns_names: vec![],
-            parent_ds: vec![],
-            ns_observations: vec![
+            ns_names: [].into(),
+            parent_ds: [].into(),
+            ns_observations: [
                 obs("ns1.a.test", vec![seen(2), seen(1)]),
                 obs("ns2.a.test", vec![seen(1)]),
-            ],
-            signal_observations: vec![],
+            ]
+            .into(),
+            signal_observations: [].into(),
             dnssec: DnssecClass::Island,
             cds: CdsClass::Valid,
             ab: AbClass::NoSignal,
@@ -321,10 +327,10 @@ mod tests {
     fn query_failures_flagged() {
         let mut scan = ZoneScan {
             name: name!("z.test"),
-            ns_names: vec![],
-            parent_ds: vec![],
-            ns_observations: vec![obs("ns1.a.test", vec![])],
-            signal_observations: vec![],
+            ns_names: [].into(),
+            parent_ds: [].into(),
+            ns_observations: [obs("ns1.a.test", vec![])].into(),
+            signal_observations: [].into(),
             dnssec: DnssecClass::Unsigned,
             cds: CdsClass::Absent,
             ab: AbClass::NoSignal,
@@ -336,7 +342,9 @@ mod tests {
             degraded: false,
         };
         assert!(!scan.cds_query_failures());
-        scan.ns_observations[0].cds_query_error = true;
+        let mut v = scan.ns_observations.to_vec();
+        v[0].cds_query_error = true;
+        scan.ns_observations = v.into();
         assert!(scan.cds_query_failures());
     }
 }

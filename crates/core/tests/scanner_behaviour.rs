@@ -139,9 +139,9 @@ fn csync_probe_counts_pilot_zones() {
     for z in &results.zones {
         if z.ns_observations.iter().any(|o| o.csync_present) {
             match &z.operator {
-                bootscan::Identified::Single(op) => assert_eq!(op, "SignalSoft", "{}", z.name),
+                bootscan::Identified::Single(op) => assert_eq!(&**op, "SignalSoft", "{}", z.name),
                 bootscan::Identified::Multi(ops) => {
-                    assert!(ops.iter().any(|o| o == "SignalSoft"), "{}", z.name)
+                    assert!(ops.iter().any(|o| &**o == "SignalSoft"), "{}", z.name)
                 }
                 bootscan::Identified::Unknown => {
                     let t = eco.truth_of(&z.name).unwrap();

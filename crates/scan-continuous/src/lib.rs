@@ -422,7 +422,8 @@ pub fn run_continuous(
         drain = now.saturating_add(fold.makespan);
 
         // -- Fold evidence: fresh results (and explicit
-        //    placeholders) overwrite; everyone else carries forward.
+        //    placeholders) overwrite; everyone else carries forward. A
+        //    row's clone shares its sealed lists with the earlier tables.
         let stale = fold.stale;
         for z in fold.zones {
             evidence.insert(z.name.clone(), Evidence { scan: z, epoch });

@@ -9,6 +9,12 @@
 //! indistinguishable everywhere the paper's analysis looks — which is
 //! what lets the headline test pin each incremental epoch byte-identical
 //! to a cold from-scratch scan of the same world state.
+//!
+//! A carried-forward row is a clone of the sealed [`ZoneScan`] an earlier
+//! epoch folded, and shares that scan's observation lists (`Arc<[T]>`
+//! bodies) with every earlier table holding it: a table of N zones of
+//! which k were re-scanned allocates N rows but only k new sets of
+//! observations.
 
 use bootscan::{AbClass, CdsClass, DnssecClass, ZoneScan};
 use dns_wire::name::Name;
@@ -44,7 +50,8 @@ pub fn canonical_evidence(zones: &[ZoneScan]) -> String {
 pub struct EpochReport {
     pub epoch: u32,
     /// Full evidence table as of this epoch's end (fresh + carried),
-    /// canonical order.
+    /// canonical order. Carried rows share their lists with the earlier
+    /// tables.
     pub zones: Vec<ZoneScan>,
     /// Zones actually re-scanned this epoch, canonical order.
     pub fresh: Vec<Name>,
@@ -285,15 +292,16 @@ mod tests {
         };
         vec![ZoneScan {
             name: name!("a.example"),
-            ns_names: vec![name!("ns1.example"), name!("ns2.example")],
-            parent_ds: vec![DsData {
+            ns_names: [name!("ns1.example"), name!("ns2.example")].into(),
+            parent_ds: [DsData {
                 key_tag: 4711,
                 algorithm: 13,
                 digest_type: 2,
                 digest: vec![9; 32],
-            }],
-            ns_observations: vec![observation("ns1.example", 1), observation("ns2.example", 2)],
-            signal_observations: vec![],
+            }]
+            .into(),
+            ns_observations: [observation("ns1.example", 1), observation("ns2.example", 2)].into(),
+            signal_observations: [].into(),
             dnssec: DnssecClass::Secured,
             cds: CdsClass::Absent,
             ab: AbClass::NoSignal,
@@ -313,11 +321,15 @@ mod tests {
     fn canonical_evidence_covers_every_zone_field() {
         let base = table();
         let mut no_ds = table();
-        no_ds[0].parent_ds.clear();
+        no_ds[0].parent_ds = [].into();
         let mut moved = table();
-        moved[0].ns_observations[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 99));
+        let mut v = moved[0].ns_observations.to_vec();
+        v[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 99));
+        moved[0].ns_observations = v.into();
         let mut rekeyed = table();
-        rekeyed[0].ns_observations[1].dnskeys[0].public_key[0] ^= 1;
+        let mut v = rekeyed[0].ns_observations.to_vec();
+        v[1].dnskeys[0].public_key[0] ^= 1;
+        rekeyed[0].ns_observations = v.into();
 
         let expected = canonical_evidence(&base);
         for (what, other) in [

@@ -245,10 +245,10 @@ pub fn fill_shard<'a>(
 fn indeterminate_placeholder(name: &Name) -> ZoneScan {
     ZoneScan {
         name: name.clone(),
-        ns_names: Vec::new(),
-        parent_ds: Vec::new(),
-        ns_observations: Vec::new(),
-        signal_observations: Vec::new(),
+        ns_names: [].into(),
+        parent_ds: [].into(),
+        ns_observations: [].into(),
+        signal_observations: [].into(),
         dnssec: DnssecClass::Indeterminate,
         cds: CdsClass::Absent,
         ab: AbClass::NoSignal,
@@ -361,7 +361,7 @@ mod tests {
         use std::net::Ipv4Addr;
         let (_, event) = event_for("a.example", 3);
         let base = ZoneScan {
-            ns_observations: vec![NsObservation {
+            ns_observations: [NsObservation {
                 ns_name: name!("ns1.example"),
                 addr: Addr::V4(Ipv4Addr::new(192, 0, 2, 1)),
                 responded: true,
@@ -371,20 +371,24 @@ mod tests {
                 cds: vec![],
                 cds_sig_valid: None,
                 csync_present: false,
-            }],
+            }]
+            .into(),
             ..event.scan
         };
         let with_ds = ZoneScan {
-            parent_ds: vec![DsData {
+            parent_ds: [DsData {
                 key_tag: 4711,
                 algorithm: 13,
                 digest_type: 2,
                 digest: vec![9; 32],
-            }],
+            }]
+            .into(),
             ..base.clone()
         };
         let mut moved = base.clone();
-        moved.ns_observations[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 2));
+        let mut v = moved.ns_observations.to_vec();
+        v[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 2));
+        moved.ns_observations = v.into();
         for (what, other) in [("parent_ds", with_ds), ("NsObservation::addr", moved)] {
             assert_ne!(
                 stream_digest(other),

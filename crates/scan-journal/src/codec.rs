@@ -313,15 +313,15 @@ impl Enc<'_> {
         self.name(&z.name);
         self.names(&z.ns_names);
         self.u32(z.parent_ds.len() as u32);
-        for d in &z.parent_ds {
+        for d in z.parent_ds.iter() {
             self.ds(d);
         }
         self.u32(z.ns_observations.len() as u32);
-        for o in &z.ns_observations {
+        for o in z.ns_observations.iter() {
             self.ns_observation(o);
         }
         self.u32(z.signal_observations.len() as u32);
-        for s in &z.signal_observations {
+        for s in z.signal_observations.iter() {
             self.signal_observation(s);
         }
         self.dnssec_class(z.dnssec);
@@ -616,8 +616,8 @@ impl<'a> Dec<'a> {
     fn identified(&mut self) -> Result<Identified> {
         Ok(match self.u8()? {
             0 => Identified::Unknown,
-            1 => Identified::Single(self.string()?),
-            2 => Identified::Multi(self.list(Self::string)?),
+            1 => Identified::Single(self.string()?.into()),
+            2 => Identified::Multi(self.list(|d| Ok(d.string()?.into()))?),
             t => return Err(CodecError::BadTag("identified", t)),
         })
     }
@@ -649,10 +649,10 @@ impl<'a> Dec<'a> {
     fn zone_scan(&mut self) -> Result<ZoneScan> {
         Ok(ZoneScan {
             name: self.name()?,
-            ns_names: self.names()?,
-            parent_ds: self.list(Self::ds)?,
-            ns_observations: self.list(Self::ns_observation)?,
-            signal_observations: self.list(Self::signal_observation)?,
+            ns_names: self.names()?.into(),
+            parent_ds: self.list(Self::ds)?.into(),
+            ns_observations: self.list(Self::ns_observation)?.into(),
+            signal_observations: self.list(Self::signal_observation)?.into(),
             dnssec: self.dnssec_class()?,
             cds: self.cds_class()?,
             ab: self.ab_class()?,
@@ -721,14 +721,15 @@ pub(crate) mod tests {
         };
         let scan = ZoneScan {
             name: name!("zone.example"),
-            ns_names: vec![name!("ns1.example"), name!("ns2.example")],
-            parent_ds: vec![DsData {
+            ns_names: [name!("ns1.example"), name!("ns2.example")].into(),
+            parent_ds: [DsData {
                 key_tag: 4711,
                 algorithm: 13,
                 digest_type: 2,
                 digest: vec![9; 32],
-            }],
-            ns_observations: vec![NsObservation {
+            }]
+            .into(),
+            ns_observations: [NsObservation {
                 ns_name: name!("ns1.example"),
                 addr: Addr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 0x53)),
                 responded: true,
@@ -750,14 +751,16 @@ pub(crate) mod tests {
                 ],
                 cds_sig_valid: Some(true),
                 csync_present: true,
-            }],
-            signal_observations: vec![SignalObservation {
+            }]
+            .into(),
+            signal_observations: [SignalObservation {
                 ns_name: name!("ns2.example"),
                 name_unbuildable: false,
                 cds: vec![],
                 dnssec_valid: Some(false),
                 zone_cut: true,
-            }],
+            }]
+            .into(),
             dnssec: DnssecClass::Island,
             cds: CdsClass::Inconsistent,
             ab: AbClass::SignalIncorrect(SignalViolation::NotUnderEveryNs),
@@ -882,10 +885,10 @@ pub(crate) mod tests {
             duration_delta: 0,
             scan: ZoneScan {
                 name: Name::root(),
-                ns_names: vec![],
-                parent_ds: vec![],
-                ns_observations: vec![],
-                signal_observations: vec![],
+                ns_names: [].into(),
+                parent_ds: [].into(),
+                ns_observations: [].into(),
+                signal_observations: [].into(),
                 dnssec: DnssecClass::Unresolvable,
                 cds: CdsClass::Absent,
                 ab: AbClass::NoSignal,

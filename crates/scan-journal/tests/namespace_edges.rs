@@ -25,10 +25,10 @@ fn event_for(zone: &str, pass: u32) -> ZoneEvent {
         pass,
         scan: ZoneScan {
             name: name!(zone),
-            ns_names: Vec::new(),
-            parent_ds: Vec::new(),
-            ns_observations: Vec::new(),
-            signal_observations: Vec::new(),
+            ns_names: [].into(),
+            parent_ds: [].into(),
+            ns_observations: [].into(),
+            signal_observations: [].into(),
             dnssec: bootscan::DnssecClass::Unsigned,
             cds: bootscan::CdsClass::Absent,
             ab: bootscan::AbClass::NoSignal,

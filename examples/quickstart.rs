@@ -38,7 +38,7 @@ fn main() {
             "  NS set:   {:?}",
             z.ns_names.iter().map(|n| n.to_string()).collect::<Vec<_>>()
         );
-        for s in &z.signal_observations {
+        for s in z.signal_observations.iter() {
             println!(
                 "  signal under {}: {} records, DNSSEC valid: {:?}",
                 s.ns_name,

@@ -62,7 +62,7 @@ fn inspect(scanner: &Scanner, zone: &Name) {
         "  (ii)  all NSes serve the same CDS .......... {}",
         yesno(consistent)
     );
-    for ns in &scan.ns_names {
+    for ns in scan.ns_names.iter() {
         match signal_name(zone, ns) {
             Ok(s) => println!("        signal name via {}: {}", ns, s),
             Err(e) => println!("        signal name via {}: UNBUILDABLE ({e})", ns),
@@ -86,7 +86,7 @@ fn inspect(scanner: &Scanner, zone: &Name) {
         "  (v)   no zone cuts on the signal path ...... {}",
         yesno(no_cuts)
     );
-    for s in &scan.signal_observations {
+    for s in scan.signal_observations.iter() {
         println!(
             "        under {}: {} signal records, dnssec {:?}, zone cut: {}",
             s.ns_name,

@@ -10,7 +10,7 @@
 //! than 20 %. A failure prints the full current map: to re-baseline
 //! after an intended change, paste it over the baseline file.
 
-use bootscan::types::{CdsSeen, NsObservation, SignalObservation};
+use bootscan::types::CdsSeen;
 use bootscan::{Identified, ProgressSink, ReferralData, ScanPolicy, Scanner, ZoneEvent, ZoneScan};
 use dns_ecosystem::{apply_churn, build, ChurnConfig, ChurnPlan, Ecosystem, EcosystemConfig};
 use dns_wire::name::Name;
@@ -191,6 +191,39 @@ fn continuous_study_costs_stay_within_baseline() {
     );
 }
 
+/// A sealed `ZoneScan` is shared, not copied: every row an epoch table
+/// carries forward (its zone was not re-scanned that epoch) points at
+/// the previous table's bodies on all four lists. A deep clone anywhere
+/// on the carry path fails `Arc::ptr_eq` here.
+#[test]
+fn carried_rows_share_their_lists() {
+    // The default spacing: 30 virtual minutes, inside the evidence TTL,
+    // so unchurned zones carry.
+    let out = study(3, 1_800_000_000);
+    assert!(out.series.skipped.is_empty(), "no epoch may coalesce");
+    let mut carried = 0;
+    for pair in out.series.epochs.windows(2) {
+        let (prev, cur) = (&pair[0], &pair[1]);
+        assert!(cur.stale.is_empty(), "epoch {}: a clean run", cur.epoch);
+        let fresh: HashSet<&Name> = cur.fresh.iter().collect();
+        let before: HashMap<&Name, &ZoneScan> = prev.zones.iter().map(|z| (&z.name, z)).collect();
+        for z in cur.zones.iter().filter(|z| !fresh.contains(&z.name)) {
+            let was = before[&z.name];
+            assert!(
+                Arc::ptr_eq(&z.ns_names, &was.ns_names)
+                    && Arc::ptr_eq(&z.parent_ds, &was.parent_ds)
+                    && Arc::ptr_eq(&z.ns_observations, &was.ns_observations)
+                    && Arc::ptr_eq(&z.signal_observations, &was.signal_observations),
+                "epoch {}: carried row {} copies its lists",
+                cur.epoch,
+                z.name
+            );
+            carried += 1;
+        }
+    }
+    assert!(carried > 0, "three tiny epochs must carry a row");
+}
+
 /// Churn costs what it changes: the RRsets `apply_churn` signs in
 /// operator base zones are bounded by the signal owners it moved — each
 /// re-signs itself and one NSEC predecessor, no node here holds more
@@ -266,7 +299,8 @@ fn stored_zones(eco: &Ecosystem) -> BTreeMap<&'static str, Vec<Arc<Zone>>> {
     out
 }
 
-/// Capacity and length totals over a family of vectors.
+/// Capacity and length totals over a family of vectors and shared
+/// slices.
 #[derive(Default)]
 struct Slots {
     slots: usize,
@@ -276,6 +310,12 @@ struct Slots {
 impl Slots {
     fn of<T>(&mut self, v: &Vec<T>) {
         self.slots += v.capacity();
+        self.len += v.len();
+    }
+
+    /// A shared `Arc<[T]>` list: exactly its length, no spare capacity.
+    fn of_slice<T>(&mut self, v: &[T]) {
+        self.slots += v.len();
         self.len += v.len();
     }
 
@@ -301,17 +341,17 @@ fn zone_slots(zones: &[Arc<Zone>]) -> (Slots, Slots) {
     (rrsets, rdatas)
 }
 
-/// Item slots of every vector a `ZoneScan` keeps, nested ones included.
+/// Item slots of every list a `ZoneScan` keeps, nested ones included.
 fn scan_slots(scan: &ZoneScan, s: &mut Slots) {
-    s.of(&scan.ns_names);
-    s.of(&scan.parent_ds);
-    s.of(&scan.ns_observations);
-    s.of(&scan.signal_observations);
-    for o in &scan.ns_observations {
+    s.of_slice(&scan.ns_names);
+    s.of_slice(&scan.parent_ds);
+    s.of_slice(&scan.ns_observations);
+    s.of_slice(&scan.signal_observations);
+    for o in scan.ns_observations.iter() {
         s.of(&o.dnskeys);
         s.of(&o.cds);
     }
-    for o in &scan.signal_observations {
+    for o in scan.signal_observations.iter() {
         s.of(&o.cds);
     }
     if let Identified::Multi(ops) = &scan.operator {
@@ -379,7 +419,10 @@ fn footprint_is_exact() {
 /// buffer once (an `Arc<[u8]>`: 16 header bytes plus the wire form).
 /// Scan results count every `ZoneScan` slot and nested vector; the
 /// scanner caches count the entries a cold scan's cache log inserted,
-/// last write per name, values at their capacity. Prints; gates nothing:
+/// last write per name, values at their capacity; the epoch tables of a
+/// 4-epoch `run_continuous` count every row and each shared list body
+/// once. Rows labelled "(count)" or "(what-if)" are not bytes held and
+/// stay out of the total. Prints; gates nothing:
 /// `cargo test --release --test cost_gates -- --ignored --nocapture`.
 #[test]
 #[ignore = "paper-scale attribution, prints only"]
@@ -424,23 +467,10 @@ fn footprint_by_owner() {
         Scanner::for_ecosystem(&eco, ScanPolicy::default()).scan_all_with(&seeds, Some(&log), None);
     let mut items = Slots::default();
     let mut bytes = size_of::<ZoneScan>() * results.zones.capacity();
+    let mut seen = HashSet::new();
     for z in &results.zones {
         scan_slots(z, &mut items);
-        bytes += z.ns_names.capacity() * size_of::<Name>()
-            + z.parent_ds.capacity() * size_of::<DsData>()
-            + z.ns_observations.capacity() * size_of::<NsObservation>()
-            + z.signal_observations.capacity() * size_of::<SignalObservation>();
-        for o in &z.ns_observations {
-            bytes += o.dnskeys.capacity() * size_of::<DnskeyData>()
-                + o.dnskeys
-                    .iter()
-                    .map(|k| k.public_key.capacity())
-                    .sum::<usize>()
-                + o.cds.capacity() * size_of::<CdsSeen>();
-        }
-        for o in &z.signal_observations {
-            bytes += o.cds.capacity() * size_of::<CdsSeen>();
-        }
+        bytes += list_bytes(z, &mut seen);
     }
     let scans = format!("scan results ({} zones)", results.zones.len());
     rows.push((scans.clone(), "ZoneScan and nested slots", bytes));
@@ -448,8 +478,43 @@ fn footprint_by_owner() {
     for (cache, b) in log.bytes() {
         rows.push(("scanner caches".into(), cache, b));
     }
-
     let per_zone = seeds.len().max(1);
+    drop((results, log, eco));
+
+    // The continuous study's four epoch tables, as the benchmark's
+    // `continuous_study` runs it (2 workers, 8 shards, default churn).
+    // A list body carried from one table to the next counts once; the
+    // deep-copy row prices the same tables with every row owning its
+    // bodies, and is not part of the total.
+    let mut cfg = ContinuousConfig::new(4, CHURN_SEED);
+    cfg.fabric = FabricConfig {
+        workers: 2,
+        ..FabricConfig::default()
+    };
+    let state = std::env::temp_dir().join(format!("footprint-epochs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state);
+    let out = run_continuous(
+        EcosystemConfig::paper_default(100_000),
+        ScanPolicy::default(),
+        &cfg,
+        &state,
+    )
+    .expect("continuous study");
+    let _ = std::fs::remove_dir_all(&state);
+    let (mut table_rows, mut shared, mut deep) = (0, 0, 0);
+    let mut seen = HashSet::new();
+    for e in &out.series.epochs {
+        table_rows += size_of::<ZoneScan>() * e.zones.capacity();
+        let mut own = HashSet::new();
+        for z in &e.zones {
+            shared += list_bytes(z, &mut seen);
+            deep += list_bytes(z, &mut own);
+        }
+    }
+    let tables = format!("epoch tables ({} epochs)", out.series.epochs.len());
+    rows.push((tables.clone(), "ZoneScan slots", table_rows));
+    rows.push((tables.clone(), "list bodies, each once", shared));
+    rows.push((tables, "list bodies if deep (what-if)", deep));
     println!("footprint by owner, paper_default(100_000), {per_zone} seeds");
     println!(
         "{:<34} {:<28} {:>12} {:>10}",
@@ -463,7 +528,7 @@ fn footprint_by_owner() {
     }
     let total: usize = rows
         .iter()
-        .filter(|(_, what, _)| !what.ends_with("(count)"))
+        .filter(|(_, what, _)| !what.ends_with(')'))
         .map(|(_, _, b)| b)
         .sum();
     println!(
@@ -472,6 +537,36 @@ fn footprint_by_owner() {
         "",
         total as f64 / per_zone as f64
     );
+}
+
+/// Heap bytes of a scan's four shared lists and the vectors they nest.
+/// Each `Arc` body counts once per `seen` set (by `Arc::as_ptr`): its
+/// 16 header bytes (the two reference counts) plus its slots.
+fn list_bytes(z: &ZoneScan, seen: &mut HashSet<*const u8>) -> usize {
+    use std::mem::size_of;
+    fn body<T>(v: &Arc<[T]>, seen: &mut HashSet<*const u8>) -> Option<usize> {
+        seen.insert(Arc::as_ptr(v).cast())
+            .then(|| 16 + v.len() * size_of::<T>())
+    }
+    let mut bytes = body(&z.ns_names, seen).unwrap_or(0) + body(&z.parent_ds, seen).unwrap_or(0);
+    if let Some(b) = body(&z.ns_observations, seen) {
+        bytes += b;
+        for o in z.ns_observations.iter() {
+            bytes += o.dnskeys.capacity() * size_of::<DnskeyData>()
+                + o.dnskeys
+                    .iter()
+                    .map(|k| k.public_key.capacity())
+                    .sum::<usize>()
+                + o.cds.capacity() * size_of::<CdsSeen>();
+        }
+    }
+    if let Some(b) = body(&z.signal_observations, seen) {
+        bytes += b;
+        for o in z.signal_observations.iter() {
+            bytes += o.cds.capacity() * size_of::<CdsSeen>();
+        }
+    }
+    bytes
 }
 
 /// Keeps the last value each cache insert of a scan wrote per name.

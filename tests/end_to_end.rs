@@ -146,7 +146,7 @@ fn operator_identification_matches_planted_operator() {
         let want = &eco.operators[truth.operator].name;
         match &scan.operator {
             bootscan::Identified::Single(op) => {
-                assert_eq!(op, want, "{}", scan.name);
+                assert_eq!(**op, **want, "{}", scan.name);
                 checked += 1;
             }
             other => panic!("{}: expected single operator, got {:?}", scan.name, other),
