@@ -58,7 +58,7 @@ pub fn cds_class(
         return CdsClass::Absent;
     }
     // Consistency: every answering NS must serve exactly the union.
-    if !answering.iter().all(|o| o.cds == union) {
+    if !answering.iter().all(|o| *o.cds == *union) {
         return CdsClass::Inconsistent;
     }
     if union.iter().all(|c| c.is_delete()) {
@@ -195,7 +195,7 @@ pub fn ab_class(
     }
     // (iv) signal content consistent and matching the in-zone CDS.
     let in_zone = cds_union(observations);
-    if signals.iter().any(|s| s.cds != in_zone) {
+    if signals.iter().any(|s| *s.cds != *in_zone) {
         return AbClass::SignalIncorrect(SignalViolation::ContentMismatch);
     }
     AbClass::SignalCorrect

@@ -46,7 +46,9 @@ impl fmt::Display for ScanError {
 impl std::error::Error for ScanError {}
 
 /// Per-zone retry and failure statistics, carried in every zone scan so
-/// degraded classifications are auditable.
+/// degraded classifications are auditable. Every counter is one zone's,
+/// across its passes, and bounded by the per-zone query budget, so each
+/// is a `u32`: the struct is a quarter of an epoch-table row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Failed logical queries (after client-level retries).
@@ -73,25 +75,25 @@ pub struct RetryStats {
     /// TC=1 → TCP fallback exchanges, cumulative across re-scan passes.
     pub tcp_fallbacks: u32,
     /// Query bytes sent for this zone, cumulative across re-scan passes.
-    pub bytes_sent: u64,
+    pub bytes_sent: u32,
     /// Reply bytes received for this zone, cumulative across re-scan
     /// passes.
-    pub bytes_received: u64,
+    pub bytes_received: u32,
     /// Logical queries begun for this zone (what the amplification cap
     /// bounds), cumulative across re-scan passes.
-    pub logical_queries: u64,
+    pub logical_queries: u32,
     /// Hostile-event evidence per named cause (acceptance-gate
     /// rejections, stripped foreign records, loop/fan-out/alias trips,
     /// budget refusals, lame delegations). Counts are evidence, not
     /// incident totals: a detection may be tallied at more than one
     /// layer, so read each as "≥ 1 means this cause was observed".
-    pub hostile_mismatched: u64,
-    pub hostile_foreign: u64,
-    pub hostile_referral_loops: u64,
-    pub hostile_wide_referrals: u64,
-    pub hostile_alias_loops: u64,
-    pub hostile_budget: u64,
-    pub hostile_lame: u64,
+    pub hostile_mismatched: u32,
+    pub hostile_foreign: u32,
+    pub hostile_referral_loops: u32,
+    pub hostile_wide_referrals: u32,
+    pub hostile_alias_loops: u32,
+    pub hostile_budget: u32,
+    pub hostile_lame: u32,
 }
 
 impl RetryStats {
@@ -138,24 +140,30 @@ impl RetryStats {
     /// Merge a meter's hostile tally (events observed inside the client
     /// and resolver, which never surfaced as a `ScanError`).
     pub fn absorb_hostile(&mut self, tally: &HostileTally) {
-        self.hostile_mismatched += tally.mismatched_replies;
-        self.hostile_foreign += tally.foreign_records;
-        self.hostile_referral_loops += tally.referral_loops;
-        self.hostile_wide_referrals += tally.wide_referrals;
-        self.hostile_alias_loops += tally.alias_loops;
-        self.hostile_budget += tally.budget_exceeded;
-        self.hostile_lame += tally.lame_delegations;
+        let add = |into: &mut u32, n: u64| *into = into.saturating_add(narrow(n));
+        add(&mut self.hostile_mismatched, tally.mismatched_replies);
+        add(&mut self.hostile_foreign, tally.foreign_records);
+        add(&mut self.hostile_referral_loops, tally.referral_loops);
+        add(&mut self.hostile_wide_referrals, tally.wide_referrals);
+        add(&mut self.hostile_alias_loops, tally.alias_loops);
+        add(&mut self.hostile_budget, tally.budget_exceeded);
+        add(&mut self.hostile_lame, tally.lame_delegations);
     }
 
     /// Total hostile events across all named causes.
     pub fn hostile_events(&self) -> u64 {
-        self.hostile_mismatched
-            + self.hostile_foreign
-            + self.hostile_referral_loops
-            + self.hostile_wide_referrals
-            + self.hostile_alias_loops
-            + self.hostile_budget
-            + self.hostile_lame
+        [
+            self.hostile_mismatched,
+            self.hostile_foreign,
+            self.hostile_referral_loops,
+            self.hostile_wide_referrals,
+            self.hostile_alias_loops,
+            self.hostile_budget,
+            self.hostile_lame,
+        ]
+        .into_iter()
+        .map(u64::from)
+        .sum()
     }
 
     /// Whether any evidence-reducing event occurred. `Unreachable` does
@@ -170,6 +178,12 @@ impl RetryStats {
             || self.resolution_failures > 0
             || self.hostile_events() > 0
     }
+}
+
+/// A per-zone count taken from a wider meter, saturating: the per-zone
+/// query budget keeps every such count far below `u32::MAX`.
+pub(crate) fn narrow(n: u64) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]

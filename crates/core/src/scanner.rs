@@ -13,7 +13,7 @@
 //! 5. classifies DNSSEC / CDS / AB status.
 
 use crate::classify;
-use crate::error::{RetryStats, ScanError};
+use crate::error::{narrow, RetryStats, ScanError};
 use crate::health::CircuitBreaker;
 use crate::operator::OperatorTable;
 use crate::progress::{ProgressSink, ResumeState, ZoneEffects, ZoneEvent};
@@ -195,7 +195,7 @@ type DsVerdict = (Arc<ReferralData>, Arc<Vec<DnskeyData>>);
 struct CdsSigInput {
     rdatas: Vec<RData>,
     rrsigs: Vec<RrsigData>,
-    dnskeys: Vec<DnskeyData>,
+    dnskeys: Arc<Vec<DnskeyData>>,
 }
 
 impl Scanner {
@@ -495,8 +495,8 @@ impl Scanner {
         let io = probe.meter.io();
         scan.retry_stats.datagrams = io.datagrams as u32;
         scan.retry_stats.tcp_fallbacks = io.tcp_fallbacks as u32;
-        scan.retry_stats.bytes_sent = io.bytes_sent;
-        scan.retry_stats.bytes_received = io.bytes_received;
+        scan.retry_stats.bytes_sent = narrow(io.bytes_sent);
+        scan.retry_stats.bytes_received = narrow(io.bytes_received);
         (scan, probe.meter.take_cache_log())
     }
 
@@ -591,7 +591,7 @@ impl Scanner {
         };
 
         // 4. Signal probes.
-        let signal_observations: Arc<[SignalObservation]> = ns_names
+        let signal_observations: Vec<SignalObservation> = ns_names
             .iter()
             .map(|ns| self.probe_signal(probe, zone, ns))
             .collect();
@@ -613,12 +613,15 @@ impl Scanner {
         let operator = self.table.identify(&ns_names);
 
         let degraded = probe.stats.degraded();
-        // Sealed: from here on the lists are shared, never edited.
+        // Sealed: from here on the lists are shared, never edited, and
+        // equal key and CDS lists within the scan are one body.
+        let (observations, signal_observations) =
+            share_equal_lists(observations, signal_observations);
         ZoneScan {
             name: zone.clone(),
             ns_names: ns_names.into(),
             parent_ds: parent_ds.into(),
-            ns_observations: observations.into(),
+            ns_observations: observations,
             signal_observations,
             dnssec,
             cds,
@@ -671,7 +674,7 @@ impl Scanner {
         for _ in 0..probe.meter.failed_lookups() {
             probe.stats.record(ScanError::ResolutionFailed);
         }
-        probe.stats.logical_queries = probe.meter.logical_queries();
+        probe.stats.logical_queries = narrow(probe.meter.logical_queries());
     }
 
     /// Apply the Cloudflare sampling policy. Returns whether sampling
@@ -714,11 +717,12 @@ impl Scanner {
             responded: false,
             soa_present: false,
             cds_query_error: false,
-            dnskeys: Vec::new(),
-            cds: Vec::new(),
+            dnskeys: Arc::default(),
+            cds: Arc::default(),
             cds_sig_valid: None,
             csync_present: false,
         };
+        let (mut keys, mut cds) = (Vec::new(), Vec::new());
         // SOA: authoritativeness / lameness probe.
         if let Some(msg) = self.query(probe, addr, zone, RecordType::Soa) {
             obs.responded = true;
@@ -733,7 +737,7 @@ impl Scanner {
             obs.responded = true;
             for r in &msg.answers {
                 if let RData::Dnskey(d) = &r.rdata {
-                    obs.dnskeys.push(d.clone());
+                    keys.push(d.clone());
                 }
             }
         }
@@ -751,11 +755,11 @@ impl Scanner {
                     for r in &msg.answers {
                         match &r.rdata {
                             RData::Cds(d) => {
-                                obs.cds.push(CdsSeen::from_ds(d));
+                                cds.push(CdsSeen::from_ds(d));
                                 cds_rdatas.push(r.rdata.clone());
                             }
                             RData::Cdnskey(k) => {
-                                obs.cds.push(CdsSeen::from_dnskey(k));
+                                cds.push(CdsSeen::from_dnskey(k));
                                 cds_rdatas.push(r.rdata.clone());
                             }
                             RData::Rrsig(s) => cds_rrsigs.push(s.clone()),
@@ -768,10 +772,11 @@ impl Scanner {
                 }
             }
         }
-        obs.dnskeys.shrink_to_fit();
-        obs.cds.sort();
-        obs.cds.dedup();
-        obs.cds.shrink_to_fit();
+        keys.shrink_to_fit();
+        obs.dnskeys = Arc::new(keys);
+        cds.sort();
+        cds.dedup();
+        obs.cds = cds.into();
         // CSYNC (RFC 7477) — the other child→parent channel (paper §6).
         if let Some(msg) = self.query(probe, addr, zone, RecordType::Csync) {
             obs.csync_present = msg
@@ -793,7 +798,7 @@ impl Scanner {
                     let input = CdsSigInput {
                         rdatas: cds_rdatas,
                         rrsigs: cds_rrsigs,
-                        dnskeys: obs.dnskeys.clone(),
+                        dnskeys: Arc::clone(&obs.dnskeys),
                     };
                     let valid = self.cds_sigs_valid(zone, &input);
                     cds_verdicts.push((input, valid));
@@ -837,10 +842,11 @@ impl Scanner {
         let mut obs = SignalObservation {
             ns_name: ns.clone(),
             name_unbuildable: false,
-            cds: Vec::new(),
+            cds: Arc::default(),
             dnssec_valid: None,
             zone_cut: false,
         };
+        let mut cds = Vec::new();
         let Ok(signame) = signal_name(zone, ns) else {
             obs.name_unbuildable = true;
             return obs;
@@ -865,8 +871,8 @@ impl Scanner {
         probe.queries += res.queries;
         for r in &res.answers {
             match &r.rdata {
-                RData::Cds(d) => obs.cds.push(CdsSeen::from_ds(d)),
-                RData::Cdnskey(k) => obs.cds.push(CdsSeen::from_dnskey(k)),
+                RData::Cds(d) => cds.push(CdsSeen::from_ds(d)),
+                RData::Cdnskey(k) => cds.push(CdsSeen::from_dnskey(k)),
                 _ => {}
             }
         }
@@ -882,13 +888,13 @@ impl Scanner {
             probe.queries += res2.queries;
             for r in &res2.answers {
                 if let RData::Cdnskey(k) = &r.rdata {
-                    obs.cds.push(CdsSeen::from_dnskey(k));
+                    cds.push(CdsSeen::from_dnskey(k));
                 }
             }
         }
-        obs.cds.sort();
-        obs.cds.dedup();
-        obs.cds.shrink_to_fit();
+        cds.sort();
+        cds.dedup();
+        obs.cds = cds.into();
         // A zone cut: the answer came from below `_signal.<ns>`, or the
         // path probe finds one — probed even without signal records, as
         // the parked-typo-NS case (§4.4) fakes NS RRsets at every label.
@@ -1177,6 +1183,30 @@ impl Scanner {
             z.retry_stats.failures + z.retry_stats.breaker_skips,
         )
     }
+}
+
+/// Seal one scan's observations: every key list equal to an earlier one
+/// becomes that list's `Arc`, and so does every CDS list, in-zone and
+/// signal alike — addresses of one NS set mostly serve the same records.
+fn share_equal_lists(
+    mut observations: Vec<NsObservation>,
+    mut signals: Vec<SignalObservation>,
+) -> (Arc<[NsObservation]>, Arc<[SignalObservation]>) {
+    fn share<T: ?Sized + PartialEq>(seen: &mut Vec<Arc<T>>, list: &mut Arc<T>) {
+        match seen.iter().find(|s| **s == *list) {
+            Some(first) => *list = Arc::clone(first),
+            None => seen.push(Arc::clone(list)),
+        }
+    }
+    let (mut keys, mut cds) = (Vec::new(), Vec::new());
+    for o in &mut observations {
+        share(&mut keys, &mut o.dnskeys);
+        share(&mut cds, &mut o.cds);
+    }
+    for s in &mut signals {
+        share(&mut cds, &mut s.cds);
+    }
+    (observations.into(), signals.into())
 }
 
 /// Outcome of validating the chain from the root to a zone's parent.

@@ -66,10 +66,11 @@ pub struct NsObservation {
     /// The server returned an error rcode for CDS-type queries (the
     /// pre-RFC 3597 behaviour of §4.2).
     pub cds_query_error: bool,
-    /// DNSKEY records returned.
-    pub dnskeys: Vec<DnskeyData>,
+    /// DNSKEY records returned. The type a key-cache insert holds, so an
+    /// observation and the insert of the same keys can be one body.
+    pub dnskeys: Arc<Vec<DnskeyData>>,
     /// CDS/CDNSKEY content returned (sorted for comparison).
-    pub cds: Vec<CdsSeen>,
+    pub cds: Arc<[CdsSeen]>,
     /// The RRSIGs over the CDS RRset verified against the zone's DNSKEYs.
     pub cds_sig_valid: Option<bool>,
     /// The zone publishes an RFC 7477 CSYNC record (the paper's §6
@@ -98,7 +99,7 @@ pub struct SignalObservation {
     /// in-domain NS).
     pub name_unbuildable: bool,
     /// Signal CDS content found (empty = nothing published there).
-    pub cds: Vec<CdsSeen>,
+    pub cds: Arc<[CdsSeen]>,
     /// The signal records' DNSSEC chain validated end to end.
     pub dnssec_valid: Option<bool>,
     /// An (apparent) zone cut was detected on the signal path.
@@ -188,6 +189,8 @@ pub enum SignalViolation {
 /// A sealed scan is never edited, so its four observed lists are shared
 /// `Arc<[T]>` bodies: a clone (an epoch table carrying a row forward, the
 /// evidence plane) bumps reference counts and copies no observation.
+/// The key and CDS lists inside the observations are shared too: equal
+/// lists within one scan are one body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZoneScan {
     pub name: Name,
@@ -262,8 +265,8 @@ mod tests {
             responded: true,
             soa_present: true,
             cds_query_error: false,
-            dnskeys: vec![],
-            cds,
+            dnskeys: Arc::default(),
+            cds: cds.into(),
             cds_sig_valid: None,
             csync_present: false,
         }

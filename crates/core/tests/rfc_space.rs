@@ -152,7 +152,7 @@ fn every_config_classifies_as_the_rfcs_say() {
                 *reached.get_mut(&v).unwrap() += 1;
             }
             assert_eq!(z.retry_stats.hostile_budget, 0, "{}: refused", z.name);
-            max_shared = max_shared.max(z.retry_stats.logical_queries);
+            max_shared = max_shared.max(u64::from(z.retry_stats.logical_queries));
             let listed = expected_disagreement(c, &want);
             expected += usize::from(listed);
             if listed && got.1 != CdsClass::Valid || !listed && got != want {
@@ -165,7 +165,7 @@ fn every_config_classifies_as_the_rfcs_say() {
                     .scan_all(std::slice::from_ref(&z.name))
                     .zones[0];
                 assert_eq!(cold.evidence(), z.evidence(), "{c:?}: alone ≠ shared");
-                max_cold = max_cold.max(cold.retry_stats.logical_queries);
+                max_cold = max_cold.max(u64::from(cold.retry_stats.logical_queries));
                 isolated += 1;
                 isolated_flaky += usize::from(is_flaky(c));
             }

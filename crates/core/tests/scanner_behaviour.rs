@@ -171,11 +171,15 @@ fn per_zone_io_accounting_conserves_netsim_totals() {
         .iter()
         .map(|z| z.retry_stats.datagrams as u64)
         .sum();
-    let bytes_sent: u64 = results.zones.iter().map(|z| z.retry_stats.bytes_sent).sum();
+    let bytes_sent: u64 = results
+        .zones
+        .iter()
+        .map(|z| u64::from(z.retry_stats.bytes_sent))
+        .sum();
     let bytes_received: u64 = results
         .zones
         .iter()
-        .map(|z| z.retry_stats.bytes_received)
+        .map(|z| u64::from(z.retry_stats.bytes_received))
         .sum();
     assert!(datagrams > 0);
     assert_eq!(datagrams, snap.queries, "datagrams vs netsim queries");

@@ -271,11 +271,37 @@ fn fold_epoch(
     })
 }
 
-/// Prior evidence for one zone: the kept scan plus the epoch whose
-/// fresh scan (or abandoned-shard placeholder) produced it.
-struct Evidence {
-    scan: ZoneScan,
+/// The next evidence table: `prev` (canonical order, row i learned in
+/// epoch `learned[i]`) with `fresh` (canonical order, one row per zone,
+/// learned in `epoch`) merged in. A fresh row replaces its zone's carried
+/// row; every other row is carried as a clone that shares its sealed
+/// lists. One pass, and both vectors exactly sized.
+fn merge_table(
+    prev: &[ZoneScan],
+    learned: &[u32],
+    fresh: Vec<ZoneScan>,
     epoch: u32,
+) -> (Vec<ZoneScan>, Vec<u32>) {
+    let find = |z: &ZoneScan| prev.binary_search_by(|row| row.name.canonical_cmp(&z.name));
+    let len = prev.len() + fresh.iter().filter(|z| find(z).is_err()).count();
+    let (mut table, mut epochs) = (Vec::with_capacity(len), Vec::with_capacity(len));
+    let mut carried = prev.iter().zip(learned).peekable();
+    for z in fresh {
+        while let Some((row, &at)) =
+            carried.next_if(|(row, _)| row.name.canonical_cmp(&z.name).is_lt())
+        {
+            table.push(row.clone());
+            epochs.push(at);
+        }
+        carried.next_if(|(row, _)| row.name.canonical_cmp(&z.name).is_eq());
+        table.push(z);
+        epochs.push(epoch);
+    }
+    for (row, &at) in carried {
+        table.push(row.clone());
+        epochs.push(at);
+    }
+    (table, epochs)
 }
 
 /// Run (or resume) a continuous fabric-distributed study.
@@ -307,9 +333,12 @@ pub fn run_continuous(
     let clean = FabricFaultPlan::none();
     let admission_cfg = cfg.admission();
     let mut ops = FabricOps::default();
-    let mut evidence: BTreeMap<Name, Evidence> = BTreeMap::new();
     let mut ledger = CarryLedger::new();
+    // The evidence is the last committed epoch's table; `learned[i]` is
+    // the epoch whose fresh scan (or abandoned-shard placeholder)
+    // produced its row i.
     let mut series = TimeSeries::default();
+    let mut learned: Vec<u32> = Vec::new();
     let mut decisions: Vec<Decision> = Vec::new();
     // Churned zones from coalesced epochs, awaiting the next admitted
     // epoch's delta set.
@@ -367,17 +396,20 @@ pub fn run_continuous(
         } else {
             let mut d = churned.clone();
             d.append(&mut pending_churned);
-            for (name, ev) in &evidence {
-                let age = now.saturating_sub((ev.epoch as SimMicros) * cfg.epoch_spacing);
+            let evidence = series.epochs.last().map_or(&[][..], |e| &e.zones[..]);
+            for (z, &at) in evidence.iter().zip(&learned) {
+                let age = now.saturating_sub((at as SimMicros) * cfg.epoch_spacing);
                 let expired = age >= EVIDENCE_TTL;
-                let weak =
-                    ev.scan.degraded || ev.scan.dnssec == bootscan::DnssecClass::Indeterminate;
+                let weak = z.degraded || z.dnssec == bootscan::DnssecClass::Indeterminate;
                 if expired || weak {
-                    d.push(name.clone());
+                    d.push(z.name.clone());
                 }
             }
             for s in &seeds {
-                if !evidence.contains_key(s) {
+                if evidence
+                    .binary_search_by(|z| z.name.canonical_cmp(s))
+                    .is_err()
+                {
                     d.push(s.clone());
                 }
             }
@@ -425,11 +457,11 @@ pub fn run_continuous(
         //    placeholders) overwrite; everyone else carries forward. A
         //    row's clone shares its sealed lists with the earlier tables.
         let stale = fold.stale;
-        for z in fold.zones {
-            evidence.insert(z.name.clone(), Evidence { scan: z, epoch });
-        }
-        let mut table: Vec<ZoneScan> = evidence.values().map(|e| e.scan.clone()).collect();
-        table.sort_by(|a, b| a.name.canonical_cmp(&b.name));
+        let mut rows = fold.zones;
+        rows.sort_by(|a, b| a.name.canonical_cmp(&b.name));
+        let evidence = series.epochs.last().map_or(&[][..], |e| &e.zones[..]);
+        let table;
+        (table, learned) = merge_table(evidence, &learned, rows, epoch);
         ops.peak_resident_zones = ops.peak_resident_zones.max(table.len());
         let fresh: Vec<Name> = delta
             .iter()
@@ -528,6 +560,44 @@ mod tests {
         assert_eq!(fold.zones.len(), 2);
         assert_eq!(fold.makespan, 5);
         let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The table merge: fresh rows replace their zones' rows, the rest
+    /// carry with their learn epochs and share their lists, and the
+    /// result stays in canonical order.
+    #[test]
+    fn merge_replaces_fresh_zones_and_carries_the_rest() {
+        let row = |name: &str, queries| ZoneScan {
+            queries,
+            ..fill_shard(&[Name::parse(name).unwrap()], &[], true)
+                .unwrap()
+                .remove(0)
+                .into_owned()
+        };
+        let prev = vec![
+            row("a.example", 1),
+            row("c.example", 1),
+            row("e.example", 1),
+        ];
+        let fresh = vec![row("b.example", 2), row("c.example", 2)];
+        let (table, learned) = merge_table(&prev, &[0, 0, 1], fresh, 2);
+        let names: Vec<String> = table.iter().map(|z| z.name.to_string_fqdn()).collect();
+        assert_eq!(
+            names,
+            ["a.example.", "b.example.", "c.example.", "e.example."]
+        );
+        assert_eq!(learned, [0, 2, 2, 1]);
+        assert_eq!(
+            table.iter().map(|z| z.queries).collect::<Vec<_>>(),
+            [1, 2, 2, 1]
+        );
+        assert!(std::sync::Arc::ptr_eq(
+            &table[3].ns_names,
+            &prev[2].ns_names
+        ));
+        assert_eq!(table.capacity(), 4);
+        let (first, learned) = merge_table(&[], &[], table, 3);
+        assert_eq!((first.len(), learned), (4, vec![3; 4]));
     }
 
     #[test]

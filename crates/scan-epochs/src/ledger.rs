@@ -93,12 +93,19 @@ impl CarryLedger {
     /// cuts. Called before an epoch's scan with that epoch's
     /// [`ChurnLog::invalidated_cuts`](dns_ecosystem::ChurnLog) — a
     /// churned zone's keys and referral must never be consulted again,
-    /// no matter how much validity they had left.
+    /// no matter how much validity they had left. A name is dead when it
+    /// or one of its ancestors is a cut: one binary search per label of
+    /// the name, not one comparison per cut.
     pub fn invalidate(&mut self, cuts: &[Name]) {
         if cuts.is_empty() {
             return;
         }
-        let live = |name: &Name| !cuts.iter().any(|c| name.is_subdomain_of(c));
+        let mut cuts = cuts.to_vec();
+        cuts.sort_unstable();
+        let live = |name: &Name| {
+            !std::iter::successors(Some(name.clone()), Name::parent)
+                .any(|a| cuts.binary_search(&a).is_ok())
+        };
         self.entries.retain_mut(|e| {
             e.inserts.key_inserts.retain(|(n, _)| live(n));
             e.inserts.addr_inserts.retain(|(n, _)| live(n));
@@ -146,6 +153,10 @@ mod tests {
     }
 
     fn effects(zone: &str) -> ZoneEffects {
+        effects_at(&name(zone))
+    }
+
+    fn effects_at(zone: &Name) -> ZoneEffects {
         let referral = ReferralData {
             parent_apex: name("example"),
             ns_names: Vec::new(),
@@ -155,9 +166,9 @@ mod tests {
             parent_servers: Vec::new(),
         };
         ZoneEffects {
-            key_inserts: vec![(name(zone), Arc::default())],
+            key_inserts: vec![(zone.clone(), Arc::default())],
             addr_inserts: Vec::new(),
-            referral_inserts: vec![(name(zone), Arc::new(referral))],
+            referral_inserts: vec![(zone.clone(), Arc::new(referral))],
         }
     }
 
@@ -172,6 +183,54 @@ mod tests {
         assert_eq!(ledger.len(), 2, "a.example and its subdomain dropped");
         ledger.invalidate(&[]);
         assert_eq!(ledger.len(), 2);
+    }
+
+    /// The ancestor walk keeps the plain rule — a name dies when it is at
+    /// or below any cut — over every name of up to three labels drawn
+    /// from look-alike labels (`xcom.` beside `com.`, `ab.` beside `a.`),
+    /// against the root, cuts equal to carried names, cuts below them
+    /// and generated cut sets.
+    #[test]
+    fn invalidation_matches_the_subdomain_rule() {
+        let mut names = vec![Name::root()];
+        let mut level = names.clone();
+        for _ in 0..3 {
+            level = level
+                .iter()
+                .flat_map(|n| ["com", "xcom", "a", "ab"].map(|l| n.prepend_label(l.as_bytes())))
+                .map(Result::unwrap)
+                .collect();
+            names.extend(level.iter().cloned());
+        }
+        let mut cut_sets = vec![
+            vec![Name::root()],
+            vec![name("com")],
+            vec![name("xcom")],
+            vec![name("a.com"), name("ab.xcom")],
+            vec![name("com.a.com"), name("com"), name("com")],
+        ];
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for _ in 0..200 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let k = 1 + (x >> 62) as usize;
+            let pick = |i: usize| names[(x >> (i * 12)) as usize % names.len()].clone();
+            cut_sets.push((0..k).map(pick).collect());
+        }
+        for cuts in &cut_sets {
+            let mut ledger = CarryLedger::new();
+            for n in &names {
+                ledger.absorb(0, n, &effects_at(n));
+            }
+            ledger.invalidate(cuts);
+            let kept: Vec<&Name> = ledger.entries.iter().map(|e| &e.source).collect();
+            let oracle: Vec<&Name> = names
+                .iter()
+                .filter(|n| !cuts.iter().any(|c| n.is_subdomain_of(c)))
+                .collect();
+            assert_eq!(kept, oracle, "cuts {cuts:?}");
+        }
     }
 
     #[test]

@@ -271,6 +271,7 @@ mod tests {
     use dns_wire::rdata::{DnskeyData, DsData};
     use netsim::Addr;
     use std::net::Ipv4Addr;
+    use std::sync::Arc;
 
     /// A one-zone table: a secured zone with two NS addresses.
     fn table() -> Vec<ZoneScan> {
@@ -285,8 +286,9 @@ mod tests {
                 protocol: 3,
                 algorithm: 13,
                 public_key: vec![7; 32],
-            }],
-            cds: vec![],
+            }]
+            .into(),
+            cds: [].into(),
             cds_sig_valid: None,
             csync_present: false,
         };
@@ -328,7 +330,7 @@ mod tests {
         moved[0].ns_observations = v.into();
         let mut rekeyed = table();
         let mut v = rekeyed[0].ns_observations.to_vec();
-        v[1].dnskeys[0].public_key[0] ^= 1;
+        Arc::make_mut(&mut v[1].dnskeys)[0].public_key[0] ^= 1;
         rekeyed[0].ns_observations = v.into();
 
         let expected = canonical_evidence(&base);

@@ -330,7 +330,7 @@ mod tests {
             .map(|(zone, queries)| {
                 let mut e = event_for(zone, queries);
                 e.1.scan.elapsed = 1_000 + u64::from(queries);
-                e.1.scan.retry_stats.logical_queries = u64::from(queries);
+                e.1.scan.retry_stats.logical_queries = queries;
                 e
             })
             .collect();
@@ -367,8 +367,8 @@ mod tests {
                 responded: true,
                 soa_present: true,
                 cds_query_error: false,
-                dnskeys: vec![],
-                cds: vec![],
+                dnskeys: Default::default(),
+                cds: [].into(),
                 cds_sig_valid: None,
                 csync_present: false,
             }]

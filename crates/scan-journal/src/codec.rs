@@ -40,6 +40,9 @@ pub enum CodecError {
     BadName,
     /// Bytes left over after the event was fully decoded.
     Trailing(usize),
+    /// A counter encoded wider than the field it decodes into held a
+    /// value that field cannot.
+    OutOfRange(&'static str),
 }
 
 impl fmt::Display for CodecError {
@@ -50,6 +53,7 @@ impl fmt::Display for CodecError {
             CodecError::BadUtf8 => write!(f, "string field not UTF-8"),
             CodecError::BadName => write!(f, "invalid DNS name"),
             CodecError::Trailing(n) => write!(f, "{n} trailing bytes after event"),
+            CodecError::OutOfRange(what) => write!(f, "{what} out of range"),
         }
     }
 }
@@ -202,16 +206,19 @@ impl Enc<'_> {
             self.cds_seen(c);
         }
     }
+    fn dnskeys(&mut self, v: &[DnskeyData]) {
+        self.u32(v.len() as u32);
+        for k in v {
+            self.dnskey(k);
+        }
+    }
     fn ns_observation(&mut self, o: &NsObservation) {
         self.name(&o.ns_name);
         self.addr(&o.addr);
         self.boolean(o.responded);
         self.boolean(o.soa_present);
         self.boolean(o.cds_query_error);
-        self.u32(o.dnskeys.len() as u32);
-        for k in &o.dnskeys {
-            self.dnskey(k);
-        }
+        self.dnskeys(&o.dnskeys);
         self.cds_list(&o.cds);
         self.opt_bool(o.cds_sig_valid);
         self.boolean(o.csync_present);
@@ -298,16 +305,16 @@ impl Enc<'_> {
         self.u32(r.rescans);
         self.u32(r.datagrams);
         self.u32(r.tcp_fallbacks);
-        self.u64(r.bytes_sent);
-        self.u64(r.bytes_received);
-        self.u64(r.logical_queries);
-        self.u64(r.hostile_mismatched);
-        self.u64(r.hostile_foreign);
-        self.u64(r.hostile_referral_loops);
-        self.u64(r.hostile_wide_referrals);
-        self.u64(r.hostile_alias_loops);
-        self.u64(r.hostile_budget);
-        self.u64(r.hostile_lame);
+        self.u64(u64::from(r.bytes_sent));
+        self.u64(u64::from(r.bytes_received));
+        self.u64(u64::from(r.logical_queries));
+        self.u64(u64::from(r.hostile_mismatched));
+        self.u64(u64::from(r.hostile_foreign));
+        self.u64(u64::from(r.hostile_referral_loops));
+        self.u64(u64::from(r.hostile_wide_referrals));
+        self.u64(u64::from(r.hostile_alias_loops));
+        self.u64(u64::from(r.hostile_budget));
+        self.u64(u64::from(r.hostile_lame));
     }
     fn zone_scan(&mut self, z: &ZoneScan) {
         self.name(&z.name);
@@ -338,10 +345,7 @@ impl Enc<'_> {
         self.u32(e.key_inserts.len() as u32);
         for (name, keys) in &e.key_inserts {
             self.name(name);
-            self.u32(keys.len() as u32);
-            for k in keys.iter() {
-                self.dnskey(k);
-            }
+            self.dnskeys(keys);
         }
         self.u32(e.addr_inserts.len() as u32);
         for (name, addrs) in &e.addr_inserts {
@@ -385,9 +389,49 @@ pub fn encode_scan_into(buf: &mut Vec<u8>, scan: &ZoneScan) {
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    seen: Seen<'a>,
+}
+
+/// The values one event's decoder has built so far, each with its encoded
+/// span. An event repeats itself: each NS name per address and again in
+/// its signal probe and address insert, a zone's keys in every
+/// observation and in its key-cache insert, one CDS list per address. An
+/// identical span decodes to a clone of the first value — one allocation
+/// for all of them. Per event only: a few dozen entries, searched
+/// linearly.
+#[derive(Default)]
+struct Seen<'a> {
+    names: Memo<'a, Name>,
+    keys: Memo<'a, Arc<Vec<DnskeyData>>>,
+    cds: Memo<'a, Arc<[CdsSeen]>>,
+}
+
+struct Memo<'a, T>(Vec<(&'a [u8], T)>);
+
+impl<T> Default for Memo<'_, T> {
+    fn default() -> Self {
+        Memo(Vec::new())
+    }
+}
+
+impl<'a, T: Clone> Memo<'a, T> {
+    /// The first value decoded from `span`, or `value` remembered as it.
+    fn share(&mut self, span: &'a [u8], value: T) -> T {
+        if let Some((_, first)) = self.0.iter().find(|(s, _)| *s == span) {
+            return first.clone();
+        }
+        self.0.push((span, value.clone()));
+        value
+    }
 }
 
 impl<'a> Dec<'a> {
+    /// Decode one value and return it with the bytes it spanned.
+    fn spanned<T>(&mut self, item: impl FnOnce(&mut Self) -> Result<T>) -> Result<(&'a [u8], T)> {
+        let (buf, start) = (self.buf, self.pos);
+        let value = item(self)?;
+        Ok((&buf[start..self.pos], value))
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.buf.len() - self.pos < n {
             return Err(CodecError::Truncated);
@@ -453,6 +497,10 @@ impl<'a> Dec<'a> {
         String::from_utf8(self.bytes()?).map_err(|_| CodecError::BadUtf8)
     }
     fn name(&mut self) -> Result<Name> {
+        let (span, name) = self.spanned(Self::fresh_name)?;
+        Ok(self.seen.names.share(span, name))
+    }
+    fn fresh_name(&mut self) -> Result<Name> {
         let n = self.u8()? as usize;
         let mut labels: Vec<&[u8]> = Vec::with_capacity(n);
         for _ in 0..n {
@@ -542,8 +590,17 @@ impl<'a> Dec<'a> {
             t => Err(CodecError::BadTag("cds-seen", t)),
         }
     }
-    fn cds_list(&mut self) -> Result<Vec<CdsSeen>> {
-        self.list(Self::cds_seen)
+    fn cds_list(&mut self) -> Result<Arc<[CdsSeen]>> {
+        let (span, list) = self.spanned(|d| Ok(d.list(Self::cds_seen)?.into()))?;
+        Ok(self.seen.cds.share(span, list))
+    }
+    fn dnskeys(&mut self) -> Result<Arc<Vec<DnskeyData>>> {
+        let (span, keys) = self.spanned(|d| Ok(Arc::new(d.list(Self::dnskey)?)))?;
+        Ok(self.seen.keys.share(span, keys))
+    }
+    /// A counter encoded as `u64` into a `u32` field.
+    fn narrow(&mut self, what: &'static str) -> Result<u32> {
+        u32::try_from(self.u64()?).map_err(|_| CodecError::OutOfRange(what))
     }
     fn ns_observation(&mut self) -> Result<NsObservation> {
         Ok(NsObservation {
@@ -552,7 +609,7 @@ impl<'a> Dec<'a> {
             responded: self.boolean()?,
             soa_present: self.boolean()?,
             cds_query_error: self.boolean()?,
-            dnskeys: self.list(Self::dnskey)?,
+            dnskeys: self.dnskeys()?,
             cds: self.cds_list()?,
             cds_sig_valid: self.opt_bool()?,
             csync_present: self.boolean()?,
@@ -634,16 +691,16 @@ impl<'a> Dec<'a> {
             rescans: self.u32()?,
             datagrams: self.u32()?,
             tcp_fallbacks: self.u32()?,
-            bytes_sent: self.u64()?,
-            bytes_received: self.u64()?,
-            logical_queries: self.u64()?,
-            hostile_mismatched: self.u64()?,
-            hostile_foreign: self.u64()?,
-            hostile_referral_loops: self.u64()?,
-            hostile_wide_referrals: self.u64()?,
-            hostile_alias_loops: self.u64()?,
-            hostile_budget: self.u64()?,
-            hostile_lame: self.u64()?,
+            bytes_sent: self.narrow("bytes_sent")?,
+            bytes_received: self.narrow("bytes_received")?,
+            logical_queries: self.narrow("logical_queries")?,
+            hostile_mismatched: self.narrow("hostile_mismatched")?,
+            hostile_foreign: self.narrow("hostile_foreign")?,
+            hostile_referral_loops: self.narrow("hostile_referral_loops")?,
+            hostile_wide_referrals: self.narrow("hostile_wide_referrals")?,
+            hostile_alias_loops: self.narrow("hostile_alias_loops")?,
+            hostile_budget: self.narrow("hostile_budget")?,
+            hostile_lame: self.narrow("hostile_lame")?,
         })
     }
     fn zone_scan(&mut self) -> Result<ZoneScan> {
@@ -669,8 +726,7 @@ impl<'a> Dec<'a> {
         let n = self.count()?;
         for _ in 0..n {
             let name = self.name()?;
-            e.key_inserts
-                .push((name, Arc::new(self.list(Self::dnskey)?)));
+            e.key_inserts.push((name, self.dnskeys()?));
         }
         let n = self.count()?;
         for _ in 0..n {
@@ -692,6 +748,7 @@ pub fn decode_event(payload: &[u8]) -> Result<ZoneEvent> {
     let mut d = Dec {
         buf: payload,
         pos: 0,
+        seen: Seen::default(),
     };
     let event = ZoneEvent {
         pass: d.u32()?,
@@ -735,8 +792,8 @@ pub(crate) mod tests {
                 responded: true,
                 soa_present: true,
                 cds_query_error: false,
-                dnskeys: vec![key.clone()],
-                cds: vec![
+                dnskeys: Arc::new(vec![key.clone()]),
+                cds: [
                     CdsSeen::Cds {
                         key_tag: 4711,
                         algorithm: 13,
@@ -748,7 +805,8 @@ pub(crate) mod tests {
                         algorithm: 13,
                         public_key: vec![1, 2, 3, 4, 5],
                     },
-                ],
+                ]
+                .into(),
                 cds_sig_valid: Some(true),
                 csync_present: true,
             }]
@@ -756,7 +814,7 @@ pub(crate) mod tests {
             signal_observations: [SignalObservation {
                 ns_name: name!("ns2.example"),
                 name_unbuildable: false,
-                cds: vec![],
+                cds: [].into(),
                 dnssec_valid: Some(false),
                 zone_cut: true,
             }]
@@ -876,6 +934,65 @@ pub(crate) mod tests {
         encode_scan_into(&mut scan, &event.scan);
         let payload = encode_event(&event);
         assert_eq!(&payload[12..12 + scan.len()], &scan[..]);
+    }
+
+    /// A decoded event holds each value it repeats once: the names, the
+    /// key set an observation and the key-cache insert both carry, and
+    /// the CDS list two addresses and a signal probe all saw.
+    #[test]
+    fn decoded_event_shares_what_it_repeats() {
+        let mut event = rich_event();
+        let mut observations = event.scan.ns_observations.to_vec();
+        let second = NsObservation {
+            addr: Addr::V4(Ipv4Addr::new(192, 0, 2, 1)),
+            ..observations[0].clone()
+        };
+        observations.push(second);
+        event.scan.ns_observations = observations.into();
+        let mut signals = event.scan.signal_observations.to_vec();
+        signals[0].cds = event.scan.ns_observations[0].cds.to_vec().into();
+        event.scan.signal_observations = signals.into();
+
+        let back = decode_event(&encode_event(&event)).expect("decode");
+        assert_eq!(back, event);
+        let one_name = |a: &Name, b: &Name| a.wire_bytes().as_ptr() == b.wire_bytes().as_ptr();
+        let (scan, effects) = (&back.scan, &back.effects);
+        let [first, second] = &scan.ns_observations[..] else {
+            panic!("two observations");
+        };
+        assert!(one_name(&scan.ns_names[0], &first.ns_name));
+        assert!(one_name(&first.ns_name, &second.ns_name));
+        assert!(one_name(&first.ns_name, &effects.addr_inserts[0].0));
+        assert!(one_name(
+            &scan.ns_names[1],
+            &scan.signal_observations[0].ns_name
+        ));
+        assert!(one_name(&scan.name, &effects.key_inserts[0].0));
+        assert!(one_name(&scan.name, &effects.referral_inserts[0].0));
+        assert!(Arc::ptr_eq(&first.dnskeys, &second.dnskeys));
+        assert!(Arc::ptr_eq(&first.dnskeys, &effects.key_inserts[0].1));
+        assert!(Arc::ptr_eq(&first.cds, &second.cds));
+        assert!(Arc::ptr_eq(&first.cds, &scan.signal_observations[0].cds));
+    }
+
+    /// `RetryStats`'s wide counters stay `u64` on disk; a value that does
+    /// not fit the `u32` field is a codec error, never a wrapped count.
+    #[test]
+    fn wide_counters_decode_range_checked() {
+        let mut event = rich_event();
+        event.scan.retry_stats.bytes_sent = 0xDEAD_BEEF;
+        let mut payload = encode_event(&event);
+        let field = 0xDEAD_BEEF_u64.to_le_bytes();
+        let at = payload
+            .windows(8)
+            .position(|w| w == field)
+            .expect("bytes_sent in the payload");
+        assert_eq!(decode_event(&payload).expect("in range"), event);
+        payload[at + 4] = 1;
+        assert_eq!(
+            decode_event(&payload),
+            Err(CodecError::OutOfRange("bytes_sent"))
+        );
     }
 
     #[test]

@@ -265,7 +265,7 @@ fn main() {
                 let e = per.entry(a.label()).or_insert((0, 0, 0));
                 e.0 += 1;
                 e.1 += u64::from(z.degraded);
-                e.2 = e.2.max(z.retry_stats.logical_queries);
+                e.2 = e.2.max(u64::from(z.retry_stats.logical_queries));
             }
         }
         println!(

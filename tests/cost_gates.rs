@@ -10,7 +10,6 @@
 //! than 20 %. A failure prints the full current map: to re-baseline
 //! after an intended change, paste it over the baseline file.
 
-use bootscan::types::CdsSeen;
 use bootscan::{Identified, ProgressSink, ReferralData, ScanPolicy, Scanner, ZoneEvent, ZoneScan};
 use dns_ecosystem::{apply_churn, build, ChurnConfig, ChurnPlan, Ecosystem, EcosystemConfig};
 use dns_wire::name::Name;
@@ -224,6 +223,52 @@ fn carried_rows_share_their_lists() {
     assert!(carried > 0, "three tiny epochs must carry a row");
 }
 
+/// A live scan seals its observations shared: within one zone, equal
+/// key lists are one `Arc`, and so are equal CDS lists, in-zone and
+/// signal alike. A per-observation copy fails `Arc::ptr_eq` here.
+#[test]
+fn sealed_scans_share_equal_lists() {
+    let eco = build(EcosystemConfig::tiny(WORLD_SEED));
+    let seeds = eco.seeds.compile(&eco.psl);
+    let results = Scanner::for_ecosystem(&eco, ScanPolicy::default()).scan_all(&seeds);
+    let mut shared = 0;
+    for z in &results.zones {
+        let keys: Vec<&Arc<Vec<DnskeyData>>> =
+            z.ns_observations.iter().map(|o| &o.dnskeys).collect();
+        let cds: Vec<_> = z
+            .ns_observations
+            .iter()
+            .map(|o| &o.cds)
+            .chain(z.signal_observations.iter().map(|s| &s.cds))
+            .collect();
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[..i] {
+                assert_eq!(
+                    a == b,
+                    Arc::ptr_eq(a, b),
+                    "{}: an equal key list is copied",
+                    z.name
+                );
+                shared += usize::from(Arc::ptr_eq(a, b) && !a.is_empty());
+            }
+        }
+        for (i, a) in cds.iter().enumerate() {
+            for b in &cds[..i] {
+                assert_eq!(
+                    a == b,
+                    Arc::ptr_eq(a, b),
+                    "{}: an equal CDS list is copied",
+                    z.name
+                );
+            }
+        }
+    }
+    assert!(
+        shared > 0,
+        "some tiny zone serves one key set from two addresses"
+    );
+}
+
 /// Churn costs what it changes: the RRsets `apply_churn` signs in
 /// operator base zones are bounded by the signal owners it moved — each
 /// re-signs itself and one NSEC predecessor, no node here holds more
@@ -349,10 +394,10 @@ fn scan_slots(scan: &ZoneScan, s: &mut Slots) {
     s.of_slice(&scan.signal_observations);
     for o in scan.ns_observations.iter() {
         s.of(&o.dnskeys);
-        s.of(&o.cds);
+        s.of_slice(&o.cds);
     }
     for o in scan.signal_observations.iter() {
-        s.of(&o.cds);
+        s.of_slice(&o.cds);
     }
     if let Identified::Multi(ops) = &scan.operator {
         s.of(ops);
@@ -539,31 +584,40 @@ fn footprint_by_owner() {
     );
 }
 
-/// Heap bytes of a scan's four shared lists and the vectors they nest.
+/// Heap bytes of a scan's four shared lists and the lists they nest.
 /// Each `Arc` body counts once per `seen` set (by `Arc::as_ptr`): its
-/// 16 header bytes (the two reference counts) plus its slots.
+/// 16 header bytes (the two reference counts) plus its slots — a key
+/// list shared by several observations, or by several scans, once.
 fn list_bytes(z: &ZoneScan, seen: &mut HashSet<*const u8>) -> usize {
     use std::mem::size_of;
-    fn body<T>(v: &Arc<[T]>, seen: &mut HashSet<*const u8>) -> Option<usize> {
-        seen.insert(Arc::as_ptr(v).cast())
-            .then(|| 16 + v.len() * size_of::<T>())
-    }
-    let mut bytes = body(&z.ns_names, seen).unwrap_or(0) + body(&z.parent_ds, seen).unwrap_or(0);
-    if let Some(b) = body(&z.ns_observations, seen) {
-        bytes += b;
-        for o in z.ns_observations.iter() {
-            bytes += o.dnskeys.capacity() * size_of::<DnskeyData>()
-                + o.dnskeys
-                    .iter()
-                    .map(|k| k.public_key.capacity())
-                    .sum::<usize>()
-                + o.cds.capacity() * size_of::<CdsSeen>();
+    fn body<T>(v: &Arc<[T]>, seen: &mut HashSet<*const u8>) -> usize {
+        if seen.insert(Arc::as_ptr(v).cast()) {
+            16 + v.len() * size_of::<T>()
+        } else {
+            0
         }
     }
-    if let Some(b) = body(&z.signal_observations, seen) {
-        bytes += b;
+    fn keys(v: &Arc<Vec<DnskeyData>>, seen: &mut HashSet<*const u8>) -> usize {
+        if !seen.insert(Arc::as_ptr(v).cast()) {
+            return 0;
+        }
+        16 + size_of::<Vec<DnskeyData>>()
+            + v.capacity() * size_of::<DnskeyData>()
+            + v.iter().map(|k| k.public_key.capacity()).sum::<usize>()
+    }
+    let mut bytes = body(&z.ns_names, seen) + body(&z.parent_ds, seen);
+    let ns = body(&z.ns_observations, seen);
+    if ns > 0 {
+        bytes += ns;
+        for o in z.ns_observations.iter() {
+            bytes += keys(&o.dnskeys, seen) + body(&o.cds, seen);
+        }
+    }
+    let signals = body(&z.signal_observations, seen);
+    if signals > 0 {
+        bytes += signals;
         for o in z.signal_observations.iter() {
-            bytes += o.cds.capacity() * size_of::<CdsSeen>();
+            bytes += body(&o.cds, seen);
         }
     }
     bytes

@@ -42,7 +42,7 @@ fn scans_by_name(results: &ScanResults) -> HashMap<&Name, &ZoneScan> {
 fn expected_cause_count(
     archetype: AdversaryArchetype,
     stats: &bootscan::RetryStats,
-) -> (&'static str, u64) {
+) -> (&'static str, u32) {
     match archetype {
         AdversaryArchetype::Lame => ("lame-delegation", stats.hostile_lame),
         AdversaryArchetype::ReferralLoop | AdversaryArchetype::SelfGlue => {
@@ -135,14 +135,14 @@ fn hostile_world_properties() {
     let max_benign = pure_res
         .zones
         .iter()
-        .map(|z| z.retry_stats.logical_queries)
+        .map(|z| u64::from(z.retry_stats.logical_queries))
         .max()
         .unwrap();
     for z in &mix_res.zones {
         if !adv_names.contains(&z.name) {
             continue;
         }
-        let q = z.retry_stats.logical_queries;
+        let q = u64::from(z.retry_stats.logical_queries);
         assert!(
             q <= budget,
             "{}: {q} logical queries exceeds the {budget} budget",
