@@ -816,22 +816,21 @@ impl Scanner {
         [RecordType::Cds, RecordType::Cdnskey]
             .into_iter()
             .all(|rtype| {
-                let rdatas: Vec<RData> = input
-                    .rdatas
-                    .iter()
-                    .filter(|r| r.rtype() == rtype)
-                    .cloned()
-                    .collect();
-                if rdatas.is_empty() {
-                    return true;
-                }
                 let set = RrSet {
                     name: zone.clone(),
                     class: RecordClass::In,
                     rtype,
                     ttl: 300,
-                    rdatas,
+                    rdatas: input
+                        .rdatas
+                        .iter()
+                        .filter(|r| r.rtype() == rtype)
+                        .cloned()
+                        .collect(),
                 };
+                if set.rdatas.is_empty() {
+                    return true;
+                }
                 verify_rrset_with_keys(&set, &input.rrsigs, &input.dnskeys, self.now).is_ok()
             })
     }

@@ -507,15 +507,16 @@ fn sign(zone: &mut Zone, keys: &ZoneKeys) {
 
 /// Flip the signature bytes of the RRSIGs at `owner` covering `types`.
 fn corrupt(zone: &mut Zone, owner: &Name, types: &[RecordType]) {
-    if let Some(mut set) = zone.remove_rrset(owner, RecordType::Rrsig) {
-        for rd in &mut set.rdatas {
-            if let RData::Rrsig(sig) = rd {
+    if let Some(set) = zone.remove_rrset(owner, RecordType::Rrsig) {
+        let mut records = set.records();
+        for r in &mut records {
+            if let RData::Rrsig(sig) = &mut r.rdata {
                 if types.iter().any(|t| t.code() == sig.type_covered) {
                     sig.signature.iter_mut().for_each(|b| *b ^= 0x77);
                 }
             }
         }
-        zone.add_all(set.records());
+        zone.add_all(records);
     }
 }
 

@@ -20,8 +20,8 @@ use crate::truth::{CdsState, DnssecState, SignalDefect, SignalTruth, ZoneTruth};
 use dns_crypto::{Algorithm, DigestType, UnixTime};
 use dns_server::{AuthServer, ByzantineMode, ByzantineServer, ParkingServer, Quirks, ZoneStore};
 use dns_wire::name::Name;
-use dns_wire::rdata::{DsData, RData, SoaData};
-use dns_wire::record::{Record, RecordType};
+use dns_wire::rdata::{DsData, RData, RrsigData, SoaData};
+use dns_wire::record::{Rdatas, Record, RecordClass, RecordType, RrSet};
 use dns_zone::keys::CdsPublication;
 use dns_zone::signer::Denial;
 use dns_zone::{signal, Corruption, Zone, ZoneKeys, ZoneSigner};
@@ -116,9 +116,10 @@ struct OpRuntime {
     /// One store per NS hostname (zones Arc-shared between them unless
     /// divergent content is planted).
     stores: Vec<Arc<ZoneStore>>,
-    /// Signal records pending insertion into base zones, keyed by the
-    /// base-zone apex they belong to.
-    pending_signal: HashMap<Name, Vec<Record>>,
+    /// Signal RRsets pending insertion into base zones, keyed by the
+    /// base-zone apex they belong to; each shares its zone's CDS or
+    /// CDNSKEY body.
+    pending_signal: HashMap<Name, Vec<RrSet>>,
     /// Signal names whose RRSIGs must be corrupted / expired post-signing.
     defect_badsig: Vec<Name>,
     defect_expired: Vec<Name>,
@@ -150,6 +151,9 @@ struct Builder {
     /// Keys for the `zzadv` registry, drawn from the adversary RNG so the
     /// benign key stream (and thus the root keys) is untouched.
     adv_tld_keys: Option<ZoneKeys>,
+    /// One NS body per host tuple, shared by every zone those hosts serve
+    /// and by each one's delegation.
+    ns_bodies: HashMap<Vec<Name>, Rdatas>,
 }
 
 /// Build the world described by `cfg`.
@@ -177,6 +181,7 @@ pub fn build(cfg: EcosystemConfig) -> Ecosystem {
         parking_addr: None,
         next_adv_v4: 0x0ac8_0001, // 10.200.0.1
         adv_tld_keys: None,
+        ns_bodies: HashMap::new(),
         cfg,
     };
     b.init_tld_zones();
@@ -237,31 +242,64 @@ pub fn build(cfg: EcosystemConfig) -> Ecosystem {
     }
 }
 
-/// The SOA MNAME and RNAME of every generated zone, parsed once: each
-/// zone's SOA holds clones, which share one buffer per name.
-static SOA_NAMES: LazyLock<(Name, Name)> = LazyLock::new(|| {
-    (
-        Name::parse("ns.invalid").expect("valid SOA MNAME literal"),
-        Name::parse("hostmaster.invalid").expect("valid SOA RNAME literal"),
-    )
+/// The SOA body every generated zone carries, built once: every zone's
+/// SOA RRset holds this one allocation.
+static SOA_BODY: LazyLock<Rdatas> = LazyLock::new(|| {
+    Rdatas::from(vec![RData::Soa(SoaData {
+        mname: Name::parse("ns.invalid").expect("valid SOA MNAME literal"),
+        rname: Name::parse("hostmaster.invalid").expect("valid SOA RNAME literal"),
+        serial: 20_250_401,
+        refresh: 7200,
+        retry: 3600,
+        expire: 1_209_600,
+        minimum: 300,
+    })])
 });
 
+/// The CSYNC body every CSYNC-publishing zone carries, built once.
+static CSYNC_BODY: LazyLock<Rdatas> = LazyLock::new(|| {
+    Rdatas::from(vec![
+        dns_zone::csync_record(&Name::root(), 300, 20_250_401, false).rdata,
+    ])
+});
+
+/// An RRset of class IN over an existing body.
+fn rrset(name: &Name, rtype: RecordType, ttl: u32, rdatas: &Rdatas) -> RrSet {
+    RrSet {
+        name: name.clone(),
+        class: RecordClass::In,
+        rtype,
+        ttl,
+        rdatas: rdatas.clone(),
+    }
+}
+
 /// The SOA every generated zone carries.
-pub(crate) fn soa(apex: &Name) -> Record {
-    let (mname, rname) = &*SOA_NAMES;
-    Record::new(
-        apex.clone(),
-        3600,
-        RData::Soa(SoaData {
-            mname: mname.clone(),
-            rname: rname.clone(),
-            serial: 20_250_401,
-            refresh: 7200,
-            retry: 3600,
-            expire: 1_209_600,
-            minimum: 300,
-        }),
-    )
+pub(crate) fn soa(apex: &Name) -> RrSet {
+    rrset(apex, RecordType::Soa, 3600, &SOA_BODY)
+}
+
+/// The CSYNC a CSYNC-publishing operator's signed zones carry.
+pub(crate) fn csync(apex: &Name) -> RrSet {
+    rrset(apex, RecordType::Csync, 300, &CSYNC_BODY)
+}
+
+/// An NS body naming `hosts` in order, each once: build it once per
+/// host tuple and hand it to [`ns`] for the apex and the delegation.
+pub(crate) fn ns_body<'a>(hosts: impl IntoIterator<Item = &'a Name>) -> Rdatas {
+    let mut rdatas: Vec<RData> = Vec::new();
+    for host in hosts {
+        let rd = RData::Ns(host.clone());
+        if !rdatas.contains(&rd) {
+            rdatas.push(rd);
+        }
+    }
+    rdatas.into()
+}
+
+/// The NS RRset at `owner` (a child apex or its delegation) over `body`.
+pub(crate) fn ns(owner: &Name, body: &Rdatas) -> RrSet {
+    rrset(owner, RecordType::Ns, 3600, body)
 }
 
 /// Leaf-zone signer honouring the operator's denial-chain flavour.
@@ -296,6 +334,16 @@ impl Builder {
         Addr::V4(Ipv4Addr::from(v))
     }
 
+    /// The NS body for `hosts`, built on first use of the tuple.
+    fn shared_ns_body(&mut self, hosts: &[Name]) -> Rdatas {
+        if let Some(body) = self.ns_bodies.get(hosts) {
+            return body.clone();
+        }
+        let body = ns_body(hosts);
+        self.ns_bodies.insert(hosts.to_vec(), body.clone());
+        body
+    }
+
     fn signer(&self) -> ZoneSigner {
         ZoneSigner::new(self.cfg.now)
     }
@@ -304,7 +352,7 @@ impl Builder {
         let suffixes: Vec<Name> = self.psl.suffixes().cloned().collect();
         for s in suffixes {
             let mut z = Zone::new(s.clone());
-            z.add(soa(&s));
+            z.add_rrset(soa(&s));
             // Placeholder apex NS; replaced with the shared registry
             // server name when the zone is finalised.
             let ns = s
@@ -312,7 +360,7 @@ impl Builder {
                 .unwrap()
                 .prepend_label(b"ns1")
                 .unwrap();
-            z.add(Record::new(s.clone(), 3600, RData::Ns(ns)));
+            z.add_rrset(self::ns(&s, &ns_body([&ns])));
             self.tlds.insert(s, z);
         }
     }
@@ -478,19 +526,19 @@ impl Builder {
             v
         };
 
+        let ns_body = self.shared_ns_body(&ns_names);
+
         // Base records.
         let mut zone = Zone::new(name.clone());
-        zone.add(soa(name));
-        for ns in &ns_names {
-            zone.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
-        }
+        zone.add_rrset(soa(name));
+        zone.add_rrset(ns(name, &ns_body));
 
         let cds_policy = self.ops[op_idx].spec.cds_publication;
         let publish_csync = self.ops[op_idx].spec.publish_csync;
         let keys = ZoneKeys::generate(&mut self.rng, Algorithm::EcdsaP256Sha256);
         let throwaway = ZoneKeys::generate(&mut self.rng, Algorithm::EcdsaP256Sha256);
 
-        // CDS records by state (added before signing so they get RRSIGs).
+        // CDS RRsets by state (added before signing so they get RRSIGs).
         let cds_records: Vec<Record> = match cds {
             CdsState::None => Vec::new(),
             CdsState::Valid | CdsState::BadSignature | CdsState::Inconsistent => {
@@ -499,11 +547,12 @@ impl Builder {
             CdsState::Delete => ZoneKeys::delete_records(name, 300, cds_policy),
             CdsState::MismatchesDnskey => throwaway.cds_records(name, 300, cds_policy),
         };
-        for r in &cds_records {
-            zone.add(r.clone());
+        let cds_sets = RrSet::group(&cds_records);
+        for set in &cds_sets {
+            zone.add_rrset(set.clone());
         }
         if publish_csync && matches!(dnssec, DnssecState::Secured | DnssecState::Island) {
-            zone.add(dns_zone::csync_record(name, 300, 20_250_401, false));
+            zone.add_rrset(csync(name));
         }
 
         // Sign per DNSSEC state, with the operator's denial flavour.
@@ -535,9 +584,7 @@ impl Builder {
         // Parent-side records: delegation NS + DS when secured/invalid.
         {
             let tldz = self.tlds.get_mut(&tld).expect("tld exists");
-            for ns in &ns_names {
-                tldz.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
-            }
+            tldz.add_rrset(ns(name, &ns_body));
             match dnssec {
                 DnssecState::Secured | DnssecState::Invalid => {
                     let src = if errant_ds { &throwaway } else { &keys };
@@ -556,12 +603,10 @@ impl Builder {
             if cds == CdsState::Inconsistent && second_op.is_none() {
                 // Intra-operator divergence: host 1 serves different CDS.
                 let mut alt = Zone::new(name.clone());
-                alt.add(soa(name));
-                for ns in &ns_names {
-                    alt.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
-                }
-                for r in throwaway.cds_records(name, 300, cds_policy) {
-                    alt.add(r);
+                alt.add_rrset(soa(name));
+                alt.add_rrset(ns(name, &ns_body));
+                for set in RrSet::group(&throwaway.cds_records(name, 300, cds_policy)) {
+                    alt.add_rrset(set);
                 }
                 self.signer().sign(&mut alt, &keys);
                 self.ops[op_idx].stores[hosts.1].insert_shared(Arc::new(alt));
@@ -572,12 +617,10 @@ impl Builder {
         if let Some(op2) = second_op {
             if cds == CdsState::Inconsistent {
                 let mut alt = Zone::new(name.clone());
-                alt.add(soa(name));
-                for ns in &ns_names {
-                    alt.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
-                }
-                for r in throwaway.cds_records(name, 300, cds_policy) {
-                    alt.add(r);
+                alt.add_rrset(soa(name));
+                alt.add_rrset(ns(name, &ns_body));
+                for set in RrSet::group(&throwaway.cds_records(name, 300, cds_policy)) {
+                    alt.add_rrset(set);
                 }
                 self.signer().sign(&mut alt, &keys);
                 self.ops[op2].stores[0].insert_shared(Arc::new(alt));
@@ -590,12 +633,12 @@ impl Builder {
         let spec_signal = self.ops[op_idx].spec.signal_enabled;
         let mut signal = SignalTruth::NotPublished;
         if spec_signal && signal_eligible {
-            // Copies of whatever CDS-shaped records the zone carries (or a
-            // throwaway set for unsigned-with-signal zones).
-            let material = if cds_records.is_empty() {
-                throwaway.cds_records(name, 300, cds_policy)
+            // Whatever CDS-shaped RRsets the zone carries, bodies shared
+            // (or a throwaway set for unsigned-with-signal zones).
+            let material = if cds_sets.is_empty() {
+                RrSet::group(&throwaway.cds_records(name, 300, cds_policy))
             } else {
-                cds_records.clone()
+                cds_sets
             };
             let mut defect = SignalDefect::None;
             // Apply pending operator defects to bootstrappable zones.
@@ -621,17 +664,17 @@ impl Builder {
             };
             for &h in &publish_hosts {
                 let ns = self.ops[op_idx].info.hosts[h].clone();
-                if let Ok(recs) = signal::signal_records(name, &ns, &material) {
+                if let Ok(sets) = signal::signal_rrsets(name, &ns, &material) {
                     let base = self
                         .psl
                         .registrable_part(&ns)
                         .expect("operator ns under a known suffix");
-                    let sig_name = recs.first().map(|r| r.name.clone());
+                    let sig_name = sets.first().map(|s| s.name.clone());
                     self.ops[op_idx]
                         .pending_signal
                         .entry(base)
                         .or_default()
-                        .extend(recs);
+                        .extend(sets);
                     if let Some(sn) = sig_name {
                         match defect {
                             SignalDefect::BadSignature => self.ops[op_idx].defect_badsig.push(sn),
@@ -885,13 +928,14 @@ impl Builder {
             self.zone_seq += 1;
             let name = Name::parse(&format!("selfns{:06}.com", self.zone_seq)).unwrap();
             let ns = name.prepend_label(b"ns1").unwrap();
+            let ns_body = ns_body([&ns]);
             let mut z = Zone::new(name.clone());
-            z.add(soa(&name));
-            z.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
+            z.add_rrset(soa(&name));
+            z.add_rrset(self::ns(&name, &ns_body));
             z.add(Record::new(ns.clone(), 3600, rdata_for(addr)));
             store.insert(z);
             let tldz = self.tlds.get_mut(&Name::parse("com").unwrap()).unwrap();
-            tldz.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
+            tldz.add_rrset(self::ns(&name, &ns_body));
             tldz.add(Record::new(ns, 3600, rdata_for(addr)));
             self.truth.push(ZoneTruth {
                 name,
@@ -955,15 +999,11 @@ impl Builder {
             let mut based: Vec<(Name, Vec<usize>)> = bases.into_iter().collect();
             based.sort_by(|a, b| a.0.canonical_cmp(&b.0));
             for (base, host_idxs) in based {
+                let hosts = &self.ops[op_idx].info.hosts;
+                let ns_body = ns_body(host_idxs.iter().map(|&h| &hosts[h]));
                 let mut z = Zone::new(base.clone());
-                z.add(soa(&base));
-                for &h in &host_idxs {
-                    z.add(Record::new(
-                        base.clone(),
-                        3600,
-                        RData::Ns(self.ops[op_idx].info.hosts[h].clone()),
-                    ));
-                }
+                z.add_rrset(soa(&base));
+                z.add_rrset(ns(&base, &ns_body));
                 // Address records for every host under this base.
                 for &h in &host_idxs {
                     let host = self.ops[op_idx].info.hosts[h].clone();
@@ -972,9 +1012,9 @@ impl Builder {
                     }
                 }
                 // Signal records for this base.
-                if let Some(recs) = self.ops[op_idx].pending_signal.remove(&base) {
-                    for r in recs {
-                        z.add(r);
+                if let Some(sets) = self.ops[op_idx].pending_signal.remove(&base) {
+                    for set in sets {
+                        z.add_rrset(set);
                     }
                 }
                 let signed = self.ops[op_idx].spec.signal_enabled;
@@ -1006,10 +1046,10 @@ impl Builder {
                     .tlds
                     .get_mut(&tld)
                     .unwrap_or_else(|| panic!("no TLD zone for {tld}"));
+                tldz.add_rrset(ns(&base, &ns_body));
                 for &h in &host_idxs {
-                    let host = self.ops[op_idx].info.hosts[h].clone();
-                    tldz.add(Record::new(base.clone(), 3600, RData::Ns(host.clone())));
-                    for &a in &self.ops[op_idx].info.host_addrs[h].clone() {
+                    let host = &self.ops[op_idx].info.hosts[h];
+                    for &a in &self.ops[op_idx].info.host_addrs[h] {
                         tldz.add(Record::new(host.clone(), 3600, rdata_for(a)));
                     }
                 }
@@ -1085,7 +1125,7 @@ impl Builder {
         let chain_a = sigop_base.prepend_label(b"zzchaina").unwrap();
         let chain_b = sigop_base.prepend_label(b"zzchainb").unwrap();
         let mut sigop_zone = Zone::new(sigop_base.clone());
-        sigop_zone.add(soa(&sigop_base));
+        sigop_zone.add_rrset(soa(&sigop_base));
         for (ns, addr) in sigop_ns.iter().zip(&sigop_addrs) {
             sigop_zone.add(Record::new(sigop_base.clone(), 3600, RData::Ns(ns.clone())));
             sigop_zone.add(Record::new(ns.clone(), 3600, rdata_for(*addr)));
@@ -1164,7 +1204,7 @@ impl Builder {
                         cds = CdsState::Valid;
                         let keys = ZoneKeys::generate(&mut adv_rng, Algorithm::EcdsaP256Sha256);
                         let mut z = Zone::new(name.clone());
-                        z.add(soa(&name));
+                        z.add_rrset(soa(&name));
                         for ns in &sigop_ns {
                             z.add(Record::new(name.clone(), 3600, RData::Ns(ns.clone())));
                         }
@@ -1229,7 +1269,7 @@ impl Builder {
         let ns = zone.prepend_label(b"ns1").unwrap();
         let addr = self.alloc_adv_v4();
         let mut z = Zone::new(zone.clone());
-        z.add(soa(zone));
+        z.add_rrset(soa(zone));
         z.add(Record::new(zone.clone(), 3600, RData::Ns(ns.clone())));
         z.add(Record::new(ns.clone(), 3600, rdata_for(addr)));
         let store = Arc::new(ZoneStore::new());
@@ -1270,7 +1310,7 @@ impl Builder {
         HashMap<Name, ZoneKeys>,
     ) {
         let mut root = Zone::new(Name::root());
-        root.add(soa(&Name::root()));
+        root.add_rrset(soa(&Name::root()));
         let root_ns = Name::parse("a.root-servers.net").unwrap();
         root.add(Record::new(Name::root(), 3600, RData::Ns(root_ns.clone())));
         let root_addr = self.alloc_v4();
@@ -1287,8 +1327,8 @@ impl Builder {
         // not.
         let mut suffix_names: Vec<Name> = tlds.keys().cloned().collect();
         suffix_names.sort_by(Name::canonical_cmp);
-        // (parent, child, child ns, child glue, ds)
-        let mut delegations: Vec<(Name, Name, Name, Record, Vec<Record>)> = Vec::new();
+        // (parent, child, child NS body, child glue, ds)
+        let mut delegations: Vec<(Name, Name, Rdatas, Record, Vec<Record>)> = Vec::new();
 
         let signer = ZoneSigner::new(self.cfg.now).with_denial(Denial::None);
         // Sign children before parents so DS records can be installed:
@@ -1326,11 +1366,7 @@ impl Builder {
             // Install any pending child-suffix delegations.
             for (parent, child, child_ns, child_glue, ds) in &delegations {
                 if *parent == suffix {
-                    z.add(Record::new(
-                        child.clone(),
-                        3600,
-                        RData::Ns(child_ns.clone()),
-                    ));
+                    z.add_rrset(ns(child, child_ns));
                     z.add(child_glue.clone());
                     for r in ds {
                         z.add(r.clone());
@@ -1343,17 +1379,23 @@ impl Builder {
                 ZoneKeys::generate(&mut self.rng, Algorithm::EcdsaP256Sha256)
             };
             signer.sign(&mut z, &keys);
+            // The delegation shares the apex's NS body.
+            let apex_ns = z
+                .rrset(&suffix, RecordType::Ns)
+                .expect("registry apex has NS")
+                .rdatas
+                .clone();
             let ds = keys.ds_records(&suffix, 3600, DigestType::Sha256);
             tld_keys_map.insert(suffix.clone(), keys.clone());
             let parent = suffix.parent().expect("suffix has parent");
             if parent.is_root() || !suffix_names.contains(&parent) {
-                root.add(Record::new(suffix.clone(), 3600, RData::Ns(tld_ns.clone())));
+                root.add_rrset(ns(&suffix, &apex_ns));
                 root.add(glue);
                 for r in &ds {
                     root.add(r.clone());
                 }
             } else {
-                delegations.push((parent, suffix.clone(), tld_ns, glue, ds));
+                delegations.push((parent, suffix.clone(), apex_ns, glue, ds));
             }
             let store = Arc::new(ZoneStore::new());
             store.insert(z);
@@ -1387,34 +1429,39 @@ pub(crate) fn rdata_for(addr: Addr) -> RData {
 
 /// Flip signature bytes of RRSIGs at `name` covering `types`.
 pub(crate) fn corrupt_rrsigs_at(zone: &mut Zone, name: &Name, types: &[RecordType]) {
-    if let Some(mut set) = zone.remove_rrset(name, RecordType::Rrsig) {
-        for rd in set.rdatas.iter_mut() {
-            if let RData::Rrsig(sig) = rd {
-                if types.iter().any(|t| t.code() == sig.type_covered) {
-                    for b in sig.signature.iter_mut() {
-                        *b ^= 0x77;
-                    }
-                }
+    edit_rrsigs_at(zone, name, |sig| {
+        if types.iter().any(|t| t.code() == sig.type_covered) {
+            for b in sig.signature.iter_mut() {
+                *b ^= 0x77;
             }
         }
-        for r in set.records() {
-            zone.add(r);
-        }
-    }
+    });
 }
 
 /// Rewrite RRSIG windows at `name` to be expired as of `now`.
 pub(crate) fn expire_rrsigs_at(zone: &mut Zone, name: &Name, now: UnixTime) {
-    if let Some(mut set) = zone.remove_rrset(name, RecordType::Rrsig) {
-        for rd in set.rdatas.iter_mut() {
-            if let RData::Rrsig(sig) = rd {
-                sig.inception = 0;
-                sig.expiration = now.saturating_sub(86_400).max(1);
-            }
-        }
-        for r in set.records() {
-            zone.add(r);
-        }
+    edit_rrsigs_at(zone, name, |sig| {
+        sig.inception = 0;
+        sig.expiration = now.saturating_sub(86_400).max(1);
+    });
+}
+
+/// Replace the RRSIG set at `name` with one whose signatures went
+/// through `edit`, in one new body.
+fn edit_rrsigs_at(zone: &mut Zone, name: &Name, edit: impl Fn(&mut RrsigData)) {
+    if let Some(set) = zone.remove_rrset(name, RecordType::Rrsig) {
+        let rdatas = set
+            .rdatas
+            .iter()
+            .cloned()
+            .map(|mut rd| {
+                if let RData::Rrsig(sig) = &mut rd {
+                    edit(sig);
+                }
+                rd
+            })
+            .collect();
+        zone.add_rrset(RrSet { rdatas, ..set });
     }
 }
 

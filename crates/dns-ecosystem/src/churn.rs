@@ -31,13 +31,15 @@
 //! planted defect) churn. The planted defect tiers are the controlled
 //! experiment — churning them would unpin the paper-shape tests.
 
-use crate::build::{corrupt_rrsigs_at, expire_rrsigs_at, leaf_signer, rdata_for, soa, Ecosystem};
+use crate::build::{
+    corrupt_rrsigs_at, csync, expire_rrsigs_at, leaf_signer, ns, ns_body, rdata_for, soa, Ecosystem,
+};
 use crate::truth::{CdsState, DnssecState, SignalDefect, SignalTruth};
 use dns_crypto::{Algorithm, DigestType};
 use dns_server::ZoneStore;
 use dns_wire::name::Name;
 use dns_wire::rdata::{DsData, RData};
-use dns_wire::record::{Record, RecordType};
+use dns_wire::record::{Rdatas, Record, RecordType, RrSet};
 use dns_zone::{signal, Zone, ZoneKeys, ZoneSigner};
 use netsim::DeterministicDraw;
 use rand::rngs::StdRng;
@@ -337,15 +339,32 @@ impl EditSession {
     }
 }
 
-/// Indices of the operator hosts serving `zone`, in the zone's own NS
-/// RRset order (i.e. the order the builder assigned them).
-fn serving_host_idxs(eco: &Ecosystem, op_idx: usize, zone: &Name) -> Vec<usize> {
-    let Some(z) = eco.operator_stores[op_idx].iter().find_map(|s| s.get(zone)) else {
-        return Vec::new();
-    };
-    let mut idxs = Vec::new();
-    if let Some(ns) = z.rrset(zone, RecordType::Ns) {
-        for rd in &ns.rdatas {
+/// The hosts of one operator that serve a zone, and the NS body naming
+/// exactly them, in that order.
+struct Serving {
+    idxs: Vec<usize>,
+    ns: Rdatas,
+}
+
+impl Serving {
+    /// Hosts `idxs` of `op_idx`, under a new NS body.
+    fn new(eco: &Ecosystem, op_idx: usize, idxs: Vec<usize>) -> Serving {
+        let hosts = &eco.operators[op_idx].hosts;
+        let ns = ns_body(idxs.iter().map(|&i| &hosts[i]));
+        Serving { idxs, ns }
+    }
+
+    /// The operator hosts serving `zone`, in the zone's own NS RRset
+    /// order (i.e. the order the builder assigned them). When the NS set
+    /// names no other host its body is kept, so a rebuilt zone goes on
+    /// sharing it with its delegation.
+    fn of(eco: &Ecosystem, op_idx: usize, zone: &Name) -> Serving {
+        let z = eco.operator_stores[op_idx].iter().find_map(|s| s.get(zone));
+        let Some(set) = z.as_ref().and_then(|z| z.rrset(zone, RecordType::Ns)) else {
+            return Serving::new(eco, op_idx, Vec::new());
+        };
+        let mut idxs = Vec::new();
+        for rd in &set.rdatas {
             if let RData::Ns(n) = rd {
                 if let Some(i) = eco.operators[op_idx].hosts.iter().position(|h| h == n) {
                     if !idxs.contains(&i) {
@@ -354,19 +373,24 @@ fn serving_host_idxs(eco: &Ecosystem, op_idx: usize, zone: &Name) -> Vec<usize> 
                 }
             }
         }
-    }
-    idxs
-}
-
-/// The zone's current CDS/CDNSKEY records (the signal material).
-fn cds_material(zone: &Zone, apex: &Name) -> Vec<Record> {
-    let mut out = Vec::new();
-    for rt in [RecordType::Cds, RecordType::Cdnskey] {
-        if let Some(set) = zone.rrset(apex, rt) {
-            out.extend(set.records());
+        if idxs.len() == set.rdatas.len() {
+            Serving {
+                idxs,
+                ns: set.rdatas.clone(),
+            }
+        } else {
+            Serving::new(eco, op_idx, idxs)
         }
     }
-    out
+}
+
+/// The zone's current CDS/CDNSKEY RRsets (the signal material), bodies
+/// shared.
+fn cds_material(zone: &Zone, apex: &Name) -> Vec<RrSet> {
+    [RecordType::Cds, RecordType::Cdnskey]
+        .into_iter()
+        .filter_map(|rt| zone.rrset(apex, rt).cloned())
+        .collect()
 }
 
 /// Remove the zone's signal records from every base zone of `op_idx`
@@ -394,18 +418,19 @@ fn withdraw_signal(eco: &Ecosystem, session: &mut EditSession, op_idx: usize, zo
     }
 }
 
-/// Publish signal records for `zone` under the given operator hosts.
+/// Publish signal records for `zone` under the given operator hosts,
+/// sharing the bodies of `material`.
 fn publish_signal(
     eco: &Ecosystem,
     session: &mut EditSession,
     op_idx: usize,
     zone: &Name,
     host_idxs: &[usize],
-    material: &[Record],
+    material: &[RrSet],
 ) {
     for &h in host_idxs {
         let host = eco.operators[op_idx].hosts[h].clone();
-        let Ok(recs) = signal::signal_records(zone, &host, material) else {
+        let Ok(sets) = signal::signal_rrsets(zone, &host, material) else {
             continue;
         };
         let Some(base) = eco.psl.registrable_part(&host) else {
@@ -414,9 +439,9 @@ fn publish_signal(
         let Some(edit) = session.base_mut(eco, op_idx, &base) else {
             continue;
         };
-        for r in recs {
-            edit.changed.insert(r.name.clone());
-            edit.zone.add(r);
+        for set in sets {
+            edit.changed.insert(set.name.clone());
+            edit.zone.add_rrset(set);
         }
     }
 }
@@ -436,12 +461,17 @@ fn set_ds(eco: &Ecosystem, session: &mut EditSession, zone: &Name, ds: &[DsData]
     };
     tldz.remove_rrset(zone, RecordType::Ds);
     if let Some(sigs) = tldz.remove_rrset(zone, RecordType::Rrsig) {
-        for rec in sigs.records() {
-            if let RData::Rrsig(s) = &rec.rdata {
-                if s.type_covered != RecordType::Ds.code() {
-                    tldz.add(rec);
-                }
-            }
+        let kept: Rdatas = sigs
+            .rdatas
+            .iter()
+            .filter(|rd| matches!(rd, RData::Rrsig(s) if s.type_covered != RecordType::Ds.code()))
+            .cloned()
+            .collect();
+        if !kept.is_empty() {
+            tldz.add_rrset(RrSet {
+                rdatas: kept,
+                ..sigs
+            });
         }
     }
     if !ds.is_empty() {
@@ -455,15 +485,15 @@ fn set_ds(eco: &Ecosystem, session: &mut EditSession, zone: &Name, ds: &[DsData]
     }
 }
 
-/// Replace the delegation NS RRset for `zone` inside its TLD (and add
-/// glue for the new hosts; glue is additive — operator host glue is
-/// shared world infrastructure).
+/// Replace the delegation NS RRset for `zone` inside its TLD with the
+/// serving hosts' body (and add glue for the new hosts; glue is additive
+/// — operator host glue is shared world infrastructure).
 fn set_delegation_ns(
     eco: &Ecosystem,
     session: &mut EditSession,
     zone: &Name,
     op_idx: usize,
-    host_idxs: &[usize],
+    serving: &Serving,
 ) {
     let Some(tld) = zone.parent() else { return };
     let hosts = eco.operators[op_idx].hosts.clone();
@@ -472,8 +502,8 @@ fn set_delegation_ns(
         return;
     };
     tldz.remove_rrset(zone, RecordType::Ns);
-    for &h in host_idxs {
-        tldz.add(Record::new(zone.clone(), 3600, RData::Ns(hosts[h].clone())));
+    tldz.add_rrset(ns(zone, &serving.ns));
+    for &h in &serving.idxs {
         for &a in &host_addrs[h] {
             tldz.add(Record::new(hosts[h].clone(), 3600, rdata_for(a)));
         }
@@ -481,39 +511,38 @@ fn set_delegation_ns(
 }
 
 /// Rebuild a customer zone from scratch with fresh keys and install it
-/// into the given hosts' stores (removing it from every other store of
-/// `op_idx` first). Returns the keys when the zone is signed.
+/// into the serving hosts' stores (removing it from every other store of
+/// `op_idx` first), from the builder's constructors: the world's SOA and
+/// CSYNC bodies, the serving hosts' NS body. Returns the keys when the
+/// zone needs them, and its CDS/CDNSKEY RRsets (the signal material,
+/// bodies shared).
 fn rebuild_zone(
     eco: &mut Ecosystem,
     rng: &mut StdRng,
     zone: &Name,
     op_idx: usize,
-    host_idxs: &[usize],
+    serving: &Serving,
     dnssec: DnssecState,
     cds: CdsState,
-) -> Option<ZoneKeys> {
+) -> (Option<ZoneKeys>, Vec<RrSet>) {
     let flavor = eco.operator_flavors[op_idx];
     let mut z = Zone::new(zone.clone());
-    z.add(soa(zone));
-    for &h in host_idxs {
-        z.add(Record::new(
-            zone.clone(),
-            3600,
-            RData::Ns(eco.operators[op_idx].hosts[h].clone()),
-        ));
-    }
+    z.add_rrset(soa(zone));
+    z.add_rrset(ns(zone, &serving.ns));
     let signed = matches!(dnssec, DnssecState::Secured | DnssecState::Island);
     let need_keys = signed || cds == CdsState::Valid;
     let keys = need_keys.then(|| ZoneKeys::generate(rng, Algorithm::EcdsaP256Sha256));
-    if cds == CdsState::Valid {
-        if let Some(k) = &keys {
-            for r in k.cds_records(zone, 300, flavor.cds_publication) {
-                z.add(r);
-            }
+    let cds_sets = match &keys {
+        Some(k) if cds == CdsState::Valid => {
+            RrSet::group(&k.cds_records(zone, 300, flavor.cds_publication))
         }
+        _ => Vec::new(),
+    };
+    for set in &cds_sets {
+        z.add_rrset(set.clone());
     }
     if flavor.publish_csync && signed {
-        z.add(dns_zone::csync_record(zone, 300, 20_250_401, false));
+        z.add_rrset(csync(zone));
     }
     if signed {
         if let Some(k) = &keys {
@@ -522,13 +551,13 @@ fn rebuild_zone(
     }
     let arc = Arc::new(z);
     for (i, store) in eco.operator_stores[op_idx].iter().enumerate() {
-        if host_idxs.contains(&i) {
+        if serving.idxs.contains(&i) {
             store.insert_shared(Arc::clone(&arc));
         } else {
             store.remove(zone);
         }
     }
-    keys
+    (keys, cds_sets)
 }
 
 /// Apply one epoch's planned transitions to the world. Returns the
@@ -566,8 +595,8 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
             }
         };
         let op = before.operator;
-        let host_idxs = serving_host_idxs(eco, op, zone);
-        if host_idxs.is_empty() {
+        let serving = Serving::of(eco, op, zone);
+        if serving.idxs.is_empty() {
             continue;
         }
         let had_signal = before.signal == SignalTruth::Published(SignalDefect::None);
@@ -575,12 +604,12 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
 
         match *action {
             ChurnAction::AdoptIsland => {
-                let keys = rebuild_zone(
+                let (_, cds) = rebuild_zone(
                     eco,
                     &mut rng,
                     zone,
                     op,
-                    &host_idxs,
+                    &serving,
                     DnssecState::Island,
                     CdsState::Valid,
                 );
@@ -589,11 +618,7 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
                 if had_signal {
                     // Signal material mirrors CDS: refresh it.
                     withdraw_signal(eco, &mut session, op, zone);
-                    if let Some(k) = &keys {
-                        let flavor = eco.operator_flavors[op];
-                        let material = k.cds_records(zone, 300, flavor.cds_publication);
-                        publish_signal(eco, &mut session, op, zone, &host_idxs, &material);
-                    }
+                    publish_signal(eco, &mut session, op, zone, &serving.idxs, &cds);
                 }
                 session.invalidated.insert(zone.clone());
             }
@@ -627,7 +652,7 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
                     &mut rng,
                     zone,
                     op,
-                    &host_idxs,
+                    &serving,
                     DnssecState::Unsigned,
                     CdsState::None,
                 );
@@ -648,8 +673,8 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
                 } else {
                     CdsState::None
                 };
-                let keys =
-                    rebuild_zone(eco, &mut rng, zone, op, &host_idxs, before.dnssec, new_cds);
+                let (keys, cds) =
+                    rebuild_zone(eco, &mut rng, zone, op, &serving, before.dnssec, new_cds);
                 if before.dnssec == DnssecState::Secured {
                     // Re-keyed: the DS must follow the new keys.
                     let ds = keys
@@ -661,11 +686,7 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
                 if had_signal {
                     withdraw_signal(eco, &mut session, op, zone);
                     if new_cds == CdsState::Valid {
-                        if let Some(k) = &keys {
-                            let flavor = eco.operator_flavors[op];
-                            let material = k.cds_records(zone, 300, flavor.cds_publication);
-                            publish_signal(eco, &mut session, op, zone, &host_idxs, &material);
-                        }
+                        publish_signal(eco, &mut session, op, zone, &serving.idxs, &cds);
                     } else {
                         after.signal = SignalTruth::NotPublished;
                     }
@@ -682,7 +703,7 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
                 if material.is_empty() {
                     continue;
                 }
-                publish_signal(eco, &mut session, op, zone, &host_idxs, &material);
+                publish_signal(eco, &mut session, op, zone, &serving.idxs, &material);
                 after.signal = SignalTruth::Published(SignalDefect::None);
             }
             ChurnAction::WithdrawSignal => {
@@ -701,7 +722,7 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
                 );
                 let h0 = d.below(n) as usize;
                 let h1 = ((h0 as u64 + 1 + d.next().below(n - 1)) % n) as usize;
-                let new_hosts = vec![h0, h1];
+                let new_hosts = Serving::new(eco, to_op, vec![h0, h1]);
 
                 // Tear down at the old operator.
                 for store in &eco.operator_stores[op] {
@@ -713,7 +734,7 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
                 }
 
                 // Rebuild (re-keyed) at the new operator.
-                let keys = rebuild_zone(
+                let (keys, cds) = rebuild_zone(
                     eco,
                     &mut rng,
                     zone,
@@ -734,12 +755,8 @@ pub fn apply_churn(eco: &mut Ecosystem, plan: &ChurnPlan) -> ChurnLog {
                     && before.cds == CdsState::Valid
                     && eco.operator_flavors[to_op].signal_enabled
                 {
-                    if let Some(k) = &keys {
-                        let flavor = eco.operator_flavors[to_op];
-                        let material = k.cds_records(zone, 300, flavor.cds_publication);
-                        publish_signal(eco, &mut session, to_op, zone, &new_hosts, &material);
-                        after.signal = SignalTruth::Published(SignalDefect::None);
-                    }
+                    publish_signal(eco, &mut session, to_op, zone, &new_hosts.idxs, &cds);
+                    after.signal = SignalTruth::Published(SignalDefect::None);
                 }
                 after.operator = to_op;
                 session.invalidated.insert(zone.clone());

@@ -46,7 +46,7 @@ pub use canonical::canonical_rrset_wire;
 pub use message::{Flags, Header, Message, Opcode, Question, Rcode};
 pub use name::{Name, NameError};
 pub use rdata::RData;
-pub use record::{Record, RecordClass, RecordType, RrSet};
+pub use record::{Rdatas, Record, RecordClass, RecordType, RrSet};
 pub use wire::{WireError, WireReader, WireWriter};
 
 /// The conventional maximum UDP payload advertised via EDNS(0) after the

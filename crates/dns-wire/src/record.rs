@@ -4,6 +4,8 @@ use crate::name::Name;
 use crate::rdata::RData;
 use crate::wire::{WireError, WireReader, WireWriter};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// DNS record types. Values per the IANA registry; unknown values are
 /// carried verbatim (RFC 3597).
@@ -272,6 +274,62 @@ impl fmt::Display for Record {
     }
 }
 
+/// An RRset's RDATAs: an immutable body, allocated once at its final
+/// size and shared by every RRset with the same contents (every zone's
+/// SOA, an operator's NS pair at each apex and at its delegation, a
+/// zone's CDS in its signal records). Editing a set builds a new body;
+/// other holders of the old one never see the edit.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Rdatas(Arc<[RData]>);
+
+impl Rdatas {
+    /// Whether `a` and `b` are one allocation, not merely equal.
+    pub fn ptr_eq(a: &Rdatas, b: &Rdatas) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The body's address: one key per allocation, for counting shared
+    /// bodies once.
+    pub fn as_ptr(&self) -> *const RData {
+        self.0.as_ptr()
+    }
+}
+
+impl Deref for Rdatas {
+    type Target = [RData];
+
+    fn deref(&self) -> &[RData] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Rdatas {
+    type Item = &'a RData;
+    type IntoIter = std::slice::Iter<'a, RData>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl From<Vec<RData>> for Rdatas {
+    fn from(v: Vec<RData>) -> Self {
+        Rdatas(v.into())
+    }
+}
+
+impl FromIterator<RData> for Rdatas {
+    fn from_iter<I: IntoIterator<Item = RData>>(iter: I) -> Self {
+        Rdatas(iter.into_iter().collect())
+    }
+}
+
+impl fmt::Debug for Rdatas {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// An RRset: all records sharing (name, class, type). DNSSEC signs RRsets,
 /// not individual records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -280,33 +338,39 @@ pub struct RrSet {
     pub class: RecordClass,
     pub rtype: RecordType,
     pub ttl: u32,
-    pub rdatas: Vec<RData>,
+    pub rdatas: Rdatas,
 }
 
 impl RrSet {
     /// Group records into RRsets, preserving first-seen order of sets.
+    /// Each set's RDATAs are collected first and then get their body in
+    /// one allocation.
     pub fn group(records: &[Record]) -> Vec<RrSet> {
-        let mut sets: Vec<RrSet> = Vec::new();
+        // (first record of the set, min TTL, RDATAs)
+        let mut sets: Vec<(&Record, u32, Vec<RData>)> = Vec::new();
         for rec in records {
-            if let Some(set) = sets
-                .iter_mut()
-                .find(|s| s.name == rec.name && s.class == rec.class && s.rtype == rec.rtype())
-            {
-                set.ttl = set.ttl.min(rec.ttl);
-                if !set.rdatas.contains(&rec.rdata) {
-                    set.rdatas.push(rec.rdata.clone());
+            let same = |first: &&Record| {
+                first.name == rec.name && first.class == rec.class && first.rtype() == rec.rtype()
+            };
+            match sets.iter_mut().find(|(first, ..)| same(first)) {
+                Some((_, ttl, rdatas)) => {
+                    *ttl = (*ttl).min(rec.ttl);
+                    if !rdatas.contains(&rec.rdata) {
+                        rdatas.push(rec.rdata.clone());
+                    }
                 }
-            } else {
-                sets.push(RrSet {
-                    name: rec.name.clone(),
-                    class: rec.class,
-                    rtype: rec.rtype(),
-                    ttl: rec.ttl,
-                    rdatas: vec![rec.rdata.clone()],
-                });
+                None => sets.push((rec, rec.ttl, vec![rec.rdata.clone()])),
             }
         }
-        sets
+        sets.into_iter()
+            .map(|(first, ttl, rdatas)| RrSet {
+                name: first.name.clone(),
+                class: first.class,
+                rtype: first.rtype(),
+                ttl,
+                rdatas: rdatas.into(),
+            })
+            .collect()
     }
 
     /// Expand back into individual records.
@@ -400,7 +464,7 @@ mod tests {
         assert_eq!(sets[0].rdatas.len(), 2);
         assert_eq!(sets[0].ttl, 200); // min TTL
         let mut reordered = sets[0].clone();
-        reordered.rdatas.reverse();
+        reordered.rdatas = sets[0].rdatas.iter().rev().cloned().collect();
         assert!(sets[0].same_rdatas(&reordered));
         assert!(!sets[0].same_rdatas(&sets[1]));
     }

@@ -6,12 +6,19 @@
 
 use crate::record::RecordType;
 use crate::wire::WireError;
-use std::collections::BTreeSet;
 
 /// An ordered set of record types as used in NSEC-family records.
+///
+/// Every type a zone here holds has a code below 64, so those live as
+/// bits of one `u64`; any other code goes to a sorted spill list, which
+/// stays empty (and unallocated) in practice. A bitmap therefore costs
+/// no heap allocation, built or decoded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TypeBitmap {
-    types: BTreeSet<u16>,
+    /// Bit `c` set ⇔ type code `c` (< 64) present.
+    low: u64,
+    /// Codes ≥ 64, ascending, no duplicates.
+    high: Box<[u16]>,
 }
 
 impl TypeBitmap {
@@ -21,30 +28,62 @@ impl TypeBitmap {
 
     /// Build from an iterator of record types.
     pub fn from_types<I: IntoIterator<Item = RecordType>>(types: I) -> Self {
-        TypeBitmap {
-            types: types.into_iter().map(|t| t.code()).collect(),
+        let mut bm = TypeBitmap::new();
+        let mut high = Vec::new();
+        for t in types {
+            match t.code() {
+                c @ 0..64 => bm.low |= 1 << c,
+                c => high.push(c),
+            }
         }
+        high.sort_unstable();
+        high.dedup();
+        bm.high = high.into();
+        bm
     }
 
     pub fn insert(&mut self, t: RecordType) {
-        self.types.insert(t.code());
+        match t.code() {
+            c @ 0..64 => self.low |= 1 << c,
+            c => {
+                if let Err(i) = self.high.binary_search(&c) {
+                    let mut high = self.high.to_vec();
+                    high.insert(i, c);
+                    self.high = high.into();
+                }
+            }
+        }
     }
 
     pub fn contains(&self, t: RecordType) -> bool {
-        self.types.contains(&t.code())
+        match t.code() {
+            c @ 0..64 => self.low & (1 << c) != 0,
+            c => self.high.binary_search(&c).is_ok(),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
+        self.low == 0 && self.high.is_empty()
     }
 
     pub fn len(&self) -> usize {
-        self.types.len()
+        self.low.count_ones() as usize + self.high.len()
+    }
+
+    /// Type codes in ascending order.
+    fn codes(&self) -> impl Iterator<Item = u16> + '_ {
+        let mut low = self.low;
+        std::iter::from_fn(move || {
+            let code = (low != 0).then(|| low.trailing_zeros() as u16);
+            low &= low.wrapping_sub(1);
+            code
+        })
+        .chain(self.high.iter().copied())
     }
 
     /// Types in ascending code order.
     pub fn iter(&self) -> impl Iterator<Item = RecordType> + '_ {
-        self.types.iter().map(|&c| RecordType::from_code(c))
+        self.codes().map(RecordType::from_code)
     }
 
     /// Encode to wire format, appending to `out`.
@@ -60,7 +99,7 @@ impl TypeBitmap {
             }
             *bits = [0u8; 32];
         };
-        for &t in &self.types {
+        for t in self.codes() {
             let w = (t >> 8) as u8;
             if window != Some(w) {
                 if let Some(prev) = window {
@@ -80,7 +119,8 @@ impl TypeBitmap {
 
     /// Decode from a complete RDATA tail.
     pub fn read(buf: &[u8]) -> Result<Self, WireError> {
-        let mut types = BTreeSet::new();
+        let mut bm = TypeBitmap::new();
+        let mut high = Vec::new();
         let mut rest = buf;
         let mut prev_window: Option<u8> = None;
         while let Some((&window, tail)) = rest.split_first() {
@@ -102,13 +142,19 @@ impl TypeBitmap {
             for (byte_idx, &b) in bits.iter().enumerate() {
                 for bit in 0..8 {
                     if b & (0x80 >> bit) != 0 {
-                        types.insert((window as u16) << 8 | (byte_idx as u16 * 8 + bit as u16));
+                        match (window as u16) << 8 | (byte_idx as u16 * 8 + bit as u16) {
+                            c @ 0..64 => bm.low |= 1 << c,
+                            c => high.push(c),
+                        }
                     }
                 }
             }
             rest = tail;
         }
-        Ok(TypeBitmap { types })
+        // Windows ascend and bits within one ascend, so `high` is sorted
+        // and free of duplicates already.
+        bm.high = high.into();
+        Ok(bm)
     }
 
     /// Presentation format: space-separated mnemonics in code order.
@@ -123,6 +169,7 @@ impl TypeBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn roundtrip_basic() {
@@ -184,6 +231,63 @@ mod tests {
         TypeBitmap::from_types([RecordType::Unknown(0x0100)]).write(&mut out);
         TypeBitmap::from_types([RecordType::A]).write(&mut out);
         assert!(TypeBitmap::read(&out).is_err());
+    }
+
+    /// RFC 4034 §4.1.2 written out over an ordered set, the model the
+    /// mask-and-spill form must agree with.
+    fn model_wire(codes: &BTreeSet<u16>) -> Vec<u8> {
+        let mut windows: BTreeMap<u8, [u8; 32]> = BTreeMap::new();
+        for &c in codes {
+            let bits = windows.entry((c >> 8) as u8).or_insert([0; 32]);
+            bits[usize::from(c & 0xff) / 8] |= 0x80 >> (c % 8);
+        }
+        let mut out = Vec::new();
+        for (w, bits) in windows {
+            let len = bits.iter().rposition(|&b| b != 0).unwrap() + 1;
+            out.extend([w, len as u8]);
+            out.extend(&bits[..len]);
+        }
+        out
+    }
+
+    #[test]
+    fn sampled_sets_with_high_codes_roundtrip() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..2_000 {
+            let n = next() % 12;
+            let codes: BTreeSet<u16> = (0..n)
+                .map(|_| {
+                    let r = next();
+                    match r % 4 {
+                        0 | 1 => (r >> 8) as u16 % 64,
+                        2 => 64 + (r >> 8) as u16 % 192,
+                        _ => (r >> 8) as u16,
+                    }
+                })
+                .collect();
+            let bm = TypeBitmap::from_types(codes.iter().map(|&c| RecordType::from_code(c)));
+            assert_eq!(
+                bm.codes().collect::<Vec<_>>(),
+                Vec::from_iter(codes.clone())
+            );
+            assert_eq!(bm.len(), codes.len());
+            assert!(codes.iter().all(|&c| bm.contains(RecordType::from_code(c))));
+            let mut out = Vec::new();
+            bm.write(&mut out);
+            assert_eq!(out, model_wire(&codes), "{codes:?}");
+            assert_eq!(TypeBitmap::read(&out).unwrap(), bm);
+            let mut grown = TypeBitmap::new();
+            for &c in codes.iter().rev() {
+                grown.insert(RecordType::from_code(c));
+            }
+            assert_eq!(grown, bm);
+        }
     }
 
     #[test]

@@ -22,6 +22,6 @@ pub mod signer;
 pub mod zone;
 
 pub use keys::{csync_record, CdsPublication, ZoneKeys};
-pub use signal::{signal_name, signal_zone_apex, SignalError};
+pub use signal::{signal_name, signal_rrsets, signal_zone_apex, SignalError};
 pub use signer::{Corruption, ZoneSigner};
 pub use zone::{Zone, ZoneLookup};

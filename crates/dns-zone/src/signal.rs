@@ -12,8 +12,7 @@
 //! nameservers authoritative for the signaling zone.
 
 use dns_wire::name::{Name, NameError};
-use dns_wire::rdata::RData;
-use dns_wire::record::Record;
+use dns_wire::record::{RecordType, RrSet};
 use std::fmt;
 
 /// Why a signal name cannot be formed (paper §2, "DS Bootstrapping
@@ -59,24 +58,24 @@ pub fn signal_name(child: &Name, ns: &Name) -> Result<Name, SignalError> {
     prefix.concat(&suffix).map_err(|_| SignalError::NameTooLong)
 }
 
-/// Re-home the child's CDS/CDNSKEY records to the signaling name for `ns`.
+/// Re-home the child's CDS/CDNSKEY RRsets to the signaling name for `ns`.
+/// Each signal set shares its body with the child's set: the records
+/// are copies by definition, so they are one allocation in memory.
 ///
-/// Non-CDS/CDNSKEY records are skipped — only those two types are signal
+/// Sets of other types are skipped — only those two types are signal
 /// material per RFC 9615 §2.
-pub fn signal_records(
+pub fn signal_rrsets(
     child: &Name,
     ns: &Name,
-    cds_like: &[Record],
-) -> Result<Vec<Record>, SignalError> {
+    cds_like: &[RrSet],
+) -> Result<Vec<RrSet>, SignalError> {
     let owner = signal_name(child, ns)?;
     Ok(cds_like
         .iter()
-        .filter(|r| matches!(r.rdata, RData::Cds(_) | RData::Cdnskey(_)))
-        .map(|r| Record {
+        .filter(|s| matches!(s.rtype, RecordType::Cds | RecordType::Cdnskey))
+        .map(|s| RrSet {
             name: owner.clone(),
-            class: r.class,
-            ttl: r.ttl,
-            rdata: r.rdata.clone(),
+            ..s.clone()
         })
         .collect())
 }
@@ -100,7 +99,8 @@ pub fn child_from_signal_name(signal: &Name) -> Option<Name> {
 mod tests {
     use super::*;
     use dns_wire::name;
-    use dns_wire::rdata::DsData;
+    use dns_wire::rdata::{DsData, RData};
+    use dns_wire::record::{Rdatas, Record};
 
     #[test]
     fn listing1_shape() {
@@ -139,17 +139,18 @@ mod tests {
     }
 
     #[test]
-    fn signal_records_copy_cds_only() {
+    fn signal_rrsets_copy_cds_only_and_share_its_body() {
         let child = name!("example.ch");
         let ns = name!("ns1.op.net");
-        let recs = vec![
+        let sets = RrSet::group(&[
             Record::new(child.clone(), 300, RData::Cds(DsData::delete_sentinel())),
             Record::new(child.clone(), 300, RData::Ns(name!("ns1.op.net"))),
-        ];
-        let out = signal_records(&child, &ns, &recs).unwrap();
+        ]);
+        let out = signal_rrsets(&child, &ns, &sets).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].name, name!("_dsboot.example.ch._signal.ns1.op.net"));
-        assert!(matches!(out[0].rdata, RData::Cds(_)));
+        assert_eq!(out[0].rtype, RecordType::Cds);
+        assert!(Rdatas::ptr_eq(&out[0].rdatas, &sets[0].rdatas));
     }
 
     #[test]

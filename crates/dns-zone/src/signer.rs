@@ -10,7 +10,7 @@ use dns_crypto::UnixTime;
 use dns_wire::canonical::canonical_rrset_wire;
 use dns_wire::name::Name;
 use dns_wire::rdata::{Nsec3Data, Nsec3ParamData, NsecData, RData, RrsigData};
-use dns_wire::record::{Record, RecordType, RrSet};
+use dns_wire::record::{Record, RecordClass, RecordType, RrSet};
 use dns_wire::typebitmap::TypeBitmap;
 use std::collections::BTreeSet;
 
@@ -95,8 +95,8 @@ impl ZoneSigner {
     ///    glue are *not* signed (they are not authoritative data).
     pub fn sign(&self, zone: &mut Zone, keys: &ZoneKeys) {
         let apex = zone.apex().clone();
-        for rec in keys.dnskey_records(&apex, 3600) {
-            zone.add(rec);
+        for set in RrSet::group(&keys.dnskey_records(&apex, 3600)) {
+            zone.add_rrset(set);
         }
         if let Denial::Nsec3 { iterations, salt } = self.denial {
             self.add_nsec3_chain(zone, iterations, salt);
@@ -199,17 +199,27 @@ impl ZoneSigner {
         }
         // At a cut, only DS and NSEC are authoritative.
         let is_cut = zone.is_delegation(owner);
-        let sets: Vec<RrSet> = zone
+        let apex = zone.apex();
+        let sigs: Vec<Record> = zone
             .node(owner)
             .into_iter()
             .flat_map(Node::rrsets)
             .filter(|set| !is_cut || matches!(set.rtype, RecordType::Ds | RecordType::Nsec))
-            .cloned()
+            .map(|set| self.sign_rrset_record(set, keys, apex))
             .collect();
-        let apex = zone.apex().clone();
-        for set in sets {
-            zone.add(self.sign_rrset_record(&set, keys, &apex));
-        }
+        // One body for the owner's RRSIGs (one per covered type, so no
+        // two alike): added one at a time, each would re-copy the
+        // signatures before it.
+        let Some(ttl) = sigs.iter().map(|r| r.ttl).min() else {
+            return;
+        };
+        zone.add_rrset(RrSet {
+            name: owner.clone(),
+            class: RecordClass::In,
+            rtype: RecordType::Rrsig,
+            ttl,
+            rdatas: sigs.into_iter().map(|r| r.rdata).collect(),
+        });
     }
 
     /// Produce the RRSIG record for one RRset.
@@ -906,7 +916,7 @@ mod tests {
             .rrset(&name!("www.example.ch"), RecordType::A)
             .unwrap()
             .clone();
-        set.rdatas = vec![RData::A(Ipv4Addr::new(10, 0, 0, 1))];
+        set.rdatas = vec![RData::A(Ipv4Addr::new(10, 0, 0, 1))].into();
         let sigs = rrsigs_at(&z, &name!("www.example.ch"), RecordType::A);
         assert!(verify_rrset_with_keys(&set, &sigs, &dnskeys, NOW).is_err());
     }

@@ -2,7 +2,7 @@
 
 use dns_wire::name::{Name, NameMap};
 use dns_wire::rdata::RData;
-use dns_wire::record::{Record, RecordClass, RecordType, RrSet};
+use dns_wire::record::{Rdatas, Record, RecordClass, RecordType, RrSet};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
@@ -27,9 +27,10 @@ impl Ord for CanonicalName {
 ///
 /// A zone holds hundreds of thousands of nodes, most with one to four
 /// RRsets, so a node is one `Vec` sorted by type code and exactly sized
-/// (no spare slot), and each RRset's `rdatas` is exactly sized too.
-/// Only [`Zone::add`] and [`Zone::remove_rrset`] edit a node, and both
-/// keep the two invariants.
+/// (no spare slot); each RRset's `rdatas` is an exactly sized body,
+/// possibly shared. Only [`Zone::add`], [`Zone::add_rrset`] and
+/// [`Zone::remove_rrset`] edit a node, and all three keep the
+/// invariants.
 #[derive(Debug, Clone, Default)]
 pub struct Node {
     /// RRsets in ascending type-code order, at most one per type.
@@ -116,39 +117,71 @@ impl Zone {
 
     /// Add one record. Records outside the apex are rejected with `false`.
     ///
-    /// Both the node's RRset list and the RRset's `rdatas` grow by exactly
-    /// one slot: most RRsets hold one record, and a doubling `Vec` would
-    /// leave three empty 96-byte `RData` slots behind in each.
+    /// The node's RRset list grows by exactly one slot, and the RRset
+    /// gets a new body one RDATA longer: most RRsets hold one record,
+    /// and the old body may be shared with other sets, which keep it.
     pub fn add(&mut self, record: Record) -> bool {
-        if !record.name.is_subdomain_of(&self.apex) {
+        let Some(node) = self.node_for(&record.name) else {
             return false;
-        }
-        let node = self.nodes.entry(record.name.clone()).or_insert_with(|| {
-            self.order.insert(CanonicalName(record.name.clone()));
-            Node::default()
-        });
+        };
         let rtype = record.rtype();
-        let i = node.slot(rtype.code()).unwrap_or_else(|i| {
-            node.rrsets.reserve_exact(1);
-            node.rrsets.insert(
-                i,
-                RrSet {
-                    name: record.name.clone(),
-                    class: record.class,
-                    rtype,
-                    ttl: record.ttl,
-                    rdatas: Vec::new(),
-                },
-            );
-            i
-        });
-        let set = &mut node.rrsets[i];
-        set.ttl = set.ttl.min(record.ttl);
-        if !set.rdatas.contains(&record.rdata) {
-            set.rdatas.reserve_exact(1);
-            set.rdatas.push(record.rdata);
+        match node.slot(rtype.code()) {
+            Err(i) => {
+                node.rrsets.reserve_exact(1);
+                node.rrsets.insert(
+                    i,
+                    RrSet {
+                        name: record.name,
+                        class: record.class,
+                        rtype,
+                        ttl: record.ttl,
+                        rdatas: Rdatas::from_iter([record.rdata]),
+                    },
+                );
+            }
+            Ok(i) => {
+                let set = &mut node.rrsets[i];
+                set.ttl = set.ttl.min(record.ttl);
+                if !set.rdatas.contains(&record.rdata) {
+                    set.rdatas = set.rdatas.iter().cloned().chain([record.rdata]).collect();
+                }
+            }
         }
         true
+    }
+
+    /// Install a whole RRset, keeping its body: a set built once and
+    /// shared stays one allocation however many zones hold it. Adding
+    /// into a set the owner already has falls back to [`Zone::add`],
+    /// record by record. Sets outside the apex are rejected with `false`.
+    pub fn add_rrset(&mut self, set: RrSet) -> bool {
+        let Some(node) = self.node_for(&set.name) else {
+            return false;
+        };
+        match node.slot(set.rtype.code()) {
+            Err(i) => {
+                node.rrsets.reserve_exact(1);
+                node.rrsets.insert(i, set);
+            }
+            Ok(_) => {
+                for record in set.records() {
+                    self.add(record);
+                }
+            }
+        }
+        true
+    }
+
+    /// The node at `name`, created (and ordered) if new; `None` when
+    /// `name` is outside the apex.
+    fn node_for(&mut self, name: &Name) -> Option<&mut Node> {
+        if !name.is_subdomain_of(&self.apex) {
+            return None;
+        }
+        Some(self.nodes.entry(name.clone()).or_insert_with(|| {
+            self.order.insert(CanonicalName(name.clone()));
+            Node::default()
+        }))
     }
 
     /// Add many records; returns how many were in-zone and added.
@@ -640,18 +673,80 @@ mod tests {
             .is_none());
     }
 
+    /// Spare RRset slots; an RRset body is exactly sized by type.
     fn spare_slots(z: &Zone) -> usize {
         z.nodes()
-            .map(|(_, n)| {
-                let sets = n.rrsets.capacity() - n.rrsets.len();
-                let rdatas: usize = n
-                    .rrsets
-                    .iter()
-                    .map(|s| s.rdatas.capacity() - s.rdatas.len())
-                    .sum();
-                sets + rdatas
-            })
+            .map(|(_, n)| n.rrsets.capacity() - n.rrsets.len())
             .sum()
+    }
+
+    fn ns_set(owner: &Name, targets: &[&str]) -> RrSet {
+        let records: Vec<Record> = targets
+            .iter()
+            .map(|t| Record::new(owner.clone(), 3600, RData::Ns(Name::parse(t).unwrap())))
+            .collect();
+        RrSet::group(&records).remove(0)
+    }
+
+    #[test]
+    fn add_rrset_keeps_the_body_it_is_given() {
+        let mut z = test_zone();
+        let body = ns_set(&name!("other.example.ch"), &["ns1.op.net", "ns2.op.net"]).rdatas;
+        for owner in [name!("other.example.ch"), name!("third.example.ch")] {
+            assert!(z.add_rrset(RrSet {
+                name: owner,
+                class: RecordClass::In,
+                rtype: RecordType::Ns,
+                ttl: 3600,
+                rdatas: body.clone(),
+            }));
+        }
+        let at = |n: Name| z.rrset(&n, RecordType::Ns).unwrap().rdatas.clone();
+        assert!(Rdatas::ptr_eq(&at(name!("other.example.ch")), &body));
+        assert!(Rdatas::ptr_eq(&at(name!("third.example.ch")), &body));
+        assert!(z.is_delegation(&name!("third.example.ch")));
+        assert!(!z.add_rrset(ns_set(&name!("example.org"), &["ns1.op.net"])));
+        assert_eq!(spare_slots(&z), 0);
+    }
+
+    #[test]
+    fn add_rrset_into_an_existing_set_merges_record_by_record() {
+        let mut z = test_zone();
+        let apex = name!("example.ch");
+        let mut extra = ns_set(&apex, &["ns1.example.ch", "ns9.op.net"]);
+        extra.ttl = 60;
+        assert!(z.add_rrset(extra));
+        let ns = z.rrset(&apex, RecordType::Ns).unwrap();
+        assert_eq!(ns.ttl, 60, "min TTL kept");
+        assert_eq!(
+            ns.rdatas.to_vec(),
+            [
+                RData::Ns(name!("ns1.example.ch")),
+                RData::Ns(name!("ns9.op.net"))
+            ],
+            "duplicates dropped, new RDATA appended"
+        );
+    }
+
+    #[test]
+    fn adding_into_a_shared_body_leaves_the_other_holder_unchanged() {
+        let shared = ns_set(&name!("a.example.ch"), &["ns1.op.net"]);
+        let mut one = test_zone();
+        let mut two = test_zone();
+        one.add_rrset(shared.clone());
+        two.add_rrset(shared.clone());
+        one.add(Record::new(
+            name!("a.example.ch"),
+            3600,
+            RData::Ns(name!("ns2.op.net")),
+        ));
+        let set_one = one.rrset(&name!("a.example.ch"), RecordType::Ns).unwrap();
+        let set_two = two.rrset(&name!("a.example.ch"), RecordType::Ns).unwrap();
+        assert_eq!(set_one.rdatas.len(), 2);
+        assert_eq!(set_two, &shared, "the other zone's set is untouched");
+        assert!(Rdatas::ptr_eq(&set_two.rdatas, &shared.rdatas));
+        assert!(!Rdatas::ptr_eq(&set_one.rdatas, &shared.rdatas));
+        assert_eq!(shared.rdatas.len(), 1, "the body itself is immutable");
     }
 
     #[test]

@@ -29,14 +29,15 @@ use dns_ecosystem::{
     apply_churn, build, CdsState, ChurnConfig, ChurnLog, ChurnPlan, DnssecState, Ecosystem,
     EcosystemConfig, SignalDefect, SignalTruth,
 };
+use dns_server::ZoneStore;
 use dns_wire::name::Name;
 use dns_wire::rdata::{RData, RrsigData};
 use dns_wire::record::{Record, RecordType};
 use dns_zone::signal::signal_name;
 use dns_zone::{Zone, ZoneSigner};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock};
 
 fn world() -> &'static Ecosystem {
     static WORLD: OnceLock<Ecosystem> = OnceLock::new();
@@ -55,32 +56,97 @@ fn churned_world(world_seed: u64, churn_seed: u64, epochs: u32) -> (Ecosystem, V
     (eco, logs)
 }
 
-/// Every zone file served anywhere in the world, keyed by
-/// `(tier, server, apex)` — the byte-level world fingerprint.
-fn world_zone_files(eco: &Ecosystem) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for (op_idx, stores) in eco.operator_stores.iter().enumerate() {
-        for (host_idx, store) in stores.iter().enumerate() {
-            let mut apexes = store.apexes();
-            apexes.sort_by(|a, b| a.canonical_cmp(b));
-            for apex in apexes {
-                let z = store.get(&apex).unwrap();
-                out.insert(
-                    format!("op{op_idx}/host{host_idx}/{apex}"),
-                    z.to_zone_file(),
-                );
-            }
-        }
-    }
-    for (tld, store) in &eco.registry_stores {
+/// Every zone served anywhere in the world, keyed by
+/// `(tier, server, apex)`: operators and their hosts by index, then the
+/// registries in canonical suffix order; each store's apexes in
+/// canonical order. A zone several stores share appears once per store.
+fn world_zones(eco: &Ecosystem) -> Vec<(String, Arc<Zone>)> {
+    let mut out = Vec::new();
+    let mut add = |tier: String, store: &ZoneStore| {
         let mut apexes = store.apexes();
         apexes.sort_by(|a, b| a.canonical_cmp(b));
         for apex in apexes {
             let z = store.get(&apex).unwrap();
-            out.insert(format!("registry/{tld}/{apex}"), z.to_zone_file());
+            out.push((format!("{tier}/{apex}"), z));
+        }
+    };
+    for (op_idx, stores) in eco.operator_stores.iter().enumerate() {
+        for (host_idx, store) in stores.iter().enumerate() {
+            add(format!("op{op_idx}/host{host_idx}"), store);
         }
     }
+    let mut tlds: Vec<&Name> = eco.registry_stores.keys().collect();
+    tlds.sort_by(|a, b| a.canonical_cmp(b));
+    for tld in tlds {
+        add(format!("registry/{tld}"), &eco.registry_stores[tld]);
+    }
     out
+}
+
+/// Every zone file served anywhere in the world, keyed by
+/// `(tier, server, apex)` — the byte-level world fingerprint.
+fn world_zone_files(eco: &Ecosystem) -> BTreeMap<String, String> {
+    world_zones(eco)
+        .into_iter()
+        .map(|(key, z)| (key, z.to_zone_file()))
+        .collect()
+}
+
+/// The world fingerprint as one FNV-1a 64 digest, in [`world_zones`]
+/// order: each key, then the zone file of the first key holding that
+/// `Arc`, or for a later holder the first holder's key. A world that
+/// renders the same files from the same stores keeps its digest,
+/// however its RRsets are laid out in memory.
+fn world_digest(eco: &Ecosystem) -> u64 {
+    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+    let mut first: HashMap<*const Zone, String> = HashMap::new();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for (key, z) in world_zones(eco) {
+        h = fnv(h, key.as_bytes());
+        h = fnv(h, b"\0");
+        match first.get(&Arc::as_ptr(&z)) {
+            Some(holder) => h = fnv(h, holder.as_bytes()),
+            None => {
+                h = fnv(h, z.to_zone_file().as_bytes());
+                first.insert(Arc::as_ptr(&z), key);
+            }
+        }
+        h = fnv(h, b"\0");
+    }
+    h
+}
+
+/// World fingerprints taken from the build before RRset bodies were
+/// shared: how the builder lays RRsets out in memory must never show in
+/// what the world serves.
+const TINY_DIGESTS: [(u64, u64); 3] = [
+    (7, 0xcca4_19a5_bb8a_d644),
+    (42, 0x1fdd_a873_098a_9f2d),
+    (1234, 0xbf11_b70a_0018_3d18),
+];
+
+#[test]
+fn world_fingerprint_is_pinned() {
+    let got =
+        TINY_DIGESTS.map(|(seed, _)| (seed, world_digest(&build(EcosystemConfig::tiny(seed)))));
+    assert_eq!(got, TINY_DIGESTS, "tiny world digests: {got:#x?}");
+}
+
+/// The same at paper scale (`paper_default(100_000)`, the benchmark's
+/// world).
+#[test]
+#[ignore = "paper-scale world: seconds in release, minutes in debug"]
+fn world_fingerprint_is_pinned_at_paper_scale() {
+    let got = world_digest(&build(EcosystemConfig::paper_default(100_000)));
+    assert_eq!(
+        got, 0xa4b3_955d_4fc5_3248,
+        "paper_default(100_000): world digest {got:#018x}"
+    );
 }
 
 proptest! {
@@ -387,15 +453,13 @@ fn expected_dirty(
 /// Rewrite the RRSIGs at `owner` through `edit` — the test's own
 /// statement of how the builder plants a signature defect.
 fn rewrite_rrsigs_at(zone: &mut Zone, owner: &Name, edit: impl Fn(&mut RrsigData)) {
-    let Some(mut set) = zone.remove_rrset(owner, RecordType::Rrsig) else {
+    let Some(set) = zone.remove_rrset(owner, RecordType::Rrsig) else {
         return;
     };
-    for rd in set.rdatas.iter_mut() {
-        if let RData::Rrsig(sig) = rd {
+    for mut r in set.records() {
+        if let RData::Rrsig(sig) = &mut r.rdata {
             edit(sig);
         }
-    }
-    for r in set.records() {
         zone.add(r);
     }
 }

@@ -11,10 +11,13 @@
 //! after an intended change, paste it over the baseline file.
 
 use bootscan::{Identified, ProgressSink, ReferralData, ScanPolicy, Scanner, ZoneEvent, ZoneScan};
-use dns_ecosystem::{apply_churn, build, ChurnConfig, ChurnPlan, Ecosystem, EcosystemConfig};
+use dns_ecosystem::{
+    apply_churn, build, ChurnAction, ChurnConfig, ChurnPlan, Ecosystem, EcosystemConfig,
+};
 use dns_wire::name::Name;
 use dns_wire::rdata::{DnskeyData, DsData, RData, RrsigData};
-use dns_wire::record::{RecordType, RrSet};
+use dns_wire::record::{Rdatas, RecordType, RrSet};
+use dns_zone::signal::child_from_signal_name;
 use dns_zone::Zone;
 use netsim::Addr;
 use scan_continuous::{run_continuous, ContinuousConfig, ContinuousOutput};
@@ -311,6 +314,138 @@ fn churn_signing_is_bounded_by_changed_owners() {
     );
 }
 
+/// RRset bodies are built once and shared across the world (DESIGN §7,
+/// "RRset bodies are shared"): every zone's SOA is one allocation, and
+/// so is every CSYNC; a child apex whose NS set equals its delegation's
+/// holds the delegation's body; a signal owner whose CDS or CDNSKEY set
+/// equals its zone's holds the zone's body. Checked on the built world
+/// and again after one `apply_churn`, which must leave untouched zones
+/// sharing and give the zones it rebuilds the same constructors. A
+/// copied body fails `Rdatas::ptr_eq` here.
+#[test]
+fn world_rrset_bodies_are_shared() {
+    let mut eco = build(EcosystemConfig::tiny(WORLD_SEED));
+    let built = body_sharing(&eco);
+    assert_eq!(
+        built.ns_bodies, built.ns_contents,
+        "the builder makes one NS body per host tuple"
+    );
+    let plan = ChurnPlan::generate(&eco, &ChurnConfig::default(), CHURN_SEED, 1);
+    let log = apply_churn(&mut eco, &plan);
+    let churned = body_sharing(&eco);
+    let rebuilt: Vec<&Name> = log
+        .deltas
+        .iter()
+        .filter(|d| {
+            !matches!(
+                d.action,
+                ChurnAction::CompleteBootstrap
+                    | ChurnAction::PublishSignal
+                    | ChurnAction::WithdrawSignal
+            )
+        })
+        .map(|d| &d.zone)
+        .collect();
+    assert!(!rebuilt.is_empty(), "epoch 1 must rebuild a zone");
+    for zone in rebuilt {
+        assert!(
+            churned.ns_shared_apexes.contains(zone),
+            "{zone}: rebuilt apex NS is not its delegation's body"
+        );
+    }
+}
+
+/// What [`body_sharing`] saw.
+struct Sharing {
+    /// Distinct NS bodies and distinct NS contents at customer apexes.
+    ns_bodies: usize,
+    ns_contents: usize,
+    /// Customer apexes whose NS body is the delegation's.
+    ns_shared_apexes: HashSet<Name>,
+}
+
+/// Assert the sharing rules of [`world_rrset_bodies_are_shared`] over
+/// every stored zone.
+fn body_sharing(eco: &Ecosystem) -> Sharing {
+    let zones: Vec<Arc<Zone>> = stored_zones(eco).into_values().flatten().collect();
+    let body = |z: &Zone, name: &Name, rtype| z.rrset(name, rtype).map(|s| s.rdatas.clone());
+    for rtype in [RecordType::Soa, RecordType::Csync] {
+        let bodies: Vec<Rdatas> = zones
+            .iter()
+            .filter_map(|z| body(z, z.apex(), rtype))
+            .collect();
+        assert!(!bodies.is_empty(), "no {rtype} in the world");
+        for b in &bodies {
+            assert!(
+                Rdatas::ptr_eq(b, &bodies[0]),
+                "{rtype} bodies are not one allocation"
+            );
+        }
+    }
+
+    let tld_zone = |apex: &Name| {
+        let tld = apex.parent()?;
+        eco.registry_stores.get(&tld)?.get(&tld)
+    };
+    let customers: HashSet<&Name> = eco.truth.iter().map(|t| &t.name).collect();
+    let (mut ptrs, mut contents) = (HashSet::new(), HashSet::new());
+    let mut ns_shared_apexes = HashSet::new();
+    for z in &zones {
+        let (Some(apex_ns), Some(tldz)) = (body(z, z.apex(), RecordType::Ns), tld_zone(z.apex()))
+        else {
+            continue;
+        };
+        if customers.contains(z.apex()) {
+            ptrs.insert(apex_ns.as_ptr());
+            contents.insert(apex_ns.iter().map(RData::presentation).collect::<Vec<_>>());
+        }
+        let Some(delegation) = body(&tldz, z.apex(), RecordType::Ns) else {
+            continue;
+        };
+        if delegation == apex_ns {
+            assert!(
+                Rdatas::ptr_eq(&delegation, &apex_ns),
+                "{}: apex NS copies its delegation's",
+                z.apex()
+            );
+            ns_shared_apexes.insert(z.apex().clone());
+        }
+    }
+    assert!(ns_shared_apexes.len() * 10 > customers.len() * 9);
+
+    let mut signal_sets = 0;
+    for z in &zones {
+        for (owner, node) in z.nodes() {
+            let Some(child) = child_from_signal_name(owner) else {
+                continue;
+            };
+            for set in node
+                .rrsets()
+                .iter()
+                .filter(|s| matches!(s.rtype, RecordType::Cds | RecordType::Cdnskey))
+            {
+                for holder in zones.iter().filter(|c| c.apex() == &child) {
+                    if body(holder, &child, set.rtype).as_ref() == Some(&set.rdatas) {
+                        let own = body(holder, &child, set.rtype).unwrap();
+                        assert!(
+                            Rdatas::ptr_eq(&own, &set.rdatas),
+                            "{owner}: signal {} copies its zone's",
+                            set.rtype
+                        );
+                        signal_sets += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(signal_sets > 0, "no signal set shares its zone's body");
+    Sharing {
+        ns_bodies: ptrs.len(),
+        ns_contents: contents.len(),
+        ns_shared_apexes,
+    }
+}
+
 /// Every zone reachable from the world's public stores, each once (hosts
 /// of one operator share `Arc`s), classed as a customer zone (in the
 /// planted truth), an operator base zone, a registry (TLD) zone, or
@@ -374,13 +509,13 @@ impl Slots {
 }
 
 /// RRset slots (each node's `rrsets`) and RDATA slots (each RRset's
-/// `rdatas`) over `zones`.
+/// `rdatas`, counted per set as held, shared bodies too) over `zones`.
 fn zone_slots(zones: &[Arc<Zone>]) -> (Slots, Slots) {
     let (mut rrsets, mut rdatas) = (Slots::default(), Slots::default());
     for (_, node) in zones.iter().flat_map(|z| z.nodes()) {
         rrsets.of(node.rrsets());
         for set in node.rrsets() {
-            rdatas.of(&set.rdatas);
+            rdatas.of_slice(&set.rdatas);
         }
     }
     (rrsets, rdatas)
@@ -459,9 +594,12 @@ fn footprint_is_exact() {
 
 /// Bytes by owner, `size_of` × capacity, on `paper_default(100_000)`
 /// (the benchmark's world): the attribution behind DESIGN §7's "Bytes
-/// per zone" table. Zone bytes count `RData` and `RrSet` slots, RRSIG
-/// signature and DNSKEY/CDNSKEY key bytes, and each distinct owner name's
-/// buffer once (an `Arc<[u8]>`: 16 header bytes plus the wire form).
+/// per zone" table. Zone bytes count `RrSet` slots, each RRset body once
+/// however many sets share it (an `Arc<[RData]>`: 16 header bytes plus
+/// its `RData` slots, and the RRSIG signature and DNSKEY/CDNSKEY key
+/// bytes inside it), and each distinct owner name's buffer once (an
+/// `Arc<[u8]>`: 16 header bytes plus the wire form); a body or name two
+/// owner classes share counts in the first.
 /// Scan results count every `ZoneScan` slot and nested vector; the
 /// scanner caches count the entries a cold scan's cache log inserted,
 /// last write per name, values at their capacity; the epoch tables of a
@@ -476,27 +614,33 @@ fn footprint_by_owner() {
     let eco = build(EcosystemConfig::paper_default(100_000));
     let seeds = eco.seeds.compile(&eco.psl);
     let mut rows: Vec<(String, &str, usize)> = Vec::new();
+    let (mut bodies_seen, mut names_seen) = (HashSet::new(), HashSet::new());
     for (owner, zones) in stored_zones(&eco) {
-        let (rrsets, rdatas) = zone_slots(&zones);
-        let (mut sig, mut key) = (0, 0);
-        let mut names = HashSet::new();
+        let (rrsets, _) = zone_slots(&zones);
+        let (mut bodies, mut unshared, mut sig, mut key, mut names) = (0, 0, 0, 0, 0);
         for (name, node) in zones.iter().flat_map(|z| z.nodes()) {
-            names.insert(name.clone());
-            for rd in node.rrsets().iter().flat_map(|s| &s.rdatas) {
-                match rd {
-                    RData::Rrsig(s) => sig += s.signature.capacity(),
-                    RData::Dnskey(k) | RData::Cdnskey(k) => key += k.public_key.capacity(),
-                    _ => {}
+            if names_seen.insert(name.clone()) {
+                names += 16 + name.wire_len();
+            }
+            for set in node.rrsets() {
+                let body = 16 + set.rdatas.len() * size_of::<RData>();
+                unshared += body;
+                if !bodies_seen.insert(set.rdatas.as_ptr()) {
+                    continue;
+                }
+                bodies += body;
+                for rd in &set.rdatas {
+                    match rd {
+                        RData::Rrsig(s) => sig += s.signature.capacity(),
+                        RData::Dnskey(k) | RData::Cdnskey(k) => key += k.public_key.capacity(),
+                        _ => {}
+                    }
                 }
             }
         }
-        let name_bytes: usize = names.iter().map(|n| 16 + n.wire_len()).sum();
         let zones = format!("{owner} zones ({})", zones.len());
-        rows.push((
-            zones.clone(),
-            "RData slots",
-            rdatas.slots * size_of::<RData>(),
-        ));
+        rows.push((zones.clone(), "RData bodies, each once", bodies));
+        rows.push((zones.clone(), "bodies if unshared (what-if)", unshared));
         rows.push((
             zones.clone(),
             "RrSet slots",
@@ -504,7 +648,7 @@ fn footprint_by_owner() {
         ));
         rows.push((zones.clone(), "signature bytes", sig));
         rows.push((zones.clone(), "key bytes", key));
-        rows.push((zones, "owner names", name_bytes));
+        rows.push((zones, "owner names", names));
     }
 
     let log = CacheLogSink::default();
