@@ -826,8 +826,10 @@ pub(crate) mod tests {
             queries: 42,
             elapsed: 1_234_567,
             sampled: true,
+            // Every counter distinct, so the golden pin below catches a
+            // field-order slip that a round trip cannot.
             retry_stats: RetryStats {
-                failures: 1,
+                failures: 21,
                 timeouts: 1,
                 unreachable: 2,
                 malformed: 3,
@@ -835,19 +837,19 @@ pub(crate) mod tests {
                 retries: 5,
                 breaker_skips: 6,
                 resolution_failures: 7,
-                rescans: 2,
+                rescans: 8,
                 datagrams: 99,
-                tcp_fallbacks: 1,
+                tcp_fallbacks: 9,
                 bytes_sent: 12_345,
                 bytes_received: 67_890,
                 logical_queries: 57,
-                hostile_mismatched: 1,
-                hostile_foreign: 2,
-                hostile_referral_loops: 3,
-                hostile_wide_referrals: 4,
-                hostile_alias_loops: 5,
-                hostile_budget: 6,
-                hostile_lame: 7,
+                hostile_mismatched: 11,
+                hostile_foreign: 12,
+                hostile_referral_loops: 13,
+                hostile_wide_referrals: 14,
+                hostile_alias_loops: 15,
+                hostile_budget: 16,
+                hostile_lame: 17,
             },
             degraded: true,
         };
@@ -917,6 +919,23 @@ pub(crate) mod tests {
         let payload = encode_event(&event);
         let back = decode_event(&payload).expect("decode");
         assert_eq!(event, back);
+    }
+
+    /// The format-v4 bytes of [`rich_event`], pinned: a round trip
+    /// passes whatever order the encoder and decoder agree on, so a
+    /// field-order slip (in `retry_stats` above all) only shows here.
+    /// Any change to this payload needs a new `FORMAT_VERSION`.
+    #[test]
+    fn rich_event_bytes_are_pinned() {
+        let golden: String = include_str!("testdata/rich_event_v4.hex")
+            .split_whitespace()
+            .collect();
+        let hex: String = encode_event(&rich_event())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(crate::journal::FORMAT_VERSION, 4);
+        assert_eq!(hex, golden);
     }
 
     #[test]
