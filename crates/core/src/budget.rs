@@ -154,7 +154,7 @@ mod tests {
             queries,
             elapsed: 500_000,
             sampled,
-            retry_stats: crate::error::RetryStats::default(),
+            retry_stats: crate::RetryStats::default(),
             degraded: false,
         }
     }

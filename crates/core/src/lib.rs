@@ -37,7 +37,6 @@
 
 pub mod budget;
 pub mod classify;
-pub mod error;
 pub mod health;
 pub mod operator;
 pub mod policy;
@@ -46,8 +45,7 @@ pub mod report;
 pub mod scanner;
 pub mod types;
 
-pub use dns_resolver::ReferralData;
-pub use error::{RetryStats, ScanError};
+pub use dns_resolver::{ReferralData, RetryStats, ScanError};
 pub use health::CircuitBreaker;
 pub use operator::{Identified, OperatorTable};
 pub use progress::{ProgressSink, ResumeState, ZoneEffects, ZoneEvent};

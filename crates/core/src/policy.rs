@@ -221,7 +221,7 @@ mod tests {
             queries: 0,
             elapsed: 0,
             sampled: false,
-            retry_stats: crate::error::RetryStats::default(),
+            retry_stats: crate::RetryStats::default(),
             degraded: false,
         }
     }

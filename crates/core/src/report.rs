@@ -1,10 +1,10 @@
 //! Report generation: every table and figure of the paper, regenerated
 //! from scan results.
 
-use crate::error::RetryStats;
 use crate::operator::Identified;
 use crate::scanner::ScanResults;
 use crate::types::*;
+use dns_resolver::RetryStats;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

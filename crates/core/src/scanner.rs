@@ -13,7 +13,6 @@
 //! 5. classifies DNSSEC / CDS / AB status.
 
 use crate::classify;
-use crate::error::{narrow, RetryStats, ScanError};
 use crate::health::CircuitBreaker;
 use crate::operator::OperatorTable;
 use crate::progress::{ProgressSink, ResumeState, ZoneEffects, ZoneEvent};
@@ -22,7 +21,8 @@ use dns_crypto::UnixTime;
 use dns_resolver::validate::{ds_link_verifies, self_signed_dnskeys, verified_dnskeys};
 use dns_resolver::{
     ChainLink, ClientErrorKind, DnsClient, HostileCause, ProvenanceCache, QueryMeter, ReferralData,
-    Resolution, Resolver, ResolverError, RetryPolicy, RootHints, CACHE_TTL_MICROS,
+    Resolution, Resolver, ResolverError, RetryPolicy, RetryStats, RootHints, ScanError,
+    CACHE_TTL_MICROS,
 };
 use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
@@ -145,11 +145,11 @@ impl WorkerScratch {
 struct Probe<'w> {
     clock: SimMicros,
     queries: u32,
-    stats: RetryStats,
-    /// Per-zone I/O meter: derives query IDs from stable per-query
-    /// coordinates (seeded from the zone name and pass number), counts
-    /// datagrams/bytes against the budget, and logs every shared-cache
-    /// insert (resolver and key cache) for the journal.
+    /// Per-zone meter: derives query IDs from stable per-query
+    /// coordinates (seeded from the zone name and pass number), holds
+    /// the zone's [`RetryStats`] that every layer counts into, enforces
+    /// the budget, and logs every shared-cache insert (resolver and key
+    /// cache) for the journal.
     meter: QueryMeter,
     /// Worker-pooled breaker + per-address politeness limiters, reset
     /// for this zone scan.
@@ -298,14 +298,13 @@ impl Scanner {
         Probe {
             clock: 0,
             queries: 0,
-            stats: RetryStats::default(),
             meter: QueryMeter::with_budget(id_seed, DEFAULT_ZONE_QUERY_BUDGET),
             scratch,
         }
     }
 
     /// One rate-limited, breaker-guarded query; failures are recorded in
-    /// the probe's [`RetryStats`] and charged their real virtual cost.
+    /// the meter's [`RetryStats`] and charged their real virtual cost.
     fn query(
         &self,
         probe: &mut Probe,
@@ -314,7 +313,7 @@ impl Scanner {
         rtype: RecordType,
     ) -> Option<Message> {
         if !probe.scratch.breaker.allows(addr, probe.clock) {
-            probe.stats.record(ScanError::BreakerOpen);
+            probe.meter.tally(|s| s.record(ScanError::BreakerOpen));
             return None;
         }
         // Limiters are zone-scoped (so zone results never depend on what
@@ -341,17 +340,18 @@ impl Scanner {
         {
             Ok(ex) => {
                 probe.clock += ex.elapsed;
-                probe.stats.retries += ex.retries;
-                if ex.message.rcode() == Rcode::ServFail {
-                    probe.stats.servfails += 1;
-                }
+                probe.meter.tally(|s| {
+                    s.retries += ex.retries;
+                    if ex.message.rcode() == Rcode::ServFail {
+                        s.servfails += 1;
+                    }
+                });
                 probe.scratch.breaker.record_success(addr);
                 Some(ex.message)
             }
             Err(e) => {
                 probe.clock += e.elapsed;
-                probe.stats.retries += e.retries;
-                probe.stats.record(match e.kind {
+                let error = match e.kind {
                     ClientErrorKind::Unreachable => ScanError::Unreachable,
                     ClientErrorKind::Timeout => ScanError::Timeout,
                     ClientErrorKind::Malformed => ScanError::Malformed,
@@ -359,6 +359,10 @@ impl Scanner {
                     ClientErrorKind::BudgetExceeded => {
                         ScanError::Hostile(HostileCause::BudgetExceeded)
                     }
+                };
+                probe.meter.tally(|s| {
+                    s.retries += e.retries;
+                    s.record(error);
                 });
                 probe.scratch.breaker.record_failure(addr, probe.clock);
                 None
@@ -488,15 +492,9 @@ impl Scanner {
         pass: u32,
     ) -> (ZoneScan, ZoneEffects) {
         let mut probe = self.new_probe(scratch, zone, pass);
-        let mut scan = self.scan_zone_inner(zone, &mut probe);
-        // Seal: fold the meter's budget totals into the zone's stats and
-        // drain the meter's cache-insert log (the resolver attributed
-        // every shared-cache insert this zone paid for to its meter).
-        let io = probe.meter.io();
-        scan.retry_stats.datagrams = io.datagrams as u32;
-        scan.retry_stats.tcp_fallbacks = io.tcp_fallbacks as u32;
-        scan.retry_stats.bytes_sent = narrow(io.bytes_sent);
-        scan.retry_stats.bytes_received = narrow(io.bytes_received);
+        let scan = self.scan_zone_inner(zone, &mut probe);
+        // Drain the meter's cache-insert log: the resolver attributed
+        // every shared-cache insert this zone paid for to its meter.
         (scan, probe.meter.take_cache_log())
     }
 
@@ -515,12 +513,12 @@ impl Scanner {
                     // the evidence is incomplete, not the zone
                     // nonexistent.
                     ResolverError::AllServersFailed(_) => {
-                        probe.stats.record(ScanError::ResolutionFailed);
+                        probe.meter.tally(|s| s.record(ScanError::ResolutionFailed));
                     }
                     // The hardening layer refused the walk: a hostile
                     // casualty, reported under its named cause.
                     ResolverError::Hostile(c) => {
-                        probe.stats.record(ScanError::Hostile(c));
+                        probe.meter.tally(|s| s.record(ScanError::Hostile(c)));
                     }
                     _ => {}
                 }
@@ -539,8 +537,8 @@ impl Scanner {
             // it: a lame delegation. Without this check the zone would
             // fall through and read as an artificial Unsigned.
             probe
-                .stats
-                .record(ScanError::Hostile(HostileCause::LameDelegation));
+                .meter
+                .tally(|s| s.record(ScanError::Hostile(HostileCause::LameDelegation)));
             return self.unresolvable(zone, probe);
         }
         probe.clock += res.elapsed;
@@ -596,23 +594,24 @@ impl Scanner {
             .map(|ns| self.probe_signal(probe, zone, ns))
             .collect();
 
-        // 5. Classify, once what the client and resolver saw silently is
-        // folded in for the degradation logic below and the report.
-        Self::absorb_meter(probe);
+        // 5. Classify. Every query is done, so the meter's record is the
+        // zone's final one: the degradation logic below and the report
+        // read it as it stands.
+        let stats = probe.meter.stats();
         let mut dnssec = classify::dnssec_class(&chain, &observations, zone_keys.as_deref());
         // Degradation override: the zone resolved, but then *no* address
         // produced any answer while transient failures were piling up.
         // The evidence is incomplete — refuse to classify rather than
         // report an artificial Unsigned/Invalid.
         let no_evidence = !observations.is_empty() && observations.iter().all(|o| !o.responded);
-        if no_evidence && probe.stats.degraded() {
+        if no_evidence && stats.degraded() {
             dnssec = DnssecClass::Indeterminate;
         }
         let cds = classify::cds_class(&observations, zone_keys.as_deref(), dnssec);
         let ab = classify::ab_class(dnssec, cds, &signal_observations, &observations);
         let operator = self.table.identify(&ns_names);
 
-        let degraded = probe.stats.degraded();
+        let degraded = stats.degraded();
         // Sealed: from here on the lists are shared, never edited, and
         // equal key and CDS lists within the scan are one body.
         let (observations, signal_observations) =
@@ -630,7 +629,7 @@ impl Scanner {
             queries: probe.queries,
             elapsed: probe.clock,
             sampled,
-            retry_stats: probe.stats,
+            retry_stats: stats,
             degraded,
         }
     }
@@ -642,8 +641,8 @@ impl Scanner {
         // degradation, so they land in Indeterminate with their named
         // cause in the stats — never in Unresolvable, which would
         // misread an attack as a property of the world.
-        Self::absorb_meter(probe);
-        let degraded = probe.stats.degraded();
+        let stats = probe.meter.stats();
+        let degraded = stats.degraded();
         ZoneScan {
             name: zone.clone(),
             ns_names: [].into(),
@@ -661,20 +660,9 @@ impl Scanner {
             queries: probe.queries,
             elapsed: probe.clock,
             sampled: false,
-            retry_stats: probe.stats,
+            retry_stats: stats,
             degraded,
         }
-    }
-
-    /// Fold the meter's silent tallies into the probe's stats: hostile
-    /// events (stripped foreign records, nested loop detections, budget
-    /// refusals), failed NS address lookups and the logical queries.
-    fn absorb_meter(probe: &mut Probe) {
-        probe.stats.absorb_hostile(&probe.meter.hostile());
-        for _ in 0..probe.meter.failed_lookups() {
-            probe.stats.record(ScanError::ResolutionFailed);
-        }
-        probe.stats.logical_queries = narrow(probe.meter.logical_queries());
     }
 
     /// Apply the Cloudflare sampling policy. Returns whether sampling
@@ -861,7 +849,7 @@ impl Scanner {
                 // An adversary answering for the signal name (alias
                 // loops, referral games) is a hostile casualty of this
                 // zone's scan — named, and degrading.
-                probe.stats.record(ScanError::Hostile(c));
+                probe.meter.tally(|s| s.record(ScanError::Hostile(c)));
                 return obs;
             }
             Err(_) => return obs,
@@ -1136,8 +1124,12 @@ impl Scanner {
         (elapsed, false)
     }
 
-    /// Budget counters are cumulative across re-scan passes, whichever
-    /// result is kept: the wire traffic happened either way.
+    /// The one statement of which [`RetryStats`] counters a re-scan sums
+    /// across passes: the wire counters — datagrams, TCP fallbacks and
+    /// bytes — whichever result is kept, since that traffic happened
+    /// either way. Every other counter (logical queries, failures,
+    /// retries, hostile events) is the kept pass's alone, which is what
+    /// keeps a zone's logical queries within one pass's budget.
     fn accumulate_io(into: &mut RetryStats, other: &RetryStats) {
         into.datagrams += other.datagrams;
         into.tcp_fallbacks += other.tcp_fallbacks;

@@ -1,6 +1,6 @@
 //! Observation and classification types produced by the scanner.
 
-use crate::error::RetryStats;
+use dns_resolver::RetryStats;
 use dns_wire::name::Name;
 use dns_wire::rdata::{DnskeyData, DsData};
 use netsim::{Addr, SimMicros};
@@ -208,7 +208,13 @@ pub struct ZoneScan {
     pub ab: AbClass,
     /// Operator identification.
     pub operator: crate::operator::Identified,
-    /// Scan cost.
+    /// Scan cost: the logical queries of the walk, the per-address probes
+    /// and the signal probes, summed across re-scan passes. It leaves out
+    /// NS-host A/AAAA lookups — the scanner's address step and a glueless
+    /// referral's walk charge those to the meter but not here, and the
+    /// scan clock does not advance for them — so a one-pass zone's
+    /// [`RetryStats::logical_queries`] can exceed it (33 against 27 on a
+    /// tiny world; ROADMAP 4(a)).
     pub queries: u32,
     pub elapsed: SimMicros,
     /// Whether Cloudflare-style address sampling was applied.

@@ -1,10 +1,12 @@
 //! Scanner behaviour tests: sampling policy, key caching, CSYNC probes,
 //! per-zone I/O accounting — the §3 scan mechanics, isolated.
 
-use bootscan::{ScanPolicy, Scanner};
+use bootscan::scanner::DEFAULT_ZONE_QUERY_BUDGET;
+use bootscan::{RetryStats, ScanPolicy, ScanResults, Scanner};
 use dns_ecosystem::spec::{CategoryCounts, EcosystemConfig};
 use dns_ecosystem::{build, Ecosystem};
 use dns_wire::Name;
+use netsim::FaultPlan;
 use std::sync::Arc;
 
 fn scanner_with(eco: &Ecosystem, policy: ScanPolicy) -> Arc<Scanner> {
@@ -152,39 +154,87 @@ fn csync_probe_counts_pilot_zones() {
     }
 }
 
+/// Conservation invariant: summing each zone's metered datagram and
+/// byte counters must reproduce the network's own global statistics
+/// exactly — no query the scanner sends escapes per-zone budget
+/// attribution, and nothing is double-counted.
+fn assert_conserves_netsim_totals(eco: &Ecosystem, results: &ScanResults, what: &str) {
+    let snap = eco.net.stats().snapshot();
+    let sum = |count: fn(&RetryStats) -> u32| -> u64 {
+        results
+            .zones
+            .iter()
+            .map(|z| u64::from(count(&z.retry_stats)))
+            .sum()
+    };
+    let datagrams = sum(|r| r.datagrams);
+    assert!(datagrams > 0, "{what}");
+    assert_eq!(
+        datagrams, snap.queries,
+        "{what}: datagrams vs netsim queries"
+    );
+    assert_eq!(sum(|r| r.bytes_sent), snap.bytes_sent, "{what}: bytes sent");
+    assert_eq!(
+        sum(|r| r.bytes_received),
+        snap.bytes_received,
+        "{what}: bytes received"
+    );
+}
+
 #[test]
 fn per_zone_io_accounting_conserves_netsim_totals() {
-    // Conservation invariant: summing each zone's metered datagram and
-    // byte counters must reproduce the network's own global statistics
-    // exactly — no query the scanner sends escapes per-zone budget
-    // attribution, and nothing is double-counted. (The client-level
-    // version of this lives in dns-resolver; this is the whole-scan
-    // closure over resolution, DNSKEY/CDS probing and signal probing.)
-    let eco = build(dns_ecosystem::EcosystemConfig::tiny(11));
-    let scanner = scanner_with(&eco, ScanPolicy::default());
-    let seeds = eco.seeds.compile(&eco.psl);
-    let results = scanner.scan_all(&seeds);
+    // The client-level version of this lives in dns-resolver; this is
+    // the whole-scan closure over resolution, DNSKEY/CDS probing and
+    // signal probing — first on a clean network, then under chaos, with
+    // and without hostile operators, where lost, truncated and rejected
+    // exchanges and the re-scan passes' traffic must all be charged too.
+    let eco = build(EcosystemConfig::tiny(11));
+    let results = scanner_with(&eco, ScanPolicy::default()).scan_all(&eco.seeds.compile(&eco.psl));
+    assert_conserves_netsim_totals(&eco, &results, "clean");
 
-    let snap = eco.net.stats().snapshot();
-    let datagrams: u64 = results
-        .zones
-        .iter()
-        .map(|z| z.retry_stats.datagrams as u64)
-        .sum();
-    let bytes_sent: u64 = results
-        .zones
-        .iter()
-        .map(|z| u64::from(z.retry_stats.bytes_sent))
-        .sum();
-    let bytes_received: u64 = results
-        .zones
-        .iter()
-        .map(|z| u64::from(z.retry_stats.bytes_received))
-        .sum();
-    assert!(datagrams > 0);
-    assert_eq!(datagrams, snap.queries, "datagrams vs netsim queries");
-    assert_eq!(bytes_sent, snap.bytes_sent, "bytes sent");
-    assert_eq!(bytes_received, snap.bytes_received, "bytes received");
+    for (world_seed, chaos_seed) in [(11, 7), (3, 5), (42, 99)] {
+        for adversaries in [false, true] {
+            let what = format!("world {world_seed}, chaos {chaos_seed}, adversaries {adversaries}");
+            let mut cfg = EcosystemConfig::tiny(world_seed);
+            if adversaries {
+                cfg = cfg.with_adversaries(2);
+            }
+            let eco = build(cfg);
+            eco.net.set_faults(FaultPlan::standard_chaos(
+                chaos_seed,
+                &eco.net.bound_addrs(),
+            ));
+            let results =
+                scanner_with(&eco, ScanPolicy::default()).scan_all(&eco.seeds.compile(&eco.psl));
+            assert_conserves_netsim_totals(&eco, &results, &what);
+
+            // A re-scanned zone's logical queries are those of the pass
+            // that was kept (only wire traffic sums across passes), so
+            // each stays within one pass's budget.
+            let rescanned: Vec<_> = results
+                .zones
+                .iter()
+                .filter(|z| z.retry_stats.rescans > 0)
+                .collect();
+            assert!(!rescanned.is_empty(), "{what}: chaos forces re-scans");
+            for z in rescanned {
+                assert!(
+                    u64::from(z.retry_stats.logical_queries) <= DEFAULT_ZONE_QUERY_BUDGET,
+                    "{what}: {} spent {} logical queries",
+                    z.name,
+                    z.retry_stats.logical_queries
+                );
+            }
+            if adversaries {
+                let hostile: u64 = results
+                    .zones
+                    .iter()
+                    .map(|z| z.retry_stats.hostile_events())
+                    .sum();
+                assert!(hostile > 0, "{what}: hostile events recorded");
+            }
+        }
+    }
 }
 
 #[test]

@@ -20,7 +20,7 @@
 )]
 
 use crate::cachelog::{CacheLog, ReferralData};
-use crate::hostile::{HostileCause, HostileTally};
+use crate::hostile::{HostileCause, RetryStats};
 use dns_wire::message::Message;
 use dns_wire::name::Name;
 use dns_wire::rdata::DnskeyData;
@@ -38,14 +38,6 @@ pub struct Exchange {
     pub elapsed: SimMicros,
     /// Datagrams sent (UDP attempts + TCP attempts).
     pub attempts: u32,
-    /// Query bytes put on the wire across every attempt, UDP and TCP
-    /// fallback alike (the fallback re-sends the same payload).
-    pub bytes_sent: u64,
-    /// Reply bytes actually delivered back, including truncated UDP
-    /// replies that triggered the TCP fallback.
-    pub bytes_received: u64,
-    /// Whether the final answer arrived over TCP.
-    pub used_tcp: bool,
     /// How many whole-exchange retries the [`RetryPolicy`] spent before
     /// this answer arrived (0 = first try succeeded).
     pub retries: u32,
@@ -77,12 +69,6 @@ pub struct ClientError {
     pub elapsed: SimMicros,
     /// Datagrams sent across all attempts.
     pub attempts: u32,
-    /// Query bytes put on the wire across every attempt.
-    pub bytes_sent: u64,
-    /// Reply bytes delivered before the failure (a malformed reply still
-    /// crossed the wire; a truncated UDP reply still cost its bytes even
-    /// if the TCP follow-up then timed out).
-    pub bytes_received: u64,
     /// Whole-exchange retries performed (0 = failed on the first try).
     pub retries: u32,
 }
@@ -146,40 +132,35 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Totals accumulated by a [`QueryMeter`].
+/// The wire counters of a [`QueryMeter`]'s [`RetryStats`], widened:
+/// what [`QueryMeter::io`] returns. Nothing stores one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoCounters {
-    /// Datagrams put on the wire (UDP attempts + TCP attempts, lost ones
-    /// included — a lost datagram still cost its bytes).
+    /// [`RetryStats::datagrams`].
     pub datagrams: u64,
-    /// Query bytes sent across all attempts.
+    /// [`RetryStats::bytes_sent`].
     pub bytes_sent: u64,
-    /// Reply bytes delivered (malformed and truncated replies included).
+    /// [`RetryStats::bytes_received`].
     pub bytes_received: u64,
-    /// TC=1 → TCP fallback exchanges entered.
+    /// [`RetryStats::tcp_fallbacks`].
     pub tcp_fallbacks: u64,
-}
-
-impl IoCounters {
-    /// Component-wise sum.
-    pub fn add(&mut self, other: IoCounters) {
-        self.datagrams += other.datagrams;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-        self.tcp_fallbacks += other.tcp_fallbacks;
-    }
 }
 
 /// What identifies a logical query within a scope: (server, qname-hash,
 /// qtype).
 type QueryCoords = (Addr, u64, u16);
 
-/// Per-scope I/O accounting for a group of logical queries.
+/// Per-scope accounting for a group of logical queries.
 ///
 /// The scanner creates one meter per zone so every datagram and byte —
 /// including TCP-fallback retransmissions after truncation and the cost
 /// of exchanges that ultimately *failed* — is charged to exactly one
-/// zone's budget. The meter also owns the query-ID derivation for its
+/// zone's budget. The meter holds the zone's one [`RetryStats`], and
+/// every layer counts straight into it: the client its wire traffic and
+/// logical queries, the resolver its hostile detections and failed
+/// NS-address lookups, the scanner its breaker skips, SERVFAILs,
+/// retries and failures. The scanner's sealed scan takes the record as
+/// it stands. The meter also owns the query-ID derivation for its
 /// scope: an ID is a pure function of the meter's seed and the query's
 /// (server, qname, qtype, occurrence) coordinates, so metered work draws
 /// no IDs from the client's shared counter, two zones' wire traffic is
@@ -207,18 +188,14 @@ pub struct QueryMeter {
     issued: RefCell<Vec<(QueryCoords, u32)>>,
     /// Shared-cache inserts made while working under this meter.
     cache_log: RefCell<CacheLog>,
-    io: Cell<IoCounters>,
-    /// Logical queries begun (each `query_at_with` call, before netsim
-    /// retries fan out into datagrams).
-    logical: Cell<u64>,
-    /// Hard cap on `logical`; 0 = unlimited. Once reached, further
-    /// queries fail instantly with [`ClientErrorKind::BudgetExceeded`] —
-    /// this is the amplification cap.
+    /// Hard cap on logical queries (each `query_at_with` call, before
+    /// netsim retries fan out into datagrams); 0 = unlimited. Once
+    /// reached, further queries fail instantly with
+    /// [`ClientErrorKind::BudgetExceeded`] — this is the amplification
+    /// cap.
     budget: u64,
-    /// Per-cause hostile-event counters.
-    hostile: Cell<HostileTally>,
-    /// NS address lookups that came back incomplete.
-    pub(crate) failed_lookups: Cell<u32>,
+    /// The scope's counter record.
+    stats: Cell<RetryStats>,
 }
 
 impl QueryMeter {
@@ -234,11 +211,8 @@ impl QueryMeter {
             // Sized for a typical zone so the list never regrows mid-scan.
             issued: RefCell::new(Vec::with_capacity(32)),
             cache_log: RefCell::default(),
-            io: Cell::default(),
-            logical: Cell::new(0),
             budget,
-            hostile: Cell::default(),
-            failed_lookups: Cell::default(),
+            stats: Cell::default(),
         }
     }
 
@@ -304,46 +278,46 @@ impl QueryMeter {
 
     /// Logical queries begun so far.
     pub fn logical_queries(&self) -> u64 {
-        self.logical.get()
+        u64::from(self.stats.get().logical_queries)
     }
 
     /// Charge one logical query against the budget. `false` means the
     /// budget is exhausted (the exceed event is tallied once per refusal).
     fn begin_query(&self) -> bool {
-        if self.budget != 0 && self.logical.get() >= self.budget {
+        if self.budget != 0 && self.logical_queries() >= self.budget {
             self.note_hostile(HostileCause::BudgetExceeded);
             return false;
         }
-        self.logical.set(self.logical.get() + 1);
+        self.tally(|s| s.logical_queries += 1);
         true
+    }
+
+    /// Update the counter record in place.
+    pub fn tally(&self, update: impl FnOnce(&mut RetryStats)) {
+        let mut stats = self.stats.get();
+        update(&mut stats);
+        self.stats.set(stats);
     }
 
     /// Tally a hostile event observed while working under this meter.
     pub fn note_hostile(&self, cause: HostileCause) {
-        let mut tally = self.hostile.get();
-        tally.note(cause);
-        self.hostile.set(tally);
+        self.tally(|s| s.note_hostile(cause));
     }
 
-    /// Snapshot of the per-cause hostile-event counters.
-    pub fn hostile(&self) -> HostileTally {
-        self.hostile.get()
+    /// The counter record as it stands.
+    pub fn stats(&self) -> RetryStats {
+        self.stats.get()
     }
 
-    /// NS address lookups whose A or AAAA walk failed (never cached).
-    pub fn failed_lookups(&self) -> u32 {
-        self.failed_lookups.get()
-    }
-
-    fn record(&self, io: IoCounters) {
-        let mut total = self.io.get();
-        total.add(io);
-        self.io.set(total);
-    }
-
-    /// Snapshot of the totals recorded so far.
+    /// The record's wire counters so far.
     pub fn io(&self) -> IoCounters {
-        self.io.get()
+        let s = self.stats.get();
+        IoCounters {
+            datagrams: u64::from(s.datagrams),
+            bytes_sent: u64::from(s.bytes_sent),
+            bytes_received: u64::from(s.bytes_received),
+            tcp_fallbacks: u64::from(s.tcp_fallbacks),
+        }
     }
 }
 
@@ -423,8 +397,6 @@ impl DnsClient {
                     kind: ClientErrorKind::BudgetExceeded,
                     elapsed: 0,
                     attempts: 0,
-                    bytes_sent: 0,
-                    bytes_received: 0,
                     retries: 0,
                 });
             }
@@ -435,11 +407,11 @@ impl DnsClient {
         };
         let q = Message::query(id, qname.clone(), qtype, dnssec_ok);
         let bytes = q.to_bytes();
-        let wire_len = bytes.len() as u64;
+        let wire_len = bytes.len() as u32;
         let mut elapsed: SimMicros = 0;
         let mut attempts: u32 = 0;
-        let mut bytes_received: u64 = 0;
-        let mut tcp_fallbacks: u64 = 0;
+        let mut bytes_received: u32 = 0;
+        let mut tcp_fallbacks: u32 = 0;
         let mut kind = ClientErrorKind::Timeout;
         let mut outcome: Option<Result<Exchange, ClientError>> = None;
         for retry in 0..=self.retry.retries {
@@ -448,7 +420,7 @@ impl DnsClient {
                 Ok(once) => {
                     attempts += once.cost.attempts;
                     bytes_received += once.cost.bytes_received;
-                    tcp_fallbacks += u64::from(once.cost.used_tcp);
+                    tcp_fallbacks += u32::from(once.cost.used_tcp);
                     if once.foreign > 0 {
                         if let Some(m) = meter {
                             m.note_hostile(HostileCause::ForeignRecords);
@@ -458,9 +430,6 @@ impl DnsClient {
                         message: once.message,
                         elapsed: elapsed + once.cost.elapsed,
                         attempts,
-                        bytes_sent: u64::from(attempts) * wire_len,
-                        bytes_received,
-                        used_tcp: once.cost.used_tcp,
                         retries: retry,
                     }));
                     break;
@@ -469,7 +438,7 @@ impl DnsClient {
                     elapsed += once.cost.elapsed;
                     attempts += once.cost.attempts;
                     bytes_received += once.cost.bytes_received;
-                    tcp_fallbacks += u64::from(once.cost.used_tcp);
+                    tcp_fallbacks += u32::from(once.cost.used_tcp);
                     kind = once.kind;
                     // No server will appear mid-scan: don't retry.
                     if once.kind == ClientErrorKind::Unreachable {
@@ -477,8 +446,6 @@ impl DnsClient {
                             kind: once.kind,
                             elapsed,
                             attempts,
-                            bytes_sent: u64::from(attempts) * wire_len,
-                            bytes_received,
                             retries: retry,
                         }));
                         break;
@@ -490,8 +457,6 @@ impl DnsClient {
             kind,
             elapsed,
             attempts,
-            bytes_sent: u64::from(attempts) * wire_len,
-            bytes_received,
             retries: self.retry.retries,
         }));
         if let (Some(m), Err(e)) = (meter, &outcome) {
@@ -500,11 +465,13 @@ impl DnsClient {
             }
         }
         if let Some(m) = meter {
-            m.record(IoCounters {
-                datagrams: u64::from(attempts),
-                bytes_sent: u64::from(attempts) * wire_len,
-                bytes_received,
-                tcp_fallbacks,
+            // Every attempt re-sends the same payload, the TCP fallback's
+            // included.
+            m.tally(|s| {
+                s.datagrams += attempts;
+                s.bytes_sent += attempts * wire_len;
+                s.bytes_received += bytes_received;
+                s.tcp_fallbacks += tcp_fallbacks;
             });
         }
         outcome
@@ -571,7 +538,7 @@ impl DnsClient {
         cost.elapsed += elapsed;
         cost.attempts += attempts;
         let reply = sent.map_err(|f| kind_of(f.error))?.reply;
-        cost.bytes_received += reply.len() as u64;
+        cost.bytes_received += reply.len() as u32;
         let mut message = Message::from_bytes(&reply).map_err(|_| ClientErrorKind::Malformed)?;
         let foreign = accept_reply(query, &mut message).map_err(|()| ClientErrorKind::Rejected)?;
         Ok((message, foreign))
@@ -613,7 +580,7 @@ fn accept_reply(query: &Message, reply: &mut Message) -> Result<u32, ()> {
 struct OnceCost {
     elapsed: SimMicros,
     attempts: u32,
-    bytes_received: u64,
+    bytes_received: u32,
     used_tcp: bool,
 }
 
@@ -686,14 +653,23 @@ mod tests {
         (net, addr)
     }
 
+    /// The wire length of a query for (qname, qtype): every attempt,
+    /// UDP or TCP, re-sends this many bytes.
+    fn query_len(qname: &Name, qtype: RecordType) -> u64 {
+        Message::query(0, qname.clone(), qtype, true)
+            .to_bytes()
+            .len() as u64
+    }
+
     #[test]
     fn simple_query() {
         let (net, addr) = setup();
-        let c = DnsClient::new(net);
+        let c = DnsClient::new(Arc::clone(&net));
         let ex = c
             .query(addr, &name!("www.t.test"), RecordType::A, true)
             .unwrap();
-        assert!(!ex.used_tcp);
+        // One datagram: no TCP fallback followed.
+        assert_eq!(net.stats().snapshot().queries, 1);
         assert_eq!(ex.retries, 0);
         assert_eq!(ex.message.answers_of(RecordType::A).len(), 1);
         assert!(ex.elapsed > 0);
@@ -702,11 +678,12 @@ mod tests {
     #[test]
     fn truncation_falls_back_to_tcp() {
         let (net, addr) = setup();
-        let c = DnsClient::new(net);
+        let c = DnsClient::new(Arc::clone(&net));
         let ex = c
             .query(addr, &name!("t.test"), RecordType::Txt, true)
             .unwrap();
-        assert!(ex.used_tcp);
+        // The truncated UDP reply, then the TCP one.
+        assert_eq!(net.stats().snapshot().replies, 2);
         assert_eq!(ex.message.answers_of(RecordType::Txt).len(), 15);
         assert!(ex.attempts >= 2);
     }
@@ -854,17 +831,22 @@ mod tests {
                 true,
             )
             .unwrap();
-        assert!(ex.used_tcp);
         assert!(ex.attempts >= 2);
         let io = meter.io();
         assert_eq!(io.datagrams, u64::from(ex.attempts));
         assert_eq!(io.tcp_fallbacks, 1);
-        assert_eq!(io.bytes_sent, ex.bytes_sent);
-        assert_eq!(io.bytes_received, ex.bytes_received);
+        assert_eq!(
+            io.bytes_sent,
+            u64::from(ex.attempts) * query_len(&name!("t.test"), RecordType::Txt)
+        );
+        // The TXT payloads alone are 15 × 180 bytes: the TCP reply was
+        // counted, not only the truncated UDP one.
+        assert!(io.bytes_received > 15 * 180, "{io:?}");
         // Exact conservation: the client-side meter equals the wire-level
         // totals the network itself recorded — nothing double-counted,
         // nothing escaped.
         let snap = net.stats().snapshot();
+        assert_eq!(snap.replies, 2, "the truncated UDP reply, then the TCP one");
         assert_eq!(io.datagrams, snap.queries);
         assert_eq!(io.bytes_sent, snap.bytes_sent);
         assert_eq!(io.bytes_received, snap.bytes_received);
@@ -890,7 +872,10 @@ mod tests {
         assert_eq!(err.kind, ClientErrorKind::Timeout);
         let io = meter.io();
         assert_eq!(io.datagrams, u64::from(err.attempts));
-        assert_eq!(io.bytes_sent, err.bytes_sent);
+        assert_eq!(
+            io.bytes_sent,
+            u64::from(err.attempts) * query_len(&name!("www.t.test"), RecordType::A)
+        );
         assert_eq!(io.bytes_received, 0);
         let snap = net.stats().snapshot();
         assert_eq!(io.datagrams, snap.queries);

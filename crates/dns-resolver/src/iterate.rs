@@ -56,7 +56,7 @@
 use crate::cache::ProvenanceCache;
 use crate::cachelog::ReferralData;
 use crate::client::{ClientErrorKind, DnsClient, QueryMeter};
-use crate::hostile::HostileCause;
+use crate::hostile::{HostileCause, ScanError};
 use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
 use dns_wire::rdata::{DsData, RData};
@@ -591,7 +591,7 @@ impl Resolver {
         let addrs = Arc::new(addrs);
         if !complete {
             if let Some(m) = meter {
-                m.failed_lookups.set(m.failed_lookups.get() + 1);
+                m.tally(|s| s.record(ScanError::ResolutionFailed));
             }
             return Ok(addrs);
         }

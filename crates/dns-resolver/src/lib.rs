@@ -9,6 +9,8 @@
 //!   the full delegation chain recorded ([`ChainLink`] per zone cut).
 //! * [`ProvenanceCache`] — the one cache type behind everything the walk
 //!   learns: striped, provenance-tagged, expiring in virtual time.
+//! * [`RetryStats`] — a zone's one counter record: its [`QueryMeter`]
+//!   holds it, and the client, the walk and the scanner count into it.
 //! * [`validate`] — RFC 4035 chain validation over the recorded chain:
 //!   trust anchor → DS → DNSKEY → RRSIG, producing
 //!   [`Security::Secure`] / [`Security::Insecure`] / [`Security::Bogus`] /
@@ -28,6 +30,6 @@ pub use cachelog::{CacheLog, ReferralData};
 pub use client::{
     ClientError, ClientErrorKind, DnsClient, Exchange, IoCounters, QueryMeter, RetryPolicy,
 };
-pub use hostile::{HostileCause, HostileTally};
+pub use hostile::{HostileCause, RetryStats, ScanError};
 pub use iterate::{ChainLink, Resolution, Resolver, ResolverError, RootHints, CACHE_TTL_MICROS};
 pub use validate::{validate_resolution, Security};
