@@ -10,11 +10,12 @@
 //! Each event carries not just the [`ZoneScan`] but the scan's *side
 //! effects* on shared scanner state ([`ZoneEffects`] — the zone meter's
 //! own [`CacheLog`](dns_resolver::CacheLog), not a copy of it):
-//! validated-key cache inserts, resolver address-cache inserts and
-//! delegation-cache inserts. Replaying events in order therefore
-//! rebuilds the scanner's shared caches exactly, which is what makes
-//! resumption deterministic: a resumed zone scan sees the same cache
-//! hits and misses it would have seen in the uninterrupted run.
+//! validated-key cache inserts, resolver address-cache inserts,
+//! delegation-cache inserts and zone-cut probe outcomes. Replaying
+//! events in order therefore rebuilds the scanner's shared caches
+//! exactly, which is what makes resumption deterministic: a resumed
+//! zone scan sees the same cache hits and misses it would have seen in
+//! the uninterrupted run.
 
 use crate::types::ZoneScan;
 use netsim::SimMicros;

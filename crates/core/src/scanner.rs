@@ -20,9 +20,9 @@ use crate::types::*;
 use dns_crypto::UnixTime;
 use dns_resolver::validate::{ds_link_verifies, self_signed_dnskeys, verified_dnskeys};
 use dns_resolver::{
-    ChainLink, ClientErrorKind, DnsClient, HostileCause, ProvenanceCache, QueryMeter, ReferralData,
-    Resolution, Resolver, ResolverError, RetryPolicy, RetryStats, RootHints, ScanError,
-    CACHE_TTL_MICROS,
+    ChainLink, ClientErrorKind, CutOutcome, DnsClient, HostileCause, ProvenanceCache, QueryMeter,
+    ReferralData, Resolution, Resolver, ResolverError, RetryPolicy, RetryStats, RootHints,
+    ScanError, CACHE_TTL_MICROS,
 };
 use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
@@ -182,6 +182,13 @@ pub struct Scanner {
     /// it is not logged in the zone's `CacheLog`. Only successes are
     /// stored.
     ds_verdicts: ProvenanceCache<DsVerdict>,
+    /// Zone-cut probe outcomes per signal-path label above the
+    /// zone-specific `<zone>._signal.<ns>`: every zone with that NS host
+    /// and parent suffix asks the same labels. An entry is read only by
+    /// a probe answered by the apex it was cached under, and only
+    /// NOERROR and NXDOMAIN answers are kept (a failure may be
+    /// transient). Inserts are logged, like the key cache's.
+    cut_cache: ProvenanceCache<CutOutcome>,
     seed: u64,
 }
 
@@ -229,6 +236,7 @@ impl Scanner {
             now,
             key_cache: ProvenanceCache::at_or_below(),
             ds_verdicts: ProvenanceCache::at_or_below(),
+            cut_cache: ProvenanceCache::at_or_below(),
             seed: 0xb007,
         }
     }
@@ -926,7 +934,11 @@ impl Scanner {
         true
     }
 
-    /// Probe for NS RRsets between the zone apex and the signal name.
+    /// Probe for NS RRsets between the zone apex and the signal name,
+    /// deepest label first. The zone-specific label `<zone>._signal.<ns>`
+    /// is always asked; every label above it is answered from
+    /// `cut_cache` when an earlier probe through the same apex cached
+    /// it.
     fn detect_zone_cut(
         &self,
         probe: &mut Probe,
@@ -934,26 +946,64 @@ impl Scanner {
         signame: &Name,
         servers: &[Addr],
     ) -> bool {
-        let mut cursor = signame.parent();
+        let zone_label = signame.parent();
+        let mut cursor = zone_label.clone();
         while let Some(p) = cursor {
             if !p.is_strict_subdomain_of(zone_apex) {
                 break;
             }
-            for &addr in servers {
-                if let Some(msg) = self.query(probe, addr, &p, RecordType::Ns) {
-                    if msg.rcode() == Rcode::NoError {
-                        let has_ns = msg
-                            .answers
-                            .iter()
-                            .any(|r| r.rtype() == RecordType::Ns && r.name == p);
-                        if has_ns {
-                            return true;
-                        }
-                    }
-                    break;
-                }
+            let shared = zone_label.as_ref() != Some(&p);
+            let cached = if shared {
+                self.cut_cache.lookup(&p, probe.clock)
+            } else {
+                None
+            };
+            let has_ns = match cached.filter(|c| c.apex == *zone_apex) {
+                Some(c) => c.has_ns,
+                None => self.ask_zone_cut(probe, zone_apex, &p, servers, shared),
+            };
+            if has_ns {
+                return true;
             }
             cursor = p.parent();
+        }
+        false
+    }
+
+    /// Ask `servers` in turn for NS at `label`; the first reply decides.
+    /// A `shared` label's NOERROR or NXDOMAIN outcome is cached under
+    /// `zone_apex` and logged to the zone's meter.
+    fn ask_zone_cut(
+        &self,
+        probe: &mut Probe,
+        zone_apex: &Name,
+        label: &Name,
+        servers: &[Addr],
+        shared: bool,
+    ) -> bool {
+        for &addr in servers {
+            let Some(msg) = self.query(probe, addr, label, RecordType::Ns) else {
+                continue;
+            };
+            let has_ns = msg.rcode() == Rcode::NoError
+                && msg
+                    .answers
+                    .iter()
+                    .any(|r| r.rtype() == RecordType::Ns && r.name == *label);
+            if shared && matches!(msg.rcode(), Rcode::NoError | Rcode::NxDomain) {
+                let outcome = CutOutcome {
+                    apex: zone_apex.clone(),
+                    has_ns,
+                };
+                self.cut_cache.insert_tagged(
+                    label.clone(),
+                    outcome.clone(),
+                    zone_apex.clone(),
+                    probe.clock.saturating_add(CACHE_TTL_MICROS),
+                );
+                probe.meter.log_cut_insert(label.clone(), outcome);
+            }
+            return has_ns;
         }
         false
     }
@@ -1140,10 +1190,10 @@ impl Scanner {
     /// Seed the shared caches with one zone event's inserts, in the
     /// order the scan made them, each valid until `expires_at` on this
     /// scanner's virtual clock. The one walk over key / address /
-    /// referral inserts: journal replay (`Recovery::apply_to`) and epoch
-    /// carry-over (`CarryLedger::seed_into`) differ only in the expiry
-    /// they pass. Every cache entry shares the effects' `Arc` — nothing
-    /// is deep-cloned per seed.
+    /// referral / zone-cut inserts: journal replay (`Recovery::apply_to`)
+    /// and epoch carry-over (`CarryLedger::seed_into`) differ only in the
+    /// expiry they pass. Every cache entry shares the effects' `Arc`s and
+    /// name buffers — nothing is deep-cloned per seed.
     pub fn seed_effects(&self, effects: &ZoneEffects, expires_at: SimMicros) {
         for (zone, keys) in &effects.key_inserts {
             self.key_cache
@@ -1156,6 +1206,14 @@ impl Scanner {
         for (cut, data) in &effects.referral_inserts {
             self.resolver
                 .seed_referral(cut.clone(), Arc::clone(data), None, expires_at);
+        }
+        for (label, outcome) in &effects.cut_inserts {
+            self.cut_cache.insert_tagged(
+                label.clone(),
+                outcome.clone(),
+                outcome.apex.clone(),
+                expires_at,
+            );
         }
     }
 

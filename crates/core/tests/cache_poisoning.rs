@@ -1,11 +1,13 @@
 //! Cache-poisoning regression suite (DESIGN.md §6c).
 //!
-//! All three shared caches in the scanner stack are provenance-tagged:
-//! the scanner's DNSKEY cache, the resolver's NS-address cache, and the
-//! resolver's delegation cache. An entry may only be consulted for
-//! owners *inside* its provenance (for referral data: cuts strictly
-//! below it). These tests plant poisoned entries directly through the
-//! test hooks and prove they are dead weight: lookups ignore them,
+//! All four shared caches in the scanner stack are provenance-tagged:
+//! the scanner's DNSKEY and zone-cut probe caches, the resolver's
+//! NS-address cache, and the resolver's delegation cache. An entry may
+//! only be consulted for owners *inside* its provenance (for referral
+//! data: cuts strictly below it; for a zone-cut probe outcome: by a
+//! probe answered by that very apex). These tests plant poisoned
+//! entries directly through the test hooks and prove they are dead
+//! weight: lookups ignore them,
 //! evidence is re-fetched from the network, and classifications match an
 //! unpoisoned scan bit for bit. The scanner's memo of verified DS links
 //! is keyed on the identity of the referral and the parent key set, not
@@ -18,7 +20,7 @@
 )]
 mod scenario;
 
-use bootscan::{DnssecClass, ReferralData, Scanner};
+use bootscan::{CutOutcome, DnssecClass, ReferralData, Scanner, ZoneEffects};
 use dns_wire::name::Name;
 use dns_wire::record::RecordType;
 use netsim::{Addr, SimMicros};
@@ -205,4 +207,51 @@ fn verified_ds_links_are_reused_only_for_the_same_referral_and_keys() {
         DnssecClass::Invalid,
         "{zone}: a verified referral kept its verdict under other parent keys"
     );
+}
+
+#[test]
+fn zone_cut_outcomes_are_served_only_through_the_apex_that_answered() {
+    let point = Point::named("secured-signal");
+    let zone = point.zone.clone();
+    let clean = point.scanner().scan_all(std::slice::from_ref(&zone));
+    let baseline = &clean.zones[0];
+    assert!(
+        !baseline.signal_observations[0].zone_cut,
+        "{zone}: baseline"
+    );
+
+    // An NS answer at every shared label of the zone's signal path, as a
+    // `zzadv` server claiming each label as the apex of a zone of its own
+    // would leave it: in bailiwick, but cached under another apex than
+    // `op1.test`, which answers this zone's signal name.
+    let (apex, labels) = point.shared_cut_labels();
+    assert!(!labels.is_empty(), "{zone}: shared labels");
+    let planted = |apex_of: &dyn Fn(&Name) -> Name| ZoneEffects {
+        cut_inserts: labels
+            .iter()
+            .map(|l| {
+                let outcome = CutOutcome {
+                    apex: apex_of(l),
+                    has_ns: true,
+                };
+                (l.clone(), outcome)
+            })
+            .collect(),
+        ..ZoneEffects::default()
+    };
+    let scanner = point.scanner();
+    scanner.seed_effects(&planted(&|l| l.clone()), SimMicros::MAX);
+    let poisoned = scanner.scan_all(std::slice::from_ref(&zone));
+    assert_eq!(
+        baseline, &poisoned.zones[0],
+        "{zone}: a zone-cut outcome cached under another apex was served"
+    );
+
+    // The control: the same outcomes cached under the answering apex
+    // are served — the probe reads a cut and asks fewer questions.
+    let scanner = point.scanner();
+    scanner.seed_effects(&planted(&|_| apex.clone()), SimMicros::MAX);
+    let served = &scanner.scan_all(std::slice::from_ref(&zone)).zones[0];
+    assert!(served.signal_observations[0].zone_cut, "{zone}: control");
+    assert!(served.queries < baseline.queries, "{zone}: control");
 }

@@ -14,7 +14,7 @@
 )]
 mod scenario;
 
-use bootscan::ReferralData;
+use bootscan::{CutOutcome, ReferralData, ZoneEffects};
 use dns_wire::name::Name;
 use netsim::Addr;
 use scenario::Point;
@@ -128,6 +128,42 @@ fn expired_referral_entries_are_rewalked() {
     assert_eq!(
         baseline, &rescanned.zones[0],
         "{zone}: an expired delegation-cache entry was consulted"
+    );
+    assert!(!rescanned.zones[0].degraded);
+}
+
+#[test]
+fn expired_zone_cut_outcomes_are_reasked() {
+    let point = Point::named("secured-signal");
+    let zone = point.zone.clone();
+
+    let clean = point.scanner().scan_all(std::slice::from_ref(&zone));
+    let baseline = &clean.zones[0];
+
+    // An NS answer at every shared label of the zone's signal path,
+    // cached under the apex that does answer, expired: consulted, it
+    // would report a zone cut; expired, every label must be asked again.
+    let (apex, labels) = point.shared_cut_labels();
+    let planted = ZoneEffects {
+        cut_inserts: labels
+            .into_iter()
+            .map(|l| {
+                let outcome = CutOutcome {
+                    apex: apex.clone(),
+                    has_ns: true,
+                };
+                (l, outcome)
+            })
+            .collect(),
+        ..ZoneEffects::default()
+    };
+    let scanner = point.scanner();
+    scanner.seed_effects(&planted, 0);
+
+    let rescanned = scanner.scan_all(std::slice::from_ref(&zone));
+    assert_eq!(
+        baseline, &rescanned.zones[0],
+        "{zone}: an expired zone-cut probe outcome was consulted"
     );
     assert!(!rescanned.zones[0].degraded);
 }

@@ -1,12 +1,18 @@
-//! Scanner behaviour tests: sampling policy, key caching, CSYNC probes,
-//! per-zone I/O accounting — the §3 scan mechanics, isolated.
+//! Scanner behaviour tests: sampling policy, key and zone-cut probe
+//! caching, CSYNC probes, per-zone I/O accounting — the §3 scan
+//! mechanics, isolated.
 
 use bootscan::scanner::DEFAULT_ZONE_QUERY_BUDGET;
 use bootscan::{RetryStats, ScanPolicy, ScanResults, Scanner};
 use dns_ecosystem::spec::{CategoryCounts, EcosystemConfig};
 use dns_ecosystem::{build, Ecosystem};
+use dns_server::AuthServer;
+use dns_wire::message::Message;
+use dns_wire::record::RecordType;
 use dns_wire::Name;
-use netsim::FaultPlan;
+use dns_zone::signal::signal_name;
+use netsim::{Addr, FaultPlan, ServerHandler, ServerResponse, SimMicros, Transport};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 fn scanner_with(eco: &Ecosystem, policy: ScanPolicy) -> Arc<Scanner> {
@@ -124,6 +130,154 @@ fn key_cache_amortises_tld_validation() {
         "first={} second={}",
         first.queries,
         second.queries
+    );
+}
+
+/// An operator host's server with a tally in front: NS queries for each
+/// of the names it was built with are counted, then answered as usual.
+struct NsTally {
+    inner: AuthServer,
+    asked: Arc<Vec<(Name, AtomicU32)>>,
+}
+
+impl ServerHandler for NsTally {
+    fn handle(&self, q: &[u8], dst: Addr, t: Transport, b: u32, now: SimMicros) -> ServerResponse {
+        if let Ok(msg) = Message::from_bytes(q) {
+            if let Some(q) = msg.questions.first().filter(|q| q.rtype == RecordType::Ns) {
+                if let Some((_, n)) = self.asked.iter().find(|(name, _)| *name == q.name) {
+                    n.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        self.inner.handle(q, dst, t, b, now)
+    }
+}
+
+/// The labels a zone-cut probe walks for `zone` under NS `host`: from
+/// the zone-specific `<zone>._signal.<host>` up to, not including, the
+/// operator base zone that answers for the signal name.
+fn signal_path_labels(eco: &Ecosystem, zone: &Name, host: &Name) -> Vec<Name> {
+    let base = eco.psl.registrable_part(host).expect("operator base");
+    let zone_label = signal_name(zone, host).unwrap().parent();
+    std::iter::successors(zone_label, Name::parent)
+        .take_while(|l| l.is_strict_subdomain_of(&base))
+        .collect()
+}
+
+/// Every label above the zone-specific one on a signal path is shared by
+/// the zones with that NS host and parent suffix: the first zone's probe
+/// asks it, the second's reads the cached outcome, and a warm re-scan
+/// asks none of them. The zone-specific label is asked on every scan.
+#[test]
+fn zones_sharing_an_ns_host_and_suffix_ask_each_shared_cut_label_once() {
+    let cfg = EcosystemConfig::tiny(11);
+    // Two undegraded zones of one operator under one suffix, with the
+    // same NS set and a signal probe under every NS.
+    let survey = build(cfg.clone());
+    let scans =
+        scanner_with(&survey, ScanPolicy::default()).scan_all(&survey.seeds.compile(&survey.psl));
+    let single_operator = |z: &bootscan::ZoneScan| {
+        survey
+            .operators
+            .iter()
+            .position(|o| z.ns_names.iter().all(|n| o.hosts.contains(n)))
+    };
+    let eligible: Vec<&bootscan::ZoneScan> = scans
+        .zones
+        .iter()
+        .filter(|z| !z.degraded && !z.ns_names.is_empty() && single_operator(z).is_some())
+        .filter(|z| {
+            z.signal_observations
+                .iter()
+                .all(|s| !s.zone_cut && !s.name_unbuildable)
+        })
+        .collect();
+    let (a, b) = eligible
+        .iter()
+        .enumerate()
+        .find_map(|(i, a)| {
+            let b = eligible[i + 1..]
+                .iter()
+                .find(|b| b.ns_names == a.ns_names && b.name.parent() == a.name.parent())?;
+            Some((*a, *b))
+        })
+        .expect("two zones sharing an NS set and a suffix");
+    let op = single_operator(a).unwrap();
+    let ns_names = a.ns_names.clone();
+    let (a, b) = (a.name.clone(), b.name.clone());
+    drop(eligible);
+    drop(scans);
+
+    let (mut specific, mut shared) = (Vec::new(), Vec::new());
+    for ns in ns_names.iter() {
+        for zone in [&a, &b] {
+            let labels = signal_path_labels(&survey, zone, ns);
+            specific.push((zone.clone(), labels[0].clone()));
+            for l in &labels[1..] {
+                if !shared.contains(l) {
+                    shared.push(l.clone());
+                }
+            }
+        }
+    }
+    assert!(!shared.is_empty(), "{a}: the signal path has shared labels");
+    drop(survey);
+
+    // A fresh world whose operator hosts tally the NS questions.
+    let eco = build(cfg);
+    let names = specific.iter().map(|(_, l)| l).chain(&shared);
+    let asked: Arc<Vec<(Name, AtomicU32)>> =
+        Arc::new(names.map(|l| (l.clone(), AtomicU32::new(0))).collect());
+    for (store, addrs) in eco.operator_stores[op]
+        .iter()
+        .zip(&eco.operators[op].host_addrs)
+    {
+        let sid = eco.net.register(NsTally {
+            inner: AuthServer::new(Arc::clone(store)),
+            asked: Arc::clone(&asked),
+        });
+        for &addr in addrs {
+            eco.net.bind_simple(addr, sid);
+        }
+    }
+    let count = |label: &Name| {
+        let (_, n) = asked.iter().find(|(l, _)| l == label).unwrap();
+        n.load(Ordering::Relaxed)
+    };
+    let totals = || {
+        (
+            shared.iter().map(count).collect::<Vec<_>>(),
+            specific.iter().map(|(_, l)| count(l)).collect::<Vec<_>>(),
+        )
+    };
+
+    let scanner = scanner_with(&eco, ScanPolicy::default());
+    scanner.scan_zone(&a);
+    let (after_a, specific_a) = totals();
+    assert!(
+        after_a.iter().all(|&n| n > 0),
+        "{a}: shared labels asked {after_a:?}"
+    );
+    scanner.scan_zone(&b);
+    let (after_b, specific_b) = totals();
+    assert_eq!(after_b, after_a, "{b}: asked a label {a} already asked");
+    for (i, (zone, label)) in specific.iter().enumerate() {
+        let asked_by_b = specific_b[i] - specific_a[i];
+        let expected = if *zone == b {
+            asked_by_b > 0
+        } else {
+            asked_by_b == 0
+        };
+        assert!(expected, "{b}: asked {label} {asked_by_b} times");
+    }
+    for zone in [&a, &b] {
+        scanner.scan_zone(zone);
+    }
+    let (warm, specific_warm) = totals();
+    assert_eq!(warm, after_a, "a warm re-scan asked a shared label");
+    assert!(
+        specific_warm.iter().zip(&specific_b).all(|(w, c)| w > c),
+        "a warm re-scan still asks every zone-specific label"
     );
 }
 

@@ -835,6 +835,20 @@ impl Point {
     pub fn scanner(&self) -> Arc<Scanner> {
         self.world.scanner(1)
     }
+
+    /// The operator base zone that answers for the signal name under
+    /// the point's first NS host, and the zone-cut probe labels above
+    /// the zone-specific one on that path: the labels every zone with
+    /// this NS host under `test` shares.
+    pub fn shared_cut_labels(&self) -> (Name, Vec<Name>) {
+        let host = &self.hosts[0].0;
+        let base = host.parent().unwrap();
+        let zone_label = signal_name(&self.zone, host).unwrap().parent().unwrap();
+        let labels = std::iter::successors(zone_label.parent(), Name::parent)
+            .take_while(|l| l.is_strict_subdomain_of(&base))
+            .collect();
+        (base, labels)
+    }
 }
 
 /// Keys that sign nothing, for planting in the scanner's key cache.

@@ -1,16 +1,18 @@
 //! Per-meter cache-effect log: every insert made into a shared cache
 //! while working under a [`QueryMeter`] — the resolver's address and
-//! delegation caches, the scanner's validated-key cache — is recorded
-//! here, attributed to exactly the zone whose meter paid for the queries
-//! that produced it. The scanner takes the log when it seals a zone and
-//! hands it, as is, to the crash-recovery journal (`bootscan` re-exports
-//! [`CacheLog`] as `ZoneEffects`), so a resumed scan can replay the exact
-//! cache state the uninterrupted run would have seen — even when several
-//! lanes share the caches and inserts interleave. The log itself belongs
-//! to one meter, hence to one lane: appending takes no lock.
+//! delegation caches, the scanner's validated-key and zone-cut probe
+//! caches — is recorded here, attributed to exactly the zone whose meter
+//! paid for the queries that produced it. The scanner takes the log when
+//! it seals a zone and hands it, as is, to the crash-recovery journal
+//! (`bootscan` re-exports [`CacheLog`] as `ZoneEffects`), so a resumed
+//! scan can replay the exact cache state the uninterrupted run would
+//! have seen — even when several lanes share the caches and inserts
+//! interleave. The log itself belongs to one meter, hence to one lane:
+//! appending takes no lock.
 //!
-//! Entries hold the same `Arc`s the caches hold, so logging an insert
-//! and seeding it back both cost a pointer bump, never a deep clone.
+//! Entries hold the same `Arc`s (and, for zone-cut outcomes, the same
+//! name buffers) the caches hold, so logging an insert and seeding it
+//! back both cost a pointer bump, never a deep clone.
 //!
 //! [`QueryMeter`]: crate::client::QueryMeter
 
@@ -41,6 +43,18 @@ pub struct ReferralData {
     pub parent_servers: Vec<Addr>,
 }
 
+/// One zone-cut probe outcome: which zone answered the NS question at a
+/// label on a signal path, and whether it served an NS RRset there. The
+/// label is the cache key; `apex` is also the entry's provenance, and a
+/// probe answered by any other apex never reads the entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CutOutcome {
+    /// Apex of the zone whose server answered.
+    pub apex: Name,
+    /// The answer held an NS RRset owned by the label.
+    pub has_ns: bool,
+}
+
 /// Cache inserts performed under one meter — one zone scan's side
 /// effects on shared scanner state — each list in insertion order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -52,4 +66,6 @@ pub struct CacheLog {
     /// Delegation cache: zone cut → referral data learned from its
     /// parent.
     pub referral_inserts: Vec<(Name, Arc<ReferralData>)>,
+    /// Zone-cut probe cache: signal-path label → probe outcome.
+    pub cut_inserts: Vec<(Name, CutOutcome)>,
 }

@@ -19,7 +19,7 @@
     clippy::indexing_slicing
 )]
 
-use crate::cachelog::{CacheLog, ReferralData};
+use crate::cachelog::{CacheLog, CutOutcome, ReferralData};
 use crate::hostile::{HostileCause, RetryStats};
 use dns_wire::message::Message;
 use dns_wire::name::Name;
@@ -264,6 +264,14 @@ impl QueryMeter {
             .borrow_mut()
             .referral_inserts
             .push((cut, data));
+    }
+
+    /// Record a zone-cut probe cache insert made on this meter's behalf.
+    pub fn log_cut_insert(&self, label: Name, outcome: CutOutcome) {
+        self.cache_log
+            .borrow_mut()
+            .cut_inserts
+            .push((label, outcome));
     }
 
     /// Take the cache-insert log accumulated so far, leaving it empty.

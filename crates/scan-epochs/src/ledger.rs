@@ -34,7 +34,10 @@ struct CarriedEntry {
 
 /// Cache inserts in one event's effects.
 fn insert_count(effects: &ZoneEffects) -> usize {
-    effects.key_inserts.len() + effects.addr_inserts.len() + effects.referral_inserts.len()
+    effects.key_inserts.len()
+        + effects.addr_inserts.len()
+        + effects.referral_inserts.len()
+        + effects.cut_inserts.len()
 }
 
 /// Cache inserts carried across epochs, in journal order, each stamped
@@ -110,6 +113,7 @@ impl CarryLedger {
             e.inserts.key_inserts.retain(|(n, _)| live(n));
             e.inserts.addr_inserts.retain(|(n, _)| live(n));
             e.inserts.referral_inserts.retain(|(n, _)| live(n));
+            e.inserts.cut_inserts.retain(|(n, _)| live(n));
             insert_count(&e.inserts) > 0
         });
     }
@@ -145,7 +149,7 @@ impl CarryLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_resolver::ReferralData;
+    use dns_resolver::{CutOutcome, ReferralData};
     use std::sync::Arc;
 
     fn name(s: &str) -> Name {
@@ -165,10 +169,16 @@ mod tests {
             child_servers: Vec::new(),
             parent_servers: Vec::new(),
         };
+        let label = zone.prepend_label(b"_signal").unwrap();
+        let outcome = CutOutcome {
+            apex: zone.clone(),
+            has_ns: false,
+        };
         ZoneEffects {
             key_inserts: vec![(zone.clone(), Arc::default())],
             addr_inserts: Vec::new(),
             referral_inserts: vec![(zone.clone(), Arc::new(referral))],
+            cut_inserts: vec![(label, outcome)],
         }
     }
 
@@ -178,11 +188,11 @@ mod tests {
         ledger.absorb(0, &name("a.example"), &effects("a.example"));
         ledger.absorb(0, &name("sub.a.example"), &effects("sub.a.example"));
         ledger.absorb(0, &name("b.example"), &effects("b.example"));
-        assert_eq!(ledger.len(), 6);
+        assert_eq!(ledger.len(), 9);
         ledger.invalidate(&[name("a.example")]);
-        assert_eq!(ledger.len(), 2, "a.example and its subdomain dropped");
+        assert_eq!(ledger.len(), 3, "a.example and its subdomain dropped");
         ledger.invalidate(&[]);
-        assert_eq!(ledger.len(), 2);
+        assert_eq!(ledger.len(), 3);
     }
 
     /// The ancestor walk keeps the plain rule — a name dies when it is at
@@ -244,7 +254,7 @@ mod tests {
         // exactly zero validity left — expired, pruned; epoch-1 entries
         // have half a TTL left.
         ledger.prune_expired(2 * spacing, ttl, spacing);
-        assert_eq!(ledger.len(), 2);
+        assert_eq!(ledger.len(), 3);
         ledger.prune_expired(3 * spacing, ttl, spacing);
         assert_eq!(ledger.len(), 0);
     }
@@ -274,7 +284,7 @@ mod tests {
                     .filter(|e| e.source == source)
                     .map(|e| insert_count(&e.inserts))
                     .sum();
-                assert_eq!(here, if k == home { 2 } else { 0 }, "{s} in shard {k}");
+                assert_eq!(here, if k == home { 3 } else { 0 }, "{s} in shard {k}");
             }
         }
         // Within a partition, absorption order is preserved.

@@ -16,7 +16,7 @@ use bootscan::types::{
     AbClass, CannotReason, CdsClass, CdsSeen, DnssecClass, NsObservation, SignalObservation,
     SignalViolation, ZoneScan,
 };
-use bootscan::{ReferralData, RetryStats, ZoneEffects, ZoneEvent};
+use bootscan::{CutOutcome, ReferralData, RetryStats, ZoneEffects, ZoneEvent};
 use dns_wire::name::Name;
 use dns_wire::rdata::{DnskeyData, DsData, RrsigData};
 use netsim::Addr;
@@ -356,6 +356,12 @@ impl Enc<'_> {
         for (cut, data) in &e.referral_inserts {
             self.name(cut);
             self.referral(data);
+        }
+        self.u32(e.cut_inserts.len() as u32);
+        for (label, outcome) in &e.cut_inserts {
+            self.name(label);
+            self.name(&outcome.apex);
+            self.boolean(outcome.has_ns);
         }
     }
 }
@@ -738,6 +744,14 @@ impl<'a> Dec<'a> {
             let cut = self.name()?;
             e.referral_inserts.push((cut, Arc::new(self.referral()?)));
         }
+        e.cut_inserts = self.list(|d| {
+            let label = d.name()?;
+            let outcome = CutOutcome {
+                apex: d.name()?,
+                has_ns: d.boolean()?,
+            };
+            Ok((label, outcome))
+        })?;
         Ok(e)
     }
 }
@@ -909,6 +923,22 @@ pub(crate) mod tests {
                         }),
                     ),
                 ],
+                cut_inserts: vec![
+                    (
+                        name!("example._signal.ns2.example"),
+                        CutOutcome {
+                            apex: name!("example"),
+                            has_ns: false,
+                        },
+                    ),
+                    (
+                        name!("_signal.ns2.example"),
+                        CutOutcome {
+                            apex: name!("_signal.ns2.example"),
+                            has_ns: true,
+                        },
+                    ),
+                ],
             },
         }
     }
@@ -921,20 +951,20 @@ pub(crate) mod tests {
         assert_eq!(event, back);
     }
 
-    /// The format-v4 bytes of [`rich_event`], pinned: a round trip
+    /// The format-v5 bytes of [`rich_event`], pinned: a round trip
     /// passes whatever order the encoder and decoder agree on, so a
     /// field-order slip (in `retry_stats` above all) only shows here.
     /// Any change to this payload needs a new `FORMAT_VERSION`.
     #[test]
     fn rich_event_bytes_are_pinned() {
-        let golden: String = include_str!("testdata/rich_event_v4.hex")
+        let golden: String = include_str!("testdata/rich_event_v5.hex")
             .split_whitespace()
             .collect();
         let hex: String = encode_event(&rich_event())
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect();
-        assert_eq!(crate::journal::FORMAT_VERSION, 4);
+        assert_eq!(crate::journal::FORMAT_VERSION, 5);
         assert_eq!(hex, golden);
     }
 
@@ -988,6 +1018,10 @@ pub(crate) mod tests {
         ));
         assert!(one_name(&scan.name, &effects.key_inserts[0].0));
         assert!(one_name(&scan.name, &effects.referral_inserts[0].0));
+        assert!(one_name(
+            &effects.referral_inserts[0].1.parent_apex,
+            &effects.cut_inserts[0].1.apex
+        ));
         assert!(Arc::ptr_eq(&first.dnskeys, &second.dnskeys));
         assert!(Arc::ptr_eq(&first.dnskeys, &effects.key_inserts[0].1));
         assert!(Arc::ptr_eq(&first.cds, &second.cds));

@@ -59,7 +59,8 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"BSJ1";
 /// v3: `ZoneEffects` grew delegation-cache inserts (`referral_inserts`),
 ///     replayed on resume alongside the address-cache inserts.
 /// v4: `ZoneEffects` lost its per-address health deltas (nothing read them).
-pub const FORMAT_VERSION: u16 = 4;
+/// v5: `ZoneEffects` grew zone-cut probe inserts (`cut_inserts`).
+pub const FORMAT_VERSION: u16 = 5;
 /// Default journal file name inside a run directory.
 pub const JOURNAL_FILE: &str = "journal.bsj";
 

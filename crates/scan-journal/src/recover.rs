@@ -15,7 +15,8 @@
 //!   — the latest kept result per completed zone plus the virtual time
 //!   already accounted for;
 //! * [`Recovery::apply_to`] replays every event's side effects
-//!   (validated-key, address and delegation cache inserts) into a
+//!   (validated-key, address, delegation and zone-cut probe cache
+//!   inserts) into a
 //!   fresh [`Scanner`] in journal order, so resumed zone scans see
 //!   exactly the shared-cache state the uninterrupted run would have
 //!   had at that point.

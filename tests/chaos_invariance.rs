@@ -12,14 +12,24 @@ mod common;
 use bootscan::report;
 use bootscan::{DnssecClass, ScanPolicy, ScanResults, Scanner};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
-use netsim::FaultPlan;
+use netsim::{FaultKind, FaultPlan, FaultScope, FaultSpec, Window};
 
 /// Build the tiny world, arm the standard chaos profile on every bound
 /// address, and scan it with the default (retry + rescan) policy.
 fn scan_under_chaos(world_seed: u64, chaos_seed: u64) -> (Ecosystem, ScanResults) {
+    scan_under_plan(world_seed, |eco| {
+        FaultPlan::standard_chaos(chaos_seed, &eco.net.bound_addrs())
+    })
+}
+
+/// Build the tiny world, arm the fault plan `plan` draws for it, and
+/// scan it with the default policy.
+fn scan_under_plan(
+    world_seed: u64,
+    plan: impl FnOnce(&Ecosystem) -> FaultPlan,
+) -> (Ecosystem, ScanResults) {
     let eco = build(EcosystemConfig::tiny(world_seed));
-    let plan = FaultPlan::standard_chaos(chaos_seed, &eco.net.bound_addrs());
-    eco.net.set_faults(plan);
+    eco.net.set_faults(plan(&eco));
     let scanner = Scanner::for_ecosystem(&eco, ScanPolicy::default());
     let seeds = eco.seeds.compile(&eco.psl);
     let results = scanner.scan_all(&seeds);
@@ -69,7 +79,19 @@ fn chaos_scan_recovers_planted_truth_within_tolerance() {
 
 #[test]
 fn chaos_casualties_carry_failure_evidence() {
-    let (_eco, results) = scan_under_chaos(42, 0xc4a0);
+    // Standard chaos alone leaves failures or retries at these seeds only
+    // by chance; one NS address that never answers makes them certain.
+    let dead = |eco: &Ecosystem| eco.operators[0].host_addrs[0][0];
+    let (eco, results) = scan_under_plan(42, |eco| {
+        FaultPlan::standard_chaos(0xc4a0, &eco.net.bound_addrs()).with(FaultSpec {
+            scope: FaultScope::to_addr(dead(eco)),
+            window: Window::Always,
+            kind: FaultKind::BlackHole,
+        })
+    });
+    let dead = dead(&eco);
+    let sent = eco.net.stats().snapshot().per_dest.get(&dead).copied();
+    assert!(sent.unwrap_or(0) > 0, "the scan never queried {dead:?}");
     // Chaos at these rates must leave *some* visible trace in the stats
     // (otherwise the taxonomy is not being threaded through).
     let total_failures: u32 = results.zones.iter().map(|z| z.retry_stats.failures).sum();

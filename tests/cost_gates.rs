@@ -10,7 +10,9 @@
 //! than 20 %. A failure prints the full current map: to re-baseline
 //! after an intended change, paste it over the baseline file.
 
-use bootscan::{Identified, ProgressSink, ReferralData, ScanPolicy, Scanner, ZoneEvent, ZoneScan};
+use bootscan::{
+    CutOutcome, Identified, ProgressSink, ReferralData, ScanPolicy, Scanner, ZoneEvent, ZoneScan,
+};
 use dns_ecosystem::{
     apply_churn, build, ChurnAction, ChurnConfig, ChurnPlan, Ecosystem, EcosystemConfig,
 };
@@ -773,6 +775,7 @@ struct CacheLogSink {
     keys: RefCell<HashMap<Name, Arc<Vec<DnskeyData>>>>,
     addrs: RefCell<HashMap<Name, Arc<Vec<Addr>>>>,
     referrals: RefCell<HashMap<Name, Arc<ReferralData>>>,
+    cuts: RefCell<HashMap<Name, CutOutcome>>,
 }
 
 impl ProgressSink for CacheLogSink {
@@ -785,14 +788,17 @@ impl ProgressSink for CacheLogSink {
         self.referrals
             .borrow_mut()
             .extend(e.referral_inserts.iter().cloned());
+        self.cuts.borrow_mut().extend(e.cut_inserts.iter().cloned());
         true
     }
 }
 
 impl CacheLogSink {
     /// Bytes per cache: one entry (key name, provenance name, value `Arc`
-    /// and expiry) per name plus the value's heap at its capacity.
-    fn bytes(&self) -> [(&'static str, usize); 3] {
+    /// and expiry) per name plus the value's heap at its capacity. A
+    /// zone-cut entry holds its value inline, and its label's buffer is
+    /// its own (no zone or scan shares a signal-path label).
+    fn bytes(&self) -> [(&'static str, usize); 4] {
         use std::mem::size_of;
         let entry = 2 * size_of::<Name>() + size_of::<Arc<()>>() + size_of::<u64>();
         let arc = 16;
@@ -831,10 +837,18 @@ impl CacheLogSink {
                     + (r.child_servers.capacity() + r.parent_servers.capacity()) * size_of::<Addr>()
             })
             .sum();
+        let cut_entry = 2 * size_of::<Name>() + size_of::<CutOutcome>() + size_of::<u64>();
+        let cut_bytes = self
+            .cuts
+            .borrow()
+            .keys()
+            .map(|label| cut_entry + 16 + label.wire_len())
+            .sum();
         [
             ("validated keys", key_bytes),
             ("addresses", addr_bytes),
             ("referrals", referral_bytes),
+            ("zone-cut probes", cut_bytes),
         ]
     }
 }
