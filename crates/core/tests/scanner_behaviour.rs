@@ -205,8 +205,6 @@ fn zones_sharing_an_ns_host_and_suffix_ask_each_shared_cut_label_once() {
     let op = single_operator(a).unwrap();
     let ns_names = a.ns_names.clone();
     let (a, b) = (a.name.clone(), b.name.clone());
-    drop(eligible);
-    drop(scans);
 
     let (mut specific, mut shared) = (Vec::new(), Vec::new());
     for ns in ns_names.iter() {
@@ -221,7 +219,6 @@ fn zones_sharing_an_ns_host_and_suffix_ask_each_shared_cut_label_once() {
         }
     }
     assert!(!shared.is_empty(), "{a}: the signal path has shared labels");
-    drop(survey);
 
     // A fresh world whose operator hosts tally the NS questions.
     let eco = build(cfg);
