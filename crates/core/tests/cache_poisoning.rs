@@ -6,10 +6,10 @@
 //! only be consulted for owners *inside* its provenance (for referral
 //! data: cuts strictly below it; for a zone-cut probe outcome: by a
 //! probe answered by that very apex). These tests plant poisoned
-//! entries directly through the test hooks and prove they are dead
-//! weight: lookups ignore them,
-//! evidence is re-fetched from the network, and classifications match an
-//! unpoisoned scan bit for bit. The scanner's memo of verified DS links
+//! entries directly through the test hooks (or, for zone-cut outcomes,
+//! let a `zzadv` server leave one) and prove they are dead weight:
+//! lookups ignore them, evidence is re-fetched from the network, and
+//! classifications match an unpoisoned scan bit for bit. The scanner's memo of verified DS links
 //! is keyed on the identity of the referral and the parent key set, not
 //! on names: the last test plants in-bailiwick entries that differ from
 //! a verified link in exactly one of the two.
@@ -20,10 +20,13 @@
 )]
 mod scenario;
 
-use bootscan::{CutOutcome, DnssecClass, ReferralData, Scanner, ZoneEffects};
+use bootscan::{DnssecClass, ReferralData, Scanner};
+use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
+use dns_wire::rdata::RData;
+use dns_wire::record::Record;
 use dns_wire::record::RecordType;
-use netsim::{Addr, SimMicros};
+use netsim::{Addr, ServerHandler, ServerResponse, SimMicros, Transport};
 use scenario::Point;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -209,49 +212,95 @@ fn verified_ds_links_are_reused_only_for_the_same_referral_and_keys() {
     );
 }
 
+/// A `zzadv` server claiming a zone: it answers every question
+/// authoritatively and empty, except NS at `label`, which it says is a
+/// zone cut.
+struct NsAt {
+    label: Name,
+}
+
+impl ServerHandler for NsAt {
+    fn handle(&self, q: &[u8], _: Addr, _: Transport, _: u32, _: SimMicros) -> ServerResponse {
+        let Ok(query) = Message::from_bytes(q) else {
+            return ServerResponse::Drop;
+        };
+        let mut reply = Message::response_to(&query, Rcode::NoError);
+        reply.header.flags.authoritative = true;
+        let asked = query.questions.first();
+        if asked.is_some_and(|q| q.name == self.label && q.rtype == RecordType::Ns) {
+            let target = Name::parse("ns.zzadv").unwrap();
+            let ns = Record::new(self.label.clone(), 300, RData::Ns(target));
+            reply.answers.push(ns);
+        }
+        ServerResponse::Reply(reply.to_bytes())
+    }
+}
+
 #[test]
 fn zone_cut_outcomes_are_served_only_through_the_apex_that_answered() {
-    let point = Point::named("secured-signal");
+    let point = Point::named("secured");
     let zone = point.zone.clone();
-    let clean = point.scanner().scan_all(std::slice::from_ref(&zone));
-    let baseline = &clean.zones[0];
+    let scan = |scanner: &Scanner| scanner.scan_all(std::slice::from_ref(&zone)).zones[0].clone();
+    let baseline = scan(&point.scanner()).evidence();
     assert!(
         !baseline.signal_observations[0].zone_cut,
         "{zone}: baseline"
     );
 
-    // An NS answer at every shared label of the zone's signal path, as a
-    // `zzadv` server claiming each label as the apex of a zone of its own
-    // would leave it: in bailiwick, but cached under another apex than
-    // `op1.test`, which answers this zone's signal name.
-    let (apex, labels) = point.shared_cut_labels();
-    assert!(!labels.is_empty(), "{zone}: shared labels");
-    let planted = |apex_of: &dyn Fn(&Name) -> Name| ZoneEffects {
-        cut_inserts: labels
-            .iter()
-            .map(|l| {
-                let outcome = CutOutcome {
-                    apex: apex_of(l),
-                    has_ns: true,
-                };
-                (l.clone(), outcome)
-            })
-            .collect(),
-        ..ZoneEffects::default()
+    // The zone's signal path under its NS host: `op1.test` answers it,
+    // and the shared label `test._signal.<host>` sits below
+    // `_signal.<host>`, which a `zzadv` server claims as its own zone.
+    let (base, labels) = point.shared_cut_labels();
+    let (shared, signal_apex) = (labels[0].clone(), labels[1].clone());
+    let adversary = Addr::V4(Ipv4Addr::new(10, 200, 0, 99));
+    let net = &point.world.net;
+    net.bind_simple(
+        adversary,
+        net.register(NsAt {
+            label: shared.clone(),
+        }),
+    );
+    let delegate = |scanner: &Scanner, expires_at| {
+        let referral = ReferralData {
+            parent_apex: base.clone(),
+            ns_names: vec![Name::parse("ns.zzadv").unwrap()],
+            ds: None,
+            ds_rrsigs: vec![],
+            child_servers: vec![adversary],
+            parent_servers: vec![],
+        };
+        let (cut, referral) = (signal_apex.clone(), Arc::new(referral));
+        scanner
+            .resolver()
+            .seed_referral(cut, referral, None, expires_at);
     };
+
+    // A warm scan caches the walk down to `op1.test` and the shared
+    // labels' outcomes under it, so a referral planted below it is
+    // followed: the zzadv server then answers the signal name, its probe
+    // must ask the shared label rather than read `op1.test`'s outcome,
+    // and the NS it hears is cached under `_signal.<host>`.
     let scanner = point.scanner();
-    scanner.seed_effects(&planted(&|l| l.clone()), SimMicros::MAX);
-    let poisoned = scanner.scan_all(std::slice::from_ref(&zone));
-    assert_eq!(
-        baseline, &poisoned.zones[0],
-        "{zone}: a zone-cut outcome cached under another apex was served"
+    assert_eq!(scan(&scanner).evidence(), baseline, "{zone}: warm scan");
+    delegate(&scanner, SimMicros::MAX);
+    assert!(
+        scan(&scanner).signal_observations[0].zone_cut,
+        "{zone}: an outcome cached under op1.test was served to the zzadv zone's probe"
     );
 
-    // The control: the same outcomes cached under the answering apex
-    // are served — the probe reads a cut and asks fewer questions.
-    let scanner = point.scanner();
-    scanner.seed_effects(&planted(&|_| apex.clone()), SimMicros::MAX);
-    let served = &scanner.scan_all(std::slice::from_ref(&zone)).zones[0];
-    assert!(served.signal_observations[0].zone_cut, "{zone}: control");
-    assert!(served.queries < baseline.queries, "{zone}: control");
+    // With the referral gone, `op1.test` answers again, and the outcome
+    // cached under `_signal.<host>` must not be served to its probe.
+    delegate(&scanner, 0);
+    let sent = |net: &netsim::Network| net.stats().snapshot().per_dest[&adversary];
+    let before = sent(net);
+    assert_eq!(
+        scan(&scanner).evidence(),
+        baseline,
+        "{zone}: a zone-cut outcome cached under another apex was served"
+    );
+    assert_eq!(
+        sent(net),
+        before,
+        "{zone}: the zzadv server was asked again"
+    );
 }
