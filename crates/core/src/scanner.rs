@@ -615,7 +615,7 @@ impl Scanner {
         if no_evidence && stats.degraded() {
             dnssec = DnssecClass::Indeterminate;
         }
-        let cds = classify::cds_class(&observations, zone_keys.as_deref(), dnssec);
+        let cds = classify::cds_class_at(zone, &observations, zone_keys.as_deref(), dnssec);
         let ab = classify::ab_class(dnssec, cds, &signal_observations, &observations);
         let operator = self.table.identify(&ns_names);
 
@@ -751,7 +751,7 @@ impl Scanner {
                     for r in &msg.answers {
                         match &r.rdata {
                             RData::Cds(d) => {
-                                cds.push(CdsSeen::from_ds(d));
+                                cds.push(CdsSeen::Cds(d.clone()));
                                 cds_rdatas.push(r.rdata.clone());
                             }
                             RData::Cdnskey(k) => {
@@ -866,7 +866,7 @@ impl Scanner {
         probe.queries += res.queries;
         for r in &res.answers {
             match &r.rdata {
-                RData::Cds(d) => cds.push(CdsSeen::from_ds(d)),
+                RData::Cds(d) => cds.push(CdsSeen::Cds(d.clone())),
                 RData::Cdnskey(k) => cds.push(CdsSeen::from_dnskey(k)),
                 _ => {}
             }

@@ -1,5 +1,6 @@
 //! Observation and classification types produced by the scanner.
 
+use dns_resolver::validate::DsForm;
 use dns_resolver::RetryStats;
 use dns_wire::name::Name;
 use dns_wire::rdata::{DnskeyData, DsData};
@@ -10,12 +11,7 @@ use std::sync::Arc;
 /// to a comparable form.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CdsSeen {
-    Cds {
-        key_tag: u16,
-        algorithm: u8,
-        digest_type: u8,
-        digest: Vec<u8>,
-    },
+    Cds(DsData),
     Cdnskey {
         flags: u16,
         algorithm: u8,
@@ -24,15 +20,6 @@ pub enum CdsSeen {
 }
 
 impl CdsSeen {
-    pub fn from_ds(d: &DsData) -> Self {
-        CdsSeen::Cds {
-            key_tag: d.key_tag,
-            algorithm: d.algorithm,
-            digest_type: d.digest_type,
-            digest: d.digest.clone(),
-        }
-    }
-
     pub fn from_dnskey(k: &DnskeyData) -> Self {
         CdsSeen::Cdnskey {
             flags: k.flags,
@@ -41,10 +28,27 @@ impl CdsSeen {
         }
     }
 
+    /// The record as [`ds_matches_key`](dns_resolver::validate::ds_matches_key)
+    /// reads it.
+    pub fn form(&self) -> DsForm<'_> {
+        match self {
+            CdsSeen::Cds(ds) => DsForm::Ds(ds),
+            CdsSeen::Cdnskey {
+                flags,
+                algorithm,
+                public_key,
+            } => DsForm::Cdnskey {
+                flags: *flags,
+                algorithm: *algorithm,
+                public_key,
+            },
+        }
+    }
+
     /// RFC 8078 deletion sentinel?
     pub fn is_delete(&self) -> bool {
         match self {
-            CdsSeen::Cds { algorithm, .. } => *algorithm == 0,
+            CdsSeen::Cds(ds) => ds.algorithm == 0,
             CdsSeen::Cdnskey { algorithm, .. } => *algorithm == 0,
         }
     }
@@ -279,22 +283,17 @@ mod tests {
     }
 
     fn seen(tag: u16) -> CdsSeen {
-        CdsSeen::Cds {
+        CdsSeen::Cds(DsData {
             key_tag: tag,
             algorithm: 13,
             digest_type: 2,
             digest: vec![tag as u8; 4],
-        }
+        })
     }
 
     #[test]
     fn delete_detection() {
-        let d = CdsSeen::Cds {
-            key_tag: 0,
-            algorithm: 0,
-            digest_type: 0,
-            digest: vec![0],
-        };
+        let d = CdsSeen::Cds(DsData::delete_sentinel());
         assert!(d.is_delete());
         assert!(!seen(7).is_delete());
         let k = CdsSeen::Cdnskey {

@@ -2,17 +2,23 @@
 //! the scenario space is served over netsim, scanned by the real
 //! `Scanner`, and its three classes compared with `rfc_oracle`, which
 //! derives them from the RFCs alone. The release build walks the whole
-//! space (≤ 2 NS, ≤ 2 operators); an unoptimised build walks its
-//! one-NS part. The named points replace the classifier's hand-made
-//! observation fixtures.
+//! space (≤ 2 NS, ≤ 2 operators) and checks its symmetry reduction
+//! against the mirrored configs; an unoptimised build walks its one-NS
+//! part. The named points replace the classifier's hand-made observation
+//! fixtures.
 
 #[expect(dead_code, reason = "the helpers for the other suites' named points")]
 mod scenario;
 
 use bootscan::scanner::DEFAULT_ZONE_QUERY_BUDGET;
-use bootscan::{AbClass, CannotReason, CdsClass, DnssecClass, SignalViolation, ZoneScan};
+use bootscan::types::{NsObservation, SignalObservation};
+use bootscan::{
+    AbClass, CannotReason, CdsClass, DnssecClass, Identified, SignalViolation, ZoneScan,
+};
+use dns_wire::name::Name;
+use netsim::Addr;
 use scenario::oracle::rfc_oracle;
-use scenario::{enumerate, named, zone_name, CdsSet, Config, Point, World};
+use scenario::{enumerate, hosts, named, zone_name, Config, Point, World};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 type Classes = (DnssecClass, CdsClass, AbClass);
@@ -24,16 +30,96 @@ const BATCH: usize = 2048;
 /// over the tier, and this many more over its flaky configs.
 const ISOLATION_SAMPLE: (usize, usize) = (50, 20);
 
-/// The one rule the classifier knowingly gets wrong: `cds_class` matches
-/// a CDS to a DNSKEY by key tag and algorithm, so a CDS with a wrong
-/// digest reads as valid (RFC 4034 §5.1.4 and RFC 4035 §5.2 match by
-/// digest; ROADMAP 6(b) carries the fix).
-fn expected_disagreement(c: &Config, want: &Classes) -> bool {
-    want.1 == CdsClass::MismatchesDnskey && c.ns.iter().any(|n| n.cds == CdsSet::WrongDigest)
-}
+/// The release tier mirrors the configs whose index this divides; all of
+/// them would double its time (DESIGN.md §5a).
+const MIRROR_EVERY: usize = 2;
 
 fn classes(z: &ZoneScan) -> Classes {
     (z.dnssec, z.cds, z.ab)
+}
+
+/// `z`'s evidence with its NS hostnames and addresses renamed (those
+/// `names` and `addrs` leave out stay), and its lists in NS order sorted
+/// (a multi-operator zone's operators among them): the evidence up to NS
+/// order.
+fn up_to_ns_order(
+    z: &ZoneScan,
+    names: &HashMap<Name, Name>,
+    addrs: &HashMap<Addr, Addr>,
+) -> ZoneScan {
+    let name = |n: &Name| names.get(n).unwrap_or(n).clone();
+    let mut ns_names: Vec<Name> = z.ns_names.iter().map(name).collect();
+    ns_names.sort();
+    let mut observations: Vec<NsObservation> = z
+        .ns_observations
+        .iter()
+        .map(|o| NsObservation {
+            ns_name: name(&o.ns_name),
+            addr: *addrs.get(&o.addr).unwrap_or(&o.addr),
+            ..o.clone()
+        })
+        .collect();
+    observations.sort_by(|a, b| (&a.ns_name, a.addr).cmp(&(&b.ns_name, b.addr)));
+    let mut signals: Vec<SignalObservation> = z
+        .signal_observations
+        .iter()
+        .map(|s| SignalObservation {
+            ns_name: name(&s.ns_name),
+            ..s.clone()
+        })
+        .collect();
+    signals.sort_by(|a, b| a.ns_name.cmp(&b.ns_name));
+    let operator = match &z.operator {
+        Identified::Multi(ops) => {
+            let mut ops = ops.clone();
+            ops.sort();
+            Identified::Multi(ops)
+        }
+        one => one.clone(),
+    };
+    ZoneScan {
+        operator,
+        ns_names: ns_names.into(),
+        ns_observations: observations.into(),
+        signal_observations: signals.into(),
+        ..z.evidence()
+    }
+}
+
+/// Serve the mirror of every sampled config in `batch` that has one, in
+/// one world, and assert that each mirror's evidence equals its canonical
+/// config's scan in `canonical`, up to NS order. Returns how many it
+/// checked.
+fn check_mirrors(batch: &[(usize, &Config)], canonical: &HashMap<Name, &ZoneScan>) -> usize {
+    let mirrors: Vec<(usize, Config)> = batch
+        .iter()
+        .filter(|(i, _)| i % MIRROR_EVERY == 0)
+        .filter_map(|&(i, c)| Some((i, c.mirror()?)))
+        .collect();
+    let served: Vec<(usize, &Config)> = mirrors.iter().map(|(i, m)| (*i, m)).collect();
+    let names: Vec<Name> = served.iter().map(|&(i, _)| zone_name(i)).collect();
+    let results = World::build(&served).scanner(2).scan_all(&names);
+    assert_eq!(results.zones.len(), served.len());
+    let by_name: HashMap<_, _> = served
+        .iter()
+        .map(|&(i, m)| (zone_name(i), (i, m)))
+        .collect();
+    for z in &results.zones {
+        let (index, mirror) = by_name[&z.name];
+        // The mirror's NS i is the canonical config's NS 1 - i.
+        let to = mirror.mirror().expect("a mirror mirrors back");
+        let (names, addrs): (HashMap<_, _>, HashMap<_, _>) = hosts(index, mirror)
+            .into_iter()
+            .zip(hosts(index, &to).into_iter().rev())
+            .map(|((n, a), (cn, ca))| ((n, cn), (a, ca)))
+            .unzip();
+        assert_eq!(
+            up_to_ns_order(z, &names, &addrs),
+            up_to_ns_order(canonical[&z.name], &HashMap::new(), &HashMap::new()),
+            "{mirror:?}: the mirror ≠ its canonical config"
+        );
+    }
+    served.len()
 }
 
 /// Every variant of the three classes, by name.
@@ -130,8 +216,8 @@ fn every_config_classifies_as_the_rfcs_say() {
         .collect();
 
     let mut reached: BTreeMap<String, usize> = variants().into_iter().map(|v| (v, 0)).collect();
-    let (mut disagreements, mut expected) = (Vec::new(), 0);
-    let (mut isolated, mut isolated_flaky) = (0, 0);
+    let mut disagreements = Vec::new();
+    let (mut isolated, mut isolated_flaky, mut mirrored) = (0, 0, 0);
     // Logical queries per zone: in the shared world, and cold (alone).
     let (mut max_shared, mut max_cold) = (0, 0);
     for batch in tier.chunks(BATCH) {
@@ -153,9 +239,7 @@ fn every_config_classifies_as_the_rfcs_say() {
             }
             assert_eq!(z.retry_stats.hostile_budget, 0, "{}: refused", z.name);
             max_shared = max_shared.max(u64::from(z.retry_stats.logical_queries));
-            let listed = expected_disagreement(c, &want);
-            expected += usize::from(listed);
-            if listed && got.1 != CdsClass::Valid || !listed && got != want {
+            if got != want {
                 disagreements.push(format!("{} {c:?}: scanner {got:?}, RFCs {want:?}", z.name));
             }
             if sample.contains(&index) {
@@ -169,6 +253,10 @@ fn every_config_classifies_as_the_rfcs_say() {
                 isolated += 1;
                 isolated_flaky += usize::from(is_flaky(c));
             }
+        }
+        if two_ns {
+            let canonical = results.zones.iter().map(|z| (z.name.clone(), z)).collect();
+            mirrored += check_mirrors(batch, &canonical);
         }
     }
 
@@ -191,8 +279,10 @@ fn every_config_classifies_as_the_rfcs_say() {
     }
     println!(
         "  max logical queries per zone: {max_shared} shared, {max_cold} alone \
-         (budget {DEFAULT_ZONE_QUERY_BUDGET}, no refusal); {expected} expected disagreements; \
-         {isolated} configs ({isolated_flaky} flaky) alone ≡ shared; wall {:.1} s",
+         (budget {DEFAULT_ZONE_QUERY_BUDGET}, no refusal); {isolated} configs ({isolated_flaky} \
+         flaky) alone ≡ shared; {mirrored} of the {} mirrors (1 in {MIRROR_EVERY}) ≡ canonical \
+         up to NS order; wall {:.1} s",
+        scenario::unreduced_len() - space.len(),
         started.elapsed().as_secs_f64()
     );
     for d in &disagreements {
@@ -204,10 +294,6 @@ fn every_config_classifies_as_the_rfcs_say() {
         assert_eq!(*n == 0, excused, "{variant}: reached {n} times");
     }
     assert!(
-        expected > 0,
-        "no wrong-digest config reached the classifier"
-    );
-    assert!(
         isolated >= 50 && isolated_flaky > 0,
         "{isolated} alone, {isolated_flaky} flaky"
     );
@@ -217,7 +303,7 @@ fn every_config_classifies_as_the_rfcs_say() {
 /// The classes the classifier's unit fixtures asserted, one named point
 /// each (DESIGN.md §5a maps every deleted assertion to its point), then
 /// the points of the classifier fixes the oracle found.
-fn named_classes() -> [(&'static str, Classes); 24] {
+fn named_classes() -> [(&'static str, Classes); 27] {
     use AbClass::{CannotBootstrap, NoSignal, SignalIncorrect};
     use CdsClass as C;
     use DnssecClass::{Invalid, Island, Secured, Unsigned};
@@ -286,6 +372,18 @@ fn named_classes() -> [(&'static str, Classes); 24] {
             "signal-cut-referral",
             signal_incorrect(SignalViolation::ZoneCut),
         ),
+        // A CDS read as matching by key tag and algorithm alone, and a
+        // CDNSKEY without its flags (DESIGN.md §5a, disagreement 5); a
+        // rollover's extra CDS is no mismatch (the ruling on partial sets).
+        (
+            "island-wrong-digest",
+            (Island, C::MismatchesDnskey, NoSignal),
+        ),
+        (
+            "island-cdnskey-zsk-flags",
+            (Island, C::MismatchesDnskey, NoSignal),
+        ),
+        ("island-mixed-digest", (Island, C::Valid, NoSignal)),
     ]
 }
 

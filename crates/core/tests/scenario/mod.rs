@@ -58,6 +58,11 @@ pub enum CdsSet {
     ForeignKey,
     /// A CDS with the KSK's tag and algorithm but a wrong digest.
     WrongDigest,
+    /// The KSK's CDS beside a wrong-digest one: the shape of a rollover
+    /// that pre-publishes the DS of a key not yet in the DNSKEY RRset.
+    MixedDigest,
+    /// A CDNSKEY of the KSK's public key with the ZSK's flags (256).
+    WrongFlags,
     /// CDS and CDNSKEY whose RRSIGs do not verify.
     BadRrsig,
     /// A pre-RFC 3597 server: CDS, CDNSKEY and DNSKEY queries error.
@@ -130,6 +135,7 @@ pub enum Rec {
     Cds(KeyRef),
     WrongDigestCds,
     Cdnskey(KeyRef),
+    ZskFlagsCdnskey,
     DeleteCds,
     DeleteCdnskey,
 }
@@ -147,6 +153,8 @@ impl CdsSet {
             CdsSet::Delete => vec![Rec::DeleteCds, Rec::DeleteCdnskey],
             CdsSet::ForeignKey => vec![Rec::Cds(KeyRef::Foreign), Rec::Cdnskey(KeyRef::Foreign)],
             CdsSet::WrongDigest => vec![Rec::WrongDigestCds],
+            CdsSet::MixedDigest => vec![Rec::Cds(KeyRef::Zone), Rec::WrongDigestCds],
+            CdsSet::WrongFlags => vec![Rec::ZskFlagsCdnskey],
         }
     }
 }
@@ -179,7 +187,7 @@ const ZONE_STATES: [ZoneState; 7] = [
     signed(Ds::Foreign, false),
 ];
 
-const CDS_SETS: [CdsSet; 9] = [
+const CDS_SETS: [CdsSet; 11] = [
     CdsSet::None,
     CdsSet::Cds,
     CdsSet::Cdnskey,
@@ -187,9 +195,20 @@ const CDS_SETS: [CdsSet; 9] = [
     CdsSet::Delete,
     CdsSet::ForeignKey,
     CdsSet::WrongDigest,
+    CdsSet::MixedDigest,
+    CdsSet::WrongFlags,
     CdsSet::BadRrsig,
     CdsSet::Legacy,
 ];
+
+/// The sets that differ from `Cds` and `Cdnskey` in key correspondence
+/// alone. They take a sibling NS with no signal or a secure copy only:
+/// the other bailiwicks and signal states meet them through the second
+/// NS, and enumerating them under every value would add 42 % to the
+/// space for no rule it does not already reach.
+fn correspondence_only(cds: CdsSet) -> bool {
+    matches!(cds, CdsSet::MixedDigest | CdsSet::WrongFlags)
+}
 
 const SIGNALS: [Signal; 7] = [
     Signal::Absent,
@@ -209,6 +228,12 @@ fn ns_values() -> Vec<Ns> {
     let mut out = Vec::new();
     for bailiwick in [Bailiwick::In, Bailiwick::Sibling, Bailiwick::Out] {
         for cds in CDS_SETS {
+            if correspondence_only(cds) {
+                if bailiwick == Bailiwick::Sibling {
+                    out.extend([Signal::Absent, SECURE].map(|signal| ns(bailiwick, cds, signal)));
+                }
+                continue;
+            }
             for signal in SIGNALS {
                 if bailiwick == Bailiwick::In && signal != Signal::Absent {
                     continue;
@@ -270,6 +295,22 @@ fn config(zone: ZoneState, mut ns: Vec<Ns>) -> Config {
     Config { zone, ns }
 }
 
+impl Config {
+    /// The member of the config's NS-permutation class that [`enumerate`]
+    /// leaves out: its two NSes swapped, when they differ. Served as the
+    /// same zone with the same keys, the second NS then takes the first
+    /// hostname, address and probe turn.
+    pub fn mirror(&self) -> Option<Config> {
+        match self.ns[..] {
+            [a, b] if a != b => Some(Config {
+                zone: self.zone,
+                ns: vec![b, a],
+            }),
+            _ => None,
+        }
+    }
+}
+
 const ISLAND: ZoneState = signed(Ds::Absent, true);
 const SECURED: ZoneState = signed(Ds::Matching, true);
 const SECURE: Signal = Signal::Copy(SignalZone::Secure);
@@ -298,6 +339,9 @@ pub fn named(name: &str) -> Config {
         "island-delete" => config(ISLAND, vec![sib(C::Delete, Absent)]),
         "island-bad-rrsig" => config(ISLAND, vec![sib(C::BadRrsig, Absent)]),
         "island-foreign-cds" => config(ISLAND, vec![sib(C::ForeignKey, Absent)]),
+        "island-wrong-digest" => config(ISLAND, vec![sib(C::WrongDigest, Absent)]),
+        "island-mixed-digest" => config(ISLAND, vec![sib(C::MixedDigest, Absent)]),
+        "island-cdnskey-zsk-flags" => config(ISLAND, vec![sib(C::WrongFlags, Absent)]),
         "unsigned-cds" => config(ZoneState::Unsigned, vec![sib(C::Cds, Absent)]),
         "secured-signal" => config(SECURED, vec![sib(C::Cds, SECURE)]),
         "island-delete-signal" => config(ISLAND, vec![sib(C::Delete, SECURE)]),
@@ -412,6 +456,15 @@ const BASES: [&str; 4] = ["op1.test", "op1u.test", "op2.net", "op2u.net"];
 /// zones, as `cuts.<base>`.
 const CUT_SERVER: usize = 4;
 
+/// The NS hostnames of config `index`, in NS order, each with the
+/// address that answers for the zone under it.
+pub fn hosts(index: usize, c: &Config) -> Vec<(Name, Addr)> {
+    servers(index, c)
+        .into_iter()
+        .map(|(h, s)| (h, s.addr()))
+        .collect()
+}
+
 /// The NS hostnames of config `index`, each with the server that
 /// answers for the zone under it.
 fn servers(index: usize, c: &Config) -> Vec<(Name, Server)> {
@@ -464,6 +517,10 @@ fn rdata(rec: Rec, apex: &Name, zone: &ZoneKeys, foreign: &ZoneKeys) -> RData {
             RData::Cds(ds)
         }
         Rec::Cdnskey(k) => RData::Cdnskey(cdnskey(of(k))),
+        Rec::ZskFlagsCdnskey => RData::Cdnskey(DnskeyData {
+            flags: 256,
+            ..cdnskey(zone)
+        }),
         Rec::DeleteCds => RData::Cds(DsData::delete_sentinel()),
         Rec::DeleteCdnskey => RData::Cdnskey(DnskeyData::delete_sentinel()),
     }
@@ -823,10 +880,7 @@ impl Point {
     pub fn at(index: usize, config: Config) -> Point {
         Point {
             zone: zone_name(index),
-            hosts: servers(index, &config)
-                .into_iter()
-                .map(|(h, s)| (h, s.addr()))
-                .collect(),
+            hosts: hosts(index, &config),
             world: World::build(&[(index, &config)]),
             config,
         }

@@ -93,12 +93,16 @@ fn cds(c: &Config, dnssec: DnssecClass) -> CdsClass {
     {
         return CdsClass::BadSignature;
     }
-    // RFC 7344 §3: each CDS is the DS of one of the child's DNSKEYs,
-    // matched by its digest (RFC 4034 §5.1.4, RFC 4035 §5.2); each
-    // CDNSKEY is one of them.
+    // RFC 7344 §3: a CDS is the DS of one of the child's DNSKEYs, matched
+    // by its digest (RFC 4034 §5.1.4, RFC 4035 §5.2); a CDNSKEY is one of
+    // them, flags included, since the DS built from it digests them. RFC
+    // 7344 §4.1 (Continuity) asks only that the DS set the parent builds
+    // not break the delegation, and RFC 4035 §5.2 needs one DS naming a
+    // DNSKEY for that: a set that pre-publishes a future key's DS
+    // (RFC 6781 §4.1.2) is sound while some record names a key.
     let matches_a_dnskey =
         |r: &Rec| matches!(r, Rec::Cds(KeyRef::Zone) | Rec::Cdnskey(KeyRef::Zone));
-    if !union.iter().all(matches_a_dnskey) {
+    if !union.iter().any(matches_a_dnskey) {
         return CdsClass::MismatchesDnskey;
     }
     CdsClass::Valid

@@ -128,7 +128,9 @@ pub fn verified_dnskeys(
     now: UnixTime,
 ) -> Option<Vec<DnskeyData>> {
     let keys = self_signed_dnskeys(reply, zone, now)?;
-    let anchored = keys.iter().any(|k| key_matches_any_ds(zone, k, ds));
+    let anchored = keys
+        .iter()
+        .any(|k| ds.iter().any(|d| ds_matches_key(zone, DsForm::Ds(d), k)));
     anchored.then_some(keys)
 }
 
@@ -181,25 +183,52 @@ pub fn ds_link_verifies(link: &ChainLink, parent_keys: &[DnskeyData], now: UnixT
     verify_rrset_with_keys(&set, &link.ds_rrsigs, parent_keys, now).is_ok()
 }
 
-/// Does `key` (at `zone`) match any DS in `ds_list`?
-fn key_matches_any_ds(zone: &Name, key: &DnskeyData, ds_list: &[DsData]) -> bool {
-    let tag = dns_crypto::key_tag(key.flags, key.protocol, key.algorithm, &key.public_key);
-    let mut rdata = Vec::with_capacity(4 + key.public_key.len());
-    rdata.extend_from_slice(&key.flags.to_be_bytes());
-    rdata.push(key.protocol);
-    rdata.push(key.algorithm);
-    rdata.extend_from_slice(&key.public_key);
-    ds_list.iter().any(|ds| {
-        ds.key_tag == tag
-            && ds.algorithm == key.algorithm
-            && ds_digest(
+/// A record that names one DNSKEY: a DS or CDS by the key's digest, or a
+/// CDNSKEY by the key's own fields (RFC 7344 §3).
+#[derive(Debug, Clone, Copy)]
+pub enum DsForm<'a> {
+    Ds(&'a DsData),
+    Cdnskey {
+        flags: u16,
+        algorithm: u8,
+        public_key: &'a [u8],
+    },
+}
+
+/// Does `ds` name `key`, a DNSKEY at `owner`? The one rule for a parent
+/// DS and a child's CDS or CDNSKEY alike. A digest matches by key tag and
+/// algorithm first, so a record of another key is never hashed, then by
+/// the digest of `owner ‖ DNSKEY RDATA` (RFC 4034 §5.1.4, RFC 4035 §5.2).
+/// A CDNSKEY matches the key with its flags, algorithm and public key: the
+/// DS a parent builds from it digests the flags too, so one that differs
+/// there names no DNSKEY.
+pub fn ds_matches_key(owner: &Name, ds: DsForm<'_>, key: &DnskeyData) -> bool {
+    match ds {
+        DsForm::Cdnskey {
+            flags,
+            algorithm,
+            public_key,
+        } => key.flags == flags && key.algorithm == algorithm && key.public_key == public_key,
+        DsForm::Ds(ds) => {
+            if key.algorithm != ds.algorithm
+                || dns_crypto::key_tag(key.flags, key.protocol, key.algorithm, &key.public_key)
+                    != ds.key_tag
+            {
+                return false;
+            }
+            let mut rdata = Vec::with_capacity(4 + key.public_key.len());
+            rdata.extend_from_slice(&key.flags.to_be_bytes());
+            rdata.push(key.protocol);
+            rdata.push(key.algorithm);
+            rdata.extend_from_slice(&key.public_key);
+            ds_digest(
                 DigestType::from_code(ds.digest_type),
-                &zone.to_wire(),
+                owner.wire_bytes(),
                 &rdata,
             )
-            .map(|d| d == ds.digest)
-            .unwrap_or(false)
-    })
+            .is_some_and(|d| d == ds.digest)
+        }
+    }
 }
 
 fn query_any(
@@ -541,6 +570,32 @@ mod tests {
             assert!(Arc::ptr_eq(&cold.data, &warm.data));
             assert!(Arc::ptr_eq(&cold.data, data));
         }
+    }
+
+    #[test]
+    fn ds_matches_key_by_digest_and_by_value() {
+        let keys = ZoneKeys::generate(&mut StdRng::seed_from_u64(5), Algorithm::EcdsaP256Sha256);
+        let owner = name!("example.ch");
+        let ds = keys.ds_data(&owner, DigestType::Sha256);
+        let ksk = keys.dnskey_records(&owner, 300).remove(0);
+        let RData::Dnskey(ksk) = ksk.rdata else {
+            panic!("the KSK is the first DNSKEY");
+        };
+        assert!(ds_matches_key(&owner, DsForm::Ds(&ds), &ksk));
+        // The digest covers the owner, and a wrong digest with the right
+        // tag and algorithm names no key.
+        assert!(!ds_matches_key(&name!("other.ch"), DsForm::Ds(&ds), &ksk));
+        let mut wrong = ds.clone();
+        wrong.digest[0] ^= 0xff;
+        assert!(!ds_matches_key(&owner, DsForm::Ds(&wrong), &ksk));
+        // A CDNSKEY is the key itself, flags included.
+        let cdnskey = |flags| DsForm::Cdnskey {
+            flags,
+            algorithm: ksk.algorithm,
+            public_key: &ksk.public_key,
+        };
+        assert!(ds_matches_key(&owner, cdnskey(257), &ksk));
+        assert!(!ds_matches_key(&owner, cdnskey(256), &ksk));
     }
 
     #[test]

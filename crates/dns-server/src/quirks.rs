@@ -1,5 +1,7 @@
 //! Operator misbehaviour configuration.
 
+use dns_wire::name::Name;
+use dns_wire::record::RecordType;
 use netsim::DeterministicDraw;
 
 /// Deliberate deviations from correct server behaviour, mirroring what the
@@ -32,13 +34,24 @@ impl Quirks {
         seed: 0,
     };
 
-    /// Whether this specific (query, backend) exchange should corrupt its
-    /// signatures.
-    pub fn draw_badsig(&self, query: &[u8], backend: u32) -> bool {
+    /// Whether the answer to (`qname`, `qtype`) from `backend` should
+    /// corrupt its signatures. The draw reads the question, never the
+    /// message ID: a client numbers its IDs by what it asked before, so an
+    /// ID-keyed draw would make one zone's evidence depend on the zones
+    /// scanned ahead of it.
+    pub fn draw_badsig(&self, qname: &Name, qtype: RecordType, backend: u32) -> bool {
         if self.transient_badsig <= 0.0 {
             return false;
         }
-        DeterministicDraw::new(self.seed ^ 0x00ba_d516, &[query, &backend.to_be_bytes()]).unit()
+        DeterministicDraw::new(
+            self.seed ^ 0x00ba_d516,
+            &[
+                &qname.fnv64().to_be_bytes(),
+                &qtype.code().to_be_bytes(),
+                &backend.to_be_bytes(),
+            ],
+        )
+        .unit()
             < self.transient_badsig
     }
 }
@@ -46,12 +59,17 @@ impl Quirks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dns_wire::message::Message;
+
+    fn qname(i: u32) -> Name {
+        Name::parse(&format!("z{i}.example")).unwrap()
+    }
 
     #[test]
     fn clean_never_fails() {
         let q = Quirks::CLEAN;
-        for i in 0..100u8 {
-            assert!(!q.draw_badsig(&[i], 0));
+        for i in 0..100 {
+            assert!(!q.draw_badsig(&qname(i), RecordType::Dnskey, 0));
         }
     }
 
@@ -62,8 +80,8 @@ mod tests {
             seed: 9,
             ..Quirks::CLEAN
         };
-        let fails = (0..1000u16)
-            .filter(|i| q.draw_badsig(&i.to_be_bytes(), 0))
+        let fails = (0..1000)
+            .filter(|&i| q.draw_badsig(&qname(i), RecordType::Cds, 0))
             .count();
         assert!((200..400).contains(&fails), "{fails}");
     }
@@ -75,10 +93,32 @@ mod tests {
             seed: 3,
             ..Quirks::CLEAN
         };
-        let a = q.draw_badsig(b"query", 0);
-        assert_eq!(a, q.draw_badsig(b"query", 0));
-        // Across many queries, backends must disagree somewhere.
-        let disagree = (0..100u8).any(|i| q.draw_badsig(&[i], 0) != q.draw_badsig(&[i], 1));
-        assert!(disagree);
+        let a = q.draw_badsig(&qname(0), RecordType::Dnskey, 0);
+        assert_eq!(a, q.draw_badsig(&qname(0), RecordType::Dnskey, 0));
+        // Across many questions, backends and types must disagree somewhere.
+        let draw = |i, t, b| q.draw_badsig(&qname(i), t, b);
+        assert!((0..100).any(|i| draw(i, RecordType::Dnskey, 0) != draw(i, RecordType::Dnskey, 1)));
+        assert!((0..100).any(|i| draw(i, RecordType::Dnskey, 0) != draw(i, RecordType::Cds, 0)));
+    }
+
+    #[test]
+    fn queries_differing_only_in_id_draw_alike() {
+        let q = Quirks {
+            transient_badsig: 0.5,
+            seed: 3,
+            ..Quirks::CLEAN
+        };
+        for i in 0..100 {
+            let draws: Vec<bool> = [1, 0x1234, 0xffff]
+                .into_iter()
+                .map(|id| {
+                    let wire = Message::query(id, qname(i), RecordType::Dnskey, true).to_bytes();
+                    let parsed = Message::from_bytes(&wire).unwrap();
+                    let question = &parsed.questions[0];
+                    q.draw_badsig(&question.name, question.rtype, 0)
+                })
+                .collect();
+            assert!(draws.iter().all(|&d| d == draws[0]), "{i}: {draws:?}");
+        }
     }
 }

@@ -217,7 +217,11 @@ impl ServerHandler for AuthServer {
             // with garbage.
             return ServerResponse::Drop;
         };
-        let (bytes, flags) = if self.quirks.draw_badsig(query, backend) {
+        let badsig = parsed
+            .questions
+            .first()
+            .is_some_and(|q| self.quirks.draw_badsig(&q.name, q.rtype, backend));
+        let (bytes, flags) = if badsig {
             // The rare corrupted reply is edited in owned form.
             let mut resp = self.answer(&parsed);
             corrupt_signatures(&mut resp);

@@ -85,7 +85,7 @@ impl DnskeyData {
 }
 
 /// A DS / CDS body (RFC 4034 §5, RFC 7344 §3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DsData {
     pub key_tag: u16,
     pub algorithm: u8,

@@ -176,17 +176,12 @@ impl Enc<'_> {
     }
     fn cds_seen(&mut self, c: &CdsSeen) {
         match c {
-            CdsSeen::Cds {
-                key_tag,
-                algorithm,
-                digest_type,
-                digest,
-            } => {
+            CdsSeen::Cds(ds) => {
                 self.u8(0);
-                self.u16(*key_tag);
-                self.u8(*algorithm);
-                self.u8(*digest_type);
-                self.bytes(digest);
+                self.u16(ds.key_tag);
+                self.u8(ds.algorithm);
+                self.u8(ds.digest_type);
+                self.bytes(&ds.digest);
             }
             CdsSeen::Cdnskey {
                 flags,
@@ -582,12 +577,12 @@ impl<'a> Dec<'a> {
     }
     fn cds_seen(&mut self) -> Result<CdsSeen> {
         match self.u8()? {
-            0 => Ok(CdsSeen::Cds {
+            0 => Ok(CdsSeen::Cds(DsData {
                 key_tag: self.u16()?,
                 algorithm: self.u8()?,
                 digest_type: self.u8()?,
                 digest: self.bytes()?,
-            }),
+            })),
             1 => Ok(CdsSeen::Cdnskey {
                 flags: self.u16()?,
                 algorithm: self.u8()?,
@@ -808,12 +803,12 @@ pub(crate) mod tests {
                 cds_query_error: false,
                 dnskeys: Arc::new(vec![key.clone()]),
                 cds: [
-                    CdsSeen::Cds {
+                    CdsSeen::Cds(DsData {
                         key_tag: 4711,
                         algorithm: 13,
                         digest_type: 2,
                         digest: vec![9; 32],
-                    },
+                    }),
                     CdsSeen::Cdnskey {
                         flags: 257,
                         algorithm: 13,

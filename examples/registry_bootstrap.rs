@@ -56,17 +56,7 @@ fn main() {
             .cds_union()
             .iter()
             .filter_map(|c| match c {
-                bootscan::types::CdsSeen::Cds {
-                    key_tag,
-                    algorithm,
-                    digest_type,
-                    digest,
-                } => Some(DsData {
-                    key_tag: *key_tag,
-                    algorithm: *algorithm,
-                    digest_type: *digest_type,
-                    digest: digest.clone(),
-                }),
+                bootscan::types::CdsSeen::Cds(ds) => Some(ds.clone()),
                 _ => None,
             })
             .collect();
@@ -103,7 +93,7 @@ fn main() {
         .iter()
         .flat_map(|z| z.cds_union())
         .filter_map(|c| match c {
-            bootscan::types::CdsSeen::Cds { digest_type, .. } => Some(digest_type),
+            bootscan::types::CdsSeen::Cds(ds) => Some(ds.digest_type),
             _ => None,
         })
         .all(|dt| DigestType::from_code(dt).is_supported()));

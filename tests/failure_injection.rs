@@ -82,6 +82,54 @@ fn flaky_world_still_scans_deterministically() {
     }
 }
 
+/// SignalSoft's transient signature corruption alone, with no network
+/// fault: which replies it corrupts is a property of the world.
+fn badsig_world(seed: u64) -> Ecosystem {
+    let mut cfg = EcosystemConfig::tiny(seed);
+    for op in &mut cfg.operators {
+        if op.name == "SignalSoft" {
+            op.quirks.transient_badsig = 0.05;
+        }
+    }
+    build(cfg)
+}
+
+#[test]
+fn transient_signatures_corrupt_the_same_replies_alone_and_shared() {
+    // The draw must not depend on what else the scanner asked: a fresh
+    // scanner asking about one zone sees exactly what a shared scan saw.
+    for seed in [11, 7] {
+        let eco = badsig_world(seed);
+        let shared = scanner_of(&eco).scan_all(&eco.seeds.compile(&eco.psl));
+        let corrupted = shared
+            .zones
+            .iter()
+            .filter(|z| {
+                z.ns_observations
+                    .iter()
+                    .any(|o| o.cds_sig_valid == Some(false))
+                    || z.dnssec == DnssecClass::Invalid
+            })
+            .count();
+        assert!(corrupted > 0, "seed {seed}: no corrupted reply was seen");
+        let differ: Vec<&Name> = shared
+            .zones
+            .iter()
+            .filter(|z| {
+                let alone = scanner_of(&eco).scan_all(std::slice::from_ref(&z.name));
+                alone.zones[0].evidence() != z.evidence()
+            })
+            .map(|z| &z.name)
+            .collect();
+        assert!(
+            differ.is_empty(),
+            "seed {seed}: {} of {} zones differ alone: {differ:?}",
+            differ.len(),
+            shared.zones.len()
+        );
+    }
+}
+
 #[test]
 fn transient_failures_shift_but_do_not_crash_classification() {
     // Same seed with and without flakiness: most zones classify the same,
