@@ -19,13 +19,7 @@ fn scanner_of(eco: &Ecosystem) -> Arc<Scanner> {
 /// and 10 % of the exchanges with CleanCorp's addresses come back
 /// SERVFAIL (a network fault).
 fn flaky_world(seed: u64) -> Ecosystem {
-    let mut cfg = EcosystemConfig::tiny(seed);
-    for op in &mut cfg.operators {
-        if op.name == "SignalSoft" {
-            op.quirks.transient_badsig = 0.05;
-        }
-    }
-    let eco = build(cfg);
+    let eco = badsig_world(seed);
     let mut plan = FaultPlan::new(seed);
     for &addr in eco.operators[clean_corp(&eco)].host_addrs.iter().flatten() {
         plan = plan.with(FaultSpec {
