@@ -14,6 +14,7 @@ pub enum CdsSeen {
     Cds(DsData),
     Cdnskey {
         flags: u16,
+        protocol: u8,
         algorithm: u8,
         public_key: Vec<u8>,
     },
@@ -23,6 +24,7 @@ impl CdsSeen {
     pub fn from_dnskey(k: &DnskeyData) -> Self {
         CdsSeen::Cdnskey {
             flags: k.flags,
+            protocol: k.protocol,
             algorithm: k.algorithm,
             public_key: k.public_key.clone(),
         }
@@ -35,10 +37,12 @@ impl CdsSeen {
             CdsSeen::Cds(ds) => DsForm::Ds(ds),
             CdsSeen::Cdnskey {
                 flags,
+                protocol,
                 algorithm,
                 public_key,
             } => DsForm::Cdnskey {
                 flags: *flags,
+                protocol: *protocol,
                 algorithm: *algorithm,
                 public_key,
             },
@@ -298,6 +302,7 @@ mod tests {
         assert!(!seen(7).is_delete());
         let k = CdsSeen::Cdnskey {
             flags: 0,
+            protocol: 3,
             algorithm: 0,
             public_key: vec![0],
         };

@@ -18,7 +18,7 @@ use bootscan::{
 use dns_wire::name::Name;
 use netsim::Addr;
 use scenario::oracle::rfc_oracle;
-use scenario::{enumerate, hosts, named, zone_name, Config, Point, World};
+use scenario::{enumerate, hosts, named, zone_name, Config, Point, World, OFF_SPACE};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 type Classes = (DnssecClass, CdsClass, AbClass);
@@ -303,7 +303,7 @@ fn every_config_classifies_as_the_rfcs_say() {
 /// The classes the classifier's unit fixtures asserted, one named point
 /// each (DESIGN.md §5a maps every deleted assertion to its point), then
 /// the points of the classifier fixes the oracle found.
-fn named_classes() -> [(&'static str, Classes); 27] {
+fn named_classes() -> [(&'static str, Classes); 28] {
     use AbClass::{CannotBootstrap, NoSignal, SignalIncorrect};
     use CdsClass as C;
     use DnssecClass::{Invalid, Island, Secured, Unsigned};
@@ -373,8 +373,9 @@ fn named_classes() -> [(&'static str, Classes); 27] {
             signal_incorrect(SignalViolation::ZoneCut),
         ),
         // A CDS read as matching by key tag and algorithm alone, and a
-        // CDNSKEY without its flags (DESIGN.md §5a, disagreement 5); a
-        // rollover's extra CDS is no mismatch (the ruling on partial sets).
+        // CDNSKEY without its flags (DESIGN.md §5a, disagreement 5) or
+        // its protocol; a rollover's extra CDS is no mismatch (the ruling
+        // on partial sets).
         (
             "island-wrong-digest",
             (Island, C::MismatchesDnskey, NoSignal),
@@ -383,15 +384,20 @@ fn named_classes() -> [(&'static str, Classes); 27] {
             "island-cdnskey-zsk-flags",
             (Island, C::MismatchesDnskey, NoSignal),
         ),
+        (
+            "island-cdnskey-protocol",
+            (Island, C::MismatchesDnskey, NoSignal),
+        ),
         ("island-mixed-digest", (Island, C::Valid, NoSignal)),
     ]
 }
 
 #[test]
-fn every_named_point_is_in_the_space() {
+fn named_points_are_in_the_space_unless_off_space() {
     let space = enumerate();
     for (point, _) in named_classes() {
-        assert!(space.contains(&named(point)), "{point}");
+        let off_space = OFF_SPACE.contains(&point);
+        assert_eq!(space.contains(&named(point)), !off_space, "{point}");
     }
 }
 

@@ -63,6 +63,10 @@ pub enum CdsSet {
     MixedDigest,
     /// A CDNSKEY of the KSK's public key with the ZSK's flags (256).
     WrongFlags,
+    /// A CDNSKEY of the KSK with protocol 2. Not enumerated: it names no
+    /// key for the reason `WrongFlags` does, so it is the one point
+    /// `island-cdnskey-protocol`, outside the space.
+    WrongProtocol,
     /// CDS and CDNSKEY whose RRSIGs do not verify.
     BadRrsig,
     /// A pre-RFC 3597 server: CDS, CDNSKEY and DNSKEY queries error.
@@ -136,6 +140,7 @@ pub enum Rec {
     WrongDigestCds,
     Cdnskey(KeyRef),
     ZskFlagsCdnskey,
+    Protocol2Cdnskey,
     DeleteCds,
     DeleteCdnskey,
 }
@@ -155,6 +160,7 @@ impl CdsSet {
             CdsSet::WrongDigest => vec![Rec::WrongDigestCds],
             CdsSet::MixedDigest => vec![Rec::Cds(KeyRef::Zone), Rec::WrongDigestCds],
             CdsSet::WrongFlags => vec![Rec::ZskFlagsCdnskey],
+            CdsSet::WrongProtocol => vec![Rec::Protocol2Cdnskey],
         }
     }
 }
@@ -311,12 +317,15 @@ impl Config {
     }
 }
 
+/// The named points [`enumerate`] does not reach.
+pub const OFF_SPACE: [&str; 1] = ["island-cdnskey-protocol"];
+
 const ISLAND: ZoneState = signed(Ds::Absent, true);
 const SECURED: ZoneState = signed(Ds::Matching, true);
 const SECURE: Signal = Signal::Copy(SignalZone::Secure);
 
 /// The named points: test worlds that used to be built by hand. Each
-/// is a member of [`enumerate`].
+/// is a member of [`enumerate`], except the [`OFF_SPACE`] ones.
 pub fn named(name: &str) -> Config {
     use Bailiwick::{Out, Sibling};
     use CdsSet as C;
@@ -342,6 +351,7 @@ pub fn named(name: &str) -> Config {
         "island-wrong-digest" => config(ISLAND, vec![sib(C::WrongDigest, Absent)]),
         "island-mixed-digest" => config(ISLAND, vec![sib(C::MixedDigest, Absent)]),
         "island-cdnskey-zsk-flags" => config(ISLAND, vec![sib(C::WrongFlags, Absent)]),
+        "island-cdnskey-protocol" => config(ISLAND, vec![sib(C::WrongProtocol, Absent)]),
         "unsigned-cds" => config(ZoneState::Unsigned, vec![sib(C::Cds, Absent)]),
         "secured-signal" => config(SECURED, vec![sib(C::Cds, SECURE)]),
         "island-delete-signal" => config(ISLAND, vec![sib(C::Delete, SECURE)]),
@@ -519,6 +529,10 @@ fn rdata(rec: Rec, apex: &Name, zone: &ZoneKeys, foreign: &ZoneKeys) -> RData {
         Rec::Cdnskey(k) => RData::Cdnskey(cdnskey(of(k))),
         Rec::ZskFlagsCdnskey => RData::Cdnskey(DnskeyData {
             flags: 256,
+            ..cdnskey(zone)
+        }),
+        Rec::Protocol2Cdnskey => RData::Cdnskey(DnskeyData {
+            protocol: 2,
             ..cdnskey(zone)
         }),
         Rec::DeleteCds => RData::Cds(DsData::delete_sentinel()),
@@ -871,9 +885,17 @@ pub struct Point {
 }
 
 impl Point {
+    /// A named point, at its index in [`enumerate`]; an [`OFF_SPACE`]
+    /// one at the first index past the space, so its zone and keys are
+    /// no enumerated config's.
     pub fn named(point: &str) -> Point {
         let config = named(point);
-        let index = enumerate().iter().position(|c| *c == config).unwrap();
+        let space = enumerate();
+        let index = match space.iter().position(|c| *c == config) {
+            Some(index) => index,
+            None if OFF_SPACE.contains(&point) => space.len(),
+            None => panic!("named point {point} is outside the space"),
+        };
         Point::at(index, config)
     }
 

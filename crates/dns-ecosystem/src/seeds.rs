@@ -250,9 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_of_matches_checkpoint_bucketing() {
-        // Same FNV-1a constants and input as scan-journal's checkpoint
-        // bucketing: partition agreement is load-bearing for the fabric.
+    fn shard_of_is_fnv1a_of_the_wire_name() {
+        // FNV-1a 64 over the canonical wire name, spelled out: the
+        // fabric's shard plan and the carry ledger partition by it, so
+        // it must not drift.
         let n = Name::parse("agreement.example").unwrap();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in n.to_wire() {

@@ -190,6 +190,7 @@ pub enum DsForm<'a> {
     Ds(&'a DsData),
     Cdnskey {
         flags: u16,
+        protocol: u8,
         algorithm: u8,
         public_key: &'a [u8],
     },
@@ -199,16 +200,22 @@ pub enum DsForm<'a> {
 /// DS and a child's CDS or CDNSKEY alike. A digest matches by key tag and
 /// algorithm first, so a record of another key is never hashed, then by
 /// the digest of `owner ‖ DNSKEY RDATA` (RFC 4034 §5.1.4, RFC 4035 §5.2).
-/// A CDNSKEY matches the key with its flags, algorithm and public key: the
-/// DS a parent builds from it digests the flags too, so one that differs
-/// there names no DNSKEY.
+/// A CDNSKEY matches the key with its flags, protocol, algorithm and
+/// public key: the DS a parent builds from it digests the flags and the
+/// protocol too, so one that differs there names no DNSKEY.
 pub fn ds_matches_key(owner: &Name, ds: DsForm<'_>, key: &DnskeyData) -> bool {
     match ds {
         DsForm::Cdnskey {
             flags,
+            protocol,
             algorithm,
             public_key,
-        } => key.flags == flags && key.algorithm == algorithm && key.public_key == public_key,
+        } => {
+            key.flags == flags
+                && key.protocol == protocol
+                && key.algorithm == algorithm
+                && key.public_key == public_key
+        }
         DsForm::Ds(ds) => {
             if key.algorithm != ds.algorithm
                 || dns_crypto::key_tag(key.flags, key.protocol, key.algorithm, &key.public_key)
@@ -588,14 +595,16 @@ mod tests {
         let mut wrong = ds.clone();
         wrong.digest[0] ^= 0xff;
         assert!(!ds_matches_key(&owner, DsForm::Ds(&wrong), &ksk));
-        // A CDNSKEY is the key itself, flags included.
-        let cdnskey = |flags| DsForm::Cdnskey {
+        // A CDNSKEY is the key itself, flags and protocol included.
+        let cdnskey = |flags, protocol| DsForm::Cdnskey {
             flags,
+            protocol,
             algorithm: ksk.algorithm,
             public_key: &ksk.public_key,
         };
-        assert!(ds_matches_key(&owner, cdnskey(257), &ksk));
-        assert!(!ds_matches_key(&owner, cdnskey(256), &ksk));
+        assert!(ds_matches_key(&owner, cdnskey(257, 3), &ksk));
+        assert!(!ds_matches_key(&owner, cdnskey(256, 3), &ksk));
+        assert!(!ds_matches_key(&owner, cdnskey(257, 2), &ksk));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!   index comparison in scope): stripe i→j in one thread and j→i in
 //!   another deadlocks rarely and unreproducibly.
 //! * **L003** — a guard is held across blocking I/O: journal fsync or
-//!   group commit (`sync_data`/`sync_all`/`sync`/`write_checkpoint`).
+//!   group commit (`sync_data`/`sync_all`/`sync`).
 //!   Every other thread contending that class stalls behind a disk
 //!   flush.
 
@@ -336,8 +336,6 @@ fn is_io_sink(
             .by_name("sync")
             .iter()
             .any(|&f| files[index.fns[f].file].rel == "crates/scan-journal/src/journal.rs"),
-        // Checkpoint rewrite: a full prefix rewrite to disk.
-        "write_checkpoint" => true,
         _ => false,
     }
 }
@@ -446,7 +444,7 @@ pub fn check(files: &[SourceFile], index: &SymbolIndex, graph: &CallGraph) -> Ve
                 rule: "L003".to_string(),
                 msg: format!(
                     "guard on `{}` (line {}) held across blocking I/O `{}`{}; \
-                     fsync/group-commit/checkpoint must run after the \
+                     fsync/group-commit must run after the \
                      guard drops",
                     classes[a.class], a.line, name, via
                 ),
@@ -682,14 +680,14 @@ mod tests {
     #[test]
     fn deref_temporary_guard_dies_at_statement() {
         // `let entries = self.inner.lock().entries.clone();` binds the
-        // clone, not the guard — the checkpoint on the next line runs
+        // clone, not the guard — the fdatasync on the next line runs
         // lock-free.
         let findings = run_locks(
             "struct S { inner: Mutex<St> }\n\
              impl S {\n\
-               fn checkpoint_now(&self) {\n\
+               fn commit_now(&self, file: &File) {\n\
                  let entries = self.inner.lock().entries.clone();\n\
-                 write_checkpoint(&entries).unwrap();\n\
+                 file.sync_data().unwrap();\n\
                }\n\
              }",
         );

@@ -5,8 +5,8 @@
 //! **Sources** are the functions where unvalidated bytes enter the
 //! process: wire-message decode (netsim datagram payloads), the fabric
 //! frame decoder (kept for the benchmark's frame probe), and every
-//! journal / checkpoint / commit-marker read (disk bytes a crash or an
-//! operator may have mangled). A source function is *tainted*; taint then propagates
+//! journal / commit-marker read (disk bytes a crash or an operator may
+//! have mangled). A source function is *tainted*; taint then propagates
 //! over the approximate call graph in two directions that are
 //! deliberately not symmetric:
 //!
@@ -57,9 +57,8 @@ const SOURCES: &[(&str, &str)] = &[
     // Fabric frame decoder: off the fabric's path, kept for the frozen
     // benchmark's frame probe until ROADMAP 2(b) removes both.
     ("crates/scan-fabric/src/protocol.rs", "decode_payload"),
-    // Journal / checkpoint / commit-marker bytes read back from disk.
+    // Journal / commit-marker bytes read back from disk.
     ("crates/scan-journal/src/journal.rs", "read_journal"),
-    ("crates/scan-journal/src/checkpoint.rs", "read_checkpoint"),
     ("crates/scan-continuous/src/lib.rs", "read_commit"),
 ];
 
@@ -68,8 +67,7 @@ const SANITIZERS: &[&str] = &[
     // Response acceptance: ID/QNAME/rcode gate + bailiwick scrub.
     "accept_reply",
     // BSJ1 header and frame checksum validation, and the one frame
-    // reader built on it: a checkpoint is read through `read_journal`,
-    // so `read_checkpoint` stays a source that must keep crossing it.
+    // reader built on it.
     "crc32",
     "read_journal",
     // COMMIT-marker epoch identity check.

@@ -3,7 +3,7 @@
 
 pub fn read_sidecar(path: &Path) -> Vec<u8> {
     // bootscan-allow(T003): fixture — the sidecar is advisory telemetry,
-    // checked downstream against the checkpoint header checksum
+    // checked downstream against the journal header checksum
     match fs::read(path) {
         Ok(bytes) => bytes,
         Err(_) => Vec::new(),

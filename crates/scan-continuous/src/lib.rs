@@ -144,7 +144,8 @@ const COMMIT_FILE: &str = "COMMIT";
 
 /// Synced before the rename: a power cut that kept the rename but lost
 /// the data would leave an empty marker, which [`read_commit`] refuses
-/// forever.
+/// forever. The directory is synced after it, so a returned commit
+/// survives the cut.
 fn write_commit(dir: &Path, epoch: u32, abandoned: &BTreeSet<u32>) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     let mut body = format!("epoch {epoch}\n");

@@ -185,11 +185,13 @@ impl Enc<'_> {
             }
             CdsSeen::Cdnskey {
                 flags,
+                protocol,
                 algorithm,
                 public_key,
             } => {
                 self.u8(1);
                 self.u16(*flags);
+                self.u8(*protocol);
                 self.u8(*algorithm);
                 self.bytes(public_key);
             }
@@ -585,6 +587,7 @@ impl<'a> Dec<'a> {
             })),
             1 => Ok(CdsSeen::Cdnskey {
                 flags: self.u16()?,
+                protocol: self.u8()?,
                 algorithm: self.u8()?,
                 public_key: self.bytes()?,
             }),
@@ -811,6 +814,7 @@ pub(crate) mod tests {
                     }),
                     CdsSeen::Cdnskey {
                         flags: 257,
+                        protocol: 3,
                         algorithm: 13,
                         public_key: vec![1, 2, 3, 4, 5],
                     },
@@ -946,20 +950,20 @@ pub(crate) mod tests {
         assert_eq!(event, back);
     }
 
-    /// The format-v5 bytes of [`rich_event`], pinned: a round trip
+    /// The format-v6 bytes of [`rich_event`], pinned: a round trip
     /// passes whatever order the encoder and decoder agree on, so a
     /// field-order slip (in `retry_stats` above all) only shows here.
     /// Any change to this payload needs a new `FORMAT_VERSION`.
     #[test]
     fn rich_event_bytes_are_pinned() {
-        let golden: String = include_str!("testdata/rich_event_v5.hex")
+        let golden: String = include_str!("testdata/rich_event_v6.hex")
             .split_whitespace()
             .collect();
         let hex: String = encode_event(&rich_event())
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect();
-        assert_eq!(crate::journal::FORMAT_VERSION, 5);
+        assert_eq!(crate::journal::FORMAT_VERSION, 6);
         assert_eq!(hex, golden);
     }
 

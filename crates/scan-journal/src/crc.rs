@@ -1,4 +1,4 @@
-//! Checksums used by the journal and checkpoint formats.
+//! Checksums used by the journal format.
 //!
 //! CRC32 (IEEE 802.3 polynomial, reflected) guards every frame: it is
 //! cheap, detects all burst errors shorter than 32 bits, and — unlike a

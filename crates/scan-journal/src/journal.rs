@@ -14,12 +14,13 @@
 //! fabric merge's rolling digests hash, link by link.
 //!
 //! Sequence numbers are assigned by the writer and must be contiguous
-//! within a file. Every journal this crate writes starts at seq 0 and
-//! holds its whole prefix ([`JournalSink::resume`](crate::recover::JournalSink::resume)
-//! rewrites a file that does not), which is what lets a checkpoint be a
-//! plain copy of the file's first bytes; the reader itself accepts any
-//! first seq. Every append is written before the scanner is allowed to
-//! fold the zone into memory — the write-ahead discipline — and costs
+//! within a file. Every journal this crate writes starts at seq 0, and
+//! [`recover`](fn@crate::recover) keeps a file's events only when they
+//! do; the reader itself accepts any first seq. The journal is the only
+//! copy of a run's progress: whatever it loses is re-scanned, and the
+//! determinism invariant makes the re-scan byte-identical. Every append
+//! is written before the scanner is allowed to fold the zone into
+//! memory — the write-ahead discipline — and costs
 //! one encode, one checksum and one `write`: the writer builds each
 //! frame in place in a buffer it keeps ([`JournalWriter::append`]).
 //! *Durability*
@@ -48,8 +49,8 @@
 use crate::codec::{decode_event, encode_event_into};
 use crate::crc::crc32;
 use bootscan::ZoneEvent;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Journal file magic ("Bootstrap Scan Journal v1").
@@ -60,7 +61,8 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"BSJ1";
 ///     replayed on resume alongside the address-cache inserts.
 /// v4: `ZoneEffects` lost its per-address health deltas (nothing read them).
 /// v5: `ZoneEffects` grew zone-cut probe inserts (`cut_inserts`).
-pub const FORMAT_VERSION: u16 = 5;
+/// v6: a CDNSKEY observation keeps its DNSKEY protocol field.
+pub const FORMAT_VERSION: u16 = 6;
 /// Default journal file name inside a run directory.
 pub const JOURNAL_FILE: &str = "journal.bsj";
 
@@ -95,7 +97,7 @@ impl JournalHeader {
 
     /// The header of a journal-format byte image, if it carries a valid
     /// one.
-    pub(crate) fn from_bytes(b: &[u8]) -> Option<Self> {
+    fn from_bytes(b: &[u8]) -> Option<Self> {
         if b.len() < HEADER_LEN as usize
             || b[0..4] != JOURNAL_MAGIC
             || u16::from_le_bytes(b[4..6].try_into().unwrap()) != FORMAT_VERSION
@@ -116,8 +118,6 @@ impl JournalHeader {
 pub struct JournalWriter {
     file: File,
     next_seq: u64,
-    /// Bytes in the file: header plus every frame appended so far.
-    len: u64,
     /// The frame being appended, reused from one append to the next.
     frame: Vec<u8>,
 }
@@ -133,7 +133,6 @@ impl JournalWriter {
         Ok(JournalWriter {
             file,
             next_seq: first_seq,
-            len: HEADER_LEN,
             frame: Vec::new(),
         })
     }
@@ -141,12 +140,9 @@ impl JournalWriter {
     /// Open an existing (already validated and tail-truncated) journal
     /// for appending; `next_seq` continues the recovered sequence.
     pub fn open_append(path: &Path, next_seq: u64) -> io::Result<Self> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        let len = file.metadata()?.len();
         Ok(JournalWriter {
-            file,
+            file: OpenOptions::new().append(true).open(path)?,
             next_seq,
-            len,
             frame: Vec::new(),
         })
     }
@@ -154,13 +150,6 @@ impl JournalWriter {
     /// The sequence number the next [`append`](Self::append) will use.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Length of the file in bytes. The file is append-only, so its
-    /// first `bytes_written()` bytes never change again: a checkpoint
-    /// copies exactly that prefix.
-    pub(crate) fn bytes_written(&self) -> u64 {
-        self.len
     }
 
     /// Append one event; returns its sequence number. The frame is
@@ -184,7 +173,6 @@ impl JournalWriter {
         head[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
         self.file.write_all(frame)?;
         self.next_seq = seq + 1;
-        self.len += frame.len() as u64;
         Ok(seq)
     }
 
@@ -222,22 +210,8 @@ pub struct JournalRead {
 /// byte. I/O errors (missing file, permission) surface as `Err`;
 /// *corruption is not an error*, it is a [`TailStatus::Torn`] report.
 pub fn read_journal(path: &Path) -> io::Result<JournalRead> {
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
-    Ok(parse(JournalHeader::from_bytes(&raw), &raw))
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Frames [`parse`] has decoded on this thread: lets a test count
-    /// how often a recovery touches each event.
-    pub(crate) static FRAMES_DECODED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// The one frame reader: walk the journal-format byte image `raw`,
-/// whose header the caller has already read as `header`, up to the
-/// first byte that cannot be trusted.
-pub(crate) fn parse(header: Option<JournalHeader>, raw: &[u8]) -> JournalRead {
+    let raw = fs::read(path)?;
+    let header = JournalHeader::from_bytes(&raw);
     let total = raw.len() as u64;
     let torn = |entries: Vec<(u64, ZoneEvent)>, valid_len: u64| JournalRead {
         header,
@@ -248,7 +222,7 @@ pub(crate) fn parse(header: Option<JournalHeader>, raw: &[u8]) -> JournalRead {
         valid_len,
     };
     if header.is_none() {
-        return torn(Vec::new(), 0);
+        return Ok(torn(Vec::new(), 0));
     }
 
     let mut entries: Vec<(u64, ZoneEvent)> = Vec::new();
@@ -257,41 +231,58 @@ pub(crate) fn parse(header: Option<JournalHeader>, raw: &[u8]) -> JournalRead {
         let valid_len = pos as u64;
         let rest = &raw[pos..];
         if rest.is_empty() {
-            return JournalRead {
+            return Ok(JournalRead {
                 header,
                 entries,
                 tail: TailStatus::Clean,
                 valid_len,
-            };
+            });
         }
         if rest.len() < 8 {
-            return torn(entries, valid_len);
+            return Ok(torn(entries, valid_len));
         }
         let len = u32::from_le_bytes(rest[0..4].try_into().unwrap());
         let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
         if !(8..=MAX_FRAME).contains(&len) || rest.len() < 8 + len as usize {
-            return torn(entries, valid_len);
+            return Ok(torn(entries, valid_len));
         }
         let payload = &rest[8..8 + len as usize];
         if crc32(payload) != crc {
-            return torn(entries, valid_len);
+            return Ok(torn(entries, valid_len));
         }
         let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
         if let Some((last, _)) = entries.last() {
             if seq != last + 1 {
-                return torn(entries, valid_len);
+                return Ok(torn(entries, valid_len));
             }
         }
         match decode_event(&payload[8..]) {
             Ok(event) => entries.push((seq, event)),
             // A checksum-valid but undecodable frame means a format bug;
             // treat it like corruption rather than trusting it.
-            Err(_) => return torn(entries, valid_len),
+            Err(_) => return Ok(torn(entries, valid_len)),
         }
-        #[cfg(test)]
-        FRAMES_DECODED.with(|n| n.set(n.get() + 1));
         pos += 8 + len as usize;
     }
+}
+
+/// Replace `path` with whatever `fill` writes, so that a crash — a
+/// power cut included — leaves either the old file or the complete new
+/// one: fill a sibling `.tmp`, sync its data, rename it over `path`,
+/// then sync the parent directory so the rename itself is durable.
+pub fn write_atomically(
+    path: &Path,
+    fill: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        fill(&mut f)?;
+        f.sync_data()?;
+    }
+    fs::rename(&tmp, path)?;
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    File::open(parent.unwrap_or(Path::new("."))).and_then(|dir| dir.sync_all())
 }
 
 /// Physically truncate a journal whose tail [`read_journal`] reported
@@ -452,6 +443,21 @@ mod tests {
         let read = read_journal(&path).unwrap();
         assert_eq!(read.entries.len(), 3);
         assert_eq!(read.tail, TailStatus::Clean);
+    }
+
+    #[test]
+    fn write_atomically_replaces_the_whole_file() {
+        let dir = tmpdir("atomic");
+        let path = dir.join("COMMIT");
+        for body in [&b"first, longer body"[..], b"second"] {
+            write_atomically(&path, |f| f.write_all(body)).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), body);
+        }
+        assert!(!dir.join("COMMIT.tmp").exists());
+        // A failed fill leaves the old file in place.
+        let failed = write_atomically(&path, |_| Err(io::Error::other("disk full")));
+        assert!(failed.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
     }
 
     #[test]

@@ -12,17 +12,11 @@
 //!   effects on shared scanner caches). Torn tails from a mid-write
 //!   crash are detected by CRC, reported, and physically truncated —
 //!   never trusted.
-//! * [`write_checkpoint`]/[`read_checkpoint`] — periodic
-//!   **checkpoints**: one journal-format file ([`CHECKPOINT_FILE`])
-//!   holding the journal's byte prefix, replaced by atomic rename and
-//!   read back by the journal's own reader; a checkpoint of another run
-//!   is invisible and a corrupt one ends at its last valid frame (the
-//!   journal stays authoritative).
-//! * [`recover`] — merges whatever survived into the maximal contiguous
-//!   event prefix ([`JournalSink::resume`] then makes the journal file
-//!   hold all of it again); [`Recovery::resume_state`] +
-//!   [`Recovery::apply_to`] then let a fresh
-//!   [`Scanner`](bootscan::Scanner) continue mid-queue,
+//! * [`recover`] — reads the journal back, the only copy of a run's
+//!   progress: its checksum-valid frames from seq 0, with a torn tail
+//!   truncated on disk; whatever it lost is re-scanned.
+//!   [`Recovery::resume_state`] + [`Recovery::apply_to`] then let a
+//!   fresh [`Scanner`](bootscan::Scanner) continue mid-queue,
 //!   **deterministically**: with a fixed seed and fault plan, a run
 //!   killed at any point and resumed produces a byte-identical final
 //!   report (`tests/crash_recovery.rs` at the workspace root proves
@@ -46,19 +40,17 @@
 //! # }
 //! ```
 
-mod checkpoint;
 mod codec;
 mod crc;
 mod journal;
 mod namespace;
 mod recover;
 
-pub use checkpoint::{read_checkpoint, write_atomically, write_checkpoint, CHECKPOINT_FILE};
 pub use codec::{decode_event, encode_event, encode_event_into, encode_scan_into, CodecError};
 pub use crc::{crc32, fnv64};
 pub use journal::{
-    read_journal, truncate_torn_tail, JournalHeader, JournalRead, JournalWriter, TailStatus,
-    FORMAT_VERSION, JOURNAL_FILE, JOURNAL_MAGIC,
+    read_journal, truncate_torn_tail, write_atomically, JournalHeader, JournalRead, JournalWriter,
+    TailStatus, FORMAT_VERSION, JOURNAL_FILE, JOURNAL_MAGIC,
 };
 pub use namespace::{Level, Namespace};
 pub use recover::{fingerprint_names, latest_per_zone, recover, JournalSink, Recovery};

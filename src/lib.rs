@@ -17,7 +17,7 @@
 //! | [`dns_resolver`] | iterative resolution + RFC 4035 validation |
 //! | [`dns_ecosystem`] | the synthetic Internet, calibrated to the paper |
 //! | [`bootscan`] | the scanner + classification + reports (the paper's system) |
-//! | [`scan_journal`] | write-ahead journal, checkpoints, crash recovery |
+//! | [`scan_journal`] | write-ahead journal, crash recovery |
 //! | [`scan_fabric`] | sharded coordinator/worker fleet; [`scan_fabric::run_fabric`] is the one-shot journaled driver |
 //! | [`scan_epochs`] | carry ledger and time-series report types |
 //! | [`scan_continuous`] | [`scan_continuous::run_continuous`], the journaled study driver over epochs |

@@ -2,7 +2,7 @@
 
 use bootscan::{CdsClass, DnssecClass, ZoneScan};
 use dns_ecosystem::{CdsState, DnssecState, ZoneTruth};
-use scan_journal::{CHECKPOINT_FILE, JOURNAL_FILE};
+use scan_journal::JOURNAL_FILE;
 use std::fs;
 use std::path::Path;
 
@@ -20,21 +20,22 @@ pub fn assert_same_zones(expected: &[ZoneScan], got: &[ZoneScan], what: &str) {
 /// the layout in `scan-journal`'s `journal.rs`).
 const HEADER_LEN: usize = 26;
 
-/// Leave the journal in `dir` as a death or a power cut can: its header
-/// and first `frames` frames (each `len u32 | crc u32 | payload`).
-/// `checkpoint.bsj` stays as it is when `checkpoint` is set and is
-/// deleted otherwise.
-pub fn keep_frames(dir: &Path, frames: u64, checkpoint: bool) {
-    let path = dir.join(JOURNAL_FILE);
-    let raw = fs::read(&path).unwrap();
+/// Bytes of a journal image `raw` up to the end of its first `frames`
+/// frames (each `len u32 | crc u32 | payload`).
+pub fn frames_len(raw: &[u8], frames: u64) -> usize {
     let mut len = HEADER_LEN;
     for _ in 0..frames {
         len += 8 + u32::from_le_bytes(raw[len..len + 4].try_into().unwrap()) as usize;
     }
-    fs::write(&path, &raw[..len]).unwrap();
-    if !checkpoint {
-        let _ = fs::remove_file(dir.join(CHECKPOINT_FILE));
-    }
+    len
+}
+
+/// Leave the journal in `dir` as a death or a power cut can: its header
+/// and first `frames` frames.
+pub fn keep_frames(dir: &Path, frames: u64) {
+    let path = dir.join(JOURNAL_FILE);
+    let raw = fs::read(&path).unwrap();
+    fs::write(&path, &raw[..frames_len(&raw, frames)]).unwrap();
 }
 
 /// The DNSSEC class a perfect scanner must assign to a planted zone.

@@ -15,10 +15,10 @@
 //!   e: e committed and the run stopped there (a death during carry-over
 //!   distribution or with a coalesce decision pending leaves exactly
 //!   this: neither writes anything); e's shard journals complete
-//!   without a `COMMIT` (a death between drain and commit), also with a
-//!   zero-length checkpoint beside each journal; and e's shard journals
-//!   cut to a frame prefix without a `COMMIT` (a death mid-drive), in
-//!   eight shapes. The states are deterministic, so CI runs them once.
+//!   without a `COMMIT` (a death between drain and commit); and e's
+//!   shard journals cut to a frame prefix without a `COMMIT` (a death
+//!   mid-drive), in eight shapes. The states are deterministic, so CI
+//!   runs them once.
 //!
 //! The schedule is the calibrated overlap from
 //! `continuous_equivalence.rs` (spacing = makespan/3, depth 1), so the
@@ -34,7 +34,7 @@ use netsim::SimMicros;
 use scan_continuous::{render_decisions, run_continuous, ContinuousConfig, ContinuousOutput};
 use scan_epochs::{canonical_evidence, TimeSeries};
 use scan_fabric::{FabricConfig, FabricFaultPlan, ShardPlan, WorkerFault};
-use scan_journal::{read_journal, Namespace, CHECKPOINT_FILE, JOURNAL_FILE};
+use scan_journal::{read_journal, Namespace, JOURNAL_FILE};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -208,21 +208,14 @@ enum Left {
     Frames(u64),
     /// The first `n` frames and part of the next: a death mid-append.
     TornAfter(u64),
-    /// The whole journal beside a zero-length `checkpoint.bsj`: a power
-    /// cut kept a checkpoint's rename but not its data.
-    BesideEmptyCheckpoint,
 }
 
 /// An uncommitted epoch: for shard `s`, whose complete journal holds
-/// `n` frames, what a coordinator death left of it. The two `drained`
-/// states are a death between drain and `COMMIT`, the other eight a
-/// death mid-drive.
+/// `n` frames, what a coordinator death left of it. `drained` is a
+/// death between drain and `COMMIT`, the other eight a death mid-drive.
 type Shape = fn(u32, u64) -> Left;
-const UNCOMMITTED: [(&str, Shape); 10] = [
+const UNCOMMITTED: [(&str, Shape); 9] = [
     ("drained", |_, n| Left::Frames(n)),
-    ("drained-empty-checkpoint", |_, _| {
-        Left::BesideEmptyCheckpoint
-    }),
     ("header-only", |_, _| Left::Frames(0)),
     ("first-frame", |_, n| Left::Frames(n.min(1))),
     ("half", |_, n| Left::Frames(n / 2)),
@@ -275,11 +268,11 @@ fn leave(spacing: SimMicros, e: u32, shape: Option<Shape>, tag: &str) -> (PathBu
                 removed += frames;
             }
             Left::Frames(k) => {
-                common::keep_frames(shard, k, false);
+                common::keep_frames(shard, k);
                 removed += frames - k;
             }
             Left::TornAfter(k) => {
-                common::keep_frames(shard, k + 1, false);
+                common::keep_frames(shard, k + 1);
                 let journal = fs::OpenOptions::new()
                     .write(true)
                     .open(shard.join(JOURNAL_FILE))
@@ -288,7 +281,6 @@ fn leave(spacing: SimMicros, e: u32, shape: Option<Shape>, tag: &str) -> (PathBu
                 journal.set_len(len - 3).unwrap();
                 removed += frames - k;
             }
-            Left::BesideEmptyCheckpoint => fs::write(shard.join(CHECKPOINT_FILE), b"").unwrap(),
         }
     }
     (dir, removed)
@@ -311,7 +303,7 @@ fn coordinator_deaths_resume_from_every_disk_state() {
         for (name, shape) in states.clone() {
             let tag = format!("e{e}-{name}");
             let (dir, removed) = leave(spacing, e, shape, &tag);
-            if e == 0 && !matches!(name, "committed" | "drained" | "drained-empty-checkpoint") {
+            if e == 0 && !matches!(name, "committed" | "drained") {
                 // Epoch 0 scans every zone, so each mid-drive shape cuts
                 // something.
                 assert!(removed > 0, "{tag}: the cut removed nothing");

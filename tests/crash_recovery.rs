@@ -1,9 +1,10 @@
 //! Headline crash-recovery validation: a scan killed at *any* point —
 //! between zones, mid-journal-write (torn tail), or after the journal
-//! was lost entirely (checkpoint-only) — must resume deterministically
-//! and produce a final report **byte-identical** to the uninterrupted
-//! run. Corrupt journal bytes are detected by checksum and the affected
-//! zones re-scanned; they are never silently trusted and never panic.
+//! was lost entirely — must resume deterministically and produce a final
+//! report **byte-identical** to the uninterrupted run. The journal is
+//! the only copy of the run's progress: corrupt journal bytes are
+//! detected by checksum and every zone behind them re-scanned; they are
+//! never silently trusted and never panic.
 //!
 //! The world is the standard chaos-profiled tiny ecosystem, so recovery
 //! is exercised across retries, open circuit breakers, degraded zones,
@@ -113,9 +114,6 @@ impl ProgressSink for CountSink {
 struct KillSwitch<'a> {
     journal: &'a JournalSink,
     remaining: AtomicI64,
-    /// Checkpoint once this many events are journaled, on top of the
-    /// sink's own schedule.
-    checkpoint_at: Option<u64>,
 }
 
 impl ProgressSink for KillSwitch<'_> {
@@ -123,11 +121,7 @@ impl ProgressSink for KillSwitch<'_> {
         if self.remaining.fetch_sub(1, Ordering::SeqCst) <= 0 {
             return false;
         }
-        let journaled = self.journal.on_zone(event);
-        if journaled && Some(self.journal.entries_logged()) == self.checkpoint_at {
-            self.journal.checkpoint_now().expect("checkpoint");
-        }
-        journaled
+        self.journal.on_zone(event)
     }
 }
 
@@ -150,14 +144,13 @@ fn header(seeds: &[dns_wire::name::Name]) -> JournalHeader {
 
 /// Run until `k` events are journaled, then "die". Returns how many
 /// events actually made it to disk.
-fn run_killed_at(dir: &Path, k: u64, checkpoint_at: Option<u64>, parallelism: usize) -> u64 {
+fn run_killed_at(dir: &Path, k: u64, parallelism: usize) -> u64 {
     let (eco, scanner) = fresh_world(parallelism);
     let seeds = eco.seeds.compile(&eco.psl);
     let sink = JournalSink::create(dir, header(&seeds)).expect("create journal");
     let kill = KillSwitch {
         journal: &sink,
         remaining: AtomicI64::new(k as i64),
-        checkpoint_at,
     };
     let _abandoned = scanner.scan_all_with(&seeds, Some(&kill), None);
     sink.entries_logged()
@@ -195,7 +188,7 @@ fn killed_at_any_cut_point_resumes_byte_identically() {
 
     for &k in &cuts {
         let dir = run_dir(&format!("cut-{k}"));
-        let journaled = run_killed_at(&dir, k, None, 4);
+        let journaled = run_killed_at(&dir, k, 4);
         assert_eq!(
             journaled, k,
             "kill switch must stop after exactly {k} events"
@@ -220,41 +213,26 @@ fn power_loss_at_any_event_costs_less_than_one_commit_unit() {
 
     for &k in &cuts {
         // Power loss right after the kill keeps what the last commit
-        // synced: the first `k - k % UNIT` frames. Every automatic
-        // checkpoint is a committed prefix; its rename is not synced to
-        // the directory, so it may survive or not.
+        // synced: the first `k - k % UNIT` frames.
         let committed = k - k % UNIT;
-        let with_checkpoint = run_dir(&format!("power-{k}"));
-        assert_eq!(run_killed_at(&with_checkpoint, k, None, 1), k);
-        let without = run_dir(&format!("power-{k}-nockpt"));
-        fs::copy(
-            with_checkpoint.join(JOURNAL_FILE),
-            without.join(JOURNAL_FILE),
-        )
-        .unwrap();
-        common::keep_frames(&with_checkpoint, committed, true);
-        common::keep_frames(&without, committed, false);
+        let dir = run_dir(&format!("power-{k}"));
+        assert_eq!(run_killed_at(&dir, k, 1), k);
+        common::keep_frames(&dir, committed);
         if committed == 0 {
             // Nothing was ever committed, the header included.
-            fs::write(without.join(JOURNAL_FILE), b"").unwrap();
+            fs::write(dir.join(JOURNAL_FILE), b"").unwrap();
         }
 
-        for (dir, what) in [
-            (&with_checkpoint, "checkpoint"),
-            (&without, "no checkpoint"),
-        ] {
-            let (eco, _) = fresh_world(1);
-            let seeds = eco.seeds.compile(&eco.psl);
-            let rec = recover(dir, header(&seeds)).expect("recovery after power loss");
-            assert!(
-                rec.next_seq() + UNIT > k,
-                "power loss after {k} events, {what}: only {} recovered",
-                rec.next_seq()
-            );
-            resume_from(dir, 1)
-                .assert_identical(&expected, &format!("power loss at {k}/{n}, {what}"));
-            let _ = fs::remove_dir_all(dir);
-        }
+        let (eco, _) = fresh_world(1);
+        let seeds = eco.seeds.compile(&eco.psl);
+        let rec = recover(&dir, header(&seeds)).expect("recovery after power loss");
+        assert!(
+            rec.next_seq() + UNIT > k,
+            "power loss after {k} events: only {} recovered",
+            rec.next_seq()
+        );
+        resume_from(&dir, 1).assert_identical(&expected, &format!("power loss at {k}/{n}"));
+        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -262,26 +240,38 @@ fn power_loss_at_any_event_costs_less_than_one_commit_unit() {
 fn torn_journal_tails_are_detected_and_survived() {
     let (expected, n) = reference();
     let mid = n / 2;
+    // A committed frame mid-journal: the first commit synced frames
+    // 0..COMMIT_EVERY, and the journal runs on well past them.
+    const DAMAGED: u64 = JournalSink::COMMIT_EVERY / 2;
+    assert!(n > JournalSink::COMMIT_EVERY + DAMAGED, "got {n} events");
 
-    // Three ways a crash mid-journal-write mangles the tail. Each must
-    // be caught by the frame checksum, truncated to the last valid
-    // entry, and healed by re-scanning the affected zones.
+    // Three ways a crash mid-journal-write mangles the tail, and damage
+    // to a committed frame in the middle of the journal. Each must be
+    // caught by the frame checksum, truncated to the last valid entry
+    // before it, and healed by re-scanning every zone behind it.
     type Mutation = fn(&mut Vec<u8>);
-    let mutations: [(&str, Mutation); 3] = [
-        ("garbage-appended", |raw| raw.extend_from_slice(&[0xAA; 37])),
-        ("truncated-mid-frame", |raw| {
+    // (tag, events journaled before the kill, mutation)
+    let mutations: [(&str, u64, Mutation); 4] = [
+        ("garbage-appended", mid, |raw| {
+            raw.extend_from_slice(&[0xAA; 37])
+        }),
+        ("truncated-mid-frame", mid, |raw| {
             raw.truncate(raw.len() - 5);
         }),
-        ("corrupt-byte-in-last-frame", |raw| {
+        ("corrupt-byte-in-last-frame", mid, |raw| {
             let idx = raw.len() - 12;
+            raw[idx] ^= 0x40;
+        }),
+        ("corrupt-byte-in-committed-frame", n, |raw| {
+            let idx = common::frames_len(raw, DAMAGED) + 12;
             raw[idx] ^= 0x40;
         }),
     ];
 
-    for (tag, mutate) in mutations {
+    for (tag, kill, mutate) in mutations {
         let dir = run_dir(&format!("torn-{tag}"));
-        let journaled = run_killed_at(&dir, mid, None, 1);
-        assert_eq!(journaled, mid);
+        let journaled = run_killed_at(&dir, kill, 1);
+        assert_eq!(journaled, kill);
         let path = dir.join(JOURNAL_FILE);
         let mut raw = fs::read(&path).unwrap();
         let clean_len = raw.len() as u64;
@@ -299,9 +289,16 @@ fn torn_journal_tails_are_detected_and_survived() {
             "{tag}: tail corruption must be reported"
         );
         assert!(
-            rec.next_seq() <= mid,
+            rec.next_seq() <= kill,
             "{tag}: recovered more events than were written"
         );
+        if tag == "corrupt-byte-in-committed-frame" {
+            assert_eq!(
+                rec.next_seq(),
+                DAMAGED,
+                "{tag}: recovery must stop at the damaged frame"
+            );
+        }
         assert!(
             fs::metadata(&path).unwrap().len() <= clean_len,
             "{tag}: torn tail must be physically truncated"
@@ -314,62 +311,32 @@ fn torn_journal_tails_are_detected_and_survived() {
 }
 
 #[test]
-fn checkpoint_alone_recovers_after_journal_loss() {
+fn lost_journal_recovers_nothing_and_rescans_identically() {
     let (expected, n) = reference();
     let kill = (n * 2) / 3;
-    let dir = run_dir("checkpoint-only");
-    run_killed_at(&dir, kill, Some(kill), 1);
+    let dir = run_dir("journal-lost");
+    assert_eq!(run_killed_at(&dir, kill, 1), kill);
     fs::remove_file(dir.join(JOURNAL_FILE)).unwrap();
 
     let (eco, _) = fresh_world(1);
     let seeds = eco.seeds.compile(&eco.psl);
-    let rec = recover(&dir, header(&seeds)).expect("checkpoint-only recovery");
-    assert_eq!(
-        rec.next_seq(),
-        kill,
-        "checkpoint must cover every event journaled before it"
-    );
-    assert_eq!(rec.checkpoint_only as u64, kill);
+    let rec = recover(&dir, header(&seeds)).expect("recovery without a journal");
+    assert_eq!(rec.next_seq(), 0, "nothing but the journal holds progress");
 
     let resumed = resume_from(&dir, 1);
-    resumed.assert_identical(&expected, "checkpoint-only");
+    resumed.assert_identical(&expected, "journal lost");
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resuming_against_a_different_seed_list_is_refused() {
     let dir = run_dir("fingerprint");
-    run_killed_at(&dir, 5, None, 1);
+    run_killed_at(&dir, 5, 1);
 
     let (eco, _) = fresh_world(1);
     let mut seeds = eco.seeds.compile(&eco.psl);
     seeds.truncate(seeds.len() - 1); // a different target list
     let err = recover(&dir, header(&seeds)).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupt_checkpoint_falls_back_to_journal_replay() {
-    let (expected, n) = reference();
-    let dir = run_dir("bad-checkpoint");
-    run_killed_at(&dir, n / 2, Some(n / 4), 1);
-
-    // Corrupt the checkpoint manifest; the journal alone must carry the
-    // full recovery.
-    let manifest = dir.join(scan_journal::CHECKPOINT_FILE);
-    let mut raw = fs::read(&manifest).unwrap();
-    let idx = raw.len() / 2;
-    raw[idx] ^= 0xFF;
-    fs::write(&manifest, &raw).unwrap();
-
-    let (eco, _) = fresh_world(1);
-    let seeds = eco.seeds.compile(&eco.psl);
-    let rec = recover(&dir, header(&seeds)).expect("recovery");
-    assert_eq!(rec.checkpoint_only, 0, "corrupt checkpoint must be ignored");
-    assert_eq!(rec.next_seq(), n / 2, "journal alone covers everything");
-
-    let resumed = resume_from(&dir, 1);
-    resumed.assert_identical(&expected, "corrupt-checkpoint");
     let _ = fs::remove_dir_all(&dir);
 }
