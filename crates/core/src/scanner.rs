@@ -27,7 +27,7 @@ use dns_resolver::{
 use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
 use dns_wire::rdata::{DnskeyData, DsData, RData, RrsigData};
-use dns_wire::record::{RecordClass, RecordType, RrSet};
+use dns_wire::record::{Record, RecordClass, RecordType, RrSet};
 use dns_zone::signal::{signal_name, signal_zone_apex};
 use dns_zone::signer::verify_rrset_with_keys;
 use netsim::{Addr, DeterministicDraw, Network, RateLimiter, SimMicros};
@@ -67,7 +67,7 @@ const RATE_PER_SEC: f64 = 50.0;
 
 /// Per-zone logical-query budget — the amplification cap. The costliest
 /// configuration of the RFC scenario space (`tests/rfc_space.rs`, re-scans
-/// included) needs 38 logical queries, cold or in a shared world (the
+/// included) needs 36 logical queries, cold or in a shared world (the
 /// shared delegation cache makes even a zone's *own* repeat descents —
 /// signal probes, DNSKEY walks — cache hits), so 240 gives every benign
 /// zone several-fold headroom; the acceptance rules, not the budget, keep
@@ -391,7 +391,13 @@ impl Scanner {
         if let Some(cached) = self.key_cache.lookup(zone, probe.clock) {
             return Some(cached);
         }
-        let keys = Arc::new(self.fetch_keys_uncached(probe, zone, servers, ds)?);
+        // The first server that answers decides: a reply that fails the
+        // DNSKEY rule is not retried elsewhere.
+        let msg = servers.iter().find_map(|&addr| {
+            self.query(probe, addr, zone, RecordType::Dnskey)
+                .filter(|msg| !msg.rcode().is_error())
+        })?;
+        let keys = Arc::new(verified_dnskeys(&msg, zone, ds, self.now)?);
         self.key_cache.insert_tagged(
             zone.clone(),
             Arc::clone(&keys),
@@ -400,27 +406,6 @@ impl Scanner {
         );
         probe.meter.log_key_insert(zone.clone(), Arc::clone(&keys));
         Some(keys)
-    }
-
-    fn fetch_keys_uncached(
-        &self,
-        probe: &mut Probe,
-        zone: &Name,
-        servers: &[Addr],
-        ds: &[DsData],
-    ) -> Option<Vec<DnskeyData>> {
-        for &addr in servers {
-            let Some(msg) = self.query(probe, addr, zone, RecordType::Dnskey) else {
-                continue;
-            };
-            if msg.rcode().is_error() {
-                continue;
-            }
-            // The first server that answers decides: a reply that
-            // fails the DNSKEY rule is not retried elsewhere.
-            return verified_dnskeys(&msg, zone, ds, self.now);
-        }
-        None
     }
 
     /// Validate the delegation chain of `res` down to (but not including)
@@ -574,27 +559,47 @@ impl Scanner {
 
         // 3. Per-address DNSSEC/CDS observations. Every vector a
         // `ZoneScan` keeps is exactly sized: results live for the whole
-        // scan, one per zone.
+        // scan, one per zone. `answered_by` is set when the resolution's
+        // final reply was that server's reply to (zone, SOA): the first
+        // target at that address takes its SOA verdict from the reply
+        // instead of asking again.
+        let mut resolution_soa = res
+            .answered_by
+            .map(|addr| (addr, soa_owned_by(&res.answers, zone)));
         let mut observations = Vec::with_capacity(targets.len());
         let mut cds_verdicts = Vec::new();
-        let mut first_dnskeys = None;
+        let mut key_reply = None;
         for (ns, addr) in &targets {
-            let (obs, dnskeys) = self.observe_address(probe, zone, ns, *addr, &mut cds_verdicts);
-            if first_dnskeys.is_none() && !obs.dnskeys.is_empty() {
-                first_dnskeys = dnskeys;
+            let soa = resolution_soa
+                .take_if(|(by, _)| by == addr)
+                .map(|(_, present)| present);
+            let (obs, dnskeys) =
+                self.observe_address(probe, zone, ns, *addr, soa, &mut cds_verdicts);
+            // The zone's keys are read from one reply: with a DS, the
+            // first without an error rcode (the first server that answers
+            // decides, as in `validated_keys`); for an island, the first
+            // with keys in its answer.
+            let decides = if parent_ds.is_empty() {
+                !obs.dnskeys.is_empty()
+            } else {
+                dnskeys.as_ref().is_some_and(|m| !m.rcode().is_error())
+            };
+            if key_reply.is_none() && decides {
+                key_reply = dnskeys;
             }
             observations.push(obs);
         }
 
         // The zone's authenticated keys, which its CDS is checked against:
-        // through the DS when there is one; for an island, the first
-        // DNSKEY answer's keys if its RRSIGs verify under them, else none.
-        let zone_keys: Option<Vec<DnskeyData>> = if parent_ds.is_empty() {
-            first_dnskeys.and_then(|msg| self_signed_dnskeys(&msg, zone, self.now))
-        } else {
-            let servers: Vec<Addr> = targets.iter().map(|(_, a)| *a).collect();
-            self.fetch_keys_uncached(probe, zone, &servers, &parent_ds)
-        };
+        // that reply's keys if they chain from the DS or, for an island,
+        // if its RRSIGs verify under them; else none.
+        let zone_keys: Option<Vec<DnskeyData>> = key_reply.and_then(|msg| {
+            if parent_ds.is_empty() {
+                self_signed_dnskeys(&msg, zone, self.now)
+            } else {
+                verified_dnskeys(&msg, zone, &parent_ds, self.now)
+            }
+        });
 
         // 4. Signal probes.
         let signal_observations: Vec<SignalObservation> = ns_names
@@ -696,15 +701,19 @@ impl Scanner {
         true
     }
 
-    /// Query one address for DNSKEY/CDS/CDNSKEY, returning the
-    /// observation and the DNSKEY answer. `cds_verdicts` holds the zone's
-    /// CDS signature checks so far, each with its verdict.
+    /// Query one address for SOA/DNSKEY/CDS/CDNSKEY/CSYNC, returning the
+    /// observation and the DNSKEY answer. `soa` is this address's SOA
+    /// verdict (an SOA owned by the zone in the answer) when the
+    /// resolution's final reply already gave it; the SOA is asked only
+    /// without one. `cds_verdicts` holds the zone's CDS signature checks
+    /// so far, each with its verdict.
     fn observe_address(
         &self,
         probe: &mut Probe,
         zone: &Name,
         ns: &Name,
         addr: Addr,
+        soa: Option<bool>,
         cds_verdicts: &mut Vec<(CdsSigInput, bool)>,
     ) -> (NsObservation, Option<Message>) {
         let mut obs = NsObservation {
@@ -719,13 +728,21 @@ impl Scanner {
             csync_present: false,
         };
         let (mut keys, mut cds) = (Vec::new(), Vec::new());
-        // SOA: authoritativeness / lameness probe.
-        if let Some(msg) = self.query(probe, addr, zone, RecordType::Soa) {
+        // SOA: authoritativeness / lameness probe. A verdict in hand
+        // stands for a reply this address gave, so the breaker sees the
+        // success the query would have recorded.
+        let soa = match soa {
+            Some(present) => {
+                probe.scratch.breaker.record_success(addr);
+                Some(present)
+            }
+            None => self
+                .query(probe, addr, zone, RecordType::Soa)
+                .map(|msg| soa_owned_by(&msg.answers, zone)),
+        };
+        if let Some(present) = soa {
             obs.responded = true;
-            obs.soa_present = msg
-                .answers
-                .iter()
-                .any(|r| r.rtype() == RecordType::Soa && r.name == *zone);
+            obs.soa_present = present;
         }
         // DNSKEY.
         let dnskeys = self.query(probe, addr, zone, RecordType::Dnskey);
@@ -1232,6 +1249,13 @@ impl Scanner {
             z.retry_stats.failures + z.retry_stats.breaker_skips,
         )
     }
+}
+
+/// Whether `answers` hold an SOA owned by `zone`.
+fn soa_owned_by(answers: &[Record], zone: &Name) -> bool {
+    answers
+        .iter()
+        .any(|r| r.rtype() == RecordType::Soa && r.name == *zone)
 }
 
 /// Seal one scan's observations: every key list equal to an earlier one

@@ -221,8 +221,8 @@ pub struct ZoneScan {
     /// NS-host A/AAAA lookups — the scanner's address step and a glueless
     /// referral's walk charge those to the meter but not here, and the
     /// scan clock does not advance for them — so a one-pass zone's
-    /// [`RetryStats::logical_queries`] can exceed it (33 against 27 on a
-    /// tiny world; ROADMAP 4(a)).
+    /// [`RetryStats::logical_queries`] can exceed it (32 against 26 on a
+    /// tiny world, a gap of 5–6 on five zones of each; ROADMAP 4(b)).
     pub queries: u32,
     pub elapsed: SimMicros,
     /// Whether Cloudflare-style address sampling was applied.

@@ -12,8 +12,9 @@ use dns_wire::record::RecordType;
 use dns_wire::Name;
 use dns_zone::signal::signal_name;
 use netsim::{Addr, FaultPlan, ServerHandler, ServerResponse, SimMicros, Transport};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 fn scanner_with(eco: &Ecosystem, policy: ScanPolicy) -> Arc<Scanner> {
     Scanner::for_ecosystem(eco, policy)
@@ -275,6 +276,73 @@ fn zones_sharing_an_ns_host_and_suffix_ask_each_shared_cut_label_once() {
     assert!(
         specific_warm.iter().zip(&specific_b).all(|(w, c)| w > c),
         "a warm re-scan still asks every zone-specific label"
+    );
+}
+
+/// Any server with a recorder in front: every question it receives is
+/// sent down a channel with its destination, then answered as usual.
+struct Recorder {
+    inner: Arc<dyn ServerHandler>,
+    received: mpsc::Sender<(Addr, Name, RecordType)>,
+}
+
+impl ServerHandler for Recorder {
+    fn handle(&self, q: &[u8], dst: Addr, t: Transport, b: u32, now: SimMicros) -> ServerResponse {
+        if let Ok(msg) = Message::from_bytes(q) {
+            if let Some(q) = msg.questions.first() {
+                self.received.send((dst, q.name.clone(), q.rtype)).unwrap();
+            }
+        }
+        self.inner.handle(q, dst, t, b, now)
+    }
+}
+
+/// A cold scan sends each question once: the SOA the resolution already
+/// asked the answering server is not asked again, and neither is the
+/// DNSKEY an address already answered for a DS-secured zone's key check.
+#[test]
+fn every_question_goes_out_once() {
+    let eco = build(EcosystemConfig::tiny(4));
+    let (tx, rx) = mpsc::channel();
+    eco.net.wrap_handlers(|inner| {
+        Arc::new(Recorder {
+            inner,
+            received: tx.clone(),
+        })
+    });
+    let seeds = eco.seeds.compile(&eco.psl);
+    let results = scanner_with(&eco, ScanPolicy::default()).scan_all(&seeds);
+    assert!(
+        results.zones.iter().all(|z| !z.degraded),
+        "a fault-free scan re-scans nothing"
+    );
+    let resolved = results.resolved().count();
+    let ds_secured = results
+        .resolved()
+        .filter(|z| !z.parent_ds.is_empty())
+        .count();
+    assert!(ds_secured > 0);
+
+    let mut received: HashMap<(Addr, Name, RecordType), u32> = HashMap::new();
+    for question in rx.try_iter() {
+        *received.entry(question).or_default() += 1;
+    }
+    // Every logical query of the scan reached a recorder.
+    let logical: u64 = results
+        .zones
+        .iter()
+        .map(|z| u64::from(z.retry_stats.logical_queries))
+        .sum();
+    let delivered: u32 = received.values().sum();
+    assert_eq!(u64::from(delivered), logical);
+    let mut repeats: BTreeMap<RecordType, usize> = BTreeMap::new();
+    for ((_, _, rtype), _) in received.iter().filter(|(_, &n)| n > 1) {
+        *repeats.entry(*rtype).or_default() += 1;
+    }
+    assert!(
+        repeats.is_empty(),
+        "questions asked more than once, by type: {repeats:?} ({resolved} zones resolved, \
+         {ds_secured} with a DS)"
     );
 }
 

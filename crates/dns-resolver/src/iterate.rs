@@ -126,6 +126,10 @@ pub struct Resolution {
     pub zone_apex: Name,
     /// Servers of the answering zone.
     pub zone_servers: Vec<Addr>,
+    /// The server whose reply `answers` and `authorities` come from, when
+    /// that reply answers the question asked; `None` once a CNAME chase
+    /// has replaced it with the answer for the alias target.
+    pub answered_by: Option<Addr>,
     /// Virtual time spent.
     pub elapsed: SimMicros,
     /// Queries sent (logical, after netsim-level retries are folded in).
@@ -254,6 +258,7 @@ impl Resolver {
             aliases.push(target.clone());
             let next = self.walk(meter, now + res.elapsed, &target, qtype, depth, visited)?;
             res = Resolution {
+                answered_by: None,
                 elapsed: res.elapsed + next.elapsed,
                 queries: res.queries + next.queries,
                 ..next
@@ -283,7 +288,7 @@ impl Resolver {
         let mut queries: u32 = 0;
 
         for _hop in 0..MAX_REFERRALS {
-            let (msg, ex_elapsed, ex_queries) =
+            let (msg, answered_by, ex_elapsed, ex_queries) =
                 self.query_first_responsive(meter, now + elapsed, &servers, qname, qtype)?;
             elapsed += ex_elapsed;
             queries += ex_queries;
@@ -311,6 +316,7 @@ impl Resolver {
                     chain,
                     zone_apex,
                     zone_servers: servers,
+                    answered_by: Some(answered_by),
                     elapsed,
                     queries,
                 });
@@ -330,6 +336,7 @@ impl Resolver {
                     chain,
                     zone_apex,
                     zone_servers: servers,
+                    answered_by: Some(answered_by),
                     elapsed,
                     queries,
                 });
@@ -649,6 +656,9 @@ impl Resolver {
             .insert_tagged(cut, data, provenance, expires_at);
     }
 
+    /// Ask `servers` in turn until one gives a reply that is not
+    /// SERVFAIL; returns it with the address that gave it, the virtual
+    /// time spent and the queries sent.
     fn query_first_responsive(
         &self,
         meter: Option<&QueryMeter>,
@@ -656,7 +666,7 @@ impl Resolver {
         servers: &[Addr],
         qname: &Name,
         qtype: RecordType,
-    ) -> Result<(Message, SimMicros, u32), ResolverError> {
+    ) -> Result<(Message, Addr, SimMicros, u32), ResolverError> {
         let mut elapsed = 0;
         let mut queries = 0;
         for &addr in servers {
@@ -671,7 +681,7 @@ impl Resolver {
                     if ex.message.rcode() == Rcode::ServFail {
                         continue;
                     }
-                    return Ok((ex.message, elapsed, queries));
+                    return Ok((ex.message, addr, elapsed, queries));
                 }
                 Err(e) => {
                     // An exhausted budget fails the whole walk at zero

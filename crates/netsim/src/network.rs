@@ -276,6 +276,24 @@ impl Network {
         inner.bindings.insert(addr, Arc::new(binding));
     }
 
+    /// Put a handler in front of every bound address: `wrap` gets the
+    /// address's current handler and returns the handler to serve it
+    /// from now on. Link profiles and datagram counters stay as they
+    /// are, and addresses bound later are not wrapped. For tests that
+    /// record what servers receive, then forward to the handler given.
+    pub fn wrap_handlers(
+        &self,
+        mut wrap: impl FnMut(Arc<dyn ServerHandler>) -> Arc<dyn ServerHandler>,
+    ) {
+        for binding in self.inner.write().bindings.values_mut() {
+            *binding = Arc::new(Binding {
+                handler: wrap(Arc::clone(&binding.handler)),
+                queries: Arc::clone(&binding.queries),
+                ..**binding
+            });
+        }
+    }
+
     /// Convenience: bind with a clean 10 ms link.
     pub fn bind_simple(&self, addr: Addr, server: ServerId) {
         self.bind(addr, server, 10_000, 2_000, 0.0, 1);
@@ -458,6 +476,47 @@ mod tests {
         assert_eq!(&out.reply[1..], b"hello");
         assert_eq!(out.attempts, 1);
         assert!(out.elapsed >= 10_000);
+    }
+
+    /// Counts the datagrams it forwards to the handler it wraps.
+    struct Counted {
+        inner: Arc<dyn ServerHandler>,
+        seen: Arc<AtomicU64>,
+    }
+    impl ServerHandler for Counted {
+        fn handle(
+            &self,
+            q: &[u8],
+            d: Addr,
+            t: Transport,
+            b: u32,
+            now: SimMicros,
+        ) -> ServerResponse {
+            self.seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.handle(q, d, t, b, now)
+        }
+    }
+
+    #[test]
+    fn wrapped_handlers_see_every_datagram_on_the_same_link() {
+        let net = Network::new(3);
+        let s = net.register(Echo);
+        net.bind(addr(1), s, 40_000, 0, 0.0, 4);
+        net.bind_simple(addr(2), s);
+        let before = net.query(addr(1), b"q", Transport::Udp).unwrap();
+        let seen = Arc::new(AtomicU64::new(0));
+        net.wrap_handlers(|inner| {
+            Arc::new(Counted {
+                inner,
+                seen: Arc::clone(&seen),
+            })
+        });
+        let after = net.query(addr(1), b"q", Transport::Udp).unwrap();
+        net.query(addr(2), b"q", Transport::Udp).unwrap();
+        // Same reply (backend byte included) and latency: the link is kept.
+        assert_eq!((after.reply, after.elapsed), (before.reply, before.elapsed));
+        assert_eq!(seen.load(std::sync::atomic::Ordering::Relaxed), 2);
+        assert_eq!(net.stats().snapshot().queries, 3);
     }
 
     #[test]
