@@ -25,7 +25,7 @@ struct BreakerState {
 /// A deterministic per-scan circuit breaker over server addresses.
 #[derive(Debug)]
 pub struct CircuitBreaker {
-    /// Consecutive failures that open the breaker (0 = disabled).
+    /// Consecutive failures that open the breaker.
     threshold: u32,
     /// Virtual µs the breaker stays open before a half-open probe.
     cooldown: SimMicros,
@@ -41,21 +41,9 @@ impl CircuitBreaker {
         }
     }
 
-    /// Forget all per-address state, restoring the just-constructed
-    /// breaker (threshold and cooldown are kept). Lets workers pool one
-    /// breaker across zone scans — breaker state is zone-scoped, so it
-    /// must be wiped between zones, but the map's capacity is worth
-    /// keeping.
-    pub fn reset(&mut self) {
-        self.state.clear();
-    }
-
     /// May we query `addr` at scan-local time `now`? `false` = skip (the
     /// breaker is open and still cooling down).
     pub fn allows(&mut self, addr: Addr, now: SimMicros) -> bool {
-        if self.threshold == 0 {
-            return true;
-        }
         match self.state.get(&addr).and_then(|s| s.open_until) {
             Some(until) if now < until => false,
             // Past the cooldown: half-open, let one probe through. The
@@ -77,9 +65,6 @@ impl CircuitBreaker {
 
     /// Record a failed exchange with `addr` at scan-local time `now`.
     pub fn record_failure(&mut self, addr: Addr, now: SimMicros) {
-        if self.threshold == 0 {
-            return;
-        }
         let s = self.state.entry(addr).or_default();
         s.consecutive_failures += 1;
         if s.consecutive_failures >= self.threshold {
@@ -134,16 +119,6 @@ mod tests {
         // failure re-opens without needing `threshold` fresh ones.
         b.record_failure(a, 2_000);
         assert!(!b.allows(a, 2_500));
-    }
-
-    #[test]
-    fn zero_threshold_disables_breaking() {
-        let mut b = CircuitBreaker::new(0, 1_000_000);
-        let a = addr(1);
-        for i in 0..50 {
-            b.record_failure(a, i);
-            assert!(b.allows(a, i));
-        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use dns_zone::signal::{signal_name, signal_zone_apex};
 use dns_zone::signer::verify_rrset_with_keys;
 use netsim::{Addr, DeterministicDraw, Network, RateLimiter, SimMicros};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
 
@@ -103,46 +103,14 @@ pub struct ScanResults {
     pub total_queries: u64,
 }
 
-/// Per-worker reusable probe state: the per-address politeness limiters
-/// and the circuit breaker. Both are *semantically* zone-scoped (a zone's
-/// result must never depend on what other zones did to a token bucket or
-/// a breaker), but *allocating* them per zone is pure churn, so each
-/// worker keeps one pool for its whole lifetime and resets it between
-/// zones. Limiter resets are lazy via an epoch tag: bumping the epoch
-/// invalidates every pooled limiter in O(1), and a limiter is re-armed to
-/// its full burst the first time the current zone touches it.
-pub(crate) struct WorkerScratch {
-    epoch: u64,
-    /// Pooled per-address limiters, tagged with the epoch that last
-    /// touched them.
-    limiters: HashMap<Addr, (u64, RateLimiter)>,
-    breaker: CircuitBreaker,
-}
-
-impl WorkerScratch {
-    fn new() -> Self {
-        WorkerScratch {
-            epoch: 0,
-            limiters: HashMap::new(),
-            breaker: CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN),
-        }
-    }
-
-    /// Reset to the state a freshly allocated scratch would have, without
-    /// giving back the map capacities.
-    fn begin_zone(&mut self) {
-        self.epoch += 1;
-        self.breaker.reset();
-    }
-}
-
-/// Per-zone-scan probing context: the scan-local virtual clock, query,
-/// budget and failure accounting (the meter also logs the scan's side
-/// effects on shared caches), and a borrow of the worker's (reset)
-/// breaker + limiter scratch. No state carries over between zones, so
+/// Per-zone-scan probing context: the scan-local virtual clock, query
+/// count, budget and failure accounting (the meter also logs the scan's
+/// side effects on shared caches), and the zone's own circuit breaker and
+/// per-address politeness limiters. All of it is built with the zone
+/// scan and dropped with it, so no state carries over between zones:
 /// results are independent of scan order — and, in a journaled scan (one
 /// sequential lane), of which zones ran in an earlier process life.
-struct Probe<'w> {
+struct Probe {
     clock: SimMicros,
     queries: u32,
     /// Per-zone meter: derives query IDs from stable per-query
@@ -151,9 +119,10 @@ struct Probe<'w> {
     /// the budget, and logs every shared-cache insert (resolver and key
     /// cache) for the journal.
     meter: QueryMeter,
-    /// Worker-pooled breaker + per-address politeness limiters, reset
-    /// for this zone scan.
-    scratch: &'w mut WorkerScratch,
+    /// One token bucket per address this zone has asked. A zone touches
+    /// a few dozen addresses at most, so the list is scanned linearly.
+    limiters: Vec<(Addr, RateLimiter)>,
+    breaker: CircuitBreaker,
 }
 
 /// The scanner. Thread-safe: share via `Arc` across workers.
@@ -287,27 +256,26 @@ impl Scanner {
             .insert_tagged(owner, Arc::new(keys), provenance, expires_at);
     }
 
-    /// A fresh probe for one scan of `zone`, borrowing the worker's
-    /// scratch (reset here). The meter's query-ID seed is drawn from
-    /// `(zone, pass)`, and the meter derives each ID from the query's
-    /// stable coordinates under that seed — so a zone's wire traffic is
-    /// a pure function of the zone, the pass number, and which of its
-    /// lookups the shared caches answered. Crucially, a cache hit elides
-    /// whole queries without renumbering the surviving ones, which is
-    /// what keeps the evidence plane identical across parallelism and
+    /// A fresh probe for one scan of `zone`. The meter's query-ID seed is
+    /// drawn from `(zone, pass)`, and the meter derives each ID from the
+    /// query's stable coordinates under that seed — so a zone's wire
+    /// traffic is a pure function of the zone, the pass number, and which
+    /// of its lookups the shared caches answered. Crucially, a cache hit
+    /// elides whole queries without renumbering the surviving ones, which
+    /// is what keeps the evidence plane identical across parallelism and
     /// cold-vs-warm cache states.
-    fn new_probe<'w>(&self, scratch: &'w mut WorkerScratch, zone: &Name, pass: u32) -> Probe<'w> {
+    fn new_probe(&self, zone: &Name, pass: u32) -> Probe {
         let id_seed = DeterministicDraw::new(
             self.seed ^ 0x9e7e_0012,
             &[b"meter", &zone.to_wire(), &pass.to_be_bytes()],
         )
         .below(1 << 48);
-        scratch.begin_zone();
         Probe {
             clock: 0,
             queries: 0,
             meter: QueryMeter::with_budget(id_seed, DEFAULT_ZONE_QUERY_BUDGET),
-            scratch,
+            limiters: Vec::new(),
+            breaker: CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN),
         }
     }
 
@@ -320,31 +288,28 @@ impl Scanner {
         name: &Name,
         rtype: RecordType,
     ) -> Option<Message> {
-        if !probe.scratch.breaker.allows(addr, probe.clock) {
+        if !probe.breaker.allows(addr, probe.clock) {
             probe.meter.tally(|s| s.record(ScanError::BreakerOpen));
             return None;
         }
         // Limiters are zone-scoped (so zone results never depend on what
         // other zones did to a shared token bucket), with a small burst:
         // the per-address politeness rate must still dominate within one
-        // zone's query fan-out. The buckets themselves are pooled in the
-        // worker scratch and lazily re-armed per zone via the epoch tag.
-        let epoch = probe.scratch.epoch;
-        let (tag, limiter) = probe
-            .scratch
-            .limiters
-            .entry(addr)
-            .or_insert_with(|| (epoch, RateLimiter::new(RATE_PER_SEC, 2.0)));
-        if *tag != epoch {
-            limiter.reset();
-            *tag = epoch;
-        }
-        let wait = limiter.acquire(probe.clock);
+        // zone's query fan-out.
+        let limiters = &mut probe.limiters;
+        let i = match limiters.iter().position(|(a, _)| *a == addr) {
+            Some(i) => i,
+            None => {
+                limiters.push((addr, RateLimiter::new(RATE_PER_SEC, 2.0)));
+                limiters.len() - 1
+            }
+        };
+        let wait = limiters[i].1.acquire(probe.clock);
         probe.clock += wait;
         probe.queries += 1;
         match self
             .client
-            .query_at_with(Some(&probe.meter), probe.clock, addr, name, rtype, true)
+            .query_at_with(&probe.meter, probe.clock, addr, name, rtype, true)
         {
             Ok(ex) => {
                 probe.clock += ex.elapsed;
@@ -354,7 +319,7 @@ impl Scanner {
                         s.servfails += 1;
                     }
                 });
-                probe.scratch.breaker.record_success(addr);
+                probe.breaker.record_success(addr);
                 Some(ex.message)
             }
             Err(e) => {
@@ -372,7 +337,7 @@ impl Scanner {
                     s.retries += e.retries;
                     s.record(error);
                 });
-                probe.scratch.breaker.record_failure(addr, probe.clock);
+                probe.breaker.record_failure(addr, probe.clock);
                 None
             }
         }
@@ -472,19 +437,13 @@ impl Scanner {
 
     /// Scan one zone.
     pub fn scan_zone(&self, zone: &Name) -> ZoneScan {
-        let mut scratch = WorkerScratch::new();
-        self.scan_zone_pass(&mut scratch, zone, 0).0
+        self.scan_zone_pass(zone, 0).0
     }
 
     /// Scan one zone as pass `pass` (0 = main, ≥1 = re-scan), returning
     /// the result together with the scan's side effects on shared state.
-    fn scan_zone_pass(
-        &self,
-        scratch: &mut WorkerScratch,
-        zone: &Name,
-        pass: u32,
-    ) -> (ZoneScan, ZoneEffects) {
-        let mut probe = self.new_probe(scratch, zone, pass);
+    fn scan_zone_pass(&self, zone: &Name, pass: u32) -> (ZoneScan, ZoneEffects) {
+        let mut probe = self.new_probe(zone, pass);
         let scan = self.scan_zone_inner(zone, &mut probe);
         // Drain the meter's cache-insert log: the resolver attributed
         // every shared-cache insert this zone paid for to its meter.
@@ -546,9 +505,9 @@ impl Scanner {
         // 2. Addresses, with sampling policy.
         let mut targets: Vec<(Name, Addr)> = Vec::new();
         for ns in &ns_names {
-            if let Ok(addrs) =
-                self.resolver
-                    .addresses_of_at_with(Some(&probe.meter), probe.clock, ns)
+            if let Ok(addrs) = self
+                .resolver
+                .addresses_of_at_with(&probe.meter, probe.clock, ns)
             {
                 for a in addrs.iter() {
                     targets.push((ns.clone(), *a));
@@ -733,7 +692,7 @@ impl Scanner {
         // success the query would have recorded.
         let soa = match soa {
             Some(present) => {
-                probe.scratch.breaker.record_success(addr);
+                probe.breaker.record_success(addr);
                 Some(present)
             }
             None => self
@@ -1091,7 +1050,6 @@ impl Scanner {
         // completed pass stamps `rescans`, so a resumed run can tell
         // which zones pass `p` already covered in an earlier life.
         if !stopped {
-            let mut scratch = WorkerScratch::new();
             'passes: for pass in 1..=RESCAN_PASSES {
                 let pending: Vec<usize> = zones
                     .iter()
@@ -1106,8 +1064,7 @@ impl Scanner {
                     break;
                 }
                 for i in pending {
-                    let (mut fresh, effects) =
-                        self.scan_zone_pass(&mut scratch, &zones[i].name, pass);
+                    let (mut fresh, effects) = self.scan_zone_pass(&zones[i].name, pass);
                     let duration_delta = fresh.elapsed;
                     simulated_duration += duration_delta;
                     let old = &zones[i];
@@ -1166,12 +1123,11 @@ impl Scanner {
         zones: &Mutex<Vec<ZoneScan>>,
     ) -> (SimMicros, bool) {
         let mut elapsed: SimMicros = 0;
-        let mut scratch = WorkerScratch::new();
         while let Some(zone) = seeds.get(next.fetch_add(1, Ordering::Relaxed)) {
             if completed.contains(zone) {
                 continue;
             }
-            let (scan, effects) = self.scan_zone_pass(&mut scratch, zone, 0);
+            let (scan, effects) = self.scan_zone_pass(zone, 0);
             elapsed += scan.elapsed;
             let Some(sink) = sink else {
                 zones.lock().push(scan);

@@ -169,7 +169,10 @@ fn verified_ds_links_are_reused_only_for_the_same_referral_and_keys() {
     assert_eq!(scan(&scanner), DnssecClass::Secured, "{zone}: baseline");
 
     // The referral at the zone's cut, as the scan cached and verified it.
-    let res = scanner.resolver().resolve(&zone, RecordType::Soa).unwrap();
+    let res = scanner
+        .resolver()
+        .resolve_at_with(None, 0, &zone, RecordType::Soa)
+        .unwrap();
     let verified = res.chain.last().expect("delegated zone").clone();
     assert_eq!(verified.child_apex, zone);
     assert!(!verified.ds_rrsigs.is_empty(), "{zone}: signed DS RRset");

@@ -9,7 +9,7 @@
 )]
 mod scenario;
 
-use dns_resolver::{DnsClient, HostileCause, Resolver, ResolverError, RootHints};
+use dns_resolver::{DnsClient, HostileCause, QueryMeter, Resolver, ResolverError, RootHints};
 use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
@@ -24,7 +24,7 @@ fn out_of_bailiwick_ns_resolved_recursively() {
     let point = Point::named("sibling-glueless");
     let resolver = point.world.resolver();
     let res = resolver
-        .resolve(&point.zone, RecordType::Soa)
+        .resolve_at_with(None, 0, &point.zone, RecordType::Soa)
         .expect("resolves despite glueless delegation");
     assert_eq!(res.rcode, Rcode::NoError);
     assert_eq!(res.answers.len(), 1);
@@ -36,9 +36,13 @@ fn address_cache_prevents_re_resolution() {
     let point = Point::named("sibling-glueless");
     let resolver = point.world.resolver();
     let ns = &point.hosts[0].0;
-    let first = resolver.addresses_of(ns).unwrap();
+    let first = resolver
+        .addresses_of_at_with(&QueryMeter::new(0), 0, ns)
+        .unwrap();
     let before = point.world.net.stats().snapshot().queries;
-    let second = resolver.addresses_of(ns).unwrap();
+    let second = resolver
+        .addresses_of_at_with(&QueryMeter::new(0), 0, ns)
+        .unwrap();
     let after = point.world.net.stats().snapshot().queries;
     assert_eq!(first, second);
     assert_eq!(before, after, "cached lookup must not touch the network");
@@ -50,12 +54,14 @@ fn a_failed_address_lookup_is_not_memoised() {
     let point = Point::named("flaky-host");
     let resolver = point.world.resolver();
     let (ns, addr) = &point.hosts[0];
-    let during = resolver.addresses_of_at_with(None, 0, ns).unwrap();
+    let during = resolver
+        .addresses_of_at_with(&QueryMeter::new(0), 0, ns)
+        .unwrap();
     assert_eq!(*during, Vec::<Addr>::new());
     // Once the outage is over the hostname resolves: the failure above
     // must not have been cached as "no addresses".
     let after = resolver
-        .addresses_of_at_with(None, 600_000_000, ns)
+        .addresses_of_at_with(&QueryMeter::new(0), 600_000_000, ns)
         .unwrap();
     assert_eq!(*after, vec![*addr]);
 }
@@ -71,7 +77,11 @@ fn seeded_addresses_bypass_resolution() {
         SimMicros::MAX,
     );
     let got = resolver
-        .addresses_of(&Name::parse("seeded.example").unwrap())
+        .addresses_of_at_with(
+            &QueryMeter::new(0),
+            0,
+            &Name::parse("seeded.example").unwrap(),
+        )
         .unwrap();
     assert_eq!(*got, vec![fake]);
 }
@@ -123,7 +133,8 @@ fn sideways_referrals_do_not_loop() {
         },
     );
     // Must terminate with a named cause, not hang.
-    let res = resolver.resolve(&Name::parse("victim.test").unwrap(), RecordType::A);
+    let res =
+        resolver.resolve_at_with(None, 0, &Name::parse("victim.test").unwrap(), RecordType::A);
     assert_eq!(
         res.unwrap_err(),
         ResolverError::Hostile(HostileCause::ReferralLoop)

@@ -27,7 +27,6 @@ use dns_wire::rdata::DnskeyData;
 use dns_wire::record::RecordType;
 use netsim::{Addr, DeterministicDraw, NetError, Network, SimMicros, Transport};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 
 /// The result of one logical query (possibly UDP + TCP retry).
@@ -162,11 +161,11 @@ type QueryCoords = (Addr, u64, u16);
 /// retries and failures. The scanner's sealed scan takes the record as
 /// it stands. The meter also owns the query-ID derivation for its
 /// scope: an ID is a pure function of the meter's seed and the query's
-/// (server, qname, qtype, occurrence) coordinates, so metered work draws
-/// no IDs from the client's shared counter, two zones' wire traffic is
-/// independent of scan order, and — crucially for the delegation cache —
-/// a query's payload does not change when *other* queries in the same
-/// scope are elided by a cache hit.
+/// (server, qname, qtype, occurrence) coordinates, so two zones' wire
+/// traffic is independent of scan order, and — crucially for the
+/// delegation cache — a query's payload does not change when *other*
+/// queries in the same scope are elided by a cache hit. Every query goes
+/// out under a meter: the client keeps no ID state of its own.
 ///
 /// The meter also collects the [`CacheLog`] of shared-cache inserts
 /// performed on its behalf (resolver and scanner caches alike), so the
@@ -214,6 +213,15 @@ impl QueryMeter {
             budget,
             stats: Cell::default(),
         }
+    }
+
+    /// The meter of a call that brings none — a
+    /// [`resolve_at_with`](crate::Resolver::resolve_at_with) given `None`
+    /// and every [`validate_resolution`](crate::validate_resolution): a
+    /// fixed seed and no budget, so such a call sends the same datagrams
+    /// whatever the client sent before.
+    pub(crate) fn detached() -> Self {
+        QueryMeter::new(0)
     }
 
     /// The ID for one logical query: a deterministic function of the
@@ -331,11 +339,11 @@ impl QueryMeter {
 
 /// A thin client over the simulated network.
 ///
-/// Stateless apart from a query-ID counter; share freely across scanner
-/// workers via `Arc`.
+/// Stateless: every query's ID and cost belong to the caller's
+/// [`QueryMeter`], so one client is shared freely across scanner workers
+/// via `Arc`, and what it sends never depends on what it sent before.
 pub struct DnsClient {
     net: Arc<Network>,
-    next_id: AtomicU16,
     retry: RetryPolicy,
 }
 
@@ -346,11 +354,7 @@ impl DnsClient {
 
     /// Same client, but retrying per `policy`.
     pub fn with_retry(net: Arc<Network>, policy: RetryPolicy) -> Self {
-        DnsClient {
-            net,
-            next_id: AtomicU16::new(1),
-            retry: policy,
-        }
+        DnsClient { net, retry: policy }
     }
 
     /// The underlying network (for stats access).
@@ -358,61 +362,32 @@ impl DnsClient {
         &self.net
     }
 
-    /// Send (qname, qtype) to `server`; follow truncation over TCP.
-    pub fn query(
-        &self,
-        server: Addr,
-        qname: &Name,
-        qtype: RecordType,
-        dnssec_ok: bool,
-    ) -> Result<Exchange, ClientError> {
-        self.query_at(0, server, qname, qtype, dnssec_ok)
-    }
-
-    /// Like [`query`](Self::query), but the exchange starts at virtual
-    /// time `now`, so time-windowed faults and outages see when each
-    /// attempt really lands.
-    pub fn query_at(
-        &self,
-        now: SimMicros,
-        server: Addr,
-        qname: &Name,
-        qtype: RecordType,
-        dnssec_ok: bool,
-    ) -> Result<Exchange, ClientError> {
-        self.query_at_with(None, now, server, qname, qtype, dnssec_ok)
-    }
-
-    /// Like [`query_at`](Self::query_at), but charging IDs, datagrams and
-    /// bytes to `meter` (when given) instead of the client's shared
-    /// counter. Every path records into the meter — success, unreachable
-    /// and exhausted-retry failures alike — so no wire traffic escapes
-    /// the caller's budget.
+    /// Send (qname, qtype) to `server` at virtual time `now`, so
+    /// time-windowed faults and outages see when each attempt really
+    /// lands, and follow truncation over TCP. The ID is `meter`'s, and
+    /// every path charges its datagrams and bytes to `meter` — success,
+    /// unreachable and exhausted-retry failures alike — so no wire
+    /// traffic escapes the caller's budget.
     pub fn query_at_with(
         &self,
-        meter: Option<&QueryMeter>,
+        meter: &QueryMeter,
         now: SimMicros,
         server: Addr,
         qname: &Name,
         qtype: RecordType,
         dnssec_ok: bool,
     ) -> Result<Exchange, ClientError> {
-        if let Some(m) = meter {
-            // The amplification cap: once a zone's budget is gone, no
-            // further datagram leaves on its behalf.
-            if !m.begin_query() {
-                return Err(ClientError {
-                    kind: ClientErrorKind::BudgetExceeded,
-                    elapsed: 0,
-                    attempts: 0,
-                    retries: 0,
-                });
-            }
+        // The amplification cap: once a zone's budget is gone, no
+        // further datagram leaves on its behalf.
+        if !meter.begin_query() {
+            return Err(ClientError {
+                kind: ClientErrorKind::BudgetExceeded,
+                elapsed: 0,
+                attempts: 0,
+                retries: 0,
+            });
         }
-        let id = match meter {
-            Some(m) => m.id_for(server, qname, qtype),
-            None => self.next_id.fetch_add(1, Ordering::Relaxed),
-        };
+        let id = meter.id_for(server, qname, qtype);
         let q = Message::query(id, qname.clone(), qtype, dnssec_ok);
         let bytes = q.to_bytes();
         let wire_len = bytes.len() as u32;
@@ -430,9 +405,7 @@ impl DnsClient {
                     bytes_received += once.cost.bytes_received;
                     tcp_fallbacks += u32::from(once.cost.used_tcp);
                     if once.foreign > 0 {
-                        if let Some(m) = meter {
-                            m.note_hostile(HostileCause::ForeignRecords);
-                        }
+                        meter.note_hostile(HostileCause::ForeignRecords);
                     }
                     outcome = Some(Ok(Exchange {
                         message: once.message,
@@ -467,21 +440,20 @@ impl DnsClient {
             attempts,
             retries: self.retry.retries,
         }));
-        if let (Some(m), Err(e)) = (meter, &outcome) {
-            if e.kind == ClientErrorKind::Rejected {
-                m.note_hostile(HostileCause::MismatchedReply);
-            }
+        if outcome
+            .as_ref()
+            .is_err_and(|e| e.kind == ClientErrorKind::Rejected)
+        {
+            meter.note_hostile(HostileCause::MismatchedReply);
         }
-        if let Some(m) = meter {
-            // Every attempt re-sends the same payload, the TCP fallback's
-            // included.
-            m.tally(|s| {
-                s.datagrams += attempts;
-                s.bytes_sent += attempts * wire_len;
-                s.bytes_received += bytes_received;
-                s.tcp_fallbacks += tcp_fallbacks;
-            });
-        }
+        // Every attempt re-sends the same payload, the TCP fallback's
+        // included.
+        meter.tally(|s| {
+            s.datagrams += attempts;
+            s.bytes_sent += attempts * wire_len;
+            s.bytes_received += bytes_received;
+            s.tcp_fallbacks += tcp_fallbacks;
+        });
         outcome
     }
 
@@ -661,6 +633,16 @@ mod tests {
         (net, addr)
     }
 
+    /// One query under a fresh meter, starting at virtual time 0.
+    fn ask(
+        c: &DnsClient,
+        server: Addr,
+        qname: &Name,
+        qtype: RecordType,
+    ) -> Result<Exchange, ClientError> {
+        c.query_at_with(&QueryMeter::new(0), 0, server, qname, qtype, true)
+    }
+
     /// The wire length of a query for (qname, qtype): every attempt,
     /// UDP or TCP, re-sends this many bytes.
     fn query_len(qname: &Name, qtype: RecordType) -> u64 {
@@ -673,9 +655,7 @@ mod tests {
     fn simple_query() {
         let (net, addr) = setup();
         let c = DnsClient::new(Arc::clone(&net));
-        let ex = c
-            .query(addr, &name!("www.t.test"), RecordType::A, true)
-            .unwrap();
+        let ex = ask(&c, addr, &name!("www.t.test"), RecordType::A).unwrap();
         // One datagram: no TCP fallback followed.
         assert_eq!(net.stats().snapshot().queries, 1);
         assert_eq!(ex.retries, 0);
@@ -687,9 +667,7 @@ mod tests {
     fn truncation_falls_back_to_tcp() {
         let (net, addr) = setup();
         let c = DnsClient::new(Arc::clone(&net));
-        let ex = c
-            .query(addr, &name!("t.test"), RecordType::Txt, true)
-            .unwrap();
+        let ex = ask(&c, addr, &name!("t.test"), RecordType::Txt).unwrap();
         // The truncated UDP reply, then the TCP one.
         assert_eq!(net.stats().snapshot().replies, 2);
         assert_eq!(ex.message.answers_of(RecordType::Txt).len(), 15);
@@ -700,14 +678,13 @@ mod tests {
     fn unreachable_propagates_with_zero_cost() {
         let (net, _) = setup();
         let c = DnsClient::new(net);
-        let err = c
-            .query(
-                Addr::V4(Ipv4Addr::new(203, 0, 113, 1)),
-                &name!("x.test"),
-                RecordType::A,
-                true,
-            )
-            .unwrap_err();
+        let err = ask(
+            &c,
+            Addr::V4(Ipv4Addr::new(203, 0, 113, 1)),
+            &name!("x.test"),
+            RecordType::A,
+        )
+        .unwrap_err();
         assert_eq!(err.kind, ClientErrorKind::Unreachable);
         assert_eq!(err.elapsed, 0);
         assert_eq!(err.attempts, 0);
@@ -725,30 +702,16 @@ mod tests {
                 seed: 5,
             },
         );
-        let err = c
-            .query(
-                Addr::V4(Ipv4Addr::new(203, 0, 113, 1)),
-                &name!("x.test"),
-                RecordType::A,
-                true,
-            )
-            .unwrap_err();
+        let err = ask(
+            &c,
+            Addr::V4(Ipv4Addr::new(203, 0, 113, 1)),
+            &name!("x.test"),
+            RecordType::A,
+        )
+        .unwrap_err();
         assert_eq!(err.kind, ClientErrorKind::Unreachable);
         assert_eq!(err.retries, 0);
         assert_eq!(err.elapsed, 0);
-    }
-
-    #[test]
-    fn ids_increment() {
-        let (net, addr) = setup();
-        let c = DnsClient::new(net);
-        let a = c
-            .query(addr, &name!("www.t.test"), RecordType::A, false)
-            .unwrap();
-        let b = c
-            .query(addr, &name!("www.t.test"), RecordType::A, false)
-            .unwrap();
-        assert_ne!(a.message.header.id, b.message.header.id);
     }
 
     /// A black-hole covering exactly the first logical exchange: without
@@ -770,9 +733,7 @@ mod tests {
         let (net, addr) = setup();
         net.set_faults(outage_plan(addr));
         let c = DnsClient::new(Arc::clone(&net));
-        let err = c
-            .query(addr, &name!("www.t.test"), RecordType::A, true)
-            .unwrap_err();
+        let err = ask(&c, addr, &name!("www.t.test"), RecordType::A).unwrap_err();
         assert_eq!(err.kind, ClientErrorKind::Timeout);
         assert_eq!(err.retries, 0);
         assert_eq!(err.attempts, 3);
@@ -791,9 +752,7 @@ mod tests {
                 seed: 7,
             },
         );
-        let ex = c
-            .query(addr, &name!("www.t.test"), RecordType::A, true)
-            .unwrap();
+        let ex = ask(&c, addr, &name!("www.t.test"), RecordType::A).unwrap();
         // First exchange burns 3 attempts inside the outage; the backoff
         // lands the second exchange after it ends.
         assert_eq!(ex.retries, 1);
@@ -830,14 +789,7 @@ mod tests {
         let c = DnsClient::new(Arc::clone(&net));
         let meter = QueryMeter::new(900);
         let ex = c
-            .query_at_with(
-                Some(&meter),
-                0,
-                addr,
-                &name!("t.test"),
-                RecordType::Txt,
-                true,
-            )
+            .query_at_with(&meter, 0, addr, &name!("t.test"), RecordType::Txt, true)
             .unwrap();
         assert!(ex.attempts >= 2);
         let io = meter.io();
@@ -868,14 +820,7 @@ mod tests {
         let c = DnsClient::new(Arc::clone(&net));
         let meter = QueryMeter::new(1);
         let err = c
-            .query_at_with(
-                Some(&meter),
-                0,
-                addr,
-                &name!("www.t.test"),
-                RecordType::A,
-                true,
-            )
+            .query_at_with(&meter, 0, addr, &name!("www.t.test"), RecordType::A, true)
             .unwrap_err();
         assert_eq!(err.kind, ClientErrorKind::Timeout);
         let io = meter.io();
@@ -893,7 +838,7 @@ mod tests {
         let meter2 = QueryMeter::new(1);
         let err = c
             .query_at_with(
-                Some(&meter2),
+                &meter2,
                 0,
                 Addr::V4(Ipv4Addr::new(203, 0, 113, 9)),
                 &name!("www.t.test"),
@@ -903,42 +848,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind, ClientErrorKind::Unreachable);
         assert_eq!(meter2.io(), IoCounters::default());
-    }
-
-    #[test]
-    fn metered_queries_leave_the_shared_id_counter_alone() {
-        let (net, addr) = setup();
-        let c = DnsClient::new(net);
-        let meter = QueryMeter::new(500);
-        let m = c
-            .query_at_with(
-                Some(&meter),
-                0,
-                addr,
-                &name!("www.t.test"),
-                RecordType::A,
-                true,
-            )
-            .unwrap();
-        // A metered ID is derived, not drawn from the shared counter: a
-        // second meter with the same seed reproduces it exactly.
-        let meter2 = QueryMeter::new(500);
-        let m2 = c
-            .query_at_with(
-                Some(&meter2),
-                0,
-                addr,
-                &name!("www.t.test"),
-                RecordType::A,
-                true,
-            )
-            .unwrap();
-        assert_eq!(m.message.header.id, m2.message.header.id);
-        // The next unmetered query still gets the first shared ID.
-        let g = c
-            .query(addr, &name!("www.t.test"), RecordType::A, true)
-            .unwrap();
-        assert_eq!(g.message.header.id, 1);
     }
 
     #[test]
@@ -974,9 +883,7 @@ mod tests {
                     seed: 7,
                 },
             );
-            let ex = c
-                .query(addr, &name!("www.t.test"), RecordType::A, true)
-                .unwrap();
+            let ex = ask(&c, addr, &name!("www.t.test"), RecordType::A).unwrap();
             (ex.elapsed, ex.attempts, ex.retries)
         };
         assert_eq!(run(), run());

@@ -35,10 +35,9 @@
 //! Both caches are pure accelerators: every entry is a deterministic
 //! function of the simulated world, so a hit changes *when* datagrams go
 //! out, never *what* any response contains — classifications are
-//! invariant under cache state. Every insert made under a
-//! [`QueryMeter`] is logged to that meter's
-//! [`CacheLog`](crate::cachelog::CacheLog) so the crash-recovery journal
-//! can replay identical cache state on resume.
+//! invariant under cache state. Every insert is logged to the walk's
+//! [`QueryMeter`]'s [`CacheLog`](crate::cachelog::CacheLog) so the
+//! crash-recovery journal can replay identical cache state on resume.
 
 // P001/P002 (DESIGN.md §8): a hostile reply degrades into a typed error
 // and never aborts the scanner, so nothing here unwraps, panics or indexes.
@@ -194,16 +193,13 @@ impl Resolver {
         &self.client
     }
 
-    /// Resolve (name, type) iteratively from the root.
-    pub fn resolve(&self, qname: &Name, qtype: RecordType) -> Result<Resolution, ResolverError> {
-        self.resolve_at_with(None, 0, qname, qtype)
-    }
-
-    /// Like [`resolve`](Self::resolve), but the walk starts at virtual
-    /// time `now`, so time-windowed faults see when each query lands,
-    /// and every exchange of the walk — including nested NS-address
+    /// Resolve (name, type) iteratively from the root, starting at
+    /// virtual time `now` so time-windowed faults see when each query
+    /// lands. Every exchange of the walk — including nested NS-address
     /// resolutions, whose cost the returned [`Resolution`] does not
-    /// itemise — is charged to `meter`.
+    /// itemise — is charged to `meter`; without one, to a fixed-seed
+    /// meter of the call's own, so the walk's datagrams do not depend on
+    /// anything the client sent before.
     pub fn resolve_at_with(
         &self,
         meter: Option<&QueryMeter>,
@@ -211,6 +207,14 @@ impl Resolver {
         qname: &Name,
         qtype: RecordType,
     ) -> Result<Resolution, ResolverError> {
+        let detached;
+        let meter = match meter {
+            Some(m) => m,
+            None => {
+                detached = QueryMeter::detached();
+                &detached
+            }
+        };
         let mut visited = Vec::new();
         self.resolve_chased(meter, now, qname, qtype, 0, &mut visited)
     }
@@ -223,7 +227,7 @@ impl Resolver {
     /// signal records".
     fn resolve_chased(
         &self,
-        meter: Option<&QueryMeter>,
+        meter: &QueryMeter,
         now: SimMicros,
         qname: &Name,
         qtype: RecordType,
@@ -250,9 +254,7 @@ impl Resolver {
                 _ => return Ok(res),
             };
             if aliases.contains(&target) || aliases.len() > MAX_ALIAS_HOPS {
-                if let Some(m) = meter {
-                    m.note_hostile(HostileCause::AliasLoop);
-                }
+                meter.note_hostile(HostileCause::AliasLoop);
                 return Err(ResolverError::Hostile(HostileCause::AliasLoop));
             }
             aliases.push(target.clone());
@@ -269,7 +271,7 @@ impl Resolver {
 
     fn walk(
         &self,
-        meter: Option<&QueryMeter>,
+        meter: &QueryMeter,
         now: SimMicros,
         qname: &Name,
         qtype: RecordType,
@@ -305,9 +307,7 @@ impl Resolver {
                 let before = authorities.len();
                 authorities.retain(|r| r.name.is_subdomain_of(&zone_apex));
                 if authorities.len() < before {
-                    if let Some(m) = meter {
-                        m.note_hostile(HostileCause::ForeignRecords);
-                    }
+                    meter.note_hostile(HostileCause::ForeignRecords);
                 }
                 return Ok(Resolution {
                     rcode,
@@ -357,23 +357,17 @@ impl Resolver {
                 .filter(|r| !r.name.is_subdomain_of(&zone_apex))
                 .count();
             if ns_all.len() - ns_names.len() + foreign_auth > 0 {
-                if let Some(m) = meter {
-                    m.note_hostile(HostileCause::ForeignRecords);
-                }
+                meter.note_hostile(HostileCause::ForeignRecords);
             }
             // The cut must descend from the delegating zone AND lie on the
             // path to qname: anything else (upward, sideways, or
             // self-referral) can never make progress.
             if !cut.is_strict_subdomain_of(&zone_apex) || !qname.is_subdomain_of(&cut) {
-                if let Some(m) = meter {
-                    m.note_hostile(HostileCause::ReferralLoop);
-                }
+                meter.note_hostile(HostileCause::ReferralLoop);
                 return Err(ResolverError::Hostile(HostileCause::ReferralLoop));
             }
             if ns_names.len() > MAX_NS_FANOUT {
-                if let Some(m) = meter {
-                    m.note_hostile(HostileCause::WideReferral);
-                }
+                meter.note_hostile(HostileCause::WideReferral);
                 return Err(ResolverError::Hostile(HostileCause::WideReferral));
             }
             let ds: Vec<DsData> = msg
@@ -416,9 +410,7 @@ impl Resolver {
                 }
             }
             if foreign_glue > 0 {
-                if let Some(m) = meter {
-                    m.note_hostile(HostileCause::ForeignRecords);
-                }
+                meter.note_hostile(HostileCause::ForeignRecords);
             }
             if addrs.is_empty() {
                 for ns in &ns_names {
@@ -459,9 +451,7 @@ impl Resolver {
                 data.parent_apex.clone(),
                 (now + elapsed).saturating_add(CACHE_TTL_MICROS),
             );
-            if let Some(m) = meter {
-                m.log_referral_insert(cut.clone(), Arc::clone(&data));
-            }
+            meter.log_referral_insert(cut.clone(), Arc::clone(&data));
             chain.push(ChainLink {
                 child_apex: cut.clone(),
                 data,
@@ -532,16 +522,11 @@ impl Resolver {
         Some((links, apex, servers))
     }
 
-    /// Resolve the addresses of a nameserver hostname (cached).
-    pub fn addresses_of(&self, ns: &Name) -> Result<Arc<Vec<Addr>>, ResolverError> {
-        self.addresses_of_at_with(None, 0, ns)
-    }
-
-    /// Like [`addresses_of`](Self::addresses_of), starting at virtual
-    /// time `now` and charging the lookups to `meter`.
+    /// Resolve the addresses of a nameserver hostname (cached), starting
+    /// at virtual time `now` and charging the lookups to `meter`.
     pub fn addresses_of_at_with(
         &self,
-        meter: Option<&QueryMeter>,
+        meter: &QueryMeter,
         now: SimMicros,
         ns: &Name,
     ) -> Result<Arc<Vec<Addr>>, ResolverError> {
@@ -551,7 +536,7 @@ impl Resolver {
 
     fn addresses_of_inner(
         &self,
-        meter: Option<&QueryMeter>,
+        meter: &QueryMeter,
         now: SimMicros,
         ns: &Name,
         depth: usize,
@@ -564,9 +549,7 @@ impl Resolver {
             // This NS hostname's resolution is already in flight above us:
             // a delegation loop (A's servers are named under B, B's under
             // A) would recurse forever without this.
-            if let Some(m) = meter {
-                m.note_hostile(HostileCause::ReferralLoop);
-            }
+            meter.note_hostile(HostileCause::ReferralLoop);
             return Err(ResolverError::Hostile(HostileCause::ReferralLoop));
         }
         visited.push(ns.clone());
@@ -597,9 +580,7 @@ impl Resolver {
         visited.pop();
         let addrs = Arc::new(addrs);
         if !complete {
-            if let Some(m) = meter {
-                m.tally(|s| s.record(ScanError::ResolutionFailed));
-            }
+            meter.tally(|s| s.record(ScanError::ResolutionFailed));
             return Ok(addrs);
         }
         // One allocation, shared three ways: the cache entry, the meter
@@ -610,9 +591,7 @@ impl Resolver {
             provenance,
             now.saturating_add(CACHE_TTL_MICROS),
         );
-        if let Some(m) = meter {
-            m.log_addr_insert(ns.clone(), Arc::clone(&addrs));
-        }
+        meter.log_addr_insert(ns.clone(), Arc::clone(&addrs));
         Ok(addrs)
     }
 
@@ -661,7 +640,7 @@ impl Resolver {
     /// time spent and the queries sent.
     fn query_first_responsive(
         &self,
-        meter: Option<&QueryMeter>,
+        meter: &QueryMeter,
         now: SimMicros,
         servers: &[Addr],
         qname: &Name,

@@ -13,7 +13,7 @@
     clippy::indexing_slicing
 )]
 
-use crate::client::DnsClient;
+use crate::client::{DnsClient, QueryMeter};
 use crate::iterate::{ChainLink, Resolution};
 use dns_crypto::UnixTime;
 use dns_crypto::{ds_digest, DigestType};
@@ -46,7 +46,8 @@ pub enum Security {
 ///
 /// Negative responses (empty answer section) validate the chain only; we
 /// do not check NSEC proofs of nonexistence (the scanner checks the
-/// records it *got*, as the paper's pipeline does).
+/// records it *got*, as the paper's pipeline does). The DNSKEY queries go
+/// out under a meter of the call's own.
 pub fn validate_resolution(
     client: &DnsClient,
     trust_anchors: &[DsData],
@@ -54,12 +55,15 @@ pub fn validate_resolution(
     res: &Resolution,
     now: UnixTime,
 ) -> Security {
+    let meter = QueryMeter::detached();
+    let fetch = |zone: &Name, servers: &[Addr], ds: &[DsData]| {
+        fetch_and_verify_keys(client, &meter, zone, servers, ds, now)
+    };
     // 1. Root keys.
-    let mut current_keys =
-        match fetch_and_verify_keys(client, &Name::root(), roots, trust_anchors, now) {
-            Ok(k) => k,
-            Err(s) => return s,
-        };
+    let mut current_keys = match fetch(&Name::root(), roots, trust_anchors) {
+        Ok(k) => k,
+        Err(s) => return s,
+    };
 
     // 2. Walk each recorded cut.
     for link in &res.chain {
@@ -72,12 +76,10 @@ pub fn validate_resolution(
             return Security::Bogus;
         }
         // Child DNSKEYs must chain from the DS.
-        current_keys =
-            match fetch_and_verify_keys(client, &link.child_apex, &link.child_servers, ds_set, now)
-            {
-                Ok(k) => k,
-                Err(s) => return s,
-            };
+        current_keys = match fetch(&link.child_apex, &link.child_servers, ds_set) {
+            Ok(k) => k,
+            Err(s) => return s,
+        };
     }
 
     // 3. Verify the answer RRsets with the answering zone's keys.
@@ -104,13 +106,14 @@ pub fn validate_resolution(
 /// `ds` (the parent's DS set, or the DS-form trust anchors at the root).
 fn fetch_and_verify_keys(
     client: &DnsClient,
+    meter: &QueryMeter,
     zone: &Name,
     servers: &[Addr],
     ds: &[DsData],
     now: UnixTime,
 ) -> Result<Vec<DnskeyData>, Security> {
-    let msg =
-        query_any(client, servers, zone, RecordType::Dnskey).ok_or(Security::Indeterminate)?;
+    let msg = query_any(client, meter, servers, zone, RecordType::Dnskey)
+        .ok_or(Security::Indeterminate)?;
     // A DS (or anchor) exists, so a reply that fails the rule is bogus.
     verified_dnskeys(&msg, zone, ds, now).ok_or(Security::Bogus)
 }
@@ -240,12 +243,13 @@ pub fn ds_matches_key(owner: &Name, ds: DsForm<'_>, key: &DnskeyData) -> bool {
 
 fn query_any(
     client: &DnsClient,
+    meter: &QueryMeter,
     servers: &[Addr],
     qname: &Name,
     qtype: RecordType,
 ) -> Option<Message> {
     for &addr in servers {
-        if let Ok(ex) = client.query(addr, qname, qtype, true) {
+        if let Ok(ex) = client.query_at_with(meter, 0, addr, qname, qtype, true) {
             if !ex.message.rcode().is_error() {
                 return Some(ex.message);
             }
@@ -264,11 +268,11 @@ mod tests {
     use dns_wire::rdata::SoaData;
     use dns_wire::record::Record;
     use dns_zone::{Corruption, Zone, ZoneKeys, ZoneSigner};
-    use netsim::{Network, SimMicros};
+    use netsim::{Network, ServerHandler, ServerResponse, SimMicros, Transport};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::net::Ipv4Addr;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
 
     const NOW: UnixTime = 1_000_000;
 
@@ -432,7 +436,11 @@ mod tests {
     }
 
     fn resolver(m: &MiniNet) -> Resolver {
-        let client = Arc::new(DnsClient::new(Arc::clone(&m.net)));
+        resolver_over(m, Arc::new(DnsClient::new(Arc::clone(&m.net))))
+    }
+
+    /// A cold resolver over `client`, with the NS addresses seeded.
+    fn resolver_over(m: &MiniNet, client: Arc<DnsClient>) -> Resolver {
         let r = Resolver::new(
             client,
             RootHints {
@@ -461,7 +469,9 @@ mod tests {
     }
 
     fn status(m: &MiniNet, r: &Resolver, qname: &str) -> (Resolution, Security) {
-        let res = r.resolve(&name!(qname), RecordType::A).unwrap();
+        let res = r
+            .resolve_at_with(None, 0, &name!(qname), RecordType::A)
+            .unwrap();
         let sec = validate_resolution(r.client(), &m.anchors, &m.roots, &res, NOW);
         (res, sec)
     }
@@ -513,7 +523,7 @@ mod tests {
         let m = build();
         let r = resolver(&m);
         let res = r
-            .resolve(&name!("nope.secure.test"), RecordType::A)
+            .resolve_at_with(None, 0, &name!("nope.secure.test"), RecordType::A)
             .unwrap();
         assert_eq!(res.rcode, Rcode::NxDomain);
         let sec = validate_resolution(r.client(), &m.anchors, &m.roots, &res, NOW);
@@ -524,7 +534,9 @@ mod tests {
     fn wrong_anchor_makes_everything_bogus() {
         let m = build();
         let r = resolver(&m);
-        let res = r.resolve(&name!("www.secure.test"), RecordType::A).unwrap();
+        let res = r
+            .resolve_at_with(None, 0, &name!("www.secure.test"), RecordType::A)
+            .unwrap();
         let bad_anchor = vec![DsData {
             key_tag: 1,
             algorithm: 13,
@@ -540,7 +552,9 @@ mod tests {
         // Validating far in the future, after signature expiry.
         let m = build();
         let r = resolver(&m);
-        let res = r.resolve(&name!("www.secure.test"), RecordType::A).unwrap();
+        let res = r
+            .resolve_at_with(None, 0, &name!("www.secure.test"), RecordType::A)
+            .unwrap();
         let future = NOW + 40 * 24 * 3600;
         let sec = validate_resolution(r.client(), &m.anchors, &m.roots, &res, future);
         assert_eq!(sec, Security::Bogus);
@@ -614,5 +628,63 @@ mod tests {
         let (res, _) = status(&m, &r, "www.secure.test");
         assert!(res.queries >= 3, "{}", res.queries);
         assert!(res.elapsed > 0);
+    }
+
+    /// Passes every datagram a server receives, with its destination, to
+    /// `received` before answering it.
+    struct Recorder {
+        inner: Arc<dyn ServerHandler>,
+        received: mpsc::Sender<(Addr, Vec<u8>)>,
+    }
+
+    impl ServerHandler for Recorder {
+        fn handle(
+            &self,
+            q: &[u8],
+            dst: Addr,
+            t: Transport,
+            b: u32,
+            now: SimMicros,
+        ) -> ServerResponse {
+            self.received.send((dst, q.to_vec())).unwrap();
+            self.inner.handle(q, dst, t, b, now)
+        }
+    }
+
+    /// The calls that bring no meter send the same datagrams every time:
+    /// their query IDs come from a meter of the call's own, never from
+    /// what the shared client sent before.
+    #[test]
+    fn meterless_calls_send_the_same_datagrams_every_time() {
+        let m = build();
+        let (tx, rx) = mpsc::channel();
+        m.net.wrap_handlers(|inner| {
+            Arc::new(Recorder {
+                inner,
+                received: tx.clone(),
+            })
+        });
+        let sent = |call: &dyn Fn()| {
+            call();
+            rx.try_iter().collect::<Vec<_>>()
+        };
+        // Two cold resolvers over one client: same walk, same bytes.
+        let first = resolver(&m);
+        let second = resolver_over(&m, Arc::clone(first.client()));
+        let qname = name!("www.secure.test");
+        let resolve = |r: &Resolver| r.resolve_at_with(None, 0, &qname, RecordType::A).unwrap();
+        let walk = sent(&|| drop(resolve(&first)));
+        assert!(walk.len() >= 3, "{}", walk.len());
+        assert_eq!(walk, sent(&|| drop(resolve(&second))));
+        // Two validations of one resolution: same DNSKEY queries.
+        let res = resolve(&first);
+        rx.try_iter().for_each(drop);
+        let validate = || {
+            let sec = validate_resolution(first.client(), &m.anchors, &m.roots, &res, NOW);
+            assert_eq!(sec, Security::Secure);
+        };
+        let keys = sent(&validate);
+        assert_eq!(keys.len(), 3, "root, test and secure.test DNSKEY");
+        assert_eq!(keys, sent(&validate));
     }
 }

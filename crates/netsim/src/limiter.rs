@@ -9,7 +9,8 @@
 
 use crate::SimMicros;
 
-/// A token bucket in virtual microseconds, owned by one scan lane.
+/// A token bucket in virtual microseconds, owned by one zone scan and
+/// dropped with it.
 pub struct RateLimiter {
     /// Tokens added per virtual second.
     rate_per_sec: f64,
@@ -31,15 +32,6 @@ impl RateLimiter {
             tokens: burst,
             last: 0,
         }
-    }
-
-    /// Re-arm the bucket to its just-constructed state (full burst,
-    /// epoch zero). Lets callers pool limiters across independent scan
-    /// units instead of reallocating them, while keeping results
-    /// identical to a fresh limiter.
-    pub fn reset(&mut self) {
-        self.tokens = self.burst;
-        self.last = 0;
     }
 
     /// Acquire one token at virtual time `now`, returning the virtual
@@ -114,31 +106,6 @@ mod tests {
         assert_eq!(a.acquire(0), 0);
         assert_eq!(b.acquire(0), 0);
         assert!(a.acquire(0) > 0);
-    }
-
-    #[test]
-    fn reset_is_indistinguishable_from_a_fresh_limiter() {
-        let mut l = RateLimiter::new(50.0, 2.0);
-        let mut now: SimMicros = 5_000_000;
-        for _ in 0..20 {
-            now += l.acquire(now);
-        }
-        l.reset();
-        // Same draws as a brand-new limiter: full burst at epoch zero.
-        assert_eq!(l.acquire(0), 0);
-        assert_eq!(l.acquire(0), 0);
-        assert_eq!(l.acquire(0), RateLimiter::new(50.0, 2.0).acquire_n(3));
-    }
-
-    /// Helper view: the wait the `n`-th acquire at time 0 returns.
-    impl RateLimiter {
-        fn acquire_n(&mut self, n: u32) -> SimMicros {
-            let mut last = 0;
-            for _ in 0..n {
-                last = self.acquire(0);
-            }
-            last
-        }
     }
 
     #[test]

@@ -142,7 +142,9 @@ fn security_of(w: &World, name: &Name) -> Security {
         None,
         SimMicros::MAX,
     );
-    let res = resolver.resolve(name, RecordType::A).expect("resolves");
+    let res = resolver
+        .resolve_at_with(None, 0, name, RecordType::A)
+        .expect("resolves");
     validate_resolution(&client, &w.anchors, &w.roots, &res, NOW)
 }
 
