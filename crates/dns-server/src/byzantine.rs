@@ -1,9 +1,9 @@
 //! Byzantine servers: nameservers that violate the protocol on purpose.
 //!
-//! The benign [`AuthServer`](crate::AuthServer) models *misconfigured*
-//! operators (quirks, outages). This module models *adversarial* ones —
-//! servers whose whole point is to waste a scanner's query budget, poison
-//! its caches, or feed it answers for questions it never asked. Each
+//! The benign [`AuthServer`] models *misconfigured* operators (quirks,
+//! outages). This module models *adversarial* ones — servers whose
+//! whole point is to waste a scanner's query budget, poison its caches,
+//! or feed it answers for questions it never asked. Each
 //! [`ByzantineMode`] realises one archetype from the ecosystem's
 //! adversarial tier; the resolver's acceptance rules (DESIGN.md §6c) are
 //! what these servers are built to probe.
@@ -47,9 +47,9 @@ pub enum ByzantineMode {
 
 /// A nameserver that implements one [`ByzantineMode`].
 ///
-/// Unlike [`AuthServer`](crate::AuthServer) it performs no truncation: an
-/// adversary has no interest in honouring EDNS payload limits, and the
-/// simulated network delivers oversized datagrams regardless.
+/// Unlike [`AuthServer`] it performs no truncation: an adversary has no
+/// interest in honouring EDNS payload limits, and the simulated network
+/// delivers oversized datagrams regardless.
 pub struct ByzantineServer {
     mode: ByzantineMode,
 }

@@ -62,13 +62,21 @@ impl Node {
 
 /// An authoritative zone: an apex name plus all in-zone records.
 ///
-/// Exact-match access (every query's path) goes through `nodes`, hashed
-/// on the owner name's cached FNV-64; `order` keeps the same names in
-/// canonical order for what needs it — NSEC predecessors, iteration and
-/// signing. The hash index is only ever probed, never iterated.
+/// The apex's RRsets live inline in `apex_node`; an apex node with no
+/// RRset is no owner at all (absent from iteration, lookups and the
+/// NSEC chain). Owners strictly below the apex are indexed twice:
+/// exact-match access (every query's path) goes through `nodes`, hashed
+/// on the owner name's cached FNV-64, and `order` keeps the same names
+/// in canonical order for what needs it — NSEC predecessors, iteration
+/// and signing. The hash index is only ever probed, never iterated.
+/// The apex is the canonical minimum of its zone, so every ordered walk
+/// reads it first and the index after it. Almost every zone of a built
+/// world has the apex as its only owner, and an empty map and set
+/// allocate nothing: such a zone holds no index.
 #[derive(Debug, Clone)]
 pub struct Zone {
     apex: Name,
+    apex_node: Node,
     nodes: NameMap<Node>,
     order: BTreeSet<CanonicalName>,
 }
@@ -105,6 +113,7 @@ impl Zone {
     pub fn new(apex: Name) -> Self {
         Zone {
             apex,
+            apex_node: Node::default(),
             nodes: NameMap::default(),
             order: BTreeSet::new(),
         }
@@ -178,6 +187,9 @@ impl Zone {
         if !name.is_subdomain_of(&self.apex) {
             return None;
         }
+        if name == &self.apex {
+            return Some(&mut self.apex_node);
+        }
         Some(self.nodes.entry(name.clone()).or_insert_with(|| {
             self.order.insert(CanonicalName(name.clone()));
             Node::default()
@@ -196,20 +208,43 @@ impl Zone {
     /// Remove an entire RRset; returns it if present. The node keeps no
     /// spare slot for it.
     pub fn remove_rrset(&mut self, name: &Name, rtype: RecordType) -> Option<RrSet> {
-        let node = self.nodes.get_mut(name)?;
+        let at_apex = name == &self.apex;
+        let node = if at_apex {
+            &mut self.apex_node
+        } else {
+            self.nodes.get_mut(name)?
+        };
         let set = node.rrsets.remove(node.slot(rtype.code()).ok()?);
-        if node.rrsets.is_empty() {
+        node.rrsets.shrink_to_fit();
+        if node.rrsets.is_empty() && !at_apex {
             self.nodes.remove(name);
             self.order.remove(&CanonicalName(name.clone()));
-        } else {
-            node.rrsets.shrink_to_fit();
         }
         Some(set)
     }
 
+    /// The apex as an owner: `None` while it holds no RRset.
+    fn apex_owner(&self) -> Option<(&Name, &Node)> {
+        (!self.apex_node.rrsets.is_empty()).then_some((&self.apex, &self.apex_node))
+    }
+
+    /// The apex's name while it is an owner.
+    fn apex_name(&self) -> Option<&Name> {
+        self.apex_owner().map(|(apex, _)| apex)
+    }
+
+    /// The owner `name` and its node, if any RRset exists there.
+    fn get_key_value(&self, name: &Name) -> Option<(&Name, &Node)> {
+        if name == &self.apex {
+            self.apex_owner()
+        } else {
+            self.nodes.get_key_value(name)
+        }
+    }
+
     /// The node at exactly `name`, if any RRset exists there.
     pub fn node(&self, name: &Name) -> Option<&Node> {
-        self.nodes.get(name)
+        self.get_key_value(name).map(|(_, node)| node)
     }
 
     /// Exact-match RRset lookup (no delegation logic).
@@ -219,18 +254,27 @@ impl Zone {
 
     /// Whether any RRset exists at `name`.
     pub fn node_exists(&self, name: &Name) -> bool {
-        self.nodes.contains_key(name)
+        self.get_key_value(name).is_some()
     }
 
     /// Owner names in canonical order.
     pub fn names(&self) -> impl Iterator<Item = &Name> {
-        self.order.iter().map(|k| &k.0)
+        let below = self.order.iter().map(|k| &k.0);
+        self.apex_name().into_iter().chain(below)
     }
 
     /// All nodes in canonical order.
     pub fn nodes(&self) -> impl Iterator<Item = (&Name, &Node)> {
         debug_assert_eq!(self.nodes.len(), self.order.len());
-        self.names().map(|name| (name, &self.nodes[name]))
+        let below = self.order.iter().map(|k| (&k.0, &self.nodes[&k.0]));
+        self.apex_owner().into_iter().chain(below)
+    }
+
+    /// The index's slots, for footprint accounting: the hash map's
+    /// capacity and the ordered set's length. Both are 0 in a zone whose
+    /// only owner is the apex.
+    pub fn index_slots(&self) -> (usize, usize) {
+        (self.nodes.capacity(), self.order.len())
     }
 
     /// All records, flattened, canonical owner order.
@@ -305,7 +349,7 @@ impl Zone {
         if let Some(referral) = self.cut_above(name) {
             return referral;
         }
-        let Some((owner, node)) = self.nodes.get_key_value(name) else {
+        let Some((owner, node)) = self.get_key_value(name) else {
             return ZoneLookup::NxDomain;
         };
         // A query *at* a delegation point: DS (and the NS set itself in
@@ -349,8 +393,12 @@ impl Zone {
         self.order
             .range(..=key)
             .next_back()
-            .or_else(|| self.order.iter().next_back())
             .map(|k| &k.0)
+            .or_else(|| {
+                self.apex_name()
+                    .filter(|apex| apex.canonical_cmp(name).is_le())
+            })
+            .or_else(|| self.last_name())
     }
 
     /// The owner name strictly before `name` in canonical order, wrapping
@@ -362,20 +410,39 @@ impl Zone {
         self.order
             .range(..key)
             .next_back()
-            .or_else(|| self.order.iter().next_back())
             .map(|k| &k.0)
+            .or_else(|| {
+                self.apex_name()
+                    .filter(|apex| apex.canonical_cmp(name).is_lt())
+            })
+            .or_else(|| self.last_name())
     }
 
     /// The owner name strictly after `name` in canonical order, wrapping
     /// to the zone's first name (the apex).
     pub fn name_after(&self, name: &Name) -> Option<&Name> {
         use std::ops::Bound::{Excluded, Unbounded};
+        if let Some(apex) = self
+            .apex_name()
+            .filter(|apex| apex.canonical_cmp(name).is_gt())
+        {
+            return Some(apex);
+        }
         let key = CanonicalName(name.clone());
         self.order
             .range((Excluded(key), Unbounded))
             .next()
-            .or_else(|| self.order.iter().next())
             .map(|k| &k.0)
+            .or_else(|| self.names().next())
+    }
+
+    /// The canonically last owner name.
+    fn last_name(&self) -> Option<&Name> {
+        self.order
+            .iter()
+            .next_back()
+            .map(|k| &k.0)
+            .or_else(|| self.apex_name())
     }
 
     /// Render the zone as master-file text.
@@ -790,6 +857,41 @@ mod tests {
             [RecordType::A, RecordType::Soa]
         );
         assert_eq!(spare_slots(&z), 0);
+    }
+
+    #[test]
+    fn a_one_owner_zone_holds_no_index() {
+        let apex = name!("example.ch");
+        let mut z = Zone::new(apex.clone());
+        z.add(soa(&apex));
+        z.add(Record::new(
+            apex.clone(),
+            300,
+            RData::Ns(name!("ns1.op.net")),
+        ));
+        assert_eq!(z.index_slots(), (0, 0));
+        assert_eq!(z.names().collect::<Vec<_>>(), [&apex]);
+        assert!(matches!(
+            z.lookup(&apex, RecordType::Soa),
+            ZoneLookup::Answer(_)
+        ));
+        // A child indexes the child only; the apex stays inline.
+        let www = name!("www.example.ch");
+        z.add(Record::new(
+            www.clone(),
+            300,
+            RData::A(Ipv4Addr::new(192, 0, 2, 80)),
+        ));
+        assert_eq!(z.index_slots().1, 1);
+        assert!(z.remove_rrset(&www, RecordType::A).is_some());
+        // The apex emptied is no owner, and keeps no slot.
+        assert!(z.remove_rrset(&apex, RecordType::Soa).is_some());
+        assert!(z.remove_rrset(&apex, RecordType::Ns).is_some());
+        assert!(!z.node_exists(&apex));
+        assert_eq!(z.names().count(), 0);
+        assert_eq!(z.lookup(&apex, RecordType::Soa), ZoneLookup::NxDomain);
+        assert_eq!(z.nsec_predecessor(&apex), None);
+        assert_eq!(z.apex_node.rrsets.capacity(), 0);
     }
 
     #[test]

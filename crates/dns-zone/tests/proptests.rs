@@ -1,8 +1,8 @@
 //! Property-based tests over zone signing: every signed RRset verifies,
 //! NSEC chains are closed loops over exactly the authoritative names, and
 //! signed zones survive a zone-file round trip. The zone's hashed and
-//! ordered indexes are checked against a naive reference over a sorted
-//! `Vec`.
+//! ordered indexes, and the inline apex node read before them, are
+//! checked against a naive reference over a sorted `Vec`.
 
 use dns_crypto::Algorithm;
 use dns_wire::name::Name;
@@ -107,13 +107,20 @@ impl Reference {
             apex: apex.clone(),
             nodes: Vec::new(),
         };
-        records.iter().for_each(|r| reference.add(r));
+        for r in records {
+            reference.add(r);
+        }
         reference
     }
 
-    fn add(&mut self, r: &Record) {
-        if !sort_key(&r.name).starts_with(&sort_key(&self.apex)) {
-            return;
+    fn in_zone(&self, name: &Name) -> bool {
+        sort_key(name).starts_with(&sort_key(&self.apex))
+    }
+
+    /// Whether `r` is in the zone, and so added.
+    fn add(&mut self, r: &Record) -> bool {
+        if !self.in_zone(&r.name) {
+            return false;
         }
         match self.nodes.iter_mut().find(|(n, _)| n == &r.name) {
             Some((_, types)) => types.insert(r.rtype().code()),
@@ -124,6 +131,7 @@ impl Reference {
             }
         };
         self.nodes.sort_by_key(|(n, _)| sort_key(n));
+        true
     }
 
     /// Drop one type at `name`, and the node with its last type.
@@ -164,6 +172,67 @@ impl Reference {
             .next_back()
             .or(self.nodes.last())
             .map(|(n, _)| n)
+    }
+
+    fn before(&self, name: &Name) -> Option<&Name> {
+        let mut before = self
+            .nodes
+            .iter()
+            .filter(|(n, _)| sort_key(n) < sort_key(name));
+        before.next_back().or(self.nodes.last()).map(|(n, _)| n)
+    }
+
+    fn after(&self, name: &Name) -> Option<&Name> {
+        let mut after = self
+            .nodes
+            .iter()
+            .filter(|(n, _)| sort_key(n) > sort_key(name));
+        after.next().or(self.nodes.first()).map(|(n, _)| n)
+    }
+
+    /// RFC 1034 §4.3.2 spelled out: the topmost cut strictly between the
+    /// apex and `name` refers; so does `name` itself as a non-apex NS
+    /// owner, except for DS.
+    fn lookup(&self, name: &Name, qtype: RecordType) -> Outcome {
+        if !self.in_zone(name) {
+            Outcome::OutOfZone
+        } else if let Some(cut) = self.covering_cut(name) {
+            Outcome::Referral(cut)
+        } else if qtype != RecordType::Ds && self.is_delegation(name) {
+            Outcome::Referral(name.clone())
+        } else if self.has(name, qtype) {
+            Outcome::Answer(name.clone(), qtype.code())
+        } else if self.has(name, RecordType::Cname) {
+            Outcome::Cname(name.clone())
+        } else if self.nodes.iter().any(|(n, _)| n == name) {
+            Outcome::NoData
+        } else {
+            Outcome::NxDomain
+        }
+    }
+}
+
+/// A lookup's outcome, owned, so the zone's and the reference's compare.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    OutOfZone,
+    Referral(Name),
+    Answer(Name, u16),
+    Cname(Name),
+    NoData,
+    NxDomain,
+}
+
+impl Outcome {
+    fn of(lookup: ZoneLookup<'_>) -> Self {
+        match lookup {
+            ZoneLookup::OutOfZone => Outcome::OutOfZone,
+            ZoneLookup::Delegation { cut, .. } => Outcome::Referral(cut.clone()),
+            ZoneLookup::Answer(set) => Outcome::Answer(set.name.clone(), set.rtype.code()),
+            ZoneLookup::Cname(set) => Outcome::Cname(set.name.clone()),
+            ZoneLookup::NoData => Outcome::NoData,
+            ZoneLookup::NxDomain => Outcome::NxDomain,
+        }
     }
 }
 
@@ -207,7 +276,9 @@ proptest! {
             }
             if !late {
                 zone.add_all(second.to_vec());
-                second.iter().for_each(|r| reference.add(r));
+                for r in second {
+                    reference.add(r);
+                }
             }
         }
 
@@ -269,6 +340,122 @@ proptest! {
         }
     }
 
+    /// The walks that read the inline apex node first and the index
+    /// after it agree with the naive reference — one vector of owners in
+    /// RFC 4034 §6.1 order, every query a linear scan — on every shape a
+    /// zone's owners can take around its apex.
+    #[test]
+    fn apex_first_walks_agree_with_a_sorted_vec_model(
+        shape in arb_shape(),
+        records in arb_records(),
+        probes in proptest::collection::vec(arb_path(), 0..=12),
+    ) {
+        let apex = Name::parse("example.ch").unwrap();
+        let outside = ["example.ca", "a.ch", "zz.ch", "ch", "a.example.org"]
+            .map(|s| Name::parse(s).unwrap());
+        let apex_ns = Record::new(apex.clone(), 300, RData::Ns(Name::parse("ns.op.net").unwrap()));
+        let records: Vec<Record> = match shape {
+            Shape::ApexOnly => records
+                .into_iter()
+                .map(|r| Record::new(apex.clone(), r.ttl, r.rdata))
+                .collect(),
+            Shape::NoApexOwner => records.into_iter().filter(|r| r.name != apex).collect(),
+            Shape::ApexAndChildren | Shape::ApexEmptied => [apex_ns.clone()].into_iter().chain(records).collect(),
+            Shape::OutsideNames => {
+                let strays = outside
+                    .iter()
+                    .map(|n| Record::new(n.clone(), 300, RData::A(Ipv4Addr::new(192, 0, 2, 9))));
+                [apex_ns.clone()].into_iter().chain(records).chain(strays).collect()
+            }
+            Shape::Delegations => {
+                let cuts: Vec<Record> = records
+                    .iter()
+                    .filter(|r| r.name.label_count() == apex.label_count() + 1)
+                    .map(|r| Record::new(r.name.clone(), 300, RData::Ns(Name::parse("ns.op.net").unwrap())))
+                    .collect();
+                [apex_ns.clone()].into_iter().chain(records).chain(cuts).collect()
+            }
+        };
+        let mut zone = Zone::new(apex.clone());
+        let mut reference = Reference::of(&apex, &[]);
+        for r in &records {
+            prop_assert_eq!(zone.add(r.clone()), reference.add(r));
+        }
+        if shape == Shape::ApexEmptied {
+            let at_apex = reference.nodes.iter().find(|(n, _)| n == &apex);
+            let types: Vec<u16> = at_apex.into_iter().flat_map(|(_, t)| t.iter().copied()).collect();
+            for code in types {
+                let rtype = RecordType::from_code(code);
+                prop_assert!(zone.remove_rrset(&apex, rtype).is_some());
+                prop_assert!(reference.remove(&apex, rtype));
+            }
+            prop_assert!(!zone.node_exists(&apex));
+            prop_assert_eq!(zone.remove_rrset(&apex, RecordType::Soa), None);
+        }
+
+        let names: Vec<&Name> = reference.nodes.iter().map(|(n, _)| n).collect();
+        prop_assert_eq!(zone.names().collect::<Vec<_>>(), names);
+        let nodes: Vec<(&Name, Vec<u16>)> = zone
+            .nodes()
+            .map(|(n, node)| (n, node.types().map(RecordType::code).collect()))
+            .collect();
+        let expect: Vec<(&Name, Vec<u16>)> = reference
+            .nodes
+            .iter()
+            .map(|(n, types)| (n, types.iter().copied().collect()))
+            .collect();
+        prop_assert_eq!(nodes, expect);
+
+        let mut probes = probes;
+        probes.extend(reference.nodes.iter().map(|(n, _)| n.clone()));
+        probes.extend(outside);
+        probes.push(apex.clone());
+        for name in &probes {
+            prop_assert_eq!(zone.nsec_predecessor(name), reference.predecessor(name), "pred {}", name);
+            prop_assert_eq!(zone.name_before(name), reference.before(name), "before {}", name);
+            prop_assert_eq!(zone.name_after(name), reference.after(name), "after {}", name);
+            let exists = reference.nodes.iter().any(|(n, _)| n == name);
+            prop_assert_eq!(zone.node_exists(name), exists);
+            for qtype in [RecordType::A, RecordType::Ns, RecordType::Ds, RecordType::Cname, RecordType::Soa] {
+                prop_assert_eq!(
+                    Outcome::of(zone.lookup(name, qtype)),
+                    reference.lookup(name, qtype),
+                    "lookup {} {:?}", name, qtype
+                );
+            }
+        }
+    }
+}
+
+/// The owner sets a zone can have around its apex.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// a. The apex is the only owner.
+    ApexOnly,
+    /// b. The apex and names below it.
+    ApexAndChildren,
+    /// c. Names below the apex, none at it.
+    NoApexOwner,
+    /// d. The apex's every RRset removed again.
+    ApexEmptied,
+    /// e. Records offered at names that sort before the apex or lie
+    /// outside the zone (all rejected).
+    OutsideNames,
+    /// f. Delegations at every child of the apex, names below them.
+    Delegations,
+}
+
+fn arb_shape() -> impl Strategy<Value = Shape> {
+    (0usize..6).prop_map(|i| {
+        [
+            Shape::ApexOnly,
+            Shape::ApexAndChildren,
+            Shape::NoApexOwner,
+            Shape::ApexEmptied,
+            Shape::OutsideNames,
+            Shape::Delegations,
+        ][i]
+    })
 }
 
 proptest! {

@@ -2,8 +2,10 @@
 //! the calibrated synthetic Internet.
 //!
 //! ```sh
-//! # default 1:1000 scale (≈300 k zones; ≈30 s and ≈1.2 GiB peak RSS
-//! # single-threaded on a 2-core Xeon, docs/full_study_1x1000.txt):
+//! # default 1:1000 scale (≈300 k zones; ≈35 s and ≈800 MiB peak RSS
+//! # single-threaded on a 2-core Xeon). Its stdout is the golden file
+//! # docs/full_study_1x1000.txt (CI diffs it); the timing and RSS lines
+//! # go to stderr, recorded in docs/full_study_1x1000.host.txt:
 //! cargo run --release --example full_study
 //! # faster, coarser:
 //! BOOTSCAN_SCALE=20000 cargo run --release --example full_study

@@ -558,16 +558,33 @@ fn render_zones(eco: &Ecosystem, stage: &str) -> String {
     out
 }
 
+/// The stored zones whose only owner is the apex, and the name-index
+/// slots (`Zone::index_slots`, map and set together) they hold.
+fn render_one_owner(eco: &Ecosystem, stage: &str) -> String {
+    let (mut zones, mut slots) = (0, 0);
+    for zone in stored_zones(eco).values().flatten() {
+        if zone.names().count() == 1 {
+            let (map, set) = zone.index_slots();
+            zones += 1;
+            slots += map + set;
+        }
+    }
+    format!("{stage}.one_owner.zones={zones}\n{stage}.one_owner.index_slots={slots}\n")
+}
+
 /// A zone and a scan result hold no spare vector slot: every RRset and
 /// node is exactly sized by `Zone::add` and `Zone::remove_rrset` (so
 /// also after churn's edits), and every `ZoneScan` vector by the scanner
 /// and by the journal decoder. Spare slots must stay 0; slot totals may
-/// grow 20 % over `crates/bench/baselines/footprint_tiny.txt`.
+/// grow 20 % over `crates/bench/baselines/footprint_tiny.txt`. A zone
+/// whose only owner is the apex holds no name index at all
+/// (`*.one_owner.index_slots`, exact), built and after churn.
 #[test]
 fn footprint_is_exact() {
     let mut eco = build(EcosystemConfig::tiny(WORLD_SEED));
     let mut current = String::from("world=tiny\n");
     current.push_str(&render_zones(&eco, "build"));
+    current.push_str(&render_one_owner(&eco, "build"));
 
     let seeds = eco.seeds.compile(&eco.psl);
     let results = Scanner::for_ecosystem(&eco, ScanPolicy::default()).scan_all(&seeds);
@@ -590,12 +607,13 @@ fn footprint_is_exact() {
     let plan = ChurnPlan::generate(&eco, &ChurnConfig::default(), CHURN_SEED, 1);
     apply_churn(&mut eco, &plan);
     current.push_str(&render_zones(&eco, "churn"));
+    current.push_str(&render_one_owner(&eco, "churn"));
 
     gate(
         &current,
         include_str!("../crates/bench/baselines/footprint_tiny.txt"),
         |key| key.ends_with("_slots"),
-        |key| key.ends_with("_spare"),
+        |key| key.ends_with("_spare") || key.ends_with(".index_slots"),
     );
 }
 
@@ -612,7 +630,8 @@ fn footprint_is_exact() {
 /// last write per name, values at their capacity; the epoch tables of a
 /// 4-epoch `run_continuous` count every row and each shared list body
 /// once. Rows labelled "(count)" or "(what-if)" are not bytes held and
-/// stay out of the total. Prints; gates nothing:
+/// stay out of the total; "index slots (count)" is each class's
+/// `Zone::index_slots`, map capacity plus set length. Prints; gates nothing:
 /// `cargo test --release --test cost_gates -- --ignored --nocapture`.
 #[test]
 #[ignore = "paper-scale attribution, prints only"]
@@ -624,6 +643,11 @@ fn footprint_by_owner() {
     let (mut bodies_seen, mut names_seen) = (HashSet::new(), HashSet::new());
     for (owner, zones) in stored_zones(&eco) {
         let (rrsets, _) = zone_slots(&zones);
+        let index: usize = zones
+            .iter()
+            .map(|z| z.index_slots())
+            .map(|(map, set)| map + set)
+            .sum();
         let (mut bodies, mut unshared, mut sig, mut key, mut names) = (0, 0, 0, 0, 0);
         for (name, node) in zones.iter().flat_map(|z| z.nodes()) {
             if names_seen.insert(name.clone()) {
@@ -655,7 +679,8 @@ fn footprint_by_owner() {
         ));
         rows.push((zones.clone(), "signature bytes", sig));
         rows.push((zones.clone(), "key bytes", key));
-        rows.push((zones, "owner names", names));
+        rows.push((zones.clone(), "owner names", names));
+        rows.push((zones, "index slots (count)", index));
     }
 
     let log = CacheLogSink::default();
