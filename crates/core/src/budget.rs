@@ -136,26 +136,19 @@ impl RegistryFeasibility {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::Identified;
-    use crate::types::{CdsClass, ZoneScan};
+    use crate::types::{Evidence, ZoneScan};
     use dns_wire::name;
 
     fn zone(n: &str, dnssec: DnssecClass, ab: AbClass, sampled: bool, queries: u32) -> ZoneScan {
         ZoneScan {
-            name: name!(n),
-            ns_names: [].into(),
-            parent_ds: [].into(),
-            ns_observations: [].into(),
-            signal_observations: [].into(),
-            dnssec,
-            cds: CdsClass::Absent,
-            ab,
-            operator: Identified::Unknown,
+            evidence: Evidence {
+                ab,
+                sampled,
+                ..Evidence::empty(name!(n), dnssec, false)
+            },
             queries,
             elapsed: 500_000,
-            sampled,
             retry_stats: crate::RetryStats::default(),
-            degraded: false,
         }
     }
 

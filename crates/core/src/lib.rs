@@ -50,4 +50,6 @@ pub use health::CircuitBreaker;
 pub use operator::{Identified, OperatorTable};
 pub use progress::{ProgressSink, ResumeState, ZoneEffects, ZoneEvent};
 pub use scanner::{ScanPolicy, ScanResults, Scanner};
-pub use types::{AbClass, CannotReason, CdsClass, DnssecClass, SignalViolation, ZoneScan};
+pub use types::{
+    AbClass, CannotReason, CdsClass, DnssecClass, Evidence, SignalViolation, ZoneScan,
+};

@@ -27,7 +27,7 @@ pub enum Identified {
     /// All NSes belong to one known operator.
     Single(Arc<str>),
     /// NSes belong to more than one known operator (multi-operator
-    /// setup).
+    /// setup), in operator-name order.
     Multi(Vec<Arc<str>>),
     /// No NS matched a known suffix.
     Unknown,
@@ -107,6 +107,7 @@ impl OperatorTable {
             // tags these as unknown rather than guessing.
             (1, true) => Identified::Unknown,
             _ => {
+                ops.sort();
                 ops.shrink_to_fit();
                 Identified::Multi(ops)
             }

@@ -204,25 +204,20 @@ pub fn render_comparison(outcomes: &[PolicyOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::operator::Identified;
-    use crate::types::ZoneScan;
+    use crate::types::{Evidence, ZoneScan};
     use dns_wire::name;
 
     fn zone(n: &str, dnssec: DnssecClass, cds: CdsClass, ab: AbClass) -> ZoneScan {
         ZoneScan {
-            name: name!(n),
-            ns_names: [].into(),
-            parent_ds: [].into(),
-            ns_observations: [].into(),
-            signal_observations: [].into(),
-            dnssec,
-            cds,
-            ab,
-            operator: Identified::Single("Op".into()),
+            evidence: Evidence {
+                cds,
+                ab,
+                operator: Identified::Single("Op".into()),
+                ..Evidence::empty(name!(n), dnssec, false)
+            },
             queries: 0,
             elapsed: 0,
-            sampled: false,
             retry_stats: crate::RetryStats::default(),
-            degraded: false,
         }
     }
 

@@ -759,20 +759,15 @@ mod tests {
 
     fn zone(n: &str, op: Identified, dnssec: DnssecClass, cds: CdsClass, ab: AbClass) -> ZoneScan {
         ZoneScan {
-            name: name!(n),
-            ns_names: [].into(),
-            parent_ds: [].into(),
-            ns_observations: [].into(),
-            signal_observations: [].into(),
-            dnssec,
-            cds,
-            ab,
-            operator: op,
+            evidence: Evidence {
+                cds,
+                ab,
+                operator: op,
+                ..Evidence::empty(name!(n), dnssec, false)
+            },
             queries: 10,
             elapsed: 100,
-            sampled: false,
             retry_stats: RetryStats::default(),
-            degraded: false,
         }
     }
 
@@ -936,11 +931,11 @@ mod tests {
     fn degradation_report_lists_only_degraded_zones_sorted() {
         let mut r = sample_results();
         // Mark two zones degraded, one of them fully indeterminate.
-        r.zones[4].degraded = true;
+        r.zones[4].evidence.degraded = true;
         r.zones[4].retry_stats.timeouts = 3;
         r.zones[4].retry_stats.failures = 3;
         r.zones[4].retry_stats.rescans = 1;
-        r.zones[1].dnssec = DnssecClass::Indeterminate;
+        r.zones[1].evidence.dnssec = DnssecClass::Indeterminate;
         r.zones[1].retry_stats.breaker_skips = 2;
         let d = degradation(&r);
         assert_eq!(d.total_zones, 8);

@@ -495,7 +495,10 @@ impl Scanner {
         }
         probe.clock += res.elapsed;
         probe.queries += res.queries;
-        let ns_names = last_link.ns_names.clone();
+        // Targets are asked in canonical order, so a reordered RRset
+        // changes no question (RFC 2181 §5).
+        let mut ns_names = last_link.ns_names.clone();
+        ns_names.sort_by(Name::canonical_cmp);
         let chain = self.validate_chain_to_parent(probe, &res);
         let parent_ds = match &chain {
             ChainStatus::DsPresent(ds) => ds.clone(),
@@ -509,15 +512,14 @@ impl Scanner {
                 .resolver
                 .addresses_of_at_with(&probe.meter, probe.clock, ns)
             {
-                for a in addrs.iter() {
-                    targets.push((ns.clone(), *a));
-                }
+                targets.extend(addrs.iter().map(|a| (ns.clone(), *a)));
             }
         }
+        targets.sort_by(|(n, a), (m, b)| target_order((n, *a), (m, *b)));
         let sampled = self.apply_sampling(zone, &mut targets);
 
-        // 3. Per-address DNSSEC/CDS observations. Every vector a
-        // `ZoneScan` keeps is exactly sized: results live for the whole
+        // 3. Per-address DNSSEC/CDS observations. Every vector an
+        // `Evidence` keeps is exactly sized: results live for the whole
         // scan, one per zone. `answered_by` is set when the resolution's
         // final reply was that server's reply to (zone, SOA): the first
         // target at that address takes its SOA verdict from the reply
@@ -583,26 +585,24 @@ impl Scanner {
         let ab = classify::ab_class(dnssec, cds, &signal_observations, &observations);
         let operator = self.table.identify(&ns_names);
 
-        let degraded = stats.degraded();
-        // Sealed: from here on the lists are shared, never edited, and
-        // equal key and CDS lists within the scan are one body.
-        let (observations, signal_observations) =
-            share_equal_lists(observations, signal_observations);
-        ZoneScan {
+        let evidence = Evidence {
             name: zone.clone(),
             ns_names: ns_names.into(),
             parent_ds: parent_ds.into(),
-            ns_observations: observations,
-            signal_observations,
+            ns_observations: observations.into(),
+            signal_observations: signal_observations.into(),
             dnssec,
             cds,
             ab,
             operator,
+            sampled,
+            degraded: stats.degraded(),
+        };
+        ZoneScan {
+            evidence: evidence.seal(),
             queries: probe.queries,
             elapsed: probe.clock,
-            sampled,
             retry_stats: stats,
-            degraded,
         }
     }
 
@@ -615,25 +615,16 @@ impl Scanner {
         // misread an attack as a property of the world.
         let stats = probe.meter.stats();
         let degraded = stats.degraded();
+        let dnssec = if degraded {
+            DnssecClass::Indeterminate
+        } else {
+            DnssecClass::Unresolvable
+        };
         ZoneScan {
-            name: zone.clone(),
-            ns_names: [].into(),
-            parent_ds: [].into(),
-            ns_observations: [].into(),
-            signal_observations: [].into(),
-            dnssec: if degraded {
-                DnssecClass::Indeterminate
-            } else {
-                DnssecClass::Unresolvable
-            },
-            cds: CdsClass::Absent,
-            ab: AbClass::NoSignal,
-            operator: crate::operator::Identified::Unknown,
+            evidence: Evidence::empty(zone.clone(), dnssec, degraded),
             queries: probe.queries,
             elapsed: probe.clock,
-            sampled: false,
             retry_stats: stats,
-            degraded,
         }
     }
 
@@ -651,7 +642,8 @@ impl Scanner {
         if !in_sample {
             return false;
         }
-        // Keep 1 IPv4 and 1 IPv6.
+        // Keep the first IPv4 and the first IPv6 target, in canonical
+        // order.
         let v4 = targets.iter().find(|(_, a)| !a.is_v6()).cloned();
         let v6 = targets.iter().find(|(_, a)| a.is_v6()).cloned();
         targets.clear();
@@ -1212,30 +1204,6 @@ fn soa_owned_by(answers: &[Record], zone: &Name) -> bool {
     answers
         .iter()
         .any(|r| r.rtype() == RecordType::Soa && r.name == *zone)
-}
-
-/// Seal one scan's observations: every key list equal to an earlier one
-/// becomes that list's `Arc`, and so does every CDS list, in-zone and
-/// signal alike — addresses of one NS set mostly serve the same records.
-fn share_equal_lists(
-    mut observations: Vec<NsObservation>,
-    mut signals: Vec<SignalObservation>,
-) -> (Arc<[NsObservation]>, Arc<[SignalObservation]>) {
-    fn share<T: ?Sized + PartialEq>(seen: &mut Vec<Arc<T>>, list: &mut Arc<T>) {
-        match seen.iter().find(|s| **s == *list) {
-            Some(first) => *list = Arc::clone(first),
-            None => seen.push(Arc::clone(list)),
-        }
-    }
-    let (mut keys, mut cds) = (Vec::new(), Vec::new());
-    for o in &mut observations {
-        share(&mut keys, &mut o.dnskeys);
-        share(&mut cds, &mut o.cds);
-    }
-    for s in &mut signals {
-        share(&mut cds, &mut s.cds);
-    }
-    (observations.into(), signals.into())
 }
 
 /// Outcome of validating the chain from the root to a zone's parent.

@@ -1,10 +1,13 @@
 //! Observation and classification types produced by the scanner.
 
+use crate::operator::Identified;
 use dns_resolver::validate::DsForm;
 use dns_resolver::RetryStats;
 use dns_wire::name::Name;
 use dns_wire::rdata::{DnskeyData, DsData};
 use netsim::{Addr, SimMicros};
+use std::cmp::Ordering;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// One CDS-shaped record observed on the wire (CDS or CDNSKEY), reduced
@@ -191,61 +194,99 @@ pub enum SignalViolation {
     ContentMismatch,
 }
 
-/// Everything measured about one zone. `==` compares every field; the
-/// journal codec (`scan_journal::encode_scan_into`) is its byte form.
+/// What one scan of a zone observed and concluded: the evidence plane.
+/// Caches, retries and shard boundaries may change what a scan costs,
+/// never its evidence, so evidence comparisons compare this; the journal
+/// codec's evidence section (`scan_journal::encode_evidence_into`) is its
+/// byte form.
 ///
-/// A sealed scan is never edited, so its four observed lists are shared
-/// `Arc<[T]>` bodies: a clone (an epoch table carrying a row forward, the
-/// evidence plane) bumps reference counts and copies no observation.
-/// The key and CDS lists inside the observations are shared too: equal
-/// lists within one scan are one body.
+/// Sealed: [`Evidence::seal`] is the one place the canonical order is
+/// written, and outside this crate a value comes only from it or from
+/// [`Evidence::empty`]. An RRset is a set (RFC 2181 §5), so the order a
+/// server serves records in never reaches the evidence. The lists are
+/// shared `Arc<[T]>` bodies: a clone (an epoch table carrying a row
+/// forward) bumps reference counts and copies no observation, and equal
+/// key and CDS lists within one evidence are one body. A list edited
+/// after sealing needs another `seal`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ZoneScan {
+#[non_exhaustive]
+pub struct Evidence {
     pub name: Name,
-    /// NS hostnames per the registry (parent zone).
+    /// NS hostnames per the registry (parent zone), by
+    /// [`Name::canonical_cmp`].
     pub ns_names: Arc<[Name]>,
-    /// DS records at the parent.
+    /// DS records at the parent, in RFC 4034 §6.3 order.
     pub parent_ds: Arc<[DsData]>,
-    /// Per-address observations.
+    /// Per-address observations, by NS name, then address.
     pub ns_observations: Arc<[NsObservation]>,
-    /// Per-NS-hostname signal observations.
+    /// Per-NS-hostname signal observations, by NS name.
     pub signal_observations: Arc<[SignalObservation]>,
     /// Classifications.
     pub dnssec: DnssecClass,
     pub cds: CdsClass,
     pub ab: AbClass,
     /// Operator identification.
-    pub operator: crate::operator::Identified,
-    /// Scan cost: the logical queries of the walk, the per-address probes
-    /// and the signal probes, summed across re-scan passes. It leaves out
-    /// NS-host A/AAAA lookups — the scanner's address step and a glueless
-    /// referral's walk charge those to the meter but not here, and the
-    /// scan clock does not advance for them — so a one-pass zone's
-    /// [`RetryStats::logical_queries`] can exceed it (32 against 26 on a
-    /// tiny world, a gap of 5–6 on five zones of each; ROADMAP 4(b)).
-    pub queries: u32,
-    pub elapsed: SimMicros,
+    pub operator: Identified,
     /// Whether Cloudflare-style address sampling was applied.
     pub sampled: bool,
-    /// Failure/retry accounting for this zone's scan.
-    pub retry_stats: RetryStats,
     /// Transient failures reduced the evidence for this zone (even if a
     /// classification was still reached).
     pub degraded: bool,
 }
 
-impl ZoneScan {
-    /// The evidence plane of this scan: a copy with the cost counters
-    /// (`queries`, `elapsed`, `retry_stats`) zeroed. Caches, retries and
-    /// shard boundaries may change what a scan costs, never what it
-    /// observed or concluded, so evidence comparisons use this.
-    pub fn evidence(&self) -> ZoneScan {
-        ZoneScan {
-            queries: 0,
-            elapsed: 0,
-            retry_stats: RetryStats::default(),
-            ..self.clone()
+impl Evidence {
+    /// Nothing observed: an undelegated zone, or one the scan never
+    /// reached.
+    pub fn empty(name: Name, dnssec: DnssecClass, degraded: bool) -> Evidence {
+        Evidence {
+            name,
+            ns_names: [].into(),
+            parent_ds: [].into(),
+            ns_observations: [].into(),
+            signal_observations: [].into(),
+            dnssec,
+            cds: CdsClass::Absent,
+            ab: AbClass::NoSignal,
+            operator: Identified::Unknown,
+            sampled: false,
+            degraded,
         }
+    }
+
+    /// Put the lists in canonical order — NS names and signal
+    /// observations by [`Name::canonical_cmp`] of the NS name,
+    /// observations by NS name then address, the DS set and each
+    /// observation's DNSKEYs in RFC 4034 §6.3 order — without copying a
+    /// list already in order; then make every key list equal to an
+    /// earlier one that list's `Arc`, and so every CDS list, in-zone and
+    /// signal alike: addresses of one NS set mostly serve the same records.
+    pub fn seal(mut self) -> Evidence {
+        fn share<T: ?Sized + PartialEq>(seen: &mut Vec<Arc<T>>, list: &mut Arc<T>) {
+            match seen.iter().find(|s| **s == *list) {
+                Some(first) => *list = Arc::clone(first),
+                None => seen.push(Arc::clone(list)),
+            }
+        }
+        in_order(&mut self.ns_names, Name::canonical_cmp);
+        in_order(&mut self.parent_ds, DsData::cmp);
+        in_order(&mut self.ns_observations, |a, b| {
+            target_order((&a.ns_name, a.addr), (&b.ns_name, b.addr))
+        });
+        in_order(&mut self.signal_observations, |a, b| {
+            a.ns_name.canonical_cmp(&b.ns_name)
+        });
+        let (mut keys, mut cds) = (Vec::new(), Vec::new());
+        for o in Arc::make_mut(&mut self.ns_observations) {
+            if !o.dnskeys.is_sorted() {
+                Arc::make_mut(&mut o.dnskeys).sort();
+            }
+            share(&mut keys, &mut o.dnskeys);
+            share(&mut cds, &mut o.cds);
+        }
+        for s in Arc::make_mut(&mut self.signal_observations) {
+            share(&mut cds, &mut s.cds);
+        }
+        self
     }
 
     /// All distinct CDS contents seen in-zone (union over NSes).
@@ -260,10 +301,44 @@ impl ZoneScan {
             .iter()
             .any(|o| !o.responded || o.cds_query_error)
     }
+}
 
-    /// Whether any signal RRs were observed.
-    pub fn has_signal(&self) -> bool {
-        self.signal_observations.iter().any(|s| !s.cds.is_empty())
+/// The canonical order of a zone's (NS name, address) targets, which the
+/// scanner asks them in and its observations keep.
+pub(crate) fn target_order(a: (&Name, Addr), b: (&Name, Addr)) -> Ordering {
+    a.0.canonical_cmp(b.0).then(a.1.cmp(&b.1))
+}
+
+/// Sort `list` by `cmp` unless it already is in that order.
+fn in_order<T: Clone>(list: &mut Arc<[T]>, cmp: impl Fn(&T, &T) -> Ordering) {
+    if !list.is_sorted_by(|a, b| cmp(a, b).is_le()) {
+        Arc::make_mut(list).sort_by(cmp);
+    }
+}
+
+/// One zone's scan: its [`Evidence`] and what the scan cost. Reads of the
+/// evidence go through `Deref` (`scan.dnssec`); there is no `DerefMut`, so
+/// the evidence is edited only as `scan.evidence`, and re-sealed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ZoneScan {
+    pub evidence: Evidence,
+    /// Scan cost: the logical queries of the walk, the per-address probes
+    /// and the signal probes, summed across re-scan passes. It leaves out
+    /// NS-host A/AAAA lookups — the scanner's address step and a glueless
+    /// referral's walk charge those to the meter but not here, and the
+    /// scan clock does not advance for them — so a one-pass zone's
+    /// [`RetryStats::logical_queries`] can exceed it (32 against 26 on a
+    /// tiny world, a gap of 5–6 on five zones of each; ROADMAP 4(b)).
+    pub queries: u32,
+    pub elapsed: SimMicros,
+    /// Failure/retry accounting for this zone's scan.
+    pub retry_stats: RetryStats,
+}
+
+impl Deref for ZoneScan {
+    type Target = Evidence;
+    fn deref(&self) -> &Evidence {
+        &self.evidence
     }
 }
 
@@ -286,13 +361,17 @@ mod tests {
         }
     }
 
-    fn seen(tag: u16) -> CdsSeen {
-        CdsSeen::Cds(DsData {
+    fn ds(tag: u16) -> DsData {
+        DsData {
             key_tag: tag,
             algorithm: 13,
             digest_type: 2,
             digest: vec![tag as u8; 4],
-        })
+        }
+    }
+
+    fn seen(tag: u16) -> CdsSeen {
+        CdsSeen::Cds(ds(tag))
     }
 
     #[test]
@@ -311,53 +390,78 @@ mod tests {
 
     #[test]
     fn cds_union_dedupes_and_sorts() {
-        let scan = ZoneScan {
-            name: name!("z.test"),
-            ns_names: [].into(),
-            parent_ds: [].into(),
-            ns_observations: [
-                obs("ns1.a.test", vec![seen(2), seen(1)]),
-                obs("ns2.a.test", vec![seen(1)]),
-            ]
-            .into(),
-            signal_observations: [].into(),
-            dnssec: DnssecClass::Island,
-            cds: CdsClass::Valid,
-            ab: AbClass::NoSignal,
-            operator: crate::operator::Identified::Unknown,
-            queries: 0,
-            elapsed: 0,
-            sampled: false,
-            retry_stats: RetryStats::default(),
-            degraded: false,
-        };
-        let u = scan.cds_union();
+        let mut evidence = Evidence::empty(name!("z.test"), DnssecClass::Island, false);
+        evidence.ns_observations = [
+            obs("ns1.a.test", vec![seen(2), seen(1)]),
+            obs("ns2.a.test", vec![seen(1)]),
+        ]
+        .into();
+        let u = evidence.cds_union();
         assert_eq!(u.len(), 2);
         assert!(u[0] < u[1]);
     }
 
     #[test]
     fn query_failures_flagged() {
-        let mut scan = ZoneScan {
-            name: name!("z.test"),
-            ns_names: [].into(),
-            parent_ds: [].into(),
-            ns_observations: [obs("ns1.a.test", vec![])].into(),
-            signal_observations: [].into(),
-            dnssec: DnssecClass::Unsigned,
-            cds: CdsClass::Absent,
-            ab: AbClass::NoSignal,
-            operator: crate::operator::Identified::Unknown,
-            queries: 0,
-            elapsed: 0,
-            sampled: false,
-            retry_stats: RetryStats::default(),
-            degraded: false,
-        };
-        assert!(!scan.cds_query_failures());
-        let mut v = scan.ns_observations.to_vec();
+        let mut evidence = Evidence::empty(name!("z.test"), DnssecClass::Unsigned, false);
+        evidence.ns_observations = [obs("ns1.a.test", vec![])].into();
+        assert!(!evidence.cds_query_failures());
+        let mut v = evidence.ns_observations.to_vec();
         v[0].cds_query_error = true;
-        scan.ns_observations = v.into();
-        assert!(scan.cds_query_failures());
+        evidence.ns_observations = v.into();
+        assert!(evidence.cds_query_failures());
+    }
+
+    /// Sealing orders every list whatever order it was served in, shares
+    /// equal lists, and leaves a list already in order uncopied.
+    #[test]
+    fn seal_orders_and_shares() {
+        let key = |flags: u16| DnskeyData {
+            flags,
+            protocol: 3,
+            algorithm: 13,
+            public_key: vec![1],
+        };
+        let at = |ns: &str, last: u8, keys: Vec<DnskeyData>| NsObservation {
+            addr: Addr::V4(std::net::Ipv4Addr::new(10, 0, 0, last)),
+            dnskeys: Arc::new(keys),
+            ..obs(ns, vec![seen(1)])
+        };
+        let mut served = Evidence::empty(name!("z.test"), DnssecClass::Secured, false);
+        served.ns_names = [
+            name!("ns2.a.test"),
+            name!("ns1.b.test"),
+            name!("ns1.a.test"),
+        ]
+        .into();
+        served.parent_ds = [ds(9), ds(3)].into();
+        served.ns_observations = [
+            at("ns2.a.test", 1, vec![key(257), key(256)]),
+            at("ns1.a.test", 2, vec![key(256), key(257)]),
+            at("ns1.a.test", 1, vec![key(257), key(256)]),
+        ]
+        .into();
+        let sealed = served.seal();
+        assert_eq!(
+            sealed.ns_names[..],
+            [
+                name!("ns1.a.test"),
+                name!("ns2.a.test"),
+                name!("ns1.b.test")
+            ]
+        );
+        assert_eq!(sealed.parent_ds[0].key_tag, 3);
+        let [a, b, c] = &sealed.ns_observations[..] else {
+            panic!("three observations");
+        };
+        assert_eq!([&a.ns_name, &b.ns_name], [&name!("ns1.a.test"); 2]);
+        assert!(a.addr < b.addr);
+        assert_eq!(c.ns_name, name!("ns2.a.test"));
+        assert_eq!(a.dnskeys[0].flags, 256);
+        assert!(Arc::ptr_eq(&a.dnskeys, &b.dnskeys) && Arc::ptr_eq(&b.dnskeys, &c.dnskeys));
+        assert!(Arc::ptr_eq(&a.cds, &c.cds));
+        let again = sealed.clone().seal();
+        assert!(Arc::ptr_eq(&again.ns_names, &sealed.ns_names));
+        assert_eq!(again, sealed);
     }
 }

@@ -244,7 +244,7 @@ fn zone_cut_outcomes_are_served_only_through_the_apex_that_answered() {
     let point = Point::named("secured");
     let zone = point.zone.clone();
     let scan = |scanner: &Scanner| scanner.scan_all(std::slice::from_ref(&zone)).zones[0].clone();
-    let baseline = scan(&point.scanner()).evidence();
+    let baseline = scan(&point.scanner()).evidence;
     assert!(
         !baseline.signal_observations[0].zone_cut,
         "{zone}: baseline"
@@ -284,7 +284,7 @@ fn zone_cut_outcomes_are_served_only_through_the_apex_that_answered() {
     // must ask the shared label rather than read `op1.test`'s outcome,
     // and the NS it hears is cached under `_signal.<host>`.
     let scanner = point.scanner();
-    assert_eq!(scan(&scanner).evidence(), baseline, "{zone}: warm scan");
+    assert_eq!(scan(&scanner).evidence, baseline, "{zone}: warm scan");
     delegate(&scanner, SimMicros::MAX);
     assert!(
         scan(&scanner).signal_observations[0].zone_cut,
@@ -297,7 +297,7 @@ fn zone_cut_outcomes_are_served_only_through_the_apex_that_answered() {
     let sent = |net: &netsim::Network| net.stats().snapshot().per_dest[&adversary];
     let before = sent(net);
     assert_eq!(
-        scan(&scanner).evidence(),
+        scan(&scanner).evidence,
         baseline,
         "{zone}: a zone-cut outcome cached under another apex was served"
     );

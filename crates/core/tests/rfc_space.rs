@@ -12,9 +12,7 @@ mod scenario;
 
 use bootscan::scanner::DEFAULT_ZONE_QUERY_BUDGET;
 use bootscan::types::{NsObservation, SignalObservation};
-use bootscan::{
-    AbClass, CannotReason, CdsClass, DnssecClass, Identified, SignalViolation, ZoneScan,
-};
+use bootscan::{AbClass, CannotReason, CdsClass, DnssecClass, Evidence, SignalViolation, ZoneScan};
 use dns_wire::name::Name;
 use netsim::Addr;
 use scenario::oracle::rfc_oracle;
@@ -39,18 +37,17 @@ fn classes(z: &ZoneScan) -> Classes {
 }
 
 /// `z`'s evidence with its NS hostnames and addresses renamed (those
-/// `names` and `addrs` leave out stay), and its lists in NS order sorted
-/// (a multi-operator zone's operators among them): the evidence up to NS
+/// `names` and `addrs` leave out stay), re-sealed: the evidence up to NS
 /// order.
 fn up_to_ns_order(
     z: &ZoneScan,
     names: &HashMap<Name, Name>,
     addrs: &HashMap<Addr, Addr>,
-) -> ZoneScan {
+) -> Evidence {
     let name = |n: &Name| names.get(n).unwrap_or(n).clone();
-    let mut ns_names: Vec<Name> = z.ns_names.iter().map(name).collect();
-    ns_names.sort();
-    let mut observations: Vec<NsObservation> = z
+    let mut e = z.evidence.clone();
+    e.ns_names = z.ns_names.iter().map(name).collect();
+    e.ns_observations = z
         .ns_observations
         .iter()
         .map(|o| NsObservation {
@@ -59,8 +56,7 @@ fn up_to_ns_order(
             ..o.clone()
         })
         .collect();
-    observations.sort_by(|a, b| (&a.ns_name, a.addr).cmp(&(&b.ns_name, b.addr)));
-    let mut signals: Vec<SignalObservation> = z
+    e.signal_observations = z
         .signal_observations
         .iter()
         .map(|s| SignalObservation {
@@ -68,22 +64,7 @@ fn up_to_ns_order(
             ..s.clone()
         })
         .collect();
-    signals.sort_by(|a, b| a.ns_name.cmp(&b.ns_name));
-    let operator = match &z.operator {
-        Identified::Multi(ops) => {
-            let mut ops = ops.clone();
-            ops.sort();
-            Identified::Multi(ops)
-        }
-        one => one.clone(),
-    };
-    ZoneScan {
-        operator,
-        ns_names: ns_names.into(),
-        ns_observations: observations.into(),
-        signal_observations: signals.into(),
-        ..z.evidence()
-    }
+    e.seal()
 }
 
 /// Serve the mirror of every sampled config in `batch` that has one, in
@@ -115,7 +96,7 @@ fn check_mirrors(batch: &[(usize, &Config)], canonical: &HashMap<Name, &ZoneScan
             .unzip();
         assert_eq!(
             up_to_ns_order(z, &names, &addrs),
-            up_to_ns_order(canonical[&z.name], &HashMap::new(), &HashMap::new()),
+            canonical[&z.name].evidence,
             "{mirror:?}: the mirror ≠ its canonical config"
         );
     }
@@ -248,7 +229,7 @@ fn every_config_classifies_as_the_rfcs_say() {
                     .scanner()
                     .scan_all(std::slice::from_ref(&z.name))
                     .zones[0];
-                assert_eq!(cold.evidence(), z.evidence(), "{c:?}: alone ≠ shared");
+                assert_eq!(cold.evidence, z.evidence, "{c:?}: alone ≠ shared");
                 max_cold = max_cold.max(u64::from(cold.retry_stats.logical_queries));
                 isolated += 1;
                 isolated_flaky += usize::from(is_flaky(c));

@@ -19,8 +19,10 @@ pub const DNSKEY_FLAG_ZONE: u16 = 0x0100;
 /// DNSKEY flags bit for Revoked, RFC 5011.
 pub const DNSKEY_FLAG_REVOKE: u16 = 0x0080;
 
-/// A DNSKEY / CDNSKEY body (RFC 4034 §2, RFC 7344 §3.2).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A DNSKEY / CDNSKEY body (RFC 4034 §2, RFC 7344 §3.2). The fields are
+/// declared in wire order, so the derived order is the RFC 4034 §6.3
+/// canonical RR order, as it is for [`DsData`].
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DnskeyData {
     pub flags: u16,
     pub protocol: u8,

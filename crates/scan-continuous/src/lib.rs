@@ -568,12 +568,13 @@ mod tests {
     /// result stays in canonical order.
     #[test]
     fn merge_replaces_fresh_zones_and_carries_the_rest() {
-        let row = |name: &str, queries| ZoneScan {
-            queries,
-            ..fill_shard(&[Name::parse(name).unwrap()], &[], true)
+        let row = |name: &str, queries| {
+            let mut row = fill_shard(&[Name::parse(name).unwrap()], &[], true)
                 .unwrap()
                 .remove(0)
-                .into_owned()
+                .into_owned();
+            row.queries = queries;
+            row
         };
         let prev = vec![
             row("a.example", 1),

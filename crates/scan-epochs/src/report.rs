@@ -4,7 +4,7 @@
 //! freshly scanned delta zones plus carried-forward evidence — in
 //! canonical zone order. [`canonical_evidence`] renders it in the one
 //! byte form a zone has, the journal codec's, over each zone's
-//! [`ZoneScan::evidence`] (cost counters zeroed). Two reports with equal
+//! [`Evidence`](bootscan::Evidence) (no cost counters). Two reports with equal
 //! canonical bytes hold equal zones in every evidence field, so they are
 //! indistinguishable everywhere the paper's analysis looks — which is
 //! what lets the headline test pin each incremental epoch byte-identical
@@ -20,11 +20,11 @@ use bootscan::{AbClass, CdsClass, DnssecClass, ZoneScan};
 use dns_wire::name::Name;
 use dns_wire::rdata::hex;
 use netsim::SimMicros;
-use scan_journal::encode_scan_into;
+use scan_journal::encode_evidence_into;
 
 /// The evidence plane of a zone table: one line per zone, in canonical
 /// order, holding the hex of the journal codec's bytes for the zone's
-/// [`ZoneScan::evidence`]. Cost counters (queries, elapsed, I/O stats)
+/// [`Evidence`](bootscan::Evidence). Cost counters (queries, elapsed, I/O stats)
 /// are exactly what carried caches exist to change, so they are
 /// excluded; every field the scanner observed or concluded is included.
 /// Figure 1 and the degradation population are functions of these
@@ -39,7 +39,7 @@ pub fn canonical_evidence(zones: &[ZoneScan]) -> String {
             out.push('\n');
         }
         buf.clear();
-        encode_scan_into(&mut buf, &z.evidence());
+        encode_evidence_into(&mut buf, &z.evidence);
         out.push_str(&hex(&buf));
     }
     out
@@ -266,7 +266,7 @@ fn push_skipped(out: &mut String, s: &SkippedEpoch) {
 mod tests {
     use super::*;
     use bootscan::types::NsObservation;
-    use bootscan::{Identified, RetryStats};
+    use bootscan::{Evidence, Identified, RetryStats};
     use dns_wire::name;
     use dns_wire::rdata::{DnskeyData, DsData};
     use netsim::Addr;
@@ -292,27 +292,23 @@ mod tests {
             cds_sig_valid: None,
             csync_present: false,
         };
+        let mut evidence = Evidence::empty(name!("a.example"), DnssecClass::Secured, false);
+        evidence.ns_names = [name!("ns1.example"), name!("ns2.example")].into();
+        evidence.parent_ds = [DsData {
+            key_tag: 4711,
+            algorithm: 13,
+            digest_type: 2,
+            digest: vec![9; 32],
+        }]
+        .into();
+        evidence.ns_observations =
+            [observation("ns1.example", 1), observation("ns2.example", 2)].into();
+        evidence.operator = Identified::Single("Op".into());
         vec![ZoneScan {
-            name: name!("a.example"),
-            ns_names: [name!("ns1.example"), name!("ns2.example")].into(),
-            parent_ds: [DsData {
-                key_tag: 4711,
-                algorithm: 13,
-                digest_type: 2,
-                digest: vec![9; 32],
-            }]
-            .into(),
-            ns_observations: [observation("ns1.example", 1), observation("ns2.example", 2)].into(),
-            signal_observations: [].into(),
-            dnssec: DnssecClass::Secured,
-            cds: CdsClass::Absent,
-            ab: AbClass::NoSignal,
-            operator: Identified::Single("Op".into()),
+            evidence: evidence.seal(),
             queries: 12,
             elapsed: 3_000,
-            sampled: false,
             retry_stats: RetryStats::default(),
-            degraded: false,
         }]
     }
 
@@ -323,15 +319,15 @@ mod tests {
     fn canonical_evidence_covers_every_zone_field() {
         let base = table();
         let mut no_ds = table();
-        no_ds[0].parent_ds = [].into();
+        no_ds[0].evidence.parent_ds = [].into();
         let mut moved = table();
         let mut v = moved[0].ns_observations.to_vec();
         v[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 99));
-        moved[0].ns_observations = v.into();
+        moved[0].evidence.ns_observations = v.into();
         let mut rekeyed = table();
         let mut v = rekeyed[0].ns_observations.to_vec();
         Arc::make_mut(&mut v[1].dnskeys)[0].public_key[0] ^= 1;
-        rekeyed[0].ns_observations = v.into();
+        rekeyed[0].evidence.ns_observations = v.into();
 
         let expected = canonical_evidence(&base);
         for (what, other) in [

@@ -22,15 +22,14 @@
 //!
 //! **Digests hash the journal's encoding.** Each link of the two rolling
 //! digests is FNV-1a over the previous digest (little-endian) followed
-//! by the zone's journal-codec bytes ([`encode_scan_into`]), written
-//! into one buffer reused from zone to zone. The codec carries every
-//! field of a [`ZoneScan`], so two zones that differ anywhere get
-//! different links; the evidence digest hashes [`ZoneScan::evidence`].
+//! by the zone's journal-codec bytes ([`encode_scan_into`]), encoded once
+//! per zone into one buffer reused from zone to zone. The codec carries
+//! every field of a [`ZoneScan`], so two zones that differ anywhere get
+//! different links; the evidence digest hashes the encoding's leading
+//! evidence section, the bytes of the zone's [`Evidence`].
 
 use bootscan::report::{DegradationReport, Figure1};
-use bootscan::{
-    AbClass, CdsClass, DnssecClass, Identified, RetryStats, ScanResults, ZoneEvent, ZoneScan,
-};
+use bootscan::{DnssecClass, Evidence, RetryStats, ScanResults, ZoneEvent, ZoneScan};
 use dns_wire::name::Name;
 use scan_journal::{encode_scan_into, fnv64, latest_per_zone};
 use std::borrow::Cow;
@@ -100,7 +99,7 @@ pub struct MergedReport {
     /// Rolling FNV-1a over the full zone records' codec bytes, in
     /// emission order.
     pub zone_stream_digest: u64,
-    /// Same, over each zone's [`ZoneScan::evidence`].
+    /// Same, over each zone's [`Evidence`] bytes alone.
     pub evidence_digest: u64,
     /// Zones emitted as explicit Indeterminate placeholders because
     /// their shard exhausted its attempt budget. Never silent: each is
@@ -136,7 +135,7 @@ pub struct FabricOps {
 pub struct StreamingMerge {
     report: MergedReport,
     peak_resident: usize,
-    /// A zone's codec bytes, reused for every digest link.
+    /// A zone's codec bytes, reused from zone to zone.
     encoded: Vec<u8>,
 }
 
@@ -190,10 +189,10 @@ impl StreamingMerge {
         report.total_queries += u64::from(zone.queries);
         report.figure1.absorb(zone);
         report.degradation.absorb_counters(zone);
-        report.zone_stream_digest =
-            chain_digest(&mut self.encoded, report.zone_stream_digest, zone);
-        report.evidence_digest =
-            chain_digest(&mut self.encoded, report.evidence_digest, &zone.evidence());
+        self.encoded.clear();
+        let evidence = encode_scan_into(&mut self.encoded, zone);
+        report.zone_stream_digest = link(report.zone_stream_digest, &self.encoded);
+        report.evidence_digest = link(report.evidence_digest, &self.encoded[..evidence]);
         sink.on_zone(zone);
     }
 
@@ -204,12 +203,9 @@ impl StreamingMerge {
 }
 
 /// One link of a rolling digest: FNV-1a over the previous digest
-/// (little-endian) followed by `zone`'s codec bytes, encoded into
-/// `buf`.
-fn chain_digest(buf: &mut Vec<u8>, prev: u64, zone: &ZoneScan) -> u64 {
-    buf.clear();
-    encode_scan_into(buf, zone);
-    fnv64(&[&prev.to_le_bytes(), buf])
+/// (little-endian) followed by `bytes`.
+fn link(prev: u64, bytes: &[u8]) -> u64 {
+    fnv64(&[&prev.to_le_bytes(), bytes])
 }
 
 /// The one hole rule for a shard journal, shared by the fabric merge
@@ -244,20 +240,10 @@ pub fn fill_shard<'a>(
 /// shard's zone: Indeterminate and degraded, never silently dropped.
 fn indeterminate_placeholder(name: &Name) -> ZoneScan {
     ZoneScan {
-        name: name.clone(),
-        ns_names: [].into(),
-        parent_ds: [].into(),
-        ns_observations: [].into(),
-        signal_observations: [].into(),
-        dnssec: DnssecClass::Indeterminate,
-        cds: CdsClass::Absent,
-        ab: AbClass::NoSignal,
-        operator: Identified::Unknown,
+        evidence: Evidence::empty(name.clone(), DnssecClass::Indeterminate, true),
         queries: 0,
         elapsed: 0,
-        sampled: false,
         retry_stats: RetryStats::default(),
-        degraded: true,
     }
 }
 
@@ -268,9 +254,8 @@ mod tests {
 
     fn event_for(zone: &str, queries: u32) -> (u64, ZoneEvent) {
         let scan = ZoneScan {
+            evidence: Evidence::empty(name!(zone), DnssecClass::Unsigned, false),
             queries,
-            dnssec: DnssecClass::Unsigned,
-            degraded: false,
             ..indeterminate_placeholder(&name!(zone))
         };
         (
@@ -307,6 +292,13 @@ mod tests {
         buf
     }
 
+    /// The evidence's codec bytes, in a buffer of their own.
+    fn encoded_evidence(evidence: &Evidence) -> Vec<u8> {
+        let mut buf = Vec::new();
+        scan_journal::encode_evidence_into(&mut buf, evidence);
+        buf
+    }
+
     fn stream_digest(zone: ZoneScan) -> u64 {
         let (_, mut event) = event_for("a.example", 0);
         event.scan = zone;
@@ -336,11 +328,14 @@ mod tests {
             .collect();
         // The digests as they are defined: each link hashes the previous
         // digest and the zone's codec bytes, the evidence one those of
-        // the zone's evidence plane.
+        // the zone's evidence alone.
         let (mut full, mut evidence) = (0u64, 0u64);
         for (_, event) in &events {
             full = fnv64(&[&full.to_le_bytes(), &encoded(&event.scan)]);
-            evidence = fnv64(&[&evidence.to_le_bytes(), &encoded(&event.scan.evidence())]);
+            evidence = fnv64(&[
+                &evidence.to_le_bytes(),
+                &encoded_evidence(&event.scan.evidence),
+            ]);
         }
         let mut m = StreamingMerge::new();
         m.absorb_shard(&zones, events, false, &mut NullMergeSink)
@@ -360,35 +355,31 @@ mod tests {
         use netsim::Addr;
         use std::net::Ipv4Addr;
         let (_, event) = event_for("a.example", 3);
-        let base = ZoneScan {
-            ns_observations: [NsObservation {
-                ns_name: name!("ns1.example"),
-                addr: Addr::V4(Ipv4Addr::new(192, 0, 2, 1)),
-                responded: true,
-                soa_present: true,
-                cds_query_error: false,
-                dnskeys: Default::default(),
-                cds: [].into(),
-                cds_sig_valid: None,
-                csync_present: false,
-            }]
-            .into(),
-            ..event.scan
-        };
-        let with_ds = ZoneScan {
-            parent_ds: [DsData {
-                key_tag: 4711,
-                algorithm: 13,
-                digest_type: 2,
-                digest: vec![9; 32],
-            }]
-            .into(),
-            ..base.clone()
-        };
+        let mut base = event.scan;
+        base.evidence.ns_observations = [NsObservation {
+            ns_name: name!("ns1.example"),
+            addr: Addr::V4(Ipv4Addr::new(192, 0, 2, 1)),
+            responded: true,
+            soa_present: true,
+            cds_query_error: false,
+            dnskeys: Default::default(),
+            cds: [].into(),
+            cds_sig_valid: None,
+            csync_present: false,
+        }]
+        .into();
+        let mut with_ds = base.clone();
+        with_ds.evidence.parent_ds = [DsData {
+            key_tag: 4711,
+            algorithm: 13,
+            digest_type: 2,
+            digest: vec![9; 32],
+        }]
+        .into();
         let mut moved = base.clone();
         let mut v = moved.ns_observations.to_vec();
         v[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 2));
-        moved.ns_observations = v.into();
+        moved.evidence.ns_observations = v.into();
         for (what, other) in [("parent_ds", with_ds), ("NsObservation::addr", moved)] {
             assert_ne!(
                 stream_digest(other),

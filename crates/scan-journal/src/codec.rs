@@ -6,15 +6,17 @@
 //! and must then render byte-identical reports. The format is a small
 //! explicit little-endian encoding: fixed-width integers,
 //! length-prefixed byte strings, one tag byte per enum variant. It is
-//! also the one byte form of a [`ZoneScan`]: the fabric merge's digests
-//! and `scan_epochs::canonical_evidence` are built from
-//! [`encode_scan_into`]. Framing, checksums, and versioning live in
-//! [`journal`](crate::journal); this module is only the payload.
+//! also the one byte form of a [`ZoneScan`]: an evidence section, then a
+//! cost section (`queries`, `elapsed`, `retry_stats`). The fabric merge's
+//! digests and `scan_epochs::canonical_evidence` are built from
+//! [`encode_scan_into`] and [`encode_evidence_into`]. Framing, checksums,
+//! and versioning live in [`journal`](crate::journal); this module is
+//! only the payload.
 
 use bootscan::operator::Identified;
 use bootscan::types::{
-    AbClass, CannotReason, CdsClass, CdsSeen, DnssecClass, NsObservation, SignalObservation,
-    SignalViolation, ZoneScan,
+    AbClass, CannotReason, CdsClass, CdsSeen, DnssecClass, Evidence, NsObservation,
+    SignalObservation, SignalViolation, ZoneScan,
 };
 use bootscan::{CutOutcome, ReferralData, RetryStats, ZoneEffects, ZoneEvent};
 use dns_wire::name::Name;
@@ -98,6 +100,13 @@ impl Enc<'_> {
     fn string(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
+    /// A counted list: its length, then each item.
+    fn list<T>(&mut self, v: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.u32(v.len() as u32);
+        for x in v {
+            item(self, x);
+        }
+    }
     /// A name as its label count followed by length-prefixed labels
     /// (root = zero labels).
     fn name(&mut self, n: &Name) {
@@ -105,12 +114,6 @@ impl Enc<'_> {
         for l in n.labels() {
             self.u8(l.len() as u8);
             self.buf.extend_from_slice(l);
-        }
-    }
-    fn names(&mut self, v: &[Name]) {
-        self.u32(v.len() as u32);
-        for n in v {
-            self.name(n);
         }
     }
     fn addr(&mut self, a: &Addr) {
@@ -148,40 +151,25 @@ impl Enc<'_> {
         self.name(&s.signer_name);
         self.bytes(&s.signature);
     }
-    fn addrs(&mut self, v: &[Addr]) {
-        self.u32(v.len() as u32);
-        for a in v {
-            self.addr(a);
-        }
-    }
     fn referral(&mut self, r: &ReferralData) {
         self.name(&r.parent_apex);
-        self.names(&r.ns_names);
+        self.list(&r.ns_names, Self::name);
         match &r.ds {
             None => self.u8(0),
             Some(ds) => {
                 self.u8(1);
-                self.u32(ds.len() as u32);
-                for d in ds {
-                    self.ds(d);
-                }
+                self.list(ds, Self::ds);
             }
         }
-        self.u32(r.ds_rrsigs.len() as u32);
-        for s in &r.ds_rrsigs {
-            self.rrsig(s);
-        }
-        self.addrs(&r.child_servers);
-        self.addrs(&r.parent_servers);
+        self.list(&r.ds_rrsigs, Self::rrsig);
+        self.list(&r.child_servers, Self::addr);
+        self.list(&r.parent_servers, Self::addr);
     }
     fn cds_seen(&mut self, c: &CdsSeen) {
         match c {
             CdsSeen::Cds(ds) => {
                 self.u8(0);
-                self.u16(ds.key_tag);
-                self.u8(ds.algorithm);
-                self.u8(ds.digest_type);
-                self.bytes(&ds.digest);
+                self.ds(ds);
             }
             CdsSeen::Cdnskey {
                 flags,
@@ -197,33 +185,21 @@ impl Enc<'_> {
             }
         }
     }
-    fn cds_list(&mut self, v: &[CdsSeen]) {
-        self.u32(v.len() as u32);
-        for c in v {
-            self.cds_seen(c);
-        }
-    }
-    fn dnskeys(&mut self, v: &[DnskeyData]) {
-        self.u32(v.len() as u32);
-        for k in v {
-            self.dnskey(k);
-        }
-    }
     fn ns_observation(&mut self, o: &NsObservation) {
         self.name(&o.ns_name);
         self.addr(&o.addr);
         self.boolean(o.responded);
         self.boolean(o.soa_present);
         self.boolean(o.cds_query_error);
-        self.dnskeys(&o.dnskeys);
-        self.cds_list(&o.cds);
+        self.list(&o.dnskeys, Self::dnskey);
+        self.list(&o.cds, Self::cds_seen);
         self.opt_bool(o.cds_sig_valid);
         self.boolean(o.csync_present);
     }
     fn signal_observation(&mut self, s: &SignalObservation) {
         self.name(&s.ns_name);
         self.boolean(s.name_unbuildable);
-        self.cds_list(&s.cds);
+        self.list(&s.cds, Self::cds_seen);
         self.opt_bool(s.dnssec_valid);
         self.boolean(s.zone_cut);
     }
@@ -283,10 +259,7 @@ impl Enc<'_> {
             }
             Identified::Multi(v) => {
                 self.u8(2);
-                self.u32(v.len() as u32);
-                for s in v {
-                    self.string(s);
-                }
+                self.list(v, |w, s| w.string(s));
             }
         }
     }
@@ -313,53 +286,48 @@ impl Enc<'_> {
         self.u64(u64::from(r.hostile_budget));
         self.u64(u64::from(r.hostile_lame));
     }
-    fn zone_scan(&mut self, z: &ZoneScan) {
-        self.name(&z.name);
-        self.names(&z.ns_names);
-        self.u32(z.parent_ds.len() as u32);
-        for d in z.parent_ds.iter() {
-            self.ds(d);
-        }
-        self.u32(z.ns_observations.len() as u32);
-        for o in z.ns_observations.iter() {
-            self.ns_observation(o);
-        }
-        self.u32(z.signal_observations.len() as u32);
-        for s in z.signal_observations.iter() {
-            self.signal_observation(s);
-        }
-        self.dnssec_class(z.dnssec);
-        self.cds_class(z.cds);
-        self.ab_class(z.ab);
-        self.identified(&z.operator);
+    fn evidence(&mut self, e: &Evidence) {
+        self.name(&e.name);
+        self.list(&e.ns_names, Self::name);
+        self.list(&e.parent_ds, Self::ds);
+        self.list(&e.ns_observations, Self::ns_observation);
+        self.list(&e.signal_observations, Self::signal_observation);
+        self.dnssec_class(e.dnssec);
+        self.cds_class(e.cds);
+        self.ab_class(e.ab);
+        self.identified(&e.operator);
+        self.boolean(e.sampled);
+        self.boolean(e.degraded);
+    }
+    /// The evidence section, then the cost section; returns the evidence
+    /// section's length.
+    fn zone_scan(&mut self, z: &ZoneScan) -> usize {
+        let start = self.buf.len();
+        self.evidence(&z.evidence);
+        let evidence = self.buf.len() - start;
         self.u32(z.queries);
         self.u64(z.elapsed);
-        self.boolean(z.sampled);
         self.retry_stats(&z.retry_stats);
-        self.boolean(z.degraded);
+        evidence
     }
     fn effects(&mut self, e: &ZoneEffects) {
-        self.u32(e.key_inserts.len() as u32);
-        for (name, keys) in &e.key_inserts {
-            self.name(name);
-            self.dnskeys(keys);
-        }
-        self.u32(e.addr_inserts.len() as u32);
-        for (name, addrs) in &e.addr_inserts {
-            self.name(name);
-            self.addrs(addrs);
-        }
-        self.u32(e.referral_inserts.len() as u32);
-        for (cut, data) in &e.referral_inserts {
-            self.name(cut);
-            self.referral(data);
-        }
-        self.u32(e.cut_inserts.len() as u32);
-        for (label, outcome) in &e.cut_inserts {
-            self.name(label);
-            self.name(&outcome.apex);
-            self.boolean(outcome.has_ns);
-        }
+        self.list(&e.key_inserts, |w, (name, keys)| {
+            w.name(name);
+            w.list(keys, Self::dnskey);
+        });
+        self.list(&e.addr_inserts, |w, (name, addrs)| {
+            w.name(name);
+            w.list(addrs, Self::addr);
+        });
+        self.list(&e.referral_inserts, |w, (cut, data)| {
+            w.name(cut);
+            w.referral(data);
+        });
+        self.list(&e.cut_inserts, |w, (label, outcome)| {
+            w.name(label);
+            w.name(&outcome.apex);
+            w.boolean(outcome.has_ns);
+        });
     }
 }
 
@@ -381,10 +349,17 @@ pub fn encode_event_into(buf: &mut Vec<u8>, event: &ZoneEvent) {
 }
 
 /// Append one zone scan's bytes to `buf`, exactly as they sit inside an
-/// event payload — every field. The fabric merge's digests hash these
-/// bytes.
-pub fn encode_scan_into(buf: &mut Vec<u8>, scan: &ZoneScan) {
-    Enc { buf }.zone_scan(scan);
+/// event payload — every field — and return the length of their leading
+/// evidence section, the bytes [`encode_evidence_into`] writes. The
+/// fabric merge's digests hash these bytes.
+pub fn encode_scan_into(buf: &mut Vec<u8>, scan: &ZoneScan) -> usize {
+    Enc { buf }.zone_scan(scan)
+}
+
+/// Append one evidence's bytes to `buf`: the evidence section of a scan's
+/// encoding. `scan_epochs::canonical_evidence` is built from these.
+pub fn encode_evidence_into(buf: &mut Vec<u8>, evidence: &Evidence) {
+    Enc { buf }.evidence(evidence);
 }
 
 // ---------------------------------------------------------------- reader
@@ -579,12 +554,7 @@ impl<'a> Dec<'a> {
     }
     fn cds_seen(&mut self) -> Result<CdsSeen> {
         match self.u8()? {
-            0 => Ok(CdsSeen::Cds(DsData {
-                key_tag: self.u16()?,
-                algorithm: self.u8()?,
-                digest_type: self.u8()?,
-                digest: self.bytes()?,
-            })),
+            0 => Ok(CdsSeen::Cds(self.ds()?)),
             1 => Ok(CdsSeen::Cdnskey {
                 flags: self.u16()?,
                 protocol: self.u8()?,
@@ -707,22 +677,28 @@ impl<'a> Dec<'a> {
             hostile_lame: self.narrow("hostile_lame")?,
         })
     }
+    /// An evidence section, sealed: the journal holds it in canonical
+    /// order already, so sealing copies nothing.
+    fn evidence(&mut self) -> Result<Evidence> {
+        let mut e = Evidence::empty(self.name()?, DnssecClass::Unresolvable, false);
+        e.ns_names = self.names()?.into();
+        e.parent_ds = self.list(Self::ds)?.into();
+        e.ns_observations = self.list(Self::ns_observation)?.into();
+        e.signal_observations = self.list(Self::signal_observation)?.into();
+        e.dnssec = self.dnssec_class()?;
+        e.cds = self.cds_class()?;
+        e.ab = self.ab_class()?;
+        e.operator = self.identified()?;
+        e.sampled = self.boolean()?;
+        e.degraded = self.boolean()?;
+        Ok(e.seal())
+    }
     fn zone_scan(&mut self) -> Result<ZoneScan> {
         Ok(ZoneScan {
-            name: self.name()?,
-            ns_names: self.names()?.into(),
-            parent_ds: self.list(Self::ds)?.into(),
-            ns_observations: self.list(Self::ns_observation)?.into(),
-            signal_observations: self.list(Self::signal_observation)?.into(),
-            dnssec: self.dnssec_class()?,
-            cds: self.cds_class()?,
-            ab: self.ab_class()?,
-            operator: self.identified()?,
+            evidence: self.evidence()?,
             queries: self.u32()?,
             elapsed: self.u64()?,
-            sampled: self.boolean()?,
             retry_stats: self.retry_stats()?,
-            degraded: self.boolean()?,
         })
     }
     fn effects(&mut self) -> Result<ZoneEffects> {
@@ -788,57 +764,57 @@ pub(crate) mod tests {
             algorithm: 13,
             public_key: vec![1, 2, 3, 4, 5],
         };
+        let mut evidence = Evidence::empty(name!("zone.example"), DnssecClass::Island, true);
+        evidence.ns_names = [name!("ns1.example"), name!("ns2.example")].into();
+        evidence.parent_ds = [DsData {
+            key_tag: 4711,
+            algorithm: 13,
+            digest_type: 2,
+            digest: vec![9; 32],
+        }]
+        .into();
+        evidence.ns_observations = [NsObservation {
+            ns_name: name!("ns1.example"),
+            addr: Addr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 0x53)),
+            responded: true,
+            soa_present: true,
+            cds_query_error: false,
+            dnskeys: Arc::new(vec![key.clone()]),
+            cds: [
+                CdsSeen::Cds(DsData {
+                    key_tag: 4711,
+                    algorithm: 13,
+                    digest_type: 2,
+                    digest: vec![9; 32],
+                }),
+                CdsSeen::Cdnskey {
+                    flags: 257,
+                    protocol: 3,
+                    algorithm: 13,
+                    public_key: vec![1, 2, 3, 4, 5],
+                },
+            ]
+            .into(),
+            cds_sig_valid: Some(true),
+            csync_present: true,
+        }]
+        .into();
+        evidence.signal_observations = [SignalObservation {
+            ns_name: name!("ns2.example"),
+            name_unbuildable: false,
+            cds: [].into(),
+            dnssec_valid: Some(false),
+            zone_cut: true,
+        }]
+        .into();
+        evidence.cds = CdsClass::Inconsistent;
+        evidence.ab = AbClass::SignalIncorrect(SignalViolation::NotUnderEveryNs);
+        evidence.operator = Identified::Multi(vec!["alpha".into(), "beta".into()]);
+        evidence.sampled = true;
         let scan = ZoneScan {
-            name: name!("zone.example"),
-            ns_names: [name!("ns1.example"), name!("ns2.example")].into(),
-            parent_ds: [DsData {
-                key_tag: 4711,
-                algorithm: 13,
-                digest_type: 2,
-                digest: vec![9; 32],
-            }]
-            .into(),
-            ns_observations: [NsObservation {
-                ns_name: name!("ns1.example"),
-                addr: Addr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 0x53)),
-                responded: true,
-                soa_present: true,
-                cds_query_error: false,
-                dnskeys: Arc::new(vec![key.clone()]),
-                cds: [
-                    CdsSeen::Cds(DsData {
-                        key_tag: 4711,
-                        algorithm: 13,
-                        digest_type: 2,
-                        digest: vec![9; 32],
-                    }),
-                    CdsSeen::Cdnskey {
-                        flags: 257,
-                        protocol: 3,
-                        algorithm: 13,
-                        public_key: vec![1, 2, 3, 4, 5],
-                    },
-                ]
-                .into(),
-                cds_sig_valid: Some(true),
-                csync_present: true,
-            }]
-            .into(),
-            signal_observations: [SignalObservation {
-                ns_name: name!("ns2.example"),
-                name_unbuildable: false,
-                cds: [].into(),
-                dnssec_valid: Some(false),
-                zone_cut: true,
-            }]
-            .into(),
-            dnssec: DnssecClass::Island,
-            cds: CdsClass::Inconsistent,
-            ab: AbClass::SignalIncorrect(SignalViolation::NotUnderEveryNs),
-            operator: Identified::Multi(vec!["alpha".into(), "beta".into()]),
+            evidence: evidence.seal(),
             queries: 42,
             elapsed: 1_234_567,
-            sampled: true,
             // Every counter distinct, so the golden pin below catches a
             // field-order slip that a round trip cannot.
             retry_stats: RetryStats {
@@ -864,7 +840,6 @@ pub(crate) mod tests {
                 hostile_budget: 16,
                 hostile_lame: 17,
             },
-            degraded: true,
         };
         ZoneEvent {
             pass: 1,
@@ -950,20 +925,20 @@ pub(crate) mod tests {
         assert_eq!(event, back);
     }
 
-    /// The format-v6 bytes of [`rich_event`], pinned: a round trip
+    /// The format-v7 bytes of [`rich_event`], pinned: a round trip
     /// passes whatever order the encoder and decoder agree on, so a
     /// field-order slip (in `retry_stats` above all) only shows here.
     /// Any change to this payload needs a new `FORMAT_VERSION`.
     #[test]
     fn rich_event_bytes_are_pinned() {
-        let golden: String = include_str!("testdata/rich_event_v6.hex")
+        let golden: String = include_str!("testdata/rich_event_v7.hex")
             .split_whitespace()
             .collect();
         let hex: String = encode_event(&rich_event())
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect();
-        assert_eq!(crate::journal::FORMAT_VERSION, 6);
+        assert_eq!(crate::journal::FORMAT_VERSION, 7);
         assert_eq!(hex, golden);
     }
 
@@ -975,13 +950,18 @@ pub(crate) mod tests {
         assert_eq!(buf, [&b"already here"[..], &encode_event(&event)].concat());
     }
 
+    /// A scan's bytes are the event payload after pass and duration, and
+    /// begin with its evidence's bytes.
     #[test]
     fn scan_bytes_are_the_event_payload_after_pass_and_duration() {
         let event = rich_event();
         let mut scan = Vec::new();
-        encode_scan_into(&mut scan, &event.scan);
+        let evidence_len = encode_scan_into(&mut scan, &event.scan);
         let payload = encode_event(&event);
         assert_eq!(&payload[12..12 + scan.len()], &scan[..]);
+        let mut evidence = Vec::new();
+        encode_evidence_into(&mut evidence, &event.scan.evidence);
+        assert_eq!(&scan[..evidence_len], &evidence[..]);
     }
 
     /// A decoded event holds each value it repeats once: the names, the
@@ -990,16 +970,18 @@ pub(crate) mod tests {
     #[test]
     fn decoded_event_shares_what_it_repeats() {
         let mut event = rich_event();
-        let mut observations = event.scan.ns_observations.to_vec();
+        let evidence = &mut event.scan.evidence;
+        let mut observations = evidence.ns_observations.to_vec();
         let second = NsObservation {
             addr: Addr::V4(Ipv4Addr::new(192, 0, 2, 1)),
             ..observations[0].clone()
         };
         observations.push(second);
-        event.scan.ns_observations = observations.into();
-        let mut signals = event.scan.signal_observations.to_vec();
-        signals[0].cds = event.scan.ns_observations[0].cds.to_vec().into();
-        event.scan.signal_observations = signals.into();
+        evidence.ns_observations = observations.into();
+        let mut signals = evidence.signal_observations.to_vec();
+        signals[0].cds = evidence.ns_observations[0].cds.to_vec().into();
+        evidence.signal_observations = signals.into();
+        event.scan.evidence = event.scan.evidence.clone().seal();
 
         let back = decode_event(&encode_event(&event)).expect("decode");
         assert_eq!(back, event);
@@ -1053,20 +1035,10 @@ pub(crate) mod tests {
             pass: 0,
             duration_delta: 0,
             scan: ZoneScan {
-                name: Name::root(),
-                ns_names: [].into(),
-                parent_ds: [].into(),
-                ns_observations: [].into(),
-                signal_observations: [].into(),
-                dnssec: DnssecClass::Unresolvable,
-                cds: CdsClass::Absent,
-                ab: AbClass::NoSignal,
-                operator: Identified::Unknown,
+                evidence: Evidence::empty(Name::root(), DnssecClass::Unresolvable, false),
                 queries: 0,
                 elapsed: 0,
-                sampled: false,
                 retry_stats: RetryStats::default(),
-                degraded: false,
             },
             effects: ZoneEffects::default(),
         };

@@ -62,7 +62,9 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"BSJ1";
 /// v4: `ZoneEffects` lost its per-address health deltas (nothing read them).
 /// v5: `ZoneEffects` grew zone-cut probe inserts (`cut_inserts`).
 /// v6: a CDNSKEY observation keeps its DNSKEY protocol field.
-pub const FORMAT_VERSION: u16 = 6;
+/// v7: a scan is an evidence section, then a cost section, and its lists
+///     are in canonical order rather than the order servers served them.
+pub const FORMAT_VERSION: u16 = 7;
 /// Default journal file name inside a run directory.
 pub const JOURNAL_FILE: &str = "journal.bsj";
 

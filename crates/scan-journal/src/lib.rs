@@ -46,7 +46,10 @@ mod journal;
 mod namespace;
 mod recover;
 
-pub use codec::{decode_event, encode_event, encode_event_into, encode_scan_into, CodecError};
+pub use codec::{
+    decode_event, encode_event, encode_event_into, encode_evidence_into, encode_scan_into,
+    CodecError,
+};
 pub use crc::{crc32, fnv64};
 pub use journal::{
     read_journal, truncate_torn_tail, write_atomically, JournalHeader, JournalRead, JournalWriter,

@@ -283,7 +283,7 @@ mod tests {
 
     fn event_for(zone: &str, pass: u32, micros: u64) -> ZoneEvent {
         let mut e = rich_event();
-        e.scan.name = name!(zone);
+        e.scan.evidence.name = name!(zone);
         e.pass = pass;
         e.duration_delta = micros;
         e

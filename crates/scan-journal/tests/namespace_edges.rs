@@ -3,7 +3,7 @@
 //! look-alike literal directories, and resume from a namespace whose
 //! parent directory exists but whose leaf was never created.
 
-use bootscan::{ProgressSink, ZoneEffects, ZoneEvent, ZoneScan};
+use bootscan::{Evidence, ProgressSink, ZoneEffects, ZoneEvent, ZoneScan};
 use dns_wire::name;
 use dns_wire::name::Name;
 use scan_journal::{recover, JournalSink, Namespace};
@@ -24,20 +24,10 @@ fn event_for(zone: &str, pass: u32) -> ZoneEvent {
     ZoneEvent {
         pass,
         scan: ZoneScan {
-            name: name!(zone),
-            ns_names: [].into(),
-            parent_ds: [].into(),
-            ns_observations: [].into(),
-            signal_observations: [].into(),
-            dnssec: bootscan::DnssecClass::Unsigned,
-            cds: bootscan::CdsClass::Absent,
-            ab: bootscan::AbClass::NoSignal,
-            operator: bootscan::operator::Identified::Unknown,
+            evidence: Evidence::empty(name!(zone), bootscan::DnssecClass::Unsigned, false),
             queries: 0,
             elapsed: 0,
-            sampled: false,
             retry_stats: Default::default(),
-            degraded: false,
         },
         effects: ZoneEffects::default(),
         duration_delta: 10,

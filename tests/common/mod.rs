@@ -1,18 +1,20 @@
 //! Helpers shared by the integration suites.
 
-use bootscan::{CdsClass, DnssecClass, ZoneScan};
+use bootscan::{CdsClass, DnssecClass};
 use dns_ecosystem::{CdsState, DnssecState, ZoneTruth};
 use scan_journal::JOURNAL_FILE;
+use std::fmt::Debug;
 use std::fs;
 use std::path::Path;
 
-/// Assert two zone tables equal in every field: lengths first, then zone
-/// by zone, so a failure prints only the first zone that differs.
+/// Assert two zone tables (scans or their evidence) equal in every
+/// field: lengths first, then zone by zone, so a failure prints only the
+/// first zone that differs.
 #[track_caller]
-pub fn assert_same_zones(expected: &[ZoneScan], got: &[ZoneScan], what: &str) {
+pub fn assert_same_zones<Z: PartialEq + Debug>(expected: &[Z], got: &[Z], what: &str) {
     assert_eq!(expected.len(), got.len(), "{what}: zone counts differ");
-    for (e, g) in expected.iter().zip(got) {
-        assert_eq!(e, g, "{what}: zone {} differs", e.name);
+    for (i, (e, g)) in expected.iter().zip(got).enumerate() {
+        assert_eq!(e, g, "{what}: zone #{i} differs");
     }
 }
 

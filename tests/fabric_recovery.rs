@@ -15,7 +15,7 @@
 #[expect(dead_code, reason = "each suite uses only some of the shared helpers")]
 mod common;
 
-use bootscan::{report, ScanPolicy, Scanner, ZoneScan};
+use bootscan::{report, Evidence, ScanPolicy, Scanner, ZoneScan};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use netsim::FaultPlan;
 use scan_fabric::{
@@ -151,8 +151,8 @@ fn fabric_matches_the_classic_scanner_on_the_evidence_plane() {
 
     // Caches may change costs, never evidence: compare each zone's
     // evidence plane, in one order for both.
-    let collect = |zones: &[ZoneScan]| -> Vec<ZoneScan> {
-        let mut v: Vec<ZoneScan> = zones.iter().map(ZoneScan::evidence).collect();
+    let collect = |zones: &[ZoneScan]| -> Vec<Evidence> {
+        let mut v: Vec<Evidence> = zones.iter().map(|z| z.evidence.clone()).collect();
         v.sort_by_key(|z| z.name.to_wire());
         v
     };

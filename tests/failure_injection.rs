@@ -111,7 +111,7 @@ fn transient_signatures_corrupt_the_same_replies_alone_and_shared() {
             .iter()
             .filter(|z| {
                 let alone = scanner_of(&eco).scan_all(std::slice::from_ref(&z.name));
-                alone.zones[0].evidence() != z.evidence()
+                alone.zones[0].evidence != z.evidence
             })
             .map(|z| &z.name)
             .collect();

@@ -20,7 +20,7 @@
 mod common;
 
 use bootscan::report::{self, Figure1};
-use bootscan::{DnssecClass, ScanPolicy, ScanResults, Scanner, ZoneScan};
+use bootscan::{DnssecClass, Evidence, ScanPolicy, ScanResults, Scanner};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use std::sync::Arc;
 
@@ -42,12 +42,11 @@ fn cold_scan(cfg: EcosystemConfig, parallelism: usize) -> ScanResults {
     scanner.scan_all(&seeds)
 }
 
-/// The evidence plane of a scan: every zone's [`ZoneScan::evidence`]
-/// (cost counters zeroed), plus the derived report artifacts. Two scans
-/// with equal evidence produce identical reports everywhere the paper's
-/// analysis looks.
-struct Evidence {
-    zones: Vec<ZoneScan>,
+/// The evidence plane of a scan: every zone's [`Evidence`], plus the
+/// derived report artifacts. Two scans with equal evidence produce
+/// identical reports everywhere the paper's analysis looks.
+struct Plane {
+    zones: Vec<Evidence>,
     figure1: Figure1,
     /// The degradation report's *population* (which zones, which class,
     /// and the degraded and indeterminate counts); its failure counters
@@ -56,10 +55,10 @@ struct Evidence {
     degraded: (u64, u64, Vec<(String, DnssecClass)>),
 }
 
-fn evidence(results: &ScanResults) -> Evidence {
+fn evidence(results: &ScanResults) -> Plane {
     let deg = report::degradation(results);
-    Evidence {
-        zones: results.zones.iter().map(ZoneScan::evidence).collect(),
+    Plane {
+        zones: results.zones.iter().map(|z| z.evidence.clone()).collect(),
         figure1: report::figure1(results),
         degraded: (
             deg.degraded_zones,
@@ -70,7 +69,7 @@ fn evidence(results: &ScanResults) -> Evidence {
 }
 
 #[track_caller]
-fn assert_same_evidence(expected: &Evidence, got: &Evidence, what: &str) {
+fn assert_same_evidence(expected: &Plane, got: &Plane, what: &str) {
     common::assert_same_zones(&expected.zones, &got.zones, what);
     assert_eq!(expected.figure1, got.figure1, "{what}: figure 1");
     assert_eq!(expected.degraded, got.degraded, "{what}: degradation");
