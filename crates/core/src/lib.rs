@@ -45,7 +45,7 @@ pub mod report;
 pub mod scanner;
 pub mod types;
 
-pub use dns_resolver::{CutOutcome, ReferralData, RetryStats, ScanError};
+pub use dns_resolver::{CacheInsert, CutOutcome, ReferralData, RetryStats, ScanError};
 pub use health::CircuitBreaker;
 pub use operator::{Identified, OperatorTable};
 pub use progress::{ProgressSink, ResumeState, ZoneEffects, ZoneEvent};

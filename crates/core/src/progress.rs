@@ -9,13 +9,14 @@
 //!
 //! Each event carries not just the [`ZoneScan`] but the scan's *side
 //! effects* on shared scanner state ([`ZoneEffects`] — the zone meter's
-//! own [`CacheLog`](dns_resolver::CacheLog), not a copy of it):
-//! validated-key cache inserts, resolver address-cache inserts,
-//! delegation-cache inserts and zone-cut probe outcomes. Replaying
-//! events in order therefore rebuilds the scanner's shared caches
-//! exactly, which is what makes resumption deterministic: a resumed
-//! zone scan sees the same cache hits and misses it would have seen in
-//! the uninterrupted run.
+//! own [`CacheLog`](dns_resolver::CacheLog), not a copy of it): one list,
+//! in the order the scan made them, of validated-key, address,
+//! delegation and zone-cut probe cache inserts, each a
+//! [`CacheInsert`](dns_resolver::CacheInsert) under its cache key.
+//! Replaying events in order therefore rebuilds the scanner's shared
+//! caches exactly, which is what makes resumption deterministic: a
+//! resumed zone scan sees the same cache hits and misses it would have
+//! seen in the uninterrupted run.
 
 use crate::types::ZoneScan;
 use netsim::SimMicros;
@@ -26,13 +27,12 @@ use netsim::SimMicros;
 /// seeding it back (`Scanner::seed_effects`) bumps pointers.
 pub use dns_resolver::CacheLog as ZoneEffects;
 
-/// One finished zone scan, as emitted to a [`ProgressSink`].
+/// One finished zone scan, as emitted to a [`ProgressSink`]. A re-scan
+/// event's `scan` is the *kept* (merged) result, stamped with its pass in
+/// `retry_stats.rescans`, while its `effects` are those of the fresh
+/// probe that actually ran.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZoneEvent {
-    /// 0 = main pass; `p ≥ 1` = re-scan pass `p`. A re-scan event's
-    /// `scan` is the *kept* (merged) result, while its `effects` are
-    /// those of the fresh probe that actually ran.
-    pub pass: u32,
     pub scan: ZoneScan,
     pub effects: ZoneEffects,
     /// This event's contribution to `simulated_duration` (the fresh

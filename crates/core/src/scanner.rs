@@ -20,9 +20,9 @@ use crate::types::*;
 use dns_crypto::UnixTime;
 use dns_resolver::validate::{ds_link_verifies, self_signed_dnskeys, verified_dnskeys};
 use dns_resolver::{
-    ChainLink, ClientErrorKind, CutOutcome, DnsClient, HostileCause, ProvenanceCache, QueryMeter,
-    ReferralData, Resolution, Resolver, ResolverError, RetryPolicy, RetryStats, RootHints,
-    ScanError, CACHE_TTL_MICROS,
+    CacheInsert, ChainLink, ClientErrorKind, CutOutcome, DnsClient, HostileCause, ProvenanceCache,
+    QueryMeter, ReferralData, Resolution, Resolver, ResolverError, RetryPolicy, RetryStats,
+    RootHints, ScanError, CACHE_TTL_MICROS,
 };
 use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
@@ -369,7 +369,9 @@ impl Scanner {
             zone.clone(),
             probe.clock.saturating_add(CACHE_TTL_MICROS),
         );
-        probe.meter.log_key_insert(zone.clone(), Arc::clone(&keys));
+        probe
+            .meter
+            .log_insert(zone.clone(), CacheInsert::Keys(Arc::clone(&keys)));
         Some(keys)
     }
 
@@ -723,7 +725,7 @@ impl Scanner {
                                 cds_rdatas.push(r.rdata.clone());
                             }
                             RData::Cdnskey(k) => {
-                                cds.push(CdsSeen::from_dnskey(k));
+                                cds.push(CdsSeen::Cdnskey(k.clone()));
                                 cds_rdatas.push(r.rdata.clone());
                             }
                             RData::Rrsig(s) => cds_rrsigs.push(s.clone()),
@@ -835,7 +837,7 @@ impl Scanner {
         for r in &res.answers {
             match &r.rdata {
                 RData::Cds(d) => cds.push(CdsSeen::Cds(d.clone())),
-                RData::Cdnskey(k) => cds.push(CdsSeen::from_dnskey(k)),
+                RData::Cdnskey(k) => cds.push(CdsSeen::Cdnskey(k.clone())),
                 _ => {}
             }
         }
@@ -851,7 +853,7 @@ impl Scanner {
             probe.queries += res2.queries;
             for r in &res2.answers {
                 if let RData::Cdnskey(k) = &r.rdata {
-                    cds.push(CdsSeen::from_dnskey(k));
+                    cds.push(CdsSeen::Cdnskey(k.clone()));
                 }
             }
         }
@@ -969,7 +971,9 @@ impl Scanner {
                     zone_apex.clone(),
                     probe.clock.saturating_add(CACHE_TTL_MICROS),
                 );
-                probe.meter.log_cut_insert(label.clone(), outcome);
+                probe
+                    .meter
+                    .log_insert(label.clone(), CacheInsert::Cut(outcome));
             }
             return has_ns;
         }
@@ -1074,7 +1078,6 @@ impl Scanner {
                     kept.retry_stats.rescans = rescans;
                     if let Some(sink) = sink {
                         let event = ZoneEvent {
-                            pass,
                             duration_delta,
                             scan: kept.clone(),
                             effects,
@@ -1126,7 +1129,6 @@ impl Scanner {
                 continue;
             };
             let event = ZoneEvent {
-                pass: 0,
                 duration_delta: scan.elapsed,
                 scan,
                 effects,
@@ -1154,31 +1156,35 @@ impl Scanner {
 
     /// Seed the shared caches with one zone event's inserts, in the
     /// order the scan made them, each valid until `expires_at` on this
-    /// scanner's virtual clock. The one walk over key / address /
-    /// referral / zone-cut inserts: journal replay (`Recovery::apply_to`)
-    /// and epoch carry-over (`CarryLedger::seed_into`) differ only in the
-    /// expiry they pass. Every cache entry shares the effects' `Arc`s and
-    /// name buffers — nothing is deep-cloned per seed.
+    /// scanner's virtual clock. The one walk over the insert kinds:
+    /// journal replay (`Recovery::apply_to`) and epoch carry-over
+    /// (`CarryLedger::seed_into`) differ only in the expiry they pass.
+    /// Every cache entry shares the effects' `Arc`s and name buffers —
+    /// nothing is deep-cloned per seed.
     pub fn seed_effects(&self, effects: &ZoneEffects, expires_at: SimMicros) {
-        for (zone, keys) in &effects.key_inserts {
-            self.key_cache
-                .insert_tagged(zone.clone(), Arc::clone(keys), zone.clone(), expires_at);
-        }
-        for (ns, addrs) in &effects.addr_inserts {
-            self.resolver
-                .seed_address(ns.clone(), Arc::clone(addrs), None, expires_at);
-        }
-        for (cut, data) in &effects.referral_inserts {
-            self.resolver
-                .seed_referral(cut.clone(), Arc::clone(data), None, expires_at);
-        }
-        for (label, outcome) in &effects.cut_inserts {
-            self.cut_cache.insert_tagged(
-                label.clone(),
-                outcome.clone(),
-                outcome.apex.clone(),
-                expires_at,
-            );
+        for (key, insert) in effects {
+            match insert {
+                CacheInsert::Keys(keys) => self.key_cache.insert_tagged(
+                    key.clone(),
+                    Arc::clone(keys),
+                    key.clone(),
+                    expires_at,
+                ),
+                CacheInsert::Addrs(addrs) => {
+                    self.resolver
+                        .seed_address(key.clone(), Arc::clone(addrs), None, expires_at)
+                }
+                CacheInsert::Referral(data) => {
+                    self.resolver
+                        .seed_referral(key.clone(), Arc::clone(data), None, expires_at)
+                }
+                CacheInsert::Cut(outcome) => self.cut_cache.insert_tagged(
+                    key.clone(),
+                    outcome.clone(),
+                    outcome.apex.clone(),
+                    expires_at,
+                ),
+            }
         }
     }
 

@@ -11,44 +11,21 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// One CDS-shaped record observed on the wire (CDS or CDNSKEY), reduced
-/// to a comparable form.
+/// to a comparable form. A CDNSKEY has the DNSKEY format (RFC 7344
+/// §3.2), so it is held as one.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CdsSeen {
     Cds(DsData),
-    Cdnskey {
-        flags: u16,
-        protocol: u8,
-        algorithm: u8,
-        public_key: Vec<u8>,
-    },
+    Cdnskey(DnskeyData),
 }
 
 impl CdsSeen {
-    pub fn from_dnskey(k: &DnskeyData) -> Self {
-        CdsSeen::Cdnskey {
-            flags: k.flags,
-            protocol: k.protocol,
-            algorithm: k.algorithm,
-            public_key: k.public_key.clone(),
-        }
-    }
-
     /// The record as [`ds_matches_key`](dns_resolver::validate::ds_matches_key)
     /// reads it.
     pub fn form(&self) -> DsForm<'_> {
         match self {
             CdsSeen::Cds(ds) => DsForm::Ds(ds),
-            CdsSeen::Cdnskey {
-                flags,
-                protocol,
-                algorithm,
-                public_key,
-            } => DsForm::Cdnskey {
-                flags: *flags,
-                protocol: *protocol,
-                algorithm: *algorithm,
-                public_key,
-            },
+            CdsSeen::Cdnskey(key) => DsForm::Cdnskey(key),
         }
     }
 
@@ -56,7 +33,7 @@ impl CdsSeen {
     pub fn is_delete(&self) -> bool {
         match self {
             CdsSeen::Cds(ds) => ds.algorithm == 0,
-            CdsSeen::Cdnskey { algorithm, .. } => *algorithm == 0,
+            CdsSeen::Cdnskey(key) => key.algorithm == 0,
         }
     }
 }
@@ -379,12 +356,12 @@ mod tests {
         let d = CdsSeen::Cds(DsData::delete_sentinel());
         assert!(d.is_delete());
         assert!(!seen(7).is_delete());
-        let k = CdsSeen::Cdnskey {
+        let k = CdsSeen::Cdnskey(DnskeyData {
             flags: 0,
             protocol: 3,
             algorithm: 0,
             public_key: vec![0],
-        };
+        });
         assert!(k.is_delete());
     }
 

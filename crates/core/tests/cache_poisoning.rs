@@ -135,7 +135,6 @@ fn poisoned_delegation_cache_entries_are_never_consulted() {
                 ds: None,
                 ds_rrsigs: vec![],
                 child_servers: vec![attacker],
-                parent_servers: vec![attacker],
             }),
             Some(foreign.clone()),
             SimMicros::MAX,
@@ -270,7 +269,6 @@ fn zone_cut_outcomes_are_served_only_through_the_apex_that_answered() {
             ds: None,
             ds_rrsigs: vec![],
             child_servers: vec![adversary],
-            parent_servers: vec![],
         };
         let (cut, referral) = (signal_apex.clone(), Arc::new(referral));
         scanner

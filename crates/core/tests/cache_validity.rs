@@ -14,7 +14,7 @@
 )]
 mod scenario;
 
-use bootscan::{CutOutcome, ReferralData, ZoneEffects};
+use bootscan::{CacheInsert, CutOutcome, ReferralData, ZoneEffects};
 use dns_wire::name::Name;
 use netsim::Addr;
 use scenario::Point;
@@ -118,7 +118,6 @@ fn expired_referral_entries_are_rewalked() {
         ds: None,
         ds_rrsigs: Vec::new(),
         child_servers: vec![Addr::V4(Ipv4Addr::new(192, 0, 2, 78))],
-        parent_servers: vec![Addr::V4(Ipv4Addr::new(192, 0, 2, 79))],
     };
     scanner
         .resolver()
@@ -144,19 +143,16 @@ fn expired_zone_cut_outcomes_are_reasked() {
     // cached under the apex that does answer, expired: consulted, it
     // would report a zone cut; expired, every label must be asked again.
     let (apex, labels) = point.shared_cut_labels();
-    let planted = ZoneEffects {
-        cut_inserts: labels
-            .into_iter()
-            .map(|l| {
-                let outcome = CutOutcome {
-                    apex: apex.clone(),
-                    has_ns: true,
-                };
-                (l, outcome)
-            })
-            .collect(),
-        ..ZoneEffects::default()
-    };
+    let planted: ZoneEffects = labels
+        .into_iter()
+        .map(|l| {
+            let outcome = CutOutcome {
+                apex: apex.clone(),
+                has_ns: true,
+            };
+            (l, CacheInsert::Cut(outcome))
+        })
+        .collect();
     let scanner = point.scanner();
     scanner.seed_effects(&planted, 0);
 

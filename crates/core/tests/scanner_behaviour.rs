@@ -469,7 +469,7 @@ fn a_scan_with_a_sink_is_one_sequential_lane_at_any_parallelism() {
         fn on_zone(&self, event: &ZoneEvent) -> bool {
             let at = (
                 std::thread::current().id(),
-                event.pass,
+                event.scan.retry_stats.rescans,
                 event.scan.name.clone(),
             );
             self.0.borrow_mut().push(at);

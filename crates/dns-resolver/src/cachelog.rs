@@ -2,13 +2,15 @@
 //! while working under a [`QueryMeter`] — the resolver's address and
 //! delegation caches, the scanner's validated-key and zone-cut probe
 //! caches — is recorded here, attributed to exactly the zone whose meter
-//! paid for the queries that produced it. The scanner takes the log when
-//! it seals a zone and hands it, as is, to the crash-recovery journal
-//! (`bootscan` re-exports [`CacheLog`] as `ZoneEffects`), so a resumed
-//! scan can replay the exact cache state the uninterrupted run would
-//! have seen — even when several lanes share the caches and inserts
-//! interleave. The log itself belongs to one meter, hence to one lane:
-//! appending takes no lock.
+//! paid for the queries that produced it. The log is one list in
+//! insertion order, each entry a cache key and a [`CacheInsert`] naming
+//! the cache it went into. The scanner takes the log when it seals a
+//! zone and hands it, as is, to the crash-recovery journal (`bootscan`
+//! re-exports [`CacheLog`] as `ZoneEffects`), so a resumed scan can
+//! replay the exact cache state the uninterrupted run would have seen —
+//! even when several lanes share the caches and inserts interleave. The
+//! log itself belongs to one meter, hence to one lane: appending takes
+//! no lock.
 //!
 //! Entries hold the same `Arc`s (and, for zone-cut outcomes, the same
 //! name buffers) the caches hold, so logging an insert and seeding it
@@ -39,8 +41,6 @@ pub struct ReferralData {
     pub ds_rrsigs: Vec<RrsigData>,
     /// Server addresses the walk used for the child zone.
     pub child_servers: Vec<Addr>,
-    /// Server addresses of the parent zone (for re-querying DS).
-    pub parent_servers: Vec<Addr>,
 }
 
 /// One zone-cut probe outcome: which zone answered the NS question at a
@@ -55,17 +55,21 @@ pub struct CutOutcome {
     pub has_ns: bool,
 }
 
-/// Cache inserts performed under one meter — one zone scan's side
-/// effects on shared scanner state — each list in insertion order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheLog {
+/// One shared-cache insert: the value and, by its variant, the cache it
+/// went into. The name it is logged with is its cache key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CacheInsert {
     /// Validated-key cache: zone apex → its validated DNSKEY set.
-    pub key_inserts: Vec<(Name, Arc<Vec<DnskeyData>>)>,
+    Keys(Arc<Vec<DnskeyData>>),
     /// Address cache: NS hostname → resolved addresses.
-    pub addr_inserts: Vec<(Name, Arc<Vec<Addr>>)>,
+    Addrs(Arc<Vec<Addr>>),
     /// Delegation cache: zone cut → referral data learned from its
     /// parent.
-    pub referral_inserts: Vec<(Name, Arc<ReferralData>)>,
+    Referral(Arc<ReferralData>),
     /// Zone-cut probe cache: signal-path label → probe outcome.
-    pub cut_inserts: Vec<(Name, CutOutcome)>,
+    Cut(CutOutcome),
 }
+
+/// Cache inserts performed under one meter — one zone scan's side
+/// effects on shared scanner state — in insertion order.
+pub type CacheLog = Vec<(Name, CacheInsert)>;

@@ -19,11 +19,10 @@
     clippy::indexing_slicing
 )]
 
-use crate::cachelog::{CacheLog, CutOutcome, ReferralData};
+use crate::cachelog::{CacheInsert, CacheLog};
 use crate::hostile::{HostileCause, RetryStats};
 use dns_wire::message::Message;
 use dns_wire::name::Name;
-use dns_wire::rdata::DnskeyData;
 use dns_wire::record::RecordType;
 use netsim::{Addr, DeterministicDraw, NetError, Network, SimMicros, Transport};
 use std::cell::{Cell, RefCell};
@@ -256,30 +255,9 @@ impl QueryMeter {
         .below(0x1_0000) as u16
     }
 
-    /// Record a validated-key-cache insert made on this meter's behalf.
-    pub fn log_key_insert(&self, zone: Name, keys: Arc<Vec<DnskeyData>>) {
-        self.cache_log.borrow_mut().key_inserts.push((zone, keys));
-    }
-
-    /// Record an address-cache insert made on this meter's behalf.
-    pub fn log_addr_insert(&self, ns: Name, addrs: Arc<Vec<Addr>>) {
-        self.cache_log.borrow_mut().addr_inserts.push((ns, addrs));
-    }
-
-    /// Record a delegation-cache insert made on this meter's behalf.
-    pub fn log_referral_insert(&self, cut: Name, data: Arc<ReferralData>) {
-        self.cache_log
-            .borrow_mut()
-            .referral_inserts
-            .push((cut, data));
-    }
-
-    /// Record a zone-cut probe cache insert made on this meter's behalf.
-    pub fn log_cut_insert(&self, label: Name, outcome: CutOutcome) {
-        self.cache_log
-            .borrow_mut()
-            .cut_inserts
-            .push((label, outcome));
+    /// Record a shared-cache insert made on this meter's behalf.
+    pub fn log_insert(&self, key: Name, insert: CacheInsert) {
+        self.cache_log.borrow_mut().push((key, insert));
     }
 
     /// Take the cache-insert log accumulated so far, leaving it empty.

@@ -135,8 +135,6 @@ pub struct RetryStats {
     pub failures: u32,
     /// ... of which exhausted their timeout budget.
     pub timeouts: u32,
-    /// ... of which hit an unbound address.
-    pub unreachable: u32,
     /// ... of which got an unparsable reply.
     pub malformed: u32,
     /// Logical queries answered with SERVFAIL.
@@ -193,7 +191,8 @@ impl RetryStats {
                 return;
             }
             ScanError::Timeout => self.timeouts += 1,
-            ScanError::Unreachable => self.unreachable += 1,
+            // A failed query, and nothing more: see `degraded`.
+            ScanError::Unreachable => {}
             ScanError::Malformed => self.malformed += 1,
             ScanError::ResolutionFailed => self.resolution_failures += 1,
             ScanError::Hostile(c) => self.note_hostile(c),
@@ -273,7 +272,6 @@ mod tests {
         s.record(ScanError::ResolutionFailed);
         assert_eq!(s.timeouts, 2);
         assert_eq!(s.malformed, 1);
-        assert_eq!(s.unreachable, 1);
         assert_eq!(s.breaker_skips, 1);
         assert_eq!(s.resolution_failures, 1);
         // Breaker skips are not query failures.
@@ -285,6 +283,7 @@ mod tests {
         let mut s = RetryStats::default();
         assert!(!s.degraded());
         s.record(ScanError::Unreachable);
+        assert_eq!(s.failures, 1, "an unbound address is a failed query");
         assert!(!s.degraded());
         s.record(ScanError::Timeout);
         assert!(s.degraded());

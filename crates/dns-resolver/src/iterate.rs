@@ -21,7 +21,7 @@
 //! * the **address cache** — NS hostname → addresses, served for names
 //!   at or below the zone that produced them;
 //! * the **delegation cache** — zone cut → [`ReferralData`] (NS set, DS
-//!   presence *or absence*, glue, the servers on both sides), believed
+//!   presence *or absence*, glue, the child's servers), believed
 //!   only when spoken by a proper ancestor of the cut. A walk first
 //!   looks up the deepest cached ancestor of its QNAME whose parent
 //!   chain closes at the root, takes those [`ChainLink`]s without any
@@ -53,7 +53,7 @@
 )]
 
 use crate::cache::ProvenanceCache;
-use crate::cachelog::ReferralData;
+use crate::cachelog::{CacheInsert, ReferralData};
 use crate::client::{ClientErrorKind, DnsClient, QueryMeter};
 use crate::hostile::{HostileCause, ScanError};
 use dns_wire::message::{Message, Rcode};
@@ -438,12 +438,10 @@ impl Resolver {
                 ds: if ds.is_empty() { None } else { Some(ds) },
                 ds_rrsigs,
                 child_servers: addrs.clone(),
-                parent_servers: servers,
             };
             data.ns_names.shrink_to_fit();
             data.ds.iter_mut().for_each(Vec::shrink_to_fit);
             data.ds_rrsigs.shrink_to_fit();
-            data.parent_servers.shrink_to_fit();
             let data = Arc::new(data);
             self.delegations.insert_tagged(
                 cut.clone(),
@@ -451,7 +449,7 @@ impl Resolver {
                 data.parent_apex.clone(),
                 (now + elapsed).saturating_add(CACHE_TTL_MICROS),
             );
-            meter.log_referral_insert(cut.clone(), Arc::clone(&data));
+            meter.log_insert(cut.clone(), CacheInsert::Referral(Arc::clone(&data)));
             chain.push(ChainLink {
                 child_apex: cut.clone(),
                 data,
@@ -591,7 +589,7 @@ impl Resolver {
             provenance,
             now.saturating_add(CACHE_TTL_MICROS),
         );
-        meter.log_addr_insert(ns.clone(), Arc::clone(&addrs));
+        meter.log_insert(ns.clone(), CacheInsert::Addrs(Arc::clone(&addrs)));
         Ok(addrs)
     }
 

@@ -26,7 +26,7 @@ pub mod iterate;
 pub mod validate;
 
 pub use cache::ProvenanceCache;
-pub use cachelog::{CacheLog, CutOutcome, ReferralData};
+pub use cachelog::{CacheInsert, CacheLog, CutOutcome, ReferralData};
 pub use client::{
     ClientError, ClientErrorKind, DnsClient, Exchange, IoCounters, QueryMeter, RetryPolicy,
 };

@@ -187,16 +187,11 @@ pub fn ds_link_verifies(link: &ChainLink, parent_keys: &[DnskeyData], now: UnixT
 }
 
 /// A record that names one DNSKEY: a DS or CDS by the key's digest, or a
-/// CDNSKEY by the key's own fields (RFC 7344 §3).
+/// CDNSKEY by being the key (RFC 7344 §3.2 gives it the DNSKEY format).
 #[derive(Debug, Clone, Copy)]
 pub enum DsForm<'a> {
     Ds(&'a DsData),
-    Cdnskey {
-        flags: u16,
-        protocol: u8,
-        algorithm: u8,
-        public_key: &'a [u8],
-    },
+    Cdnskey(&'a DnskeyData),
 }
 
 /// Does `ds` name `key`, a DNSKEY at `owner`? The one rule for a parent
@@ -208,17 +203,7 @@ pub enum DsForm<'a> {
 /// protocol too, so one that differs there names no DNSKEY.
 pub fn ds_matches_key(owner: &Name, ds: DsForm<'_>, key: &DnskeyData) -> bool {
     match ds {
-        DsForm::Cdnskey {
-            flags,
-            protocol,
-            algorithm,
-            public_key,
-        } => {
-            key.flags == flags
-                && key.protocol == protocol
-                && key.algorithm == algorithm
-                && key.public_key == public_key
-        }
+        DsForm::Cdnskey(cdnskey) => cdnskey == key,
         DsForm::Ds(ds) => {
             if key.algorithm != ds.algorithm
                 || dns_crypto::key_tag(key.flags, key.protocol, key.algorithm, &key.public_key)
@@ -261,6 +246,7 @@ fn query_any(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cachelog::CacheInsert;
     use crate::iterate::{Resolver, RootHints};
     use dns_crypto::Algorithm;
     use dns_server::{AuthServer, ZoneStore};
@@ -583,7 +569,14 @@ mod tests {
             .unwrap();
         let warm = r.resolve_at_with(None, 0, &qname, RecordType::A).unwrap();
         assert_eq!(warm.queries, 1, "the warm walk asks only the leaf");
-        let logged = meter.take_cache_log().referral_inserts;
+        let logged: Vec<_> = meter
+            .take_cache_log()
+            .into_iter()
+            .filter_map(|(cut, insert)| match insert {
+                CacheInsert::Referral(data) => Some((cut, data)),
+                _ => None,
+            })
+            .collect();
         assert_eq!(logged.len(), cold.chain.len());
         for ((cold, warm), (cut, data)) in cold.chain.iter().zip(&warm.chain).zip(&logged) {
             assert_eq!(cold.child_apex, warm.child_apex);
@@ -610,15 +603,17 @@ mod tests {
         wrong.digest[0] ^= 0xff;
         assert!(!ds_matches_key(&owner, DsForm::Ds(&wrong), &ksk));
         // A CDNSKEY is the key itself, flags and protocol included.
-        let cdnskey = |flags, protocol| DsForm::Cdnskey {
-            flags,
-            protocol,
-            algorithm: ksk.algorithm,
-            public_key: &ksk.public_key,
+        let names_ksk = |flags, protocol| {
+            let cdnskey = DnskeyData {
+                flags,
+                protocol,
+                ..ksk.clone()
+            };
+            ds_matches_key(&owner, DsForm::Cdnskey(&cdnskey), &ksk)
         };
-        assert!(ds_matches_key(&owner, cdnskey(257, 3), &ksk));
-        assert!(!ds_matches_key(&owner, cdnskey(256, 3), &ksk));
-        assert!(!ds_matches_key(&owner, cdnskey(257, 2), &ksk));
+        assert!(names_ksk(257, 3));
+        assert!(!names_ksk(256, 3));
+        assert!(!names_ksk(257, 2));
     }
 
     #[test]

@@ -55,7 +55,7 @@ const SOURCES: &[(&str, &str)] = &[
     // Network datagram payloads entering wire decode.
     ("crates/dns-wire/src/message.rs", "from_bytes"),
     // Fabric frame decoder: off the fabric's path, kept for the frozen
-    // benchmark's frame probe until ROADMAP 2(b) removes both.
+    // benchmark's frame probe until ROADMAP 8(b) removes both.
     ("crates/scan-fabric/src/protocol.rs", "decode_payload"),
     // Journal / commit-marker bytes read back from disk.
     ("crates/scan-journal/src/journal.rs", "read_journal"),

@@ -159,7 +159,7 @@ fn lock_classes_are_the_known_set() {
 
 /// The evidence has one encoding, the journal codec, and `==` in memory.
 /// The JSON crates stay linked only because the frozen benchmark's
-/// lockfile lists their edges (ROADMAP 7(b)); no source outside the
+/// lockfile lists their edges (ROADMAP 8(b)); no source outside the
 /// benchmark may name them, so nothing drifts back to JSON before the
 /// edges go.
 #[test]

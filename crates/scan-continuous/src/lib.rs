@@ -537,7 +537,6 @@ mod tests {
             .remove(0)
             .into_owned();
         assert!(sink.on_zone(&ZoneEvent {
-            pass: 0,
             scan,
             effects: Default::default(),
             duration_delta: 5,

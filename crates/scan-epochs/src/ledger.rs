@@ -1,8 +1,10 @@
 //! The carry-over ledger: cache effects remembered across epochs.
 //!
 //! Every journaled [`ZoneEvent`](bootscan::ZoneEvent) carries the cache
-//! inserts its zone scan performed ([`ZoneEffects`]). The ledger records
-//! them stamped with the epoch that learned them; at the next epoch's
+//! inserts its zone scan performed ([`ZoneEffects`]: one list in the
+//! order they were made, each insert keyed by a name whatever cache it
+//! went into). The ledger records them stamped with the epoch that
+//! learned them; at the next epoch's
 //! start, each entry is seeded into the fresh scanner with its
 //! **remaining validity** — `(learn time + TTL) − now` in virtual time —
 //! so a carried entry expires at exactly the same virtual instant it
@@ -32,14 +34,6 @@ struct CarriedEntry {
     inserts: ZoneEffects,
 }
 
-/// Cache inserts in one event's effects.
-fn insert_count(effects: &ZoneEffects) -> usize {
-    effects.key_inserts.len()
-        + effects.addr_inserts.len()
-        + effects.referral_inserts.len()
-        + effects.cut_inserts.len()
-}
-
 /// Cache inserts carried across epochs, in journal order, each stamped
 /// with the epoch that learned it and the zone whose scan learned it.
 #[derive(Debug, Clone, Default)]
@@ -54,7 +48,7 @@ impl CarryLedger {
 
     /// Number of live cache inserts.
     pub fn len(&self) -> usize {
-        self.entries.iter().map(|e| insert_count(&e.inserts)).sum()
+        self.entries.iter().map(|e| e.inserts.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -66,7 +60,7 @@ impl CarryLedger {
     /// absorption order, so later inserts overwrite earlier ones exactly
     /// as the live caches did.
     pub fn absorb(&mut self, epoch: u32, source: &Name, effects: &ZoneEffects) {
-        if insert_count(effects) > 0 {
+        if !effects.is_empty() {
             self.entries.push(CarriedEntry {
                 epoch,
                 source: source.clone(),
@@ -92,8 +86,8 @@ impl CarryLedger {
         parts
     }
 
-    /// Drop every insert at or below one of the churn-invalidated zone
-    /// cuts. Called before an epoch's scan with that epoch's
+    /// Drop every insert keyed at or below one of the churn-invalidated
+    /// zone cuts, whichever cache it is for. Called before an epoch's scan with that epoch's
     /// [`ChurnLog::invalidated_cuts`](dns_ecosystem::ChurnLog) — a
     /// churned zone's keys and referral must never be consulted again,
     /// no matter how much validity they had left. A name is dead when it
@@ -110,11 +104,8 @@ impl CarryLedger {
                 .any(|a| cuts.binary_search(&a).is_ok())
         };
         self.entries.retain_mut(|e| {
-            e.inserts.key_inserts.retain(|(n, _)| live(n));
-            e.inserts.addr_inserts.retain(|(n, _)| live(n));
-            e.inserts.referral_inserts.retain(|(n, _)| live(n));
-            e.inserts.cut_inserts.retain(|(n, _)| live(n));
-            insert_count(&e.inserts) > 0
+            e.inserts.retain(|(n, _)| live(n));
+            !e.inserts.is_empty()
         });
     }
 
@@ -149,7 +140,7 @@ impl CarryLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_resolver::{CutOutcome, ReferralData};
+    use dns_resolver::{CacheInsert, CutOutcome, ReferralData};
     use std::sync::Arc;
 
     fn name(s: &str) -> Name {
@@ -167,19 +158,17 @@ mod tests {
             ds: None,
             ds_rrsigs: Vec::new(),
             child_servers: Vec::new(),
-            parent_servers: Vec::new(),
         };
         let label = zone.prepend_label(b"_signal").unwrap();
         let outcome = CutOutcome {
             apex: zone.clone(),
             has_ns: false,
         };
-        ZoneEffects {
-            key_inserts: vec![(zone.clone(), Arc::default())],
-            addr_inserts: Vec::new(),
-            referral_inserts: vec![(zone.clone(), Arc::new(referral))],
-            cut_inserts: vec![(label, outcome)],
-        }
+        vec![
+            (zone.clone(), CacheInsert::Keys(Arc::default())),
+            (zone.clone(), CacheInsert::Referral(Arc::new(referral))),
+            (label, CacheInsert::Cut(outcome)),
+        ]
     }
 
     #[test]
@@ -282,7 +271,7 @@ mod tests {
                     .entries
                     .iter()
                     .filter(|e| e.source == source)
-                    .map(|e| insert_count(&e.inserts))
+                    .map(|e| e.inserts.len())
                     .sum();
                 assert_eq!(here, if k == home { 3 } else { 0 }, "{s} in shard {k}");
             }

@@ -261,7 +261,6 @@ mod tests {
         (
             0,
             ZoneEvent {
-                pass: 0,
                 duration_delta: 10,
                 scan,
                 effects: Default::default(),
@@ -421,7 +420,7 @@ mod tests {
         let zones = vec![name!("a.example")];
         let mut better = event_for("a.example", 9);
         better.0 = 1;
-        better.1.pass = 1;
+        better.1.scan.retry_stats.rescans = 1;
         let events = vec![event_for("a.example", 3), better];
         let mut m = StreamingMerge::new();
         let mut sink = CollectSink::default();

@@ -8,7 +8,7 @@
 //! `scan-fabric.frame_roundtrip_ns` probe links [`encode_msg`],
 //! [`FrameDecoder`] and [`Msg`]; it goes, with that probe and the
 //! `decode_payload` taint source, in the `benchmark` PR of ROADMAP item
-//! 3(c). Until then the decoder keeps the DNS wire decoders'
+//! 8(b). Until then the decoder keeps the DNS wire decoders'
 //! panic-safety discipline: no indexing, no unwraps, hostile or torn
 //! bytes degrade into [`FrameError`], never abort.
 //!

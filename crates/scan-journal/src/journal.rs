@@ -57,14 +57,19 @@ use std::path::Path;
 pub const JOURNAL_MAGIC: [u8; 4] = *b"BSJ1";
 /// Current format version (bumped on any codec or framing change).
 /// v2: `RetryStats` grew logical-query and per-cause hostile counters.
-/// v3: `ZoneEffects` grew delegation-cache inserts (`referral_inserts`),
+/// v3: `ZoneEffects` grew delegation-cache inserts,
 ///     replayed on resume alongside the address-cache inserts.
 /// v4: `ZoneEffects` lost its per-address health deltas (nothing read them).
-/// v5: `ZoneEffects` grew zone-cut probe inserts (`cut_inserts`).
+/// v5: `ZoneEffects` grew zone-cut probe inserts.
 /// v6: a CDNSKEY observation keeps its DNSKEY protocol field.
 /// v7: a scan is an evidence section, then a cost section, and its lists
 ///     are in canonical order rather than the order servers served them.
-pub const FORMAT_VERSION: u16 = 7;
+/// v8: `ZoneEffects` is one list of tagged inserts in the order the scan
+///     made them; the event lost its pass number, `RetryStats` its
+///     `unreachable` count and `ReferralData` its parent servers (none had
+///     a reader), and every `RetryStats` counter is written at its own
+///     width. The evidence section is unchanged.
+pub const FORMAT_VERSION: u16 = 8;
 /// Default journal file name inside a run directory.
 pub const JOURNAL_FILE: &str = "journal.bsj";
 

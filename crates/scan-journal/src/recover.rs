@@ -284,7 +284,7 @@ mod tests {
     fn event_for(zone: &str, pass: u32, micros: u64) -> ZoneEvent {
         let mut e = rich_event();
         e.scan.evidence.name = name!(zone);
-        e.pass = pass;
+        e.scan.retry_stats.rescans = pass;
         e.duration_delta = micros;
         e
     }

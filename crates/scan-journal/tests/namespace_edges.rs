@@ -20,9 +20,8 @@ fn tmpdir(label: &str) -> PathBuf {
 /// A minimal but journalable event: empty observations, default
 /// effects. Namespace tests only care about identity and placement,
 /// not event content.
-fn event_for(zone: &str, pass: u32) -> ZoneEvent {
+fn event_for(zone: &str) -> ZoneEvent {
     ZoneEvent {
-        pass,
         scan: ZoneScan {
             evidence: Evidence::empty(name!(zone), bootscan::DnssecClass::Unsigned, false),
             queries: 0,
@@ -73,7 +72,7 @@ fn deep_epoch_shard_grid_is_disjoint_and_mutually_foreign() {
     // Journal one event per leaf; each leaf recovers exactly its own.
     for (epoch, shard, ns) in &leaves {
         let sink = JournalSink::create(ns.dir(), ns.header(&zones)).unwrap();
-        assert!(sink.on_zone(&event_for(&format!("e{epoch}s{shard}.example"), 0)));
+        assert!(sink.on_zone(&event_for(&format!("e{epoch}s{shard}.example"))));
     }
     for (epoch, shard, ns) in &leaves {
         let rec = recover(ns.dir(), ns.header(&zones)).unwrap();
@@ -107,7 +106,7 @@ fn colliding_literal_dirs_and_zone_names_cannot_be_mistaken_for_a_namespace() {
     // `epoch-0003` (index 3) vs `epoch-0123` (a look-alike literal) stay
     // distinct directories.
     let sink = JournalSink::create(ns.dir(), ns.header(&zones)).unwrap();
-    assert!(sink.on_zone(&event_for("epoch-0003.example", 0)));
+    assert!(sink.on_zone(&event_for("epoch-0003.example")));
     drop(sink);
     assert_ne!(
         Namespace::root(&root, 7).epoch(123).dir(),
@@ -120,7 +119,7 @@ fn colliding_literal_dirs_and_zone_names_cannot_be_mistaken_for_a_namespace() {
     let foreign_dir = tmpdir("collide-foreign");
     let foreign = Namespace::root(&foreign_dir, 8).epoch(3);
     let fsink = JournalSink::create(foreign.dir(), foreign.header(&zones)).unwrap();
-    assert!(fsink.on_zone(&event_for("foreign.example", 0)));
+    assert!(fsink.on_zone(&event_for("foreign.example")));
     drop(fsink);
     let squat = ns.dir();
     let _ = fs::remove_dir_all(squat);
@@ -155,7 +154,7 @@ fn partially_created_parent_dir_resumes_as_fresh() {
     // create() fills in the leaf (and would fill deeper gaps too), and
     // a subsequent recovery round-trips the journaled event.
     let sink = JournalSink::create(ns.dir(), ns.header(&zones)).unwrap();
-    assert!(sink.on_zone(&event_for("late.example", 0)));
+    assert!(sink.on_zone(&event_for("late.example")));
     drop(sink);
     let rec = recover(ns.dir(), ns.header(&zones)).unwrap();
     assert_eq!(rec.events.len(), 1);
@@ -166,7 +165,7 @@ fn partially_created_parent_dir_resumes_as_fresh() {
     let rec = recover(deep.dir(), deep.header(&zones)).unwrap();
     assert!(rec.events.is_empty());
     let sink = JournalSink::create(deep.dir(), deep.header(&zones)).unwrap();
-    assert!(sink.on_zone(&event_for("deep.example", 0)));
+    assert!(sink.on_zone(&event_for("deep.example")));
     let _ = fs::remove_dir_all(&root);
 }
 

@@ -1,8 +1,9 @@
 //! Helpers shared by the integration suites.
 
-use bootscan::{CdsClass, DnssecClass};
+use bootscan::{CdsClass, DnssecClass, ProgressSink, ZoneEvent};
 use dns_ecosystem::{CdsState, DnssecState, ZoneTruth};
 use scan_journal::JOURNAL_FILE;
+use std::cell::RefCell;
 use std::fmt::Debug;
 use std::fs;
 use std::path::Path;
@@ -59,5 +60,16 @@ pub fn expect_cds(truth: &ZoneTruth) -> CdsClass {
         CdsState::MismatchesDnskey => CdsClass::MismatchesDnskey,
         CdsState::BadSignature => CdsClass::BadSignature,
         CdsState::Inconsistent => CdsClass::Inconsistent,
+    }
+}
+
+/// Keeps every event a scan emits, in order.
+#[derive(Default)]
+pub struct EventLog(pub RefCell<Vec<ZoneEvent>>);
+
+impl ProgressSink for EventLog {
+    fn on_zone(&self, event: &ZoneEvent) -> bool {
+        self.0.borrow_mut().push(event.clone());
+        true
     }
 }

@@ -10,8 +10,12 @@
 //! than 20 %. A failure prints the full current map: to re-baseline
 //! after an intended change, paste it over the baseline file.
 
+#[expect(dead_code, reason = "each suite uses only some of the shared helpers")]
+mod common;
+
 use bootscan::{
-    CutOutcome, Identified, ProgressSink, ReferralData, ScanPolicy, Scanner, ZoneEvent, ZoneScan,
+    CacheInsert, CutOutcome, Identified, ProgressSink, ReferralData, ScanPolicy, Scanner,
+    ZoneEvent, ZoneScan,
 };
 use dns_ecosystem::{
     apply_churn, build, ChurnAction, ChurnConfig, ChurnPlan, Ecosystem, EcosystemConfig,
@@ -587,22 +591,29 @@ fn footprint_is_exact() {
     current.push_str(&render_one_owner(&eco, "build"));
 
     let seeds = eco.seeds.compile(&eco.psl);
-    let results = Scanner::for_ecosystem(&eco, ScanPolicy::default()).scan_all(&seeds);
+    let events = common::EventLog::default();
+    let results = Scanner::for_ecosystem(&eco, ScanPolicy::default()).scan_all_with(
+        &seeds,
+        Some(&events),
+        None,
+    );
     let (mut scan, mut journal) = (Slots::default(), Slots::default());
     scan.of(&results.zones);
     for z in &results.zones {
         scan_slots(z, &mut scan);
-        let event = ZoneEvent {
-            pass: 0,
-            scan: z.clone(),
-            effects: Default::default(),
-            duration_delta: 0,
-        };
-        let back = decode_event(&encode_event(&event)).expect("codec round trip");
+    }
+    // Every event as the journal writes it: the next field an event
+    // grows moves `journal.payload_bytes`.
+    let mut payload_bytes = 0;
+    for event in events.0.borrow().iter() {
+        let payload = encode_event(event);
+        payload_bytes += payload.len();
+        let back = decode_event(&payload).expect("codec round trip");
         scan_slots(&back.scan, &mut journal);
     }
     current.push_str(&scan.render("scan"));
     current.push_str(&journal.render("journal"));
+    current.push_str(&format!("journal.payload_bytes={payload_bytes}\n"));
 
     let plan = ChurnPlan::generate(&eco, &ChurnConfig::default(), CHURN_SEED, 1);
     apply_churn(&mut eco, &plan);
@@ -613,7 +624,11 @@ fn footprint_is_exact() {
         &current,
         include_str!("../crates/bench/baselines/footprint_tiny.txt"),
         |key| key.ends_with("_slots"),
-        |key| key.ends_with("_spare") || key.ends_with(".index_slots"),
+        |key| {
+            key.ends_with("_spare")
+                || key.ends_with(".index_slots")
+                || key == "journal.payload_bytes"
+        },
     );
 }
 
@@ -810,15 +825,23 @@ struct CacheLogSink {
 
 impl ProgressSink for CacheLogSink {
     fn on_zone(&self, event: &ZoneEvent) -> bool {
-        let e = &event.effects;
-        self.keys.borrow_mut().extend(e.key_inserts.iter().cloned());
-        self.addrs
-            .borrow_mut()
-            .extend(e.addr_inserts.iter().cloned());
-        self.referrals
-            .borrow_mut()
-            .extend(e.referral_inserts.iter().cloned());
-        self.cuts.borrow_mut().extend(e.cut_inserts.iter().cloned());
+        for (key, insert) in &event.effects {
+            let key = key.clone();
+            match insert.clone() {
+                CacheInsert::Keys(keys) => {
+                    self.keys.borrow_mut().insert(key, keys);
+                }
+                CacheInsert::Addrs(addrs) => {
+                    self.addrs.borrow_mut().insert(key, addrs);
+                }
+                CacheInsert::Referral(data) => {
+                    self.referrals.borrow_mut().insert(key, data);
+                }
+                CacheInsert::Cut(outcome) => {
+                    self.cuts.borrow_mut().insert(key, outcome);
+                }
+            }
+        }
         true
     }
 }
@@ -864,7 +887,7 @@ impl CacheLogSink {
                         .iter()
                         .map(|s| s.signature.capacity())
                         .sum::<usize>()
-                    + (r.child_servers.capacity() + r.parent_servers.capacity()) * size_of::<Addr>()
+                    + r.child_servers.capacity() * size_of::<Addr>()
             })
             .sum();
         let cut_entry = 2 * size_of::<Name>() + size_of::<CutOutcome>() + size_of::<u64>();

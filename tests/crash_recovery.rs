@@ -16,11 +16,13 @@ mod common;
 use bootscan::report::{self, DegradationReport, Figure1};
 use bootscan::{ProgressSink, ScanPolicy, ScanResults, Scanner, ZoneEvent, ZoneScan};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
-use netsim::FaultPlan;
+use netsim::{FaultPlan, SimMicros};
 use scan_journal::{
-    fingerprint_names, recover, JournalHeader, JournalSink, TailStatus, JOURNAL_FILE,
+    decode_event, encode_event, fingerprint_names, recover, JournalHeader, JournalSink, TailStatus,
+    JOURNAL_FILE,
 };
 use std::fs;
+use std::mem::discriminant;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -339,4 +341,51 @@ fn resuming_against_a_different_seed_list_is_refused() {
     let err = recover(&dir, header(&seeds)).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// An event's cache inserts are one list, the kinds interleaved in the
+/// order the scan made them, and the codec keeps that order. Decoded,
+/// they seed a fresh scanner exactly as the originals do: a re-scan over
+/// either answers every cache lookup alike, so it asks the same
+/// questions and ends in the same zones, costs included.
+#[test]
+fn decoded_inserts_seed_the_caches_the_originals_seed() {
+    let (eco, scanner) = fresh_world(1);
+    let seeds = eco.seeds.compile(&eco.psl);
+    let log = common::EventLog::default();
+    let cold = scanner.scan_all_with(&seeds, Some(&log), None);
+    let events = log.0.into_inner();
+
+    let decoded: Vec<ZoneEvent> = events
+        .iter()
+        .map(|e| decode_event(&encode_event(e)).expect("codec round trip"))
+        .collect();
+    assert_eq!(
+        decoded, events,
+        "the round trip keeps every insert in order"
+    );
+    let interleaved = |e: &ZoneEvent| {
+        let kinds: Vec<_> = e.effects.iter().map(|(_, i)| discriminant(i)).collect();
+        kinds.windows(3).any(|w| w[0] == w[2] && w[0] != w[1])
+    };
+    assert!(
+        events.iter().any(interleaved),
+        "some event must come back to a cache kind after another"
+    );
+
+    let warm = |events: &[ZoneEvent]| {
+        let (eco, scanner) = fresh_world(1);
+        for e in events {
+            scanner.seed_effects(&e.effects, SimMicros::MAX);
+        }
+        Outcome::of(&scanner.scan_all(&eco.seeds.compile(&eco.psl)))
+    };
+    let (from_original, from_decoded) = (warm(&events), warm(&decoded));
+    from_decoded.assert_identical(&from_original, "seeded from decoded inserts");
+    assert!(
+        from_original.total_queries < cold.total_queries,
+        "the seeded caches answer: {} warm against {} cold queries",
+        from_original.total_queries,
+        cold.total_queries
+    );
 }
