@@ -9,7 +9,7 @@
 //! secured, at what automation level, and with what authentication.
 
 use crate::scanner::ScanResults;
-use crate::types::{AbClass, CdsClass, DnssecClass};
+use crate::types::AbClass;
 use netsim::DeterministicDraw;
 use std::fmt::Write as _;
 
@@ -115,11 +115,7 @@ pub struct PolicyOutcome {
 pub fn evaluate(policy: BootstrapPolicy, results: &ScanResults, seed: u64) -> PolicyOutcome {
     let mut candidates = 0u64;
     let mut secured = 0u64;
-    for z in results.resolved() {
-        let bootstrappable = z.dnssec == DnssecClass::Island && z.cds == CdsClass::Valid;
-        if !bootstrappable {
-            continue;
-        }
+    for z in results.resolved().filter(|z| z.bootstrappable()) {
         candidates += 1;
         let draw = DeterministicDraw::new(seed, &[b"policy", &z.name.to_wire()]);
         let ok = match policy {
@@ -204,7 +200,7 @@ pub fn render_comparison(outcomes: &[PolicyOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::operator::Identified;
-    use crate::types::{Evidence, ZoneScan};
+    use crate::types::{CdsClass, DnssecClass, Evidence, ZoneScan};
     use dns_wire::name;
 
     fn zone(n: &str, dnssec: DnssecClass, cds: CdsClass, ab: AbClass) -> ZoneScan {

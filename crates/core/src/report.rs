@@ -40,13 +40,9 @@ impl Figure1 {
     /// arrive, so the figure is assembled without ever materializing
     /// the full zone list in one memory image.
     pub fn absorb(&mut self, z: &ZoneScan) {
-        match z.dnssec {
-            DnssecClass::Indeterminate => {
-                self.indeterminate += 1;
-                return;
-            }
-            DnssecClass::Unresolvable => return,
-            _ => {}
+        if !z.resolved() {
+            self.indeterminate += u64::from(z.dnssec == DnssecClass::Indeterminate);
+            return;
         }
         self.resolved += 1;
         match z.dnssec {
@@ -132,6 +128,32 @@ impl Figure1 {
                 self.indeterminate
             );
         }
+        s
+    }
+
+    /// §4.3's AB-potential summary: the same partition, grouped by
+    /// whether a zone could benefit from Authenticated Bootstrapping.
+    pub fn render_ab_potential(&self) -> String {
+        let cannot = [
+            ("unsigned", self.unsigned),
+            ("invalid DNSSEC", self.invalid),
+            ("islands without CDS", self.island_without_cds),
+            ("islands with CDS delete", self.island_cds_delete),
+            ("islands with broken CDS", self.island_invalid_cds),
+        ];
+        let mut s = String::new();
+        let _ = writeln!(s, "Authenticated Bootstrapping potential (paper §4.3)");
+        let benefit: u64 = cannot.iter().map(|(_, n)| n).sum();
+        let _ = writeln!(s, "  cannot benefit from AB       {benefit:>10}");
+        for (label, n) in cannot {
+            let _ = writeln!(s, "    {label:<27}{n:>10}");
+        }
+        let _ = writeln!(s, "  already secured              {:>10}", self.secured);
+        let _ = writeln!(
+            s,
+            "  could benefit (bootstrappable){:>9}",
+            self.island_bootstrappable
+        );
         s
     }
 }
@@ -536,99 +558,6 @@ impl CdsCensus {
     }
 }
 
-/// §4.3's AB-potential summary (the other half of Figure 1).
-#[derive(Debug, Clone, Default)]
-pub struct AbPotential {
-    pub cannot_benefit: u64,
-    pub cannot_unsigned: u64,
-    pub cannot_invalid: u64,
-    pub cannot_island_no_cds: u64,
-    pub cannot_island_delete: u64,
-    pub cannot_island_bad_cds: u64,
-    pub already_secured: u64,
-    pub bootstrappable: u64,
-}
-
-pub fn ab_potential(results: &ScanResults) -> AbPotential {
-    let mut p = AbPotential::default();
-    for z in results.resolved() {
-        match (z.dnssec, z.cds) {
-            (DnssecClass::Secured, _) => p.already_secured += 1,
-            (DnssecClass::Unsigned, _) => {
-                p.cannot_benefit += 1;
-                p.cannot_unsigned += 1;
-            }
-            (DnssecClass::Invalid, _) => {
-                p.cannot_benefit += 1;
-                p.cannot_invalid += 1;
-            }
-            (DnssecClass::Island, CdsClass::Absent) => {
-                p.cannot_benefit += 1;
-                p.cannot_island_no_cds += 1;
-            }
-            (DnssecClass::Island, CdsClass::Delete) => {
-                p.cannot_benefit += 1;
-                p.cannot_island_delete += 1;
-            }
-            (DnssecClass::Island, CdsClass::Valid) => p.bootstrappable += 1,
-            (DnssecClass::Island, _) => {
-                p.cannot_benefit += 1;
-                p.cannot_island_bad_cds += 1;
-            }
-            (DnssecClass::Unresolvable | DnssecClass::Indeterminate, _) => {}
-        }
-    }
-    p
-}
-
-impl AbPotential {
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "Authenticated Bootstrapping potential (paper §4.3)");
-        let _ = writeln!(
-            s,
-            "  cannot benefit from AB       {:>10}",
-            self.cannot_benefit
-        );
-        let _ = writeln!(
-            s,
-            "    unsigned                   {:>10}",
-            self.cannot_unsigned
-        );
-        let _ = writeln!(
-            s,
-            "    invalid DNSSEC             {:>10}",
-            self.cannot_invalid
-        );
-        let _ = writeln!(
-            s,
-            "    islands without CDS        {:>10}",
-            self.cannot_island_no_cds
-        );
-        let _ = writeln!(
-            s,
-            "    islands with CDS delete    {:>10}",
-            self.cannot_island_delete
-        );
-        let _ = writeln!(
-            s,
-            "    islands with broken CDS    {:>10}",
-            self.cannot_island_bad_cds
-        );
-        let _ = writeln!(
-            s,
-            "  already secured              {:>10}",
-            self.already_secured
-        );
-        let _ = writeln!(
-            s,
-            "  could benefit (bootstrappable){:>9}",
-            self.bootstrappable
-        );
-        s
-    }
-}
-
 /// One degraded zone in the [`DegradationReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedZone {
@@ -696,7 +625,7 @@ impl DegradationReport {
         if z.dnssec == DnssecClass::Indeterminate {
             self.indeterminate_zones += 1;
         }
-        let degraded = z.degraded || z.dnssec == DnssecClass::Indeterminate;
+        let degraded = z.weak();
         if degraded {
             self.degraded_zones += 1;
         }
@@ -907,24 +836,15 @@ mod tests {
         assert!(c.render().contains("multi-operator"));
     }
 
+    /// E5 regroups Figure 1: everything resolved but the secured and the
+    /// bootstrappable zones cannot benefit.
     #[test]
-    fn ab_potential_counts() {
-        let p = ab_potential(&sample_results());
-        assert_eq!(p.already_secured, 1);
-        assert_eq!(p.bootstrappable, 2);
-        assert_eq!(p.cannot_island_delete, 1);
-        assert_eq!(p.cannot_unsigned, 1);
-        assert_eq!(p.cannot_invalid, 1);
-        assert_eq!(p.cannot_island_bad_cds, 1);
-        assert_eq!(
-            p.cannot_benefit,
-            p.cannot_unsigned
-                + p.cannot_invalid
-                + p.cannot_island_no_cds
-                + p.cannot_island_delete
-                + p.cannot_island_bad_cds
-        );
-        assert!(p.render().contains("bootstrappable"));
+    fn ab_potential_regroups_figure1() {
+        let text = figure1(&sample_results()).render_ab_potential();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[1], "  cannot benefit from AB                4");
+        assert_eq!(lines[6], "    islands with broken CDS             1");
+        assert_eq!(lines[8], "  could benefit (bootstrappable)        2");
     }
 
     #[test]

@@ -584,21 +584,18 @@ impl Scanner {
             dnssec = DnssecClass::Indeterminate;
         }
         let cds = classify::cds_class_at(zone, &observations, zone_keys.as_deref(), dnssec);
-        let ab = classify::ab_class(dnssec, cds, &signal_observations, &observations);
         let operator = self.table.identify(&ns_names);
 
+        // Sealing derives the AB class from these.
         let evidence = Evidence {
-            name: zone.clone(),
             ns_names: ns_names.into(),
             parent_ds: parent_ds.into(),
             ns_observations: observations.into(),
             signal_observations: signal_observations.into(),
-            dnssec,
             cds,
-            ab,
             operator,
             sampled,
-            degraded: stats.degraded(),
+            ..Evidence::empty(zone.clone(), dnssec, stats.degraded())
         };
         ZoneScan {
             evidence: evidence.seal(),
@@ -1050,10 +1047,7 @@ impl Scanner {
                 let pending: Vec<usize> = zones
                     .iter()
                     .enumerate()
-                    .filter(|(_, z)| {
-                        (z.degraded || z.dnssec == DnssecClass::Indeterminate)
-                            && z.retry_stats.rescans < pass
-                    })
+                    .filter(|(_, z)| z.weak() && z.retry_stats.rescans < pass)
                     .map(|(i, _)| i)
                     .collect();
                 if pending.is_empty() {
@@ -1232,20 +1226,13 @@ impl ScanResults {
     /// Indeterminate zones are excluded like unresolvable ones: their
     /// evidence is incomplete and must not dilute the percentages.
     pub fn resolved(&self) -> impl Iterator<Item = &ZoneScan> {
-        self.zones.iter().filter(|z| {
-            !matches!(
-                z.dnssec,
-                DnssecClass::Unresolvable | DnssecClass::Indeterminate
-            )
-        })
+        self.zones.iter().filter(|z| z.resolved())
     }
 
     /// Zones whose scan was degraded by transient failures (including
     /// those that still reached a classification).
     pub fn degraded(&self) -> impl Iterator<Item = &ZoneScan> {
-        self.zones
-            .iter()
-            .filter(|z| z.degraded || z.dnssec == DnssecClass::Indeterminate)
+        self.zones.iter().filter(|z| z.weak())
     }
 }
 

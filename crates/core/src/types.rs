@@ -1,5 +1,6 @@
 //! Observation and classification types produced by the scanner.
 
+use crate::classify;
 use crate::operator::Identified;
 use dns_resolver::validate::DsForm;
 use dns_resolver::RetryStats;
@@ -178,13 +179,13 @@ pub enum SignalViolation {
 /// byte form.
 ///
 /// Sealed: [`Evidence::seal`] is the one place the canonical order is
-/// written, and outside this crate a value comes only from it or from
-/// [`Evidence::empty`]. An RRset is a set (RFC 2181 §5), so the order a
-/// server serves records in never reaches the evidence. The lists are
-/// shared `Arc<[T]>` bodies: a clone (an epoch table carrying a row
-/// forward) bumps reference counts and copies no observation, and equal
-/// key and CDS lists within one evidence are one body. A list edited
-/// after sealing needs another `seal`.
+/// written and the AB class derived, and outside this crate a value
+/// comes only from it or from [`Evidence::empty`]. An RRset is a set
+/// (RFC 2181 §5), so the order a server serves records in never reaches
+/// the evidence. The lists are shared `Arc<[T]>` bodies: a clone (an
+/// epoch table carrying a row forward) bumps reference counts and copies
+/// no observation, and equal key and CDS lists within one evidence are
+/// one body. A list edited after sealing needs another `seal`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Evidence {
@@ -198,7 +199,8 @@ pub struct Evidence {
     pub ns_observations: Arc<[NsObservation]>,
     /// Per-NS-hostname signal observations, by NS name.
     pub signal_observations: Arc<[SignalObservation]>,
-    /// Classifications.
+    /// Classifications. `ab` is a function of the other fields, which
+    /// [`Evidence::seal`] derives; it is set nowhere else.
     pub dnssec: DnssecClass,
     pub cds: CdsClass,
     pub ab: AbClass,
@@ -237,6 +239,7 @@ impl Evidence {
     /// list already in order; then make every key list equal to an
     /// earlier one that list's `Arc`, and so every CDS list, in-zone and
     /// signal alike: addresses of one NS set mostly serve the same records.
+    /// Last, derive the AB class from the classes and observations.
     pub fn seal(mut self) -> Evidence {
         fn share<T: ?Sized + PartialEq>(seen: &mut Vec<Arc<T>>, list: &mut Arc<T>) {
             match seen.iter().find(|s| **s == *list) {
@@ -263,7 +266,34 @@ impl Evidence {
         for s in Arc::make_mut(&mut self.signal_observations) {
             share(&mut cds, &mut s.cds);
         }
+        self.ab = classify::ab_class(
+            self.dnssec,
+            self.cds,
+            &self.signal_observations,
+            &self.ns_observations,
+        );
         self
+    }
+
+    /// The zone resolved to a substantive class: the denominator of
+    /// §4.1's percentages.
+    pub fn resolved(&self) -> bool {
+        !matches!(
+            self.dnssec,
+            DnssecClass::Unresolvable | DnssecClass::Indeterminate
+        )
+    }
+
+    /// Transient failures touched the scan or left the zone unclassified:
+    /// evidence a re-scan pass, or a later epoch, asks for again.
+    pub fn weak(&self) -> bool {
+        self.degraded || self.dnssec == DnssecClass::Indeterminate
+    }
+
+    /// A secure island with a valid CDS: a DS could be bootstrapped from
+    /// it (Figure 1's "possible to bootstrap").
+    pub fn bootstrappable(&self) -> bool {
+        self.dnssec == DnssecClass::Island && self.cds == CdsClass::Valid
     }
 
     /// All distinct CDS contents seen in-zone (union over NSes).

@@ -401,8 +401,7 @@ pub fn run_continuous(
             for (z, &at) in evidence.iter().zip(&learned) {
                 let age = now.saturating_sub((at as SimMicros) * cfg.epoch_spacing);
                 let expired = age >= EVIDENCE_TTL;
-                let weak = z.degraded || z.dnssec == bootscan::DnssecClass::Indeterminate;
-                if expired || weak {
+                if expired || z.weak() {
                     d.push(z.name.clone());
                 }
             }

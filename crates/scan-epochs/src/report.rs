@@ -16,7 +16,8 @@
 //! which k were re-scanned allocates N rows but only k new sets of
 //! observations.
 
-use bootscan::{AbClass, CdsClass, DnssecClass, ZoneScan};
+use bootscan::report::Figure1;
+use bootscan::{AbClass, CdsClass, ZoneScan};
 use dns_wire::name::Name;
 use dns_wire::rdata::hex;
 use netsim::SimMicros;
@@ -26,7 +27,8 @@ use scan_journal::encode_evidence_into;
 /// order, holding the hex of the journal codec's bytes for the zone's
 /// [`Evidence`](bootscan::Evidence). Cost counters (queries, elapsed, I/O stats)
 /// are exactly what carried caches exist to change, so they are
-/// excluded; every field the scanner observed or concluded is included.
+/// excluded; every field the scanner observed or concluded is included,
+/// the AB class through the fields `Evidence::seal` derives it from.
 /// Figure 1 and the degradation population are functions of these
 /// zones, so they add nothing to the string.
 pub fn canonical_evidence(zones: &[ZoneScan]) -> String {
@@ -74,32 +76,26 @@ impl EpochReport {
     }
 
     fn trend_row(&self) -> TrendRow {
-        let mut row = TrendRow {
-            epoch: self.epoch,
-            ..TrendRow::default()
-        };
+        let mut figure = Figure1::default();
+        let (mut cds_valid, mut signal_correct) = (0, 0);
         for z in &self.zones {
-            match z.dnssec {
-                DnssecClass::Secured => row.secured += 1,
-                DnssecClass::Island => row.island += 1,
-                DnssecClass::Unsigned => row.unsigned += 1,
-                _ => {}
-            }
-            if z.cds == CdsClass::Valid {
-                row.cds_valid += 1;
-            }
-            if z.dnssec == DnssecClass::Island && z.cds == CdsClass::Valid {
-                row.bootstrappable += 1;
-            }
-            if z.ab == AbClass::SignalCorrect {
-                row.signal_correct += 1;
-            }
+            figure.absorb(z);
+            cds_valid += usize::from(z.cds == CdsClass::Valid);
+            signal_correct += usize::from(z.ab == AbClass::SignalCorrect);
         }
-        row.fresh = self.fresh.len();
-        row.stale = self.stale.len();
-        row.churned = self.churned.len();
-        row.queries = self.queries;
-        row
+        TrendRow {
+            epoch: self.epoch,
+            secured: figure.secured as usize,
+            island: figure.islands as usize,
+            unsigned: figure.unsigned as usize,
+            cds_valid,
+            bootstrappable: figure.island_bootstrappable as usize,
+            signal_correct,
+            fresh: self.fresh.len(),
+            stale: self.stale.len(),
+            churned: self.churned.len(),
+            queries: self.queries,
+        }
     }
 }
 
@@ -266,7 +262,7 @@ fn push_skipped(out: &mut String, s: &SkippedEpoch) {
 mod tests {
     use super::*;
     use bootscan::types::NsObservation;
-    use bootscan::{Evidence, Identified, RetryStats};
+    use bootscan::{DnssecClass, Evidence, Identified, RetryStats};
     use dns_wire::name;
     use dns_wire::rdata::{DnskeyData, DsData};
     use netsim::Addr;

@@ -3,7 +3,9 @@
 //! The journal must round-trip *everything* the scanner produced —
 //! `parent_ds`, per-observation addresses and raw DNSKEYs included —
 //! because a resumed run replays these events to rebuild scanner caches
-//! and must then render byte-identical reports. The format is a small
+//! and must then render byte-identical reports. The AB class is the one
+//! exception: decoding re-derives it through `Evidence::seal`, so it is
+//! not written. The format is a small
 //! explicit little-endian encoding: fixed-width integers,
 //! length-prefixed byte strings, one tag byte per enum variant. An event
 //! is its duration delta, its scan, then its cache inserts in the order
@@ -17,8 +19,7 @@
 
 use bootscan::operator::Identified;
 use bootscan::types::{
-    AbClass, CannotReason, CdsClass, CdsSeen, DnssecClass, Evidence, NsObservation,
-    SignalObservation, SignalViolation, ZoneScan,
+    CdsClass, CdsSeen, DnssecClass, Evidence, NsObservation, SignalObservation, ZoneScan,
 };
 use bootscan::{CacheInsert, CutOutcome, ReferralData, RetryStats, ZoneEffects, ZoneEvent};
 use dns_wire::name::Name;
@@ -61,6 +62,27 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 type Result<T> = std::result::Result<T, CodecError>;
+
+/// The DNSSEC classes by code: a class is written as its index here.
+const DNSSEC_CLASSES: [DnssecClass; 6] = [
+    DnssecClass::Unsigned,
+    DnssecClass::Secured,
+    DnssecClass::Invalid,
+    DnssecClass::Island,
+    DnssecClass::Unresolvable,
+    DnssecClass::Indeterminate,
+];
+
+/// The CDS classes by code. The AB class is not written: it is a
+/// function of the rest of the evidence, and decoding re-derives it.
+const CDS_CLASSES: [CdsClass; 6] = [
+    CdsClass::Absent,
+    CdsClass::Valid,
+    CdsClass::Delete,
+    CdsClass::Inconsistent,
+    CdsClass::MismatchesDnskey,
+    CdsClass::BadSignature,
+];
 
 // ---------------------------------------------------------------- writer
 
@@ -192,52 +214,10 @@ impl Enc<'_> {
         self.opt_bool(s.dnssec_valid);
         self.boolean(s.zone_cut);
     }
-    fn dnssec_class(&mut self, c: DnssecClass) {
-        self.u8(match c {
-            DnssecClass::Unsigned => 0,
-            DnssecClass::Secured => 1,
-            DnssecClass::Invalid => 2,
-            DnssecClass::Island => 3,
-            DnssecClass::Unresolvable => 4,
-            DnssecClass::Indeterminate => 5,
-        });
-    }
-    fn cds_class(&mut self, c: CdsClass) {
-        self.u8(match c {
-            CdsClass::Absent => 0,
-            CdsClass::Valid => 1,
-            CdsClass::Delete => 2,
-            CdsClass::Inconsistent => 3,
-            CdsClass::MismatchesDnskey => 4,
-            CdsClass::BadSignature => 5,
-        });
-    }
-    fn ab_class(&mut self, c: AbClass) {
-        match c {
-            AbClass::NoSignal => self.u8(0),
-            AbClass::AlreadySecured => self.u8(1),
-            AbClass::CannotBootstrap(r) => {
-                self.u8(2);
-                self.u8(match r {
-                    CannotReason::DeletionRequest => 0,
-                    CannotReason::ZoneUnsigned => 1,
-                    CannotReason::ZoneInvalidDnssec => 2,
-                    CannotReason::CdsInconsistent => 3,
-                    CannotReason::CdsBadSignature => 4,
-                    CannotReason::CdsMismatch => 5,
-                });
-            }
-            AbClass::SignalIncorrect(v) => {
-                self.u8(3);
-                self.u8(match v {
-                    SignalViolation::ZoneCut => 0,
-                    SignalViolation::NotUnderEveryNs => 1,
-                    SignalViolation::InvalidDnssec => 2,
-                    SignalViolation::ContentMismatch => 3,
-                });
-            }
-            AbClass::SignalCorrect => self.u8(4),
-        }
+    /// A class as its index in its table.
+    fn class<T: PartialEq>(&mut self, table: &[T], c: &T) {
+        let code = table.iter().position(|t| t == c);
+        self.u8(code.expect("every class has a code") as u8);
     }
     fn identified(&mut self, id: &Identified) {
         match id {
@@ -280,9 +260,8 @@ impl Enc<'_> {
         self.list(&e.parent_ds, Self::ds);
         self.list(&e.ns_observations, Self::ns_observation);
         self.list(&e.signal_observations, Self::signal_observation);
-        self.dnssec_class(e.dnssec);
-        self.cds_class(e.cds);
-        self.ab_class(e.ab);
+        self.class(&DNSSEC_CLASSES, &e.dnssec);
+        self.class(&CDS_CLASSES, &e.cds);
         self.identified(&e.operator);
         self.boolean(e.sampled);
         self.boolean(e.degraded);
@@ -582,51 +561,13 @@ impl<'a> Dec<'a> {
             zone_cut: self.boolean()?,
         })
     }
-    fn dnssec_class(&mut self) -> Result<DnssecClass> {
-        Ok(match self.u8()? {
-            0 => DnssecClass::Unsigned,
-            1 => DnssecClass::Secured,
-            2 => DnssecClass::Invalid,
-            3 => DnssecClass::Island,
-            4 => DnssecClass::Unresolvable,
-            5 => DnssecClass::Indeterminate,
-            t => return Err(CodecError::BadTag("dnssec-class", t)),
-        })
-    }
-    fn cds_class(&mut self) -> Result<CdsClass> {
-        Ok(match self.u8()? {
-            0 => CdsClass::Absent,
-            1 => CdsClass::Valid,
-            2 => CdsClass::Delete,
-            3 => CdsClass::Inconsistent,
-            4 => CdsClass::MismatchesDnskey,
-            5 => CdsClass::BadSignature,
-            t => return Err(CodecError::BadTag("cds-class", t)),
-        })
-    }
-    fn ab_class(&mut self) -> Result<AbClass> {
-        Ok(match self.u8()? {
-            0 => AbClass::NoSignal,
-            1 => AbClass::AlreadySecured,
-            2 => AbClass::CannotBootstrap(match self.u8()? {
-                0 => CannotReason::DeletionRequest,
-                1 => CannotReason::ZoneUnsigned,
-                2 => CannotReason::ZoneInvalidDnssec,
-                3 => CannotReason::CdsInconsistent,
-                4 => CannotReason::CdsBadSignature,
-                5 => CannotReason::CdsMismatch,
-                t => return Err(CodecError::BadTag("cannot-reason", t)),
-            }),
-            3 => AbClass::SignalIncorrect(match self.u8()? {
-                0 => SignalViolation::ZoneCut,
-                1 => SignalViolation::NotUnderEveryNs,
-                2 => SignalViolation::InvalidDnssec,
-                3 => SignalViolation::ContentMismatch,
-                t => return Err(CodecError::BadTag("signal-violation", t)),
-            }),
-            4 => AbClass::SignalCorrect,
-            t => return Err(CodecError::BadTag("ab-class", t)),
-        })
+    /// A class from its index in its table.
+    fn class<T: Copy>(&mut self, table: &[T], what: &'static str) -> Result<T> {
+        let code = self.u8()?;
+        table
+            .get(usize::from(code))
+            .copied()
+            .ok_or(CodecError::BadTag(what, code))
     }
     fn identified(&mut self) -> Result<Identified> {
         Ok(match self.u8()? {
@@ -661,16 +602,16 @@ impl<'a> Dec<'a> {
         })
     }
     /// An evidence section, sealed: the journal holds it in canonical
-    /// order already, so sealing copies nothing.
+    /// order already, so sealing copies nothing, and derives the AB class
+    /// the section does not hold.
     fn evidence(&mut self) -> Result<Evidence> {
         let mut e = Evidence::empty(self.name()?, DnssecClass::Unresolvable, false);
         e.ns_names = self.names()?.into();
         e.parent_ds = self.list(Self::ds)?.into();
         e.ns_observations = self.list(Self::ns_observation)?.into();
         e.signal_observations = self.list(Self::signal_observation)?.into();
-        e.dnssec = self.dnssec_class()?;
-        e.cds = self.cds_class()?;
-        e.ab = self.ab_class()?;
+        e.dnssec = self.class(&DNSSEC_CLASSES, "dnssec-class")?;
+        e.cds = self.class(&CDS_CLASSES, "cds-class")?;
         e.operator = self.identified()?;
         e.sampled = self.boolean()?;
         e.degraded = self.boolean()?;
@@ -774,7 +715,6 @@ pub(crate) mod tests {
         }]
         .into();
         evidence.cds = CdsClass::Inconsistent;
-        evidence.ab = AbClass::SignalIncorrect(SignalViolation::NotUnderEveryNs);
         evidence.operator = Identified::Multi(vec!["alpha".into(), "beta".into()]);
         evidence.sampled = true;
         let scan = ZoneScan {
@@ -891,20 +831,20 @@ pub(crate) mod tests {
         assert_eq!(event, back);
     }
 
-    /// The format-v8 bytes of [`rich_event`], pinned: a round trip
+    /// The format-v9 bytes of [`rich_event`], pinned: a round trip
     /// passes whatever order the encoder and decoder agree on, so a
     /// field-order slip (in `retry_stats` above all) only shows here.
     /// Any change to this payload needs a new `FORMAT_VERSION`.
     #[test]
     fn rich_event_bytes_are_pinned() {
-        let golden: String = include_str!("testdata/rich_event_v8.hex")
+        let golden: String = include_str!("testdata/rich_event_v9.hex")
             .split_whitespace()
             .collect();
         let hex: String = encode_event(&rich_event())
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect();
-        assert_eq!(crate::journal::FORMAT_VERSION, 8);
+        assert_eq!(crate::journal::FORMAT_VERSION, 9);
         assert_eq!(hex, golden);
     }
 

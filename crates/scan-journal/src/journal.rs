@@ -69,7 +69,9 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"BSJ1";
 ///     `unreachable` count and `ReferralData` its parent servers (none had
 ///     a reader), and every `RetryStats` counter is written at its own
 ///     width. The evidence section is unchanged.
-pub const FORMAT_VERSION: u16 = 8;
+/// v9: the evidence section lost its AB class, which decoding re-derives
+///     from the classes and observations it holds.
+pub const FORMAT_VERSION: u16 = 9;
 /// Default journal file name inside a run directory.
 pub const JOURNAL_FILE: &str = "journal.bsj";
 
@@ -302,16 +304,36 @@ pub fn truncate_torn_tail(path: &Path, valid_len: u64) -> io::Result<()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::codec::tests::rich_event;
+    use std::ops::Deref;
+    use std::path::PathBuf;
 
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
+    /// A test's own directory under the temp dir, removed with everything
+    /// in it when the guard drops, pass or fail.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A fresh, empty [`TempDir`]; `tag` is unique per test of the crate.
+    pub(crate) fn tmpdir(tag: &str) -> TempDir {
         let d =
             std::env::temp_dir().join(format!("scan-journal-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
+        let _ = fs::remove_dir_all(&d);
+        fs::create_dir_all(&d).unwrap();
+        TempDir(d)
     }
 
     const HDR: JournalHeader = JournalHeader {

@@ -253,10 +253,10 @@ mod tests {
     use super::*;
     use crate::codec::encode_event;
     use crate::codec::tests::rich_event;
+    use crate::journal::tests::{tmpdir, TempDir};
     use crate::journal::FORMAT_VERSION;
     use crate::namespace::Namespace;
     use dns_wire::name;
-    use std::path::PathBuf;
 
     fn shard_run_id(fabric_run_id: u64, shard: u32) -> u64 {
         Namespace::root("", fabric_run_id).shard(shard).run_id()
@@ -266,14 +266,6 @@ mod tests {
         Namespace::root("", fabric_run_id)
             .shard(shard)
             .header(seeds)
-    }
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d =
-            std::env::temp_dir().join(format!("scan-recover-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).unwrap();
-        d
     }
 
     const HDR: JournalHeader = JournalHeader {
@@ -475,7 +467,7 @@ mod tests {
     }
 
     /// A directory holding a journal of `events` events.
-    fn dir_with(tag: &str, events: u32) -> PathBuf {
+    fn dir_with(tag: &str, events: u32) -> TempDir {
         let dir = tmpdir(tag);
         let sink = JournalSink::create(&dir, HDR).unwrap();
         for i in 0..events {

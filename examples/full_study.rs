@@ -172,7 +172,8 @@ fn main() {
     println!("E1 — Figure 1 (paper: 93.2 % unsigned, 5.5 % secured, 0.2 % invalid,");
     println!("     1.1 % islands; 303.0 k bootstrappable of 3.12 M islands)");
     println!("================================================================");
-    println!("{}", report::figure1(&results).render());
+    let figure1 = report::figure1(&results);
+    println!("{}", figure1.render());
 
     println!("================================================================");
     println!("E2 — Table 1 (top 20 operators by domains; shape: GoDaddy first,");
@@ -199,7 +200,7 @@ fn main() {
     println!("================================================================");
     println!("E5 — AB potential (paper §4.3: 271.6 M cannot benefit; 303 k can)");
     println!("================================================================");
-    println!("{}", report::ab_potential(&results).render());
+    println!("{}", figure1.render_ab_potential());
 
     println!("================================================================");
     println!("E6 — Table 3 (paper: Cloudflare 1.23 M / deSEC 7 314 / Glauca 290");

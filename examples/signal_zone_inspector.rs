@@ -1,7 +1,8 @@
-//! Signal-zone inspector: a diagnostic tool that walks one zone's
-//! RFC 9615 setup step by step and explains each requirement check —
-//! the kind of tooling a DNS operator would use before enabling
-//! Authenticated Bootstrapping.
+//! Signal-zone inspector: a diagnostic tool that shows one zone's
+//! RFC 9615 setup — the signal name and what was found under each NS —
+//! and the classifier's verdict, which names the first requirement the
+//! setup fails: the kind of tooling a DNS operator would use before
+//! enabling Authenticated Bootstrapping.
 //!
 //! ```sh
 //! cargo run --release --example signal_zone_inspector            # pick zones automatically
@@ -52,43 +53,17 @@ fn inspect(scanner: &Scanner, zone: &Name) {
     println!("CDS status:    {:?}", scan.cds);
     println!("parent DS RRs: {}", scan.parent_ds.len());
 
-    println!("requirement (RFC 9615 / paper §2):");
-    println!(
-        "  (i)   zone not already secured ............ {}",
-        yesno(scan.dnssec != bootscan::DnssecClass::Secured)
-    );
-    let consistent = scan.cds != bootscan::CdsClass::Inconsistent;
-    println!(
-        "  (ii)  all NSes serve the same CDS .......... {}",
-        yesno(consistent)
-    );
+    println!("signal names:");
     for ns in scan.ns_names.iter() {
         match signal_name(zone, ns) {
-            Ok(s) => println!("        signal name via {}: {}", ns, s),
-            Err(e) => println!("        signal name via {}: UNBUILDABLE ({e})", ns),
+            Ok(s) => println!("  via {}: {}", ns, s),
+            Err(e) => println!("  via {}: UNBUILDABLE ({e})", ns),
         }
     }
-    let under_every = scan.signal_observations.iter().all(|s| !s.cds.is_empty());
-    println!(
-        "  (iii) signal RRs under every NS ............ {}",
-        yesno(under_every && !scan.signal_observations.is_empty())
-    );
-    let all_valid = scan
-        .signal_observations
-        .iter()
-        .all(|s| s.dnssec_valid == Some(true));
-    println!(
-        "  (iv)  signal RRs secured with DNSSEC ....... {}",
-        yesno(all_valid && under_every)
-    );
-    let no_cuts = scan.signal_observations.iter().all(|s| !s.zone_cut);
-    println!(
-        "  (v)   no zone cuts on the signal path ...... {}",
-        yesno(no_cuts)
-    );
+    println!("signal observations:");
     for s in scan.signal_observations.iter() {
         println!(
-            "        under {}: {} signal records, dnssec {:?}, zone cut: {}",
+            "  under {}: {} signal records, dnssec {:?}, zone cut: {}",
             s.ns_name,
             s.cds.len(),
             s.dnssec_valid,
@@ -107,13 +82,5 @@ fn inspect(scanner: &Scanner, zone: &Name) {
         AbClass::CannotBootstrap(r) => println!("→ not a bootstrapping candidate: {r:?}."),
         AbClass::AlreadySecured => println!("→ already secured; only rollovers apply (RFC 7344)."),
         AbClass::NoSignal => println!("→ the operator publishes no authenticated signal."),
-    }
-}
-
-fn yesno(b: bool) -> &'static str {
-    if b {
-        "yes"
-    } else {
-        "NO"
     }
 }

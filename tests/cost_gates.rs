@@ -100,7 +100,9 @@ fn infra_addrs(eco: &Ecosystem) -> HashSet<Addr> {
 /// so netsim's per-destination accounting starts from zero.
 #[test]
 fn cold_scan_costs_stay_within_baseline() {
+    let baseline = include_str!("../crates/bench/baselines/scan_tiny.txt");
     let mut current = String::from("world=tiny\n");
+    let mut raced = Vec::new();
     for p in [1usize, 4, 8] {
         let eco = build(EcosystemConfig::tiny(WORLD_SEED));
         let infra = infra_addrs(&eco);
@@ -117,26 +119,31 @@ fn cold_scan_costs_stay_within_baseline() {
             .filter(|(addr, _)| infra.contains(addr))
             .map(|(_, n)| *n)
             .sum();
-        current.push_str(&format!(
-            "p{p}.zones={}\np{p}.total_queries={}\n",
-            results.zones.len(),
-            results.total_queries,
-        ));
-        // Simulated duration is the max worker's virtual time, and a
-        // datagram count above p = 1 includes the lookups two workers
-        // raced to: both depend on the zone→worker assignment, so only
-        // the p = 1 values are rendered (and the duration gated).
+        current.push_str(&format!("p{p}.zones={}\n", results.zones.len()));
+        // Above p = 1 the simulated duration is the max worker's virtual
+        // time, and the query and datagram counts include the lookups
+        // two workers raced to: all depend on the zone→worker
+        // assignment, so only the p = 1 values are rendered, and each
+        // raced count is gated against the baseline's p = 1 count.
+        let counts = [
+            ("total_queries", results.total_queries),
+            ("root_tld_datagrams", root_tld),
+        ];
         if p == 1 {
             current.push_str(&format!(
                 "p1.simulated_duration_us={}\np1.total_datagrams={}\n",
                 results.simulated_duration, snap.queries,
             ));
+            for (key, n) in counts {
+                current.push_str(&format!("p1.{key}={n}\n"));
+            }
+        } else {
+            raced.extend(counts.map(|(key, n)| (p, key, n)));
         }
-        current.push_str(&format!("p{p}.root_tld_datagrams={root_tld}\n"));
     }
     gate(
         &current,
-        include_str!("../crates/bench/baselines/scan_tiny.txt"),
+        baseline,
         |key| {
             key.ends_with(".total_queries")
                 || key.ends_with(".root_tld_datagrams")
@@ -144,6 +151,14 @@ fn cold_scan_costs_stay_within_baseline() {
         },
         |_| false,
     );
+    let base = parse(baseline);
+    for (p, key, now) in raced {
+        let was = base[&*format!("p1.{key}")];
+        assert!(
+            now * 5 <= was * 6,
+            "p{p}.{key}: {now} vs baseline p1.{key}={was} (>20% regression)"
+        );
+    }
 }
 
 fn study(epochs: u32, spacing: u64) -> ContinuousOutput {

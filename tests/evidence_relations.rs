@@ -12,12 +12,19 @@
 //!   cache hit moves which queries meet a fault, so a zone may differ
 //!   only where one side is `Indeterminate`, or degraded with the same
 //!   classes.
+//! - **Parallelism.** Four or eight workers against one (DESIGN.md §7):
+//!   query IDs come from stable per-query coordinates and every cache
+//!   value is a function of the world, so which worker's walk filled an
+//!   entry first cannot matter.
+//! - **Cache temperature.** One scanner scans the world twice: the
+//!   second scan runs on warm caches, costs strictly fewer queries and
+//!   yields the same evidence, at one worker or many.
 //!
 //! Evidence is compared as its journal-codec bytes, with no normaliser.
 //! The paper-scale rows are ignored by default; CI runs them in release
 //! (`cargo test --release --test evidence_relations -- --include-ignored`).
 
-use bootscan::{DnssecClass, Evidence, ScanPolicy, Scanner};
+use bootscan::{DnssecClass, Evidence, ScanPolicy, ScanResults, Scanner};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
 use dns_wire::message::Message;
 use dns_wire::name::Name;
@@ -107,12 +114,22 @@ fn seeds(eco: &Ecosystem) -> Vec<Name> {
     eco.seeds.compile(&eco.psl)
 }
 
-/// Every zone's evidence from a cold scan of `eco` over `seeds`, in
-/// canonical zone order.
-fn scan(eco: &Ecosystem, seeds: &[Name]) -> Vec<Evidence> {
-    let scanner = Scanner::for_ecosystem(eco, ScanPolicy::default());
-    let results = scanner.scan_all(seeds);
+fn scanner(eco: &Ecosystem, parallelism: usize) -> Arc<Scanner> {
+    let policy = ScanPolicy {
+        parallelism,
+        ..ScanPolicy::default()
+    };
+    Scanner::for_ecosystem(eco, policy)
+}
+
+/// Every zone's evidence, in canonical zone order.
+fn evidence(results: ScanResults) -> Vec<Evidence> {
     results.zones.into_iter().map(|z| z.evidence).collect()
+}
+
+/// Every zone's evidence from a cold scan of `eco` over `seeds`.
+fn scan(eco: &Ecosystem, seeds: &[Name]) -> Vec<Evidence> {
+    evidence(scanner(eco, 1).scan_all(seeds))
 }
 
 fn bytes(evidence: &Evidence) -> Vec<u8> {
@@ -195,6 +212,45 @@ fn scan_order(cfg: EcosystemConfig, faults: Option<u64>, row: &str) {
     }
 }
 
+/// The parallelism row: a freshly built `cfg` world scanned cold at four
+/// and at eight workers yields the evidence of one worker.
+fn parallelism(cfg: EcosystemConfig, row: &str) {
+    let cold = |p: usize| {
+        let eco = build(cfg.clone());
+        evidence(scanner(&eco, p).scan_all(&seeds(&eco)))
+    };
+    let plain = cold(1);
+    for p in [4, 8] {
+        let row = format!("{row}, parallelism {p}");
+        assert_related(&plain, &cold(p), &row, |_, _| false);
+    }
+}
+
+/// One scanner at `parallelism` scans `cfg`'s world twice, cold then
+/// warm. The warm scan must be strictly cheaper: a warm walk skips the
+/// whole root-down descent, so equal cost means a cache never hit.
+fn cold_then_warm(cfg: EcosystemConfig, parallelism: usize, row: &str) -> [Vec<Evidence>; 2] {
+    let eco = build(cfg);
+    let seeds = seeds(&eco);
+    let scanner = scanner(&eco, parallelism);
+    let cold = scanner.scan_all(&seeds);
+    let warm = scanner.scan_all(&seeds);
+    assert!(
+        warm.total_queries < cold.total_queries,
+        "{row}: warm scan issued {} queries, cold {}; the caches never hit",
+        warm.total_queries,
+        cold.total_queries
+    );
+    [evidence(cold), evidence(warm)]
+}
+
+/// The cache-temperature row: the warm scan yields the cold scan's
+/// evidence.
+fn warm_caches(cfg: EcosystemConfig, parallelism: usize, row: &str) {
+    let [cold, warm] = cold_then_warm(cfg, parallelism, row);
+    assert_related(&cold, &warm, row, |_, _| false);
+}
+
 #[test]
 fn rrset_reversal_tiny_4() {
     rrset_order(
@@ -245,6 +301,36 @@ fn rrset_reversal_hostile_world() {
 #[test]
 fn rrset_rotation_hostile_world() {
     rrset_order(hostile(), Reorder::Rotate, "rotation, hostile world");
+}
+
+#[test]
+fn parallelism_tiny_42() {
+    parallelism(EcosystemConfig::tiny(42), "tiny(42)");
+}
+
+#[test]
+fn parallelism_hostile_world() {
+    parallelism(hostile(), "hostile world");
+}
+
+#[test]
+fn warm_caches_tiny_42() {
+    warm_caches(EcosystemConfig::tiny(42), 1, "warm caches, tiny(42)");
+}
+
+#[test]
+fn warm_caches_hostile_world_parallelism_4() {
+    warm_caches(hostile(), 4, "warm caches, hostile world, parallelism 4");
+}
+
+/// A warm scan at eight workers against a cold scan at one.
+#[test]
+fn warm_parallel_against_cold_sequential_tiny_42() {
+    let row = "warm at parallelism 8 against cold at 1, tiny(42)";
+    let eco = build(EcosystemConfig::tiny(42));
+    let plain = scan(&eco, &seeds(&eco));
+    let [_, warm] = cold_then_warm(EcosystemConfig::tiny(42), 8, row);
+    assert_related(&plain, &warm, row, |_, _| false);
 }
 
 #[test]
