@@ -22,7 +22,8 @@
 //! and so does the list of metrics equal on both sides in every pair.
 //! Given the same binary twice, it also prints the A/A floor per metric.
 //! `--append` adds one row per side to `BENCH_trajectory.json` in the
-//! working directory, in that file's row shape.
+//! working directory, in that file's row shape, and on an A/A round a
+//! third row (`"side": "aa-floor"`) with each metric's floor.
 
 #[path = "benchmark/host.rs"]
 #[expect(
@@ -230,6 +231,15 @@ fn table_line(name: &str, unit: &str, c: &Comparison, delta: &str) -> String {
     )
 }
 
+/// Every declared metric compared across the two sides of a round.
+fn compare(metrics: &[Metric], parent: &[Run], change: &[Run]) -> Vec<Comparison> {
+    metrics
+        .iter()
+        .enumerate()
+        .map(|(i, m)| Comparison::of(&column(parent, i), &column(change, i), m.lower_is_better))
+        .collect()
+}
+
 /// Everything `pairs` prints for one round, A/A floor included when
 /// both sides ran the same binary.
 fn render_report(metrics: &[Metric], parent: &[Run], change: &[Run], same_binary: bool) -> String {
@@ -237,11 +247,7 @@ fn render_report(metrics: &[Metric], parent: &[Run], change: &[Run], same_binary
         "{:<22} {:<6} {:>28}  {:>28}  {:>9}  {:>5}  gap > parent IQR\n",
         "metric", "unit", "parent q1 / median / q3", "change q1 / median / q3", "Δ median", "won"
     );
-    let comparisons: Vec<Comparison> = metrics
-        .iter()
-        .enumerate()
-        .map(|(i, m)| Comparison::of(&column(parent, i), &column(change, i), m.lower_is_better))
-        .collect();
+    let comparisons = compare(metrics, parent, change);
     for (m, c) in metrics.iter().zip(&comparisons) {
         let delta = format!("{:+.1} %", c.delta() * 100.0);
         out.push_str(&table_line(&m.name, &m.unit, c, &delta));
@@ -328,14 +334,7 @@ fn render_row(meta: &RowMeta<'_>, metrics: &[Metric], runs: &[Run]) -> String {
             (m.name.clone(), entry)
         })
         .collect();
-    let mut fields = vec![
-        ("revision", Value::String(meta.revision.into())),
-        ("source", Value::String("measured".into())),
-        ("workload", Value::String(meta.workload.into())),
-        (
-            "seeds",
-            Value::Array(meta.seeds.iter().map(|&s| Value::U64(s)).collect()),
-        ),
+    let body = vec![
         ("n", Value::U64(n)),
         (
             "attempted",
@@ -350,6 +349,44 @@ fn render_row(meta: &RowMeta<'_>, metrics: &[Metric], runs: &[Run]) -> String {
             ),
         ),
     ];
+    render_fields(meta, body)
+}
+
+/// The A/A floor row of a round that ran one binary on both sides: each
+/// metric's floor as a share of the median, so the trajectory keeps the
+/// floor a later claim is judged against.
+fn render_floor_row(meta: &RowMeta<'_>, metrics: &[Metric], comparisons: &[Comparison]) -> String {
+    let floors = metrics
+        .iter()
+        .zip(comparisons)
+        .map(|(m, c)| (m.name.clone(), rounded(c.floor())))
+        .collect();
+    let pairs = comparisons.first().map_or(0, |c| c.pairs);
+    let body = vec![
+        ("n", Value::U64(pairs as u64)),
+        ("floor", Value::Object(floors)),
+        (
+            "note",
+            Value::String(
+                "A/A floor per metric: the widest of both sides' interquartile spreads and the gap between their medians, as a share of the parent's median".into(),
+            ),
+        ),
+    ];
+    render_fields(meta, body)
+}
+
+/// One trajectory row: `meta`'s fields around `body`.
+fn render_fields(meta: &RowMeta<'_>, body: Vec<(&str, Value)>) -> String {
+    let mut fields = vec![
+        ("revision", Value::String(meta.revision.into())),
+        ("source", Value::String("measured".into())),
+        ("workload", Value::String(meta.workload.into())),
+        (
+            "seeds",
+            Value::Array(meta.seeds.iter().map(|&s| Value::U64(s)).collect()),
+        ),
+    ];
+    fields.extend(body);
     fields.extend(meta.pr.map(|pr| ("pr", Value::U64(pr))));
     fields.push(("side", Value::String(meta.side.into())));
     fields.extend(meta.round.map(|r| ("round", Value::U64(r))));
@@ -489,35 +526,31 @@ fn real_main() -> Result<(), String> {
         args.parent.display(),
         args.change.display()
     );
-    print!(
-        "{}",
-        render_report(
-            metrics,
-            &parent,
-            &change,
-            same_binary(&args.parent, &args.change)
-        )
-    );
+    let same = same_binary(&args.parent, &args.change);
+    print!("{}", render_report(metrics, &parent, &change, same));
     if let Some((parent_rev, change_rev)) = &args.revisions {
         let host = host::host_block(Path::new("."));
-        let rows: Vec<String> = [
-            (parent_rev, "parent", &parent),
-            (change_rev, "change", &change),
-        ]
-        .into_iter()
-        .map(|(revision, side, runs)| {
-            let meta = RowMeta {
-                revision,
-                workload: &args.workload,
-                seeds: &args.seeds,
-                side,
-                pr: args.pr,
-                round: args.round,
-                host: host.clone(),
-            };
-            render_row(&meta, metrics, runs)
-        })
-        .collect();
+        let meta = |revision, side| RowMeta {
+            revision,
+            workload: &args.workload,
+            seeds: &args.seeds,
+            side,
+            pr: args.pr,
+            round: args.round,
+            host: host.clone(),
+        };
+        let mut rows = vec![
+            render_row(&meta(parent_rev, "parent"), metrics, &parent),
+            render_row(&meta(change_rev, "change"), metrics, &change),
+        ];
+        if same {
+            let comparisons = compare(metrics, &parent, &change);
+            rows.push(render_floor_row(
+                &meta(parent_rev, "aa-floor"),
+                metrics,
+                &comparisons,
+            ));
+        }
         let path = Path::new("BENCH_trajectory.json");
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         std::fs::write(path, append_rows(&text, &rows)?)
@@ -664,6 +697,21 @@ mod tests {
         assert!(out.ends_with("}}\n ]\n}\n"));
         assert_eq!(out.lines().count(), 8);
         assert!(append_rows("{\"rows\": [] trailing", &[]).is_err());
+
+        // An A/A round's floor row: each metric's floor, beside the sides.
+        let parent = [run(&[2.0]), run(&[2.2])];
+        let comparisons = compare(&metrics, &parent, &parent);
+        let floor = RowMeta {
+            side: "aa-floor",
+            ..meta
+        };
+        let row = render_floor_row(&floor, &metrics, &comparisons);
+        assert!(row.starts_with(r#"{"revision":"abc1234","source":"measured","workload":"cold_scan","seeds":[1,2,3],"n":2,"floor":{"wall_s":0.142857},"note":"A/A floor per metric"#), "{row}");
+        assert!(
+            row.ends_with(r#""pr":46,"side":"aa-floor","round":1,"host":{"nproc":2}}"#),
+            "{row}"
+        );
+        assert!(append_rows(file, &[row]).is_ok());
     }
 
     #[test]

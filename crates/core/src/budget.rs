@@ -136,11 +136,12 @@ impl RegistryFeasibility {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{Evidence, ZoneScan};
+    use crate::types::{Evidence, ScanRecord, ZoneScan};
     use dns_wire::name;
+    use std::sync::Arc;
 
     fn zone(n: &str, dnssec: DnssecClass, ab: AbClass, sampled: bool, queries: u32) -> ZoneScan {
-        ZoneScan {
+        Arc::new(ScanRecord {
             evidence: Evidence {
                 ab,
                 sampled,
@@ -149,7 +150,7 @@ mod tests {
             queries,
             elapsed: 500_000,
             retry_stats: crate::RetryStats::default(),
-        }
+        })
     }
 
     fn results() -> ScanResults {

@@ -51,5 +51,5 @@ pub use operator::{Identified, OperatorTable};
 pub use progress::{ProgressSink, ResumeState, ZoneEffects, ZoneEvent};
 pub use scanner::{ScanPolicy, ScanResults, Scanner};
 pub use types::{
-    AbClass, CannotReason, CdsClass, DnssecClass, Evidence, SignalViolation, ZoneScan,
+    AbClass, CannotReason, CdsClass, DnssecClass, Evidence, ScanRecord, SignalViolation, ZoneScan,
 };

@@ -200,11 +200,12 @@ pub fn render_comparison(outcomes: &[PolicyOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::operator::Identified;
-    use crate::types::{CdsClass, DnssecClass, Evidence, ZoneScan};
+    use crate::types::{CdsClass, DnssecClass, Evidence, ScanRecord, ZoneScan};
     use dns_wire::name;
+    use std::sync::Arc;
 
     fn zone(n: &str, dnssec: DnssecClass, cds: CdsClass, ab: AbClass) -> ZoneScan {
-        ZoneScan {
+        Arc::new(ScanRecord {
             evidence: Evidence {
                 cds,
                 ab,
@@ -214,7 +215,7 @@ mod tests {
             queries: 0,
             elapsed: 0,
             retry_stats: crate::RetryStats::default(),
-        }
+        })
     }
 
     fn results() -> ScanResults {

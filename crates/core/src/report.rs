@@ -685,9 +685,10 @@ mod tests {
     use super::*;
     use crate::scanner::ScanResults;
     use dns_wire::name;
+    use std::sync::Arc;
 
     fn zone(n: &str, op: Identified, dnssec: DnssecClass, cds: CdsClass, ab: AbClass) -> ZoneScan {
-        ZoneScan {
+        Arc::new(ScanRecord {
             evidence: Evidence {
                 cds,
                 ab,
@@ -697,7 +698,7 @@ mod tests {
             queries: 10,
             elapsed: 100,
             retry_stats: RetryStats::default(),
-        }
+        })
     }
 
     fn single(op: &str) -> Identified {
@@ -851,12 +852,14 @@ mod tests {
     fn degradation_report_lists_only_degraded_zones_sorted() {
         let mut r = sample_results();
         // Mark two zones degraded, one of them fully indeterminate.
-        r.zones[4].evidence.degraded = true;
-        r.zones[4].retry_stats.timeouts = 3;
-        r.zones[4].retry_stats.failures = 3;
-        r.zones[4].retry_stats.rescans = 1;
-        r.zones[1].evidence.dnssec = DnssecClass::Indeterminate;
-        r.zones[1].retry_stats.breaker_skips = 2;
+        let four = Arc::make_mut(&mut r.zones[4]);
+        four.evidence.degraded = true;
+        four.retry_stats.timeouts = 3;
+        four.retry_stats.failures = 3;
+        four.retry_stats.rescans = 1;
+        let one = Arc::make_mut(&mut r.zones[1]);
+        one.evidence.dnssec = DnssecClass::Indeterminate;
+        one.retry_stats.breaker_skips = 2;
         let d = degradation(&r);
         assert_eq!(d.total_zones, 8);
         assert_eq!(d.degraded_zones, 2);

@@ -597,12 +597,12 @@ impl Scanner {
             sampled,
             ..Evidence::empty(zone.clone(), dnssec, stats.degraded())
         };
-        ZoneScan {
+        Arc::new(ScanRecord {
             evidence: evidence.seal(),
             queries: probe.queries,
             elapsed: probe.clock,
             retry_stats: stats,
-        }
+        })
     }
 
     fn unresolvable(&self, zone: &Name, probe: &mut Probe) -> ZoneScan {
@@ -619,12 +619,12 @@ impl Scanner {
         } else {
             DnssecClass::Unresolvable
         };
-        ZoneScan {
+        Arc::new(ScanRecord {
             evidence: Evidence::empty(zone.clone(), dnssec, degraded),
             queries: probe.queries,
             elapsed: probe.clock,
             retry_stats: stats,
-        }
+        })
     }
 
     /// Apply the Cloudflare sampling policy. Returns whether sampling
@@ -1054,22 +1054,21 @@ impl Scanner {
                     break;
                 }
                 for i in pending {
-                    let (mut fresh, effects) = self.scan_zone_pass(&zones[i].name, pass);
+                    let (fresh, effects) = self.scan_zone_pass(&zones[i].name, pass);
                     let duration_delta = fresh.elapsed;
                     simulated_duration += duration_delta;
                     let old = &zones[i];
                     let rescans = old.retry_stats.rescans + 1;
-                    let mut kept = if Self::evidence_rank(&fresh) < Self::evidence_rank(old) {
-                        fresh.queries += old.queries;
-                        Self::accumulate_io(&mut fresh.retry_stats, &old.retry_stats);
-                        fresh
-                    } else {
-                        let mut kept = old.clone();
-                        kept.queries += fresh.queries;
-                        Self::accumulate_io(&mut kept.retry_stats, &fresh.retry_stats);
-                        kept
-                    };
-                    kept.retry_stats.rescans = rescans;
+                    let (mut kept, other) =
+                        if Self::evidence_rank(&fresh) < Self::evidence_rank(old) {
+                            (fresh, old)
+                        } else {
+                            (old.clone(), &fresh)
+                        };
+                    let merged = Arc::make_mut(&mut kept);
+                    merged.queries += other.queries;
+                    Self::accumulate_io(&mut merged.retry_stats, &other.retry_stats);
+                    merged.retry_stats.rescans = rescans;
                     if let Some(sink) = sink {
                         let event = ZoneEvent {
                             duration_delta,

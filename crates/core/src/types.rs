@@ -182,23 +182,23 @@ pub enum SignalViolation {
 /// written and the AB class derived, and outside this crate a value
 /// comes only from it or from [`Evidence::empty`]. An RRset is a set
 /// (RFC 2181 §5), so the order a server serves records in never reaches
-/// the evidence. The lists are shared `Arc<[T]>` bodies: a clone (an
-/// epoch table carrying a row forward) bumps reference counts and copies
-/// no observation, and equal key and CDS lists within one evidence are
-/// one body. A list edited after sealing needs another `seal`.
+/// the evidence. The lists are exactly sized `Box<[T]>`s, owned by the
+/// one [`ScanRecord`] that holds the evidence (tables share the record,
+/// not its lists); equal key and CDS lists within one evidence are one
+/// `Arc`. A list edited after sealing needs another `seal`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Evidence {
     pub name: Name,
     /// NS hostnames per the registry (parent zone), by
     /// [`Name::canonical_cmp`].
-    pub ns_names: Arc<[Name]>,
+    pub ns_names: Box<[Name]>,
     /// DS records at the parent, in RFC 4034 §6.3 order.
-    pub parent_ds: Arc<[DsData]>,
+    pub parent_ds: Box<[DsData]>,
     /// Per-address observations, by NS name, then address.
-    pub ns_observations: Arc<[NsObservation]>,
+    pub ns_observations: Box<[NsObservation]>,
     /// Per-NS-hostname signal observations, by NS name.
-    pub signal_observations: Arc<[SignalObservation]>,
+    pub signal_observations: Box<[SignalObservation]>,
     /// Classifications. `ab` is a function of the other fields, which
     /// [`Evidence::seal`] derives; it is set nowhere else.
     pub dnssec: DnssecClass,
@@ -235,10 +235,10 @@ impl Evidence {
     /// Put the lists in canonical order — NS names and signal
     /// observations by [`Name::canonical_cmp`] of the NS name,
     /// observations by NS name then address, the DS set and each
-    /// observation's DNSKEYs in RFC 4034 §6.3 order — without copying a
-    /// list already in order; then make every key list equal to an
-    /// earlier one that list's `Arc`, and so every CDS list, in-zone and
-    /// signal alike: addresses of one NS set mostly serve the same records.
+    /// observation's DNSKEYs in RFC 4034 §6.3 order — sorting in place;
+    /// then make every key list equal to an earlier one that list's `Arc`,
+    /// and so every CDS list, in-zone and signal alike: addresses of one
+    /// NS set mostly serve the same records.
     /// Last, derive the AB class from the classes and observations.
     pub fn seal(mut self) -> Evidence {
         fn share<T: ?Sized + PartialEq>(seen: &mut Vec<Arc<T>>, list: &mut Arc<T>) {
@@ -247,23 +247,21 @@ impl Evidence {
                 None => seen.push(Arc::clone(list)),
             }
         }
-        in_order(&mut self.ns_names, Name::canonical_cmp);
-        in_order(&mut self.parent_ds, DsData::cmp);
-        in_order(&mut self.ns_observations, |a, b| {
-            target_order((&a.ns_name, a.addr), (&b.ns_name, b.addr))
-        });
-        in_order(&mut self.signal_observations, |a, b| {
-            a.ns_name.canonical_cmp(&b.ns_name)
-        });
+        self.ns_names.sort_by(Name::canonical_cmp);
+        self.parent_ds.sort();
+        self.ns_observations
+            .sort_by(|a, b| target_order((&a.ns_name, a.addr), (&b.ns_name, b.addr)));
+        self.signal_observations
+            .sort_by(|a, b| a.ns_name.canonical_cmp(&b.ns_name));
         let (mut keys, mut cds) = (Vec::new(), Vec::new());
-        for o in Arc::make_mut(&mut self.ns_observations) {
+        for o in self.ns_observations.iter_mut() {
             if !o.dnskeys.is_sorted() {
                 Arc::make_mut(&mut o.dnskeys).sort();
             }
             share(&mut keys, &mut o.dnskeys);
             share(&mut cds, &mut o.cds);
         }
-        for s in Arc::make_mut(&mut self.signal_observations) {
+        for s in self.signal_observations.iter_mut() {
             share(&mut cds, &mut s.cds);
         }
         self.ab = classify::ab_class(
@@ -316,18 +314,20 @@ pub(crate) fn target_order(a: (&Name, Addr), b: (&Name, Addr)) -> Ordering {
     a.0.canonical_cmp(b.0).then(a.1.cmp(&b.1))
 }
 
-/// Sort `list` by `cmp` unless it already is in that order.
-fn in_order<T: Clone>(list: &mut Arc<[T]>, cmp: impl Fn(&T, &T) -> Ordering) {
-    if !list.is_sorted_by(|a, b| cmp(a, b).is_le()) {
-        Arc::make_mut(list).sort_by(cmp);
-    }
-}
+/// One zone's scan, sealed: an `Arc` over its [`ScanRecord`], allocated
+/// once by the scanner or the journal decoder. A clone (an epoch table
+/// carrying the row forward, a merge sink, a resume state) copies the
+/// pointer, so every table holding the scan holds one body. Reads go
+/// through `Deref` (`scan.dnssec`, `scan.queries`); there is no
+/// `DerefMut`, so an edit goes through `Arc::make_mut`, and an edited
+/// evidence is re-sealed.
+pub type ZoneScan = Arc<ScanRecord>;
 
-/// One zone's scan: its [`Evidence`] and what the scan cost. Reads of the
-/// evidence go through `Deref` (`scan.dnssec`); there is no `DerefMut`, so
-/// the evidence is edited only as `scan.evidence`, and re-sealed.
+/// The body of a [`ZoneScan`]: its [`Evidence`] and what the scan cost.
+/// Reads of the evidence go through `Deref` (`record.dnssec`); there is
+/// no `DerefMut`, so the evidence is edited only as `record.evidence`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ZoneScan {
+pub struct ScanRecord {
     pub evidence: Evidence,
     /// Scan cost: the logical queries of the walk, the per-address probes
     /// and the signal probes, summed across re-scan passes. It leaves out
@@ -342,7 +342,7 @@ pub struct ZoneScan {
     pub retry_stats: RetryStats,
 }
 
-impl Deref for ZoneScan {
+impl Deref for ScanRecord {
     type Target = Evidence;
     fn deref(&self) -> &Evidence {
         &self.evidence
@@ -413,14 +413,12 @@ mod tests {
         let mut evidence = Evidence::empty(name!("z.test"), DnssecClass::Unsigned, false);
         evidence.ns_observations = [obs("ns1.a.test", vec![])].into();
         assert!(!evidence.cds_query_failures());
-        let mut v = evidence.ns_observations.to_vec();
-        v[0].cds_query_error = true;
-        evidence.ns_observations = v.into();
+        evidence.ns_observations[0].cds_query_error = true;
         assert!(evidence.cds_query_failures());
     }
 
     /// Sealing orders every list whatever order it was served in, shares
-    /// equal lists, and leaves a list already in order uncopied.
+    /// equal lists, and leaves a key list already in order uncopied.
     #[test]
     fn seal_orders_and_shares() {
         let key = |flags: u16| DnskeyData {
@@ -468,7 +466,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a.dnskeys, &b.dnskeys) && Arc::ptr_eq(&b.dnskeys, &c.dnskeys));
         assert!(Arc::ptr_eq(&a.cds, &c.cds));
         let again = sealed.clone().seal();
-        assert!(Arc::ptr_eq(&again.ns_names, &sealed.ns_names));
+        assert!(Arc::ptr_eq(&again.ns_observations[0].dnskeys, &a.dnskeys));
         assert_eq!(again, sealed);
     }
 }

@@ -243,7 +243,7 @@ fn zone_cut_outcomes_are_served_only_through_the_apex_that_answered() {
     let point = Point::named("secured");
     let zone = point.zone.clone();
     let scan = |scanner: &Scanner| scanner.scan_all(std::slice::from_ref(&zone)).zones[0].clone();
-    let baseline = scan(&point.scanner()).evidence;
+    let baseline = scan(&point.scanner()).evidence.clone();
     assert!(
         !baseline.signal_observations[0].zone_cut,
         "{zone}: baseline"

@@ -468,38 +468,33 @@ impl Resolver {
     ///
     /// A DS query must stop at the *parent* side of its cut (the parent
     /// answers DS authoritatively; the child never sees a referral for
-    /// it), so qname itself is not a candidate cut for DS.
+    /// it), so qname itself is not a candidate cut for DS. The candidates
+    /// come from one walk up qname's ancestors, deepest first.
     fn cached_descent(
         &self,
         qname: &Name,
         qtype: RecordType,
         now: SimMicros,
     ) -> (Vec<ChainLink>, Name, Vec<Addr>) {
-        let total = qname.label_count();
-        let mut skip = usize::from(qtype == RecordType::Ds);
-        while total > skip {
-            if let Some(start) = self.chain_from(qname, total - skip, now) {
-                return start;
-            }
-            skip += 1;
-        }
-        (Vec::new(), Name::root(), self.roots.addrs.clone())
+        let deepest = if qtype == RecordType::Ds {
+            qname.parent()
+        } else {
+            Some(qname.clone())
+        };
+        std::iter::successors(deepest, Name::parent)
+            .take_while(|cut| cut.label_count() > 0)
+            .find_map(|cut| self.chain_from(cut, now))
+            .unwrap_or_else(|| (Vec::new(), Name::root(), self.roots.addrs.clone()))
     }
 
-    /// Try to rebuild the full root→cut chain for the ancestor of
-    /// `qname` with `labels` labels, following each entry's
-    /// `parent_apex` upwards. `None` if any hop is missing or fails the
-    /// provenance rule.
+    /// Try to rebuild the full root→cut chain for `cut`, following each
+    /// entry's `parent_apex` upwards. `None` if any hop is missing or
+    /// fails the provenance rule.
     fn chain_from(
         &self,
-        qname: &Name,
-        labels: usize,
+        mut cut: Name,
         now: SimMicros,
     ) -> Option<(Vec<ChainLink>, Name, Vec<Addr>)> {
-        let mut cut = qname.clone();
-        while cut.label_count() > labels {
-            cut = cut.parent()?;
-        }
         let apex = cut.clone();
         let mut links: Vec<ChainLink> = Vec::new();
         loop {
@@ -695,5 +690,64 @@ mod tests {
         assert!(e.to_string().contains("ns.test"));
         let e = ResolverError::Hostile(HostileCause::ReferralLoop);
         assert_eq!(e.to_string(), "hostile: referral-loop");
+    }
+
+    /// A walk starts at the deepest cached cut whose chain closes at the
+    /// root: mid-way up a signal name, at the parent for a DS query, and
+    /// at the root when no chain closes.
+    #[test]
+    fn cached_descent_starts_at_the_deepest_closed_cut() {
+        use netsim::Network;
+        use std::net::Ipv4Addr;
+        let name = |s: &str| Name::parse(s).unwrap();
+        let addr = |last| Addr::V4(Ipv4Addr::new(192, 0, 2, last));
+        let roots = vec![addr(53)];
+        let client = Arc::new(DnsClient::new(Arc::new(Network::new(1))));
+        let r = Resolver::new(
+            client,
+            RootHints {
+                addrs: roots.clone(),
+            },
+        );
+        let delegate = |cut: &str, parent: Name, last| {
+            let data = ReferralData {
+                parent_apex: parent,
+                ns_names: Vec::new(),
+                ds: None,
+                ds_rrsigs: Vec::new(),
+                child_servers: vec![addr(last)],
+            };
+            r.seed_referral(name(cut), Arc::new(data), None, SimMicros::MAX);
+        };
+        delegate("test", Name::root(), 1);
+        delegate("op.test", name("test"), 2);
+        delegate("zone.test", name("test"), 3);
+        // Its parent `orphan` is not cached, so this chain never closes.
+        delegate("deep.orphan", name("orphan"), 4);
+        let start = |qname: &str, qtype| {
+            let (chain, apex, servers) = r.cached_descent(&name(qname), qtype, 0);
+            let cuts: Vec<Name> = chain.into_iter().map(|l| l.child_apex).collect();
+            (cuts, apex, servers)
+        };
+
+        let signal = "_dsboot.zone.test._signal.ns1.op.test";
+        assert_eq!(
+            start(signal, RecordType::Cds),
+            (
+                vec![name("test"), name("op.test")],
+                name("op.test"),
+                vec![addr(2)]
+            )
+        );
+        // The parent answers DS: zone.test's own cut is no candidate.
+        assert_eq!(
+            start("zone.test", RecordType::Ds),
+            (vec![name("test")], name("test"), vec![addr(1)])
+        );
+        assert_eq!(start("zone.test", RecordType::Soa).1, name("zone.test"));
+        assert_eq!(
+            start("a.deep.orphan", RecordType::A),
+            (Vec::new(), Name::root(), roots)
+        );
     }
 }

@@ -60,7 +60,6 @@ use scan_fabric::{
     drive, fill_shard, FabricConfig, FabricFaultPlan, FabricOps, ShardJob, ShardPlan,
 };
 use scan_journal::{latest_per_zone, recover, write_atomically, Namespace};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Write};
@@ -255,12 +254,12 @@ fn fold_epoch(
             let context = format!("epoch {epoch} shard {shard} was not abandoned: {e}");
             io::Error::new(e.kind(), context)
         })?;
-        for zone in filled {
-            if let Cow::Owned(placeholder) = &zone {
-                stale.push(placeholder.name.clone());
+        for (zone, placeholder) in filled {
+            if placeholder {
+                stale.push(zone.name.clone());
             }
             queries += u64::from(zone.queries);
-            zones.push(zone.into_owned());
+            zones.push(zone);
         }
     }
     stale.sort_by(|a, b| a.canonical_cmp(b));
@@ -275,8 +274,9 @@ fn fold_epoch(
 /// The next evidence table: `prev` (canonical order, row i learned in
 /// epoch `learned[i]`) with `fresh` (canonical order, one row per zone,
 /// learned in `epoch`) merged in. A fresh row replaces its zone's carried
-/// row; every other row is carried as a clone that shares its sealed
-/// lists. One pass, and both vectors exactly sized.
+/// row; every other row is carried as a clone of its pointer, sharing
+/// the sealed scan with the earlier tables. One pass, and both vectors
+/// exactly sized.
 fn merge_table(
     prev: &[ZoneScan],
     learned: &[u32],
@@ -455,7 +455,8 @@ pub fn run_continuous(
 
         // -- Fold evidence: fresh results (and explicit
         //    placeholders) overwrite; everyone else carries forward. A
-        //    row's clone shares its sealed lists with the earlier tables.
+        //    carried row is a pointer to the sealed scan earlier tables
+        //    hold.
         let stale = fold.stale;
         let mut rows = fold.zones;
         rows.sort_by(|a, b| a.name.canonical_cmp(&b.name));
@@ -531,10 +532,9 @@ mod tests {
         let ns = ns_epoch.shard(0);
         // Only a.example reaches the shard's journal.
         let sink = scan_journal::JournalSink::create(ns.dir(), ns.header(plan.zones(0))).unwrap();
-        let scan = fill_shard(std::slice::from_ref(&a), &[], true)
+        let (scan, _) = fill_shard(std::slice::from_ref(&a), &[], true)
             .unwrap()
-            .remove(0)
-            .into_owned();
+            .remove(0);
         assert!(sink.on_zone(&ZoneEvent {
             scan,
             effects: Default::default(),
@@ -562,16 +562,15 @@ mod tests {
     }
 
     /// The table merge: fresh rows replace their zones' rows, the rest
-    /// carry with their learn epochs and share their lists, and the
+    /// carry with their learn epochs as the same shared scans, and the
     /// result stays in canonical order.
     #[test]
     fn merge_replaces_fresh_zones_and_carries_the_rest() {
         let row = |name: &str, queries| {
-            let mut row = fill_shard(&[Name::parse(name).unwrap()], &[], true)
+            let (mut row, _) = fill_shard(&[Name::parse(name).unwrap()], &[], true)
                 .unwrap()
-                .remove(0)
-                .into_owned();
-            row.queries = queries;
+                .remove(0);
+            std::sync::Arc::make_mut(&mut row).queries = queries;
             row
         };
         let prev = vec![
@@ -591,10 +590,9 @@ mod tests {
             table.iter().map(|z| z.queries).collect::<Vec<_>>(),
             [1, 2, 2, 1]
         );
-        assert!(std::sync::Arc::ptr_eq(
-            &table[3].ns_names,
-            &prev[2].ns_names
-        ));
+        for (row, was) in [(&table[0], &prev[0]), (&table[3], &prev[2])] {
+            assert!(std::sync::Arc::ptr_eq(row, was), "{} is copied", row.name);
+        }
         assert_eq!(table.capacity(), 4);
         let (first, learned) = merge_table(&[], &[], table, 3);
         assert_eq!((first.len(), learned), (4, vec![3; 4]));

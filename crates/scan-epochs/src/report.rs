@@ -11,10 +11,9 @@
 //! to a cold from-scratch scan of the same world state.
 //!
 //! A carried-forward row is a clone of the sealed [`ZoneScan`] an earlier
-//! epoch folded, and shares that scan's observation lists (`Arc<[T]>`
-//! bodies) with every earlier table holding it: a table of N zones of
-//! which k were re-scanned allocates N rows but only k new sets of
-//! observations.
+//! epoch folded: a pointer to the one scan body every earlier table
+//! holding it shares. A table of N zones of which k were re-scanned
+//! allocates N row pointers but only k new scan bodies.
 
 use bootscan::report::Figure1;
 use bootscan::{AbClass, CdsClass, ZoneScan};
@@ -52,7 +51,7 @@ pub fn canonical_evidence(zones: &[ZoneScan]) -> String {
 pub struct EpochReport {
     pub epoch: u32,
     /// Full evidence table as of this epoch's end (fresh + carried),
-    /// canonical order. Carried rows share their lists with the earlier
+    /// canonical order. Carried rows share their scans with the earlier
     /// tables.
     pub zones: Vec<ZoneScan>,
     /// Zones actually re-scanned this epoch, canonical order.
@@ -262,7 +261,7 @@ fn push_skipped(out: &mut String, s: &SkippedEpoch) {
 mod tests {
     use super::*;
     use bootscan::types::NsObservation;
-    use bootscan::{DnssecClass, Evidence, Identified, RetryStats};
+    use bootscan::{DnssecClass, Evidence, Identified, RetryStats, ScanRecord};
     use dns_wire::name;
     use dns_wire::rdata::{DnskeyData, DsData};
     use netsim::Addr;
@@ -300,12 +299,12 @@ mod tests {
         evidence.ns_observations =
             [observation("ns1.example", 1), observation("ns2.example", 2)].into();
         evidence.operator = Identified::Single("Op".into());
-        vec![ZoneScan {
+        vec![Arc::new(ScanRecord {
             evidence: evidence.seal(),
             queries: 12,
             elapsed: 3_000,
             retry_stats: RetryStats::default(),
-        }]
+        })]
     }
 
     /// The §4.1 classes rest on the parent's DS set and the child's
@@ -314,16 +313,16 @@ mod tests {
     #[test]
     fn canonical_evidence_covers_every_zone_field() {
         let base = table();
-        let mut no_ds = table();
-        no_ds[0].evidence.parent_ds = [].into();
-        let mut moved = table();
-        let mut v = moved[0].ns_observations.to_vec();
-        v[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 99));
-        moved[0].evidence.ns_observations = v.into();
-        let mut rekeyed = table();
-        let mut v = rekeyed[0].ns_observations.to_vec();
-        Arc::make_mut(&mut v[1].dnskeys)[0].public_key[0] ^= 1;
-        rekeyed[0].evidence.ns_observations = v.into();
+        let edit = |f: fn(&mut Evidence)| {
+            let mut t = table();
+            f(&mut Arc::make_mut(&mut t[0]).evidence);
+            t
+        };
+        let no_ds = edit(|e| e.parent_ds = [].into());
+        let moved = edit(|e| e.ns_observations[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 99)));
+        let rekeyed = edit(|e| {
+            Arc::make_mut(&mut e.ns_observations[1].dnskeys)[0].public_key[0] ^= 1;
+        });
 
         let expected = canonical_evidence(&base);
         for (what, other) in [
@@ -336,8 +335,9 @@ mod tests {
         }
         // Cost counters are not evidence.
         let mut costlier = table();
-        costlier[0].queries += 1;
-        costlier[0].retry_stats.retries = 2;
+        let scan = Arc::make_mut(&mut costlier[0]);
+        scan.queries += 1;
+        scan.retry_stats.retries = 2;
         assert_eq!(canonical_evidence(&costlier), expected);
     }
 }

@@ -29,11 +29,11 @@
 //! evidence section, the bytes of the zone's [`Evidence`].
 
 use bootscan::report::{DegradationReport, Figure1};
-use bootscan::{DnssecClass, Evidence, RetryStats, ScanResults, ZoneEvent, ZoneScan};
+use bootscan::{DnssecClass, Evidence, RetryStats, ScanRecord, ScanResults, ZoneEvent, ZoneScan};
 use dns_wire::name::Name;
 use scan_journal::{encode_scan_into, fnv64, latest_per_zone};
-use std::borrow::Cow;
 use std::io;
+use std::sync::Arc;
 
 /// Receives merged zones one at a time, in canonical order.
 ///
@@ -53,7 +53,8 @@ impl MergeSink for NullMergeSink {
     fn on_zone(&mut self, _zone: &ZoneScan) {}
 }
 
-/// Materialize every merged zone (trades the memory bound away).
+/// Materialize every merged zone (trades the memory bound away; each
+/// zone is a shared pointer to the scan the journal decoded).
 #[derive(Debug, Default)]
 pub struct CollectSink {
     pub zones: Vec<ZoneScan>,
@@ -169,12 +170,10 @@ impl StreamingMerge {
     ) -> io::Result<()> {
         let (table, shard_duration) = latest_per_zone(&events);
         self.peak_resident = self.peak_resident.max(table.len());
-        for zone in fill_shard(zones, &table, abandoned)? {
-            if let Cow::Owned(placeholder) = &zone {
+        for (zone, placeholder) in fill_shard(zones, &table, abandoned)? {
+            if placeholder {
                 self.report.indeterminate_placeholders += 1;
-                self.report
-                    .abandoned_zones
-                    .push(placeholder.name.to_string_fqdn());
+                self.report.abandoned_zones.push(zone.name.to_string_fqdn());
             }
             self.emit(&zone, sink);
         }
@@ -211,22 +210,22 @@ fn link(prev: u64, bytes: &[u8]) -> u64 {
 /// The one hole rule for a shard journal, shared by the fabric merge
 /// and the continuous epoch fold. `table` is the journal's
 /// [`latest_per_zone`] fold (canonical order); the result has one entry
-/// per planned zone, in plan order: `Cow::Borrowed` is the zone's
-/// journaled scan, `Cow::Owned` an explicit Indeterminate placeholder
-/// for a zone an **abandoned** shard never got to. A hole in a
+/// per planned zone, in plan order: the zone's journaled scan (shared,
+/// not copied) and `false`, or an explicit Indeterminate placeholder and
+/// `true` for a zone an **abandoned** shard never got to. A hole in a
 /// **completed** shard is journal corruption, not degradation:
 /// `InvalidData`, naming the zone.
-pub fn fill_shard<'a>(
+pub fn fill_shard(
     plan_zones: &[Name],
-    table: &[&'a ZoneScan],
+    table: &[ZoneScan],
     abandoned: bool,
-) -> io::Result<Vec<Cow<'a, ZoneScan>>> {
+) -> io::Result<Vec<(ZoneScan, bool)>> {
     plan_zones
         .iter()
         .map(
             |name| match table.binary_search_by(|z| z.name.canonical_cmp(name)) {
-                Ok(i) => Ok(Cow::Borrowed(table[i])),
-                Err(_) if abandoned => Ok(Cow::Owned(indeterminate_placeholder(name))),
+                Ok(i) => Ok((Arc::clone(&table[i]), false)),
+                Err(_) if abandoned => Ok((indeterminate_placeholder(name), true)),
                 Err(_) => Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("completed shard is missing zone {}", name.to_string_fqdn()),
@@ -239,12 +238,12 @@ pub fn fill_shard<'a>(
 /// The explicit "we could not scan this" record for an abandoned
 /// shard's zone: Indeterminate and degraded, never silently dropped.
 fn indeterminate_placeholder(name: &Name) -> ZoneScan {
-    ZoneScan {
+    Arc::new(ScanRecord {
         evidence: Evidence::empty(name.clone(), DnssecClass::Indeterminate, true),
         queries: 0,
         elapsed: 0,
         retry_stats: RetryStats::default(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -253,11 +252,12 @@ mod tests {
     use dns_wire::name;
 
     fn event_for(zone: &str, queries: u32) -> (u64, ZoneEvent) {
-        let scan = ZoneScan {
+        let scan = Arc::new(ScanRecord {
             evidence: Evidence::empty(name!(zone), DnssecClass::Unsigned, false),
             queries,
-            ..indeterminate_placeholder(&name!(zone))
-        };
+            elapsed: 0,
+            retry_stats: RetryStats::default(),
+        });
         (
             0,
             ZoneEvent {
@@ -320,8 +320,9 @@ mod tests {
             .zip([3, 4, 5])
             .map(|(zone, queries)| {
                 let mut e = event_for(zone, queries);
-                e.1.scan.elapsed = 1_000 + u64::from(queries);
-                e.1.scan.retry_stats.logical_queries = queries;
+                let scan = Arc::make_mut(&mut e.1.scan);
+                scan.elapsed = 1_000 + u64::from(queries);
+                scan.retry_stats.logical_queries = queries;
                 e
             })
             .collect();
@@ -355,7 +356,7 @@ mod tests {
         use std::net::Ipv4Addr;
         let (_, event) = event_for("a.example", 3);
         let mut base = event.scan;
-        base.evidence.ns_observations = [NsObservation {
+        Arc::make_mut(&mut base).evidence.ns_observations = [NsObservation {
             ns_name: name!("ns1.example"),
             addr: Addr::V4(Ipv4Addr::new(192, 0, 2, 1)),
             responded: true,
@@ -368,7 +369,7 @@ mod tests {
         }]
         .into();
         let mut with_ds = base.clone();
-        with_ds.evidence.parent_ds = [DsData {
+        Arc::make_mut(&mut with_ds).evidence.parent_ds = [DsData {
             key_tag: 4711,
             algorithm: 13,
             digest_type: 2,
@@ -376,9 +377,8 @@ mod tests {
         }]
         .into();
         let mut moved = base.clone();
-        let mut v = moved.ns_observations.to_vec();
-        v[0].addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 2));
-        moved.evidence.ns_observations = v.into();
+        Arc::make_mut(&mut moved).evidence.ns_observations[0].addr =
+            Addr::V4(Ipv4Addr::new(192, 0, 2, 2));
         for (what, other) in [("parent_ds", with_ds), ("NsObservation::addr", moved)] {
             assert_ne!(
                 stream_digest(other),
@@ -420,7 +420,7 @@ mod tests {
         let zones = vec![name!("a.example")];
         let mut better = event_for("a.example", 9);
         better.0 = 1;
-        better.1.scan.retry_stats.rescans = 1;
+        Arc::make_mut(&mut better.1.scan).retry_stats.rescans = 1;
         let events = vec![event_for("a.example", 3), better];
         let mut m = StreamingMerge::new();
         let mut sink = CollectSink::default();

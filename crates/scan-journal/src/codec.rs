@@ -19,7 +19,8 @@
 
 use bootscan::operator::Identified;
 use bootscan::types::{
-    CdsClass, CdsSeen, DnssecClass, Evidence, NsObservation, SignalObservation, ZoneScan,
+    CdsClass, CdsSeen, DnssecClass, Evidence, NsObservation, ScanRecord, SignalObservation,
+    ZoneScan,
 };
 use bootscan::{CacheInsert, CutOutcome, ReferralData, RetryStats, ZoneEffects, ZoneEvent};
 use dns_wire::name::Name;
@@ -618,12 +619,12 @@ impl<'a> Dec<'a> {
         Ok(e.seal())
     }
     fn zone_scan(&mut self) -> Result<ZoneScan> {
-        Ok(ZoneScan {
+        Ok(Arc::new(ScanRecord {
             evidence: self.evidence()?,
             queries: self.u32()?,
             elapsed: self.u64()?,
             retry_stats: self.retry_stats()?,
-        })
+        }))
     }
     fn effects(&mut self) -> Result<ZoneEffects> {
         self.list(|d| {
@@ -717,7 +718,7 @@ pub(crate) mod tests {
         evidence.cds = CdsClass::Inconsistent;
         evidence.operator = Identified::Multi(vec!["alpha".into(), "beta".into()]);
         evidence.sampled = true;
-        let scan = ZoneScan {
+        let scan = Arc::new(ScanRecord {
             evidence: evidence.seal(),
             queries: 42,
             elapsed: 1_234_567,
@@ -745,7 +746,7 @@ pub(crate) mod tests {
                 hostile_budget: 16,
                 hostile_lame: 17,
             },
-        };
+        });
         ZoneEvent {
             duration_delta: 777_001,
             scan,
@@ -876,7 +877,7 @@ pub(crate) mod tests {
     #[test]
     fn decoded_event_shares_what_it_repeats() {
         let mut event = rich_event();
-        let evidence = &mut event.scan.evidence;
+        let evidence = &mut Arc::make_mut(&mut event.scan).evidence;
         let mut observations = evidence.ns_observations.to_vec();
         let second = NsObservation {
             addr: Addr::V4(Ipv4Addr::new(192, 0, 2, 1)),
@@ -884,10 +885,8 @@ pub(crate) mod tests {
         };
         observations.push(second);
         evidence.ns_observations = observations.into();
-        let mut signals = evidence.signal_observations.to_vec();
-        signals[0].cds = evidence.ns_observations[0].cds.to_vec().into();
-        evidence.signal_observations = signals.into();
-        event.scan.evidence = event.scan.evidence.clone().seal();
+        evidence.signal_observations[0].cds = evidence.ns_observations[0].cds.to_vec().into();
+        *evidence = evidence.clone().seal();
 
         let back = decode_event(&encode_event(&event)).expect("decode");
         assert_eq!(back, event);
@@ -921,12 +920,12 @@ pub(crate) mod tests {
     fn minimal_event_round_trips() {
         let event = ZoneEvent {
             duration_delta: 0,
-            scan: ZoneScan {
+            scan: Arc::new(ScanRecord {
                 evidence: Evidence::empty(Name::root(), DnssecClass::Unresolvable, false),
                 queries: 0,
                 elapsed: 0,
                 retry_stats: RetryStats::default(),
-            },
+            }),
             effects: ZoneEffects::default(),
         };
         let payload = encode_event(&event);

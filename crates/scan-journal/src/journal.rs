@@ -346,7 +346,7 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         for i in 0..n {
             let mut e = rich_event();
-            e.scan.queries = i as u32;
+            std::sync::Arc::make_mut(&mut e.scan).queries = i as u32;
             let seq = w.append(&e).unwrap();
             assert_eq!(seq, i);
             out.push((seq, e));

@@ -66,12 +66,13 @@ pub fn fingerprint_names(names: &[Name]) -> u64 {
 /// Fold a journal's events to the latest kept scan per zone, in
 /// canonical name order, plus the summed duration deltas of *every*
 /// event. A later event supersedes an earlier one for the same zone: a
-/// re-scan pass's kept result replaces the main-pass one.
-pub fn latest_per_zone(events: &[(u64, ZoneEvent)]) -> (Vec<&ZoneScan>, SimMicros) {
+/// re-scan pass's kept result replaces the main-pass one. The scans are
+/// the events' own, shared.
+pub fn latest_per_zone(events: &[(u64, ZoneEvent)]) -> (Vec<ZoneScan>, SimMicros) {
     let duration = events.iter().map(|(_, e)| e.duration_delta).sum();
     // Newest first, then a stable sort: the first scan of each run of
     // equal names is the newest, and `dedup_by` keeps the first.
-    let mut latest: Vec<&ZoneScan> = events.iter().rev().map(|(_, e)| &e.scan).collect();
+    let mut latest: Vec<ZoneScan> = events.iter().rev().map(|(_, e)| e.scan.clone()).collect();
     latest.sort_by(|a, b| a.name.canonical_cmp(&b.name));
     latest.dedup_by(|older, newest| older.name == newest.name);
     (latest, duration)
@@ -101,7 +102,7 @@ impl Recovery {
     pub fn resume_state(&self) -> ResumeState {
         let (latest, duration_so_far) = latest_per_zone(&self.events);
         ResumeState {
-            zones: latest.into_iter().cloned().collect(),
+            zones: latest,
             duration_so_far,
         }
     }
@@ -275,8 +276,9 @@ mod tests {
 
     fn event_for(zone: &str, pass: u32, micros: u64) -> ZoneEvent {
         let mut e = rich_event();
-        e.scan.evidence.name = name!(zone);
-        e.scan.retry_stats.rescans = pass;
+        let scan = std::sync::Arc::make_mut(&mut e.scan);
+        scan.evidence.name = name!(zone);
+        scan.retry_stats.rescans = pass;
         e.duration_delta = micros;
         e
     }
@@ -472,7 +474,7 @@ mod tests {
         let sink = JournalSink::create(&dir, HDR).unwrap();
         for i in 0..events {
             let mut e = event_for("a.example", 0, 1);
-            e.scan.queries = i;
+            std::sync::Arc::make_mut(&mut e.scan).queries = i;
             assert!(sink.on_zone(&e));
         }
         dir

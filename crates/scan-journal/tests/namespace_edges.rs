@@ -3,13 +3,14 @@
 //! look-alike literal directories, and resume from a namespace whose
 //! parent directory exists but whose leaf was never created.
 
-use bootscan::{Evidence, ProgressSink, ZoneEffects, ZoneEvent, ZoneScan};
+use bootscan::{Evidence, ProgressSink, ScanRecord, ZoneEffects, ZoneEvent};
 use dns_wire::name;
 use dns_wire::name::Name;
 use scan_journal::{recover, JournalSink, Namespace};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn tmpdir(label: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("bootscan-ns-edges-{label}-{}", std::process::id()));
@@ -22,12 +23,12 @@ fn tmpdir(label: &str) -> PathBuf {
 /// not event content.
 fn event_for(zone: &str) -> ZoneEvent {
     ZoneEvent {
-        scan: ZoneScan {
+        scan: Arc::new(ScanRecord {
             evidence: Evidence::empty(name!(zone), bootscan::DnssecClass::Unsigned, false),
             queries: 0,
             elapsed: 0,
             retry_stats: Default::default(),
-        },
+        }),
         effects: ZoneEffects::default(),
         duration_delta: 10,
     }

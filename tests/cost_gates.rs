@@ -14,8 +14,8 @@
 mod common;
 
 use bootscan::{
-    CacheInsert, CutOutcome, Identified, ProgressSink, ReferralData, ScanPolicy, Scanner,
-    ZoneEvent, ZoneScan,
+    CacheInsert, CutOutcome, Identified, ProgressSink, ReferralData, ScanPolicy, ScanRecord,
+    Scanner, ZoneEvent, ZoneScan,
 };
 use dns_ecosystem::{
     apply_churn, build, ChurnAction, ChurnConfig, ChurnPlan, Ecosystem, EcosystemConfig,
@@ -220,11 +220,11 @@ fn continuous_study_costs_stay_within_baseline() {
 }
 
 /// A sealed `ZoneScan` is shared, not copied: every row an epoch table
-/// carries forward (its zone was not re-scanned that epoch) points at
-/// the previous table's bodies on all four lists. A deep clone anywhere
-/// on the carry path fails `Arc::ptr_eq` here.
+/// carries forward (its zone was not re-scanned that epoch) is the
+/// previous table's row, one pointer to one scan body. A copy of the
+/// body anywhere on the carry path fails `Arc::ptr_eq` here.
 #[test]
-fn carried_rows_share_their_lists() {
+fn carried_rows_are_shared() {
     // The default spacing: 30 virtual minutes, inside the evidence TTL,
     // so unchurned zones carry.
     let out = study(3, 1_800_000_000);
@@ -236,13 +236,9 @@ fn carried_rows_share_their_lists() {
         let fresh: HashSet<&Name> = cur.fresh.iter().collect();
         let before: HashMap<&Name, &ZoneScan> = prev.zones.iter().map(|z| (&z.name, z)).collect();
         for z in cur.zones.iter().filter(|z| !fresh.contains(&z.name)) {
-            let was = before[&z.name];
             assert!(
-                Arc::ptr_eq(&z.ns_names, &was.ns_names)
-                    && Arc::ptr_eq(&z.parent_ds, &was.parent_ds)
-                    && Arc::ptr_eq(&z.ns_observations, &was.ns_observations)
-                    && Arc::ptr_eq(&z.signal_observations, &was.signal_observations),
-                "epoch {}: carried row {} copies its lists",
+                Arc::ptr_eq(z, before[&z.name]),
+                "epoch {}: carried row {} copies its scan",
                 cur.epoch,
                 z.name
             );
@@ -655,11 +651,11 @@ fn footprint_is_exact() {
 /// bytes inside it), and each distinct owner name's buffer once (an
 /// `Arc<[u8]>`: 16 header bytes plus the wire form); a body or name two
 /// owner classes share counts in the first.
-/// Scan results count every `ZoneScan` slot and nested vector; the
-/// scanner caches count the entries a cold scan's cache log inserted,
-/// last write per name, values at their capacity; the epoch tables of a
-/// 4-epoch `run_continuous` count every row and each shared list body
-/// once. Rows labelled "(count)" or "(what-if)" are not bytes held and
+/// Scan results count every row pointer and the scan body behind it;
+/// the scanner caches count the entries a cold scan's cache log
+/// inserted, last write per name, values at their capacity; the epoch
+/// tables of a 4-epoch `run_continuous` count every row pointer and each
+/// shared scan body once. Rows labelled "(count)" or "(what-if)" are not bytes held and
 /// stay out of the total; "index slots (count)" is each class's
 /// `Zone::index_slots`, map capacity plus set length. Prints; gates nothing:
 /// `cargo test --release --test cost_gates -- --ignored --nocapture`.
@@ -717,14 +713,16 @@ fn footprint_by_owner() {
     let results =
         Scanner::for_ecosystem(&eco, ScanPolicy::default()).scan_all_with(&seeds, Some(&log), None);
     let mut items = Slots::default();
-    let mut bytes = size_of::<ZoneScan>() * results.zones.capacity();
+    let mut bodies = 0;
     let mut seen = HashSet::new();
     for z in &results.zones {
         scan_slots(z, &mut items);
-        bytes += list_bytes(z, &mut seen);
+        bodies += body_bytes(z, &mut seen);
     }
     let scans = format!("scan results ({} zones)", results.zones.len());
-    rows.push((scans.clone(), "ZoneScan and nested slots", bytes));
+    let pointers = size_of::<ZoneScan>() * results.zones.capacity();
+    rows.push((scans.clone(), "row pointers", pointers));
+    rows.push((scans.clone(), "scan bodies", bodies));
     rows.push((scans, "spare nested slots (count)", items.slots - items.len));
     for (cache, b) in log.bytes() {
         rows.push(("scanner caches".into(), cache, b));
@@ -734,8 +732,8 @@ fn footprint_by_owner() {
 
     // The continuous study's four epoch tables, as the benchmark's
     // `continuous_study` runs it (2 workers, 8 shards, default churn).
-    // A list body carried from one table to the next counts once; the
-    // deep-copy row prices the same tables with every row owning its
+    // A scan body carried from one table to the next counts once; the
+    // deep-copy row prices the same tables with each table owning its
     // bodies, and is not part of the total.
     let mut cfg = ContinuousConfig::new(4, CHURN_SEED);
     cfg.fabric = FabricConfig {
@@ -758,14 +756,14 @@ fn footprint_by_owner() {
         table_rows += size_of::<ZoneScan>() * e.zones.capacity();
         let mut own = HashSet::new();
         for z in &e.zones {
-            shared += list_bytes(z, &mut seen);
-            deep += list_bytes(z, &mut own);
+            shared += body_bytes(z, &mut seen);
+            deep += body_bytes(z, &mut own);
         }
     }
     let tables = format!("epoch tables ({} epochs)", out.series.epochs.len());
-    rows.push((tables.clone(), "ZoneScan slots", table_rows));
-    rows.push((tables.clone(), "list bodies, each once", shared));
-    rows.push((tables, "list bodies if deep (what-if)", deep));
+    rows.push((tables.clone(), "row pointers", table_rows));
+    rows.push((tables.clone(), "scan bodies, each once", shared));
+    rows.push((tables, "scan bodies if deep (what-if)", deep));
     println!("footprint by owner, paper_default(100_000), {per_zone} seeds");
     println!(
         "{:<34} {:<28} {:>12} {:>10}",
@@ -790,15 +788,16 @@ fn footprint_by_owner() {
     );
 }
 
-/// Heap bytes of a scan's four shared lists and the lists they nest.
-/// Each `Arc` body counts once per `seen` set (by `Arc::as_ptr`): its
-/// 16 header bytes (the two reference counts) plus its slots — a key
-/// list shared by several observations, or by several scans, once.
-fn list_bytes(z: &ZoneScan, seen: &mut HashSet<*const u8>) -> usize {
-    use std::mem::size_of;
-    fn body<T>(v: &Arc<[T]>, seen: &mut HashSet<*const u8>) -> usize {
+/// Heap bytes of a scan body: the record behind its `Arc` (16 header
+/// bytes plus the `ScanRecord`), the four boxed lists it owns, and the
+/// key and CDS `Arc` bodies its observations point at. Each `Arc` body
+/// counts once per `seen` set (by `Arc::as_ptr`): a scan held by several
+/// tables, or a key list shared by several observations or scans, once.
+fn body_bytes(z: &ZoneScan, seen: &mut HashSet<*const u8>) -> usize {
+    use std::mem::{size_of, size_of_val};
+    fn cds<T>(v: &Arc<[T]>, seen: &mut HashSet<*const u8>) -> usize {
         if seen.insert(Arc::as_ptr(v).cast()) {
-            16 + v.len() * size_of::<T>()
+            16 + size_of_val(&**v)
         } else {
             0
         }
@@ -811,20 +810,20 @@ fn list_bytes(z: &ZoneScan, seen: &mut HashSet<*const u8>) -> usize {
             + v.capacity() * size_of::<DnskeyData>()
             + v.iter().map(|k| k.public_key.capacity()).sum::<usize>()
     }
-    let mut bytes = body(&z.ns_names, seen) + body(&z.parent_ds, seen);
-    let ns = body(&z.ns_observations, seen);
-    if ns > 0 {
-        bytes += ns;
-        for o in z.ns_observations.iter() {
-            bytes += keys(&o.dnskeys, seen) + body(&o.cds, seen);
-        }
+    if !seen.insert(Arc::as_ptr(z).cast()) {
+        return 0;
     }
-    let signals = body(&z.signal_observations, seen);
-    if signals > 0 {
-        bytes += signals;
-        for o in z.signal_observations.iter() {
-            bytes += body(&o.cds, seen);
-        }
+    let mut bytes = 16
+        + size_of::<ScanRecord>()
+        + size_of_val(&*z.ns_names)
+        + size_of_val(&*z.parent_ds)
+        + size_of_val(&*z.ns_observations)
+        + size_of_val(&*z.signal_observations);
+    for o in z.ns_observations.iter() {
+        bytes += keys(&o.dnskeys, seen) + cds(&o.cds, seen);
+    }
+    for o in z.signal_observations.iter() {
+        bytes += cds(&o.cds, seen);
     }
     bytes
 }

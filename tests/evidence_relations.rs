@@ -124,7 +124,11 @@ fn scanner(eco: &Ecosystem, parallelism: usize) -> Arc<Scanner> {
 
 /// Every zone's evidence, in canonical zone order.
 fn evidence(results: ScanResults) -> Vec<Evidence> {
-    results.zones.into_iter().map(|z| z.evidence).collect()
+    results
+        .zones
+        .into_iter()
+        .map(|z| Arc::unwrap_or_clone(z).evidence)
+        .collect()
 }
 
 /// Every zone's evidence from a cold scan of `eco` over `seeds`.
