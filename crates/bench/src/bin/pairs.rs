@@ -24,6 +24,13 @@
 //! `--append` adds one row per side to `BENCH_trajectory.json` in the
 //! working directory, in that file's row shape, and on an A/A round a
 //! third row (`"side": "aa-floor"`) with each metric's floor.
+//!
+//! Around every run it reads `/proc/stat` and this process's own
+//! `/proc/self/stat`, and it marks a pair noisy when either run saw the
+//! hypervisor steal more than [`STEAL_LIMIT`] of the host's CPU ticks,
+//! or other processes keep more than [`FOREIGN_LIMIT`] of them busy. The
+//! report names the marked pairs, and an A/A round prints its floor
+//! again without them.
 
 #[path = "benchmark/host.rs"]
 #[expect(
@@ -60,6 +67,113 @@ struct Run {
     attempted: u64,
     failed: u64,
     values: Vec<f64>,
+    /// What else the host did meanwhile.
+    noise: Noise,
+}
+
+/// A run is noisy above this share of the host's CPU ticks stolen.
+const STEAL_LIMIT: f64 = 0.02;
+
+/// A run is noisy above this share of the host's CPU ticks busy outside
+/// the run: on a two-CPU host, a fifth of the CPU a one-thread run did
+/// not use.
+const FOREIGN_LIMIT: f64 = 0.10;
+
+/// CPU tick counters at one instant.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Ticks {
+    /// `/proc/stat`'s aggregate `cpu` line: user, nice, system, irq and
+    /// softirq ticks of every CPU.
+    busy: u64,
+    /// Ticks the hypervisor ran something else on a CPU of this host.
+    steal: u64,
+    /// Every tick of every CPU: busy, idle, iowait and steal.
+    total: u64,
+    /// utime, stime, cutime and cstime of this process: its own ticks
+    /// and those of every run it has waited for.
+    own: u64,
+}
+
+impl Ticks {
+    /// The counters now; all zero where `/proc` cannot be read.
+    fn now() -> Ticks {
+        let read = |path| std::fs::read_to_string(path).unwrap_or_default();
+        let mut ticks = parse_proc_stat(&read("/proc/stat")).unwrap_or_default();
+        ticks.own = parse_own_ticks(&read("/proc/self/stat")).unwrap_or(0);
+        ticks
+    }
+}
+
+/// `busy`, `steal` and `total` from a `/proc/stat` text. The fields of
+/// its `cpu` line are user, nice, system, idle, iowait, irq, softirq,
+/// steal, guest and guest_nice; guest time is already counted in user.
+fn parse_proc_stat(text: &str) -> Option<Ticks> {
+    let line = text.lines().find(|l| l.starts_with("cpu "))?;
+    let fields: Vec<u64> = line
+        .split_whitespace()
+        .skip(1)
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    let [user, nice, system, idle, iowait, irq, softirq, steal, ..] = fields[..] else {
+        return None;
+    };
+    let busy = user + nice + system + irq + softirq;
+    Some(Ticks {
+        busy,
+        steal,
+        total: busy + idle + iowait + steal,
+        own: 0,
+    })
+}
+
+/// `utime + stime + cutime + cstime` (fields 14 to 17) of a
+/// `/proc/<pid>/stat` line. The command name (field 2) may contain
+/// spaces and parentheses, so fields are counted from the last `)`.
+fn parse_own_ticks(stat: &str) -> Option<u64> {
+    let rest = &stat[stat.rfind(')')? + 1..];
+    // `rest` starts at field 3 (state); utime is field 14.
+    let fields: Vec<u64> = rest
+        .split_whitespace()
+        .skip(11)
+        .take(4)
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    (fields.len() == 4).then(|| fields.iter().sum())
+}
+
+/// What else the host did while one run ran, as shares of every CPU
+/// tick that passed.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Noise {
+    /// Ticks stolen by the hypervisor.
+    steal: f64,
+    /// Busy ticks neither the run nor `pairs` spent: for a one-thread
+    /// run on a two-CPU host, the CPU the run did not use.
+    foreign: f64,
+}
+
+impl Noise {
+    fn between(before: &Ticks, after: &Ticks) -> Noise {
+        let total = after.total.saturating_sub(before.total).max(1) as f64;
+        let busy = after.busy.saturating_sub(before.busy);
+        let own = after.own.saturating_sub(before.own);
+        Noise {
+            steal: after.steal.saturating_sub(before.steal) as f64 / total,
+            foreign: busy.saturating_sub(own) as f64 / total,
+        }
+    }
+
+    fn noisy(&self) -> bool {
+        self.steal > STEAL_LIMIT || self.foreign > FOREIGN_LIMIT
+    }
+}
+
+/// Whether pair `i` is marked: either of its runs was noisy.
+fn marked(parent: &[Run], change: &[Run], i: usize) -> bool {
+    [parent.get(i), change.get(i)]
+        .into_iter()
+        .flatten()
+        .any(|r| r.noise.noisy())
 }
 
 /// One metric on both sides of a round.
@@ -183,6 +297,7 @@ fn parse_result(line: &str, metrics: &[Metric]) -> Result<Run, String> {
         attempted: count("attempted").unwrap_or(0.0) as u64,
         failed: count("failed").unwrap_or(0.0) as u64,
         values,
+        noise: Noise::default(),
     })
 }
 
@@ -285,15 +400,56 @@ fn render_report(metrics: &[Metric], parent: &[Run], change: &[Run], same_binary
             equal.join(", ")
         }
     ));
-    if same_binary {
-        let floors: Vec<String> = metrics
+    let pairs = parent.len().min(change.len());
+    let noisy: Vec<usize> = (0..pairs).filter(|&i| marked(parent, change, i)).collect();
+    let worst = |share: fn(&Noise) -> f64| {
+        parent
             .iter()
-            .zip(&comparisons)
-            .map(|(m, c)| format!("{} {:.1} %", m.name, c.floor() * 100.0))
-            .collect();
+            .chain(change)
+            .map(|r| share(&r.noise) * 100.0)
+            .fold(0.0, f64::max)
+    };
+    out.push_str(&format!(
+        "noisy pairs (steal > {:.0} % or foreign busy > {:.0} % of host CPU ticks in either run; worst {:.1} % / {:.1} %): {} of {pairs}{}\n",
+        STEAL_LIMIT * 100.0,
+        FOREIGN_LIMIT * 100.0,
+        worst(|n| n.steal),
+        worst(|n| n.foreign),
+        noisy.len(),
+        if noisy.is_empty() {
+            String::new()
+        } else {
+            format!(", pairs {noisy:?}")
+        }
+    ));
+    if same_binary {
+        let floors = |comparisons: &[Comparison]| {
+            metrics
+                .iter()
+                .zip(comparisons)
+                .map(|(m, c)| format!("{} {:.1} %", m.name, c.floor() * 100.0))
+                .collect::<Vec<_>>()
+                .join("; ")
+        };
         out.push_str(&format!(
             "A/A floor (widest IQR or median gap, share of the median): {}\n",
-            floors.join("; ")
+            floors(&comparisons)
+        ));
+        let quiet = |runs: &[Run]| -> Vec<Run> {
+            (0..pairs)
+                .filter(|i| !noisy.contains(i))
+                .map(|i| runs[i].clone())
+                .collect()
+        };
+        let (p, c) = (quiet(parent), quiet(change));
+        out.push_str(&format!(
+            "A/A floor without the noisy pairs ({} left): {}\n",
+            p.len(),
+            if p.is_empty() {
+                "none left".to_string()
+            } else {
+                floors(&compare(metrics, &p, &c))
+            }
         ));
     }
     out
@@ -483,6 +639,14 @@ fn run_once(bin: &Path, workload: &str, seed: u64, spec: &Spec) -> Result<Run, S
     parse_result(line, &spec.metrics)
 }
 
+/// [`run_once`], with the host's noise over the run.
+fn run_measured(bin: &Path, workload: &str, seed: u64, spec: &Spec) -> Result<Run, String> {
+    let before = Ticks::now();
+    let mut run = run_once(bin, workload, seed, spec)?;
+    run.noise = Noise::between(&before, &Ticks::now());
+    Ok(run)
+}
+
 fn same_binary(a: &Path, b: &Path) -> bool {
     matches!((a.canonicalize(), b.canonicalize()), (Ok(a), Ok(b)) if a == b)
 }
@@ -500,16 +664,18 @@ fn real_main() -> Result<(), String> {
             [(&args.change, false), (&args.parent, true)]
         };
         for (bin, is_parent) in order {
-            let run = run_once(bin, &args.workload, seed, &spec)?;
+            let run = run_measured(bin, &args.workload, seed, &spec)?;
             eprintln!(
-                "[pairs] pair {i} seed {seed} {}: {}",
+                "[pairs] pair {i} seed {seed} {}: {}; steal {:.1} %, foreign busy {:.1} %",
                 if is_parent { "parent" } else { "change" },
                 metrics
                     .iter()
                     .zip(&run.values)
                     .map(|(m, v)| format!("{} {}", m.name, num(*v)))
                     .collect::<Vec<_>>()
-                    .join(", ")
+                    .join(", "),
+                run.noise.steal * 100.0,
+                run.noise.foreign * 100.0
             );
             if is_parent {
                 parent.push(run);
@@ -588,6 +754,7 @@ mod tests {
             attempted: 10,
             failed: 0,
             values: values.to_vec(),
+            noise: Noise::default(),
         }
     }
 
@@ -666,7 +833,8 @@ mod tests {
                 correct: true,
                 attempted: 14000,
                 failed: 0,
-                values: vec![1.5, 9000.0]
+                values: vec![1.5, 9000.0],
+                noise: Noise::default(),
             }
         );
         assert!(parse_result(r#"{"metrics":{}}"#, &metrics).is_err());
@@ -720,7 +888,7 @@ mod tests {
         let parent = [run(&[2.0, 1.5]), run(&[2.2, 1.6])];
         let change = [run(&[1.8, 1.4]), run(&[2.0, 1.5])];
         let report = render_report(&metrics, &parent, &change, false);
-        assert_eq!(report.lines().count(), 6, "{report}");
+        assert_eq!(report.lines().count(), 7, "{report}");
         assert!(report.contains("bit-equal pair by pair: none\n"));
         assert!(report
             .lines()
@@ -735,5 +903,87 @@ mod tests {
         );
         assert!(report.contains("  -0.100 s  "), "{report}");
         assert!(aa.contains("bit-equal pair by pair: wall_s, cpu_s\n"));
+        assert!(report.contains("): 0 of 2\n"), "{report}");
+        assert!(
+            aa.contains("A/A floor without the noisy pairs (2 left): wall_s 14.3 %; cpu_s 9.7 %\n"),
+            "{aa}"
+        );
+    }
+
+    /// A two-CPU host's `/proc/stat`, as Linux writes it.
+    const PROC_STAT: &str = "cpu  2905799 0 110192 14097717 31906 0 8943 83490 0 0
+cpu0 1155376 0 62860 7338490 13086 0 4677 52471 0 0
+cpu1 1750422 0 47332 6759226 18820 0 4265 31019 0 0
+intr 19470300 0 0 0
+ctxt 52093413
+btime 1792000000
+processes 417356
+procs_running 2
+procs_blocked 0
+";
+
+    #[test]
+    fn proc_stat_and_own_ticks_are_read() {
+        let busy = 2_905_799 + 110_192 + 8_943;
+        assert_eq!(
+            parse_proc_stat(PROC_STAT),
+            Some(Ticks {
+                busy,
+                steal: 83_490,
+                total: busy + 14_097_717 + 31_906 + 83_490,
+                own: 0,
+            })
+        );
+        // A kernel without steal accounting writes fewer fields.
+        assert_eq!(parse_proc_stat("cpu  1 2 3 4\n"), None);
+        assert_eq!(parse_proc_stat("cpu0 1 0 1 1 0 0 0 0\n"), None);
+        let stat = "4242 (pairs (x) y) S 1 4242 4242 0 -1 4194304 100 0 0 0 \
+                    7 3 250 40 20 0 1 0 100 0 0";
+        assert_eq!(parse_own_ticks(stat), Some(7 + 3 + 250 + 40));
+        assert_eq!(parse_own_ticks("4242 (pairs) S 1 2"), None);
+    }
+
+    #[test]
+    fn noise_is_a_share_of_host_ticks_and_marks_its_pair() {
+        let before = Ticks {
+            busy: 1_000,
+            steal: 10,
+            total: 5_000,
+            own: 300,
+        };
+        // 1 200 ticks pass on the host; the run took 600 of the 700 busy.
+        let after = Ticks {
+            busy: 1_700,
+            steal: 22,
+            total: 6_200,
+            own: 900,
+        };
+        let noise = Noise::between(&before, &after);
+        assert!((noise.steal - 0.01).abs() < 1e-12);
+        assert!((noise.foreign - 100.0 / 1_200.0).abs() < 1e-12);
+        assert!(!noise.noisy());
+        let loud = |steal, foreign| Noise { steal, foreign };
+        assert!(loud(0.03, 0.0).noisy());
+        assert!(loud(0.0, 0.2).noisy());
+
+        let metrics = [metric("wall_s", true)];
+        let mut parent = vec![run(&[2.0]), run(&[2.1]), run(&[2.2]), run(&[3.0])];
+        let change = parent.clone();
+        parent[3].noise = loud(0.0, 0.4);
+        assert_eq!(
+            (0..4)
+                .map(|i| marked(&parent, &change, i))
+                .collect::<Vec<_>>(),
+            [false, false, false, true]
+        );
+        let aa = render_report(&metrics, &parent, &change, true);
+        assert!(
+            aa.contains("worst 0.0 % / 40.0 %): 1 of 4, pairs [3]\n"),
+            "{aa}"
+        );
+        assert!(
+            aa.contains("A/A floor without the noisy pairs (3 left): wall_s 9.5 %\n"),
+            "{aa}"
+        );
     }
 }

@@ -18,7 +18,9 @@ use crate::operator::OperatorTable;
 use crate::progress::{ProgressSink, ResumeState, ZoneEffects, ZoneEvent};
 use crate::types::*;
 use dns_crypto::UnixTime;
-use dns_resolver::validate::{ds_link_verifies, self_signed_dnskeys, verified_dnskeys};
+use dns_resolver::validate::{
+    answer_sets_verify, ds_link_verifies, self_signed_dnskeys, verified_dnskeys,
+};
 use dns_resolver::{
     CacheInsert, ChainLink, ClientErrorKind, CutOutcome, DnsClient, HostileCause, ProvenanceCache,
     QueryMeter, ReferralData, Resolution, Resolver, ResolverError, RetryPolicy, RetryStats,
@@ -26,10 +28,9 @@ use dns_resolver::{
 };
 use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
-use dns_wire::rdata::{DnskeyData, DsData, RData, RrsigData};
-use dns_wire::record::{Record, RecordClass, RecordType, RrSet};
+use dns_wire::rdata::{DnskeyData, DsData, RData};
+use dns_wire::record::{Record, RecordType};
 use dns_zone::signal::{signal_name, signal_zone_apex};
-use dns_zone::signer::verify_rrset_with_keys;
 use netsim::{Addr, DeterministicDraw, Network, RateLimiter, SimMicros};
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -167,11 +168,28 @@ type DsVerdict = (Arc<ReferralData>, Arc<Vec<DnskeyData>>);
 
 /// One address's CDS/CDNSKEY signature check input, compared by value:
 /// another address of the same zone serving the same records reuses the
-/// verdict (the zone, and the scanner's `now`, are fixed within a scan).
+/// verdict (the scanner's `now` is fixed within a scan). `answers` are
+/// the CDS and the CDNSKEY replies' answer records, in that order.
+#[derive(PartialEq)]
 struct CdsSigInput {
-    rdatas: Vec<RData>,
-    rrsigs: Vec<RrsigData>,
+    answers: Vec<Record>,
     dnskeys: Arc<Vec<DnskeyData>>,
+}
+
+/// The types the CDS and signal checks verify in an answer.
+fn is_cds_type(rtype: RecordType) -> bool {
+    matches!(rtype, RecordType::Cds | RecordType::Cdnskey)
+}
+
+/// The CDS and CDNSKEY records among `answers`, sorted and deduplicated.
+fn cds_seen<'a>(answers: impl IntoIterator<Item = &'a Record>) -> Arc<[CdsSeen]> {
+    let mut cds: Vec<CdsSeen> = answers
+        .into_iter()
+        .filter_map(|r| CdsSeen::from_rdata(&r.rdata))
+        .collect();
+    cds.sort();
+    cds.dedup();
+    cds.into()
 }
 
 impl Scanner {
@@ -528,7 +546,7 @@ impl Scanner {
         // instead of asking again.
         let mut resolution_soa = res
             .answered_by
-            .map(|addr| (addr, soa_owned_by(&res.answers, zone)));
+            .map(|addr| (addr, owns(&res.answers, zone, RecordType::Soa)));
         let mut observations = Vec::with_capacity(targets.len());
         let mut cds_verdicts = Vec::new();
         let mut key_reply = None;
@@ -677,7 +695,7 @@ impl Scanner {
             cds_sig_valid: None,
             csync_present: false,
         };
-        let (mut keys, mut cds) = (Vec::new(), Vec::new());
+        let mut keys = Vec::new();
         // SOA: authoritativeness / lameness probe. A verdict in hand
         // stands for a reply this address gave, so the breaker sees the
         // success the query would have recorded.
@@ -688,7 +706,7 @@ impl Scanner {
             }
             None => self
                 .query(probe, addr, zone, RecordType::Soa)
-                .map(|msg| soa_owned_by(&msg.answers, zone)),
+                .map(|msg| owns(&msg.answers, zone, RecordType::Soa)),
         };
         if let Some(present) = soa {
             obs.responded = true;
@@ -705,8 +723,7 @@ impl Scanner {
             }
         }
         // CDS + CDNSKEY.
-        let mut cds_rrsigs: Vec<RrsigData> = Vec::new();
-        let mut cds_rdatas: Vec<RData> = Vec::new();
+        let mut cds_answers: Vec<Record> = Vec::new();
         for rtype in [RecordType::Cds, RecordType::Cdnskey] {
             match self.query(probe, addr, zone, rtype) {
                 Some(msg) => {
@@ -715,20 +732,7 @@ impl Scanner {
                         obs.cds_query_error = true;
                         continue;
                     }
-                    for r in &msg.answers {
-                        match &r.rdata {
-                            RData::Cds(d) => {
-                                cds.push(CdsSeen::Cds(d.clone()));
-                                cds_rdatas.push(r.rdata.clone());
-                            }
-                            RData::Cdnskey(k) => {
-                                cds.push(CdsSeen::Cdnskey(k.clone()));
-                                cds_rdatas.push(r.rdata.clone());
-                            }
-                            RData::Rrsig(s) => cds_rrsigs.push(s.clone()),
-                            _ => {}
-                        }
-                    }
+                    cds_answers.extend(msg.answers);
                 }
                 None => {
                     obs.cds_query_error = true;
@@ -737,33 +741,24 @@ impl Scanner {
         }
         keys.shrink_to_fit();
         obs.dnskeys = Arc::new(keys);
-        cds.sort();
-        cds.dedup();
-        obs.cds = cds.into();
+        obs.cds = cds_seen(&cds_answers);
         // CSYNC (RFC 7477) — the other child→parent channel (paper §6).
         if let Some(msg) = self.query(probe, addr, zone, RecordType::Csync) {
-            obs.csync_present = msg
-                .answers
-                .iter()
-                .any(|r| r.rtype() == RecordType::Csync && r.name == *zone);
+            obs.csync_present = owns(&msg.answers, zone, RecordType::Csync);
         }
-        // Verify the RRSIG over the CDS RRset against the zone's DNSKEYs
-        // as served by this same address — once per distinct input.
-        if !cds_rdatas.is_empty() && !obs.dnskeys.is_empty() {
-            let seen = cds_verdicts.iter().find(|(seen, _)| {
-                seen.rdatas == cds_rdatas
-                    && seen.rrsigs == cds_rrsigs
-                    && seen.dnskeys == obs.dnskeys
-            });
-            let valid = match seen {
+        // Verify the RRSIGs over the CDS and CDNSKEY RRsets against the
+        // zone's DNSKEYs as served by this same address — once per
+        // distinct input.
+        if !obs.cds.is_empty() && !obs.dnskeys.is_empty() {
+            let input = CdsSigInput {
+                answers: cds_answers,
+                dnskeys: Arc::clone(&obs.dnskeys),
+            };
+            let valid = match cds_verdicts.iter().find(|(seen, _)| *seen == input) {
                 Some(&(_, valid)) => valid,
                 None => {
-                    let input = CdsSigInput {
-                        rdatas: cds_rdatas,
-                        rrsigs: cds_rrsigs,
-                        dnskeys: Arc::clone(&obs.dnskeys),
-                    };
-                    let valid = self.cds_sigs_valid(zone, &input);
+                    let valid =
+                        answer_sets_verify(&input.answers, is_cds_type, &input.dnskeys, self.now);
                     cds_verdicts.push((input, valid));
                     valid
                 }
@@ -771,31 +766,6 @@ impl Scanner {
             obs.cds_sig_valid = Some(valid);
         }
         (obs, dnskeys)
-    }
-
-    /// Whether the CDS and the CDNSKEY RRset in `input` (each, if
-    /// present) verify against its DNSKEYs.
-    fn cds_sigs_valid(&self, zone: &Name, input: &CdsSigInput) -> bool {
-        [RecordType::Cds, RecordType::Cdnskey]
-            .into_iter()
-            .all(|rtype| {
-                let set = RrSet {
-                    name: zone.clone(),
-                    class: RecordClass::In,
-                    rtype,
-                    ttl: 300,
-                    rdatas: input
-                        .rdatas
-                        .iter()
-                        .filter(|r| r.rtype() == rtype)
-                        .cloned()
-                        .collect(),
-                };
-                if set.rdatas.is_empty() {
-                    return true;
-                }
-                verify_rrset_with_keys(&set, &input.rrsigs, &input.dnskeys, self.now).is_ok()
-            })
     }
 
     /// Probe the signal name for (zone, ns): resolve its CDS, validate
@@ -808,55 +778,40 @@ impl Scanner {
             dnssec_valid: None,
             zone_cut: false,
         };
-        let mut cds = Vec::new();
         let Ok(signame) = signal_name(zone, ns) else {
             obs.name_unbuildable = true;
             return obs;
         };
-        let res = match self.resolver.resolve_at_with(
-            Some(&probe.meter),
-            probe.clock,
-            &signame,
-            RecordType::Cds,
-        ) {
-            Ok(r) => r,
-            Err(ResolverError::Hostile(c)) => {
-                // An adversary answering for the signal name (alias
-                // loops, referral games) is a hostile casualty of this
-                // zone's scan — named, and degrading.
-                probe.meter.tally(|s| s.record(ScanError::Hostile(c)));
-                return obs;
-            }
-            Err(_) => return obs,
-        };
-        probe.clock += res.elapsed;
-        probe.queries += res.queries;
-        for r in &res.answers {
-            match &r.rdata {
-                RData::Cds(d) => cds.push(CdsSeen::Cds(d.clone())),
-                RData::Cdnskey(k) => cds.push(CdsSeen::Cdnskey(k.clone())),
-                _ => {}
-            }
-        }
-        // CDNSKEY at the same name.
-        let res2 = self.resolver.resolve_at_with(
-            Some(&probe.meter),
-            probe.clock,
-            &signame,
-            RecordType::Cdnskey,
-        );
-        if let Ok(res2) = &res2 {
-            probe.clock += res2.elapsed;
-            probe.queries += res2.queries;
-            for r in &res2.answers {
-                if let RData::Cdnskey(k) = &r.rdata {
-                    cds.push(CdsSeen::Cdnskey(k.clone()));
+        // CDS, then CDNSKEY at the same name.
+        let mut resolutions: Vec<Resolution> = Vec::with_capacity(2);
+        for rtype in [RecordType::Cds, RecordType::Cdnskey] {
+            match self
+                .resolver
+                .resolve_at_with(Some(&probe.meter), probe.clock, &signame, rtype)
+            {
+                Ok(r) => {
+                    probe.clock += r.elapsed;
+                    probe.queries += r.queries;
+                    resolutions.push(r);
+                }
+                Err(e) => {
+                    // An adversary answering the CDS question for the
+                    // signal name (alias loops, referral games) is a
+                    // hostile casualty of this zone's scan — named, and
+                    // degrading.
+                    if let (true, ResolverError::Hostile(c)) = (resolutions.is_empty(), e) {
+                        probe.meter.tally(|s| s.record(ScanError::Hostile(c)));
+                    }
+                    break;
                 }
             }
         }
-        cds.sort();
-        cds.dedup();
-        obs.cds = cds.into();
+        // Without the CDS resolution there is no probe; a failed CDNSKEY
+        // resolution only leaves its records out.
+        let Some(res) = resolutions.first() else {
+            return obs;
+        };
+        obs.cds = cds_seen(resolutions.iter().flat_map(|r| &r.answers));
         // A zone cut: the answer came from below `_signal.<ns>`, or the
         // path probe finds one — probed even without signal records, as
         // the parked-typo-NS case (§4.4) fakes NS RRsets at every label.
@@ -867,38 +822,22 @@ impl Scanner {
             return obs;
         }
         // Chain validation of the signal records.
-        let chain = self.validate_chain_to_parent(probe, &res);
+        let chain = self.validate_chain_to_parent(probe, res);
         let valid = match chain {
             ChainStatus::DsPresent(ds) => {
                 // Validate the answering zone's keys, then the CDS and
-                // CDNSKEY answers.
+                // CDNSKEY answers, each on its own.
                 let keys = self.validated_keys(probe, &res.zone_apex, &res.zone_servers, &ds);
-                let mut answers = [&res].into_iter().chain(&res2);
-                keys.is_some_and(|keys| answers.all(|r| self.signal_rrsets_valid(r, &keys)))
+                keys.is_some_and(|keys| {
+                    resolutions
+                        .iter()
+                        .all(|r| answer_sets_verify(&r.answers, is_cds_type, &keys, self.now))
+                })
             }
             _ => false, // unsigned or broken chain → signal not authenticated
         };
         obs.dnssec_valid = Some(valid);
         obs
-    }
-
-    fn signal_rrsets_valid(&self, res: &Resolution, keys: &[DnskeyData]) -> bool {
-        let rrsigs: Vec<RrsigData> = res
-            .answers
-            .iter()
-            .filter_map(|r| match &r.rdata {
-                RData::Rrsig(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect();
-        for set in RrSet::group(&res.answers) {
-            if matches!(set.rtype, RecordType::Cds | RecordType::Cdnskey)
-                && verify_rrset_with_keys(&set, &rrsigs, keys, self.now).is_err()
-            {
-                return false;
-            }
-        }
-        true
     }
 
     /// Probe for NS RRsets between the zone apex and the signal name,
@@ -952,11 +891,7 @@ impl Scanner {
             let Some(msg) = self.query(probe, addr, label, RecordType::Ns) else {
                 continue;
             };
-            let has_ns = msg.rcode() == Rcode::NoError
-                && msg
-                    .answers
-                    .iter()
-                    .any(|r| r.rtype() == RecordType::Ns && r.name == *label);
+            let has_ns = msg.rcode() == Rcode::NoError && owns(&msg.answers, label, RecordType::Ns);
             if shared && matches!(msg.rcode(), Rcode::NoError | Rcode::NxDomain) {
                 let outcome = CutOutcome {
                     apex: zone_apex.clone(),
@@ -1198,11 +1133,11 @@ impl Scanner {
     }
 }
 
-/// Whether `answers` hold an SOA owned by `zone`.
-fn soa_owned_by(answers: &[Record], zone: &Name) -> bool {
+/// Whether `answers` hold a record of `rtype` owned by `owner`.
+fn owns(answers: &[Record], owner: &Name, rtype: RecordType) -> bool {
     answers
         .iter()
-        .any(|r| r.rtype() == RecordType::Soa && r.name == *zone)
+        .any(|r| r.rtype() == rtype && r.name == *owner)
 }
 
 /// Outcome of validating the chain from the root to a zone's parent.
@@ -1234,7 +1169,3 @@ impl ScanResults {
         self.zones.iter().filter(|z| z.weak())
     }
 }
-
-// Security is re-exported so downstream users need not depend on
-// dns-resolver directly.
-pub use dns_resolver::validate::Security as ResolverSecurity;

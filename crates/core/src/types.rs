@@ -5,7 +5,7 @@ use crate::operator::Identified;
 use dns_resolver::validate::DsForm;
 use dns_resolver::RetryStats;
 use dns_wire::name::Name;
-use dns_wire::rdata::{DnskeyData, DsData};
+use dns_wire::rdata::{DnskeyData, DsData, RData};
 use netsim::{Addr, SimMicros};
 use std::cmp::Ordering;
 use std::ops::Deref;
@@ -21,6 +21,16 @@ pub enum CdsSeen {
 }
 
 impl CdsSeen {
+    /// The RDATA as seen, if it is a CDS or a CDNSKEY — the one reader
+    /// of both from a reply.
+    pub fn from_rdata(rdata: &RData) -> Option<CdsSeen> {
+        match rdata {
+            RData::Cds(ds) => Some(CdsSeen::Cds(ds.clone())),
+            RData::Cdnskey(key) => Some(CdsSeen::Cdnskey(key.clone())),
+            _ => None,
+        }
+    }
+
     /// The record as [`ds_matches_key`](dns_resolver::validate::ds_matches_key)
     /// reads it.
     pub fn form(&self) -> DsForm<'_> {

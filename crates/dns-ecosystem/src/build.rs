@@ -599,34 +599,29 @@ impl Builder {
         // Install into the serving hosts' stores.
         let arc = Arc::new(zone);
         self.ops[op_idx].stores[hosts.0].insert_shared(Arc::clone(&arc));
-        if hosts.1 != hosts.0 {
-            if cds == CdsState::Inconsistent && second_op.is_none() {
-                // Intra-operator divergence: host 1 serves different CDS.
-                let mut alt = Zone::new(name.clone());
-                alt.add_rrset(soa(name));
-                alt.add_rrset(ns(name, &ns_body));
-                for set in RrSet::group(&throwaway.cds_records(name, 300, cds_policy)) {
-                    alt.add_rrset(set);
-                }
-                self.signer().sign(&mut alt, &keys);
-                self.ops[op_idx].stores[hosts.1].insert_shared(Arc::new(alt));
-            } else {
-                self.ops[op_idx].stores[hosts.1].insert_shared(Arc::clone(&arc));
+        // The zone's other server — the second operator's if there is
+        // one, else host 1 — serves `other`: for an inconsistent zone, a
+        // copy whose CDS names a throwaway key.
+        let divergent =
+            cds == CdsState::Inconsistent && (second_op.is_some() || hosts.1 != hosts.0);
+        let other = if divergent {
+            let mut alt = Zone::new(name.clone());
+            alt.add_rrset(soa(name));
+            alt.add_rrset(ns(name, &ns_body));
+            for set in RrSet::group(&throwaway.cds_records(name, 300, cds_policy)) {
+                alt.add_rrset(set);
             }
+            self.signer().sign(&mut alt, &keys);
+            Arc::new(alt)
+        } else {
+            Arc::clone(&arc)
+        };
+        if hosts.1 != hosts.0 {
+            let copy = if second_op.is_some() { &arc } else { &other };
+            self.ops[op_idx].stores[hosts.1].insert_shared(Arc::clone(copy));
         }
         if let Some(op2) = second_op {
-            if cds == CdsState::Inconsistent {
-                let mut alt = Zone::new(name.clone());
-                alt.add_rrset(soa(name));
-                alt.add_rrset(ns(name, &ns_body));
-                for set in RrSet::group(&throwaway.cds_records(name, 300, cds_policy)) {
-                    alt.add_rrset(set);
-                }
-                self.signer().sign(&mut alt, &keys);
-                self.ops[op2].stores[0].insert_shared(Arc::new(alt));
-            } else {
-                self.ops[op2].stores[0].insert_shared(Arc::clone(&arc));
-            }
+            self.ops[op2].stores[0].insert_shared(other);
         }
 
         // Signal publication.

@@ -20,7 +20,7 @@ use dns_crypto::{ds_digest, DigestType};
 use dns_wire::message::Message;
 use dns_wire::name::Name;
 use dns_wire::rdata::{DnskeyData, DsData, RData, RrsigData};
-use dns_wire::record::{RecordClass, RecordType, RrSet};
+use dns_wire::record::{Record, RecordClass, RecordType, RrSet};
 use dns_zone::signer::verify_rrset_with_keys;
 use netsim::Addr;
 
@@ -83,23 +83,36 @@ pub fn validate_resolution(
     }
 
     // 3. Verify the answer RRsets with the answering zone's keys.
-    let rrsigs: Vec<RrsigData> = res
-        .answers
+    if answer_sets_verify(&res.answers, |_| true, &current_keys, now) {
+        Security::Secure
+    } else {
+        Security::Bogus
+    }
+}
+
+/// The RFC 4035 §5.3 answer step, stated once for the validator and the
+/// scanner's CDS and signal checks: every RRset in `answers` whose type
+/// `checked` accepts verifies under `keys` at `now` with one of the
+/// RRSIGs `answers` carries. Records group into RRsets by owner, class
+/// and type ([`RrSet::group`]); RRSIGs are never a checked set, and an
+/// answer with no checked set verifies.
+pub fn answer_sets_verify(
+    answers: &[Record],
+    checked: impl Fn(RecordType) -> bool,
+    keys: &[DnskeyData],
+    now: UnixTime,
+) -> bool {
+    let rrsigs: Vec<RrsigData> = answers
         .iter()
         .filter_map(|r| match &r.rdata {
             RData::Rrsig(s) => Some(s.clone()),
             _ => None,
         })
         .collect();
-    for set in RrSet::group(&res.answers) {
-        if set.rtype == RecordType::Rrsig {
-            continue;
-        }
-        if verify_rrset_with_keys(&set, &rrsigs, &current_keys, now).is_err() {
-            return Security::Bogus;
-        }
-    }
-    Security::Secure
+    RrSet::group(answers)
+        .iter()
+        .filter(|set| set.rtype != RecordType::Rrsig && checked(set.rtype))
+        .all(|set| verify_rrset_with_keys(set, &rrsigs, keys, now).is_ok())
 }
 
 /// Fetch the DNSKEY RRset of `zone` from `servers` and check it against
@@ -149,25 +162,9 @@ pub fn self_signed_dnskeys(reply: &Message, zone: &Name, now: UnixTime) -> Optio
             _ => None,
         })
         .collect();
-    let rrsigs: Vec<RrsigData> = reply
-        .answers
-        .iter()
-        .filter_map(|r| match &r.rdata {
-            RData::Rrsig(s) if s.type_covered == RecordType::Dnskey.code() => Some(s.clone()),
-            _ => None,
-        })
-        .collect();
-    // Verification canonicalises with the RRSIG's original TTL, so the
-    // set's own TTL is immaterial.
-    let set = RrSet {
-        name: zone.clone(),
-        class: RecordClass::In,
-        rtype: RecordType::Dnskey,
-        ttl: 0,
-        rdatas: keys.iter().cloned().map(RData::Dnskey).collect(),
-    };
-    verify_rrset_with_keys(&set, &rrsigs, &keys, now).ok()?;
-    Some(keys)
+    let is_dnskey = |rtype| rtype == RecordType::Dnskey;
+    let signed = !keys.is_empty() && answer_sets_verify(&reply.answers, is_dnskey, &keys, now);
+    signed.then_some(keys)
 }
 
 /// Is the DS RRset recorded on `link` signed by `parent_keys`? `false`
@@ -252,8 +249,7 @@ mod tests {
     use dns_server::{AuthServer, ZoneStore};
     use dns_wire::name;
     use dns_wire::rdata::SoaData;
-    use dns_wire::record::Record;
-    use dns_zone::{Corruption, Zone, ZoneKeys, ZoneSigner};
+    use dns_zone::{CdsPublication, Corruption, Zone, ZoneKeys, ZoneSigner};
     use netsim::{Network, ServerHandler, ServerResponse, SimMicros, Transport};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -268,6 +264,8 @@ mod tests {
         net: Arc<Network>,
         roots: Vec<Addr>,
         anchors: Vec<DsData>,
+        /// secure.test's DNSKEYs, which sign its CDS and CDNSKEY.
+        secure_keys: Vec<DnskeyData>,
     }
 
     fn soa(apex: &Name) -> Record {
@@ -299,20 +297,21 @@ mod tests {
         let mk_leaf = |apex: &Name, rng: &mut StdRng| -> (Zone, ZoneKeys) {
             let mut z = Zone::new(apex.clone());
             z.add(soa(apex));
-            let ns = apex.prepend_label(b"ns1").unwrap();
             z.add(Record::new(
                 apex.clone(),
                 300,
                 RData::Ns(name!("ns1.leafhost.test")),
             ));
-            let _ = ns;
             z.add(a(&apex.prepend_label(b"www").unwrap(), 80));
             let keys = ZoneKeys::generate(rng, Algorithm::EcdsaP256Sha256);
             (z, keys)
         };
 
-        // secure.test — signed, DS in parent.
+        // secure.test — signed, DS in parent, two CDS and a CDNSKEY.
         let (mut secure, secure_keys) = mk_leaf(&name!("secure.test"), &mut rng);
+        for r in secure_keys.cds_records(&name!("secure.test"), 300, CdsPublication::DESEC) {
+            secure.add(r);
+        }
         signer.sign(&mut secure, &secure_keys);
         // insecure.test — unsigned, no DS.
         let (insecure, _) = mk_leaf(&name!("insecure.test"), &mut rng);
@@ -411,6 +410,14 @@ mod tests {
         let leaf_addr = Addr::V4(Ipv4Addr::new(192, 0, 2, 53));
         net.bind_simple(leaf_addr, leaf_sid);
 
+        let secure_keys = secure_keys
+            .dnskey_records(&name!("secure.test"), 300)
+            .into_iter()
+            .filter_map(|r| match r.rdata {
+                RData::Dnskey(k) => Some(k),
+                _ => None,
+            })
+            .collect();
         // Glue: the TLD and root refer by name; our referral glue comes
         // from the zones' additionals only when in-bailiwick, so seed the
         // resolver address cache instead (the ecosystem does the same).
@@ -418,6 +425,7 @@ mod tests {
             net,
             roots: vec![root_addr],
             anchors,
+            secure_keys,
         }
     }
 
@@ -614,6 +622,61 @@ mod tests {
         assert!(names_ksk(257, 3));
         assert!(!names_ksk(256, 3));
         assert!(!names_ksk(257, 2));
+    }
+
+    /// Whether `answers` pass the CDS check under secure.test's keys.
+    fn cds_verifies(m: &MiniNet, answers: &[Record]) -> bool {
+        answer_sets_verify(answers, |t| t == RecordType::Cds, &m.secure_keys, NOW)
+    }
+
+    /// secure.test's CDS answer as the resolver records it (two CDS
+    /// records and their RRSIG), and its copy with `edit` applied to
+    /// every record.
+    fn cds_answer(m: &MiniNet, edit: impl Fn(&mut Vec<Record>)) -> (Vec<Record>, Vec<Record>) {
+        let qname = name!("secure.test");
+        let res = resolver(m)
+            .resolve_at_with(None, 0, &qname, RecordType::Cds)
+            .unwrap();
+        let types: Vec<RecordType> = res.answers.iter().map(Record::rtype).collect();
+        assert_eq!(types, [RecordType::Cds, RecordType::Cds, RecordType::Rrsig]);
+        let mut edited = res.answers.clone();
+        edit(&mut edited);
+        (res.answers, edited)
+    }
+
+    #[test]
+    fn signed_answer_verifies_and_loses_its_signature() {
+        let m = build();
+        let (answers, unsigned) = cds_answer(&m, |v| v.retain(|r| r.rtype() != RecordType::Rrsig));
+        assert!(cds_verifies(&m, &answers));
+        assert!(!cds_verifies(&m, &unsigned));
+        let (_, flipped) = cds_answer(&m, |v| {
+            for r in v {
+                if let RData::Rrsig(sig) = &mut r.rdata {
+                    sig.signature[7] ^= 0x01;
+                }
+            }
+        });
+        assert!(!cds_verifies(&m, &flipped));
+        let expired = NOW + 40 * 24 * 3600;
+        assert!(!answer_sets_verify(
+            &answers,
+            |_| true,
+            &m.secure_keys,
+            expired
+        ));
+    }
+
+    #[test]
+    fn uncovered_type_is_ignored_and_duplicates_are_one_set() {
+        let m = build();
+        // An unsigned A in a CDS answer: the CDS check ignores it, the
+        // validator's answer step (every type) does not.
+        let (_, with_a) = cds_answer(&m, |v| v.push(a(&name!("secure.test"), 9)));
+        assert!(cds_verifies(&m, &with_a));
+        assert!(!answer_sets_verify(&with_a, |_| true, &m.secure_keys, NOW));
+        let (_, doubled) = cds_answer(&m, |v| v.insert(0, v[1].clone()));
+        assert!(cds_verifies(&m, &doubled));
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! - **Cache temperature.** One scanner scans the world twice: the
 //!   second scan runs on warm caches, costs strictly fewer queries and
 //!   yields the same evidence, at one worker or many.
+//! - **Transport.** Every UDP query is answered truncated, so every
+//!   answer comes over TCP (RFC 7766): the same logical queries, exactly
+//!   twice the datagrams, the same evidence.
+//! - **Isolation.** Each zone scanned alone by a fresh scanner yields
+//!   what the shared scan of the whole world gave it: no cache entry
+//!   another zone's walk left behind changes a zone's evidence.
 //!
 //! Evidence is compared as its journal-codec bytes, with no normaliser.
 //! The paper-scale rows are ignored by default; CI runs them in release
@@ -26,7 +32,7 @@
 
 use bootscan::{DnssecClass, Evidence, ScanPolicy, ScanResults, Scanner};
 use dns_ecosystem::{build, Ecosystem, EcosystemConfig};
-use dns_wire::message::Message;
+use dns_wire::message::{Message, Rcode};
 use dns_wire::name::Name;
 use dns_wire::record::Record;
 use netsim::{
@@ -82,6 +88,25 @@ impl ServerHandler for Reordering {
 
 /// Reorder the records of each RRset in `records` among its own slots.
 /// Returns whether any RRset had more than one record.
+/// Any server with a truncator in front: every UDP query is answered
+/// with its question echoed and TC set, so every answer comes over TCP.
+/// A TCP query, or one that does not decode, goes to the server.
+struct TcpOnly {
+    inner: Arc<dyn ServerHandler>,
+}
+
+impl ServerHandler for TcpOnly {
+    fn handle(&self, q: &[u8], dst: Addr, t: Transport, b: u32, now: SimMicros) -> ServerResponse {
+        let query = match Message::from_bytes(q) {
+            Ok(query) if t == Transport::Udp => query,
+            _ => return self.inner.handle(q, dst, t, b, now),
+        };
+        let mut reply = Message::response_to(&query, Rcode::NoError);
+        reply.header.flags.truncated = true;
+        ServerResponse::Reply(reply.to_bytes())
+    }
+}
+
 fn reorder(records: &mut [Record], how: Reorder, draw: u64) -> bool {
     let same_set =
         |a: &Record, b: &Record| a.name == b.name && a.class == b.class && a.rtype() == b.rtype();
@@ -255,6 +280,44 @@ fn warm_caches(cfg: EcosystemConfig, parallelism: usize, row: &str) {
     assert_related(&cold, &warm, row, |_, _| false);
 }
 
+/// The transport row: `cfg`'s world scanned cold as served and again
+/// with every answer over TCP costs the same logical queries, exactly
+/// twice the datagrams, and yields byte-identical evidence.
+fn transport(cfg: EcosystemConfig, row: &str) {
+    let eco = build(cfg);
+    let seeds = seeds(&eco);
+    let datagrams = || eco.net.stats().snapshot().queries;
+    let start = datagrams();
+    let udp = scanner(&eco, 1).scan_all(&seeds);
+    let udp_datagrams = datagrams() - start;
+    eco.net.wrap_handlers(|inner| Arc::new(TcpOnly { inner }));
+    let tcp = scanner(&eco, 1).scan_all(&seeds);
+    let tcp_datagrams = datagrams() - start - udp_datagrams;
+    println!(
+        "{row}: {} logical queries, datagrams {udp_datagrams} -> {tcp_datagrams}",
+        udp.total_queries
+    );
+    assert_eq!(
+        udp.total_queries, tcp.total_queries,
+        "{row}: logical queries"
+    );
+    assert_eq!(tcp_datagrams, 2 * udp_datagrams, "{row}: datagrams");
+    assert_related(&evidence(udp), &evidence(tcp), row, |_, _| false);
+}
+
+/// The isolation row: every `every`-th zone of `cfg`'s world, scanned
+/// alone by a fresh scanner, yields its evidence in the shared scan.
+fn isolation(cfg: EcosystemConfig, every: usize, row: &str) {
+    let eco = build(cfg);
+    let seeds = seeds(&eco);
+    let shared: Vec<Evidence> = scan(&eco, &seeds).into_iter().step_by(every).collect();
+    let alone: Vec<Evidence> = shared
+        .iter()
+        .flat_map(|z| scan(&eco, std::slice::from_ref(&z.name)))
+        .collect();
+    assert_related(&shared, &alone, row, |_, _| false);
+}
+
 #[test]
 fn rrset_reversal_tiny_4() {
     rrset_order(
@@ -335,6 +398,43 @@ fn warm_parallel_against_cold_sequential_tiny_42() {
     let plain = scan(&eco, &seeds(&eco));
     let [_, warm] = cold_then_warm(EcosystemConfig::tiny(42), 8, row);
     assert_related(&plain, &warm, row, |_, _| false);
+}
+
+#[test]
+fn transport_tiny_4() {
+    transport(EcosystemConfig::tiny(4), "transport, tiny(4)");
+}
+
+#[test]
+fn transport_tiny_7() {
+    transport(EcosystemConfig::tiny(7), "transport, tiny(7)");
+}
+
+#[test]
+fn transport_hostile_world() {
+    transport(hostile(), "transport, hostile world");
+}
+
+#[test]
+fn isolation_tiny_4() {
+    isolation(EcosystemConfig::tiny(4), 1, "isolation, tiny(4)");
+}
+
+#[test]
+fn isolation_tiny_7() {
+    isolation(EcosystemConfig::tiny(7), 1, "isolation, tiny(7)");
+}
+
+#[test]
+fn isolation_hostile_world() {
+    isolation(hostile(), 1, "isolation, hostile world");
+}
+
+#[test]
+#[ignore = "paper scale; CI runs it in release"]
+fn isolation_paper_every_13th() {
+    let cfg = EcosystemConfig::paper_default(PAPER_SCALE);
+    isolation(cfg, 13, "isolation, paper_default(20 000), every 13th zone");
 }
 
 #[test]
