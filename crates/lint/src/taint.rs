@@ -23,11 +23,11 @@
 //! A function **sanitizes** when it is itself a named sanitizer or
 //! directly calls one: the response-acceptance gate (which also scrubs
 //! out-of-bailiwick records), the BSJ1 `crc32` validation (directly or
-//! through `read_journal`, the one frame reader), or the commit-marker
-//! epoch check. Taint never propagates out of a
-//! sanitizing function — that is exactly the discipline the rules
-//! enforce: every path from bytes to a trusted sink must cross one of
-//! these gates.
+//! through `read_frame`, the one frame reader, or `read_journal`, its
+//! collect), or the commit-marker epoch check. Taint never propagates
+//! out of a sanitizing function — that is exactly the discipline the
+//! rules enforce: every path from bytes to a trusted sink must cross one
+//! of these gates.
 //!
 //! ## Rules
 //!
@@ -59,6 +59,7 @@ const SOURCES: &[(&str, &str)] = &[
     ("crates/scan-fabric/src/protocol.rs", "decode_payload"),
     // Journal / commit-marker bytes read back from disk.
     ("crates/scan-journal/src/journal.rs", "read_journal"),
+    ("crates/scan-journal/src/journal.rs", "read_frame"),
     ("crates/scan-continuous/src/lib.rs", "read_commit"),
 ];
 
@@ -66,9 +67,10 @@ const SOURCES: &[(&str, &str)] = &[
 const SANITIZERS: &[&str] = &[
     // Response acceptance: ID/QNAME/rcode gate + bailiwick scrub.
     "accept_reply",
-    // BSJ1 header and frame checksum validation, and the one frame
-    // reader built on it.
+    // BSJ1 header and frame checksum validation, the one frame reader
+    // built on it, and the collect over that reader.
     "crc32",
+    "read_frame",
     "read_journal",
     // COMMIT-marker epoch identity check.
     "validate_commit_epoch",

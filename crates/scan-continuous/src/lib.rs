@@ -15,10 +15,14 @@
 //!    and run by one [`drive`] — a fleet that lives for that epoch and is
 //!    joined before the next epoch churns. A committed epoch starts no
 //!    thread.
-//! 2. **Distributed carry-over.** The [`CarryLedger`] is partitioned by
-//!    each entry's *source zone* shard
-//!    ([`CarryLedger::partition`]), so a carried cache travels with the
-//!    shard that will re-scan its zone. Carried caches shape cost, never
+//! 2. **Distributed carry-over, kept in the journals.** The coordinator
+//!    holds no carried cache insert: it keeps each admitted epoch's
+//!    shard journal headers while their inserts can still be valid, and
+//!    each epoch's invalidated cuts. Shard k's scanner factory rebuilds
+//!    shard k's [`CarryLedger`] from its own earlier journals — the
+//!    entries [`CarryLedger::partition`] would route to it, since a
+//!    carried cache travels with the shard that re-scans its *source
+//!    zone* — seeds it and drops it. Carried caches shape cost, never
 //!    classification — distribution cannot change any zone's record.
 //! 3. **Explicit backpressure.** Epoch arrivals follow virtual time
 //!    (`arrival = epoch × spacing`). The [`admission`] controller — a
@@ -44,18 +48,23 @@
 //!    and every committed epoch stays byte-identical to an independent
 //!    cold scan of the same churned world at any worker count
 //!    (`tests/continuous_equivalence.rs`).
+//!
+//! [`CarryLedger`]: scan_epochs::CarryLedger
+//! [`CarryLedger::partition`]: scan_epochs::CarryLedger::partition
 
 pub mod admission;
+mod carry;
 
 pub use admission::{admit, render_decisions, Admission, AdmissionConfig, Decision};
 
 use bootscan::scanner::Scanner;
 use bootscan::types::ZoneScan;
 use bootscan::ScanPolicy;
+use carry::CarrySources;
 use dns_ecosystem::{apply_churn, build, ChurnConfig, ChurnLog, ChurnPlan, EcosystemConfig};
 use dns_wire::name::Name;
 use netsim::SimMicros;
-use scan_epochs::{CarryLedger, EpochReport, SkippedEpoch, TimeSeries};
+use scan_epochs::{EpochReport, SkippedEpoch, TimeSeries};
 use scan_fabric::{
     drive, fill_shard, FabricConfig, FabricFaultPlan, FabricOps, ShardJob, ShardPlan,
 };
@@ -224,15 +233,13 @@ struct EpochFold {
 
 /// Fold one epoch back from its shard journals — the *single* code path
 /// for both a freshly driven epoch and a committed epoch found on
-/// resume, which is what makes the two byte-identical. Ledger
-/// absorption runs in shard-major order (shard id, then journal order
-/// within the shard): deterministic and independent of which workers
-/// scanned what when.
+/// resume, which is what makes the two byte-identical. Shards fold in
+/// id order, each record in journal order: deterministic and
+/// independent of which workers scanned what when.
 fn fold_epoch(
     ns_epoch: &Namespace,
     plan: &ShardPlan,
     abandoned: &BTreeSet<u32>,
-    ledger: &mut CarryLedger,
     epoch: u32,
 ) -> io::Result<EpochFold> {
     let mut zones = Vec::new();
@@ -243,9 +250,6 @@ fn fold_epoch(
         let shard_zones = plan.zones(shard);
         let ns = ns_epoch.shard(shard);
         let recovery = recover(ns.dir(), ns.header(shard_zones))?;
-        for (_, event) in &recovery.events {
-            ledger.absorb(epoch, &event.scan.name, &event.effects);
-        }
         let (table, duration) = latest_per_zone(&recovery.events);
         makespan = makespan.max(duration);
         // The fabric merge's hole rule: a gap in an abandoned shard is an
@@ -334,7 +338,8 @@ pub fn run_continuous(
     let clean = FabricFaultPlan::none();
     let admission_cfg = cfg.admission();
     let mut ops = FabricOps::default();
-    let mut ledger = CarryLedger::new();
+    let root = Namespace::root(state_root, cfg.run_id);
+    let mut carry = CarrySources::new(root.clone());
     // The evidence is the last committed epoch's table; `learned[i]` is
     // the epoch whose fresh scan (or abandoned-shard placeholder)
     // produced its row i.
@@ -365,7 +370,7 @@ pub fn run_continuous(
             .collect();
         // Carried caches hit by this window's churn are dead either
         // way — a coalesced epoch's churn still invalidates.
-        ledger.invalidate(&churn.invalidated_cuts);
+        carry.churned(epoch, churn.invalidated_cuts);
 
         // -- Admission: pipeline or coalesce, never silently drop.
         let decision = admit(drain, arrival, &admission_cfg);
@@ -388,7 +393,7 @@ pub fn run_continuous(
             Admission::Pipeline { start, .. } => start,
         };
         let now = start;
-        ledger.prune_expired(now, cfg.cache_ttl, cfg.epoch_spacing);
+        carry.prune(now, cfg.cache_ttl, cfg.epoch_spacing);
 
         // -- Delta set: churned (this window + absorbed coalesced
         //    windows), expired, weak, and never-scanned zones.
@@ -421,21 +426,20 @@ pub fn run_continuous(
 
         let plan = ShardPlan::new(&delta, shards);
         ops.largest_shard = ops.largest_shard.max(plan.largest_shard());
-        let ns_epoch = Namespace::root(state_root, cfg.run_id).epoch(epoch);
+        let ns_epoch = root.epoch(epoch);
 
         // -- Drive or fold: committed epochs never re-scan.
         let (abandoned, committed) = match read_commit(ns_epoch.dir(), epoch)? {
             Some(abandoned) => (abandoned, true),
             None => {
                 // Distribute carry-over: each shard's fresh scanner is
-                // pre-seeded with its partition of the ledger.
-                let parts = ledger.partition(shards);
+                // pre-seeded with the carried caches it rebuilds from its
+                // own earlier journals.
                 let scanner = |k: u32| {
+                    let ledger = carry.ledger(k)?;
                     let scanner = Scanner::for_ecosystem(&eco, policy.clone());
-                    if let Some(part) = parts.get(k as usize) {
-                        part.seed_into(&scanner, now, cfg.cache_ttl, cfg.epoch_spacing);
-                    }
-                    scanner
+                    ledger.seed_into(&scanner, now, cfg.cache_ttl, cfg.epoch_spacing);
+                    Ok(scanner)
                 };
                 let job = ShardJob {
                     plan: &plan,
@@ -447,10 +451,11 @@ pub fn run_continuous(
             }
         };
 
-        let fold = fold_epoch(&ns_epoch, &plan, &abandoned, &mut ledger, epoch)?;
+        let fold = fold_epoch(&ns_epoch, &plan, &abandoned, epoch)?;
         if !committed {
             write_commit(ns_epoch.dir(), epoch, &abandoned)?;
         }
+        carry.admitted(epoch, &plan);
         drain = now.saturating_add(fold.makespan);
 
         // -- Fold evidence: fresh results (and explicit
@@ -542,19 +547,13 @@ mod tests {
         }));
         drop(sink);
 
-        let completed = fold_epoch(
-            &ns_epoch,
-            &plan,
-            &BTreeSet::new(),
-            &mut CarryLedger::new(),
-            0,
-        );
+        let completed = fold_epoch(&ns_epoch, &plan, &BTreeSet::new(), 0);
         let err = completed.err().expect("a hole in a completed shard");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("b.example."), "{err}");
 
         let abandoned = BTreeSet::from([0]);
-        let fold = fold_epoch(&ns_epoch, &plan, &abandoned, &mut CarryLedger::new(), 0).unwrap();
+        let fold = fold_epoch(&ns_epoch, &plan, &abandoned, 0).unwrap();
         assert_eq!(fold.stale, vec![b]);
         assert_eq!(fold.zones.len(), 2);
         assert_eq!(fold.makespan, 5);

@@ -4,17 +4,29 @@
 //! inserts its zone scan performed ([`ZoneEffects`]: one list in the
 //! order they were made, each insert keyed by a name whatever cache it
 //! went into). The ledger records them stamped with the epoch that
-//! learned them; at the next epoch's
-//! start, each entry is seeded into the fresh scanner with its
-//! **remaining validity** — `(learn time + TTL) − now` in virtual time —
-//! so a carried entry expires at exactly the same virtual instant it
-//! would have in one continuous run. Expired entries are never seeded
-//! (the lazy-eviction analog of the in-scanner expiry check), and
+//! learned them; at a later epoch's start, each entry is seeded into
+//! the fresh scanner with its **remaining validity** —
+//! `(epoch × spacing + TTL) − now` in virtual time. That is an
+//! approximation of one continuous run, not a replay of it: an insert is
+//! dated to its epoch's scheduled arrival, not to the instant its scan
+//! made it, and the scanner compares the expiry against each zone's own
+//! probe clock, which starts at 0 for every zone, so a carried entry
+//! stays valid for `remaining` of every later zone's scan rather than
+//! up to one study-wide instant. Expired entries are never seeded (the
+//! lazy-eviction analog of the in-scanner expiry check), and
 //! churn-invalidated entries are dropped the moment the churn log names
 //! their zone cut. Within-epoch crash resume replays the same effects
 //! with no expiry via
 //! [`Recovery::apply_to`](scan_journal::Recovery::apply_to) — that path
 //! must reproduce the interrupted epoch verbatim.
+//!
+//! `run_continuous` holds no ledger between epochs: the journals
+//! are the ledger's record. Each shard's scanner factory rebuilds its
+//! shard's ledger from its own earlier journals — `invalidate` each
+//! epoch's cuts and `absorb` that epoch's journal, in epoch order, then
+//! `prune_expired` — which yields, entry for entry, what
+//! [`CarryLedger::partition`] of a whole ledger built the same way would
+//! give that shard.
 
 use bootscan::scanner::Scanner;
 use bootscan::ZoneEffects;
@@ -23,11 +35,11 @@ use netsim::SimMicros;
 
 /// One ledger entry: the cache inserts of one zone event (its
 /// [`ZoneEffects`]), the epoch that learned them and the **source zone**
-/// whose scan made them. The source is what
-/// makes the ledger distributable: the continuous service partitions
-/// entries by the source zone's fabric shard, so a carried cache travels
-/// with the shard that will re-scan its zone.
-#[derive(Debug, Clone)]
+/// whose scan made them. The source is what makes the ledger
+/// distributable: an entry belongs to the source zone's fabric shard —
+/// the shard whose journal holds it — so a carried cache travels with
+/// the shard that will re-scan its zone.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct CarriedEntry {
     epoch: u32,
     source: Name,
@@ -36,7 +48,9 @@ struct CarriedEntry {
 
 /// Cache inserts carried across epochs, in journal order, each stamped
 /// with the epoch that learned it and the zone whose scan learned it.
-#[derive(Debug, Clone, Default)]
+/// Two ledgers are equal when they hold the same entries in the same
+/// order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CarryLedger {
     entries: Vec<CarriedEntry>,
 }
@@ -53,6 +67,14 @@ impl CarryLedger {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Every entry in absorption order: the epoch that learned it, the
+    /// zone whose scan made it, and its inserts.
+    pub fn entries(&self) -> impl Iterator<Item = (u32, &Name, &ZoneEffects)> {
+        self.entries
+            .iter()
+            .map(|e| (e.epoch, &e.source, &e.inserts))
     }
 
     /// Record one zone event's cache effects, learned during `epoch` by
@@ -75,6 +97,8 @@ impl CarryLedger {
     /// partition replays its inserts in the original journal order. The
     /// evidence plane never reads carried caches (they shape cost, not
     /// classification), so distribution cannot change any zone's record.
+    /// `run_continuous` does not call it: each shard rebuilds its
+    /// part from its own journals. It states what that part is.
     pub fn partition(&self, shards: u32) -> Vec<CarryLedger> {
         let mut parts = vec![CarryLedger::new(); shards.max(1) as usize];
         for entry in &self.entries {
@@ -122,10 +146,10 @@ impl CarryLedger {
     /// Seed every still-valid entry into a fresh scanner for the epoch
     /// starting at virtual time `now`, through the same
     /// [`Scanner::seed_effects`] walk journal replay uses. The entry's
-    /// expiry is translated into the scanner's local clock (which starts
-    /// each epoch at 0): `remaining = (learn time + TTL) − now`. Entries
-    /// with no validity left are skipped — never consulted, exactly like
-    /// an in-scanner expired entry.
+    /// expiry is `remaining = (epoch × spacing + TTL) − now`, which the
+    /// scanner reads against each zone's probe clock (it starts at 0 for
+    /// every zone). Entries with no validity left are skipped — never
+    /// consulted, exactly like an in-scanner expired entry.
     pub fn seed_into(&self, scanner: &Scanner, now: SimMicros, ttl: SimMicros, spacing: SimMicros) {
         for entry in &self.entries {
             let learned = (entry.epoch as SimMicros).saturating_mul(spacing);

@@ -5,12 +5,14 @@
 //! is `scan_continuous::run_continuous` (DESIGN.md §11); this crate holds
 //! the two data types every epoch of it passes along (DESIGN.md §10):
 //!
-//! * [`CarryLedger`] — delegation-, address- and validated-key cache
-//!   entries learned by past epochs, seeded into a later epoch's fresh
-//!   scanner with their *remaining* virtual-time validity, dropped when
-//!   churn invalidates their zone cut, and partitionable by fabric
-//!   shard. Carried caches change *when* datagrams are sent, never what
-//!   the classifier concludes.
+//! * [`CarryLedger`] — delegation-, address-, validated-key and
+//!   zone-cut cache entries learned by past epochs, seeded into a later
+//!   epoch's fresh scanner with their *remaining* virtual-time validity
+//!   and dropped when churn invalidates their zone cut.
+//!   `run_continuous` rebuilds one per shard from that shard's journals;
+//!   [`CarryLedger::partition`] states which entries that is. Carried
+//!   caches change *when* datagrams are sent, never what the classifier
+//!   concludes.
 //! * [`TimeSeries`] — committed [`EpochReport`]s (the full evidence
 //!   table as of each epoch, plus what was re-scanned, what churned and
 //!   which zones are explicit degraded placeholders) and

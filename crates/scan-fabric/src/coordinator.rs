@@ -213,7 +213,7 @@ pub fn run_fabric(
     let job = ShardJob {
         plan: &plan,
         ns: Namespace::root(state_root, run_id),
-        scanner: &|_| factory(),
+        scanner: &|_| Ok(factory()),
         faults,
     };
     let abandoned = drive(&job, config, &mut ops);

@@ -11,7 +11,8 @@
 //! every zone event write-ahead. It answers on the fleet's shared report
 //! channel: [`Report::Done`] once the journal's tail is committed
 //! ([`JournalSink::finish`]), or [`Report::GaveBack`] when the attempt
-//! ended fenced or on a journal it could not write or commit. Its [`Outbox`]
+//! ended fenced, on a journal it could not write or commit, or on a
+//! scanner its job could not build. Its [`Outbox`]
 //! sends [`Report::Exited`] when dropped, so a worker thread that
 //! returns — orderly or by an injected kill — is reported exactly once,
 //! after everything it sent before.
@@ -34,6 +35,7 @@ use bootscan::scanner::Scanner;
 use bootscan::{ProgressSink, ZoneEvent};
 use scan_journal::{recover, JournalSink, Namespace};
 use std::cell::Cell;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -53,8 +55,11 @@ pub struct ShardJob<'a> {
     pub ns: Namespace,
     /// A fresh scanner for shard k, called once per attempt: cold caches
     /// apart from deterministic pre-seeding (such as shard k's
-    /// partition of a carry ledger).
-    pub scanner: &'a (dyn Fn(u32) -> Arc<Scanner> + Sync),
+    /// partition of a carry ledger, rebuilt from its earlier journals).
+    /// An error — a journal it could not read — gives the attempt back
+    /// like a journal it could not write: never a scanner seeded from
+    /// less than it should be.
+    pub scanner: &'a (dyn Fn(u32) -> io::Result<Arc<Scanner>> + Sync),
     /// The faults this drive injects.
     pub faults: &'a FabricFaultPlan,
 }
@@ -172,7 +177,8 @@ enum AttemptEnd {
     Died,
     /// Lease revoked mid-scan.
     Fenced,
-    /// Shard journal unwritable, or its commit failed.
+    /// Shard journal unwritable, its commit failed, or the scanner
+    /// factory could not read what it seeds from.
     JournalIo,
 }
 
@@ -269,7 +275,7 @@ fn run_shard(ctx: &WorkerCtx<'_>, assign: Assign) -> Result<(), AttemptEnd> {
     let job = ctx.job;
     let zones = job.plan.zones(assign.shard);
     let ns = job.ns.shard(assign.shard);
-    let scanner = (job.scanner)(assign.shard);
+    let scanner = (job.scanner)(assign.shard).map_err(|_| AttemptEnd::JournalIo)?;
     let recovery = recover(ns.dir(), ns.header(zones)).map_err(|_| AttemptEnd::JournalIo)?;
     recovery.apply_to(&scanner);
     let resume = recovery.resume_state();

@@ -50,7 +50,7 @@ use crate::codec::{decode_event, encode_event_into};
 use crate::crc::crc32;
 use bootscan::ZoneEvent;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::path::Path;
 
 /// Journal file magic ("Bootstrap Scan Journal v1").
@@ -218,60 +218,150 @@ pub struct JournalRead {
 /// Read a journal, stopping at — never trusting — the first corrupt
 /// byte. I/O errors (missing file, permission) surface as `Err`;
 /// *corruption is not an error*, it is a [`TailStatus::Torn`] report.
+/// A collect over `JournalReader`, the one frame parser.
 pub fn read_journal(path: &Path) -> io::Result<JournalRead> {
-    let raw = fs::read(path)?;
-    let header = JournalHeader::from_bytes(&raw);
-    let total = raw.len() as u64;
-    let torn = |entries: Vec<(u64, ZoneEvent)>, valid_len: u64| JournalRead {
-        header,
+    let mut reader = JournalReader::open(path)?;
+    let entries = reader.by_ref().collect::<io::Result<Vec<_>>>()?;
+    Ok(JournalRead {
+        header: reader.header,
         entries,
-        tail: TailStatus::Torn {
-            dropped_bytes: total - valid_len,
-        },
-        valid_len,
-    };
-    if header.is_none() {
-        return Ok(torn(Vec::new(), 0));
+        tail: reader.end.unwrap_or(TailStatus::Clean),
+        valid_len: reader.valid_len,
+    })
+}
+
+/// A journal read one frame at a time through a [`BufReader`]: one
+/// frame's payload and one decoded event are alive at a time. It yields
+/// nothing when the header is torn, corrupt or of another format
+/// version, and stops — never trusting what follows — at the first
+/// frame that is short, oversized, fails its checksum, breaks the
+/// sequence or does not decode. It only reads: truncating a torn tail
+/// is [`recover`](fn@crate::recover)'s.
+#[derive(Debug)]
+pub(crate) struct JournalReader {
+    file: BufReader<File>,
+    header: Option<JournalHeader>,
+    /// File length when opened.
+    total: u64,
+    /// Byte offset of the end of the last valid frame.
+    valid_len: u64,
+    last_seq: Option<u64>,
+    /// How the journal ended, once the reader got there (or failed).
+    end: Option<TailStatus>,
+    /// The frame payload being read, reused from one frame to the next.
+    payload: Vec<u8>,
+}
+
+impl JournalReader {
+    /// Open `path` and read its header. A missing file is `NotFound`.
+    pub(crate) fn open(path: &Path) -> io::Result<Self> {
+        let file = File::open(path)?;
+        let total = file.metadata()?.len();
+        let mut reader = JournalReader {
+            file: BufReader::new(file),
+            header: None,
+            total,
+            valid_len: 0,
+            last_seq: None,
+            end: None,
+            payload: Vec::new(),
+        };
+        let mut head = [0u8; HEADER_LEN as usize];
+        if reader.fill(&mut head)? {
+            reader.header = JournalHeader::from_bytes(&head);
+        }
+        match reader.header {
+            Some(_) => reader.valid_len = HEADER_LEN,
+            None => reader.end = Some(reader.torn()),
+        }
+        Ok(reader)
     }
 
-    let mut entries: Vec<(u64, ZoneEvent)> = Vec::new();
-    let mut pos = HEADER_LEN as usize;
-    loop {
-        let valid_len = pos as u64;
-        let rest = &raw[pos..];
-        if rest.is_empty() {
-            return Ok(JournalRead {
-                header,
-                entries,
-                tail: TailStatus::Clean,
-                valid_len,
-            });
+    /// The journal's identity, `None` when its header is unusable.
+    pub(crate) fn header(&self) -> Option<JournalHeader> {
+        self.header
+    }
+
+    /// What the journal holds after the last valid frame.
+    fn torn(&self) -> TailStatus {
+        TailStatus::Torn {
+            dropped_bytes: self.total.saturating_sub(self.valid_len),
         }
-        if rest.len() < 8 {
-            return Ok(torn(entries, valid_len));
+    }
+
+    /// Fill `buf` from the file: `false` if the file ends first.
+    fn fill(&mut self, buf: &mut [u8]) -> io::Result<bool> {
+        match self.file.read_exact(buf) {
+            Ok(()) => Ok(true),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+            Err(e) => Err(e),
         }
-        let len = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        if !(8..=MAX_FRAME).contains(&len) || rest.len() < 8 + len as usize {
-            return Ok(torn(entries, valid_len));
+    }
+
+    /// The next checksum-valid, sequence-contiguous frame, or `None`
+    /// once the valid prefix ends. After an I/O error it yields nothing
+    /// more.
+    fn next_frame(&mut self) -> io::Result<Option<(u64, ZoneEvent)>> {
+        if self.end.is_some() {
+            return Ok(None);
         }
-        let payload = &rest[8..8 + len as usize];
-        if crc32(payload) != crc {
-            return Ok(torn(entries, valid_len));
+        let frame = self.read_frame();
+        match &frame {
+            Ok(Some(_)) => {}
+            Ok(None) if self.valid_len == self.total => self.end = Some(TailStatus::Clean),
+            _ => self.end = Some(self.torn()),
         }
-        let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-        if let Some((last, _)) = entries.last() {
-            if seq != last + 1 {
-                return Ok(torn(entries, valid_len));
-            }
+        frame
+    }
+
+    fn read_frame(&mut self) -> io::Result<Option<(u64, ZoneEvent)>> {
+        // Saturating: a file that grew after `open` is read as long as
+        // it was then.
+        let rest = self.total.saturating_sub(self.valid_len);
+        let mut head = [0u8; 8];
+        if rest < 8 || !self.fill(&mut head)? {
+            return Ok(None);
         }
-        match decode_event(&payload[8..]) {
-            Ok(event) => entries.push((seq, event)),
-            // A checksum-valid but undecodable frame means a format bug;
-            // treat it like corruption rather than trusting it.
-            Err(_) => return Ok(torn(entries, valid_len)),
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = head;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
+        if !(8..=MAX_FRAME).contains(&len) || rest < 8 + u64::from(len) {
+            return Ok(None);
         }
-        pos += 8 + len as usize;
+        self.payload.clear();
+        (&mut self.file)
+            .take(u64::from(len))
+            .read_to_end(&mut self.payload)?;
+        let payload = &self.payload;
+        if payload.len() != len as usize || crc32(payload) != crc {
+            return Ok(None);
+        }
+        let Some((seq, event)) = payload.split_first_chunk::<8>() else {
+            return Ok(None);
+        };
+        let seq = u64::from_le_bytes(*seq);
+        if self
+            .last_seq
+            .is_some_and(|last| last.checked_add(1) != Some(seq))
+        {
+            return Ok(None);
+        }
+        // A checksum-valid but undecodable frame means a format bug;
+        // treat it like corruption rather than trusting it.
+        let Ok(event) = decode_event(event) else {
+            return Ok(None);
+        };
+        self.valid_len += 8 + u64::from(len);
+        self.last_seq = Some(seq);
+        Ok(Some((seq, event)))
+    }
+}
+
+impl Iterator for JournalReader {
+    type Item = io::Result<(u64, ZoneEvent)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_frame().transpose()
     }
 }
 

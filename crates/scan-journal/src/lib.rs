@@ -21,6 +21,9 @@
 //!   killed at any point and resumed produces a byte-identical final
 //!   report (`tests/crash_recovery.rs` at the workspace root proves
 //!   this at ≥20 cut points).
+//! * [`for_each_recovered`] — `recover`'s events streamed one decoded
+//!   event at a time, without touching the file: how a continuous
+//!   study rebuilds a shard's carried caches from its earlier journals.
 //! * [`JournalSink`] — the [`ProgressSink`](bootscan::ProgressSink)
 //!   that wires all of this into
 //!   [`Scanner::scan_all_with`](bootscan::Scanner::scan_all_with).
@@ -56,4 +59,6 @@ pub use journal::{
     TailStatus, FORMAT_VERSION, JOURNAL_FILE, JOURNAL_MAGIC,
 };
 pub use namespace::{Level, Namespace};
-pub use recover::{fingerprint_names, latest_per_zone, recover, JournalSink, Recovery};
+pub use recover::{
+    fingerprint_names, for_each_recovered, latest_per_zone, recover, JournalSink, Recovery,
+};

@@ -5,6 +5,9 @@
 //! progress — validates it against the expected run identity, truncates
 //! any torn tail on disk, and returns its events. It is also the fabric
 //! merge's and the epoch fold's reader, so it touches each event once.
+//! [`for_each_recovered`] hands out the same events one at a time and
+//! leaves the file alone: a later epoch's shard rebuilds its carried
+//! caches from its earlier journals through it.
 //! From those events:
 //!
 //! * [`Recovery::resume_state`] yields the [`ResumeState`] to pass to
@@ -39,7 +42,8 @@
 
 use crate::crc::fnv64;
 use crate::journal::{
-    read_journal, truncate_torn_tail, JournalHeader, JournalWriter, TailStatus, JOURNAL_FILE,
+    read_journal, truncate_torn_tail, JournalHeader, JournalReader, JournalWriter, TailStatus,
+    JOURNAL_FILE,
 };
 use bootscan::scanner::Scanner;
 use bootscan::{ProgressSink, ResumeState, ZoneEvent, ZoneScan};
@@ -143,20 +147,9 @@ pub fn recover(dir: &Path, expected: JournalHeader) -> io::Result<Recovery> {
         }
         Err(e) => return Err(e),
     };
-    match read.header {
-        Some(h) if h != expected => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "journal belongs to a different run \
-                     (found run_id={} fingerprint={:#x}, \
-                     expected run_id={} fingerprint={:#x})",
-                    h.run_id, h.fingerprint, expected.run_id, expected.fingerprint
-                ),
-            ));
-        }
-        Some(_) if read.tail != TailStatus::Clean => truncate_torn_tail(&path, read.valid_len)?,
-        _ => {}
+    check_run(read.header, expected)?;
+    if read.header.is_some() && read.tail != TailStatus::Clean {
+        truncate_torn_tail(&path, read.valid_len)?;
     }
     let mut events = read.entries;
     if events.first().is_some_and(|(seq, _)| *seq != 0) {
@@ -167,6 +160,52 @@ pub fn recover(dir: &Path, expected: JournalHeader) -> io::Result<Recovery> {
         events,
         journal_tail: read.tail,
     })
+}
+
+/// A journal whose header names another run or seed list is a hard
+/// error; an unusable header (`None`) is not.
+fn check_run(found: Option<JournalHeader>, expected: JournalHeader) -> io::Result<()> {
+    match found {
+        Some(h) if h != expected => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "journal belongs to a different run \
+                 (found run_id={} fingerprint={:#x}, \
+                 expected run_id={} fingerprint={:#x})",
+                h.run_id, h.fingerprint, expected.run_id, expected.fingerprint
+            ),
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Hand `each` the events [`recover`] would return for `dir`'s journal,
+/// in journal order, one decoded event alive at a time, under the same
+/// rules: none for a missing journal, an unusable header or frames not
+/// starting at seq 0, a hard error for another run's header, and a stop
+/// at the first torn frame. The file is only read — a torn tail stays
+/// on disk for the `recover` that resumes it.
+pub fn for_each_recovered(
+    dir: &Path,
+    expected: JournalHeader,
+    mut each: impl FnMut(ZoneEvent),
+) -> io::Result<()> {
+    let reader = match JournalReader::open(&dir.join(JOURNAL_FILE)) {
+        Ok(reader) => reader,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    check_run(reader.header(), expected)?;
+    // The reader keeps the frames contiguous, so only the first can
+    // differ here.
+    for (want, frame) in (0u64..).zip(reader) {
+        let (seq, event) = frame?;
+        if seq != want {
+            break;
+        }
+        each(event);
+    }
+    Ok(())
 }
 
 /// The production [`ProgressSink`]: write-ahead journal and group
@@ -570,6 +609,81 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The events `for_each_recovered` streams out of `dir`, encoded.
+    fn streamed(dir: &Path, expected: JournalHeader) -> io::Result<Vec<Vec<u8>>> {
+        let mut out = Vec::new();
+        for_each_recovered(dir, expected, |e| out.push(encode_event(&e)))?;
+        Ok(out)
+    }
+
+    /// The streamed reader is `recover` without the truncation: a
+    /// journal cut at every byte offset, one byte flipped in each frame
+    /// (its length, its checksum, its sequence number, its event) and in
+    /// the header, a missing file and a journal not starting at seq 0
+    /// all stream exactly the events `recover` returns, another run's
+    /// header is the same hard error, and the file is left byte for byte
+    /// as it was, a torn tail included.
+    #[test]
+    fn streamed_events_equal_recover_and_leave_the_file_alone() {
+        let dir = dir_with("stream", 4);
+        let path = dir.join(JOURNAL_FILE);
+        let whole = fs::read(&path).unwrap();
+        let mut frames = Vec::new();
+        let mut at = crate::journal::HEADER_LEN as usize;
+        while at < whole.len() {
+            frames.push(at);
+            at += 8 + u32::from_le_bytes(whole[at..at + 4].try_into().unwrap()) as usize;
+        }
+        assert_eq!(frames.len(), 4);
+        let mut images: Vec<(String, Vec<u8>)> = (0..=whole.len())
+            .map(|cut| (format!("cut at {cut}"), whole[..cut].to_vec()))
+            .collect();
+        let mut flips = vec![1];
+        for (i, &start) in frames.iter().enumerate() {
+            let end = frames.get(i + 1).copied().unwrap_or(whole.len());
+            flips.extend([start, start + 5, start + 8, (start + end) / 2]);
+        }
+        for idx in flips {
+            let mut raw = whole.clone();
+            raw[idx] ^= 0xFF;
+            images.push((format!("flip at {idx}"), raw));
+        }
+        let nonzero = tmpdir("stream-nonzero");
+        let mut w = JournalWriter::create(&nonzero.join(JOURNAL_FILE), HDR, 7).unwrap();
+        w.append(&event_for("a.example", 0, 1)).unwrap();
+        images.push((
+            "first seq 7".into(),
+            fs::read(nonzero.join(JOURNAL_FILE)).unwrap(),
+        ));
+
+        let foreign = JournalHeader { run_id: 999, ..HDR };
+        let mut torn = 0;
+        for (what, raw) in &images {
+            fs::write(&path, raw).unwrap();
+            let stream = streamed(&dir, HDR).unwrap();
+            let stream_foreign = streamed(&dir, foreign);
+            assert_eq!(&fs::read(&path).unwrap(), raw, "{what}: the reader wrote");
+            match (stream_foreign, recover(&dir, foreign)) {
+                (Err(s), Err(r)) => {
+                    assert_eq!(s.kind(), io::ErrorKind::InvalidData, "{what}");
+                    assert_eq!(r.kind(), io::ErrorKind::InvalidData, "{what}");
+                }
+                (Ok(s), Ok(r)) => {
+                    assert!(s.is_empty() && r.events.is_empty(), "{what}: no header")
+                }
+                (s, r) => panic!("{what}: stream {s:?}, recover {:?}", r.map(|r| r.events)),
+            }
+            let rec = recover(&dir, HDR).unwrap();
+            torn += usize::from(rec.journal_tail != TailStatus::Clean);
+            let recovered: Vec<Vec<u8>> = rec.events.iter().map(|(_, e)| encode_event(e)).collect();
+            assert_eq!(stream, recovered, "{what}");
+        }
+        assert!(torn > whole.len() / 2, "the cuts tear most images");
+        fs::remove_file(&path).unwrap();
+        assert_eq!(streamed(&dir, HDR).unwrap(), Vec::<Vec<u8>>::new());
+        assert_eq!(streamed(&dir, foreign).unwrap(), Vec::<Vec<u8>>::new());
     }
 
     #[test]

@@ -15,7 +15,7 @@ mod common;
 
 use bootscan::{
     CacheInsert, CutOutcome, Identified, ProgressSink, ReferralData, ScanPolicy, ScanRecord,
-    Scanner, ZoneEvent, ZoneScan,
+    Scanner, ZoneEffects, ZoneEvent, ZoneScan,
 };
 use dns_ecosystem::{
     apply_churn, build, ChurnAction, ChurnConfig, ChurnPlan, Ecosystem, EcosystemConfig,
@@ -27,8 +27,9 @@ use dns_zone::signal::child_from_signal_name;
 use dns_zone::Zone;
 use netsim::Addr;
 use scan_continuous::{run_continuous, ContinuousConfig, ContinuousOutput};
-use scan_fabric::FabricConfig;
-use scan_journal::{decode_event, encode_event};
+use scan_epochs::CarryLedger;
+use scan_fabric::{FabricConfig, ShardPlan};
+use scan_journal::{decode_event, encode_event, for_each_recovered, Namespace};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -194,8 +195,11 @@ fn study(epochs: u32, spacing: u64) -> ContinuousOutput {
 /// Five epochs under calibrated backpressure: a one-epoch probe measures
 /// epoch 0's virtual makespan, arrivals are scheduled every third of it
 /// at pipeline depth 1, which forces a pipelined and a coalesced epoch.
-/// The skipped-epoch count is pinned exactly — a change in admission
-/// behaviour is a semantic change, not a cost wobble.
+/// Every counter is pinned exactly. The skipped-epoch count is
+/// admission behaviour, a semantic change, not a cost wobble; and at
+/// one worker each epoch's queries, delta size and makespan are
+/// deterministic, so a carried cache insert lost or gained anywhere
+/// moves one of them — a 20 % slack would hide a fifth of the carry.
 #[test]
 fn continuous_study_costs_stay_within_baseline() {
     let makespan0 = study(1, 86_400_000_000).series.epochs[0].simulated_duration;
@@ -214,8 +218,8 @@ fn continuous_study_costs_stay_within_baseline() {
     gate(
         &current,
         include_str!("../crates/bench/baselines/continuous_tiny.txt"),
-        |key| key.starts_with('e'),
-        |key| key == "skipped",
+        |_| false,
+        |key| key == "skipped" || key.starts_with('e'),
     );
 }
 
@@ -655,9 +659,13 @@ fn footprint_is_exact() {
 /// the scanner caches count the entries a cold scan's cache log
 /// inserted, last write per name, values at their capacity; the epoch
 /// tables of a 4-epoch `run_continuous` count every row pointer and each
-/// shared scan body once. Rows labelled "(count)" or "(what-if)" are not bytes held and
-/// stay out of the total; "index slots (count)" is each class's
-/// `Zone::index_slots`, map capacity plus set length. Prints; gates nothing:
+/// shared scan body once; the carry-ledger rows price, with
+/// `ledger_bytes`, the ledger the coordinator held after epoch 0's fold
+/// until the journals became the ledger, and the largest one a shard
+/// rebuilds from them for epoch 1. Rows labelled "(count)" or
+/// "(what-if)" are not bytes held and stay out of the total; "index
+/// slots (count)" is each class's `Zone::index_slots`, map capacity plus
+/// set length. Prints; gates nothing:
 /// `cargo test --release --test cost_gates -- --ignored --nocapture`.
 #[test]
 #[ignore = "paper-scale attribution, prints only"]
@@ -749,6 +757,33 @@ fn footprint_by_owner() {
         &state,
     )
     .expect("continuous study");
+    // Epoch 0's shard journals, absorbed shard-major into one ledger (the
+    // one the coordinator held after epoch 0's fold, before it stopped
+    // keeping one) and each alone (what shard k rebuilds for epoch 1,
+    // before epoch 1's churn cuts drop from it).
+    let e0 = &out.series.epochs[0];
+    let mut delta: Vec<Name> = e0.fresh.iter().chain(&e0.stale).cloned().collect();
+    delta.sort_by(|a, b| a.canonical_cmp(b));
+    let plan = ShardPlan::new(&delta, cfg.fabric.shards);
+    let ns = Namespace::root(&state, cfg.run_id).epoch(0);
+    let (mut whole, mut largest) = (CarryLedger::new(), 0);
+    for k in 0..plan.shards() {
+        let shard = ns.shard(k);
+        let mut part = CarryLedger::new();
+        for_each_recovered(shard.dir(), shard.header(plan.zones(k)), |event| {
+            whole.absorb(0, &event.scan.name, &event.effects);
+            part.absorb(0, &event.scan.name, &event.effects);
+        })
+        .expect("epoch 0 journal");
+        largest = largest.max(ledger_bytes(&part));
+    }
+    let carry = "carry ledger (epoch 0's inserts)";
+    rows.push((
+        carry.into(),
+        "held after e0 fold (what-if)",
+        ledger_bytes(&whole),
+    ));
+    rows.push((carry.into(), "largest shard rebuild", largest));
     let _ = std::fs::remove_dir_all(&state);
     let (mut table_rows, mut shared, mut deep) = (0, 0, 0);
     let mut seen = HashSet::new();
@@ -803,12 +838,7 @@ fn body_bytes(z: &ZoneScan, seen: &mut HashSet<*const u8>) -> usize {
         }
     }
     fn keys(v: &Arc<Vec<DnskeyData>>, seen: &mut HashSet<*const u8>) -> usize {
-        if !seen.insert(Arc::as_ptr(v).cast()) {
-            return 0;
-        }
-        16 + size_of::<Vec<DnskeyData>>()
-            + v.capacity() * size_of::<DnskeyData>()
-            + v.iter().map(|k| k.public_key.capacity()).sum::<usize>()
+        arc_once(v, seen, keys_heap)
     }
     if !seen.insert(Arc::as_ptr(z).cast()) {
         return 0;
@@ -824,6 +854,79 @@ fn body_bytes(z: &ZoneScan, seen: &mut HashSet<*const u8>) -> usize {
     }
     for o in z.signal_observations.iter() {
         bytes += cds(&o.cds, seen);
+    }
+    bytes
+}
+
+/// 16 `Arc` header bytes plus `heap` of the body behind `v`, or 0 when
+/// `seen` already holds that body.
+fn arc_once<T>(v: &Arc<T>, seen: &mut HashSet<*const u8>, heap: fn(&T) -> usize) -> usize {
+    if seen.insert(Arc::as_ptr(v).cast()) {
+        16 + heap(v)
+    } else {
+        0
+    }
+}
+
+/// A validated key set at its capacity, key bytes included.
+fn keys_heap(k: &Vec<DnskeyData>) -> usize {
+    use std::mem::size_of;
+    size_of::<Vec<DnskeyData>>()
+        + k.capacity() * size_of::<DnskeyData>()
+        + k.iter().map(|d| d.public_key.capacity()).sum::<usize>()
+}
+
+/// An address list at its capacity.
+fn addrs_heap(a: &Vec<Addr>) -> usize {
+    use std::mem::size_of;
+    size_of::<Vec<Addr>>() + a.capacity() * size_of::<Addr>()
+}
+
+/// A referral and its lists at their capacities, signature bytes
+/// included.
+fn referral_heap(r: &ReferralData) -> usize {
+    use std::mem::size_of;
+    size_of::<ReferralData>()
+        + r.ns_names.capacity() * size_of::<Name>()
+        + r.ds
+            .as_ref()
+            .map_or(0, |d| d.capacity() * size_of::<DsData>())
+        + r.ds_rrsigs.capacity() * size_of::<RrsigData>()
+        + r.ds_rrsigs
+            .iter()
+            .map(|s| s.signature.capacity())
+            .sum::<usize>()
+        + r.child_servers.capacity() * size_of::<Addr>()
+}
+
+/// Heap bytes of a carry ledger: each entry (its epoch, source name and
+/// insert list, inline) and its insert slots, each value `Arc` body once
+/// (by `Arc::as_ptr`), and each distinct name's buffer once (16 header
+/// bytes plus its wire form) — source zones, cache keys and cut apexes.
+fn ledger_bytes(ledger: &CarryLedger) -> usize {
+    use std::mem::size_of;
+    let (mut seen, mut names) = (HashSet::new(), HashSet::new());
+    let mut name = |n: &Name| {
+        if names.insert(n.clone()) {
+            16 + n.wire_len()
+        } else {
+            0
+        }
+    };
+    let mut bytes = 0;
+    for (_, source, inserts) in ledger.entries() {
+        bytes += size_of::<(u32, Name, ZoneEffects)>()
+            + inserts.capacity() * size_of::<(Name, CacheInsert)>()
+            + name(source);
+        for (key, insert) in inserts {
+            bytes += name(key)
+                + match insert {
+                    CacheInsert::Keys(k) => arc_once(k, &mut seen, keys_heap),
+                    CacheInsert::Addrs(a) => arc_once(a, &mut seen, addrs_heap),
+                    CacheInsert::Referral(r) => arc_once(r, &mut seen, referral_heap),
+                    CacheInsert::Cut(c) => name(&c.apex),
+                };
+        }
     }
     bytes
 }
@@ -872,37 +975,11 @@ impl CacheLogSink {
         let keys = self.keys.borrow();
         let addrs = self.addrs.borrow();
         let referrals = self.referrals.borrow();
-        let key_bytes = keys
-            .values()
-            .map(|k| {
-                entry
-                    + arc
-                    + size_of::<Vec<DnskeyData>>()
-                    + k.capacity() * size_of::<DnskeyData>()
-                    + k.iter().map(|d| d.public_key.capacity()).sum::<usize>()
-            })
-            .sum();
-        let addr_bytes = addrs
-            .values()
-            .map(|a| entry + arc + size_of::<Vec<Addr>>() + a.capacity() * size_of::<Addr>())
-            .sum();
+        let key_bytes = keys.values().map(|k| entry + arc + keys_heap(k)).sum();
+        let addr_bytes = addrs.values().map(|a| entry + arc + addrs_heap(a)).sum();
         let referral_bytes = referrals
             .values()
-            .map(|r| {
-                entry
-                    + arc
-                    + size_of::<ReferralData>()
-                    + r.ns_names.capacity() * size_of::<Name>()
-                    + r.ds
-                        .as_ref()
-                        .map_or(0, |d| d.capacity() * size_of::<DsData>())
-                    + r.ds_rrsigs.capacity() * size_of::<RrsigData>()
-                    + r.ds_rrsigs
-                        .iter()
-                        .map(|s| s.signature.capacity())
-                        .sum::<usize>()
-                    + r.child_servers.capacity() * size_of::<Addr>()
-            })
+            .map(|r| entry + arc + referral_heap(r))
             .sum();
         let cut_entry = 2 * size_of::<Name>() + size_of::<CutOutcome>() + size_of::<u64>();
         let cut_bytes = self
